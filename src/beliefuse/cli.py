@@ -386,7 +386,7 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
             if "=" not in item:
                 raise ConfigError(f"--inputs expects name=path, got {item!r}")
             name, path = item.split("=", 1)
-            methods[name] = _read_any_detections(path)
+            methods[name] = io.read_any_detections(path)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:
@@ -400,19 +400,6 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
     evaluation.write_reports_csv(reports, out / "report.csv")
     for name in sorted(reports):
         click.echo(f"{name}: mAP {reports[name].map_score:.4f}")
-
-
-def _read_any_detections(path: str):
-    """Fused files carry a class per line; raw detector files do too."""
-    text = Path(path).read_text().strip().splitlines()
-    for line in text:
-        obj = json.loads(line)
-        if "_header" in obj:
-            continue
-        if "detector_id" in obj:
-            return io.read_detections(path)
-        return io.read_fused(path)
-    return []
 
 
 @main.command("sweep-n")

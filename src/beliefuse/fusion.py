@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import dst
 from .dst import Bpa, FusedVerdict, TotalConflict, combine_all
-from .geometry import BoundingBox, Detection, iou, nms
+from .geometry import BoundingBox, Detection, iou_matrix, nms
 from .trust import TrustModel
 
 log = logging.getLogger(__name__)
@@ -52,31 +55,57 @@ class FusedDetection:
     source_detector_id: str = ""
 
 
+def image_overlaps(per_detector: dict[str, list[Detection]]) -> np.ndarray:
+    """The ``iou_matrix`` of one image's windows in subject order: detectors
+    sorted by id, each detector's windows in input order."""
+    return iou_matrix(
+        [d.box.as_tuple() for det_id in sorted(per_detector) for d in per_detector[det_id]]
+    )
+
+
 def build_detection_vectors(
     per_detector: dict[str, list[Detection]],
     overlap_threshold: float = 0.5,
+    overlaps: np.ndarray | None = None,
 ) -> list[DetectionVector]:
     """One vector per input detection; every detection is a subject once.
 
     For each other detector the slot holds the maximum score among its
     windows overlapping the subject beyond the threshold; the slot is
-    absent when no such window exists.
+    absent when no such window exists. Vectors come in subject order (see
+    ``image_overlaps``); ``overlaps`` is that function's matrix when the
+    caller already has it.
     """
-    vectors: list[DetectionVector] = []
     detector_ids = sorted(per_detector)
+    subjects = [d for det_id in detector_ids for d in per_detector[det_id]]
+    if not subjects:
+        return []
+    if overlaps is None:
+        overlaps = image_overlaps(per_detector)
+    # Each window's score where it overlaps the subject (row), else -inf.
+    masked = np.where(
+        overlaps > overlap_threshold, np.array([d.score for d in subjects]), -np.inf
+    )
+    rows = np.arange(len(subjects))
+    # Per detector: its columns' span and, per subject, the best overlapping
+    # score (-inf: slot absent). argmax takes the first maximum, as a scan
+    # that replaces its best only on a strictly greater score would.
+    columns = []
+    start = 0
     for det_id in detector_ids:
-        for subject in per_detector[det_id]:
+        stop = start + len(per_detector[det_id])
+        if stop > start:
+            block = masked[:, start:stop]
+            columns.append((det_id, start, stop, block[rows, block.argmax(axis=1)].tolist()))
+        start = stop
+    vectors: list[DetectionVector] = []
+    for det_id, start, stop, _ in columns:
+        for i in range(start, stop):
+            subject = subjects[i]
             slots: dict[str, float] = {det_id: subject.score}
-            for other_id in detector_ids:
-                if other_id == det_id:
-                    continue
-                best = None
-                for cand in per_detector[other_id]:
-                    if iou(subject.box, cand.box) > overlap_threshold:
-                        if best is None or cand.score > best:
-                            best = cand.score
-                if best is not None:
-                    slots[other_id] = best
+            for other_id, _, _, best in columns:
+                if other_id != det_id and best[i] != -math.inf:
+                    slots[other_id] = best[i]
             vectors.append(DetectionVector(subject=subject, slots=slots))
     return vectors
 
@@ -126,19 +155,31 @@ def dbf_fuse(
     return _fuse_bpas(bpas)
 
 
+def static_masses(
+    models: dict[str, TrustModel], recall_anchor: float = 0.2
+) -> dict[str, Bpa]:
+    """Each detector's fixed static-assignment mass, by detector id."""
+    return {
+        det_id: model.static_bpa(recall_anchor)
+        for det_id, model in sorted(models.items())
+    }
+
+
 def static_dst_fuse(
     vector: DetectionVector,
     models: dict[str, TrustModel],
     recall_anchor: float = 0.2,
+    masses: dict[str, Bpa] | None = None,
 ) -> FusedVerdict:
     """Static assignment baseline: each present slot contributes its
-    detector's fixed mass at the anchor-recall table row, score ignored."""
-    bpas = [
-        model.static_bpa(recall_anchor)
-        for det_id, model in sorted(models.items())
-        if det_id in vector.slots
-    ]
-    return _fuse_bpas(bpas)
+    detector's fixed mass at the anchor-recall table row, score ignored.
+
+    ``masses`` is ``static_masses(models, recall_anchor)`` when the caller
+    already has it, so a corpus scans each PR table once.
+    """
+    if masses is None:
+        masses = static_masses(models, recall_anchor)
+    return _fuse_bpas([m for det_id, m in masses.items() if det_id in vector.slots])
 
 
 def fuse_image(
@@ -149,35 +190,46 @@ def fuse_image(
     overlap_threshold: float = 0.5,
     nms_threshold: float = 0.5,
     absent_policy: str = "vacuous",
+    masses: dict[str, Bpa] | None = None,
 ) -> list[FusedDetection]:
-    """Rescore one image's windows by fusion, then consolidate with NMS."""
+    """Rescore one image's windows by fusion, then consolidate with NMS.
+
+    One overlap matrix serves both the detection vectors and NMS.
+    ``masses`` is passed on to ``static_dst_fuse``.
+    """
     if method not in ("dbf", "static-dst"):
         raise ValueError(f"unknown fusion method {method!r}")
-    vectors = build_detection_vectors(per_detector, overlap_threshold)
-    rescored: list[Detection] = []
-    verdicts: dict[tuple, FusedVerdict] = {}
-    for vec in vectors:
-        if method == "dbf":
-            verdict = dbf_fuse(vec, models, absent_policy)
-        else:
-            verdict = static_dst_fuse(vec, models)
-        d = Detection(
+    if method == "static-dst" and masses is None:
+        masses = static_masses(models)
+    overlaps = image_overlaps(per_detector)
+    vectors = build_detection_vectors(per_detector, overlap_threshold, overlaps)
+    verdicts = [
+        dbf_fuse(vec, models, absent_policy)
+        if method == "dbf"
+        else static_dst_fuse(vec, models, masses=masses)
+        for vec in vectors
+    ]
+    rescored = [
+        Detection(
             image_id=vec.subject.image_id,
             detector_id=vec.subject.detector_id,
             box=vec.subject.box,
             score=verdict.score,
         )
-        rescored.append(d)
-        verdicts[(d.detector_id, d.box.as_tuple())] = verdict
-    survivors = nms(rescored, nms_threshold)
+        for vec, verdict in zip(vectors, verdicts)
+    ]
+    # nms returns the objects it was given, so identity recovers each
+    # survivor's index and with it its own verdict, even when one detector
+    # emitted the same box twice.
+    index = {id(d): i for i, d in enumerate(rescored)}
     return [
         FusedDetection(
             box=d.box,
             image_id=d.image_id,
             class_label=class_label,
             score=d.score,
-            verdict=verdicts[(d.detector_id, d.box.as_tuple())],
+            verdict=verdicts[index[id(d)]],
             source_detector_id=d.detector_id,
         )
-        for d in survivors
+        for d in nms(rescored, nms_threshold, overlaps)
     ]

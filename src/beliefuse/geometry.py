@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -22,6 +25,9 @@ class BoundingBox:
             raise ValueError(f"box coordinates must be finite: {coords}")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError(f"box must have positive area: {coords}")
+        if not (self.x_max - self.x_min) * (self.y_max - self.y_min) > 0:
+            # Tiny extents can multiply to 0, which iou would divide by.
+            raise ValueError(f"box area underflows to zero: {coords}")
 
     @property
     def area(self) -> float:
@@ -67,6 +73,26 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def iou_matrix(boxes: ArrayLike) -> np.ndarray:
+    """Pairwise IoU of N boxes given as rows ``[x_min, y_min, x_max, y_max]``.
+
+    Entry ``[i, j]`` equals ``iou(box_i, box_j)`` bit for bit: the same
+    float64 operations in the same order, and 0 where the boxes do not
+    overlap in x or in y.
+    """
+    x_min, y_min, x_max, y_max = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    ix = np.minimum(x_max[:, None], x_max) - np.maximum(x_min[:, None], x_min)
+    iy = np.minimum(y_max[:, None], y_max) - np.maximum(y_min[:, None], y_min)
+    area = (x_max - x_min) * (y_max - y_min)
+    inter = ix * iy
+    return np.divide(
+        inter,
+        (area[:, None] + area) - inter,
+        out=np.zeros_like(inter),
+        where=(ix > 0) & (iy > 0),
+    )
 
 
 def _det_sort_key(d: Detection):
@@ -134,14 +160,26 @@ def match_detections(
     return [(dets[i], labeled[i]) for i in range(len(dets))]
 
 
-def nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
-    """Greedy non-maximum suppression; output sorted by descending score."""
+def nms(
+    dets: list[Detection],
+    iou_threshold: float = 0.5,
+    overlaps: np.ndarray | None = None,
+) -> list[Detection]:
+    """Greedy non-maximum suppression; output sorted by descending score.
+
+    Survivors are the very objects passed in. ``overlaps`` is the
+    detections' ``iou_matrix`` (row i is ``dets[i]``) when the caller
+    already has it; otherwise it is computed here.
+    """
     if not 0 < iou_threshold < 1:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    remaining = sorted(dets, key=_det_sort_key)
+    if overlaps is None:
+        overlaps = iou_matrix([d.box.as_tuple() for d in dets])
+    suppresses = overlaps > iou_threshold
+    suppressed = np.zeros(len(dets), dtype=bool)
     kept: list[Detection] = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        remaining = [d for d in remaining if iou(best.box, d.box) <= iou_threshold]
+    for i in sorted(range(len(dets)), key=lambda i: _det_sort_key(dets[i])):
+        if not suppressed[i]:
+            kept.append(dets[i])
+            suppressed |= suppresses[i]
     return kept

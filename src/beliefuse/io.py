@@ -73,18 +73,31 @@ def read_annotations(path: str | Path) -> list[GroundTruthObject]:
     path = Path(path)
     gts = []
     for lineno, obj in _iter_jsonl(path):
+        difficult = obj.get("difficult", False)
+        if not isinstance(difficult, bool):
+            raise DataError(
+                f"{path}:{lineno}: difficult must be true or false, got {difficult!r}"
+            )
         try:
             gts.append(
                 GroundTruthObject(
                     image_id=str(obj["image_id"]),
                     class_label=str(obj["class"]),
                     box=_parse_bbox(obj["bbox"], path, lineno),
-                    difficult=bool(obj.get("difficult", False)),
+                    difficult=difficult,
                 )
             )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
     return gts
+
+
+def read_any_detections(path: str | Path) -> list[Detection] | list[FusedDetection]:
+    """Read a raw detector file or a fused output file, told apart by
+    whether the first data line names a detector."""
+    for _, obj in _iter_jsonl(Path(path)):
+        return read_detections(path) if "detector_id" in obj else read_fused(path)
+    return []
 
 
 def _bbox_list(box: BoundingBox) -> list[float]:

@@ -6,8 +6,9 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import baselines, fusion
+from . import baselines, fusion, geometry
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
+from .dst import Bpa
 from .fusion import FusedDetection, build_detection_vectors
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .trust import InsufficientData, TrustModel, build_trust_model
@@ -109,20 +110,22 @@ def fit_baselines(
         )
 
     # Weighted sum trains on detection vectors labeled by their subject.
-    labels_by_key = {
-        (d.image_id, det_id, d.box.as_tuple()): lab
-        for det_id, labeled in labeled_by_detector.items()
-        for d, lab in labeled
-    }
+    # label_detections keeps each image's detections in input order, and the
+    # vectors list subjects by detector, each in that same order.
+    labels_by_image: dict[str, dict[str, list[MatchLabel]]] = {}
+    for det_id, labeled in labeled_by_detector.items():
+        for d, lab in labeled:
+            labels_by_image.setdefault(d.image_id, {}).setdefault(det_id, []).append(lab)
     training: list[tuple[fusion.DetectionVector, bool]] = []
     calibrated = {k: v for k, v in per_detector.items() if k in out.platt}
     for image_id, image_dets in sorted(
         group_by_image([d for dets in calibrated.values() for d in dets]).items()
     ):
         per_det = group_by_detector(image_dets)
-        for vec in build_detection_vectors(per_det, overlap_threshold):
-            s = vec.subject
-            lab = labels_by_key[(s.image_id, s.detector_id, s.box.as_tuple())]
+        labels = [
+            lab for det_id in sorted(per_det) for lab in labels_by_image[image_id][det_id]
+        ]
+        for vec, lab in zip(build_detection_vectors(per_det, overlap_threshold), labels):
             if lab is MatchLabel.UNDECIDED:
                 continue
             training.append((vec, lab is MatchLabel.TRUE_POSITIVE))
@@ -140,18 +143,41 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
-def _fuse_one_image(args) -> list[FusedDetection]:
-    per_det, models, class_label, method, thresholds, absent_policy = args
-    overlap, nms_thr = thresholds
-    return fusion.fuse_image(
-        per_det,
-        models,
-        class_label,
-        method=method,
-        overlap_threshold=overlap,
-        nms_threshold=nms_thr,
-        absent_policy=absent_policy,
-    )
+@dataclass(frozen=True)
+class _ImageFuser:
+    """Everything ``fusion.fuse_image`` needs besides the image itself."""
+
+    models: dict[str, TrustModel]
+    class_label: str
+    method: str
+    overlap_threshold: float
+    nms_threshold: float
+    absent_policy: str
+    masses: dict[str, Bpa] | None
+
+    def __call__(self, per_det: dict[str, list[Detection]]) -> list[FusedDetection]:
+        return fusion.fuse_image(
+            per_det,
+            self.models,
+            self.class_label,
+            method=self.method,
+            overlap_threshold=self.overlap_threshold,
+            nms_threshold=self.nms_threshold,
+            absent_policy=self.absent_policy,
+            masses=self.masses,
+        )
+
+
+_worker_fuser: _ImageFuser | None = None  # set once in each pool worker
+
+
+def _install_fuser(fuser: _ImageFuser) -> None:
+    global _worker_fuser
+    _worker_fuser = fuser
+
+
+def _fuse_in_worker(per_det: dict[str, list[Detection]]) -> list[FusedDetection]:
+    return _worker_fuser(per_det)
 
 
 def fuse_corpus(
@@ -164,24 +190,34 @@ def fuse_corpus(
     absent_policy: str = "vacuous",
     jobs: int = 1,
 ) -> list[FusedDetection]:
-    """Fuse every image independently; results merged in image order."""
+    """Fuse every image independently; results merged in image order.
+
+    With ``jobs > 1`` each pool worker receives the models once, through
+    the pool initializer, and then images in contiguous chunks.
+    """
+    fuser = _ImageFuser(
+        models,
+        class_label,
+        method,
+        overlap_threshold,
+        nms_threshold,
+        absent_policy,
+        fusion.static_masses(models) if method == "static-dst" else None,
+    )
     all_dets = [d for dets in per_detector.values() for d in dets]
-    work = [
-        (
-            group_by_detector(image_dets),
-            models,
-            class_label,
-            method,
-            (overlap_threshold, nms_threshold),
-            absent_policy,
-        )
+    images = [
+        group_by_detector(image_dets)
         for _, image_dets in sorted(group_by_image(all_dets).items())
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fuse_one_image, work))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
+        ) as pool:
+            # A few chunks per worker, so an image-heavy chunk cannot idle the rest.
+            chunksize = max(1, len(images) // (4 * jobs))
+            results = list(pool.map(_fuse_in_worker, images, chunksize=chunksize))
     else:
-        results = [_fuse_one_image(w) for w in work]
+        results = [fuser(image) for image in images]
     return [fd for image_result in results for fd in image_result]
 
 
@@ -197,8 +233,6 @@ def fuse_corpus_baseline(
 
     Baseline detections carry no joint mass function; only .score is set.
     """
-    from .geometry import nms as nms_op
-
     if method not in ("platt", "ws", "bayes"):
         raise ValueError(f"unknown baseline method {method!r}")
     if method == "ws" and models.weights is None:
@@ -208,8 +242,9 @@ def fuse_corpus_baseline(
     fused: list[FusedDetection] = []
     for image_id, image_dets in sorted(group_by_image(all_dets).items()):
         per_det = group_by_detector(image_dets)
+        overlaps = fusion.image_overlaps(per_det)
         rescored: list[Detection] = []
-        for vec in build_detection_vectors(per_det, overlap_threshold):
+        for vec in build_detection_vectors(per_det, overlap_threshold, overlaps):
             if method == "platt":
                 score = baselines.platt_fuse(vec, models.platt)
             elif method == "ws":
@@ -221,7 +256,7 @@ def fuse_corpus_baseline(
             rescored.append(
                 Detection(vec.subject.image_id, vec.subject.detector_id, vec.subject.box, score)
             )
-        for d in nms_op(rescored, nms_threshold):
+        for d in geometry.nms(rescored, nms_threshold, overlaps):
             fused.append(
                 FusedDetection(
                     box=d.box,

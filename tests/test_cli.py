@@ -189,6 +189,20 @@ class TestEval:
                       "-i", "no-equals-sign"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("content", [None, '{"image_id": "i", "bbox": [\n'],
+                             ids=["missing", "malformed"])
+    def test_unreadable_input_exits_3(self, workspace, tmp_path, content):
+        path = tmp_path / "in.jsonl"
+        if content is not None:
+            path.write_text(content)
+        result = run(["eval",
+                      "--annotations", str(workspace / "data" / "annotations.jsonl"),
+                      "--out", str(tmp_path / "r"),
+                      "-i", f"x={path}"])
+        assert result.exit_code == 3, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert str(path) in result.output
+
 
 class TestSweepN:
     def test_sweep_csv(self, workspace, tmp_path):

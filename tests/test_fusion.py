@@ -235,3 +235,27 @@ class TestFuseImage:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             fuse_image({}, {}, "object", method="mystery")
+
+    @pytest.mark.parametrize("method", ["dbf", "static-dst"])
+    def test_same_box_twice_keeps_its_own_verdict(self, method):
+        # One detector emits one box at 9.0 and again at 1.0; the survivor's
+        # joint mass must be its own, not the duplicate's.
+        b = box(0, 0, 10, 10)
+        high, low = det("a", 9.0, b), det("a", 1.0, b)
+        models = {"a": model_for("a")}
+        fused = fuse_image({"a": [high, low]}, models, "object", method=method)
+        assert len(fused) == 1
+        assert fused[0].score == fused[0].verdict.score
+        expected = DetectionVector(high, {"a": 9.0})
+        fuse = dbf_fuse if method == "dbf" else static_dst_fuse
+        assert fused[0].verdict == fuse(expected, models)
+
+    def test_static_dst_masses_given_or_computed_agree(self):
+        per_det = {
+            "a": [det("a", 5.0, box(0, 0, 10, 10)), det("a", 2.0, box(40, 0, 50, 10))],
+            "b": [det("b", 3.5, box(0, 1, 10, 11))],
+        }
+        models = {"a": model_for("a"), "b": model_for("b", n=4.0)}
+        given = fuse_image(per_det, models, "object", method="static-dst",
+                           masses=fusion.static_masses(models))
+        assert given == fuse_image(per_det, models, "object", method="static-dst")

@@ -29,6 +29,10 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 0, 10)
 
+    def test_rejects_area_that_underflows_to_zero(self):
+        with pytest.raises(ValueError):
+            BoundingBox(0, 0, 1e-200, 1e-200)
+
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             BoundingBox(10, 0, 5, 10)

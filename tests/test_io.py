@@ -8,6 +8,7 @@ from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.io import (
     DataError,
     read_annotations,
+    read_any_detections,
     read_detections,
     read_detections_by_class,
     read_fused,
@@ -115,6 +116,41 @@ class TestAnnotations:
         path = tmp_path / "ann.jsonl"
         path.write_text('{"image_id": "i", "class": "object", "bbox": [0, 0, 5, 5]}\n')
         assert read_annotations(path)[0].difficult is False
+
+    @pytest.mark.parametrize("raw", ['"false"', '"true"', "0", "1", "null"])
+    def test_difficult_must_be_a_json_boolean(self, tmp_path, raw):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            '{"image_id": "i", "class": "object", "bbox": [0, 0, 5, 5], "difficult": false}\n'
+            f'{{"image_id": "i", "class": "object", "bbox": [0, 0, 5, 5], "difficult": {raw}}}\n'
+        )
+        with pytest.raises(DataError, match=r"ann\.jsonl:2: difficult"):
+            read_annotations(path)
+
+
+class TestReadAnyDetections:
+    def test_raw_and_fused_files(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        write_detections(sample_detections(), raw, config={"seed": 1})
+        assert read_any_detections(raw) == sample_detections()
+        fused_path = tmp_path / "fused.jsonl"
+        fused = [FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object", 2.5,
+                                source_detector_id="d1")]
+        write_fused(fused, fused_path, config={"method": "ws"})
+        assert read_any_detections(fused_path) == fused
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        write_detections([], path, config={"seed": 1})
+        assert read_any_detections(path) == []
+
+    def test_unreadable_file_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            read_any_detections(tmp_path / "absent.jsonl")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        with pytest.raises(DataError, match="bad.jsonl:1"):
+            read_any_detections(bad)
 
 
 class TestFused:

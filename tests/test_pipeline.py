@@ -144,6 +144,25 @@ class TestBaselinePipeline:
         with pytest.raises(InsufficientData):
             pipeline.fuse_corpus_baseline(fixture["per_det_test"], bm, "object", "ws")
 
+    def test_ws_labels_follow_each_detection_not_its_box(self, fixture, monkeypatch):
+        # A low-scoring duplicate of a true positive is labeled undecided; the
+        # true positive's own vector must still train as a positive.
+        per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
+        labeled = pipeline.label_detections(per_det["det_a"], fixture["val_gts"])
+        original = next(d for d, lab in labeled if lab is MatchLabel.TRUE_POSITIVE)
+        duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
+        per_det["det_a"].append(duplicate)
+        seen = {}
+
+        def capture(training, platt):
+            seen.update({id(vec.subject): target for vec, target in training})
+            return None
+
+        monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
+        pipeline.fit_baselines(per_det, fixture["val_gts"])
+        assert seen[id(original)] is True
+        assert id(duplicate) not in seen
+
     def test_unknown_method_rejected(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         with pytest.raises(ValueError):
