@@ -6,16 +6,14 @@ baseline numbers reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .fusion import DetectionVector
 from .geometry import MatchLabel
-from .trust import FORMAT_VERSION, InsufficientData
+from .trust import InsufficientData
 
 
 @dataclass(frozen=True)
@@ -36,8 +34,6 @@ class PlattModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
-            "kind": "platt_model",
             "detector_id": self.detector_id,
             "a": self.a,
             "b": self.b,
@@ -46,8 +42,6 @@ class PlattModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlattModel":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {data.get('format_version')}")
         return cls(data["detector_id"], data["a"], data["b"], data["converged"])
 
 
@@ -156,8 +150,6 @@ class WeightVector:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
-            "kind": "weight_vector",
             "detector_ids": list(self.detector_ids),
             "weights": list(self.weights),
             "bias": self.bias,
@@ -165,8 +157,6 @@ class WeightVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightVector":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {data.get('format_version')}")
         return cls(tuple(data["detector_ids"]), tuple(data["weights"]), data["bias"])
 
 
@@ -262,8 +252,6 @@ class ScoreLikelihood:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
-            "kind": "score_likelihood",
             "detector_id": self.detector_id,
             "target_bins": list(self.target_bins),
             "nontarget_bins": list(self.nontarget_bins),
@@ -271,8 +259,6 @@ class ScoreLikelihood:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreLikelihood":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {data.get('format_version')}")
         return cls(
             data["detector_id"],
             tuple(data["target_bins"]),
@@ -322,20 +308,3 @@ def bayes_fuse(
         prob = platt[det_id].probability(score)
         log_odds += likelihoods[det_id].log_likelihood_ratio(prob)
     return log_odds
-
-
-def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2) + "\n")
-
-
-def load_model(path: str | Path):
-    data = json.loads(Path(path).read_text())
-    kinds = {
-        "platt_model": PlattModel,
-        "weight_vector": WeightVector,
-        "score_likelihood": ScoreLikelihood,
-    }
-    kind = data.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return kinds[kind].from_dict(data)

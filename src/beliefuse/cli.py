@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 missing model.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -22,17 +23,19 @@ from pathlib import Path
 
 import click
 
-from . import baselines as bl
 from . import datagen, evaluation, io, pipeline
 from .datagen import ConfigError, SyntheticDetectorProfile
+from .evaluation import NoGroundTruth
 from .io import DataError
-from .trust import TrustModel
 
 log = logging.getLogger(__name__)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+
+# The value types each RunConfig field annotation accepts; bools are refused.
+_FIELD_TYPES = {"str": str, "float": (int, float), "int": int}
 
 
 @dataclass
@@ -52,6 +55,10 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
         for name in ("match_iou", "vector_iou", "nms_iou"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -64,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"bad duplicate_policy {self.duplicate_policy!r}")
         if self.ap_interpolation not in ("all-points", "11-point"):
             raise ConfigError(f"bad ap_interpolation {self.ap_interpolation!r}")
+        if self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -99,7 +108,11 @@ def _resolve_config(config_file: str | None, **flags) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     if cfg.jobs == 0:
-        cfg.jobs = int(os.environ.get("BELIEFUSE_JOBS", "1"))
+        raw = os.environ.get("BELIEFUSE_JOBS", "1")
+        try:
+            cfg.jobs = int(raw)
+        except ValueError:
+            raise ConfigError(f"BELIEFUSE_JOBS must be an integer, got {raw!r}")
     cfg.validate()
     return cfg
 
@@ -120,10 +133,6 @@ def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, list]]:
             for d in dets:
                 bucket.setdefault(d.detector_id, []).append(d)
     return per_class
-
-
-def _trust_model_path(models_dir: Path, detector_id: str, class_label: str) -> Path:
-    return models_dir / f"trust__{detector_id}__{class_label}.json"
 
 
 @click.group()
@@ -168,6 +177,23 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+class MissingModel(LookupError):
+    """A model file the command needs does not exist."""
+
+
+@contextlib.contextmanager
+def _exit_on_error():
+    """End the command with the exit code of a config, data or model error."""
+    try:
+        yield
+    except ConfigError as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    except (DataError, NoGroundTruth) as exc:
+        _fail(EXIT_DATA, str(exc))
+    except MissingModel as exc:
+        _fail(EXIT_MODEL, str(exc))
+
+
 @main.command("generate")
 @click.option("--out-dir", required=True, type=str)
 @click.option("--seed", type=int, default=42, show_default=True)
@@ -175,11 +201,9 @@ def _fail(code: int, message: str):
 @click.option("--num-detectors", type=int, default=3, show_default=True)
 def cmd_generate(out_dir: str, seed: int, num_images: int, num_detectors: int):
     """Generate a complementary synthetic benchmark on disk."""
-    try:
+    with _exit_on_error():
         profiles = default_profiles(num_detectors)
         dataset = datagen.generate(seed, num_images, profiles)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
     root = Path(out_dir)
     (root / "validation").mkdir(parents=True, exist_ok=True)
     (root / "test").mkdir(parents=True, exist_ok=True)
@@ -236,14 +260,10 @@ def default_profiles(num_detectors: int) -> list[SyntheticDetectorProfile]:
 @_common_options
 def cmd_build_trust(config_file, n_raw, **flags):
     """Build one trust model file per (detector, class) from validation data."""
-    try:
+    with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
     models_dir = Path(cfg.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
     built = 0
@@ -254,10 +274,8 @@ def cmd_build_trust(config_file, n_raw, **flags):
             cfg.match_iou, cfg.duplicate_policy,
         )
         for det_id, model in sorted(models.items()):
-            payload = model.to_dict()
-            payload["config"] = cfg.as_dict()
-            path = _trust_model_path(models_dir, det_id, cls)
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            path = io.model_path(models_dir, "trust", cls, det_id)
+            io.save_model(model, path, cfg.as_dict())
             built += 1
             click.echo(
                 f"{det_id}/{cls}: {len(model.table)} rows, "
@@ -272,99 +290,75 @@ def cmd_build_trust(config_file, n_raw, **flags):
 @_common_options
 def cmd_build_baselines(config_file, n_raw, **flags):
     """Train Platt, weighted-sum, and naive-Bayes models from validation data."""
-    try:
+    with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
     models_dir = Path(cfg.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
+    config = cfg.as_dict()
+    fitted = 0
     for cls in sorted(per_class):
         class_gts = [g for g in gts if g.class_label == cls]
         models = pipeline.fit_baselines(
             per_class[cls], class_gts, cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
         )
         for det_id in sorted(models.platt):
-            bl.save_model(models.platt[det_id], models_dir / f"platt__{det_id}__{cls}.json")
-            bl.save_model(
-                models.likelihoods[det_id], models_dir / f"bayes__{det_id}__{cls}.json"
-            )
+            for prefix, by_detector in (("platt", models.platt), ("bayes", models.likelihoods)):
+                path = io.model_path(models_dir, prefix, cls, det_id)
+                io.save_model(by_detector[det_id], path, config)
         if models.weights is not None:
-            bl.save_model(models.weights, models_dir / f"ws__{cls}.json")
+            io.save_model(models.weights, io.model_path(models_dir, "ws", cls), config)
+        fitted += len(models.platt)
         click.echo(f"{cls}: {len(models.platt)} Platt models, ws={'yes' if models.weights else 'no'}")
+    if fitted == 0:
+        _fail(EXIT_DATA, "no Platt model could be fitted from the validation data")
 
 
-def _load_trust_models(models_dir: Path, cls: str, detector_ids: list[str]) -> dict[str, TrustModel]:
-    models = {}
-    for det_id in detector_ids:
-        path = _trust_model_path(models_dir, det_id, cls)
-        if path.exists():
-            models[det_id] = TrustModel.load(path)
-    return models
+def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: str):
+    """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class."""
 
+    def per_detector(prefix: str) -> dict:
+        paths = {d: io.model_path(models_dir, prefix, cls, d) for d in detector_ids}
+        return {d: io.load_model(path) for d, path in paths.items() if path.exists()}
 
-def _load_baseline_models(models_dir: Path, cls: str, detector_ids: list[str], method: str) -> pipeline.BaselineModels:
-    models = pipeline.BaselineModels()
-    for det_id in detector_ids:
-        platt_path = models_dir / f"platt__{det_id}__{cls}.json"
-        if platt_path.exists():
-            models.platt[det_id] = bl.load_model(platt_path)
-        bayes_path = models_dir / f"bayes__{det_id}__{cls}.json"
-        if bayes_path.exists():
-            models.likelihoods[det_id] = bl.load_model(bayes_path)
+    if method in pipeline.BELIEF_METHODS:
+        models = per_detector("trust")
+        if not models:
+            raise MissingModel(f"no trust model files for class {cls} in {models_dir}")
+        return models
+    models = pipeline.BaselineModels(platt=per_detector("platt"), likelihoods=per_detector("bayes"))
     if not models.platt:
-        raise FileNotFoundError(f"no Platt model files for class {cls} in {models_dir}")
+        raise MissingModel(f"no Platt model files for class {cls} in {models_dir}")
     if method == "ws":
-        ws_path = models_dir / f"ws__{cls}.json"
+        ws_path = io.model_path(models_dir, "ws", cls)
         if not ws_path.exists():
-            raise FileNotFoundError(f"missing weighted-sum weights file {ws_path}")
-        models.weights = bl.load_model(ws_path)
+            raise MissingModel(f"missing weighted-sum weights file {ws_path}")
+        models.weights = io.load_model(ws_path)
     if method == "bayes" and not models.likelihoods:
-        raise FileNotFoundError(f"no Bayes likelihood files for class {cls} in {models_dir}")
+        raise MissingModel(f"no Bayes likelihood files for class {cls} in {models_dir}")
     return models
 
 
 @main.command("fuse")
-@click.option("--method", type=click.Choice(["dbf", "static-dst", "platt", "ws", "bayes"]), default="dbf", show_default=True)
+@click.option("--method", type=click.Choice(pipeline.METHODS), default="dbf", show_default=True)
 @_common_options
 def cmd_fuse(method, config_file, n_raw, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
-    try:
+    with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
     models_dir = Path(cfg.models_dir)
     fused_all = []
-    try:
+    with _exit_on_error():
         for cls in sorted(per_class):
-            detector_ids = sorted(per_class[cls])
-            if method in ("dbf", "static-dst"):
-                models = _load_trust_models(models_dir, cls, detector_ids)
-                if not models:
-                    raise FileNotFoundError(
-                        f"no trust model files for class {cls} in {models_dir}"
-                    )
-                fused_all.extend(
-                    pipeline.fuse_corpus(
-                        per_class[cls], models, cls, method,
-                        cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
-                    )
+            models = _load_models(models_dir, cls, sorted(per_class[cls]), method)
+            fused_all.extend(
+                pipeline.fuse_corpus(
+                    per_class[cls], models, cls, method,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
                 )
-            else:
-                models = _load_baseline_models(models_dir, cls, detector_ids, method)
-                fused_all.extend(
-                    pipeline.fuse_corpus_baseline(
-                        per_class[cls], models, cls, method, cfg.vector_iou, cfg.nms_iou
-                    )
-                )
-    except FileNotFoundError as exc:
-        _fail(EXIT_MODEL, str(exc))
+            )
     fused_all.sort(key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
     provenance = cfg.as_dict()
     provenance["method"] = method
@@ -378,7 +372,7 @@ def cmd_fuse(method, config_file, n_raw, **flags):
 @_common_options
 def cmd_eval(inputs, config_file, n_raw, **flags):
     """Evaluate detection files against annotations (AP / mAP, JSON + CSV)."""
-    try:
+    with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, **flags)
         gts = io.read_annotations(cfg.annotations)
         methods = {}
@@ -387,13 +381,9 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
                 raise ConfigError(f"--inputs expects name=path, got {item!r}")
             name, path = item.split("=", 1)
             methods[name] = io.read_any_detections(path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
-    reports = evaluation.evaluate_methods(
-        methods, gts, cfg.match_iou, cfg.ap_interpolation
-    )
+        reports = evaluation.evaluate_methods(
+            methods, gts, cfg.match_iou, cfg.ap_interpolation
+        )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     evaluation.write_reports_json(reports, out / "report.json", config=cfg.as_dict())
@@ -405,7 +395,7 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
 @main.command("sweep-n")
 @click.option("--n-values", required=True, type=str,
               help="Comma-separated exponents, e.g. '1,2,4,8,inf'.")
-@click.option("--method", type=click.Choice(["dbf", "static-dst"]), default="dbf", show_default=True)
+@click.option("--method", type=click.Choice(pipeline.BELIEF_METHODS), default="dbf", show_default=True)
 @click.option("--test-detections-dir", type=str, default=None,
               help="Detections to fuse and score; defaults to --detections-dir.")
 @click.option("--test-annotations", type=str, default=None,
@@ -413,7 +403,7 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
 @_common_options
 def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, n_raw, **flags):
     """Rebuild trust models and refuse for each exponent; CSV of AP per class."""
-    try:
+    with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, **flags)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
@@ -428,10 +418,6 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
         test_gts = (
             io.read_annotations(test_annotations) if test_annotations else gts
         )
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
 
     rows = []
     for n in values:
@@ -445,12 +431,13 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
                 per_class_test.get(cls, {}), models, cls, method,
                 cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
             )
-            report = evaluation.evaluate_method(
-                fused,
-                [g for g in test_gts if g.class_label == cls],
-                cfg.match_iou,
-                cfg.ap_interpolation,
-            )
+            with _exit_on_error():
+                report = evaluation.evaluate_method(
+                    fused,
+                    [g for g in test_gts if g.class_label == cls],
+                    cfg.match_iou,
+                    cfg.ap_interpolation,
+                )
             per_class_ap[cls] = report.per_class_ap.get(cls, 0.0)
         n_label = "inf" if math.isinf(n) else f"{n:g}"
         for cls in sorted(per_class_ap):

@@ -181,7 +181,10 @@ def evaluate_method(
             pr_samples[c] = []
             counts[c] = {"num_gt": num_positives, "num_detections": 0, "tp": 0, "fp": 0}
             continue
-        recall, precision, tp, fp = _pr_points(class_dets, class_gts, iou_threshold)
+        try:
+            recall, precision, tp, fp = _pr_points(class_dets, class_gts, iou_threshold)
+        except NoGroundTruth as exc:
+            raise NoGroundTruth(f"class {c!r}: {exc}") from None
         if interpolation == "11-point":
             per_class[c] = _ap_11_point(recall, precision)
         else:
@@ -226,12 +229,3 @@ def write_reports_csv(reports: dict[str, EvalReport], path: str | Path) -> None:
             for cls in sorted(report.per_class_ap):
                 writer.writerow([name, cls, f"{report.per_class_ap[cls]:.6f}"])
             writer.writerow([name, "mAP", f"{report.map_score:.6f}"])
-
-
-def write_pr_samples_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "recall", "precision"])
-        for cls in sorted(report.pr_samples):
-            for r, p in report.pr_samples[cls]:
-                writer.writerow([cls, f"{r:.6f}", f"{p:.6f}"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,58 +166,36 @@ def static_masses(
     }
 
 
-def static_dst_fuse(
-    vector: DetectionVector,
-    models: dict[str, TrustModel],
-    recall_anchor: float = 0.2,
-    masses: dict[str, Bpa] | None = None,
-) -> FusedVerdict:
+def static_dst_fuse(vector: DetectionVector, masses: dict[str, Bpa]) -> FusedVerdict:
     """Static assignment baseline: each present slot contributes its
-    detector's fixed mass at the anchor-recall table row, score ignored.
-
-    ``masses`` is ``static_masses(models, recall_anchor)`` when the caller
-    already has it, so a corpus scans each PR table once.
-    """
-    if masses is None:
-        masses = static_masses(models, recall_anchor)
+    detector's fixed mass from ``static_masses``, score ignored."""
     return _fuse_bpas([m for det_id, m in masses.items() if det_id in vector.slots])
 
 
 def fuse_image(
     per_detector: dict[str, list[Detection]],
-    models: dict[str, TrustModel],
+    score: Callable[[DetectionVector], tuple[float, FusedVerdict | None]],
     class_label: str,
-    method: str = "dbf",
     overlap_threshold: float = 0.5,
     nms_threshold: float = 0.5,
-    absent_policy: str = "vacuous",
-    masses: dict[str, Bpa] | None = None,
 ) -> list[FusedDetection]:
     """Rescore one image's windows by fusion, then consolidate with NMS.
 
-    One overlap matrix serves both the detection vectors and NMS.
-    ``masses`` is passed on to ``static_dst_fuse``.
+    ``score`` maps a detection vector to its fused score and, for the
+    belief methods, the verdict that score comes from. One overlap matrix
+    serves both the detection vectors and NMS.
     """
-    if method not in ("dbf", "static-dst"):
-        raise ValueError(f"unknown fusion method {method!r}")
-    if method == "static-dst" and masses is None:
-        masses = static_masses(models)
     overlaps = image_overlaps(per_detector)
     vectors = build_detection_vectors(per_detector, overlap_threshold, overlaps)
-    verdicts = [
-        dbf_fuse(vec, models, absent_policy)
-        if method == "dbf"
-        else static_dst_fuse(vec, models, masses=masses)
-        for vec in vectors
-    ]
+    scored = [score(vec) for vec in vectors]
     rescored = [
         Detection(
             image_id=vec.subject.image_id,
             detector_id=vec.subject.detector_id,
             box=vec.subject.box,
-            score=verdict.score,
+            score=fused_score,
         )
-        for vec, verdict in zip(vectors, verdicts)
+        for vec, (fused_score, _) in zip(vectors, scored)
     ]
     # nms returns the objects it was given, so identity recovers each
     # survivor's index and with it its own verdict, even when one detector
@@ -228,7 +207,7 @@ def fuse_image(
             image_id=d.image_id,
             class_label=class_label,
             score=d.score,
-            verdict=verdicts[index[id(d)]],
+            verdict=scored[index[id(d)]][1],
             source_detector_id=d.detector_id,
         )
         for d in nms(rescored, nms_threshold, overlaps)

@@ -1,9 +1,11 @@
-"""JSON-lines file formats for detections, annotations, and fused outputs.
+"""JSON-lines file formats for detections, annotations, and fused outputs,
+and the one store for every kind of model file.
 
 Detection line: {"image_id", "detector_id", "class", "bbox": [x_min, y_min,
 x_max, y_max], "score"}. Annotation line: {"image_id", "class", "bbox",
 "difficult"}. Output files start with a header line embedding the resolved
-run configuration as a provenance block.
+run configuration as a provenance block. Model files are one JSON object
+each, told apart by ``kind``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .fusion import FusedDetection
 from .geometry import BoundingBox, Detection, GroundTruthObject
+from .trust import TrustModel
 
 
 class DataError(ValueError):
@@ -104,66 +108,62 @@ def _bbox_list(box: BoundingBox) -> list[float]:
     return [box.x_min, box.y_min, box.x_max, box.y_max]
 
 
+def _write_jsonl(path: str | Path, rows, config: dict | None) -> None:
+    """One JSON object per line, after a provenance header when ``config`` is given."""
+    lines = []
+    if config is not None:
+        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
+    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_detections(
     dets: list[Detection],
     path: str | Path,
     class_label: str = "object",
     config: dict | None = None,
 ) -> None:
-    lines = []
-    if config is not None:
-        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
-    for d in dets:
-        lines.append(
-            json.dumps(
-                {
-                    "image_id": d.image_id,
-                    "detector_id": d.detector_id,
-                    "class": class_label,
-                    "bbox": _bbox_list(d.box),
-                    "score": d.score,
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        {
+            "image_id": d.image_id,
+            "detector_id": d.detector_id,
+            "class": class_label,
+            "bbox": _bbox_list(d.box),
+            "score": d.score,
+        }
+        for d in dets
+    )
+    _write_jsonl(path, rows, config)
 
 
 def write_annotations(gts: list[GroundTruthObject], path: str | Path, config: dict | None = None) -> None:
-    lines = []
-    if config is not None:
-        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
-    for g in gts:
-        lines.append(
-            json.dumps(
-                {
-                    "image_id": g.image_id,
-                    "class": g.class_label,
-                    "bbox": _bbox_list(g.box),
-                    "difficult": g.difficult,
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        {
+            "image_id": g.image_id,
+            "class": g.class_label,
+            "bbox": _bbox_list(g.box),
+            "difficult": g.difficult,
+        }
+        for g in gts
+    )
+    _write_jsonl(path, rows, config)
+
+
+def _fused_row(f: FusedDetection) -> dict:
+    row = {
+        "image_id": f.image_id,
+        "class": f.class_label,
+        "bbox": _bbox_list(f.box),
+        "score": f.score,
+        "source_detector_id": f.source_detector_id,
+    }
+    if f.verdict is not None:
+        row["joint"] = list(f.verdict.joint.as_tuple())
+    return row
 
 
 def write_fused(fused: list[FusedDetection], path: str | Path, config: dict | None = None) -> None:
-    lines = []
-    if config is not None:
-        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
-    for f in fused:
-        obj = {
-            "image_id": f.image_id,
-            "class": f.class_label,
-            "bbox": _bbox_list(f.box),
-            "score": f.score,
-            "source_detector_id": f.source_detector_id,
-        }
-        if f.verdict is not None:
-            obj["joint"] = list(f.verdict.joint.as_tuple())
-        lines.append(json.dumps(obj, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_jsonl(path, map(_fused_row, fused), config)
 
 
 def read_fused(path: str | Path) -> list[FusedDetection]:
@@ -189,3 +189,49 @@ def read_fused(path: str | Path) -> list[FusedDetection]:
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
     return fused
+
+
+FORMAT_VERSION = 1  # of every model file
+_MODEL_KINDS = {
+    "trust_model": TrustModel,
+    "platt_model": PlattModel,
+    "weight_vector": WeightVector,
+    "score_likelihood": ScoreLikelihood,
+}
+_KIND_OF = {cls: kind for kind, cls in _MODEL_KINDS.items()}
+
+
+def model_path(models_dir: str | Path, prefix: str, class_label: str, detector_id: str = "") -> Path:
+    """``<prefix>__<detector>__<class>.json``, or ``<prefix>__<class>.json``
+    for a model over all detectors. Prefixes: ``trust``, ``platt``,
+    ``bayes`` (per detector) and ``ws`` (weighted sum)."""
+    parts = [prefix, detector_id, class_label] if detector_id else [prefix, class_label]
+    return Path(models_dir) / ("__".join(parts) + ".json")
+
+
+def save_model(model, path: str | Path, config: dict | None = None) -> None:
+    """Write a trust, Platt, weighted-sum or likelihood model as JSON, with
+    the run config as provenance when given."""
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "kind": _KIND_OF[type(model)],
+        **model.to_dict(),
+    }
+    if config is not None:
+        payload["config"] = config
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def load_model(path: str | Path):
+    """Read a model file of any kind; a malformed one raises ``DataError``."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        if data.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {data.get('format_version')!r}")
+        if data.get("kind") not in _MODEL_KINDS:
+            raise ValueError(f"unknown model kind {data.get('kind')!r}")
+        return _MODEL_KINDS[data["kind"]].from_dict(data)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad model file: {type(exc).__name__}: {exc}") from exc

@@ -6,14 +6,18 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import baselines, fusion, geometry
+from . import baselines, fusion
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .dst import Bpa
-from .fusion import FusedDetection, build_detection_vectors
+from .dst import Bpa, FusedVerdict
+from .fusion import DetectionVector, FusedDetection, build_detection_vectors
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .trust import InsufficientData, TrustModel, build_trust_model
 
 log = logging.getLogger(__name__)
+
+BELIEF_METHODS = ("dbf", "static-dst")
+BASELINE_METHODS = ("platt", "ws", "bayes")
+METHODS = BELIEF_METHODS + BASELINE_METHODS
 
 
 def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
@@ -116,7 +120,7 @@ def fit_baselines(
     for det_id, labeled in labeled_by_detector.items():
         for d, lab in labeled:
             labels_by_image.setdefault(d.image_id, {}).setdefault(det_id, []).append(lab)
-    training: list[tuple[fusion.DetectionVector, bool]] = []
+    training: list[tuple[DetectionVector, bool]] = []
     calibrated = {k: v for k, v in per_detector.items() if k in out.platt}
     for image_id, image_dets in sorted(
         group_by_image([d for dets in calibrated.values() for d in dets]).items()
@@ -145,9 +149,10 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 @dataclass(frozen=True)
 class _ImageFuser:
-    """Everything ``fusion.fuse_image`` needs besides the image itself."""
+    """One method's scoring rule, and everything else ``fusion.fuse_image``
+    needs besides the image itself."""
 
-    models: dict[str, TrustModel]
+    models: dict[str, TrustModel] | BaselineModels
     class_label: str
     method: str
     overlap_threshold: float
@@ -155,16 +160,27 @@ class _ImageFuser:
     absent_policy: str
     masses: dict[str, Bpa] | None
 
+    def score(self, vec: DetectionVector) -> tuple[float, FusedVerdict | None]:
+        # Rules are looked up on their modules at call time, so a patched
+        # module attribute takes effect.
+        models = self.models
+        if self.method == "platt":
+            return baselines.platt_fuse(vec, models.platt), None
+        if self.method == "ws":
+            return baselines.weighted_sum_fuse(vec, models.platt, models.weights), None
+        if self.method == "bayes":
+            return baselines.bayes_fuse(
+                vec, models.platt, models.likelihoods, models.prior_target
+            ), None
+        if self.method == "dbf":
+            verdict = fusion.dbf_fuse(vec, models, self.absent_policy)
+        else:
+            verdict = fusion.static_dst_fuse(vec, self.masses)
+        return verdict.score, verdict
+
     def __call__(self, per_det: dict[str, list[Detection]]) -> list[FusedDetection]:
         return fusion.fuse_image(
-            per_det,
-            self.models,
-            self.class_label,
-            method=self.method,
-            overlap_threshold=self.overlap_threshold,
-            nms_threshold=self.nms_threshold,
-            absent_policy=self.absent_policy,
-            masses=self.masses,
+            per_det, self.score, self.class_label, self.overlap_threshold, self.nms_threshold
         )
 
 
@@ -182,7 +198,7 @@ def _fuse_in_worker(per_det: dict[str, list[Detection]]) -> list[FusedDetection]
 
 def fuse_corpus(
     per_detector: dict[str, list[Detection]],
-    models: dict[str, TrustModel],
+    models: dict[str, TrustModel] | BaselineModels,
     class_label: str,
     method: str = "dbf",
     overlap_threshold: float = 0.5,
@@ -192,9 +208,18 @@ def fuse_corpus(
 ) -> list[FusedDetection]:
     """Fuse every image independently; results merged in image order.
 
-    With ``jobs > 1`` each pool worker receives the models once, through
-    the pool initializer, and then images in contiguous chunks.
+    ``models`` holds one trust model per detector for the belief methods
+    (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
+    (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
+    take part. With ``jobs > 1`` each pool worker receives the models once,
+    through the pool initializer, and then images in contiguous chunks.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown fusion method {method!r}")
+    if method in BASELINE_METHODS:
+        if method == "ws" and models.weights is None:
+            raise InsufficientData("weighted-sum weights have not been trained")
+        per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
     fuser = _ImageFuser(
         models,
         class_label,
@@ -219,51 +244,3 @@ def fuse_corpus(
     else:
         results = [fuser(image) for image in images]
     return [fd for image_result in results for fd in image_result]
-
-
-def fuse_corpus_baseline(
-    per_detector: dict[str, list[Detection]],
-    models: BaselineModels,
-    class_label: str,
-    method: str,
-    overlap_threshold: float = 0.5,
-    nms_threshold: float = 0.5,
-) -> list[FusedDetection]:
-    """Run a baseline fusion method over a corpus, mirroring fuse_corpus.
-
-    Baseline detections carry no joint mass function; only .score is set.
-    """
-    if method not in ("platt", "ws", "bayes"):
-        raise ValueError(f"unknown baseline method {method!r}")
-    if method == "ws" and models.weights is None:
-        raise InsufficientData("weighted-sum weights have not been trained")
-    calibrated = {k: v for k, v in per_detector.items() if k in models.platt}
-    all_dets = [d for dets in calibrated.values() for d in dets]
-    fused: list[FusedDetection] = []
-    for image_id, image_dets in sorted(group_by_image(all_dets).items()):
-        per_det = group_by_detector(image_dets)
-        overlaps = fusion.image_overlaps(per_det)
-        rescored: list[Detection] = []
-        for vec in build_detection_vectors(per_det, overlap_threshold, overlaps):
-            if method == "platt":
-                score = baselines.platt_fuse(vec, models.platt)
-            elif method == "ws":
-                score = baselines.weighted_sum_fuse(vec, models.platt, models.weights)
-            else:
-                score = baselines.bayes_fuse(
-                    vec, models.platt, models.likelihoods, models.prior_target
-                )
-            rescored.append(
-                Detection(vec.subject.image_id, vec.subject.detector_id, vec.subject.box, score)
-            )
-        for d in geometry.nms(rescored, nms_threshold, overlaps):
-            fused.append(
-                FusedDetection(
-                    box=d.box,
-                    image_id=d.image_id,
-                    class_label=class_label,
-                    score=d.score,
-                    source_detector_id=d.detector_id,
-                )
-            )
-    return fused

@@ -9,15 +9,12 @@ precision and that of a hypothetical best-possible detector with PR curve
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .dst import Bpa
 from .geometry import Detection, MatchLabel
 
-FORMAT_VERSION = 1
 DEFAULT_BPD_EXPONENT = 2.0
 
 
@@ -161,8 +158,6 @@ class TrustModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
-            "kind": "trust_model",
             "detector_id": self.detector_id,
             "class_label": self.class_label,
             "bpd_exponent": "inf" if math.isinf(self.bpd_exponent) else self.bpd_exponent,
@@ -180,8 +175,6 @@ class TrustModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrustModel":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {data.get('format_version')}")
         n = data["bpd_exponent"]
         return cls(
             detector_id=data["detector_id"],
@@ -198,13 +191,6 @@ class TrustModel:
             bpd_exponent=math.inf if n == "inf" else float(n),
             num_validation_positives=data["num_validation_positives"],
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrustModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def build_trust_model(

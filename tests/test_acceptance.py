@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beliefuse import baselines, datagen, evaluation, pipeline
+from beliefuse import datagen, evaluation, io, pipeline
 from beliefuse.cli import default_profiles, main
 from beliefuse.dst import (
     VACUOUS,
@@ -231,9 +231,7 @@ def test_baselines_are_sane_and_commands_deterministic(seed42, tmp_path):
         for d in DETECTOR_IDS
     )
     for method in ("platt", "ws", "bayes"):
-        fused = pipeline.fuse_corpus_baseline(
-            seed42["per_det_test"], bm, "object", method
-        )
+        fused = pipeline.fuse_corpus(seed42["per_det_test"], bm, "object", method)
         assert fused and all(np.isfinite(f.score) for f in fused)
         if method == "platt":
             assert all(0.0 <= f.score <= 1.0 for f in fused)
@@ -275,8 +273,8 @@ def test_saved_models_reproduce_fusion_bit_for_bit(seed42, tmp_path):
     reloaded = {}
     for det_id, model in trust.items():
         path = tmp_path / f"{det_id}.json"
-        model.save(path)
-        reloaded[det_id] = TrustModel.load(path)
+        io.save_model(model, path)
+        reloaded[det_id] = io.load_model(path)
     direct = pipeline.fuse_corpus(seed42["per_det_test"], trust, "object", "dbf")
     roundtrip = pipeline.fuse_corpus(seed42["per_det_test"], reloaded, "object", "dbf")
     assert direct == roundtrip
@@ -285,15 +283,15 @@ def test_saved_models_reproduce_fusion_bit_for_bit(seed42, tmp_path):
     bm2 = pipeline.BaselineModels(prior_target=bm.prior_target)
     for det_id, model in bm.platt.items():
         path = tmp_path / f"platt_{det_id}.json"
-        baselines.save_model(model, path)
-        bm2.platt[det_id] = baselines.load_model(path)
+        io.save_model(model, path)
+        bm2.platt[det_id] = io.load_model(path)
     for det_id, model in bm.likelihoods.items():
         path = tmp_path / f"lik_{det_id}.json"
-        baselines.save_model(model, path)
-        bm2.likelihoods[det_id] = baselines.load_model(path)
-    baselines.save_model(bm.weights, tmp_path / "ws.json")
-    bm2.weights = baselines.load_model(tmp_path / "ws.json")
+        io.save_model(model, path)
+        bm2.likelihoods[det_id] = io.load_model(path)
+    io.save_model(bm.weights, tmp_path / "ws.json")
+    bm2.weights = io.load_model(tmp_path / "ws.json")
     for method in ("platt", "ws", "bayes"):
-        a = pipeline.fuse_corpus_baseline(seed42["per_det_test"], bm, "object", method)
-        b = pipeline.fuse_corpus_baseline(seed42["per_det_test"], bm2, "object", method)
+        a = pipeline.fuse_corpus(seed42["per_det_test"], bm, "object", method)
+        b = pipeline.fuse_corpus(seed42["per_det_test"], bm2, "object", method)
         assert a == b

@@ -11,12 +11,11 @@ from beliefuse.baselines import (
     fit_platt,
     fit_score_likelihood,
     fit_weighted_sum,
-    load_model,
     platt_fuse,
-    save_model,
     weighted_sum_fuse,
 )
 from beliefuse.fusion import DetectionVector
+from beliefuse.io import load_model, save_model
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel
 from beliefuse.trust import InsufficientData
 

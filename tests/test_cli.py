@@ -27,8 +27,18 @@ def workspace(tmp_path_factory):
     return root
 
 
-def run(args):
-    return CliRunner().invoke(main, args)
+def run(args, env=None):
+    return CliRunner().invoke(main, args, env=env)
+
+
+def exited_cleanly(result, code):
+    """The command ended with ``code`` through sys.exit, not a traceback."""
+    return result.exit_code == code and (
+        result.exception is None or isinstance(result.exception, SystemExit)
+    )
+
+
+NOWHERE_GT = '{"image_id": "nowhere", "class": "object", "bbox": [0, 0, 1, 1]}\n'
 
 
 class TestGenerate:
@@ -96,6 +106,23 @@ class TestBuildBaselines:
             assert (models / f"bayes__{det}__object.json").exists()
         assert (models / "ws__object.json").exists()
 
+    def test_model_files_embed_config(self, workspace):
+        for name in ("platt__det_a__object.json", "bayes__det_a__object.json", "ws__object.json"):
+            payload = json.loads((workspace / "models" / name).read_text())
+            assert payload["config"]["match_iou"] == 0.5
+
+    def test_no_platt_model_exits_3(self, workspace, tmp_path):
+        # No ground truth lies in any detector's image: every window is a
+        # false positive, and Platt scaling needs both labels.
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(NOWHERE_GT)
+        result = run(["build-baselines",
+                      "--detections-dir", str(workspace / "data" / "validation"),
+                      "--annotations", str(annotations),
+                      "--models-dir", str(tmp_path / "m")])
+        assert exited_cleanly(result, 3), result.output
+        assert "no Platt model" in result.output
+
 
 class TestFuse:
     def fuse_args(self, workspace, out, method="dbf", models="models"):
@@ -152,6 +179,42 @@ class TestFuse:
         assert header["config"]["nms_iou"] == 0.4
         assert header["config"]["out"] == str(out)
 
+    def corrupted_models(self, workspace, tmp_path, name, content):
+        models = tmp_path / "models"
+        models.mkdir()
+        for p in (workspace / "models").glob("*.json"):
+            (models / p.name).write_bytes(p.read_bytes())
+        (models / name).write_text(content)
+        return models
+
+    @pytest.mark.parametrize("content", ["{not json", '{"format_version": 1, "kind": "trust_model"}'],
+                             ids=["not-json", "missing-fields"])
+    def test_malformed_trust_model_exits_3(self, workspace, tmp_path, content):
+        models = self.corrupted_models(workspace, tmp_path, "trust__det_a__object.json", content)
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", models=models))
+        assert exited_cleanly(result, 3), result.output
+        assert "trust__det_a__object.json" in result.output
+
+    def test_malformed_baseline_model_exits_3(self, workspace, tmp_path):
+        models = self.corrupted_models(workspace, tmp_path, "platt__det_b__object.json", "{not json")
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", "platt", models=models))
+        assert exited_cleanly(result, 3), result.output
+        assert "platt__det_b__object.json" in result.output
+
+    @pytest.mark.parametrize("config, flags, env", [
+        ({"match_iou": "0.5"}, [], None),
+        ({"jobs": "2"}, [], None),
+        ({}, ["--jobs", "0"], {"BELIEFUSE_JOBS": "abc"}),
+        ({}, ["--jobs", "-3"], None),
+    ], ids=["string-iou", "string-jobs", "non-integer-env-jobs", "negative-jobs"])
+    def test_bad_config_value_exits_2(self, workspace, tmp_path, config, flags, env):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = self.fuse_args(workspace, tmp_path / "o.jsonl", "platt")
+        result = run([*args, "--config", str(cfg), *flags], env=env)
+        assert exited_cleanly(result, 2), result.output
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mystery_knob": 1}))
@@ -204,6 +267,17 @@ class TestEval:
         assert str(path) in result.output
 
 
+    def test_all_difficult_class_exits_3(self, workspace, tmp_path):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(NOWHERE_GT.replace("}", ', "difficult": true}'))
+        result = run(["eval",
+                      "--annotations", str(annotations),
+                      "--out", str(tmp_path / "r"),
+                      "-i", "det_a=" + str(workspace / "data" / "test" / "det_a.jsonl")])
+        assert exited_cleanly(result, 3), result.output
+        assert "'object'" in result.output
+
+
 class TestSweepN:
     def test_sweep_csv(self, workspace, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -220,6 +294,19 @@ class TestSweepN:
         assert lines[0].startswith("# config")
         labels = [line.split(",")[0] for line in lines[2:]]
         assert labels == ["1", "1", "2", "2", "inf", "inf"]
+
+    def test_all_difficult_test_class_exits_3(self, workspace, tmp_path):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(NOWHERE_GT.replace("}", ', "difficult": true}'))
+        result = run(["sweep-n", "--n-values", "2",
+                      "--detections-dir", str(workspace / "data" / "validation"),
+                      "--annotations",
+                      str(workspace / "data" / "validation" / "annotations.jsonl"),
+                      "--test-detections-dir", str(workspace / "data" / "test"),
+                      "--test-annotations", str(annotations),
+                      "--out", str(tmp_path / "s.csv")])
+        assert exited_cleanly(result, 3), result.output
+        assert "'object'" in result.output
 
     def test_empty_n_values_exits_2(self, workspace, tmp_path):
         result = run(["sweep-n", "--n-values", ",",

@@ -6,7 +6,6 @@ from beliefuse.evaluation import (
     average_precision,
     evaluate_method,
     evaluate_methods,
-    write_pr_samples_csv,
     write_reports_csv,
     write_reports_json,
 )
@@ -173,10 +172,8 @@ class TestExports:
         reports = evaluate_methods({"m": [det(0.9, b)]}, [gt(b)])
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
-        pr_path = tmp_path / "pr.csv"
         write_reports_json(reports, json_path, config={"seed": 1})
         write_reports_csv(reports, csv_path)
-        write_pr_samples_csv(reports["m"], pr_path)
         import json as jsonlib
 
         payload = jsonlib.loads(json_path.read_text())
@@ -185,4 +182,3 @@ class TestExports:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "method,class,ap"
         assert "m,mAP,1.000000" in lines
-        assert pr_path.read_text().startswith("class,recall,precision")

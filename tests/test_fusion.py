@@ -9,6 +9,7 @@ from beliefuse.fusion import (
     dbf_fuse,
     fuse_image,
     static_dst_fuse,
+    static_masses,
 )
 from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.trust import PrPoint, TrustModel
@@ -20,6 +21,27 @@ def box(x0, y0, x1, y1):
 
 def det(detector, score, b, image="img1"):
     return Detection(image_id=image, detector_id=detector, box=b, score=score)
+
+
+def dbf_score(models):
+    """A fuse_image scoring rule: DBF with the given trust models."""
+
+    def score(vec):
+        verdict = dbf_fuse(vec, models)
+        return verdict.score, verdict
+
+    return score
+
+
+def static_score(models):
+    """A fuse_image scoring rule: static-DST with the given trust models."""
+    masses = static_masses(models)
+
+    def score(vec):
+        verdict = static_dst_fuse(vec, masses)
+        return verdict.score, verdict
+
+    return score
 
 
 def model_for(detector, n=2.0):
@@ -167,7 +189,7 @@ class TestStaticDstFuse:
         b = box(0, 0, 10, 10)
         for score in (0.5, 2.5, 9.0):
             vec = DetectionVector(det("a", score, b), {"a": score})
-            verdict = static_dst_fuse(vec, {"a": model})
+            verdict = static_dst_fuse(vec, static_masses({"a": model}))
             assert verdict.joint == model.static_bpa(0.2)
 
     def test_static_assignment_values(self):
@@ -184,14 +206,14 @@ class TestStaticDstFuse:
         double = DetectionVector(det("a", 5.0, b), {"a": 5.0, "b": 5.0})
         models = {"a": model_for("a"), "b": model_for("b")}
         assert (
-            static_dst_fuse(double, models).score
-            > static_dst_fuse(single, models).score
+            static_dst_fuse(double, static_masses(models)).score
+            > static_dst_fuse(single, static_masses(models)).score
         )
 
 
 class TestFuseImage:
     def test_empty_input(self):
-        assert fuse_image({}, {}, "object") == []
+        assert fuse_image({}, dbf_score({}), "object") == []
 
     def test_single_detector_ranking_consistent(self):
         rng = np.random.default_rng(4)
@@ -200,7 +222,7 @@ class TestFuseImage:
             for x, y in rng.uniform(0, 400, size=(20, 2))
         ]
         models = {"a": model_for("a")}
-        fused = fuse_image({"a": dets}, models, "object")
+        fused = fuse_image({"a": dets}, dbf_score(models), "object")
         raw_nms = {d.box.as_tuple() for d in dets}
         assert all(f.box.as_tuple() in raw_nms for f in fused)
         scores = [f.score for f in fused]
@@ -211,7 +233,7 @@ class TestFuseImage:
         b2 = box(0, 1, 10, 11)
         fused = fuse_image(
             {"a": [det("a", 5.0, b1)], "b": [det("b", 3.5, b2)]},
-            {"a": model_for("a"), "b": model_for("b")},
+            dbf_score({"a": model_for("a"), "b": model_for("b")}),
             "object",
         )
         assert len(fused) == 1
@@ -229,12 +251,8 @@ class TestFuseImage:
         input_boxes = {
             d.box.as_tuple() for dets in per_det.values() for d in dets
         }
-        fused = fuse_image(per_det, {"a": model_for("a"), "b": model_for("b")}, "object")
+        fused = fuse_image(per_det, dbf_score({"a": model_for("a"), "b": model_for("b")}), "object")
         assert all(f.box.as_tuple() in input_boxes for f in fused)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_image({}, {}, "object", method="mystery")
 
     @pytest.mark.parametrize("method", ["dbf", "static-dst"])
     def test_same_box_twice_keeps_its_own_verdict(self, method):
@@ -243,19 +261,8 @@ class TestFuseImage:
         b = box(0, 0, 10, 10)
         high, low = det("a", 9.0, b), det("a", 1.0, b)
         models = {"a": model_for("a")}
-        fused = fuse_image({"a": [high, low]}, models, "object", method=method)
+        score = dbf_score(models) if method == "dbf" else static_score(models)
+        fused = fuse_image({"a": [high, low]}, score, "object")
         assert len(fused) == 1
         assert fused[0].score == fused[0].verdict.score
-        expected = DetectionVector(high, {"a": 9.0})
-        fuse = dbf_fuse if method == "dbf" else static_dst_fuse
-        assert fused[0].verdict == fuse(expected, models)
-
-    def test_static_dst_masses_given_or_computed_agree(self):
-        per_det = {
-            "a": [det("a", 5.0, box(0, 0, 10, 10)), det("a", 2.0, box(40, 0, 50, 10))],
-            "b": [det("b", 3.5, box(0, 1, 10, 11))],
-        }
-        models = {"a": model_for("a"), "b": model_for("b", n=4.0)}
-        given = fuse_image(per_det, models, "object", method="static-dst",
-                           masses=fusion.static_masses(models))
-        assert given == fuse_image(per_det, models, "object", method="static-dst")
+        assert fused[0].verdict == score(DetectionVector(high, {"a": 9.0}))[1]

@@ -124,7 +124,7 @@ class TestBaselinePipeline:
     def test_each_baseline_produces_ranked_output(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         for method in ("platt", "ws", "bayes"):
-            fused = pipeline.fuse_corpus_baseline(
+            fused = pipeline.fuse_corpus(
                 fixture["per_det_test"], bm, "object", method
             )
             assert fused
@@ -133,7 +133,7 @@ class TestBaselinePipeline:
 
     def test_platt_scores_are_probabilities(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
-        fused = pipeline.fuse_corpus_baseline(
+        fused = pipeline.fuse_corpus(
             fixture["per_det_test"], bm, "object", "platt"
         )
         assert all(0.0 <= f.score <= 1.0 for f in fused)
@@ -142,7 +142,7 @@ class TestBaselinePipeline:
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         bm.weights = None
         with pytest.raises(InsufficientData):
-            pipeline.fuse_corpus_baseline(fixture["per_det_test"], bm, "object", "ws")
+            pipeline.fuse_corpus(fixture["per_det_test"], bm, "object", "ws")
 
     def test_ws_labels_follow_each_detection_not_its_box(self, fixture, monkeypatch):
         # A low-scoring duplicate of a true positive is labeled undecided; the
@@ -166,6 +166,6 @@ class TestBaselinePipeline:
     def test_unknown_method_rejected(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         with pytest.raises(ValueError):
-            pipeline.fuse_corpus_baseline(
+            pipeline.fuse_corpus(
                 fixture["per_det_test"], bm, "object", "mystery"
             )

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beliefuse import pipeline
+from beliefuse.baselines import PlattModel, ScoreLikelihood, WeightVector
 from beliefuse.fusion import DetectionVector, build_detection_vectors, image_overlaps
 from beliefuse.geometry import BoundingBox, Detection, _det_sort_key, iou, iou_matrix, nms
 from beliefuse.trust import PrPoint, TrustModel
@@ -120,6 +121,17 @@ def _model(det_id):
     return TrustModel(det_id, "object", table, bpd_exponent=2.0)
 
 
+def _models(method):
+    if method in pipeline.BELIEF_METHODS:
+        return {det_id: _model(det_id) for det_id in "abcdef"}
+    # Detector "f" has no Platt model, so it takes no part in the baselines.
+    return pipeline.BaselineModels(
+        platt={d: PlattModel(d, -1.0, 2.0) for d in "abcde"},
+        weights=WeightVector(tuple("abcde"), (0.5, 0.25, 1.0, -0.5, 0.75), -0.25),
+        likelihoods={d: ScoreLikelihood(d, (0.25, 0.75), (0.75, 0.25)) for d in "abcde"},
+    )
+
+
 @st.composite
 def corpora(draw):
     per_image = [
@@ -134,10 +146,16 @@ def corpora(draw):
 
 
 @settings(max_examples=10, deadline=None)
-@given(corpora(), st.sampled_from(["dbf", "static-dst"]))
+@given(corpora(), st.sampled_from(pipeline.METHODS))
+@example(HALF, "platt")
+@example(HALF, "ws")
+@example(HALF, "bayes")
 def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
-    models = {det_id: _model(det_id) for det_id in "abcdef"}
+    models = _models(method)
     serial = pipeline.fuse_corpus(corpus, models, "object", method, jobs=1)
     pooled = pipeline.fuse_corpus(corpus, models, "object", method, jobs=2)
     assert pooled == serial
-    assert all(f.score == f.verdict.score for f in serial)
+    if method in pipeline.BELIEF_METHODS:
+        assert all(f.score == f.verdict.score for f in serial)
+    else:
+        assert all(f.verdict is None and f.source_detector_id != "f" for f in serial)

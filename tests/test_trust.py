@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel
+from beliefuse.io import DataError, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
     PrPoint,
@@ -210,24 +212,27 @@ class TestSerialization:
         )
         model = build_trust_model(labeled, 6, "d1", "object", bpd_exponent=2.0)
         path = tmp_path / "model.json"
-        model.save(path)
-        reloaded = TrustModel.load(path)
+        save_model(model, path)
+        reloaded = load_model(path)
         for s in np.linspace(-1, 6, 300):
             assert reloaded.score_to_bpa(float(s)) == model.score_to_bpa(float(s))
 
     def test_round_trip_infinite_exponent(self, tmp_path):
         model = simple_model(math.inf)
         path = tmp_path / "model.json"
-        model.save(path)
-        reloaded = TrustModel.load(path)
+        save_model(model, path)
+        reloaded = load_model(path)
         assert math.isinf(reloaded.bpd_exponent)
         assert reloaded == model
 
-    def test_rejects_unknown_format_version(self):
-        data = simple_model().to_dict()
+    def test_rejects_unknown_format_version(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(simple_model(), path)
+        data = json.loads(path.read_text())
         data["format_version"] = 99
-        with pytest.raises(ValueError):
-            TrustModel.from_dict(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError):
+            load_model(path)
 
 
 class TestTrustModelInvariants:
