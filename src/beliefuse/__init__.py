@@ -3,7 +3,7 @@
 from .dst import Bpa, FusedVerdict, Hypothesis, TotalConflict, belief, combine, combine_all, vacuous
 from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections, nms
 from .trust import InsufficientData, PrPoint, TrustModel, bpd_precision, build_pr_table, build_trust_model
-from .fusion import DetectionVector, FusedDetection, build_detection_vectors, dbf_fuse, fuse_image, static_dst_fuse
+from .fusion import DetectionVector, FusedDetection, build_detection_vectors, dbf_fuse, fuse_images, static_dst_fuse
 from .evaluation import EvalReport, NoGroundTruth, average_precision, evaluate_methods
 from .datagen import ConfigError, SyntheticDataset, SyntheticDetectorProfile, generate
 
@@ -36,7 +36,7 @@ __all__ = [
     "combine_all",
     "dbf_fuse",
     "evaluate_methods",
-    "fuse_image",
+    "fuse_images",
     "generate",
     "iou",
     "match_detections",

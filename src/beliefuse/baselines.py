@@ -7,6 +7,7 @@ baseline numbers reproduce bit-for-bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,12 @@ def fit_platt(
     return PlattModel(detector_id=detector_id, a=a, b=b, converged=converged)
 
 
-def platt_fuse(vector: DetectionVector, platt: dict[str, PlattModel]) -> float:
-    """Max of the calibrated probabilities over present slots."""
+def platt_fuse(slots: Mapping[str, float], platt: dict[str, PlattModel]) -> float:
+    """Max of the calibrated probabilities over the present slots of one
+    detection vector (its ``slots``, or one of ``fusion.slot_rows``)."""
     probs = [
         platt[det_id].probability(score)
-        for det_id, score in vector.slots.items()
+        for det_id, score in slots.items()
         if det_id in platt
     ]
     if not probs:
@@ -160,17 +162,14 @@ class WeightVector:
         return cls(tuple(data["detector_ids"]), tuple(data["weights"]), data["bias"])
 
 
-def _vector_features(
-    vector: DetectionVector,
+def _features(
+    slots: Mapping[str, float],
     platt: dict[str, PlattModel],
     detector_ids: tuple[str, ...],
 ) -> np.ndarray:
     # Absent slots impute 0, the natural post-sigmoid floor.
     return np.array(
-        [
-            platt[d].probability(vector.slots[d]) if d in vector.slots else 0.0
-            for d in detector_ids
-        ]
+        [platt[d].probability(slots[d]) if d in slots else 0.0 for d in detector_ids]
     )
 
 
@@ -189,7 +188,7 @@ def fit_weighted_sum(
     if not vectors:
         raise InsufficientData("no training vectors")
     detector_ids = tuple(sorted(platt))
-    x = np.array([_vector_features(v, platt, detector_ids) for v, _ in vectors])
+    x = np.array([_features(v.slots, platt, detector_ids) for v, _ in vectors])
     y = np.array([1.0 if label else -1.0 for _, label in vectors])
     if not (np.any(y > 0) and np.any(y < 0)):
         raise InsufficientData("both labels required for SVM training")
@@ -213,11 +212,12 @@ def fit_weighted_sum(
 
 
 def weighted_sum_fuse(
-    vector: DetectionVector,
+    slots: Mapping[str, float],
     platt: dict[str, PlattModel],
     weights: WeightVector,
 ) -> float:
-    features = _vector_features(vector, platt, weights.detector_ids)
+    """The learned linear score of one detection vector's present slots."""
+    features = _features(slots, platt, weights.detector_ids)
     return float(features @ np.array(weights.weights) + weights.bias)
 
 
@@ -293,7 +293,7 @@ def fit_score_likelihood(
 
 
 def bayes_fuse(
-    vector: DetectionVector,
+    slots: Mapping[str, float],
     platt: dict[str, PlattModel],
     likelihoods: dict[str, ScoreLikelihood],
     prior_target: float = 0.5,
@@ -302,7 +302,7 @@ def bayes_fuse(
     if not 0.0 < prior_target < 1.0:
         raise ValueError(f"prior must be in (0,1), got {prior_target}")
     log_odds = math.log(prior_target / (1.0 - prior_target))
-    for det_id, score in sorted(vector.slots.items()):
+    for det_id, score in sorted(slots.items()):
         if det_id not in likelihoods:
             continue
         prob = platt[det_id].probability(score)

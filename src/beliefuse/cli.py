@@ -166,10 +166,16 @@ def _common_options(fn):
     return fn
 
 
-def _build_cfg(config_file, n_raw, **flags) -> RunConfig:
+def _build_cfg(config_file, n_raw, paths: tuple[str, ...], **flags) -> RunConfig:
+    """The command's resolved config; ``paths`` are the path fields the
+    command needs, and a missing one is a config error naming its flag."""
     if n_raw is not None:
         flags["bpd_exponent"] = _parse_n(n_raw)
-    return _resolve_config(config_file, **flags)
+    cfg = _resolve_config(config_file, **flags)
+    missing = ["--" + name.replace("_", "-") for name in paths if not getattr(cfg, name)]
+    if missing:
+        raise ConfigError(f"missing {', '.join(missing)} (a flag or config key)")
+    return cfg
 
 
 def _fail(code: int, message: str):
@@ -256,12 +262,16 @@ def default_profiles(num_detectors: int) -> list[SyntheticDetectorProfile]:
     return profiles
 
 
+# The path fields build-trust and build-baselines need.
+_TRAINING_PATHS = ("detections_dir", "annotations", "models_dir")
+
+
 @main.command("build-trust")
 @_common_options
 def cmd_build_trust(config_file, n_raw, **flags):
     """Build one trust model file per (detector, class) from validation data."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, **flags)
+        cfg = _build_cfg(config_file, n_raw, _TRAINING_PATHS, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
@@ -291,7 +301,7 @@ def cmd_build_trust(config_file, n_raw, **flags):
 def cmd_build_baselines(config_file, n_raw, **flags):
     """Train Platt, weighted-sum, and naive-Bayes models from validation data."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, **flags)
+        cfg = _build_cfg(config_file, n_raw, _TRAINING_PATHS, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
@@ -346,7 +356,7 @@ def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: st
 def cmd_fuse(method, config_file, n_raw, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, **flags)
+        cfg = _build_cfg(config_file, n_raw, ("detections_dir", "models_dir", "out"), **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
     fused_all = []
@@ -373,7 +383,7 @@ def cmd_fuse(method, config_file, n_raw, **flags):
 def cmd_eval(inputs, config_file, n_raw, **flags):
     """Evaluate detection files against annotations (AP / mAP, JSON + CSV)."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, **flags)
+        cfg = _build_cfg(config_file, n_raw, ("annotations", "out"), **flags)
         gts = io.read_annotations(cfg.annotations)
         methods = {}
         for item in inputs:
@@ -404,7 +414,7 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
 def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, n_raw, **flags):
     """Rebuild trust models and refuse for each exponent; CSV of AP per class."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, **flags)
+        cfg = _build_cfg(config_file, n_raw, ("detections_dir", "annotations", "out"), **flags)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
             raise ConfigError("empty n-values list")

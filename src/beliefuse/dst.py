@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
+import numpy as np
+
 _SUM_TOL = 1e-9
 _CONFLICT_TOL = 1e-12
 
@@ -51,7 +53,9 @@ class Bpa:
         if any(m < -_SUM_TOL for m in masses):
             raise ValueError(f"negative mass beyond tolerance: {masses}")
         masses = [max(m, 0.0) for m in masses]
-        total = sum(masses)
+        # Spelled out, not sum(): Python 3.12's sum() rounds differently, and
+        # combine_rows repeats this total elementwise.
+        total = (masses[0] + masses[1]) + masses[2]
         if total <= 0:
             raise ValueError("masses must not all be zero")
         if abs(total - 1.0) > 1e-6:
@@ -61,6 +65,24 @@ class Bpa:
         object.__setattr__(self, "m_target", masses[0])
         object.__setattr__(self, "m_nontarget", masses[1])
         object.__setattr__(self, "m_intermediate", masses[2])
+
+    @classmethod
+    def exact(cls, m_target: float, m_nontarget: float, m_intermediate: float) -> Bpa:
+        """A Bpa holding these masses bit for bit, for masses normalized once
+        already (a joint written to a file, a ``combine_rows`` row): checked
+        like the constructor's, but never clamped or rescaled."""
+        masses = (m_target, m_nontarget, m_intermediate)
+        # The comparisons are false for NaN, and the total check fails on inf.
+        if not (m_target >= 0.0 and m_nontarget >= 0.0 and m_intermediate >= 0.0):
+            raise ValueError(f"masses must not be negative or NaN: {masses}")
+        total = (m_target + m_nontarget) + m_intermediate
+        if not abs(total - 1.0) <= 1e-6:
+            raise ValueError(f"masses must sum to 1, got {total}")
+        b = object.__new__(cls)
+        object.__setattr__(b, "m_target", m_target)
+        object.__setattr__(b, "m_nontarget", m_nontarget)
+        object.__setattr__(b, "m_intermediate", m_intermediate)
+        return b
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.m_target, self.m_nontarget, self.m_intermediate)
@@ -111,6 +133,63 @@ def combine_all(bpas: list[Bpa]) -> Bpa:
     if not bpas:
         raise ValueError("combine_all requires at least one Bpa")
     return reduce(combine, bpas)
+
+
+def bpa_rows(masses: np.ndarray) -> np.ndarray:
+    """``Bpa(*row).as_tuple()`` for every row of an (N, 3) mass array, bit for
+    bit: the constructor's checks, clamp and rescale, elementwise."""
+    if not np.isfinite(masses).all():
+        raise ValueError("masses must be finite")
+    if (masses < -_SUM_TOL).any():
+        raise ValueError("negative mass beyond tolerance")
+    # max(m, 0.0) keeps m unless 0.0 > m, and m / 1.0 is m.
+    masses = np.where(masses < 0.0, 0.0, masses)
+    total = (masses[:, 0] + masses[:, 1]) + masses[:, 2]
+    if not (np.abs(total - 1.0) <= 1e-6).all():
+        raise ValueError("masses must sum to 1")
+    return masses / total[:, None]
+
+
+def combine_rows(sources: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``combine_all`` row by row, as one fold over array columns.
+
+    ``sources`` is (N, K, 3): each row's K mass functions as (m_T, m_~T,
+    m_I), each normalized like a ``Bpa``. Source k takes part in row i where
+    ``use[i, k]`` and it is not vacuous; row i of the joint (N, 3) is
+    ``combine_all`` of those sources in column order, bit for bit (each step
+    repeats ``combine``'s products and its ``Bpa`` construction), or the
+    vacuous mass when there are none. Rows where a step's normalizer is not
+    positive are set in the returned conflict mask; ``combine_all`` would
+    raise ``TotalConflict`` on them, and their joint rows are meaningless.
+    """
+    n_rows, n_sources = use.shape
+    joint = np.tile(VACUOUS.as_tuple(), (n_rows, 1))
+    started = np.zeros(n_rows, dtype=bool)
+    conflict = np.zeros(n_rows, dtype=bool)
+    for k in range(n_sources):
+        source = sources[:, k]
+        take = use[:, k] & (source[:, 2] != 1.0)
+        rows = np.flatnonzero(take & started & ~conflict)
+        a, b = joint[rows].T, source[rows].T
+        n = 1.0 - (a[0] * b[1] + a[1] * b[0])
+        ok = n > _CONFLICT_TOL
+        conflict[rows[~ok]] = True
+        (a_t, a_nt, a_i), (b_t, b_nt, b_i), n = a[:, ok], b[:, ok], n[ok, None]
+        joint[rows[ok]] = bpa_rows(
+            np.stack(
+                [
+                    a_t * b_t + (a_t * b_i + a_i * b_t),
+                    a_nt * b_nt + (a_nt * b_i + a_i * b_nt),
+                    a_i * b_i,
+                ],
+                axis=1,
+            )
+            / n
+        )
+        first = take & ~started
+        joint[first] = source[first]
+        started |= take
+    return joint, conflict
 
 
 # Intersection table on the binary frame: T^I = T, ~T^I = ~T, T^~T = empty.

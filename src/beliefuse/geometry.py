@@ -95,9 +95,10 @@ def iou_matrix(boxes: ArrayLike) -> np.ndarray:
     )
 
 
-def _det_sort_key(d: Detection):
+def _det_sort_key(d: Detection, score: float | None = None):
     # Deterministic tie-break: equal scores ordered by identity fields.
-    return (-d.score, d.detector_id, d.image_id, d.box.as_tuple())
+    # ``score``, when given, stands in for the detection's own.
+    return (-(d.score if score is None else score), d.detector_id, d.image_id, d.box.as_tuple())
 
 
 def match_detections(
@@ -160,6 +161,29 @@ def match_detections(
     return [(dets[i], labeled[i]) for i in range(len(dets))]
 
 
+def suppression_mask(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy NMS's suppression matrix: row i marks the windows whose IoU
+    with window i is above the threshold."""
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
+    return overlaps > iou_threshold
+
+
+def nms_keep(scores: list[float], dets: list[Detection], suppresses: np.ndarray) -> list[int]:
+    """Greedy NMS by index: windows are visited in ``_det_sort_key`` order
+    with ``scores`` in place of the detections' own, and each one kept
+    suppresses the windows its row of ``suppresses`` marks (see
+    ``suppression_mask``). Returns the kept indices in visiting order."""
+    order = sorted(range(len(dets)), key=lambda i: _det_sort_key(dets[i], scores[i]))
+    suppressed = np.zeros(len(dets), dtype=bool)
+    kept: list[int] = []
+    for i in order:
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= suppresses[i]
+    return kept
+
+
 def nms(
     dets: list[Detection],
     iou_threshold: float = 0.5,
@@ -171,15 +195,7 @@ def nms(
     detections' ``iou_matrix`` (row i is ``dets[i]``) when the caller
     already has it; otherwise it is computed here.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     if overlaps is None:
         overlaps = iou_matrix([d.box.as_tuple() for d in dets])
-    suppresses = overlaps > iou_threshold
-    suppressed = np.zeros(len(dets), dtype=bool)
-    kept: list[Detection] = []
-    for i in sorted(range(len(dets)), key=lambda i: _det_sort_key(dets[i])):
-        if not suppressed[i]:
-            kept.append(dets[i])
-            suppressed |= suppresses[i]
-    return kept
+    suppresses = suppression_mask(overlaps, iou_threshold)
+    return [dets[i] for i in nms_keep([d.score for d in dets], dets, suppresses)]

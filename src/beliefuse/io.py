@@ -175,7 +175,9 @@ def read_fused(path: str | Path) -> list[FusedDetection]:
         try:
             verdict = None
             if "joint" in obj:
-                verdict = FusedVerdict(Bpa(*obj["joint"]))
+                # As written: the constructor would rescale a joint whose
+                # float sum is not exactly 1.0, and break score == verdict.score.
+                verdict = FusedVerdict(Bpa.exact(*obj["joint"]))
             fused.append(
                 FusedDetection(
                     box=_parse_bbox(obj["bbox"], path, lineno),
@@ -188,6 +190,8 @@ def read_fused(path: str | Path) -> list[FusedDetection]:
             )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return fused
 
 

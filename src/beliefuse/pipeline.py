@@ -6,9 +6,11 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import baselines, fusion
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .dst import Bpa, FusedVerdict
+from .dst import Bpa
 from .fusion import DetectionVector, FusedDetection, build_detection_vectors
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .trust import InsufficientData, TrustModel, build_trust_model
@@ -148,9 +150,9 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 
 @dataclass(frozen=True)
-class _ImageFuser:
-    """One method's scoring rule, and everything else ``fusion.fuse_image``
-    needs besides the image itself."""
+class _BatchFuser:
+    """One method's scoring rule, and everything else ``fusion.fuse_images``
+    needs besides the images themselves."""
 
     models: dict[str, TrustModel] | BaselineModels
     class_label: str
@@ -160,40 +162,47 @@ class _ImageFuser:
     absent_policy: str
     masses: dict[str, Bpa] | None
 
-    def score(self, vec: DetectionVector) -> tuple[float, FusedVerdict | None]:
+    def rule(
+        self, detector_ids: list[str], slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         # Rules are looked up on their modules at call time, so a patched
         # module attribute takes effect.
         models = self.models
+        if self.method in BELIEF_METHODS:
+            if self.method == "dbf":
+                joints = fusion.dbf_joints(detector_ids, slots, models, self.absent_policy)
+            else:
+                joints = fusion.static_dst_joints(detector_ids, slots, self.masses)
+            # Each row's score as FusedVerdict.score computes it.
+            return joints[:, 0] - joints[:, 1], joints
+        rows = fusion.slot_rows(detector_ids, slots)
         if self.method == "platt":
-            return baselines.platt_fuse(vec, models.platt), None
-        if self.method == "ws":
-            return baselines.weighted_sum_fuse(vec, models.platt, models.weights), None
-        if self.method == "bayes":
-            return baselines.bayes_fuse(
-                vec, models.platt, models.likelihoods, models.prior_target
-            ), None
-        if self.method == "dbf":
-            verdict = fusion.dbf_fuse(vec, models, self.absent_policy)
+            scores = [baselines.platt_fuse(row, models.platt) for row in rows]
+        elif self.method == "ws":
+            scores = [baselines.weighted_sum_fuse(row, models.platt, models.weights) for row in rows]
         else:
-            verdict = fusion.static_dst_fuse(vec, self.masses)
-        return verdict.score, verdict
+            scores = [
+                baselines.bayes_fuse(row, models.platt, models.likelihoods, models.prior_target)
+                for row in rows
+            ]
+        return np.array(scores), None
 
-    def __call__(self, per_det: dict[str, list[Detection]]) -> list[FusedDetection]:
-        return fusion.fuse_image(
-            per_det, self.score, self.class_label, self.overlap_threshold, self.nms_threshold
+    def __call__(self, images: list[dict[str, list[Detection]]]) -> list[FusedDetection]:
+        return fusion.fuse_images(
+            images, self.rule, self.class_label, self.overlap_threshold, self.nms_threshold
         )
 
 
-_worker_fuser: _ImageFuser | None = None  # set once in each pool worker
+_worker_fuser: _BatchFuser | None = None  # set once in each pool worker
 
 
-def _install_fuser(fuser: _ImageFuser) -> None:
+def _install_fuser(fuser: _BatchFuser) -> None:
     global _worker_fuser
     _worker_fuser = fuser
 
 
-def _fuse_in_worker(per_det: dict[str, list[Detection]]) -> list[FusedDetection]:
-    return _worker_fuser(per_det)
+def _fuse_in_worker(images: list[dict[str, list[Detection]]]) -> list[FusedDetection]:
+    return _worker_fuser(images)
 
 
 def fuse_corpus(
@@ -211,8 +220,10 @@ def fuse_corpus(
     ``models`` holds one trust model per detector for the belief methods
     (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
     (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
-    take part. With ``jobs > 1`` each pool worker receives the models once,
-    through the pool initializer, and then images in contiguous chunks.
+    take part. Serially all images are fused as one batch (see
+    ``fusion.fuse_images``). With ``jobs > 1`` each pool worker receives the
+    models once, through the pool initializer, and then batches of
+    contiguous images, one per task.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -220,7 +231,7 @@ def fuse_corpus(
         if method == "ws" and models.weights is None:
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
-    fuser = _ImageFuser(
+    fuser = _BatchFuser(
         models,
         class_label,
         method,
@@ -234,13 +245,13 @@ def fuse_corpus(
         group_by_detector(image_dets)
         for _, image_dets in sorted(group_by_image(all_dets).items())
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
-        ) as pool:
-            # A few chunks per worker, so an image-heavy chunk cannot idle the rest.
-            chunksize = max(1, len(images) // (4 * jobs))
-            results = list(pool.map(_fuse_in_worker, images, chunksize=chunksize))
-    else:
-        results = [fuser(image) for image in images]
-    return [fd for image_result in results for fd in image_result]
+    if jobs <= 1:
+        return fuser(images)
+    # A few batches per worker, so an image-heavy batch cannot idle the rest.
+    size = max(1, len(images) // (4 * jobs))
+    batches = [images[i : i + size] for i in range(0, len(images), size)]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
+    ) as pool:
+        results = list(pool.map(_fuse_in_worker, batches))
+    return [fd for batch_result in results for fd in batch_result]

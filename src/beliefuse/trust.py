@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .dst import Bpa
+import numpy as np
+
+from .dst import Bpa, bpa_rows
 from .geometry import Detection, MatchLabel
 
 DEFAULT_BPD_EXPONENT = 2.0
@@ -112,28 +115,29 @@ class TrustModel:
         if not self.bpd_exponent > 0:
             raise ValueError(f"bpd exponent must be positive, got {self.bpd_exponent}")
 
-    def _lookup(self, score: float) -> tuple[float, float]:
-        """Piecewise-constant score -> (recall, precision) on the threshold grid.
+    @cached_property
+    def _mass_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The negated thresholds, ascending, and the masses a score maps to:
+        one row per PR row, then the below-bottom row.
 
-        Scores above the top threshold clamp to the first row; scores below
-        the bottom threshold mean every validation window is accepted, read
-        as full recall at the last row's envelope precision.
+        A score at or above a row's threshold and below the one above reads
+        that row; above the top it reads the first row. Below the bottom
+        every validation window is accepted, read as full recall at the last
+        row's envelope precision, which is also the ``recall_one`` mass of
+        an absent slot.
         """
-        if score >= self.table[0].score_threshold:
-            row = self.table[0]
-            return row.recall, row.precision
-        if score < self.table[-1].score_threshold:
-            return 1.0, self.table[-1].precision
-        lo, hi = 0, len(self.table) - 1
-        # First row whose threshold <= score.
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.table[mid].score_threshold <= score:
-                hi = mid
-            else:
-                lo = mid + 1
-        row = self.table[lo]
-        return row.recall, row.precision
+        recall = [p.recall for p in self.table] + [1.0]
+        precision = [p.precision for p in self.table] + [self.table[-1].precision]
+        negated = np.array([-p.score_threshold for p in self.table])
+        return negated, self._assignments(recall, precision)
+
+    def _assignments(self, recall: list[float], precision: list[float]) -> np.ndarray:
+        # 1 - r**n with Python's **: np.power rounds differently.
+        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in recall])
+        p = np.array(precision, dtype=float)
+        m_i = np.maximum(p_bpd - p, 0.0)
+        m_nt = 1.0 - np.maximum(p_bpd, p)
+        return bpa_rows(np.stack([p, m_nt, m_i], axis=1))
 
     def assignment_at(self, recall: float, precision: float) -> Bpa:
         """Mass split at a PR operating point.
@@ -141,15 +145,16 @@ class TrustModel:
         m(T) = p, m(I) = max(p_bpd - p, 0), m(~T) = 1 - max(p_bpd, p). The
         clamp covers detectors that locally beat the best-possible model.
         """
-        p_bpd = bpd_precision(recall, self.bpd_exponent)
-        m_t = precision
-        m_i = max(p_bpd - precision, 0.0)
-        m_nt = 1.0 - max(p_bpd, precision)
-        return Bpa(m_t, m_nt, m_i)
+        return Bpa.exact(*self._assignments([recall], [precision])[0].tolist())
+
+    def masses_at(self, scores: np.ndarray) -> np.ndarray:
+        """The (m_T, m_~T, m_I) rows of an array of scores, looked up in the
+        mass table; -inf reads as below the bottom threshold."""
+        negated, masses = self._mass_table
+        return masses[np.searchsorted(negated, -scores)]
 
     def score_to_bpa(self, score: float) -> Bpa:
-        recall, precision = self._lookup(score)
-        return self.assignment_at(recall, precision)
+        return Bpa.exact(*self.masses_at(np.array([score]))[0].tolist())
 
     def static_bpa(self, recall_anchor: float = 0.2) -> Bpa:
         """Fixed assignment at the table row nearest the anchor recall."""

@@ -90,22 +90,22 @@ class TestPlattFuse:
     def test_single_slot(self):
         m = self.models()
         prob = m["a"].probability(1.5)
-        assert platt_fuse(vector({"a": 1.5}), m) == prob
+        assert platt_fuse(vector({"a": 1.5}).slots, m) == prob
 
     def test_max_rule(self):
         m = self.models()
-        fused = platt_fuse(vector({"a": 0.3, "b": 2.0, "c": 1.0}), m)
+        fused = platt_fuse(vector({"a": 0.3, "b": 2.0, "c": 1.0}).slots, m)
         assert fused == m["b"].probability(2.0)
 
     def test_absent_slots_ignored(self):
         m = self.models()
-        assert platt_fuse(vector({"a": 1.0}), m) == m["a"].probability(1.0)
+        assert platt_fuse(vector({"a": 1.0}).slots, m) == m["a"].probability(1.0)
 
     def test_permutation_invariant_and_bounded(self):
         m = self.models()
         slots = {"a": 0.3, "b": 2.0, "c": 1.0}
-        v1 = platt_fuse(vector(slots, "a"), m)
-        v2 = platt_fuse(vector(slots, "c"), m)
+        v1 = platt_fuse(vector(slots, "a").slots, m)
+        v2 = platt_fuse(vector(slots, "c").slots, m)
         assert v1 == v2
         assert 0.0 <= v1 <= 1.0
 
@@ -138,7 +138,7 @@ class TestFitWeightedSum:
             training.append((vector({"a": a, "b": b}), positive))
         w = fit_weighted_sum(training, platt)
         correct = sum(
-            (weighted_sum_fuse(vec, platt, w) > 0) == label for vec, label in training
+            (weighted_sum_fuse(vec.slots, platt, w) > 0) == label for vec, label in training
         )
         majority = max(
             sum(1 for _, lab in training if lab),
@@ -153,8 +153,8 @@ class TestFitWeightedSum:
             (vector({"a": -2.0, "b": -1.0}), False),
         ]
         w = fit_weighted_sum(training, platt)
-        s1 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}), platt, w)
-        s2 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}, "b"), platt, w)
+        s1 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}).slots, platt, w)
+        s2 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}, "b").slots, platt, w)
         assert s1 == s2
 
     def test_duplicate_columns_preserve_ranking(self):
@@ -169,8 +169,8 @@ class TestFitWeightedSum:
         ]
         w1 = fit_weighted_sum(train_one, platt_one)
         w2 = fit_weighted_sum(train_two, platt_two)
-        f1 = [weighted_sum_fuse(v, platt_one, w1) for v, _ in train_one]
-        f2 = [weighted_sum_fuse(v, platt_two, w2) for v, _ in train_two]
+        f1 = [weighted_sum_fuse(v.slots, platt_one, w1) for v, _ in train_one]
+        f2 = [weighted_sum_fuse(v.slots, platt_two, w2) for v, _ in train_two]
         assert np.corrcoef(np.argsort(np.argsort(f1)), np.argsort(np.argsort(f2)))[0, 1] == pytest.approx(1.0)
 
     def test_missing_label_rejected(self):
@@ -212,7 +212,7 @@ class TestScoreLikelihood:
 class TestBayesFuse:
     def test_no_present_slots_gives_prior_odds(self):
         v = vector({"z": 1.0})
-        assert bayes_fuse(v, {}, {}, prior_target=0.25) == pytest.approx(
+        assert bayes_fuse(v.slots, {}, {}, prior_target=0.25) == pytest.approx(
             math.log(0.25 / 0.75)
         )
 
@@ -220,7 +220,7 @@ class TestBayesFuse:
         platt = {"a": PlattModel("a", -1.0, 0.0)}
         uniform = ScoreLikelihood("a", tuple([1 / 8] * 8), tuple([1 / 8] * 8))
         v = vector({"a": 1.0})
-        assert bayes_fuse(v, platt, {"a": uniform}, 0.5) == pytest.approx(0.0)
+        assert bayes_fuse(v.slots, platt, {"a": uniform}, 0.5) == pytest.approx(0.0)
 
     def test_product_of_ratios(self):
         platt = {
@@ -233,7 +233,7 @@ class TestBayesFuse:
         assert lik.log_likelihood_ratio(platt["a"].probability(-1.0)) == pytest.approx(math.log(3.0))
         liks = {"a": lik, "b": ScoreLikelihood("b", lik.target_bins, lik.nontarget_bins)}
         v = vector({"a": -1.0, "b": -1.0})
-        assert bayes_fuse(v, platt, liks, 0.5) == pytest.approx(math.log(9.0))
+        assert bayes_fuse(v.slots, platt, liks, 0.5) == pytest.approx(math.log(9.0))
 
     def test_additive_in_log_odds(self):
         platt = {
@@ -251,14 +251,14 @@ class TestBayesFuse:
             "a": fit_score_likelihood(labeled_a, platt["a"], "a"),
             "b": fit_score_likelihood(labeled_b, platt["b"], "b"),
         }
-        both = bayes_fuse(vector({"a": 0.7, "b": 1.1}), platt, liks, 0.5)
-        only_a = bayes_fuse(vector({"a": 0.7}), platt, liks, 0.5)
+        both = bayes_fuse(vector({"a": 0.7, "b": 1.1}).slots, platt, liks, 0.5)
+        only_a = bayes_fuse(vector({"a": 0.7}).slots, platt, liks, 0.5)
         ratio_b = liks["b"].log_likelihood_ratio(platt["b"].probability(1.1))
         assert both == pytest.approx(only_a + ratio_b, abs=1e-12)
 
     def test_bad_prior_rejected(self):
         with pytest.raises(ValueError):
-            bayes_fuse(vector({"a": 1.0}), {}, {}, prior_target=1.0)
+            bayes_fuse(vector({"a": 1.0}).slots, {}, {}, prior_target=1.0)
 
 
 class TestSerialization:

@@ -41,6 +41,51 @@ def exited_cleanly(result, code):
 NOWHERE_GT = '{"image_id": "nowhere", "class": "object", "bbox": [0, 0, 1, 1]}\n'
 
 
+def path_args(workspace, out):
+    """Each command with every path flag it needs, outputs under ``out``."""
+    data = workspace / "data"
+    train = {"--detections-dir": data / "validation",
+             "--annotations": data / "validation" / "annotations.jsonl",
+             "--models-dir": out / "m"}
+    return {
+        "build-trust": ([], train),
+        "build-baselines": ([], train),
+        "fuse": ([], {"--detections-dir": data / "test",
+                      "--models-dir": workspace / "models",
+                      "--out": out / "f.jsonl"}),
+        "eval": (["-i", "det_a=" + str(data / "test" / "det_a.jsonl")],
+                 {"--annotations": data / "test" / "annotations.jsonl", "--out": out / "r"}),
+        "sweep-n": (["--n-values", "2"],
+                    {"--detections-dir": data / "validation",
+                     "--annotations": data / "validation" / "annotations.jsonl",
+                     "--out": out / "s.csv"}),
+    }
+
+
+REQUIRED_PATHS = [
+    ("build-trust", "--detections-dir"), ("build-trust", "--annotations"),
+    ("build-trust", "--models-dir"), ("build-baselines", "--detections-dir"),
+    ("build-baselines", "--annotations"), ("build-baselines", "--models-dir"),
+    ("fuse", "--detections-dir"), ("fuse", "--models-dir"), ("fuse", "--out"),
+    ("eval", "--annotations"), ("eval", "--out"),
+    ("sweep-n", "--detections-dir"), ("sweep-n", "--annotations"), ("sweep-n", "--out"),
+]
+
+
+@pytest.mark.parametrize("command,flag", REQUIRED_PATHS)
+def test_missing_path_flag_exits_2_naming_it(workspace, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    extra, paths = path_args(workspace, tmp_path)[command]
+    args = [command, *extra]
+    for name, path in paths.items():
+        if name != flag:
+            args += [name, str(path)]
+    result = run(args)
+    assert exited_cleanly(result, 2), result.output
+    assert flag in result.output
+    assert list(tmp_path.iterdir()) == []  # nothing written, here or elsewhere
+
+
 class TestGenerate:
     def test_layout(self, workspace):
         data = workspace / "data"

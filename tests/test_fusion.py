@@ -7,8 +7,10 @@ from beliefuse.fusion import (
     DetectionVector,
     build_detection_vectors,
     dbf_fuse,
-    fuse_image,
+    dbf_joints,
+    fuse_images,
     static_dst_fuse,
+    static_dst_joints,
     static_masses,
 )
 from beliefuse.geometry import BoundingBox, Detection
@@ -24,24 +26,24 @@ def det(detector, score, b, image="img1"):
 
 
 def dbf_score(models):
-    """A fuse_image scoring rule: DBF with the given trust models."""
+    """A fuse_images scoring rule: DBF with the given trust models."""
 
-    def score(vec):
-        verdict = dbf_fuse(vec, models)
-        return verdict.score, verdict
+    def rule(detector_ids, slots):
+        joints = dbf_joints(detector_ids, slots, models)
+        return joints[:, 0] - joints[:, 1], joints
 
-    return score
+    return rule
 
 
 def static_score(models):
-    """A fuse_image scoring rule: static-DST with the given trust models."""
+    """A fuse_images scoring rule: static-DST with the given trust models."""
     masses = static_masses(models)
 
-    def score(vec):
-        verdict = static_dst_fuse(vec, masses)
-        return verdict.score, verdict
+    def rule(detector_ids, slots):
+        joints = static_dst_joints(detector_ids, slots, masses)
+        return joints[:, 0] - joints[:, 1], joints
 
-    return score
+    return rule
 
 
 def model_for(detector, n=2.0):
@@ -213,7 +215,7 @@ class TestStaticDstFuse:
 
 class TestFuseImage:
     def test_empty_input(self):
-        assert fuse_image({}, dbf_score({}), "object") == []
+        assert fuse_images([{}], dbf_score({}), "object") == []
 
     def test_single_detector_ranking_consistent(self):
         rng = np.random.default_rng(4)
@@ -222,7 +224,7 @@ class TestFuseImage:
             for x, y in rng.uniform(0, 400, size=(20, 2))
         ]
         models = {"a": model_for("a")}
-        fused = fuse_image({"a": dets}, dbf_score(models), "object")
+        fused = fuse_images([{"a": dets}], dbf_score(models), "object")
         raw_nms = {d.box.as_tuple() for d in dets}
         assert all(f.box.as_tuple() in raw_nms for f in fused)
         scores = [f.score for f in fused]
@@ -231,8 +233,8 @@ class TestFuseImage:
     def test_two_detectors_one_object_consolidates(self):
         b1 = box(0, 0, 10, 10)
         b2 = box(0, 1, 10, 11)
-        fused = fuse_image(
-            {"a": [det("a", 5.0, b1)], "b": [det("b", 3.5, b2)]},
+        fused = fuse_images(
+            [{"a": [det("a", 5.0, b1)], "b": [det("b", 3.5, b2)]}],
             dbf_score({"a": model_for("a"), "b": model_for("b")}),
             "object",
         )
@@ -251,7 +253,9 @@ class TestFuseImage:
         input_boxes = {
             d.box.as_tuple() for dets in per_det.values() for d in dets
         }
-        fused = fuse_image(per_det, dbf_score({"a": model_for("a"), "b": model_for("b")}), "object")
+        fused = fuse_images(
+            [per_det], dbf_score({"a": model_for("a"), "b": model_for("b")}), "object"
+        )
         assert all(f.box.as_tuple() in input_boxes for f in fused)
 
     @pytest.mark.parametrize("method", ["dbf", "static-dst"])
@@ -262,7 +266,11 @@ class TestFuseImage:
         high, low = det("a", 9.0, b), det("a", 1.0, b)
         models = {"a": model_for("a")}
         score = dbf_score(models) if method == "dbf" else static_score(models)
-        fused = fuse_image({"a": [high, low]}, score, "object")
+        fused = fuse_images([{"a": [high, low]}], score, "object")
         assert len(fused) == 1
         assert fused[0].score == fused[0].verdict.score
-        assert fused[0].verdict == score(DetectionVector(high, {"a": 9.0}))[1]
+        vec = DetectionVector(high, {"a": 9.0})
+        if method == "dbf":
+            assert fused[0].verdict == dbf_fuse(vec, models)
+        else:
+            assert fused[0].verdict == static_dst_fuse(vec, static_masses(models))

@@ -168,3 +168,25 @@ class TestFused:
         assert loaded == fused
         assert loaded[0].verdict.joint == verdict.joint
         assert loaded[1].verdict is None
+
+    def test_joint_is_read_back_bit_for_bit(self, tmp_path):
+        # A normalized joint whose float sum is not exactly 1.0: building a
+        # Bpa from it again would rescale it and change its score.
+        joint = Bpa(0.2922489550617629, 0.4549249442515907, 0.2528261006866465)
+        assert Bpa(*joint.as_tuple()).as_tuple() != joint.as_tuple()
+        verdict = FusedVerdict(joint)
+        path = tmp_path / "fused.jsonl"
+        write_fused([FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object",
+                                    verdict.score, verdict, "d1")], path)
+        [loaded] = read_fused(path)
+        assert loaded.verdict.joint.as_tuple() == joint.as_tuple()
+        assert loaded.score == loaded.verdict.score
+
+    @pytest.mark.parametrize("joint", ["[0.5, 0.5]", "[1.5, -0.5, 0.0]", "[0.2, 0.2, 0.2]",
+                                       '["a", 0.5, 0.5]'])
+    def test_bad_joint_raises_data_error(self, tmp_path, joint):
+        path = tmp_path / "fused.jsonl"
+        path.write_text('{"image_id": "i", "class": "object", "bbox": [0, 0, 1, 1], '
+                        f'"score": 0.0, "joint": {joint}}}\n')
+        with pytest.raises(DataError, match=":1:"):
+            read_fused(path)
