@@ -385,12 +385,15 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
     with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, ("annotations", "out"), **flags)
         gts = io.read_annotations(cfg.annotations)
-        methods = {}
+        paths: dict[str, str] = {}
         for item in inputs:
-            if "=" not in item:
+            name, sep, path = item.partition("=")
+            if not (name and sep and path):
                 raise ConfigError(f"--inputs expects name=path, got {item!r}")
-            name, path = item.split("=", 1)
-            methods[name] = io.read_any_detections(path)
+            if name in paths:
+                raise ConfigError(f"--inputs gives {name!r} twice: {name}={paths[name]} and {item}")
+            paths[name] = path
+        methods = {name: io.read_any_detections(path) for name, path in paths.items()}
         reports = evaluation.evaluate_methods(
             methods, gts, cfg.match_iou, cfg.ap_interpolation
         )

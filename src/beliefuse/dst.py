@@ -111,7 +111,8 @@ def belief(b: Bpa, hypothesis: Hypothesis) -> float:
 def combine(a: Bpa, b: Bpa) -> Bpa:
     """Dempster's rule for two sources on the binary frame.
 
-    Raises TotalConflict when the conflict normalizer is zero.
+    Raises TotalConflict when the conflict normalizer is zero, or so close
+    to zero that the rescaled masses no longer sum to 1 (``_rescalable``).
     """
     conflict = a.m_target * b.m_nontarget + a.m_nontarget * b.m_target
     n = 1.0 - conflict
@@ -125,7 +126,17 @@ def combine(a: Bpa, b: Bpa) -> Bpa:
         a.m_nontarget * b.m_intermediate + a.m_intermediate * b.m_nontarget
     )
     m_i = a.m_intermediate * b.m_intermediate
-    return Bpa(m_t / n, m_nt / n, m_i / n)
+    masses = (m_t / n, m_nt / n, m_i / n)
+    if not _rescalable(*masses):
+        raise TotalConflict(f"combination normalizer {n} is too small to rescale by")
+    return Bpa(*masses)
+
+
+def _rescalable(m_t, m_nt, m_i):
+    """Whether masses divided by a normalizer still total 1 as a ``Bpa``
+    requires. Near total conflict the normalizer 1 - conflict cancels to a
+    few ulps, and its rounding error no longer divides out."""
+    return abs((m_t + m_nt) + m_i - 1.0) <= 1e-6
 
 
 def combine_all(bpas: list[Bpa]) -> Bpa:
@@ -159,8 +170,9 @@ def combine_rows(sources: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.n
     ``combine_all`` of those sources in column order, bit for bit (each step
     repeats ``combine``'s products and its ``Bpa`` construction), or the
     vacuous mass when there are none. Rows where a step's normalizer is not
-    positive are set in the returned conflict mask; ``combine_all`` would
-    raise ``TotalConflict`` on them, and their joint rows are meaningless.
+    positive, or too small to rescale by, are set in the returned conflict
+    mask; ``combine_all`` would raise ``TotalConflict`` on them, and their
+    joint rows are meaningless.
     """
     n_rows, n_sources = use.shape
     joint = np.tile(VACUOUS.as_tuple(), (n_rows, 1))
@@ -173,19 +185,19 @@ def combine_rows(sources: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.n
         a, b = joint[rows].T, source[rows].T
         n = 1.0 - (a[0] * b[1] + a[1] * b[0])
         ok = n > _CONFLICT_TOL
-        conflict[rows[~ok]] = True
         (a_t, a_nt, a_i), (b_t, b_nt, b_i), n = a[:, ok], b[:, ok], n[ok, None]
-        joint[rows[ok]] = bpa_rows(
-            np.stack(
-                [
-                    a_t * b_t + (a_t * b_i + a_i * b_t),
-                    a_nt * b_nt + (a_nt * b_i + a_i * b_nt),
-                    a_i * b_i,
-                ],
-                axis=1,
-            )
-            / n
-        )
+        masses = np.stack(
+            [
+                a_t * b_t + (a_t * b_i + a_i * b_t),
+                a_nt * b_nt + (a_nt * b_i + a_i * b_nt),
+                a_i * b_i,
+            ],
+            axis=1,
+        ) / n
+        rescalable = _rescalable(*masses.T)
+        ok[ok] = rescalable
+        conflict[rows[~ok]] = True
+        joint[rows[ok]] = bpa_rows(masses[rescalable])
         first = take & ~started
         joint[first] = source[first]
         started |= take

@@ -2,7 +2,9 @@
 
 The matcher here follows evaluation convention: a second detection on an
 already-claimed ground truth counts as a false positive, unlike the
-trust-model labeler which leaves duplicates undecided.
+trust-model labeler which leaves duplicates undecided. Detections are
+scored as columns (``io.DetectionColumns``), with one IoU per pair of a
+detection and a ground truth of its image, all pairs in one array pass.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusedDetection
-from .geometry import BoundingBox, Detection, GroundTruthObject, iou
+from .geometry import GroundTruthObject, iou_pairs
+from .io import DetectionColumns
 
 
 class NoGroundTruth(ValueError):
@@ -23,76 +25,97 @@ class NoGroundTruth(ValueError):
 
 
 @dataclass(frozen=True)
-class ScoredBox:
-    """Minimal detection view shared by raw and fused inputs."""
+class _Truth:
+    """One class's ground truth as columns: each image's objects in one
+    contiguous span, in input order."""
 
-    image_id: str
-    box: BoundingBox
-    score: float
+    boxes: np.ndarray  # (G, 4)
+    difficult: np.ndarray  # (G,)
+    spans: dict[str, tuple[int, int]]  # image id -> (first row, stop row)
+    num_positives: int
 
-
-def _as_scored(d) -> ScoredBox:
-    if isinstance(d, ScoredBox):
-        return d
-    if isinstance(d, (Detection, FusedDetection)):
-        return ScoredBox(image_id=d.image_id, box=d.box, score=d.score)
-    raise TypeError(f"cannot evaluate object of type {type(d).__name__}")
+    @classmethod
+    def of(cls, gts: list[GroundTruthObject]) -> _Truth:
+        by_image: dict[str, list[GroundTruthObject]] = {}
+        for g in gts:
+            by_image.setdefault(g.image_id, []).append(g)
+        ordered = [g for objects in by_image.values() for g in objects]
+        spans, start = {}, 0
+        for image_id, objects in by_image.items():
+            spans[image_id] = (start, start + len(objects))
+            start += len(objects)
+        return cls(
+            np.array([g.box.as_tuple() for g in ordered], dtype=float).reshape(-1, 4),
+            np.array([g.difficult for g in ordered], dtype=bool),
+            spans,
+            sum(not g.difficult for g in gts),
+        )
 
 
 def _pr_points(
-    dets: list[ScoredBox],
-    gts: list[GroundTruthObject],
+    image_ids: list[str],
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    truth: _Truth,
     iou_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Cumulative (recall, precision) arrays plus final TP/FP counts.
 
-    Difficult ground truths are excluded from the recall denominator and
-    their matches are dropped from both counts.
+    Detections are ranked by descending score, ties broken by image id and
+    then box. Each one's best ground truth is the first of its image with
+    the highest IoU, a hit when that IoU is above the threshold. A hit on a
+    difficult object is dropped from both counts, the first hit in rank
+    order on any other object is a true positive, and every other detection
+    is a false positive. Difficult objects are left out of the recall
+    denominator.
     """
-    num_positives = sum(1 for g in gts if not g.difficult)
-    if num_positives == 0:
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
+    if truth.num_positives == 0:
         raise NoGroundTruth("no non-difficult ground-truth objects")
-    by_image: dict[str, list[int]] = {}
-    for j, g in enumerate(gts):
-        by_image.setdefault(g.image_id, []).append(j)
-
-    order = sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.as_tuple()),
-    )
-    claimed: set[int] = set()
-    tp_flags = []
-    fp_flags = []
-    for i in order:
-        det = dets[i]
-        best_iou = 0.0
-        best_j = -1
-        for j in by_image.get(det.image_id, []):
-            o = iou(det.box, gts[j].box)
-            if o > best_iou:
-                best_iou, best_j = o, j
-        if best_iou > iou_threshold and gts[best_j].difficult:
-            continue  # ignored, neither TP nor FP
-        if best_iou > iou_threshold and best_j not in claimed:
-            claimed.add(best_j)
-            tp_flags.append(1)
-            fp_flags.append(0)
-        else:
-            tp_flags.append(0)
-            fp_flags.append(1)
+    # Python's string order, which np.unique on a string array does not
+    # keep (it drops trailing NULs).
+    images = sorted(set(image_ids))
+    rank_of = {image: r for r, image in enumerate(images)}
+    ranks = np.array([rank_of[i] for i in image_ids], dtype=np.intp)
+    # Every (detection, ground truth of its image) pair, grouped by
+    # detection, ground truths in input order.
+    first_gt, stop_gt = np.array(
+        [truth.spans.get(image, (0, 0)) for image in images], dtype=np.intp
+    ).reshape(-1, 2)[ranks].T
+    counts = stop_gt - first_gt
+    starts = np.cumsum(counts) - counts
+    det = np.repeat(np.arange(len(ranks)), counts)
+    gt = np.repeat(first_gt - starts, counts) + np.arange(len(det))
+    overlaps = iou_pairs(boxes[det], truth.boxes[gt])
+    # Each detection's first ground truth with its highest IoU.
+    best_iou = np.zeros(len(ranks))
+    paired = counts > 0
+    if len(det):
+        best_iou[paired] = np.maximum.reduceat(overlaps, starts[paired])
+    is_max = np.flatnonzero(overlaps == best_iou[det])
+    _, first_max = np.unique(det[is_max], return_index=True)
+    best = np.zeros(len(ranks), dtype=np.intp)
+    best[det[is_max[first_max]]] = gt[is_max[first_max]]
+    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], ranks, -scores))
+    hit, best = best_iou[order] > iou_threshold, best[order]
+    kept = ~(hit & truth.difficult[best])
+    hit, best = hit[kept], best[kept]
+    hits = np.flatnonzero(hit)
+    _, first_hit = np.unique(best[hits], return_index=True)
+    tp_flags = np.zeros(len(best), dtype=np.int64)
+    tp_flags[hits[first_hit]] = 1
     tp = np.cumsum(tp_flags)
-    fp = np.cumsum(fp_flags)
-    recall = tp / num_positives
+    fp = np.cumsum(1 - tp_flags)
+    recall = tp / truth.num_positives
     precision = tp / np.maximum(tp + fp, 1)
     return recall, precision, int(tp[-1]) if len(tp) else 0, int(fp[-1]) if len(fp) else 0
 
 
 def _ap_all_points(recall: np.ndarray, precision: np.ndarray) -> float:
     r = np.concatenate(([0.0], recall, [1.0]))
-    p = np.concatenate(([0.0], precision, [0.0]))
     # Monotone envelope from the high-recall end.
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
+    p = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     changes = np.where(r[1:] != r[:-1])[0]
     return float(np.sum((r[changes + 1] - r[changes]) * p[changes + 1]))
 
@@ -103,6 +126,10 @@ def _ap_11_point(recall: np.ndarray, precision: np.ndarray) -> float:
         mask = recall >= t
         total += float(precision[mask].max()) if mask.any() else 0.0
     return total / 11.0
+
+
+def _columns(dets) -> DetectionColumns:
+    return dets if isinstance(dets, DetectionColumns) else DetectionColumns.of(dets)
 
 
 def average_precision(
@@ -118,13 +145,16 @@ def average_precision(
     """
     if interpolation not in ("all-points", "11-point"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
-    scored = [_as_scored(d) for d in dets]
-    if not scored:
+    cols = _columns(dets)
+    truth = _Truth.of(gts)
+    if not len(cols):
         # Still validates the ground truth side.
-        if not any(not g.difficult for g in gts):
+        if truth.num_positives == 0:
             raise NoGroundTruth("no non-difficult ground-truth objects")
         return 0.0
-    recall, precision, _, _ = _pr_points(scored, gts, iou_threshold)
+    recall, precision, _, _ = _pr_points(
+        cols.image_ids, cols.boxes, cols.scores, truth, iou_threshold
+    )
     if interpolation == "11-point":
         return _ap_11_point(recall, precision)
     return _ap_all_points(recall, precision)
@@ -159,30 +189,35 @@ def evaluate_method(
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> EvalReport:
-    """Per-class AP report for one method's detections."""
+    """Per-class AP report for one method's detections: ``DetectionColumns``
+    or a list of ``Detection``s and ``FusedDetection``s. Raw detections
+    carry no class and are scored against every ground-truth class; fused
+    ones only against their own."""
+    cols = _columns(dets)
     classes = sorted({g.class_label for g in gts})
+    rows_of: dict[str, list[int]] = {c: [] for c in classes}
+    for i, label in enumerate(cols.class_labels):
+        if label is None:
+            for c in classes:
+                rows_of[c].append(i)
+        elif label in rows_of:
+            rows_of[label].append(i)
     per_class: dict[str, float] = {}
     pr_samples: dict[str, list[tuple[float, float]]] = {}
     counts: dict[str, dict[str, int]] = {}
-    scored_by_class: dict[str, list[ScoredBox]] = {c: [] for c in classes}
-    for d in dets:
-        label = getattr(d, "class_label", None)
-        if label is None or label in scored_by_class:
-            # Raw detections carry no class; they are evaluated per GT class.
-            target = [label] if label in scored_by_class else classes
-            for c in target:
-                scored_by_class[c].append(_as_scored(d))
     for c in classes:
-        class_gts = [g for g in gts if g.class_label == c]
-        class_dets = scored_by_class[c]
-        num_positives = sum(1 for g in class_gts if not g.difficult)
-        if not class_dets:
+        truth = _Truth.of([g for g in gts if g.class_label == c])
+        rows = rows_of[c]
+        if not rows:
             per_class[c] = 0.0
             pr_samples[c] = []
-            counts[c] = {"num_gt": num_positives, "num_detections": 0, "tp": 0, "fp": 0}
+            counts[c] = {"num_gt": truth.num_positives, "num_detections": 0, "tp": 0, "fp": 0}
             continue
         try:
-            recall, precision, tp, fp = _pr_points(class_dets, class_gts, iou_threshold)
+            recall, precision, tp, fp = _pr_points(
+                [cols.image_ids[i] for i in rows], cols.boxes[rows], cols.scores[rows],
+                truth, iou_threshold,
+            )
         except NoGroundTruth as exc:
             raise NoGroundTruth(f"class {c!r}: {exc}") from None
         if interpolation == "11-point":
@@ -191,8 +226,8 @@ def evaluate_method(
             per_class[c] = _ap_all_points(recall, precision)
         pr_samples[c] = list(zip(recall.tolist(), precision.tolist()))
         counts[c] = {
-            "num_gt": num_positives,
-            "num_detections": len(class_dets),
+            "num_gt": truth.num_positives,
+            "num_detections": len(rows),
             "tp": tp,
             "fp": fp,
         }
@@ -217,7 +252,38 @@ def write_reports_json(reports: dict[str, EvalReport], path: str | Path, config:
         "config": config or {},
         "methods": {name: reports[name].to_dict() for name in sorted(reports)},
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_indent2(payload) + "\n")
+
+
+def _indent2(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
+    deep. Dicts with string keys are laid out here, and a list of number
+    pairs (a PR curve) is encoded by the C encoder in one call and then laid
+    out: ``indent`` makes ``json`` fall back to its pure-Python encoder.
+    Anything else goes to ``json.dumps``."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (f"{json.dumps(k)}: {_indent2(v, depth + 1)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if _is_pairs(value):
+        # '[[r, p], [r, p]]': numbers hold neither '], [' nor ', '.
+        body = json.dumps(value, check_circular=False)[2:-2]
+        body = body.replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", f",{inner}  ")
+        return f"[{inner}[{inner}  {body}{inner}]{pad}]"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _is_pairs(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(
+            type(pair) in (list, tuple) and len(pair) == 2
+            and type(pair[0]) in (float, int) and type(pair[1]) in (float, int)
+            for pair in value
+        )
+    )
 
 
 def write_reports_csv(reports: dict[str, EvalReport], path: str | Path) -> None:

@@ -95,6 +95,18 @@ def iou_matrix(boxes: ArrayLike) -> np.ndarray:
     )
 
 
+def iou_pairs(boxes: ArrayLike, others: ArrayLike) -> np.ndarray:
+    """IoU of each box with the box in the same row of ``others``: entry i
+    equals ``iou(box_i, other_i)`` bit for bit, as in ``iou_matrix``."""
+    x_min, y_min, x_max, y_max = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    o_x_min, o_y_min, o_x_max, o_y_max = np.asarray(others, dtype=float).reshape(-1, 4).T
+    ix = np.minimum(x_max, o_x_max) - np.maximum(x_min, o_x_min)
+    iy = np.minimum(y_max, o_y_max) - np.maximum(y_min, o_y_min)
+    inter = ix * iy
+    union = ((x_max - x_min) * (y_max - y_min) + (o_x_max - o_x_min) * (o_y_max - o_y_min)) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
+
+
 def _det_sort_key(d: Detection, score: float | None = None):
     # Deterministic tie-break: equal scores ordered by identity fields.
     # ``score``, when given, stands in for the detection's own.

@@ -4,16 +4,24 @@ and the one store for every kind of model file.
 Detection line: {"image_id", "detector_id", "class", "bbox": [x_min, y_min,
 x_max, y_max], "score"}. Annotation line: {"image_id", "class", "bbox",
 "difficult"}. Output files start with a header line embedding the resolved
-run configuration as a provenance block. Model files are one JSON object
-each, told apart by ``kind``.
+run configuration as a provenance block. Every reader goes through one
+parser, which reads a file into checked columns. Model files are one JSON
+object each, told apart by ``kind``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
+from .dst import Bpa
 from .fusion import FusedDetection
 from .geometry import BoundingBox, Detection, GroundTruthObject
 from .trust import TrustModel
@@ -23,85 +31,310 @@ class DataError(ValueError):
     """Malformed or unreadable input data file."""
 
 
-def _parse_bbox(raw, path, lineno) -> BoundingBox:
+_NO_JOINT = (math.nan,) * 3
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detections as columns, one row per detection: what ``eval`` scores.
+
+    A row's class label is None for raw detector output, which is scored
+    against every ground-truth class. ``sources`` names a raw row's detector
+    or a fused row's source detector; ``joints`` holds fused rows' joint
+    masses, NaN where a row has none.
+    """
+
+    image_ids: list[str]
+    class_labels: list[str | None]
+    boxes: np.ndarray  # (N, 4): x_min, y_min, x_max, y_max
+    scores: np.ndarray  # (N,)
+    sources: list[str]
+    joints: np.ndarray  # (N, 3): m_T, m_~T, m_I
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    @classmethod
+    def of(cls, dets) -> DetectionColumns:
+        """The columns of a list of ``Detection``s and ``FusedDetection``s."""
+        rows = []
+        for d in dets:
+            if isinstance(d, FusedDetection):
+                joint = d.verdict.joint.as_tuple() if d.verdict is not None else _NO_JOINT
+                rows.append((d.image_id, d.class_label, d.box.as_tuple(), d.score,
+                             d.source_detector_id, joint))
+            elif isinstance(d, Detection):
+                rows.append((d.image_id, None, d.box.as_tuple(), d.score, d.detector_id, _NO_JOINT))
+            else:
+                raise TypeError(f"cannot evaluate object of type {type(d).__name__}")
+        columns = [list(c) for c in zip(*rows)] or [[] for _ in range(6)]
+        image_ids, labels, boxes, scores, sources, joints = columns
+        return cls(
+            image_ids, labels, np.array(boxes, dtype=float).reshape(-1, 4),
+            np.array(scores, dtype=float), sources, np.array(joints, dtype=float).reshape(-1, 3),
+        )
+
+
+# ---- the one parser of JSON-lines files -----------------------------------
+#
+# A file is read as columns, one per field. Ordinary input takes the array
+# path: every line parsed, then each field's values checked as one column.
+# Anything out of the ordinary sends the file through the line-by-line
+# path, whose per-value checks are the reference: it names the first bad
+# line, and its checked values make up the columns.
+
+_REQUIRED = object()  # the default of a field every line must have
+_ABSENT = object()  # the default of an optional field with no default value
+_scan = json.JSONDecoder().scan_once  # json.loads' scanner, without its wrapping
+
+
+class _Field(NamedTuple):
+    name: str
+    default: object
+    value: Callable  # one raw value -> checked value; raises TypeError/ValueError
+    column: Callable  # raw values -> column, or None unless every value is ordinary
+
+
+def _texts(values: list) -> list[str]:
+    return list(map(str, values))
+
+
+def _numbers(values: list, width: int | None = None) -> np.ndarray | None:
+    """The values as a float array of N rows (of ``width`` each), or None
+    unless every one is a JSON number (or boolean, which ``float`` takes)."""
+    shape = (len(values),) if width is None else (len(values), width)
+    if not values:
+        return np.empty(shape)
+    try:
+        array = np.array(values)
+    except (ValueError, OverflowError):  # ragged rows
+        return None
+    if array.shape != shape or array.dtype.kind not in "biuf":
+        return None
+    return array.astype(float)
+
+
+def _box(raw) -> tuple[float, float, float, float]:
     try:
         x_min, y_min, x_max, y_max = (float(v) for v in raw)
-        return BoundingBox(x_min, y_min, x_max, y_max)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}:{lineno}: bad bbox {raw!r}: {exc}") from exc
+        return BoundingBox(x_min, y_min, x_max, y_max).as_tuple()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad bbox {raw!r}: {exc}") from exc
 
 
-def _iter_jsonl(path: Path):
+def _box_column(values: list) -> np.ndarray | None:
+    boxes = _numbers(values, 4)
+    if boxes is None:
+        return None
+    x_min, y_min, x_max, y_max = boxes.T
+    # BoundingBox's checks, elementwise.
+    ok = (
+        np.isfinite(boxes).all()
+        and (x_max > x_min).all()
+        and (y_max > y_min).all()
+        and ((x_max - x_min) * (y_max - y_min) > 0).all()
+    )
+    return boxes if ok else None
+
+
+def _score(raw) -> float:
+    score = float(raw)
+    if not math.isfinite(score):
+        raise ValueError(f"detection score must be finite, got {score}")
+    return score
+
+
+def _score_column(values: list) -> np.ndarray | None:
+    scores = _numbers(values)
+    return scores if scores is not None and np.isfinite(scores).all() else None
+
+
+def _joint(raw) -> tuple[float, float, float]:
+    # As written: the Bpa constructor would rescale a joint whose float sum
+    # is not exactly 1.0, and break score == verdict.score.
+    return Bpa.exact(*raw).as_tuple()
+
+
+def _joint_column(values: list) -> np.ndarray | None:
+    joints = np.full((len(values), 3), np.nan)
+    rows = [i for i, v in enumerate(values) if v is not _ABSENT]
+    given = _numbers([values[i] for i in rows], 3)
+    if given is None:
+        return None
+    m_t, m_nt, m_i = given.T
+    # Bpa.exact's checks, elementwise; both are false for NaN.
+    if not ((given >= 0.0).all() and (np.abs((m_t + m_nt) + m_i - 1.0) <= 1e-6).all()):
+        return None
+    joints[rows] = given
+    return joints
+
+
+def _flag(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"difficult must be true or false, got {raw!r}")
+    return raw
+
+
+def _flag_column(values: list) -> np.ndarray | None:
+    return np.array(values, dtype=bool) if all(type(v) is bool for v in values) else None
+
+
+# Each file kind's fields, in the order a line's checks run.
+_DETECTION = (
+    _Field("image_id", _REQUIRED, str, _texts),
+    _Field("detector_id", _REQUIRED, str, _texts),
+    _Field("bbox", _REQUIRED, _box, _box_column),
+    _Field("score", _REQUIRED, _score, _score_column),
+    _Field("class", "object", str, _texts),
+)
+_FUSED = (
+    _Field("joint", _ABSENT, _joint, _joint_column),
+    _Field("bbox", _REQUIRED, _box, _box_column),
+    _Field("image_id", _REQUIRED, str, _texts),
+    _Field("class", _REQUIRED, str, _texts),
+    _Field("score", _REQUIRED, _score, _score_column),
+    _Field("source_detector_id", "", str, _texts),
+)
+_ANNOTATION = (
+    _Field("difficult", False, _flag, _flag_column),
+    _Field("image_id", _REQUIRED, str, _texts),
+    _Field("class", _REQUIRED, str, _texts),
+    _Field("bbox", _REQUIRED, _box, _box_column),
+)
+_VALUE_ERRORS = (TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _read_columns(path: str | Path, fields: tuple[_Field, ...]) -> dict:
+    """Every data line of a JSON-lines file (header lines left out), as one
+    checked column per field; a bad line raises a ``DataError`` naming it."""
+    path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = _objects([line for line in map(str.strip, text.splitlines()) if line])
+    columns = None if rows is None else _columns(rows, fields)
+    if columns is None:
+        columns = _columns(list(_checked_rows(path, text, fields)), fields)
+    return columns
+
+
+def _objects(lines: list[str]) -> list[dict] | None:
+    """The lines' data objects, or None unless each line is one JSON object."""
+    try:
+        parsed = [_scan(line, 0) for line in lines]
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if not all(type(obj) is dict and end == len(line) for (obj, end), line in zip(parsed, lines)):
+        return None
+    return [obj for obj, _ in parsed if "_header" not in obj]
+
+
+def _columns(rows: list[dict], fields: tuple[_Field, ...]) -> dict | None:
+    """One column per field, or None when a value is missing or out of the ordinary."""
+    columns = {}
+    for field in fields:
+        try:
+            if field.default is _REQUIRED:
+                values = [row[field.name] for row in rows]
+            else:
+                values = [row.get(field.name, field.default) for row in rows]
+            columns[field.name] = field.column(values)
+        except (KeyError, *_VALUE_ERRORS):
+            return None
+        if columns[field.name] is None:
+            return None
+    return columns
+
+
+def _checked_rows(path: Path, text: str, fields: tuple[_Field, ...]):
+    """Line by line: each data line's checked values, until the first bad line."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: not a JSON object: {line:.60}")
         if "_header" in obj:
             continue
-        yield lineno, obj
+        row = {}
+        for field in fields:
+            raw = obj.get(field.name, field.default)
+            if raw is _REQUIRED:
+                raise DataError(f"{path}:{lineno}: missing field {field.name!r}")
+            try:
+                row[field.name] = raw if raw is _ABSENT else field.value(raw)
+            except _VALUE_ERRORS as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        yield row
 
 
 def read_detections_by_class(path: str | Path) -> dict[str, list[Detection]]:
     """Read one detector file, grouping by the per-line class label."""
-    path = Path(path)
+    c = _read_columns(path, _DETECTION)
     by_class: dict[str, list[Detection]] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            det = Detection(
-                image_id=str(obj["image_id"]),
-                detector_id=str(obj["detector_id"]),
-                box=_parse_bbox(obj["bbox"], path, lineno),
-                score=float(obj["score"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        by_class.setdefault(str(obj.get("class", "object")), []).append(det)
+    for image_id, detector_id, box, score, label in zip(
+        c["image_id"], c["detector_id"], c["bbox"].tolist(), c["score"].tolist(), c["class"]
+    ):
+        by_class.setdefault(label, []).append(
+            Detection(image_id, detector_id, BoundingBox(*box), score)
+        )
     return by_class
 
 
-def read_detections(path: str | Path) -> list[Detection]:
-    return [d for dets in read_detections_by_class(path).values() for d in dets]
+def read_detections(path: str | Path) -> DetectionColumns:
+    """Read one detector file as columns; rows carry no class (see
+    ``DetectionColumns``)."""
+    c = _read_columns(path, _DETECTION)
+    n = len(c["image_id"])
+    return DetectionColumns(
+        c["image_id"], [None] * n, c["bbox"], c["score"], c["detector_id"], np.full((n, 3), np.nan)
+    )
+
+
+def read_fused(path: str | Path) -> DetectionColumns:
+    """Read a fused output file as columns, joint masses as written."""
+    c = _read_columns(path, _FUSED)
+    return DetectionColumns(
+        c["image_id"], c["class"], c["bbox"], c["score"], c["source_detector_id"], c["joint"]
+    )
 
 
 def read_annotations(path: str | Path) -> list[GroundTruthObject]:
-    path = Path(path)
-    gts = []
-    for lineno, obj in _iter_jsonl(path):
-        difficult = obj.get("difficult", False)
-        if not isinstance(difficult, bool):
-            raise DataError(
-                f"{path}:{lineno}: difficult must be true or false, got {difficult!r}"
-            )
-        try:
-            gts.append(
-                GroundTruthObject(
-                    image_id=str(obj["image_id"]),
-                    class_label=str(obj["class"]),
-                    box=_parse_bbox(obj["bbox"], path, lineno),
-                    difficult=difficult,
-                )
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-    return gts
+    c = _read_columns(path, _ANNOTATION)
+    return [
+        GroundTruthObject(image_id, label, BoundingBox(*box), difficult)
+        for image_id, label, box, difficult in zip(
+            c["image_id"], c["class"], c["bbox"].tolist(), c["difficult"].tolist()
+        )
+    ]
 
 
-def read_any_detections(path: str | Path) -> list[Detection] | list[FusedDetection]:
+def read_any_detections(path: str | Path) -> DetectionColumns:
     """Read a raw detector file or a fused output file, told apart by
     whether the first data line names a detector."""
-    for _, obj in _iter_jsonl(Path(path)):
-        return read_detections(path) if "detector_id" in obj else read_fused(path)
-    return []
+    return read_detections(path) if _names_a_detector(path) else read_fused(path)
+
+
+def _names_a_detector(path: str | Path) -> bool:
+    """Whether the first data line has a ``detector_id``, read without
+    reading the rest; False when it cannot tell (the full read says why)."""
+    try:
+        with open(path) as fh:
+            for chunk in fh:
+                for line in filter(None, map(str.strip, chunk.splitlines())):
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        return False
+                    if "_header" not in obj:
+                        return "detector_id" in obj
+    except (OSError, ValueError, RecursionError):
+        pass
+    return False
 
 
 def _bbox_list(box: BoundingBox) -> list[float]:
@@ -164,35 +397,6 @@ def _fused_row(f: FusedDetection) -> dict:
 
 def write_fused(fused: list[FusedDetection], path: str | Path, config: dict | None = None) -> None:
     _write_jsonl(path, map(_fused_row, fused), config)
-
-
-def read_fused(path: str | Path) -> list[FusedDetection]:
-    from .dst import Bpa, FusedVerdict
-
-    path = Path(path)
-    fused = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            verdict = None
-            if "joint" in obj:
-                # As written: the constructor would rescale a joint whose
-                # float sum is not exactly 1.0, and break score == verdict.score.
-                verdict = FusedVerdict(Bpa.exact(*obj["joint"]))
-            fused.append(
-                FusedDetection(
-                    box=_parse_bbox(obj["bbox"], path, lineno),
-                    image_id=str(obj["image_id"]),
-                    class_label=str(obj["class"]),
-                    score=float(obj["score"]),
-                    verdict=verdict,
-                    source_detector_id=str(obj.get("source_detector_id", "")),
-                )
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return fused
 
 
 FORMAT_VERSION = 1  # of every model file

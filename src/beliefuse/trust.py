@@ -114,6 +114,10 @@ class TrustModel:
             raise ValueError("table thresholds must be strictly descending")
         if not self.bpd_exponent > 0:
             raise ValueError(f"bpd exponent must be positive, got {self.bpd_exponent}")
+        for i, p in enumerate(self.table):
+            rates_ok = 0.0 <= p.recall <= 1.0 and 0.0 <= p.precision <= 1.0
+            if not (rates_ok and 0.0 <= p.precision_raw <= 1.0):  # false for NaN too
+                raise ValueError(f"table row {i}: recall and precision must be in [0, 1], got {p}")
 
     @cached_property
     def _mass_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -240,6 +240,15 @@ class TestFuse:
         assert exited_cleanly(result, 3), result.output
         assert "trust__det_a__object.json" in result.output
 
+    def test_trust_model_recall_above_one_exits_3(self, workspace, tmp_path):
+        name = "trust__det_a__object.json"
+        model = json.loads((workspace / "models" / name).read_text())
+        model["table"][0]["recall"] = 1.5
+        models = self.corrupted_models(workspace, tmp_path, name, json.dumps(model))
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", models=models))
+        assert exited_cleanly(result, 3), result.output
+        assert name in result.output and "recall" in result.output
+
     def test_malformed_baseline_model_exits_3(self, workspace, tmp_path):
         models = self.corrupted_models(workspace, tmp_path, "platt__det_b__object.json", "{not json")
         result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", "platt", models=models))
@@ -296,6 +305,19 @@ class TestEval:
                       "--out", str(tmp_path / "r"),
                       "-i", "no-equals-sign"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("inputs", [
+        ["dbf=A.jsonl", "dbf=B.jsonl"], ["=A.jsonl"], ["dbf="],
+    ], ids=["repeated-name", "empty-name", "empty-path"])
+    def test_bad_inputs_pair_exits_2_naming_it(self, workspace, tmp_path, inputs):
+        args = ["eval", "--annotations", str(workspace / "data" / "annotations.jsonl"),
+                "--out", str(tmp_path / "r")]
+        for item in inputs:
+            args += ["-i", item]
+        result = run(args)
+        assert exited_cleanly(result, 2), result.output
+        assert inputs[-1] in result.output
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("content", [None, '{"image_id": "i", "bbox": [\n'],
                              ids=["missing", "malformed"])

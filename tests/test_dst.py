@@ -10,6 +10,7 @@ from beliefuse.dst import (
     combine,
     combine_all,
     combine_all_enumerated,
+    combine_rows,
     vacuous,
 )
 
@@ -78,6 +79,16 @@ class TestCombine:
     def test_total_conflict_raises(self):
         with pytest.raises(TotalConflict):
             combine(Bpa(1, 0, 0), Bpa(0, 1, 0))
+
+    def test_near_total_conflict_raises_total_conflict(self):
+        # The normalizer is 1.0e-11, cancelled down to a few ulps: the
+        # rescaled masses total 1.0000017, which no Bpa can hold.
+        near = Bpa.exact(0.0, 0.9999999999898783, 1.0121698744270725e-11)
+        with pytest.raises(TotalConflict):
+            combine(near, Bpa(1, 0, 0))
+        sources = np.array([[near.as_tuple(), (1.0, 0.0, 0.0)]])
+        _, conflict = combine_rows(sources, np.ones((1, 2), dtype=bool))
+        assert conflict.tolist() == [True]
 
     def test_commutative_exact(self):
         rng = np.random.default_rng(2)

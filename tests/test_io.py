@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from beliefuse.dst import Bpa, FusedVerdict
@@ -7,6 +8,7 @@ from beliefuse.fusion import FusedDetection
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.io import (
     DataError,
+    DetectionColumns,
     read_annotations,
     read_any_detections,
     read_detections,
@@ -16,6 +18,13 @@ from beliefuse.io import (
     write_detections,
     write_fused,
 )
+
+
+def rows(columns):
+    """Every row of ``DetectionColumns`` as a tuple; repr tells NaN joints
+    apart from values, and every float bit."""
+    return repr(list(zip(columns.image_ids, columns.class_labels, columns.boxes.tolist(),
+                         columns.scores.tolist(), columns.sources, columns.joints.tolist())))
 
 
 def sample_detections():
@@ -37,14 +46,14 @@ class TestDetectionsRoundTrip:
         path = tmp_path / "d1.jsonl"
         dets = sample_detections()
         write_detections(dets, path)
-        assert read_detections(path) == dets
+        assert rows(read_detections(path)) == rows(DetectionColumns.of(dets))
 
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "d1.jsonl"
         write_detections(sample_detections(), path, config={"seed": 7})
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"_header": True, "config": {"seed": 7}}
-        assert read_detections(path) == sample_detections()
+        assert rows(read_detections(path)) == rows(DetectionColumns.of(sample_detections()))
 
     def test_grouped_by_class(self, tmp_path):
         path = tmp_path / "d1.jsonl"
@@ -74,6 +83,12 @@ class TestDataErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_detections(tmp_path / "nope.jsonl")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"image_id": "\xff"}\n')
+        with pytest.raises(DataError, match="cannot read"):
+            read_detections(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -105,6 +120,47 @@ class TestDataErrors:
             read_detections(path)
 
 
+    @pytest.mark.parametrize("line", ["5", '"x"', '["_header"]', "null"])
+    def test_line_that_is_not_an_object(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        for reader in (read_detections, read_detections_by_class, read_fused,
+                       read_annotations, read_any_detections):
+            with pytest.raises(DataError, match=r"bad\.jsonl:1: not a JSON object"):
+                reader(path)
+
+    @pytest.mark.parametrize("score", ["[1]", "null", '{"a": 1}', "1e999", '"nan"'])
+    def test_score_of_the_wrong_type(self, tmp_path, score):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image_id": "i", "detector_id": "d", "class": "object", '
+                        f'"bbox": [0, 0, 5, 5], "score": {score}}}\n')
+        for reader in (read_detections, read_detections_by_class, read_fused):
+            with pytest.raises(DataError, match=r"bad\.jsonl:1: "):
+                reader(path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # Line 2 lacks a field and line 3 is not JSON: line 2 is reported.
+        good = '{"image_id": "i", "detector_id": "d", "bbox": [0, 0, 5, 5], "score": 1}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{good}\n{{"image_id": "i"}}\nnot json\n')
+        with pytest.raises(DataError, match=r"bad\.jsonl:2: missing field 'detector_id'"):
+            read_detections(path)
+
+    def test_lines_split_across_json_values_are_rejected(self, tmp_path):
+        # Joined into one array these lines would parse as three objects.
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"a": [{}\n{}]}, {"b": [{}\n{}]}\n')
+        with pytest.raises(DataError, match=r"bad\.jsonl:1: invalid JSON"):
+            read_fused(path)
+
+    def test_string_numbers_are_read_as_before(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        path.write_text('{"image_id": 7, "detector_id": "d", "bbox": ["0", 0, 10, true], '
+                        '"score": "0.5"}\n')
+        expected = [Detection("7", "d", BoundingBox(0, 0, 10, 1), 0.5)]
+        assert rows(read_detections(path)) == rows(DetectionColumns.of(expected))
+
+
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ann.jsonl"
@@ -132,17 +188,17 @@ class TestReadAnyDetections:
     def test_raw_and_fused_files(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         write_detections(sample_detections(), raw, config={"seed": 1})
-        assert read_any_detections(raw) == sample_detections()
+        assert rows(read_any_detections(raw)) == rows(DetectionColumns.of(sample_detections()))
         fused_path = tmp_path / "fused.jsonl"
         fused = [FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object", 2.5,
                                 source_detector_id="d1")]
         write_fused(fused, fused_path, config={"method": "ws"})
-        assert read_any_detections(fused_path) == fused
+        assert rows(read_any_detections(fused_path)) == rows(DetectionColumns.of(fused))
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_detections([], path, config={"seed": 1})
-        assert read_any_detections(path) == []
+        assert len(read_any_detections(path)) == 0
 
     def test_unreadable_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -165,9 +221,9 @@ class TestFused:
         ]
         write_fused(fused, path, config={"method": "dbf"})
         loaded = read_fused(path)
-        assert loaded == fused
-        assert loaded[0].verdict.joint == verdict.joint
-        assert loaded[1].verdict is None
+        assert rows(loaded) == rows(DetectionColumns.of(fused))
+        assert loaded.joints[0].tolist() == list(verdict.joint.as_tuple())
+        assert np.isnan(loaded.joints[1]).all()  # no verdict
 
     def test_joint_is_read_back_bit_for_bit(self, tmp_path):
         # A normalized joint whose float sum is not exactly 1.0: building a
@@ -178,9 +234,9 @@ class TestFused:
         path = tmp_path / "fused.jsonl"
         write_fused([FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object",
                                     verdict.score, verdict, "d1")], path)
-        [loaded] = read_fused(path)
-        assert loaded.verdict.joint.as_tuple() == joint.as_tuple()
-        assert loaded.score == loaded.verdict.score
+        loaded = read_fused(path)
+        assert loaded.joints[0].tolist() == list(joint.as_tuple())
+        assert loaded.scores[0] == FusedVerdict(Bpa.exact(*loaded.joints[0])).score
 
     @pytest.mark.parametrize("joint", ["[0.5, 0.5]", "[1.5, -0.5, 0.0]", "[0.2, 0.2, 0.2]",
                                        '["a", 0.5, 0.5]'])

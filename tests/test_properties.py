@@ -1,21 +1,26 @@
-"""Property tests: the array-based fusion path against scalar references.
+"""Property tests: the array-based fusion and evaluation paths against
+scalar references.
 
 The references below are the per-pair loops that ``build_detection_vectors``
-and ``nms`` ran before they shared one IoU matrix per image, and the
+and ``nms`` ran before they shared one IoU matrix per image; the
 per-window trust lookup, mass split and Dempster fold that DBF and
-static-DST ran before whole batches went through one array pass. The array
-path must reproduce them exactly, including tie order, duplicate boxes and
-total-conflict recovery.
+static-DST ran before whole batches went through one array pass; the
+per-detection AP loop that ``eval`` ran before it scored columns; and the
+per-line JSON-lines reader that the column parser replaced. The array paths
+must reproduce them exactly, including tie order, duplicate boxes,
+total-conflict recovery and which files are rejected.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beliefuse import fusion, pipeline
+from beliefuse import evaluation, fusion, io, pipeline
 from beliefuse.baselines import PlattModel, ScoreLikelihood, WeightVector
 from beliefuse.dst import (
     VACUOUS,
@@ -32,7 +37,24 @@ from beliefuse.fusion import (
     build_detection_vectors,
     image_overlaps,
 )
-from beliefuse.geometry import BoundingBox, Detection, _det_sort_key, iou, iou_matrix, nms
+from beliefuse.evaluation import (
+    NoGroundTruth,
+    average_precision,
+    evaluate_method,
+    evaluate_methods,
+    write_reports_json,
+)
+from beliefuse.geometry import (
+    BoundingBox,
+    Detection,
+    GroundTruthObject,
+    _det_sort_key,
+    iou,
+    iou_matrix,
+    iou_pairs,
+    nms,
+)
+from beliefuse.io import DetectionColumns
 from beliefuse.pipeline import group_by_detector, group_by_image
 from beliefuse.trust import PrPoint, TrustModel, bpd_precision
 
@@ -110,6 +132,8 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(bs):
     got = iou_matrix([b.as_tuple() for b in bs])
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+    pairs = iou_pairs([a.as_tuple() for a in bs for _ in bs], [b.as_tuple() for _ in bs for b in bs])
+    assert pairs.tobytes() == expected.ravel().tobytes()
 
 
 @given(images(), thresholds)
@@ -417,3 +441,353 @@ def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absen
     got = pipeline.fuse_corpus(corpus, models, "object", method, absent_policy=absent_policy)
     assert repr(got) == repr(expected)  # repr tells every float apart, -0.0 too
     assert fusion.conflict_smoothing_count - before == smoothings
+
+
+# ---- average precision ------------------------------------------------------
+
+
+def reference_pr_points(dets, gts, iou_threshold):
+    """The per-detection loop ``evaluation._pr_points`` ran before it scored
+    columns: a sort on (-score, image id, box) and a scalar ``iou`` scan of
+    each detection's image."""
+    num_positives = sum(1 for g in gts if not g.difficult)
+    if num_positives == 0:
+        raise NoGroundTruth("no non-difficult ground-truth objects")
+    by_image = {}
+    for j, g in enumerate(gts):
+        by_image.setdefault(g.image_id, []).append(j)
+    order = sorted(
+        range(len(dets)),
+        key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.as_tuple()),
+    )
+    claimed, tp_flags, fp_flags = set(), [], []
+    for i in order:
+        det = dets[i]
+        best_iou, best_j = 0.0, -1
+        for j in by_image.get(det.image_id, []):
+            o = iou(det.box, gts[j].box)
+            if o > best_iou:
+                best_iou, best_j = o, j
+        if best_iou > iou_threshold and gts[best_j].difficult:
+            continue
+        if best_iou > iou_threshold and best_j not in claimed:
+            claimed.add(best_j)
+            tp_flags.append(1)
+            fp_flags.append(0)
+        else:
+            tp_flags.append(0)
+            fp_flags.append(1)
+    tp, fp = np.cumsum(tp_flags), np.cumsum(fp_flags)
+    recall = tp / num_positives
+    precision = tp / np.maximum(tp + fp, 1)
+    return recall, precision, int(tp[-1]) if len(tp) else 0, int(fp[-1]) if len(fp) else 0
+
+
+def reference_ap(recall, precision, interpolation):
+    if interpolation == "11-point":
+        return sum(
+            float(precision[recall >= t].max()) if (recall >= t).any() else 0.0
+            for t in np.linspace(0.0, 1.0, 11)
+        ) / 11.0
+    r = np.concatenate(([0.0], recall, [1.0]))
+    p = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(p) - 2, -1, -1):
+        p[i] = max(p[i], p[i + 1])
+    changes = np.where(r[1:] != r[:-1])[0]
+    return float(np.sum((r[changes + 1] - r[changes]) * p[changes + 1]))
+
+
+# "a" < "a\0" in Python's order; a numpy string array cannot tell them apart.
+IMAGE_IDS = ["a", "a\0", "b", "img_10", "img_9"]
+
+
+@st.composite
+def ap_cases(draw):
+    """Detections and one class's ground truths over a few images, drawn
+    from one pool of boxes and scores so that duplicate boxes, score ties
+    and box ties are common; some objects are difficult and some images
+    have no ground truth."""
+    pool = draw(st.lists(boxes(), min_size=1, max_size=6))
+    score = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(-5, 5, allow_nan=False))
+    gts = [
+        GroundTruthObject(image, "object", b, difficult)
+        for image, b, difficult in draw(st.lists(
+            st.tuples(st.sampled_from(IMAGE_IDS[:4]), st.sampled_from(pool), st.booleans()),
+            max_size=8,
+        ))
+    ]
+    # Some detections sit on a ground truth, so true positives are common.
+    where = st.tuples(st.sampled_from(IMAGE_IDS), st.sampled_from(pool))
+    if gts:
+        where = st.one_of(where, st.sampled_from([(g.image_id, g.box) for g in gts]))
+    dets = [
+        Detection(image, "d", b, s)
+        for (image, b), s in draw(st.lists(st.tuples(where, score), max_size=20))
+    ]
+    return dets, gts
+
+
+TIES = (
+    [Detection(i, "d", BoundingBox(0, 0, 2, 2), 1.0) for i in ("a\0", "a", "a", "b")]
+    + [Detection("a", "d", BoundingBox(0, 0, 1, 2), 1.0)],
+    [GroundTruthObject("a", "object", BoundingBox(0, 0, 2, 2)),
+     GroundTruthObject("a", "object", BoundingBox(0, 0, 2, 2), True),
+     GroundTruthObject("a\0", "object", BoundingBox(0, 0, 1, 2), True),
+     GroundTruthObject("b", "object", BoundingBox(1, 1, 3, 3))],
+)
+
+
+# Ranked TP, FP, TP, TP: precision rises after the false positive, so the
+# envelope lifts it.
+RISING = (
+    [Detection("a", "d", b, s) for b, s in zip(
+        [BoundingBox(i, 0, i + 1, 1) for i in (0, 5, 2, 3)], (0.9, 0.8, 0.7, 0.6))],
+    [GroundTruthObject("a", "object", BoundingBox(i, 0, i + 1, 1)) for i in (0, 2, 3)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ap_cases(), thresholds, st.sampled_from(["all-points", "11-point"]))
+@example(TIES, 0.5, "all-points")
+@example(TIES, 0.3, "11-point")
+@example(RISING, 0.5, "all-points")
+def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
+    dets, gts = case
+    try:
+        expected = reference_pr_points(dets, gts, threshold)
+    except NoGroundTruth:
+        with pytest.raises(NoGroundTruth):
+            average_precision(dets, gts, threshold, interpolation)
+        if dets and gts:  # with no ground truth at all there is no class to score
+            with pytest.raises(NoGroundTruth):
+                evaluate_method(dets, gts, threshold, interpolation)
+        return
+    recall, precision, tp, fp = expected
+    for given_dets in (dets, DetectionColumns.of(dets)):
+        report = evaluate_method(given_dets, gts, threshold, interpolation)
+        samples = list(zip(recall.tolist(), precision.tolist())) if dets else []
+        # repr tells every float apart, -0.0 from 0.0 too.
+        assert repr(report.pr_samples["object"]) == repr(samples)
+        assert report.counts["object"] == {
+            "num_gt": sum(not g.difficult for g in gts),
+            "num_detections": len(dets), "tp": tp, "fp": fp,
+        }
+        ap = reference_ap(recall, precision, interpolation) if dets else 0.0
+        assert repr(report.per_class_ap["object"]) == repr(ap)
+    assert repr(average_precision(dets, gts, threshold, interpolation)) == repr(ap)
+
+
+# ---- report.json ------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.sampled_from(["], [", ", ", '"', "\n", "é"]),
+)
+number = st.one_of(st.floats(), st.integers(-10**6, 10**6), st.sampled_from([0.0, -0.0, 1e-300]))
+pr_curves = st.lists(st.one_of(st.tuples(number, number), st.lists(number, min_size=2, max_size=2)),
+                     max_size=5)
+json_values = st.recursive(
+    st.one_of(json_scalars, pr_curves),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example([["], [", ", "], [[1], "x"]])
+@example({"pr": [[0.5, 1.0], [1, True]], "": [[None, 2.0]]})
+def test_report_layout_equals_json_dumps_indent_2(payload):
+    assert evaluation._indent2(payload) == json.dumps(payload, indent=2)
+
+
+def test_report_file_equals_json_dumps_indent_2(tmp_path):
+    b = BoundingBox(0, 0, 4, 4)
+    gts = [GroundTruthObject("i", "cat", b), GroundTruthObject("i", "dog", b, True),
+           GroundTruthObject("j", "dog", BoundingBox(5, 5, 9, 9))]
+    dets = [Detection("i", "d", b, 0.5), Detection("j", "d", BoundingBox(5, 5, 9, 8), 0.25)]
+    reports = evaluate_methods({"raw": dets, "none": []}, gts)
+    config = {"out": 'a "quoted" path', "n": math.inf, "jobs": 1}
+    path = tmp_path / "report.json"
+    write_reports_json(reports, path, config=config)
+    payload = {"format_version": 1, "config": config,
+               "methods": {name: reports[name].to_dict() for name in sorted(reports)}}
+    assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+# ---- JSON-lines readers -----------------------------------------------------
+
+
+def reference_rows(path):
+    """The per-line reader the column parser replaced, with two amendments:
+    a line that is not a JSON object is rejected (it used to end in a
+    TypeError, or be skipped when it contained ``"_header"``), and a fused
+    line's score must be finite, like a detection's."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {lineno} is not an object")
+        if "_header" in obj:
+            continue
+        yield obj
+
+
+def reference_box(raw):
+    x_min, y_min, x_max, y_max = (float(v) for v in raw)
+    return BoundingBox(x_min, y_min, x_max, y_max)
+
+
+def reference_detections(path):
+    """(class, detection) per line, in file order."""
+    return [
+        (str(obj.get("class", "object")),
+         Detection(str(obj["image_id"]), str(obj["detector_id"]),
+                   reference_box(obj["bbox"]), float(obj["score"])))
+        for obj in reference_rows(path)
+    ]
+
+
+def reference_detections_by_class(path):
+    by_class = {}
+    for label, det in reference_detections(path):
+        by_class.setdefault(label, []).append(det)
+    return by_class
+
+
+def reference_fused(path):
+    fused = []
+    for obj in reference_rows(path):
+        verdict = FusedVerdict(Bpa.exact(*obj["joint"])) if "joint" in obj else None
+        box = reference_box(obj["bbox"])
+        image_id, label, score = str(obj["image_id"]), str(obj["class"]), float(obj["score"])
+        if not math.isfinite(score):
+            raise ValueError("fused score must be finite")
+        fused.append(FusedDetection(box, image_id, label, score, verdict,
+                                    str(obj.get("source_detector_id", ""))))
+    return fused
+
+
+def reference_annotations(path):
+    gts = []
+    for obj in reference_rows(path):
+        difficult = obj.get("difficult", False)
+        if not isinstance(difficult, bool):
+            raise ValueError("difficult must be a boolean")
+        gts.append(GroundTruthObject(str(obj["image_id"]), str(obj["class"]),
+                                     reference_box(obj["bbox"]), difficult))
+    return gts
+
+
+def column_rows(columns):
+    """Every row of ``DetectionColumns``; repr tells NaN joints apart."""
+    return repr(list(zip(columns.image_ids, columns.class_labels, columns.boxes.tolist(),
+                         columns.scores.tolist(), columns.sources, columns.joints.tolist())))
+
+
+READERS = [
+    (io.read_detections_by_class, reference_detections_by_class),
+    # In file order: the old reader grouped the rows by class.
+    (lambda p: column_rows(io.read_detections(p)),
+     lambda p: column_rows(DetectionColumns.of([d for _, d in reference_detections(p)]))),
+    (lambda p: column_rows(io.read_fused(p)),
+     lambda p: column_rows(DetectionColumns.of(reference_fused(p)))),
+    (io.read_annotations, reference_annotations),
+]
+
+coordinate = st.one_of(
+    st.integers(-3, 12), st.floats(-3, 12), st.booleans(),
+    st.sampled_from(["1.5", " 2 ", "1_0", "x", "nan", float("nan"), float("inf"), 1e-310, None]),
+)
+good_box = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(6, 12), st.integers(6, 12)).map(list)
+# Accepted, but only by the line-by-line path: float() reads strings and booleans.
+odd_box = good_box.map(lambda b: [str(b[0]), False, f" {b[2]}.5 ", b[3]])
+field_values = {
+    "image_id": st.one_of(st.text(max_size=4), st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
+    "detector_id": st.one_of(st.text(max_size=3), st.integers()),
+    "class": st.one_of(st.sampled_from(["object", "cat"]), st.integers()),
+    "source_detector_id": st.one_of(st.text(max_size=3), st.none()),
+    "bbox": st.one_of(good_box, odd_box, st.lists(coordinate, min_size=3, max_size=5),
+                      st.sampled_from([[5, 0, 5, 10], [0, 0, 1e-200, 1e-200], [0, 0, 1e-160, 1e-160]]),
+                      st.text(max_size=4), st.integers(), st.none()),
+    "score": st.one_of(st.floats(-10, 10), coordinate, st.sampled_from(["0.5", True, "-1e3"]),
+                       st.lists(st.integers(), max_size=1), st.integers(-10**30, 10**30)),
+    "joint": st.one_of(
+        st.sampled_from([[0.5, 0.25, 0.25], [1, 0, 0], [True, False, False], [0.5, 0.5, -0.0],
+                         [1.5, -0.5, 0.0], [0.5, 0.5, 1e-7], [0.5, 0.5, 2e-6],
+                         [0.2922489550617629, 0.4549249442515907, 0.2528261006866465]]),
+        st.lists(coordinate, min_size=2, max_size=4), st.none(), st.text(max_size=3),
+    ),
+    "difficult": st.one_of(st.booleans(), st.sampled_from([0, 1, "false", None])),
+}
+GOOD = {"image_id": "i", "detector_id": "d", "class": "object", "bbox": [0, 0, 5, 5], "score": 1.5}
+
+
+@st.composite
+def jsonl_texts(draw):
+    """A file of lines: mostly well-formed rows with some fields redrawn or
+    left out, headers, blank lines, and stray text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "odd", "joint", "header", "blank", "junk"]))
+        if kind == "joint":
+            lines.append(json.dumps({**GOOD, "joint": draw(field_values["joint"])}))
+        elif kind == "odd":
+            lines.append(json.dumps({**GOOD, "image_id": 7, "bbox": draw(odd_box),
+                                     "score": draw(st.sampled_from(["0.5", True, " 2 "]))}))
+        elif kind == "row":
+            row = dict(GOOD)
+            for name in draw(st.lists(st.sampled_from(sorted(field_values)), max_size=3)):
+                row[name] = draw(field_values[name])
+            for name in draw(st.lists(st.sampled_from(sorted(row)), max_size=1)):
+                del row[name]
+            lines.append(json.dumps(row))
+        elif kind == "header":
+            lines.append(json.dumps({"_header": True, "config": {"seed": 1}}))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            lines.append(draw(st.one_of(
+                st.sampled_from(["5", '"x_header"', "[1, 2]", "null", "{not json", '{"a": [{}',
+                                 "{}]}, {}", "\ufeff{}", "[" * 3000, json.dumps(GOOD) + " {}"]),
+                st.text(max_size=12),
+            )))
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def jsonl_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+
+
+@settings(max_examples=400, deadline=None)
+@given(jsonl_texts())
+@example('{"a": [{}\n{}]}, {"b": [{}\n{}]}')
+@example(json.dumps(GOOD) + " {}")  # a second value after the object
+@example(json.dumps({**GOOD, "bbox": [0, 0, 1e-200, 1e-200]}))  # the area underflows to 0
+@example(json.dumps({**GOOD, "score": math.nan}))
+@example(json.dumps({**GOOD, "joint": [1.5, -0.5, 0.0], "difficult": 0}))
+@example(json.dumps({**GOOD, "joint": ["0.5", "0.5", "0"]}))  # float() would take these
+@example(json.dumps({**GOOD, "joint": [0.5, 0.5, 0.0], "difficult": True}) + "\n\n")
+def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
+    jsonl_path.write_text(text)
+    for reader, reference in READERS:
+        try:
+            expected = reference(jsonl_path)
+        except Exception:  # any failure: the line-by-line reader rejects the file
+            expected = None
+        try:
+            got = reader(jsonl_path)
+        except io.DataError:
+            got = None
+        assert (got is None) == (expected is None), (reader, text)
+        assert got == expected
+    try:
+        io.read_any_detections(jsonl_path)
+    except io.DataError:
+        pass

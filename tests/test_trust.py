@@ -244,3 +244,12 @@ class TestTrustModelInvariants:
         rows = [PrPoint(1.0, 0.2, 0.9, 0.9), PrPoint(2.0, 0.4, 0.8, 0.8)]
         with pytest.raises(ValueError):
             TrustModel("d1", "object", rows)
+
+    @pytest.mark.parametrize("row", [
+        PrPoint(1.0, 1.5, 0.9, 0.9), PrPoint(1.0, -0.1, 0.9, 0.9),
+        PrPoint(1.0, 0.2, 1.2, 0.9), PrPoint(1.0, 0.2, 0.9, 2.0),
+        PrPoint(1.0, float("nan"), 0.9, 0.9), PrPoint(1.0, 0.2, float("inf"), 0.9),
+    ])
+    def test_rejects_recall_or_precision_outside_unit_interval(self, row):
+        with pytest.raises(ValueError, match="must be in"):
+            TrustModel("d1", "object", [row])
