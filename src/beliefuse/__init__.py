@@ -1,9 +1,9 @@
 """Detector-agnostic late fusion of object-detection scores."""
 
 from .dst import Bpa, FusedVerdict, Hypothesis, TotalConflict, belief, combine, combine_all, vacuous
-from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections, nms
+from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections
 from .trust import InsufficientData, PrPoint, TrustModel, bpd_precision, build_pr_table, build_trust_model
-from .fusion import DetectionVector, FusedDetection, build_detection_vectors, dbf_fuse, fuse_images, static_dst_fuse
+from .fusion import FusedDetection, fuse_images
 from .evaluation import EvalReport, NoGroundTruth, average_precision, evaluate_methods
 from .datagen import ConfigError, SyntheticDataset, SyntheticDetectorProfile, generate
 
@@ -12,7 +12,6 @@ __all__ = [
     "BoundingBox",
     "ConfigError",
     "Detection",
-    "DetectionVector",
     "EvalReport",
     "FusedDetection",
     "FusedVerdict",
@@ -29,18 +28,14 @@ __all__ = [
     "average_precision",
     "belief",
     "bpd_precision",
-    "build_detection_vectors",
     "build_pr_table",
     "build_trust_model",
     "combine",
     "combine_all",
-    "dbf_fuse",
     "evaluate_methods",
     "fuse_images",
     "generate",
     "iou",
     "match_detections",
-    "nms",
-    "static_dst_fuse",
     "vacuous",
 ]

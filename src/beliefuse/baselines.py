@@ -7,12 +7,10 @@ baseline numbers reproduce bit-for-bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import DetectionVector
 from .geometry import MatchLabel
 from .trust import InsufficientData
 
@@ -123,17 +121,40 @@ def fit_platt(
     return PlattModel(detector_id=detector_id, a=a, b=b, converged=converged)
 
 
-def platt_fuse(slots: Mapping[str, float], platt: dict[str, PlattModel]) -> float:
-    """Max of the calibrated probabilities over the present slots of one
-    detection vector (its ``slots``, or one of ``fusion.slot_rows``)."""
-    probs = [
-        platt[det_id].probability(score)
-        for det_id, score in slots.items()
-        if det_id in platt
-    ]
-    if not probs:
-        raise ValueError("vector has no present slot with a Platt model")
-    return max(probs)
+def platt_features(
+    detector_ids: list[str],
+    slots: np.ndarray,
+    platt: dict[str, PlattModel],
+    columns: list[str] | tuple[str, ...],
+) -> np.ndarray:
+    """The Platt probabilities of a slot matrix's present slots, one column
+    per id in ``columns``, rows first.
+
+    Each is one ``PlattModel.probability`` (``math.exp``: ``np.exp`` rounds
+    differently). Absent slots, and ids with no column in the matrix, read
+    0, the natural post-sigmoid floor; every probability is above it.
+    """
+    column = {det_id: j for j, det_id in enumerate(detector_ids)}
+    probs = np.zeros((len(slots), len(columns)))
+    for k, det_id in enumerate(columns):
+        if det_id in column:
+            scores = slots[:, column[det_id]]
+            present = scores != -np.inf
+            model = platt[det_id]
+            probs[present, k] = [model.probability(s) for s in scores[present].tolist()]
+    return probs
+
+
+def platt_fuse(
+    detector_ids: list[str], slots: np.ndarray, platt: dict[str, PlattModel]
+) -> np.ndarray:
+    """Each row's largest calibrated probability over its present slots
+    whose detector has a Platt model."""
+    calibrated = [det_id for det_id in detector_ids if det_id in platt]
+    best = platt_features(detector_ids, slots, platt, calibrated).max(axis=1, initial=0.0)
+    if not best.all():
+        raise ValueError("a row has no present slot with a Platt model")
+    return best
 
 
 @dataclass(frozen=True)
@@ -162,47 +183,38 @@ class WeightVector:
         return cls(tuple(data["detector_ids"]), tuple(data["weights"]), data["bias"])
 
 
-def _features(
-    slots: Mapping[str, float],
-    platt: dict[str, PlattModel],
-    detector_ids: tuple[str, ...],
-) -> np.ndarray:
-    # Absent slots impute 0, the natural post-sigmoid floor.
-    return np.array(
-        [platt[d].probability(slots[d]) if d in slots else 0.0 for d in detector_ids]
-    )
-
-
 def fit_weighted_sum(
-    vectors: list[tuple[DetectionVector, bool]],
-    platt: dict[str, PlattModel],
+    features: np.ndarray,
+    targets: np.ndarray,
+    detector_ids: tuple[str, ...],
     c: float = 1.0,
     iterations: int = 2000,
 ) -> WeightVector:
     """Train a linear max-margin separator on Platt-scaled detection vectors.
 
-    Full-batch subgradient descent on the L2-regularized hinge loss with a
-    1/t step schedule; deterministic given the input order-independent
-    feature matrix.
+    ``features`` holds one C-ordered row per vector and one column per
+    detector id (see ``platt_features``), ``targets`` whether each vector's
+    window is a true positive. Full-batch subgradient descent on the
+    L2-regularized hinge loss with a 1/t step schedule; deterministic given
+    the rows' order. A Fortran-ordered matrix rounds ``features @ w``
+    differently.
     """
-    if not vectors:
+    if not len(features):
         raise InsufficientData("no training vectors")
-    detector_ids = tuple(sorted(platt))
-    x = np.array([_features(v.slots, platt, detector_ids) for v, _ in vectors])
-    y = np.array([1.0 if label else -1.0 for _, label in vectors])
+    y = np.where(targets, 1.0, -1.0)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise InsufficientData("both labels required for SVM training")
-    if not np.any(x != 0.0):
+    if not np.any(features != 0.0):
         raise InsufficientData("degenerate all-zero design matrix")
 
-    lam = 1.0 / (c * len(vectors))
-    w = np.zeros(x.shape[1])
+    lam = 1.0 / (c * len(features))
+    w = np.zeros(features.shape[1])
     b = 0.0
     for t in range(1, iterations + 1):
-        margin = y * (x @ w + b)
+        margin = y * (features @ w + b)
         active = margin < 1.0
-        grad_w = lam * w - (y[active, None] * x[active]).sum(axis=0) / len(vectors)
-        grad_b = -y[active].sum() / len(vectors)
+        grad_w = lam * w - (y[active, None] * features[active]).sum(axis=0) / len(features)
+        grad_b = -y[active].sum() / len(features)
         step = 1.0 / (lam * t)
         w -= step * grad_w
         b -= step * grad_b
@@ -212,13 +224,19 @@ def fit_weighted_sum(
 
 
 def weighted_sum_fuse(
-    slots: Mapping[str, float],
+    detector_ids: list[str],
+    slots: np.ndarray,
     platt: dict[str, PlattModel],
     weights: WeightVector,
-) -> float:
-    """The learned linear score of one detection vector's present slots."""
-    features = _features(slots, platt, weights.detector_ids)
-    return float(features @ np.array(weights.weights) + weights.bias)
+) -> np.ndarray:
+    """The learned linear score of each row of a slot matrix.
+
+    One dot product per row: a single ``features @ w`` over the whole matrix
+    rounds some rows differently.
+    """
+    features = platt_features(detector_ids, slots, platt, weights.detector_ids)
+    w = np.array(weights.weights)
+    return np.array([row @ w for row in features]) + weights.bias
 
 
 @dataclass(frozen=True)
@@ -293,18 +311,19 @@ def fit_score_likelihood(
 
 
 def bayes_fuse(
-    slots: Mapping[str, float],
+    detector_ids: list[str],
+    slots: np.ndarray,
     platt: dict[str, PlattModel],
     likelihoods: dict[str, ScoreLikelihood],
-    prior_target: float = 0.5,
-) -> float:
-    """Naive-Bayes log-posterior-odds over the present slots."""
-    if not 0.0 < prior_target < 1.0:
-        raise ValueError(f"prior must be in (0,1), got {prior_target}")
-    log_odds = math.log(prior_target / (1.0 - prior_target))
-    for det_id, score in sorted(slots.items()):
-        if det_id not in likelihoods:
-            continue
-        prob = platt[det_id].probability(score)
-        log_odds += likelihoods[det_id].log_likelihood_ratio(prob)
+) -> np.ndarray:
+    """Naive-Bayes log-posterior odds of each row from even prior odds: the
+    log likelihood ratios of its present slots' Platt probabilities, added
+    detector by detector in id order."""
+    column = {det_id: j for j, det_id in enumerate(detector_ids)}
+    log_odds = np.zeros(len(slots))  # log(0.5 / 0.5): even prior odds
+    for det_id in sorted(set(column) & set(likelihoods)):
+        present = slots[:, column[det_id]] != -np.inf
+        probs = platt_features(detector_ids, slots[present], platt, [det_id])[:, 0]
+        ratio = likelihoods[det_id].log_likelihood_ratio
+        log_odds[present] += [ratio(p) for p in probs.tolist()]
     return log_odds

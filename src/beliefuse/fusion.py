@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,28 +21,6 @@ log = logging.getLogger(__name__)
 conflict_smoothing_count = 0
 
 _EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class DetectionVector:
-    """Per-subject-window vector of matched scores, one slot per detector.
-
-    Only present slots appear in the mapping; the subject's own slot is
-    always present and equal to its raw score.
-    """
-
-    subject: Detection
-    slots: dict[str, float]
-
-    def __post_init__(self):
-        own = self.slots.get(self.subject.detector_id)
-        if own != self.subject.score:
-            raise ValueError("subject's own slot must hold its raw score")
-
-    def as_row(self) -> tuple[list[str], np.ndarray]:
-        """The vector as a one-row slot matrix and its detector ids."""
-        detector_ids = sorted(self.slots)
-        return detector_ids, np.array([[self.slots[d] for d in detector_ids]])
 
 
 @dataclass(frozen=True)
@@ -108,47 +85,6 @@ def slot_matrix(
     return slots
 
 
-def build_detection_vectors(
-    per_detector: dict[str, list[Detection]],
-    overlap_threshold: float = 0.5,
-    overlaps: np.ndarray | None = None,
-) -> list[DetectionVector]:
-    """One vector per input detection; every detection is a subject once.
-
-    For each other detector the slot holds the maximum score among its
-    windows overlapping the subject beyond the threshold; the slot is
-    absent when no such window exists. Vectors come in subject order (see
-    ``image_overlaps``); ``overlaps`` is that function's matrix when the
-    caller already has it.
-    """
-    if not any(per_detector.values()):
-        return []
-    if overlaps is None:
-        overlaps = image_overlaps(per_detector)
-    detector_ids = sorted(per_detector)
-    rows = iter(slot_matrix(per_detector, detector_ids, overlap_threshold, overlaps).tolist())
-    absent = -math.inf
-    vectors: list[DetectionVector] = []
-    for own, det_id in enumerate(detector_ids):
-        others = [(j, other_id) for j, other_id in enumerate(detector_ids) if j != own]
-        for subject, row in zip(per_detector[det_id], rows):
-            slots = {det_id: row[own]}
-            for j, other_id in others:
-                if row[j] != absent:
-                    slots[other_id] = row[j]
-            vectors.append(DetectionVector(subject=subject, slots=slots))
-    return vectors
-
-
-def slot_rows(detector_ids: list[str], slots: np.ndarray) -> list[dict[str, float]]:
-    """Each row of a slot matrix as a detector id -> score mapping of its
-    present slots, in detector id order."""
-    return [
-        {d: s for d, s in zip(detector_ids, row) if s != -math.inf}
-        for row in slots.tolist()
-    ]
-
-
 def _smooth(masses: list[float]) -> Bpa:
     masses = [min(max(m, _EPS), 1.0 - _EPS) for m in masses]
     total = (masses[0] + masses[1]) + masses[2]
@@ -194,15 +130,6 @@ def dbf_joints(
     return _fold(sources, use)
 
 
-def dbf_fuse(
-    vector: DetectionVector,
-    models: dict[str, TrustModel],
-    absent_policy: str = "vacuous",
-) -> FusedVerdict:
-    """Dynamic belief fusion of one detection vector (see ``dbf_joints``)."""
-    return _verdict(dbf_joints(*vector.as_row(), models, absent_policy).tolist()[0])
-
-
 def static_masses(
     models: dict[str, TrustModel], recall_anchor: float = 0.2
 ) -> dict[str, Bpa]:
@@ -224,15 +151,6 @@ def static_dst_joints(
     sources = np.broadcast_to(fixed, (len(slots), *fixed.shape))
     use = slots[:, [column[det_id] for det_id in taking_part]] != -np.inf
     return _fold(sources, use)
-
-
-def static_dst_fuse(vector: DetectionVector, masses: dict[str, Bpa]) -> FusedVerdict:
-    """Static assignment of one detection vector (see ``static_dst_joints``)."""
-    return _verdict(static_dst_joints(*vector.as_row(), masses).tolist()[0])
-
-
-def _verdict(joint: list[float]) -> FusedVerdict:
-    return FusedVerdict(Bpa.exact(*joint))
 
 
 def fuse_images(
@@ -273,7 +191,7 @@ def fuse_images(
                     image_id=d.image_id,
                     class_label=class_label,
                     score=scores[start + i],
-                    verdict=None if joints is None else _verdict(joints[start + i]),
+                    verdict=None if joints is None else FusedVerdict(Bpa.exact(*joints[start + i])),
                     source_detector_id=d.detector_id,
                 )
             )

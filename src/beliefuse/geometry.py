@@ -195,19 +195,3 @@ def nms_keep(scores: list[float], dets: list[Detection], suppresses: np.ndarray)
             suppressed |= suppresses[i]
     return kept
 
-
-def nms(
-    dets: list[Detection],
-    iou_threshold: float = 0.5,
-    overlaps: np.ndarray | None = None,
-) -> list[Detection]:
-    """Greedy non-maximum suppression; output sorted by descending score.
-
-    Survivors are the very objects passed in. ``overlaps`` is the
-    detections' ``iou_matrix`` (row i is ``dets[i]``) when the caller
-    already has it; otherwise it is computed here.
-    """
-    if overlaps is None:
-        overlaps = iou_matrix([d.box.as_tuple() for d in dets])
-    suppresses = suppression_mask(overlaps, iou_threshold)
-    return [dets[i] for i in nms_keep([d.score for d in dets], dets, suppresses)]

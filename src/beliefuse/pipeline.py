@@ -11,7 +11,7 @@ import numpy as np
 from . import baselines, fusion
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa
-from .fusion import DetectionVector, FusedDetection, build_detection_vectors
+from .fusion import FusedDetection
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .trust import InsufficientData, TrustModel, build_trust_model
 
@@ -86,7 +86,6 @@ class BaselineModels:
     platt: dict[str, PlattModel] = field(default_factory=dict)
     weights: WeightVector | None = None
     likelihoods: dict[str, ScoreLikelihood] = field(default_factory=dict)
-    prior_target: float = 0.5
 
 
 def fit_baselines(
@@ -115,28 +114,23 @@ def fit_baselines(
             scores, out.platt[det_id], detector_id=det_id
         )
 
-    # Weighted sum trains on detection vectors labeled by their subject.
-    # label_detections keeps each image's detections in input order, and the
-    # vectors list subjects by detector, each in that same order.
-    labels_by_image: dict[str, dict[str, list[MatchLabel]]] = {}
-    for det_id, labeled in labeled_by_detector.items():
-        for d, lab in labeled:
-            labels_by_image.setdefault(d.image_id, {}).setdefault(det_id, []).append(lab)
-    training: list[tuple[DetectionVector, bool]] = []
-    calibrated = {k: v for k, v in per_detector.items() if k in out.platt}
-    for image_id, image_dets in sorted(
-        group_by_image([d for dets in calibrated.values() for d in dets]).items()
-    ):
-        per_det = group_by_detector(image_dets)
-        labels = [
-            lab for det_id in sorted(per_det) for lab in labels_by_image[image_id][det_id]
-        ]
-        for vec, lab in zip(build_detection_vectors(per_det, overlap_threshold), labels):
-            if lab is MatchLabel.UNDECIDED:
-                continue
-            training.append((vec, lab is MatchLabel.TRUE_POSITIVE))
+    # Weighted sum trains on the slot matrix's rows, each labeled by its own
+    # window, as fuse_images builds it for the baselines.
+    label = {id(d): lab for labeled in labeled_by_detector.values() for d, lab in labeled}
+    detector_ids = sorted(out.platt)
+    blocks, labels = [np.empty((0, len(detector_ids)))], []
+    for per_det in images_by_detector({k: per_detector[k] for k in detector_ids}):
+        slots = fusion.slot_matrix(
+            per_det, detector_ids, overlap_threshold, fusion.image_overlaps(per_det)
+        )
+        blocks.append(baselines.platt_features(detector_ids, slots, out.platt, detector_ids))
+        labels += [label[id(d)] for det_id in sorted(per_det) for d in per_det[det_id]]
+    decided = np.array([lab is not MatchLabel.UNDECIDED for lab in labels], dtype=bool)
+    targets = np.array([lab is MatchLabel.TRUE_POSITIVE for lab in labels], dtype=bool)
     try:
-        out.weights = baselines.fit_weighted_sum(training, out.platt)
+        out.weights = baselines.fit_weighted_sum(
+            np.concatenate(blocks)[decided], targets[decided], tuple(detector_ids)
+        )
     except InsufficientData as exc:
         log.warning("weighted-sum training skipped: %s", exc)
     return out
@@ -147,6 +141,18 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     for d in dets:
         out.setdefault(d.detector_id, []).append(d)
     return out
+
+
+def images_by_detector(
+    per_detector: dict[str, list[Detection]],
+) -> list[dict[str, list[Detection]]]:
+    """Each image's windows by detector, images in id order; every
+    detector's windows keep their input order."""
+    all_dets = [d for dets in per_detector.values() for d in dets]
+    return [
+        group_by_detector(image_dets)
+        for _, image_dets in sorted(group_by_image(all_dets).items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -175,17 +181,13 @@ class _BatchFuser:
                 joints = fusion.static_dst_joints(detector_ids, slots, self.masses)
             # Each row's score as FusedVerdict.score computes it.
             return joints[:, 0] - joints[:, 1], joints
-        rows = fusion.slot_rows(detector_ids, slots)
         if self.method == "platt":
-            scores = [baselines.platt_fuse(row, models.platt) for row in rows]
+            scores = baselines.platt_fuse(detector_ids, slots, models.platt)
         elif self.method == "ws":
-            scores = [baselines.weighted_sum_fuse(row, models.platt, models.weights) for row in rows]
+            scores = baselines.weighted_sum_fuse(detector_ids, slots, models.platt, models.weights)
         else:
-            scores = [
-                baselines.bayes_fuse(row, models.platt, models.likelihoods, models.prior_target)
-                for row in rows
-            ]
-        return np.array(scores), None
+            scores = baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods)
+        return scores, None
 
     def __call__(self, images: list[dict[str, list[Detection]]]) -> list[FusedDetection]:
         return fusion.fuse_images(
@@ -240,11 +242,7 @@ def fuse_corpus(
         absent_policy,
         fusion.static_masses(models) if method == "static-dst" else None,
     )
-    all_dets = [d for dets in per_detector.values() for d in dets]
-    images = [
-        group_by_detector(image_dets)
-        for _, image_dets in sorted(group_by_image(all_dets).items())
-    ]
+    images = images_by_detector(per_detector)
     if jobs <= 1:
         return fuser(images)
     # A few batches per worker, so an image-heavy batch cannot idle the rest.

@@ -157,9 +157,6 @@ class TrustModel:
         negated, masses = self._mass_table
         return masses[np.searchsorted(negated, -scores)]
 
-    def score_to_bpa(self, score: float) -> Bpa:
-        return Bpa.exact(*self.masses_at(np.array([score]))[0].tolist())
-
     def static_bpa(self, recall_anchor: float = 0.2) -> Bpa:
         """Fixed assignment at the table row nearest the anchor recall."""
         row = min(self.table, key=lambda p: (abs(p.recall - recall_anchor), p.score_threshold))

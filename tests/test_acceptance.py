@@ -124,15 +124,15 @@ def test_dynamic_assignment_fixture_and_boundaries():
                        num_validation_positives=10)
     # Recall .4, precision .6, n=2: best-possible precision .84 splits the
     # remaining mass into .24 intermediate and .16 non-target.
-    b = model.score_to_bpa(3.0)
+    b = Bpa.exact(*model.masses_at(np.array([3.0]))[0].tolist())
     assert b.m_target == pytest.approx(0.6, abs=1e-12)
     assert b.m_intermediate == pytest.approx(0.24, abs=1e-12)
     assert b.m_nontarget == pytest.approx(0.16, abs=1e-12)
     # Above the largest validation score: clamp to the first table row.
-    assert model.score_to_bpa(99.0) == model.assignment_at(0.2, 0.9)
+    assert model.masses_at(np.array([99.0])).tolist() == [list(model.assignment_at(0.2, 0.9).as_tuple())]
     # Below the smallest: full recall, zero best-possible headroom.
-    low = model.score_to_bpa(0.0)
-    assert (low.m_target, low.m_intermediate, low.m_nontarget) == (0.3, 0.0, 0.7)
+    low_t, low_nt, low_i = model.masses_at(np.array([0.0]))[0].tolist()
+    assert (low_t, low_i, low_nt) == (0.3, 0.0, 0.7)
 
 
 def test_best_possible_detector_curve():
@@ -280,7 +280,7 @@ def test_saved_models_reproduce_fusion_bit_for_bit(seed42, tmp_path):
     assert direct == roundtrip
 
     bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"])
-    bm2 = pipeline.BaselineModels(prior_target=bm.prior_target)
+    bm2 = pipeline.BaselineModels()
     for det_id, model in bm.platt.items():
         path = tmp_path / f"platt_{det_id}.json"
         io.save_model(model, path)

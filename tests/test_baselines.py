@@ -11,12 +11,12 @@ from beliefuse.baselines import (
     fit_platt,
     fit_score_likelihood,
     fit_weighted_sum,
+    platt_features,
     platt_fuse,
     weighted_sum_fuse,
 )
-from beliefuse.fusion import DetectionVector
 from beliefuse.io import load_model, save_model
-from beliefuse.geometry import BoundingBox, Detection, MatchLabel
+from beliefuse.geometry import MatchLabel
 from beliefuse.trust import InsufficientData
 
 TP = MatchLabel.TRUE_POSITIVE
@@ -24,15 +24,19 @@ FP = MatchLabel.FALSE_POSITIVE
 UN = MatchLabel.UNDECIDED
 
 
-def vector(slots, subject_detector=None):
-    subject_detector = subject_detector or sorted(slots)[0]
-    d = Detection(
-        image_id="img1",
-        detector_id=subject_detector,
-        box=BoundingBox(0, 0, 10, 10),
-        score=slots[subject_detector],
-    )
-    return DetectionVector(subject=d, slots=slots)
+def row(slots):
+    """One detection vector as a one-row slot matrix and its detector ids."""
+    detector_ids = sorted(slots)
+    return detector_ids, np.array([[slots[d] for d in detector_ids]])
+
+
+def train(training, platt):
+    """Fit the weighted sum on (present slots, label) pairs, as rows of one
+    slot matrix over every detector with a Platt model."""
+    detector_ids = sorted(platt)
+    slots = np.array([[s.get(d, -np.inf) for d in detector_ids] for s, _ in training])
+    features = platt_features(detector_ids, slots, platt, detector_ids)
+    return fit_weighted_sum(features, np.array([lab for _, lab in training]), tuple(detector_ids))
 
 
 class TestFitPlatt:
@@ -90,24 +94,24 @@ class TestPlattFuse:
     def test_single_slot(self):
         m = self.models()
         prob = m["a"].probability(1.5)
-        assert platt_fuse(vector({"a": 1.5}).slots, m) == prob
+        assert platt_fuse(*row({"a": 1.5}), m).tolist() == [prob]
 
     def test_max_rule(self):
         m = self.models()
-        fused = platt_fuse(vector({"a": 0.3, "b": 2.0, "c": 1.0}).slots, m)
-        assert fused == m["b"].probability(2.0)
+        fused = platt_fuse(*row({"a": 0.3, "b": 2.0, "c": 1.0}), m)
+        assert fused.tolist() == [m["b"].probability(2.0)]
 
     def test_absent_slots_ignored(self):
         m = self.models()
-        assert platt_fuse(vector({"a": 1.0}).slots, m) == m["a"].probability(1.0)
+        fused = platt_fuse(["a", "b"], np.array([[1.0, -np.inf]]), m)
+        assert fused.tolist() == [m["a"].probability(1.0)]
 
     def test_permutation_invariant_and_bounded(self):
         m = self.models()
-        slots = {"a": 0.3, "b": 2.0, "c": 1.0}
-        v1 = platt_fuse(vector(slots, "a").slots, m)
-        v2 = platt_fuse(vector(slots, "c").slots, m)
-        assert v1 == v2
-        assert 0.0 <= v1 <= 1.0
+        v1 = platt_fuse(["a", "b", "c"], np.array([[0.3, 2.0, 1.0]]), m)
+        v2 = platt_fuse(["c", "b", "a"], np.array([[1.0, 2.0, 0.3]]), m)
+        assert v1.tolist() == v2.tolist()
+        assert 0.0 <= v1[0] <= 1.0
 
 
 class TestFitWeightedSum:
@@ -122,8 +126,8 @@ class TestFitWeightedSum:
             positive = bool(rng.random() < 0.5)
             a_score = 2.0 if positive else -2.0
             b_score = float(rng.normal(0, 0.1))  # uninformative
-            training.append((vector({"a": a_score, "b": b_score}), positive))
-        w = fit_weighted_sum(training, platt)
+            training.append(({"a": a_score, "b": b_score}, positive))
+        w = train(training, platt)
         idx = {d: i for i, d in enumerate(w.detector_ids)}
         assert abs(w.weights[idx["a"]]) > abs(w.weights[idx["b"]])
 
@@ -135,10 +139,10 @@ class TestFitWeightedSum:
             positive = bool(rng.random() < 0.4)
             a = float(rng.normal(1.5 if positive else -1.5, 0.5))
             b = float(rng.normal(1.0 if positive else -1.0, 0.5))
-            training.append((vector({"a": a, "b": b}), positive))
-        w = fit_weighted_sum(training, platt)
+            training.append(({"a": a, "b": b}, positive))
+        w = train(training, platt)
         correct = sum(
-            (weighted_sum_fuse(vec.slots, platt, w) > 0) == label for vec, label in training
+            (weighted_sum_fuse(*row(slots), platt, w)[0] > 0) == label for slots, label in training
         )
         majority = max(
             sum(1 for _, lab in training if lab),
@@ -148,13 +152,10 @@ class TestFitWeightedSum:
 
     def test_identical_vectors_identical_scores(self):
         platt = self.platt_pair()
-        training = [
-            (vector({"a": 2.0, "b": 1.0}), True),
-            (vector({"a": -2.0, "b": -1.0}), False),
-        ]
-        w = fit_weighted_sum(training, platt)
-        s1 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}).slots, platt, w)
-        s2 = weighted_sum_fuse(vector({"a": 0.7, "b": 0.2}, "b").slots, platt, w)
+        training = [({"a": 2.0, "b": 1.0}, True), ({"a": -2.0, "b": -1.0}, False)]
+        w = train(training, platt)
+        slots = np.array([[0.7, 0.2], [-1.0, 3.0], [0.7, 0.2]])
+        s1, _, s2 = weighted_sum_fuse(["a", "b"], slots, platt, w).tolist()
         assert s1 == s2
 
     def test_duplicate_columns_preserve_ranking(self):
@@ -163,28 +164,26 @@ class TestFitWeightedSum:
         rng = np.random.default_rng(3)
         scores = [float(rng.normal(1 if i % 2 else -1, 0.4)) for i in range(60)]
         labels = [bool(i % 2) for i in range(60)]
-        train_one = [(vector({"a": s}), lab) for s, lab in zip(scores, labels)]
-        train_two = [
-            (vector({"a": s, "a2": s}), lab) for s, lab in zip(scores, labels)
-        ]
-        w1 = fit_weighted_sum(train_one, platt_one)
-        w2 = fit_weighted_sum(train_two, platt_two)
-        f1 = [weighted_sum_fuse(v.slots, platt_one, w1) for v, _ in train_one]
-        f2 = [weighted_sum_fuse(v.slots, platt_two, w2) for v, _ in train_two]
+        train_one = [({"a": s}, lab) for s, lab in zip(scores, labels)]
+        train_two = [({"a": s, "a2": s}, lab) for s, lab in zip(scores, labels)]
+        w1 = train(train_one, platt_one)
+        w2 = train(train_two, platt_two)
+        f1 = [weighted_sum_fuse(*row(v), platt_one, w1)[0] for v, _ in train_one]
+        f2 = [weighted_sum_fuse(*row(v), platt_two, w2)[0] for v, _ in train_two]
         assert np.corrcoef(np.argsort(np.argsort(f1)), np.argsort(np.argsort(f2)))[0, 1] == pytest.approx(1.0)
 
     def test_missing_label_rejected(self):
         platt = self.platt_pair()
-        training = [(vector({"a": 1.0, "b": 1.0}), True)]
+        training = [({"a": 1.0, "b": 1.0}, True)]
         with pytest.raises(InsufficientData):
-            fit_weighted_sum(training, platt)
+            train(training, platt)
 
     def test_all_zero_features_rejected(self):
         # Saturated sigmoid drives every feature to exactly 0.
         platt = {"a": PlattModel("a", 1000.0, 1000.0)}
-        training = [(vector({"a": 1.0}), True), (vector({"a": 2.0}), False)]
+        training = [({"a": 1.0}, True), ({"a": 2.0}, False)]
         with pytest.raises(InsufficientData):
-            fit_weighted_sum(training, platt)
+            train(training, platt)
 
 
 class TestScoreLikelihood:
@@ -211,16 +210,17 @@ class TestScoreLikelihood:
 
 class TestBayesFuse:
     def test_no_present_slots_gives_prior_odds(self):
-        v = vector({"z": 1.0})
-        assert bayes_fuse(v.slots, {}, {}, prior_target=0.25) == pytest.approx(
-            math.log(0.25 / 0.75)
-        )
+        # Even prior odds: log(0.5 / 0.5) == 0.
+        platt = {"a": PlattModel("a", -1.0, 0.0)}
+        lik = ScoreLikelihood("a", (0.75, 0.25), (0.25, 0.75))
+        slots = np.array([[-np.inf, 1.0]])
+        assert bayes_fuse(["a", "z"], slots, platt, {"a": lik}).tolist() == [0.0]
+        assert bayes_fuse(*row({"z": 1.0}), {}, {}).tolist() == [0.0]
 
     def test_uniform_likelihoods_leave_prior(self):
         platt = {"a": PlattModel("a", -1.0, 0.0)}
         uniform = ScoreLikelihood("a", tuple([1 / 8] * 8), tuple([1 / 8] * 8))
-        v = vector({"a": 1.0})
-        assert bayes_fuse(v.slots, platt, {"a": uniform}, 0.5) == pytest.approx(0.0)
+        assert bayes_fuse(*row({"a": 1.0}), platt, {"a": uniform})[0] == pytest.approx(0.0)
 
     def test_product_of_ratios(self):
         platt = {
@@ -232,8 +232,8 @@ class TestBayesFuse:
         lik = ScoreLikelihood("a", (0.75, 0.25), (0.25, 0.75))
         assert lik.log_likelihood_ratio(platt["a"].probability(-1.0)) == pytest.approx(math.log(3.0))
         liks = {"a": lik, "b": ScoreLikelihood("b", lik.target_bins, lik.nontarget_bins)}
-        v = vector({"a": -1.0, "b": -1.0})
-        assert bayes_fuse(v.slots, platt, liks, 0.5) == pytest.approx(math.log(9.0))
+        fused = bayes_fuse(*row({"a": -1.0, "b": -1.0}), platt, liks)
+        assert fused[0] == pytest.approx(math.log(9.0))
 
     def test_additive_in_log_odds(self):
         platt = {
@@ -251,14 +251,9 @@ class TestBayesFuse:
             "a": fit_score_likelihood(labeled_a, platt["a"], "a"),
             "b": fit_score_likelihood(labeled_b, platt["b"], "b"),
         }
-        both = bayes_fuse(vector({"a": 0.7, "b": 1.1}).slots, platt, liks, 0.5)
-        only_a = bayes_fuse(vector({"a": 0.7}).slots, platt, liks, 0.5)
+        both, only_a = bayes_fuse(["a", "b"], np.array([[0.7, 1.1], [0.7, -np.inf]]), platt, liks)
         ratio_b = liks["b"].log_likelihood_ratio(platt["b"].probability(1.1))
         assert both == pytest.approx(only_a + ratio_b, abs=1e-12)
-
-    def test_bad_prior_rejected(self):
-        with pytest.raises(ValueError):
-            bayes_fuse(vector({"a": 1.0}).slots, {}, {}, prior_target=1.0)
 
 
 class TestSerialization:

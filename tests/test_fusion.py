@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from beliefuse import fusion
-from beliefuse.dst import Bpa, combine, vacuous
+from beliefuse.dst import Bpa, FusedVerdict, combine
 from beliefuse.fusion import (
-    DetectionVector,
-    build_detection_vectors,
-    dbf_fuse,
     dbf_joints,
     fuse_images,
-    static_dst_fuse,
+    image_overlaps,
+    slot_matrix,
     static_dst_joints,
     static_masses,
 )
@@ -56,37 +54,51 @@ def model_for(detector, n=2.0):
     return TrustModel(detector, "object", table, bpd_exponent=n)
 
 
+def row(slots):
+    """One detection vector as a one-row slot matrix and its detector ids."""
+    detector_ids = sorted(slots)
+    return detector_ids, np.array([[slots[d] for d in detector_ids]])
+
+
+def dbf_verdict(slots, models, absent_policy="vacuous"):
+    return FusedVerdict(Bpa.exact(*dbf_joints(*row(slots), models, absent_policy)[0].tolist()))
+
+
+def static_verdict(slots, models):
+    return FusedVerdict(Bpa.exact(*static_dst_joints(*row(slots), static_masses(models))[0].tolist()))
+
+
+def score_to_bpa(model, score):
+    return Bpa.exact(*model.masses_at(np.array([score]))[0].tolist())
+
+
+def vectors(per_det):
+    """The image's slot matrix over its own detectors, threshold 0.5."""
+    return slot_matrix(per_det, sorted(per_det), 0.5, image_overlaps(per_det))
+
+
 class TestBuildDetectionVectors:
     def test_single_detector_single_detection(self):
         d = det("a", 0.9, box(0, 0, 10, 10))
-        vectors = build_detection_vectors({"a": [d]})
-        assert len(vectors) == 1
-        assert vectors[0].subject == d
-        assert vectors[0].slots == {"a": 0.9}
+        assert vectors({"a": [d]}).tolist() == [[0.9]]
 
     def test_mutual_overlap_identical_boxes(self):
         b = box(0, 0, 10, 10)
         da, db = det("a", 0.9, b), det("b", 0.7, b)
-        vectors = build_detection_vectors({"a": [da], "b": [db]})
-        assert len(vectors) == 2
-        for vec in vectors:
-            assert vec.slots == {"a": 0.9, "b": 0.7}
+        assert vectors({"a": [da], "b": [db]}).tolist() == [[0.9, 0.7], [0.9, 0.7]]
 
     def test_max_score_rule_for_multiple_overlaps(self):
         b = box(0, 0, 10, 10)
         da = det("a", 0.9, b)
         b_low = det("b", 0.3, box(1, 1, 11, 11))
         b_high = det("b", 0.8, box(0, 1, 10, 11))
-        vectors = build_detection_vectors({"a": [da], "b": [b_low, b_high]})
-        vec_a = next(v for v in vectors if v.subject == da)
-        assert vec_a.slots["b"] == 0.8
+        slots = vectors({"a": [da], "b": [b_low, b_high]})
+        assert slots[0, 1] == 0.8  # row 0 is da's, column 1 detector b's
 
     def test_no_overlap_slot_absent(self):
         da = det("a", 0.9, box(0, 0, 10, 10))
         db = det("b", 0.7, box(100, 100, 120, 120))
-        vectors = build_detection_vectors({"a": [da], "b": [db]})
-        vec_a = next(v for v in vectors if v.subject == da)
-        assert "b" not in vec_a.slots
+        assert vectors({"a": [da], "b": [db]}).tolist() == [[0.9, -np.inf], [-np.inf, 0.7]]
 
     def test_every_detection_is_subject_once(self):
         rng = np.random.default_rng(1)
@@ -97,55 +109,51 @@ class TestBuildDetectionVectors:
             ]
             for name in ("a", "b", "c")
         }
-        vectors = build_detection_vectors(per_det)
-        assert len(vectors) == 15
-        subjects = {(v.subject.detector_id, v.subject.box.as_tuple()) for v in vectors}
-        assert len(subjects) == 15
+        slots = vectors(per_det)
+        assert slots.shape == (15, 3)
+        # Rows in subject order: detectors by id, each in input order, with
+        # the window's own score in its own detector's column.
+        own = [d.score for name in ("a", "b", "c") for d in per_det[name]]
+        assert slots[np.arange(15), np.repeat([0, 1, 2], 5)].tolist() == own
 
     def test_own_slot_invariant_enforced(self):
-        d = det("a", 0.9, box(0, 0, 10, 10))
-        with pytest.raises(ValueError):
-            DetectionVector(subject=d, slots={"a": 0.5})
+        # A window's own column holds its raw score, even where a window of
+        # its own detector on the same box scores higher.
+        b = box(0, 0, 10, 10)
+        assert vectors({"a": [det("a", 0.5, b), det("a", 0.9, b)]}).tolist() == [[0.5], [0.9]]
 
 
 class TestDbfFuse:
     def test_single_source(self):
         # Score 5 -> first row (r=.2, p=.9, p_bpd=.96).
-        vec = DetectionVector(det("a", 5.0, box(0, 0, 10, 10)), {"a": 5.0})
-        verdict = dbf_fuse(vec, {"a": model_for("a")})
-        expected = model_for("a").score_to_bpa(5.0)
+        verdict = dbf_verdict({"a": 5.0}, {"a": model_for("a")})
+        expected = score_to_bpa(model_for("a"), 5.0)
         assert verdict.joint == expected
         assert verdict.score == expected.m_target - expected.m_nontarget
 
     def test_two_sources_match_pairwise_combine(self):
-        b = box(0, 0, 10, 10)
-        vec = DetectionVector(det("a", 5.0, b), {"a": 5.0, "b": 3.0})
         models = {"a": model_for("a"), "b": model_for("b")}
-        verdict = dbf_fuse(vec, models)
-        expected = combine(models["a"].score_to_bpa(5.0), models["b"].score_to_bpa(3.0))
+        verdict = dbf_verdict({"a": 5.0, "b": 3.0}, models)
+        expected = combine(score_to_bpa(models["a"], 5.0), score_to_bpa(models["b"], 3.0))
         assert verdict.joint.as_tuple() == pytest.approx(expected.as_tuple(), abs=1e-15)
 
     def test_absent_slots_are_identity(self):
-        b = box(0, 0, 10, 10)
-        vec = DetectionVector(det("a", 5.0, b), {"a": 5.0})
-        solo = dbf_fuse(vec, {"a": model_for("a")})
-        with_absent = dbf_fuse(
-            vec, {"a": model_for("a"), "b": model_for("b"), "c": model_for("c")}
-        )
+        solo = dbf_verdict({"a": 5.0}, {"a": model_for("a")})
+        models = {"a": model_for("a"), "b": model_for("b"), "c": model_for("c")}
+        with_absent = dbf_verdict({"a": 5.0}, models)
         assert with_absent.joint == solo.joint
+        # An absent column (-inf) reads the same as no column at all.
+        joints = dbf_joints(["a", "b"], np.array([[5.0, -np.inf]]), models)
+        assert Bpa.exact(*joints[0].tolist()) == solo.joint
 
     def test_recall_one_absent_policy_penalizes(self):
-        b = box(0, 0, 10, 10)
-        vec = DetectionVector(det("a", 5.0, b), {"a": 5.0})
         models = {"a": model_for("a"), "b": model_for("b")}
-        vac = dbf_fuse(vec, models, absent_policy="vacuous")
-        pen = dbf_fuse(vec, models, absent_policy="recall_one")
+        vac = dbf_verdict({"a": 5.0}, models, absent_policy="vacuous")
+        pen = dbf_verdict({"a": 5.0}, models, absent_policy="recall_one")
         assert pen.score < vac.score
 
     def test_no_informative_slot_gives_zero_score(self):
-        b = box(0, 0, 10, 10)
-        vec = DetectionVector(det("z", 5.0, b), {"z": 5.0})
-        verdict = dbf_fuse(vec, {"a": model_for("a")})  # no model for z
+        verdict = dbf_verdict({"z": 5.0}, {"a": model_for("a")})  # no model for z
         assert verdict.score == 0.0
         assert verdict.joint.is_vacuous()
 
@@ -166,10 +174,8 @@ class TestDbfFuse:
         model = model_for("a")
         rng = np.random.default_rng(3)
         scores = sorted(rng.uniform(-2, 8, 50))
-        fused = []
-        for s in scores:
-            vec = DetectionVector(det("a", float(s), box(0, 0, 10, 10)), {"a": float(s)})
-            fused.append(dbf_fuse(vec, {"a": model}).score)
+        joints = dbf_joints(["a"], np.array(scores)[:, None], {"a": model})
+        fused = (joints[:, 0] - joints[:, 1]).tolist()
         assert all(a <= b for a, b in zip(fused, fused[1:]))
 
 
@@ -177,10 +183,8 @@ class TestTotalConflictRecovery:
     def test_smoothing_keeps_pipeline_total(self):
         certain_t = TrustModel("a", "object", [PrPoint(1.0, 0.5, 1.0, 1.0)], bpd_exponent=1000.0)
         certain_nt = TrustModel("b", "object", [PrPoint(1.0, 1.0, 0.0, 0.0)], bpd_exponent=2.0)
-        b = box(0, 0, 10, 10)
-        vec = DetectionVector(det("a", 5.0, b), {"a": 5.0, "b": 5.0})
         before = fusion.conflict_smoothing_count
-        verdict = dbf_fuse(vec, {"a": certain_t, "b": certain_nt})
+        verdict = dbf_verdict({"a": 5.0, "b": 5.0}, {"a": certain_t, "b": certain_nt})
         assert fusion.conflict_smoothing_count == before + 1
         assert -1.0 <= verdict.score <= 1.0
 
@@ -188,10 +192,8 @@ class TestTotalConflictRecovery:
 class TestStaticDstFuse:
     def test_single_source_fixed_assignment(self):
         model = model_for("a")
-        b = box(0, 0, 10, 10)
         for score in (0.5, 2.5, 9.0):
-            vec = DetectionVector(det("a", score, b), {"a": score})
-            verdict = static_dst_fuse(vec, static_masses({"a": model}))
+            verdict = static_verdict({"a": score}, {"a": model})
             assert verdict.joint == model.static_bpa(0.2)
 
     def test_static_assignment_values(self):
@@ -203,13 +205,10 @@ class TestStaticDstFuse:
         assert b.m_nontarget == pytest.approx(0.04, abs=1e-12)
 
     def test_two_agreeing_detectors_reinforce(self):
-        b = box(0, 0, 10, 10)
-        single = DetectionVector(det("a", 5.0, b), {"a": 5.0})
-        double = DetectionVector(det("a", 5.0, b), {"a": 5.0, "b": 5.0})
         models = {"a": model_for("a"), "b": model_for("b")}
         assert (
-            static_dst_fuse(double, static_masses(models)).score
-            > static_dst_fuse(single, static_masses(models)).score
+            static_verdict({"a": 5.0, "b": 5.0}, models).score
+            > static_verdict({"a": 5.0}, models).score
         )
 
 
@@ -269,8 +268,5 @@ class TestFuseImage:
         fused = fuse_images([{"a": [high, low]}], score, "object")
         assert len(fused) == 1
         assert fused[0].score == fused[0].verdict.score
-        vec = DetectionVector(high, {"a": 9.0})
-        if method == "dbf":
-            assert fused[0].verdict == dbf_fuse(vec, models)
-        else:
-            assert fused[0].verdict == static_dst_fuse(vec, static_masses(models))
+        own = dbf_verdict if method == "dbf" else static_verdict
+        assert fused[0].verdict == own({"a": 9.0}, models)

@@ -7,8 +7,10 @@ from beliefuse.geometry import (
     GroundTruthObject,
     MatchLabel,
     iou,
+    iou_matrix,
     match_detections,
-    nms,
+    nms_keep,
+    suppression_mask,
 )
 
 
@@ -22,6 +24,13 @@ def det(score, b, detector="d1", image="img1"):
 
 def gt(b, image="img1", difficult=False):
     return GroundTruthObject(image_id=image, class_label="object", box=b, difficult=difficult)
+
+
+def nms(dets, iou_threshold=0.5):
+    """Greedy NMS as ``fusion.fuse_images`` runs it: IoU matrix, suppression
+    mask, kept indices."""
+    suppresses = suppression_mask(iou_matrix([d.box.as_tuple() for d in dets]), iou_threshold)
+    return [dets[i] for i in nms_keep([d.score for d in dets], dets, suppresses)]
 
 
 class TestBoundingBox:

@@ -146,22 +146,30 @@ class TestBaselinePipeline:
 
     def test_ws_labels_follow_each_detection_not_its_box(self, fixture, monkeypatch):
         # A low-scoring duplicate of a true positive is labeled undecided; the
-        # true positive's own vector must still train as a positive.
+        # true positive's own row must still train as a positive, and the
+        # duplicate's row must not train at all.
         per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
         labeled = pipeline.label_detections(per_det["det_a"], fixture["val_gts"])
         original = next(d for d, lab in labeled if lab is MatchLabel.TRUE_POSITIVE)
         duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
         per_det["det_a"].append(duplicate)
-        seen = {}
+        training = []
 
-        def capture(training, platt):
-            seen.update({id(vec.subject): target for vec, target in training})
+        def capture(features, targets, detector_ids):
+            training.append((features.tolist(), targets.tolist(), detector_ids))
             return None
 
         monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         pipeline.fit_baselines(per_det, fixture["val_gts"])
-        assert seen[id(original)] is True
-        assert id(duplicate) not in seen
+        without, with_duplicate = training
+        assert with_duplicate == without
+        features, targets, detector_ids = with_duplicate
+        column = detector_ids.index("det_a")
+        own = bm.platt["det_a"].probability(original.score)
+        assert any(row[column] == own and target for row, target in zip(features, targets))
+        lowered = bm.platt["det_a"].probability(duplicate.score)
+        assert all(row[column] != lowered for row in features)
 
     def test_unknown_method_rejected(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])

@@ -1,18 +1,21 @@
 """Property tests: the array-based fusion and evaluation paths against
 scalar references.
 
-The references below are the per-pair loops that ``build_detection_vectors``
-and ``nms`` ran before they shared one IoU matrix per image; the
-per-window trust lookup, mass split and Dempster fold that DBF and
-static-DST ran before whole batches went through one array pass; the
-per-detection AP loop that ``eval`` ran before it scored columns; and the
-per-line JSON-lines reader that the column parser replaced. The array paths
-must reproduce them exactly, including tie order, duplicate boxes,
-total-conflict recovery and which files are rejected.
+The references below are the per-pair loops that built detection vectors
+and ran NMS before they shared one IoU matrix per image; the per-window
+trust lookup, mass split and Dempster fold that DBF and static-DST ran
+before whole batches went through one array pass; the per-vector baseline
+rules and weighted-sum training set, which took each detection vector as a
+detector id -> score mapping of its present slots; the per-detection AP
+loop that ``eval`` ran before it scored columns; and the per-line
+JSON-lines reader that the column parser replaced. The array paths must
+reproduce them exactly, including tie order, duplicate boxes,
+total-conflict recovery, float rounding and which files are rejected.
 """
 
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beliefuse import evaluation, fusion, io, pipeline
+from beliefuse import baselines, datagen, evaluation, fusion, io, pipeline
 from beliefuse.baselines import PlattModel, ScoreLikelihood, WeightVector
+from beliefuse.cli import default_profiles
 from beliefuse.dst import (
     VACUOUS,
     Bpa,
@@ -31,12 +35,7 @@ from beliefuse.dst import (
     combine_all_enumerated,
     combine_rows,
 )
-from beliefuse.fusion import (
-    DetectionVector,
-    FusedDetection,
-    build_detection_vectors,
-    image_overlaps,
-)
+from beliefuse.fusion import FusedDetection, image_overlaps, slot_matrix
 from beliefuse.evaluation import (
     NoGroundTruth,
     average_precision,
@@ -48,11 +47,13 @@ from beliefuse.geometry import (
     BoundingBox,
     Detection,
     GroundTruthObject,
+    MatchLabel,
     _det_sort_key,
     iou,
     iou_matrix,
     iou_pairs,
-    nms,
+    nms_keep,
+    suppression_mask,
 )
 from beliefuse.io import DetectionColumns
 from beliefuse.pipeline import group_by_detector, group_by_image
@@ -97,6 +98,8 @@ def images(draw, image_id="img", max_detectors=4, max_windows=8):
 
 
 def reference_vectors(per_detector, overlap_threshold):
+    """(subject, present slots) per window in subject order; the slots map
+    detector id -> score, the subject's own score under its own id."""
     vectors = []
     detector_ids = sorted(per_detector)
     for det_id in detector_ids:
@@ -112,7 +115,7 @@ def reference_vectors(per_detector, overlap_threshold):
                             best = cand.score
                 if best is not None:
                     slots[other_id] = best
-            vectors.append(DetectionVector(subject=subject, slots=slots))
+            vectors.append((subject, slots))
     return vectors
 
 
@@ -136,16 +139,22 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(bs):
     assert pairs.tobytes() == expected.ravel().tobytes()
 
 
+def as_rows(vectors, detector_ids):
+    """Reference vectors as slot matrix rows: -inf where a slot is absent."""
+    return [[slots.get(d, -math.inf) for d in detector_ids] for _, slots in vectors]
+
+
 @given(images(), thresholds)
 @example(HALF, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
+    assume(any(per_detector.values()))  # fuse_images skips an image with no window
     expected = reference_vectors(per_detector, threshold)
-    for got in (
-        build_detection_vectors(per_detector, threshold),
-        build_detection_vectors(per_detector, threshold, image_overlaps(per_detector)),
-    ):
-        assert [id(v.subject) for v in got] == [id(v.subject) for v in expected]
-        assert [list(v.slots.items()) for v in got] == [list(v.slots.items()) for v in expected]
+    assert [id(d) for d in fusion._subjects(per_detector)] == [id(s) for s, _ in expected]
+    overlaps = image_overlaps(per_detector)
+    # Columns for every detector of a batch, some with no window here.
+    for detector_ids in (sorted(per_detector), sorted({*per_detector, "c", "g"})):
+        got = slot_matrix(per_detector, detector_ids, threshold, overlaps)
+        assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
 
 
 @given(images(max_detectors=3), thresholds)
@@ -153,8 +162,10 @@ def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
 def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
-    assert [id(d) for d in nms(dets, threshold)] == expected
-    assert [id(d) for d in nms(dets, threshold, image_overlaps(per_detector))] == expected
+    scores = [d.score for d in dets]
+    for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), image_overlaps(per_detector)):
+        kept = nms_keep(scores, dets, suppression_mask(overlaps, threshold))
+        assert [id(dets[i]) for i in kept] == expected
 
 
 def _model(det_id):
@@ -248,21 +259,21 @@ def reference_fuse_bpas(bpas):
         return FusedVerdict(combine_all([reference_smooth(b) for b in informative])), True
 
 
-def reference_dbf(vector, models, absent_policy):
+def reference_dbf(slots, models, absent_policy):
     bpas = []
     for det_id, model in sorted(models.items()):
-        if det_id in vector.slots:
-            recall, precision = reference_lookup(model, vector.slots[det_id])
+        if det_id in slots:
+            recall, precision = reference_lookup(model, slots[det_id])
             bpas.append(reference_assignment(model, recall, precision))
         elif absent_policy == "recall_one":
             bpas.append(reference_assignment(model, 1.0, model.table[-1].precision))
     return reference_fuse_bpas(bpas)
 
 
-def reference_static(vector, models):
+def reference_static(slots, models):
     bpas = []
     for det_id, model in sorted(models.items()):
-        if det_id in vector.slots:
+        if det_id in slots:
             row = min(model.table, key=lambda p: (abs(p.recall - 0.2), p.score_threshold))
             bpas.append(reference_assignment(model, row.recall, row.precision))
     return reference_fuse_bpas(bpas)
@@ -275,16 +286,16 @@ def reference_fuse_corpus(corpus, models, method, absent_policy):
     for _, image_dets in sorted(group_by_image(all_dets).items()):
         vectors = reference_vectors(group_by_detector(image_dets), 0.5)
         verdicts = []
-        for vec in vectors:
+        for _, slots in vectors:
             if method == "dbf":
-                verdict, smoothed = reference_dbf(vec, models, absent_policy)
+                verdict, smoothed = reference_dbf(slots, models, absent_policy)
             else:
-                verdict, smoothed = reference_static(vec, models)
+                verdict, smoothed = reference_static(slots, models)
             verdicts.append(verdict)
             smoothings += smoothed
         rescored = [
-            Detection(v.subject.image_id, v.subject.detector_id, v.subject.box, verdict.score)
-            for v, verdict in zip(vectors, verdicts)
+            Detection(subject.image_id, subject.detector_id, subject.box, verdict.score)
+            for (subject, _), verdict in zip(vectors, verdicts)
         ]
         index = {id(d): i for i, d in enumerate(rescored)}
         fused += [
@@ -396,7 +407,6 @@ def test_mass_table_lookup_equals_bisection_and_assignment(table, n, extra_score
     expected = [reference_assignment(model, *reference_lookup(model, s)) for s in scores]
     got = model.masses_at(np.array(scores))
     assert repr(got.tolist()) == repr([list(b.as_tuple()) for b in expected])
-    assert repr([model.score_to_bpa(s) for s in scores]) == repr(expected)
     # An absent slot (-inf) reads the below-bottom row: the recall_one mass.
     recall_one = reference_assignment(model, 1.0, table[-1].precision)
     absent = model.masses_at(np.array([-np.inf])).tolist()
@@ -441,6 +451,241 @@ def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absen
     got = pipeline.fuse_corpus(corpus, models, "object", method, absent_policy=absent_policy)
     assert repr(got) == repr(expected)  # repr tells every float apart, -0.0 too
     assert fusion.conflict_smoothing_count - before == smoothings
+
+
+# ---- baseline rules and weighted-sum training -------------------------------
+
+
+def reference_platt(slots, platt):
+    probs = [platt[d].probability(score) for d, score in slots.items() if d in platt]
+    if not probs:
+        raise ValueError("vector has no present slot with a Platt model")
+    return max(probs)
+
+
+def reference_features(slots, platt, detector_ids):
+    return np.array([platt[d].probability(slots[d]) if d in slots else 0.0 for d in detector_ids])
+
+
+def reference_ws(slots, platt, weights):
+    features = reference_features(slots, platt, weights.detector_ids)
+    return float(features @ np.array(weights.weights) + weights.bias)
+
+
+def reference_bayes(slots, platt, likelihoods):
+    log_odds = math.log(0.5 / (1.0 - 0.5))
+    for det_id, score in sorted(slots.items()):
+        if det_id in likelihoods:
+            log_odds += likelihoods[det_id].log_likelihood_ratio(platt[det_id].probability(score))
+    return log_odds
+
+
+def reference_training(per_detector, gts, platt):
+    """The weighted-sum training set, one (present slots, target) pair per
+    detection vector of a calibrated detector, each labeled by its own
+    window; undecided windows are left out."""
+    label = {}
+    for det_id in platt:
+        label.update((id(d), lab) for d, lab in pipeline.label_detections(per_detector[det_id], gts))
+    all_dets = [d for det_id in platt for d in per_detector[det_id]]
+    training = []
+    for _, image_dets in sorted(group_by_image(all_dets).items()):
+        for subject, slots in reference_vectors(group_by_detector(image_dets), 0.5):
+            if label[id(subject)] is not MatchLabel.UNDECIDED:
+                training.append((slots, label[id(subject)] is MatchLabel.TRUE_POSITIVE))
+    return training
+
+
+def reference_fit(x, y, detector_ids, c=1.0, iterations=2000):
+    """Subgradient descent on the hinge loss, as ``fit_weighted_sum`` ran it."""
+    lam = 1.0 / (c * len(x))
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for t in range(1, iterations + 1):
+        margin = y * (x @ w + b)
+        active = margin < 1.0
+        grad_w = lam * w - (y[active, None] * x[active]).sum(axis=0) / len(x)
+        grad_b = -y[active].sum() / len(x)
+        step = 1.0 / (lam * t)
+        w -= step * grad_w
+        b -= step * grad_b
+    return WeightVector(detector_ids, tuple(float(v) for v in w), float(b))
+
+
+def likelihood(det_id, target, nontarget):
+    return ScoreLikelihood(det_id, tuple(t / sum(target) for t in target),
+                           tuple(n / sum(nontarget) for n in nontarget))
+
+
+@st.composite
+def baseline_cases(draw):
+    """A slot matrix, with Platt models for some of its detectors and for
+    detectors it has no column for, a weight per Platt model, and
+    likelihoods for some of them."""
+    detector_ids = sorted(draw(st.lists(st.sampled_from("abcdef"), min_size=1, unique=True)))
+    slot = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 1.0, -40.0]), st.floats(-40, 40))
+    slots = np.array(draw(st.lists(
+        st.lists(slot, min_size=len(detector_ids), max_size=len(detector_ids)),
+        min_size=1, max_size=6,
+    )))
+    coefficient = st.floats(-4, 4)
+    platt = {d: PlattModel(d, draw(coefficient), draw(coefficient))
+             for d in draw(st.lists(st.sampled_from("abcdefg"), min_size=1, unique=True))}
+    weights = draw(st.lists(st.floats(-2, 2), min_size=len(platt), max_size=len(platt)))
+    assume(any(w != 0.0 for w in weights))
+    weights = WeightVector(tuple(sorted(platt)), tuple(weights), draw(st.floats(-2, 2)))
+    bin_count = draw(st.integers(1, 8))
+    bins = st.lists(st.floats(0.01, 1), min_size=bin_count, max_size=bin_count)
+    likelihoods = {d: likelihood(d, draw(bins), draw(bins))
+                   for d in draw(st.lists(st.sampled_from(sorted(platt)), unique=True))}
+    return detector_ids, slots, platt, weights, likelihoods
+
+
+# Rows whose one matrix-vector product rounds differently from per-row dot
+# products; a z of 40, where np.exp and math.exp differ; and three log
+# likelihood ratios whose sum depends on the order they are added in.
+UNIT = {d: PlattModel(d, -1.0, 0.0) for d in "abcd"}
+ROUNDING = (
+    list("abcd"),
+    np.array([[0.8, -1.4, -2.8, -2.9], [1.9, 2.5, 0.6, 1.4],
+              [1.0, 1.0, 1.0, -math.inf], [-40.0, -math.inf, -math.inf, -math.inf]]),
+    UNIT,
+    WeightVector(tuple("abcd"), (0.17, 1.74, 1.26, -1.99), 0.0),
+    {d: likelihood(d, (t, 1 - t), (n, 1 - n))
+     for d, t, n in (("a", 0.86, 0.43), ("b", 0.58, 0.07), ("c", 0.66, 0.88))},
+)
+
+
+@settings(deadline=None)
+@given(baseline_cases())
+@example(ROUNDING)
+def test_baseline_rules_equal_per_vector_rules_bit_for_bit(case):
+    detector_ids, slots, platt, weights, likelihoods = case
+    rows = [{d: s for d, s in zip(detector_ids, row) if s != -math.inf} for row in slots.tolist()]
+    try:
+        expected = [reference_platt(row, platt) for row in rows]
+    except ValueError:
+        with pytest.raises(ValueError):
+            baselines.platt_fuse(detector_ids, slots, platt)
+    else:
+        # repr tells every float apart, -0.0 from 0.0 too.
+        assert repr(baselines.platt_fuse(detector_ids, slots, platt).tolist()) == repr(expected)
+    got = baselines.weighted_sum_fuse(detector_ids, slots, platt, weights)
+    assert repr(got.tolist()) == repr([reference_ws(row, platt, weights) for row in rows])
+    got = baselines.bayes_fuse(detector_ids, slots, platt, likelihoods)
+    assert repr(got.tolist()) == repr([reference_bayes(row, platt, likelihoods) for row in rows])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)
+def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
+    dataset = datagen.generate(seed, 12, default_profiles(3))
+    image_ids = dataset.validation_image_ids
+    per_detector = {d: dataset.detections_for(d, image_ids) for d in dataset.detections}
+    gts = dataset.ground_truths(image_ids)
+    designs = []
+    fit = baselines.fit_weighted_sum
+
+    def capture(features, targets, detector_ids):
+        designs.append((features, targets))
+        return fit(features, targets, detector_ids)
+
+    baselines.fit_weighted_sum = capture
+    try:
+        models = pipeline.fit_baselines(per_detector, gts)
+    finally:
+        baselines.fit_weighted_sum = fit
+    detector_ids = tuple(sorted(models.platt))
+    training = reference_training(per_detector, gts, models.platt)
+    x = np.array([reference_features(slots, models.platt, detector_ids) for slots, _ in training])
+    y = np.array([1.0 if target else -1.0 for _, target in training])
+    (features, targets), = designs
+    assert features.flags.c_contiguous  # a Fortran-ordered x rounds x @ w differently
+    assert features.tobytes() == x.tobytes() and features.shape == x.shape
+    assert targets.tolist() == [target for _, target in training]
+    assume(models.weights is not None)
+    assert repr(models.weights) == repr(reference_fit(x, y, detector_ids))
+
+
+# ---- fused output and model files -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpora(), trust_models(), st.sampled_from(pipeline.BELIEF_METHODS))
+@example(SAME, CERTAIN_MODELS, "dbf")
+@example(SAME, CERTAIN_MODELS, "static-dst")
+def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
+    fused = pipeline.fuse_corpus(corpus, models, "object", method)
+    path = files_dir / "fused.jsonl"
+    io.write_fused(fused, path)
+    columns = io.read_fused(path)
+    assert len(columns) == len(fused)
+    for score, (m_target, m_nontarget, _) in zip(columns.scores.tolist(), columns.joints.tolist()):
+        assert score == m_target - m_nontarget
+
+
+def output_order(fused):
+    """``cmd_fuse``'s order: class, image, descending score, box."""
+    return sorted(fused, key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
+
+
+# One detector's two windows with one score, overlapping but on different
+# boxes: NMS must keep the same one whichever comes first.
+TIED = {"a": [Detection("img", "a", BoundingBox(0, 0, 10, 10), 1.0),
+              Detection("img", "a", BoundingBox(0, 0, 10, 9), 1.0)]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpora(), st.sampled_from(pipeline.METHODS), st.randoms(use_true_random=False))
+@example(TIED, "dbf", random.Random(0))
+def test_fused_output_does_not_depend_on_input_order(corpus, method, rng):
+    models = _models(method)
+    expected = output_order(pipeline.fuse_corpus(corpus, models, "object", method))
+    for order in (lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs))):
+        reordered = {det_id: order(corpus[det_id]) for det_id in order(sorted(corpus))}
+        got = output_order(pipeline.fuse_corpus(reordered, models, "object", method))
+        assert repr(got) == repr(expected)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def any_models(draw):
+    """A trust, Platt, weighted-sum or likelihood model with arbitrary
+    floats: subnormals, -0.0 and values far from any fitted one."""
+    kind = draw(st.sampled_from(["trust", "platt", "ws", "likelihood"]))
+    det_id = draw(st.text(min_size=1, max_size=4))
+    if kind == "trust":
+        n = draw(st.one_of(st.sampled_from(EXPONENTS), st.floats(1e-300, 1e300)))
+        return TrustModel(det_id, draw(st.text(max_size=4)), draw(trust_tables()), n,
+                          draw(st.integers(0, 10**6)))
+    if kind == "platt":
+        return PlattModel(det_id, draw(finite), draw(finite), draw(st.booleans()))
+    if kind == "ws":
+        ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(finite, min_size=len(ids), max_size=len(ids)))
+        assume(any(w != 0.0 for w in weights))
+        return WeightVector(tuple(ids), tuple(weights), draw(finite))
+    bin_count = draw(st.integers(1, 32))
+    bins = st.lists(st.floats(1e-6, 1), min_size=bin_count, max_size=bin_count)
+    return likelihood(det_id, draw(bins), draw(bins))
+
+
+@settings(deadline=None)
+@given(any_models())
+def test_models_survive_their_model_file(files_dir, model):
+    path = files_dir / "model.json"
+    io.save_model(model, path)
+    loaded = io.load_model(path)
+    assert type(loaded) is type(model)
+    assert repr(loaded.to_dict()) == repr(model.to_dict())  # repr tells every float apart
 
 
 # ---- average precision ------------------------------------------------------

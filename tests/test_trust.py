@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from beliefuse.dst import Bpa
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel
 from beliefuse.io import DataError, load_model, save_model
 from beliefuse.trust import (
@@ -18,6 +19,11 @@ from beliefuse.trust import (
 TP = MatchLabel.TRUE_POSITIVE
 FP = MatchLabel.FALSE_POSITIVE
 UN = MatchLabel.UNDECIDED
+
+
+def score_to_bpa(model, score):
+    """One score's masses, as ``TrustModel.masses_at`` looks them up."""
+    return Bpa.exact(*model.masses_at(np.array([score]))[0].tolist())
 
 
 def labeled_from(scores_and_labels):
@@ -134,18 +140,18 @@ class TestScoreToBpa:
         model = TrustModel(
             "d1", "object", [PrPoint(5.0, 0.4, 0.6, 0.6)], bpd_exponent=2.0
         )
-        b = model.score_to_bpa(5.0)
+        b = score_to_bpa(model, 5.0)
         assert b.m_target == pytest.approx(0.6, abs=1e-15)
         assert b.m_intermediate == pytest.approx(0.24, abs=1e-15)
         assert b.m_nontarget == pytest.approx(0.16, abs=1e-15)
 
     def test_above_max_clamps_to_first_row(self):
         model = simple_model()
-        assert model.score_to_bpa(99.0) == model.score_to_bpa(4.0)
+        assert score_to_bpa(model, 99.0) == score_to_bpa(model, 4.0)
 
     def test_below_min_full_recall(self):
         model = simple_model()
-        b = model.score_to_bpa(0.0)
+        b = score_to_bpa(model, 0.0)
         # r = 1, p = envelope at full recall, p_bpd = 0.
         assert b.m_target == pytest.approx(0.3)
         assert b.m_intermediate == 0.0
@@ -154,14 +160,14 @@ class TestScoreToBpa:
     def test_step_interpolation(self):
         model = simple_model()
         # Scores in [3, 4) take row at threshold 3.
-        assert model.score_to_bpa(3.5) == model.score_to_bpa(3.0)
-        assert model.score_to_bpa(3.0) != model.score_to_bpa(4.0)
+        assert score_to_bpa(model, 3.5) == score_to_bpa(model, 3.0)
+        assert score_to_bpa(model, 3.0) != score_to_bpa(model, 4.0)
 
     def test_clamp_when_detector_beats_bpd(self):
         model = TrustModel(
             "d1", "object", [PrPoint(5.0, 0.9, 0.95, 0.95)], bpd_exponent=2.0
         )
-        b = model.score_to_bpa(5.0)
+        b = score_to_bpa(model, 5.0)
         # p = .95 > p_bpd = .19: ambiguity clamps to zero.
         assert b.m_intermediate == 0.0
         assert b.m_target == pytest.approx(0.95)
@@ -170,7 +176,7 @@ class TestScoreToBpa:
     def test_monotone_target_mass_in_score(self):
         model = simple_model()
         scores = np.linspace(-1, 6, 100)
-        m_t = [model.score_to_bpa(float(s)).m_target for s in scores]
+        m_t = [score_to_bpa(model, float(s)).m_target for s in scores]
         assert all(a <= b for a, b in zip(m_t, m_t[1:]))
 
     def test_output_always_valid(self):
@@ -178,7 +184,7 @@ class TestScoreToBpa:
         for n in (0.5, 1, 2, 8, math.inf):
             model = simple_model(n)
             for s in rng.uniform(-5, 10, 200):
-                b = model.score_to_bpa(float(s))
+                b = score_to_bpa(model, float(s))
                 assert sum(b.as_tuple()) == pytest.approx(1.0, abs=1e-9)
                 assert all(m >= 0 for m in b.as_tuple())
 
@@ -215,7 +221,7 @@ class TestSerialization:
         save_model(model, path)
         reloaded = load_model(path)
         for s in np.linspace(-1, 6, 300):
-            assert reloaded.score_to_bpa(float(s)) == model.score_to_bpa(float(s))
+            assert score_to_bpa(reloaded, float(s)) == score_to_bpa(model, float(s))
 
     def test_round_trip_infinite_exponent(self, tmp_path):
         model = simple_model(math.inf)
