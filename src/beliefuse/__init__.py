@@ -1,9 +1,10 @@
 """Detector-agnostic late fusion of object-detection scores."""
 
-from .dst import Bpa, FusedVerdict, Hypothesis, TotalConflict, belief, combine, combine_all, vacuous
+from .dst import Bpa, Hypothesis, TotalConflict, belief, combine, combine_all, fused_scores, vacuous
 from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections
 from .trust import InsufficientData, PrPoint, TrustModel, bpd_precision, build_pr_table, build_trust_model
-from .fusion import FusedDetection, fuse_images
+from .fusion import Windows, fuse_images
+from .io import DetectionColumns
 from .evaluation import EvalReport, NoGroundTruth, average_precision, evaluate_methods
 from .datagen import ConfigError, SyntheticDataset, SyntheticDetectorProfile, generate
 
@@ -12,9 +13,8 @@ __all__ = [
     "BoundingBox",
     "ConfigError",
     "Detection",
+    "DetectionColumns",
     "EvalReport",
-    "FusedDetection",
-    "FusedVerdict",
     "GroundTruthObject",
     "Hypothesis",
     "InsufficientData",
@@ -25,6 +25,7 @@ __all__ = [
     "SyntheticDetectorProfile",
     "TotalConflict",
     "TrustModel",
+    "Windows",
     "average_precision",
     "belief",
     "bpd_precision",
@@ -33,6 +34,7 @@ __all__ = [
     "combine",
     "combine_all",
     "evaluate_methods",
+    "fused_scores",
     "fuse_images",
     "generate",
     "iou",

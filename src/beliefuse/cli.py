@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import datagen, evaluation, io, pipeline
 from .datagen import ConfigError, SyntheticDetectorProfile
@@ -211,31 +212,16 @@ def cmd_generate(out_dir: str, seed: int, num_images: int, num_detectors: int):
         profiles = default_profiles(num_detectors)
         dataset = datagen.generate(seed, num_images, profiles)
     root = Path(out_dir)
-    (root / "validation").mkdir(parents=True, exist_ok=True)
-    (root / "test").mkdir(parents=True, exist_ok=True)
     provenance = {"seed": seed, "num_images": num_images, "num_detectors": num_detectors}
-    for det_id in sorted(dataset.detections):
-        for split, ids in (
-            ("validation", dataset.validation_image_ids),
-            ("test", dataset.test_image_ids),
-        ):
+    for split, ids in (("validation", dataset.validation_image_ids), ("test", dataset.test_image_ids)):
+        (root / split).mkdir(parents=True, exist_ok=True)
+        for det_id in sorted(dataset.detections):
             io.write_detections(
-                dataset.detections_for(det_id, ids),
-                root / split / f"{det_id}.jsonl",
-                class_label=dataset.class_label,
-                config=provenance,
+                dataset.detections_for(det_id, ids), root / split / f"{det_id}.jsonl",
+                class_label=dataset.class_label, config=provenance,
             )
+        io.write_annotations(dataset.ground_truths(ids), root / split / "annotations.jsonl", config=provenance)
     io.write_annotations(dataset.ground_truths(), root / "annotations.jsonl", config=provenance)
-    io.write_annotations(
-        dataset.ground_truths(dataset.validation_image_ids),
-        root / "validation" / "annotations.jsonl",
-        config=provenance,
-    )
-    io.write_annotations(
-        dataset.ground_truths(dataset.test_image_ids),
-        root / "test" / "annotations.jsonl",
-        config=provenance,
-    )
     click.echo(f"wrote synthetic benchmark to {out_dir}")
 
 
@@ -359,21 +345,25 @@ def cmd_fuse(method, config_file, n_raw, **flags):
         cfg = _build_cfg(config_file, n_raw, ("detections_dir", "models_dir", "out"), **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
-    fused_all = []
+    fused = []
     with _exit_on_error():
         for cls in sorted(per_class):
             models = _load_models(models_dir, cls, sorted(per_class[cls]), method)
-            fused_all.extend(
+            fused.append(
                 pipeline.fuse_corpus(
                     per_class[cls], models, cls, method,
                     cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
                 )
             )
-    fused_all.sort(key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
+    merged = io.DetectionColumns.concat(fused)
+    _, classes = io.ranks(merged.class_labels)
+    _, images = io.ranks(merged.image_ids)
+    # By class, image, descending score and box; a stable sort.
+    order = np.lexsort((*merged.boxes.T[::-1], -merged.scores, images, classes))
     provenance = cfg.as_dict()
     provenance["method"] = method
-    io.write_fused(fused_all, cfg.out, config=provenance)
-    click.echo(f"wrote {len(fused_all)} fused detections to {cfg.out}")
+    io.write_fused(merged.take(order), cfg.out, config=provenance)
+    click.echo(f"wrote {len(merged)} fused detections to {cfg.out}")
 
 
 @main.command("eval")
@@ -434,12 +424,15 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
 
     rows = []
     for n in values:
+        n_label = "inf" if math.isinf(n) else f"{n:g}"
         per_class_ap = {}
         for cls in sorted(per_class_val):
             class_gts = [g for g in gts if g.class_label == cls]
             models = pipeline.build_trust_models(
                 per_class_val[cls], class_gts, cls, n, cfg.match_iou, cfg.duplicate_policy
             )
+            if not models:
+                _fail(EXIT_DATA, f"no trust model could be built for class {cls!r} at n={n_label}")
             fused = pipeline.fuse_corpus(
                 per_class_test.get(cls, {}), models, cls, method,
                 cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
@@ -452,7 +445,6 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
                     cfg.ap_interpolation,
                 )
             per_class_ap[cls] = report.per_class_ap.get(cls, 0.0)
-        n_label = "inf" if math.isinf(n) else f"{n:g}"
         for cls in sorted(per_class_ap):
             rows.append((n_label, cls, per_class_ap[cls]))
         rows.append((n_label, "mAP", sum(per_class_ap.values()) / len(per_class_ap)))

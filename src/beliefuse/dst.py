@@ -239,12 +239,6 @@ def combine_all_enumerated(bpas: list[Bpa]) -> Bpa:
     return Bpa(acc["T"] / n, acc["~T"] / n, acc["I"] / n)
 
 
-@dataclass(frozen=True)
-class FusedVerdict:
-    """Joint mass function plus its scalar fused score bel(T) - bel(~T)."""
-
-    joint: Bpa
-
-    @property
-    def score(self) -> float:
-        return self.joint.m_target - self.joint.m_nontarget
+def fused_scores(joints: np.ndarray) -> np.ndarray:
+    """Each joint mass row's fused score, bel(T) - bel(~T)."""
+    return joints[:, 0] - joints[:, 1]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import GroundTruthObject, iou_pairs
-from .io import DetectionColumns
+from .io import DetectionColumns, ranks
 
 
 class NoGroundTruth(ValueError):
@@ -73,31 +73,27 @@ def _pr_points(
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     if truth.num_positives == 0:
         raise NoGroundTruth("no non-difficult ground-truth objects")
-    # Python's string order, which np.unique on a string array does not
-    # keep (it drops trailing NULs).
-    images = sorted(set(image_ids))
-    rank_of = {image: r for r, image in enumerate(images)}
-    ranks = np.array([rank_of[i] for i in image_ids], dtype=np.intp)
+    images, image_ranks = ranks(image_ids)
     # Every (detection, ground truth of its image) pair, grouped by
     # detection, ground truths in input order.
     first_gt, stop_gt = np.array(
         [truth.spans.get(image, (0, 0)) for image in images], dtype=np.intp
-    ).reshape(-1, 2)[ranks].T
+    ).reshape(-1, 2)[image_ranks].T
     counts = stop_gt - first_gt
     starts = np.cumsum(counts) - counts
-    det = np.repeat(np.arange(len(ranks)), counts)
+    det = np.repeat(np.arange(len(image_ranks)), counts)
     gt = np.repeat(first_gt - starts, counts) + np.arange(len(det))
     overlaps = iou_pairs(boxes[det], truth.boxes[gt])
     # Each detection's first ground truth with its highest IoU.
-    best_iou = np.zeros(len(ranks))
+    best_iou = np.zeros(len(image_ranks))
     paired = counts > 0
     if len(det):
         best_iou[paired] = np.maximum.reduceat(overlaps, starts[paired])
     is_max = np.flatnonzero(overlaps == best_iou[det])
     _, first_max = np.unique(det[is_max], return_index=True)
-    best = np.zeros(len(ranks), dtype=np.intp)
+    best = np.zeros(len(image_ranks), dtype=np.intp)
     best[det[is_max[first_max]]] = gt[is_max[first_max]]
-    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], ranks, -scores))
+    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], image_ranks, -scores))
     hit, best = best_iou[order] > iou_threshold, best[order]
     kept = ~(hit & truth.difficult[best])
     hit, best = hit[kept], best[kept]
@@ -190,9 +186,9 @@ def evaluate_method(
     interpolation: str = "all-points",
 ) -> EvalReport:
     """Per-class AP report for one method's detections: ``DetectionColumns``
-    or a list of ``Detection``s and ``FusedDetection``s. Raw detections
-    carry no class and are scored against every ground-truth class; fused
-    ones only against their own."""
+    or a list of raw ``Detection``s. Raw detections carry no class and are
+    scored against every ground-truth class; fused ones only against their
+    own."""
     cols = _columns(dets)
     classes = sorted({g.class_label for g in gts})
     rows_of: dict[str, list[int]] = {c: [] for c in classes}

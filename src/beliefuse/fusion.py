@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dst
-from .dst import Bpa, FusedVerdict, combine_all
-from .geometry import BoundingBox, Detection, iou_matrix, nms_keep, suppression_mask
+from .dst import Bpa, combine_all
+from .geometry import iou_matrix, nms_keep, nms_order, suppression_mask
 from .trust import TrustModel
 
 log = logging.getLogger(__name__)
@@ -23,20 +22,22 @@ conflict_smoothing_count = 0
 _EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class FusedDetection:
-    """A consolidated window with its fused score.
+class Windows(NamedTuple):
+    """A batch of images' windows as columns, rows in subject order: image
+    by image, each image's windows by detector, each detector's in input
+    order."""
 
-    ``verdict`` carries the joint mass function for belief-based methods;
-    baseline methods set the score directly and leave it None.
-    """
+    boxes: np.ndarray  # (N, 4): x_min, y_min, x_max, y_max
+    scores: np.ndarray  # (N,)
+    detectors: np.ndarray  # (N,) an index into the batch's sorted detector ids
+    images: np.ndarray  # (N,) an index into the sorted image ids
 
-    box: BoundingBox
-    image_id: str
-    class_label: str
-    score: float
-    verdict: FusedVerdict | None = None
-    source_detector_id: str = ""
+    def spans(self) -> list[tuple[int, int]]:
+        """Each image's rows, as (first row, stop row), in row order."""
+        n = len(self.images)
+        cuts = (np.flatnonzero(self.images[1:] != self.images[:-1]) + 1).tolist()
+        bounds = [0, *cuts, n] if n else []
+        return list(zip(bounds[:-1], bounds[1:]))
 
 
 # A scoring rule maps a batch's detector ids and slot matrix (see
@@ -45,44 +46,37 @@ class FusedDetection:
 Rule = Callable[[list[str], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 
-def _subjects(per_detector: dict[str, list[Detection]]) -> list[Detection]:
-    return [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
-
-
-def image_overlaps(per_detector: dict[str, list[Detection]]) -> np.ndarray:
-    """The ``iou_matrix`` of one image's windows in subject order: detectors
-    sorted by id, each detector's windows in input order."""
-    return iou_matrix([d.box.as_tuple() for d in _subjects(per_detector)])
-
-
-def slot_matrix(
-    per_detector: dict[str, list[Detection]],
-    detector_ids: list[str],
-    overlap_threshold: float,
-    overlaps: np.ndarray,
-) -> np.ndarray:
+def slot_matrix(scores: np.ndarray, detectors: np.ndarray, num_detectors: int,
+                overlap_threshold: float, overlaps: np.ndarray) -> np.ndarray:
     """One image's detection vectors as an N×D matrix.
 
-    Rows are the image's windows in subject order (see ``image_overlaps``,
-    whose matrix ``overlaps`` is), columns the ``detector_ids``. A window's
-    own detector's column holds its raw score; every other column holds the
-    maximum score among that detector's windows overlapping it beyond the
-    threshold, or -inf (slot absent) when there is none.
+    Rows are the image's windows in subject order, ``detectors`` holding
+    each one's column (in ascending order) and ``overlaps`` their
+    ``iou_matrix``. A window's own detector's column holds its raw score;
+    every other column holds the maximum score among that detector's
+    windows overlapping it beyond the threshold, or -inf (slot absent) when
+    there is none. An image with no windows gives a (0, D) matrix.
     """
-    scores = np.array([d.score for d in _subjects(per_detector)])
+    slots = np.full((len(scores), num_detectors), -np.inf)
+    if not len(scores):
+        return slots
     # Each window's score where it overlaps the subject (row), else -inf.
     masked = np.where(overlaps > overlap_threshold, scores, -np.inf)
-    present = [det_id for det_id in sorted(per_detector) if per_detector[det_id]]
-    counts = [len(per_detector[det_id]) for det_id in present]
+    present, starts = np.unique(detectors, return_index=True)
     # One column per present detector: the maximum over its span of columns.
-    best = np.maximum.reduceat(masked, [0, *accumulate(counts[:-1])], axis=1)
-    best[np.arange(len(scores)), [k for k, n in enumerate(counts) for _ in range(n)]] = scores
-    if present == detector_ids:
-        return best
-    column = {det_id: j for j, det_id in enumerate(detector_ids)}
-    slots = np.full((len(scores), len(detector_ids)), -np.inf)
-    slots[:, [column[det_id] for det_id in present]] = best
+    slots[:, present] = np.maximum.reduceat(masked, starts, axis=1)
+    slots[np.arange(len(scores)), detectors] = scores
     return slots
+
+
+def image_slots(windows: Windows, num_detectors: int, overlap_threshold: float):
+    """Each image's IoU matrix and slot matrix, image by image."""
+    for start, stop in windows.spans():
+        overlaps = iou_matrix(windows.boxes[start:stop])
+        yield overlaps, slot_matrix(
+            windows.scores[start:stop], windows.detectors[start:stop], num_detectors,
+            overlap_threshold, overlaps,
+        )
 
 
 def _smooth(masses: list[float]) -> Bpa:
@@ -154,46 +148,30 @@ def static_dst_joints(
 
 
 def fuse_images(
-    images: list[dict[str, list[Detection]]],
+    windows: Windows,
+    detector_ids: list[str],
     rule: Rule,
-    class_label: str,
     overlap_threshold: float = 0.5,
     nms_threshold: float = 0.5,
-) -> list[FusedDetection]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rescore a batch of images by fusion, then consolidate each with NMS.
 
     Each image's IoU matrix is computed once; it gives the image's rows of
     the batch's slot matrix and its NMS suppression mask, and only the mask
     is kept. ``rule`` scores the whole batch in one call. NMS then runs
-    image by image on the fused scores; results come in image order.
+    image by image on the fused scores. Returns the kept rows, image by
+    image and each image's in visiting order, with their fused scores and
+    joint masses (NaN where the rule gives none).
     """
-    detector_ids = sorted({det_id for per_detector in images for det_id in per_detector})
-    blocks, batch = [], []
-    for per_detector in images:
-        subjects = _subjects(per_detector)
-        if subjects:
-            overlaps = image_overlaps(per_detector)
-            blocks.append(slot_matrix(per_detector, detector_ids, overlap_threshold, overlaps))
-            batch.append((subjects, suppression_mask(overlaps, nms_threshold)))
-    if not batch:
-        return []
+    blocks, masks = [np.empty((0, len(detector_ids)))], []
+    for overlaps, slots in image_slots(windows, len(detector_ids), overlap_threshold):
+        blocks.append(slots)
+        masks.append(suppression_mask(overlaps, nms_threshold))
     scores, joints = rule(detector_ids, np.concatenate(blocks))
-    scores = scores.tolist()
-    joints = None if joints is None else joints.tolist()
-    fused: list[FusedDetection] = []
-    start = 0
-    for subjects, suppresses in batch:
-        for i in nms_keep(scores[start : start + len(subjects)], subjects, suppresses):
-            d = subjects[i]
-            fused.append(
-                FusedDetection(
-                    box=d.box,
-                    image_id=d.image_id,
-                    class_label=class_label,
-                    score=scores[start + i],
-                    verdict=None if joints is None else FusedVerdict(Bpa.exact(*joints[start + i])),
-                    source_detector_id=d.detector_id,
-                )
-            )
-        start += len(subjects)
-    return fused
+    if joints is None:
+        joints = np.full((len(scores), 3), np.nan)
+    order = nms_order(scores, windows.detectors, windows.boxes, windows.images)
+    images = zip(windows.spans(), masks)
+    kept = [start + i for (start, stop), mask in images for i in nms_keep(order[start:stop] - start, mask)]
+    kept = np.array(kept, dtype=np.intp)
+    return kept, scores[kept], joints[kept]

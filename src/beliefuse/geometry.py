@@ -82,35 +82,31 @@ def iou_matrix(boxes: ArrayLike) -> np.ndarray:
     float64 operations in the same order, and 0 where the boxes do not
     overlap in x or in y.
     """
-    x_min, y_min, x_max, y_max = np.asarray(boxes, dtype=float).reshape(-1, 4).T
-    ix = np.minimum(x_max[:, None], x_max) - np.maximum(x_min[:, None], x_min)
-    iy = np.minimum(y_max[:, None], y_max) - np.maximum(y_min[:, None], y_min)
-    area = (x_max - x_min) * (y_max - y_min)
-    inter = ix * iy
-    return np.divide(
-        inter,
-        (area[:, None] + area) - inter,
-        out=np.zeros_like(inter),
-        where=(ix > 0) & (iy > 0),
-    )
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    return _iou(boxes[:, None], boxes)
 
 
 def iou_pairs(boxes: ArrayLike, others: ArrayLike) -> np.ndarray:
     """IoU of each box with the box in the same row of ``others``: entry i
     equals ``iou(box_i, other_i)`` bit for bit, as in ``iou_matrix``."""
-    x_min, y_min, x_max, y_max = np.asarray(boxes, dtype=float).reshape(-1, 4).T
-    o_x_min, o_y_min, o_x_max, o_y_max = np.asarray(others, dtype=float).reshape(-1, 4).T
-    ix = np.minimum(x_max, o_x_max) - np.maximum(x_min, o_x_min)
-    iy = np.minimum(y_max, o_y_max) - np.maximum(y_min, o_y_min)
+    return _iou(np.asarray(boxes, dtype=float).reshape(-1, 4), np.asarray(others, dtype=float).reshape(-1, 4))
+
+
+def _iou(b: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """The IoU of boxes ``[..., 4]`` broadcast together."""
+    ix = _overlap(np.minimum(b[..., 2], o[..., 2]), np.maximum(b[..., 0], o[..., 0]))
+    iy = _overlap(np.minimum(b[..., 3], o[..., 3]), np.maximum(b[..., 1], o[..., 1]))
     inter = ix * iy
-    union = ((x_max - x_min) * (y_max - y_min) + (o_x_max - o_x_min) * (o_y_max - o_y_min)) - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
+    areas = ((b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]), (o[..., 2] - o[..., 0]) * (o[..., 3] - o[..., 1]))
+    return np.divide(inter, (areas[0] + areas[1]) - inter, out=inter)
 
 
-def _det_sort_key(d: Detection, score: float | None = None):
-    # Deterministic tie-break: equal scores ordered by identity fields.
-    # ``score``, when given, stands in for the detection's own.
-    return (-(d.score if score is None else score), d.detector_id, d.image_id, d.box.as_tuple())
+def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper - lower``, or +0.0 where not positive: a disjoint pair's IoU is 0 / union."""
+    upper -= lower
+    np.maximum(upper, 0.0, out=upper)
+    upper += 0.0  # -0.0 + 0.0 is +0.0
+    return upper
 
 
 def match_detections(
@@ -137,7 +133,9 @@ def match_detections(
 
     claimed: set[int] = set()
     labeled: dict[int, MatchLabel] = {}
-    order = sorted(range(len(dets)), key=lambda i: _det_sort_key(dets[i]))
+    # Equal scores are ordered by identity fields: a deterministic order.
+    order = sorted(range(len(dets)), key=lambda i: (
+        -dets[i].score, dets[i].detector_id, dets[i].image_id, dets[i].box.as_tuple()))
     for i in order:
         det = dets[i]
         overlaps = [
@@ -181,17 +179,25 @@ def suppression_mask(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:
     return overlaps > iou_threshold
 
 
-def nms_keep(scores: list[float], dets: list[Detection], suppresses: np.ndarray) -> list[int]:
-    """Greedy NMS by index: windows are visited in ``_det_sort_key`` order
-    with ``scores`` in place of the detections' own, and each one kept
-    suppresses the windows its row of ``suppresses`` marks (see
-    ``suppression_mask``). Returns the kept indices in visiting order."""
-    order = sorted(range(len(dets)), key=lambda i: _det_sort_key(dets[i], scores[i]))
-    suppressed = np.zeros(len(dets), dtype=bool)
-    kept: list[int] = []
-    for i in order:
-        if not suppressed[i]:
-            kept.append(i)
-            suppressed |= suppresses[i]
-    return kept
+def nms_order(scores: np.ndarray, detectors: np.ndarray, boxes: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Greedy NMS's visiting order of a batch's windows: by image, then by
+    descending score, detector (an index into sorted ids) and box, x_min
+    first; windows equal in all of these keep their row order."""
+    return np.lexsort((*boxes.T[::-1], detectors, -scores, images))
 
+
+def nms_keep(order: np.ndarray, suppresses: np.ndarray) -> list[int]:
+    """Greedy NMS of one image's windows, visited in ``order`` (see
+    ``nms_order``): each one kept suppresses the windows its row of
+    ``suppresses`` marks (``suppression_mask``), walked as Python int
+    bitsets. Returns the kept indices in visiting order."""
+    packed = np.packbits(suppresses, axis=-1, bitorder="little")
+    width, data = packed.shape[-1], packed.tobytes()
+    rows = [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width or 1)]
+    suppressed = 0
+    kept: list[int] = []
+    for i in order.tolist():
+        if not suppressed >> i & 1:
+            kept.append(i)
+            suppressed |= rows[i]
+    return kept

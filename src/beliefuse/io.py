@@ -22,16 +22,12 @@ import numpy as np
 
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa
-from .fusion import FusedDetection
 from .geometry import BoundingBox, Detection, GroundTruthObject
 from .trust import TrustModel
 
 
 class DataError(ValueError):
     """Malformed or unreadable input data file."""
-
-
-_NO_JOINT = (math.nan,) * 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,25 +50,41 @@ class DetectionColumns:
     def __len__(self) -> int:
         return len(self.image_ids)
 
+    def __eq__(self, other) -> bool:
+        """Row for row and bit for bit, NaN joints included."""
+        return isinstance(other, DetectionColumns) and all(
+            a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values()))
+
     @classmethod
-    def of(cls, dets) -> DetectionColumns:
-        """The columns of a list of ``Detection``s and ``FusedDetection``s."""
-        rows = []
-        for d in dets:
-            if isinstance(d, FusedDetection):
-                joint = d.verdict.joint.as_tuple() if d.verdict is not None else _NO_JOINT
-                rows.append((d.image_id, d.class_label, d.box.as_tuple(), d.score,
-                             d.source_detector_id, joint))
-            elif isinstance(d, Detection):
-                rows.append((d.image_id, None, d.box.as_tuple(), d.score, d.detector_id, _NO_JOINT))
-            else:
-                raise TypeError(f"cannot evaluate object of type {type(d).__name__}")
-        columns = [list(c) for c in zip(*rows)] or [[] for _ in range(6)]
-        image_ids, labels, boxes, scores, sources, joints = columns
+    def of(cls, dets: list[Detection]) -> DetectionColumns:
+        """The columns of a list of raw ``Detection``s."""
         return cls(
-            image_ids, labels, np.array(boxes, dtype=float).reshape(-1, 4),
-            np.array(scores, dtype=float), sources, np.array(joints, dtype=float).reshape(-1, 3),
+            [d.image_id for d in dets], [None] * len(dets),
+            np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4),
+            np.array([d.score for d in dets], dtype=float), [d.detector_id for d in dets],
+            np.full((len(dets), 3), np.nan),
         )
+
+    @classmethod
+    def concat(cls, parts: list[DetectionColumns]) -> DetectionColumns:
+        """The rows of every part, part after part."""
+        columns = zip(*(vars(p).values() for p in [cls.of([]), *parts]))
+        return cls(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else sum(c, []) for c in columns))
+
+    def take(self, rows: np.ndarray) -> DetectionColumns:
+        """The given rows, in the given order."""
+        picked = rows.tolist()
+        return DetectionColumns(*(c[rows] if isinstance(c, np.ndarray) else [c[i] for i in picked]
+                                  for c in vars(self).values()))
+
+
+def ranks(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in Python's order, and each value's index among
+    them. (``np.unique`` on strings drops trailing NULs.)"""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.array([index[v] for v in values], dtype=np.intp)
 
 
 # ---- the one parser of JSON-lines files -----------------------------------
@@ -337,66 +349,70 @@ def _names_a_detector(path: str | Path) -> bool:
     return False
 
 
-def _bbox_list(box: BoundingBox) -> list[float]:
-    return [box.x_min, box.y_min, box.x_max, box.y_max]
+# ---- the one writer of JSON-lines files -----------------------------------
+#
+# Each line fills one %-template with its row's values, each encoded as
+# JSON; the template lays keys out as ``json.dumps(row, sort_keys=True)``.
+
+_NOT_FINITE = {"nan", "inf", "-inf"}
 
 
-def _write_jsonl(path: str | Path, rows, config: dict | None) -> None:
-    """One JSON object per line, after a provenance header when ``config`` is given."""
-    lines = []
-    if config is not None:
-        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
-    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
+def _json_numbers(values: list) -> list[str]:
+    """``json.dumps`` of each number: ``float.__repr__``, unless a value is
+    not a finite float (numpy's float64 is one; Python's ``int`` is not)."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        return list(map(json.dumps, values))
+    return texts if _NOT_FINITE.isdisjoint(texts) else list(map(json.dumps, values))
+
+
+def _json_strings(values: list) -> list[str]:
+    """``json.dumps`` of each value, called once per distinct value."""
+    encoded = {v: json.dumps(v) for v in set(values)}
+    return list(map(encoded.__getitem__, values))
+
+
+def _write_jsonl(path: str | Path, template: str, columns: list, config: dict | None) -> None:
+    """One line per row, ``template`` filled with the row's encoded value
+    from each column; after a provenance header when ``config`` is given."""
+    lines = [] if config is None else [json.dumps({"_header": True, "config": config}, sort_keys=True)]
+    lines += map(template.__mod__, zip(*columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_detections(
-    dets: list[Detection],
-    path: str | Path,
-    class_label: str = "object",
-    config: dict | None = None,
-) -> None:
-    rows = (
-        {
-            "image_id": d.image_id,
-            "detector_id": d.detector_id,
-            "class": class_label,
-            "bbox": _bbox_list(d.box),
-            "score": d.score,
-        }
-        for d in dets
+def write_detections(dets: list[Detection], path: str | Path, class_label: str = "object",
+                     config: dict | None = None) -> None:
+    numbers = _json_numbers([v for d in dets for v in (*d.box.as_tuple(), d.score)])
+    ids = [_json_strings([d.detector_id for d in dets]), _json_strings([d.image_id for d in dets])]
+    _write_jsonl(
+        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "detector_id": %s, "image_id": %s, "score": %s}',
+        [*(numbers[k::5] for k in range(4)), [json.dumps(class_label)] * len(dets), *ids, numbers[4::5]],
+        config,
     )
-    _write_jsonl(path, rows, config)
 
 
 def write_annotations(gts: list[GroundTruthObject], path: str | Path, config: dict | None = None) -> None:
-    rows = (
-        {
-            "image_id": g.image_id,
-            "class": g.class_label,
-            "bbox": _bbox_list(g.box),
-            "difficult": g.difficult,
-        }
-        for g in gts
+    numbers = _json_numbers([v for g in gts for v in g.box.as_tuple()])
+    values = [[g.class_label for g in gts], [g.difficult for g in gts], [g.image_id for g in gts]]
+    _write_jsonl(
+        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "difficult": %s, "image_id": %s}',
+        [*(numbers[k::4] for k in range(4)), *map(_json_strings, values)], config,
     )
-    _write_jsonl(path, rows, config)
 
 
-def _fused_row(f: FusedDetection) -> dict:
-    row = {
-        "image_id": f.image_id,
-        "class": f.class_label,
-        "bbox": _bbox_list(f.box),
-        "score": f.score,
-        "source_detector_id": f.source_detector_id,
-    }
-    if f.verdict is not None:
-        row["joint"] = list(f.verdict.joint.as_tuple())
-    return row
-
-
-def write_fused(fused: list[FusedDetection], path: str | Path, config: dict | None = None) -> None:
-    _write_jsonl(path, map(_fused_row, fused), config)
+def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None = None) -> None:
+    """Fused rows; a row's joint masses are written unless all are NaN."""
+    numbers = _json_numbers(np.column_stack((fused.boxes, fused.scores)).ravel().tolist())
+    has_joint = ~np.isnan(fused.joints).all(axis=1)
+    masses = _json_numbers(fused.joints[has_joint].ravel().tolist())
+    given = map('"joint": [%s, %s, %s], '.__mod__, zip(masses[0::3], masses[1::3], masses[2::3]))
+    joints = [next(given) if h else "" for h in has_joint.tolist()]
+    labels, image_ids, sources = map(_json_strings, (fused.class_labels, fused.image_ids, fused.sources))
+    _write_jsonl(
+        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "image_id": %s, %s"score": %s, "source_detector_id": %s}',
+        [*(numbers[k::5] for k in range(4)), labels, image_ids, joints, numbers[4::5], sources], config,
+    )
 
 
 FORMAT_VERSION = 1  # of every model file

@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, fusion
+from . import baselines, dst, fusion
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa
-from .fusion import FusedDetection
+from .fusion import Windows
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
+from .io import DetectionColumns, ranks
 from .trust import InsufficientData, TrustModel, build_trust_model
 
 log = logging.getLogger(__name__)
@@ -116,20 +117,18 @@ def fit_baselines(
 
     # Weighted sum trains on the slot matrix's rows, each labeled by its own
     # window, as fuse_images builds it for the baselines.
-    label = {id(d): lab for labeled in labeled_by_detector.values() for d, lab in labeled}
     detector_ids = sorted(out.platt)
-    blocks, labels = [np.empty((0, len(detector_ids)))], []
-    for per_det in images_by_detector({k: per_detector[k] for k in detector_ids}):
-        slots = fusion.slot_matrix(
-            per_det, detector_ids, overlap_threshold, fusion.image_overlaps(per_det)
-        )
-        blocks.append(baselines.platt_features(detector_ids, slots, out.platt, detector_ids))
-        labels += [label[id(d)] for det_id in sorted(per_det) for d in per_det[det_id]]
-    decided = np.array([lab is not MatchLabel.UNDECIDED for lab in labels], dtype=bool)
-    targets = np.array([lab is MatchLabel.TRUE_POSITIVE for lab in labels], dtype=bool)
+    windows, ids, _, order = windows_of({k: per_detector[k] for k in detector_ids})
+    slots = [s for _, s in fusion.image_slots(windows, len(ids), overlap_threshold)]
+    slots = np.concatenate([np.empty((0, len(ids))), *slots])
+    features = baselines.platt_features(ids, slots, out.platt, detector_ids)
+    label = {id(d): lab for labeled in labeled_by_detector.values() for d, lab in labeled}
+    labels = [label[id(d)] for det_id in detector_ids for d in per_detector[det_id]]
+    decided = np.array([lab is not MatchLabel.UNDECIDED for lab in labels], dtype=bool)[order]
+    targets = np.array([lab is MatchLabel.TRUE_POSITIVE for lab in labels], dtype=bool)[order]
     try:
         out.weights = baselines.fit_weighted_sum(
-            np.concatenate(blocks)[decided], targets[decided], tuple(detector_ids)
+            features[decided], targets[decided], tuple(detector_ids)
         )
     except InsufficientData as exc:
         log.warning("weighted-sum training skipped: %s", exc)
@@ -143,26 +142,29 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
-def images_by_detector(
+def windows_of(
     per_detector: dict[str, list[Detection]],
-) -> list[dict[str, list[Detection]]]:
-    """Each image's windows by detector, images in id order; every
-    detector's windows keep their input order."""
-    all_dets = [d for dets in per_detector.values() for d in dets]
-    return [
-        group_by_detector(image_dets)
-        for _, image_dets in sorted(group_by_image(all_dets).items())
-    ]
+) -> tuple[Windows, list[str], list[str], np.ndarray]:
+    """Every window as columns in subject order: images in Python's string
+    order, each image's windows by detector id, each detector's in input
+    order; with the sorted detector and image ids the columns index, and
+    each row's position in the input, its lists concatenated."""
+    columns = DetectionColumns.of([d for dets in per_detector.values() for d in dets])
+    detector_ids, detectors = ranks(columns.sources)
+    image_ids, images = ranks(columns.image_ids)
+    order = np.lexsort((detectors, images))
+    windows = Windows(columns.boxes[order], columns.scores[order], detectors[order], images[order])
+    return windows, detector_ids, image_ids, order
 
 
 @dataclass(frozen=True)
 class _BatchFuser:
     """One method's scoring rule, and everything else ``fusion.fuse_images``
-    needs besides the images themselves."""
+    needs besides the images' windows."""
 
     models: dict[str, TrustModel] | BaselineModels
-    class_label: str
     method: str
+    detector_ids: list[str]
     overlap_threshold: float
     nms_threshold: float
     absent_policy: str
@@ -179,8 +181,7 @@ class _BatchFuser:
                 joints = fusion.dbf_joints(detector_ids, slots, models, self.absent_policy)
             else:
                 joints = fusion.static_dst_joints(detector_ids, slots, self.masses)
-            # Each row's score as FusedVerdict.score computes it.
-            return joints[:, 0] - joints[:, 1], joints
+            return dst.fused_scores(joints), joints
         if self.method == "platt":
             scores = baselines.platt_fuse(detector_ids, slots, models.platt)
         elif self.method == "ws":
@@ -189,9 +190,9 @@ class _BatchFuser:
             scores = baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods)
         return scores, None
 
-    def __call__(self, images: list[dict[str, list[Detection]]]) -> list[FusedDetection]:
+    def __call__(self, windows: Windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return fusion.fuse_images(
-            images, self.rule, self.class_label, self.overlap_threshold, self.nms_threshold
+            windows, self.detector_ids, self.rule, self.overlap_threshold, self.nms_threshold
         )
 
 
@@ -203,8 +204,8 @@ def _install_fuser(fuser: _BatchFuser) -> None:
     _worker_fuser = fuser
 
 
-def _fuse_in_worker(images: list[dict[str, list[Detection]]]) -> list[FusedDetection]:
-    return _worker_fuser(images)
+def _fuse_in_worker(windows: Windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _worker_fuser(windows)
 
 
 def fuse_corpus(
@@ -216,16 +217,18 @@ def fuse_corpus(
     nms_threshold: float = 0.5,
     absent_policy: str = "vacuous",
     jobs: int = 1,
-) -> list[FusedDetection]:
-    """Fuse every image independently; results merged in image order.
+) -> DetectionColumns:
+    """Fuse every image independently: the kept windows as columns, image
+    by image, each image's in NMS visiting order (joints NaN for baselines).
 
     ``models`` holds one trust model per detector for the belief methods
     (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
     (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
-    take part. Serially all images are fused as one batch (see
-    ``fusion.fuse_images``). With ``jobs > 1`` each pool worker receives the
-    models once, through the pool initializer, and then batches of
-    contiguous images, one per task.
+    take part. The windows become columns once (``windows_of``); serially
+    all images are fused as one batch (``fusion.fuse_images``). With
+    ``jobs > 1`` each pool worker gets the models once, through the pool
+    initializer, then the columns of contiguous images, one batch per task,
+    and sends back kept rows, scores and joints.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -233,23 +236,33 @@ def fuse_corpus(
         if method == "ws" and models.weights is None:
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
+    windows, detector_ids, image_ids, _ = windows_of(per_detector)
     fuser = _BatchFuser(
         models,
-        class_label,
         method,
+        detector_ids,
         overlap_threshold,
         nms_threshold,
         absent_policy,
         fusion.static_masses(models) if method == "static-dst" else None,
     )
-    images = images_by_detector(per_detector)
-    if jobs <= 1:
-        return fuser(images)
-    # A few batches per worker, so an image-heavy batch cannot idle the rest.
-    size = max(1, len(images) // (4 * jobs))
-    batches = [images[i : i + size] for i in range(0, len(images), size)]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
-    ) as pool:
-        results = list(pool.map(_fuse_in_worker, batches))
-    return [fd for batch_result in results for fd in batch_result]
+    spans = windows.spans()
+    if jobs <= 1 or len(spans) < 2:
+        kept, scores, joints = fuser(windows)
+    else:
+        # A few batches per worker, so an image-heavy batch cannot idle the rest.
+        size = max(1, len(spans) // (4 * jobs))
+        starts = [spans[i][0] for i in range(0, len(spans), size)]
+        stops = [*starts[1:], len(windows.scores)]
+        batches = [Windows(*(c[a:b] for c in windows)) for a, b in zip(starts, stops)]
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
+        ) as pool:
+            results = list(pool.map(_fuse_in_worker, batches))
+        kept = np.concatenate([start + k for start, (k, _, _) in zip(starts, results)])
+        scores, joints = (np.concatenate(c) for c in list(zip(*results))[1:])
+    image_ids = [image_ids[i] for i in windows.images[kept].tolist()]
+    sources = [detector_ids[i] for i in windows.detectors[kept].tolist()]
+    return DetectionColumns(
+        image_ids, [class_label] * len(kept), windows.boxes[kept], scores, sources, joints
+    )

@@ -232,9 +232,9 @@ def test_baselines_are_sane_and_commands_deterministic(seed42, tmp_path):
     )
     for method in ("platt", "ws", "bayes"):
         fused = pipeline.fuse_corpus(seed42["per_det_test"], bm, "object", method)
-        assert fused and all(np.isfinite(f.score) for f in fused)
+        assert fused and np.isfinite(fused.scores).all()
         if method == "platt":
-            assert all(0.0 <= f.score <= 1.0 for f in fused)
+            assert all(0.0 <= score <= 1.0 for score in fused.scores.tolist())
         assert evaluate_method(fused, seed42["test_gts"]).map_score >= weakest
 
     # Re-running every command reproduces its outputs byte for byte.

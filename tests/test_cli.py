@@ -375,6 +375,22 @@ class TestSweepN:
         assert exited_cleanly(result, 3), result.output
         assert "'object'" in result.output
 
+    def test_no_trust_model_for_a_class_exits_3(self, workspace, tmp_path):
+        # No validation window hits ground truth, so no detector yields a
+        # trust model: fusing would score every window vacuous.
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(NOWHERE_GT)
+        out = tmp_path / "s.csv"
+        result = run(["sweep-n", "--n-values", "1,2",
+                      "--detections-dir", str(workspace / "data" / "validation"),
+                      "--annotations", str(annotations),
+                      "--test-detections-dir", str(workspace / "data" / "test"),
+                      "--test-annotations", str(workspace / "data" / "test" / "annotations.jsonl"),
+                      "--out", str(out)])
+        assert exited_cleanly(result, 3), result.output
+        assert "'object'" in result.output and "n=1" in result.output
+        assert not out.exists()
+
     def test_empty_n_values_exits_2(self, workspace, tmp_path):
         result = run(["sweep-n", "--n-values", ",",
                       "--detections-dir", str(workspace / "data" / "validation"),

@@ -3,7 +3,6 @@ import pytest
 
 from beliefuse.dst import (
     Bpa,
-    FusedVerdict,
     Hypothesis,
     TotalConflict,
     belief,
@@ -11,6 +10,7 @@ from beliefuse.dst import (
     combine_all,
     combine_all_enumerated,
     combine_rows,
+    fused_scores,
     vacuous,
 )
 
@@ -139,15 +139,14 @@ class TestCombineAll:
             combine_all_enumerated([Bpa(1, 0, 0), Bpa(0, 1, 0), vacuous()])
 
 
-class TestFusedVerdict:
+class TestFusedScores:
     def test_score_definition(self):
-        v = FusedVerdict(Bpa(0.7590361445783133, 0.13253012048192772, 0.10843373493975904))
-        assert v.score == pytest.approx(0.6265, abs=1e-4)
+        joint = Bpa(0.7590361445783133, 0.13253012048192772, 0.10843373493975904)
+        assert fused_scores(np.array([joint.as_tuple()]))[0] == pytest.approx(0.6265, abs=1e-4)
 
     def test_score_range_and_extremes(self):
         rng = np.random.default_rng(6)
-        for _ in range(1000):
-            v = FusedVerdict(random_bpa(rng))
-            assert -1.0 <= v.score <= 1.0
-        assert FusedVerdict(Bpa(1, 0, 0)).score == 1.0
-        assert FusedVerdict(Bpa(0, 1, 0)).score == -1.0
+        joints = np.array([random_bpa(rng).as_tuple() for _ in range(1000)])
+        assert ((-1.0 <= fused_scores(joints)) & (fused_scores(joints) <= 1.0)).all()
+        extremes = np.array([Bpa(1, 0, 0).as_tuple(), Bpa(0, 1, 0).as_tuple()])
+        assert fused_scores(extremes).tolist() == [1.0, -1.0]

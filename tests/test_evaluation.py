@@ -10,6 +10,7 @@ from beliefuse.evaluation import (
     write_reports_json,
 )
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, match_detections
+from beliefuse.io import DetectionColumns
 
 
 def box(x0, y0, x1, y1):
@@ -143,13 +144,12 @@ class TestEvaluateMethods:
     def test_multi_class_map_is_mean(self):
         b1, b2 = far_boxes(2)
         gts = [gt(b1, cls="cat"), gt(b2, cls="dog")]
-        from beliefuse.fusion import FusedDetection
-
-        dets = [
-            FusedDetection(box=b1, image_id="img1", class_label="cat", score=0.9),
-            FusedDetection(box=b2, image_id="img1", class_label="dog", score=0.2),
-            FusedDetection(box=box(300, 300, 340, 340), image_id="img1", class_label="dog", score=0.8),
-        ]
+        b3 = box(300, 300, 340, 340)
+        dets = DetectionColumns(
+            ["img1"] * 3, ["cat", "dog", "dog"],
+            np.array([b.as_tuple() for b in (b1, b2, b3)]), np.array([0.9, 0.2, 0.8]),
+            ["d"] * 3, np.full((3, 3), np.nan),
+        )
         report = evaluate_method(dets, gts)
         assert report.per_class_ap["cat"] == 1.0
         assert report.per_class_ap["dog"] == pytest.approx(0.5)

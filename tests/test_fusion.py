@@ -1,17 +1,19 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from beliefuse import fusion
-from beliefuse.dst import Bpa, FusedVerdict, combine
+from beliefuse.dst import Bpa, combine, fused_scores
 from beliefuse.fusion import (
     dbf_joints,
     fuse_images,
-    image_overlaps,
     slot_matrix,
     static_dst_joints,
     static_masses,
 )
-from beliefuse.geometry import BoundingBox, Detection
+from beliefuse.geometry import BoundingBox, Detection, iou_matrix
+from beliefuse.pipeline import windows_of
 from beliefuse.trust import PrPoint, TrustModel
 
 
@@ -60,12 +62,24 @@ def row(slots):
     return detector_ids, np.array([[slots[d] for d in detector_ids]])
 
 
+class Verdict(NamedTuple):
+    """One row's joint mass function and its fused score."""
+
+    joint: Bpa
+    score: float
+
+
+def verdicts(joints):
+    return [Verdict(Bpa.exact(*joint), score)
+            for joint, score in zip(joints.tolist(), fused_scores(joints).tolist())]
+
+
 def dbf_verdict(slots, models, absent_policy="vacuous"):
-    return FusedVerdict(Bpa.exact(*dbf_joints(*row(slots), models, absent_policy)[0].tolist()))
+    return verdicts(dbf_joints(*row(slots), models, absent_policy))[0]
 
 
 def static_verdict(slots, models):
-    return FusedVerdict(Bpa.exact(*static_dst_joints(*row(slots), static_masses(models))[0].tolist()))
+    return verdicts(static_dst_joints(*row(slots), static_masses(models)))[0]
 
 
 def score_to_bpa(model, score):
@@ -74,7 +88,19 @@ def score_to_bpa(model, score):
 
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
-    return slot_matrix(per_det, sorted(per_det), 0.5, image_overlaps(per_det))
+    windows, detector_ids, _, _ = windows_of(per_det)
+    return slot_matrix(
+        windows.scores, windows.detectors, len(detector_ids), 0.5, iou_matrix(windows.boxes)
+    )
+
+
+def fuse(per_det, rule):
+    """``fuse_images`` on one image's windows: (window, fused score, verdict)
+    per kept window, in visiting order."""
+    windows, detector_ids, _, order = windows_of(per_det)
+    dets = [d for ds in per_det.values() for d in ds]
+    kept, scores, joints = fuse_images(windows, detector_ids, rule)
+    return list(zip([dets[i] for i in order[kept].tolist()], scores.tolist(), verdicts(joints)))
 
 
 class TestBuildDetectionVectors:
@@ -115,6 +141,12 @@ class TestBuildDetectionVectors:
         # the window's own score in its own detector's column.
         own = [d.score for name in ("a", "b", "c") for d in per_det[name]]
         assert slots[np.arange(15), np.repeat([0, 1, 2], 5)].tolist() == own
+
+    def test_image_with_no_windows_gives_no_rows(self):
+        assert vectors({}).shape == (0, 0)
+        empty = np.empty(0)
+        slots = slot_matrix(empty, empty.astype(np.intp), 3, 0.5, iou_matrix(np.empty((0, 4))))
+        assert slots.shape == (0, 3)
 
     def test_own_slot_invariant_enforced(self):
         # A window's own column holds its raw score, even where a window of
@@ -214,7 +246,7 @@ class TestStaticDstFuse:
 
 class TestFuseImage:
     def test_empty_input(self):
-        assert fuse_images([{}], dbf_score({}), "object") == []
+        assert fuse({}, dbf_score({})) == []
 
     def test_single_detector_ranking_consistent(self):
         rng = np.random.default_rng(4)
@@ -223,22 +255,21 @@ class TestFuseImage:
             for x, y in rng.uniform(0, 400, size=(20, 2))
         ]
         models = {"a": model_for("a")}
-        fused = fuse_images([{"a": dets}], dbf_score(models), "object")
+        fused = fuse({"a": dets}, dbf_score(models))
         raw_nms = {d.box.as_tuple() for d in dets}
-        assert all(f.box.as_tuple() in raw_nms for f in fused)
-        scores = [f.score for f in fused]
+        assert all(d.box.as_tuple() in raw_nms for d, _, _ in fused)
+        scores = [score for _, score, _ in fused]
         assert scores == sorted(scores, reverse=True)
 
     def test_two_detectors_one_object_consolidates(self):
         b1 = box(0, 0, 10, 10)
         b2 = box(0, 1, 10, 11)
-        fused = fuse_images(
-            [{"a": [det("a", 5.0, b1)], "b": [det("b", 3.5, b2)]}],
+        fused = fuse(
+            {"a": [det("a", 5.0, b1)], "b": [det("b", 3.5, b2)]},
             dbf_score({"a": model_for("a"), "b": model_for("b")}),
-            "object",
         )
         assert len(fused) == 1
-        assert fused[0].verdict is not None
+        assert fused[0][2] is not None
 
     def test_never_invents_boxes(self):
         rng = np.random.default_rng(5)
@@ -252,10 +283,8 @@ class TestFuseImage:
         input_boxes = {
             d.box.as_tuple() for dets in per_det.values() for d in dets
         }
-        fused = fuse_images(
-            [per_det], dbf_score({"a": model_for("a"), "b": model_for("b")}), "object"
-        )
-        assert all(f.box.as_tuple() in input_boxes for f in fused)
+        fused = fuse(per_det, dbf_score({"a": model_for("a"), "b": model_for("b")}))
+        assert all(d.box.as_tuple() in input_boxes for d, _, _ in fused)
 
     @pytest.mark.parametrize("method", ["dbf", "static-dst"])
     def test_same_box_twice_keeps_its_own_verdict(self, method):
@@ -264,9 +293,11 @@ class TestFuseImage:
         b = box(0, 0, 10, 10)
         high, low = det("a", 9.0, b), det("a", 1.0, b)
         models = {"a": model_for("a")}
-        score = dbf_score(models) if method == "dbf" else static_score(models)
-        fused = fuse_images([{"a": [high, low]}], score, "object")
+        rule = dbf_score(models) if method == "dbf" else static_score(models)
+        fused = fuse({"a": [high, low]}, rule)
         assert len(fused) == 1
-        assert fused[0].score == fused[0].verdict.score
+        survivor, score, verdict = fused[0]
+        assert survivor is high
+        assert score == verdict.score
         own = dbf_verdict if method == "dbf" else static_verdict
-        assert fused[0].verdict == own({"a": 9.0}, models)
+        assert verdict == own({"a": 9.0}, models)

@@ -10,8 +10,10 @@ from beliefuse.geometry import (
     iou_matrix,
     match_detections,
     nms_keep,
+    nms_order,
     suppression_mask,
 )
+from beliefuse.io import ranks
 
 
 def box(x0, y0, x1, y1):
@@ -27,10 +29,14 @@ def gt(b, image="img1", difficult=False):
 
 
 def nms(dets, iou_threshold=0.5):
-    """Greedy NMS as ``fusion.fuse_images`` runs it: IoU matrix, suppression
-    mask, kept indices."""
-    suppresses = suppression_mask(iou_matrix([d.box.as_tuple() for d in dets]), iou_threshold)
-    return [dets[i] for i in nms_keep([d.score for d in dets], dets, suppresses)]
+    """Greedy NMS as ``fusion.fuse_images`` runs it on one image: visiting
+    order, IoU matrix, suppression mask, kept indices."""
+    boxes = np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
+    _, detectors = ranks([d.detector_id for d in dets])
+    scores = np.array([d.score for d in dets])
+    order = nms_order(scores, detectors, boxes, np.zeros(len(dets), dtype=np.intp))
+    suppresses = suppression_mask(iou_matrix(boxes), iou_threshold)
+    return [dets[i] for i in nms_keep(order, suppresses)]
 
 
 class TestBoundingBox:

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from beliefuse.dst import Bpa, FusedVerdict
-from beliefuse.fusion import FusedDetection
+from beliefuse.dst import Bpa, fused_scores
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.io import (
     DataError,
@@ -25,6 +24,17 @@ def rows(columns):
     apart from values, and every float bit."""
     return repr(list(zip(columns.image_ids, columns.class_labels, columns.boxes.tolist(),
                          columns.scores.tolist(), columns.sources, columns.joints.tolist())))
+
+
+def fused_columns(*rows):
+    """``DetectionColumns`` of fused rows: (box, image id, score, source
+    detector, joint masses or None), class "object"."""
+    boxes, image_ids, scores, sources, joints = zip(*rows)
+    return DetectionColumns(
+        list(image_ids), ["object"] * len(rows), np.array(boxes, dtype=float),
+        np.array(scores), list(sources),
+        np.array([(np.nan,) * 3 if j is None else j for j in joints], dtype=float),
+    )
 
 
 def sample_detections():
@@ -190,10 +200,9 @@ class TestReadAnyDetections:
         write_detections(sample_detections(), raw, config={"seed": 1})
         assert rows(read_any_detections(raw)) == rows(DetectionColumns.of(sample_detections()))
         fused_path = tmp_path / "fused.jsonl"
-        fused = [FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object", 2.5,
-                                source_detector_id="d1")]
+        fused = fused_columns(((0, 0, 10, 10), "img1", 2.5, "d1", None))
         write_fused(fused, fused_path, config={"method": "ws"})
-        assert rows(read_any_detections(fused_path)) == rows(DetectionColumns.of(fused))
+        assert rows(read_any_detections(fused_path)) == rows(fused)
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -212,31 +221,29 @@ class TestReadAnyDetections:
 class TestFused:
     def test_round_trip_with_and_without_verdict(self, tmp_path):
         path = tmp_path / "fused.jsonl"
-        verdict = FusedVerdict(Bpa(0.6, 0.1, 0.3))
-        fused = [
-            FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object",
-                           verdict.score, verdict, "d1"),
-            FusedDetection(BoundingBox(5, 5, 25, 25), "img2", "object", 2.5,
-                           source_detector_id="d2"),
-        ]
+        joint = Bpa(0.6, 0.1, 0.3)
+        fused = fused_columns(
+            ((0, 0, 10, 10), "img1", joint.m_target - joint.m_nontarget, "d1", joint.as_tuple()),
+            ((5, 5, 25, 25), "img2", 2.5, "d2", None),
+        )
         write_fused(fused, path, config={"method": "dbf"})
         loaded = read_fused(path)
-        assert rows(loaded) == rows(DetectionColumns.of(fused))
-        assert loaded.joints[0].tolist() == list(verdict.joint.as_tuple())
-        assert np.isnan(loaded.joints[1]).all()  # no verdict
+        assert rows(loaded) == rows(fused)
+        assert loaded.joints[0].tolist() == list(joint.as_tuple())
+        assert np.isnan(loaded.joints[1]).all()  # no joint
 
     def test_joint_is_read_back_bit_for_bit(self, tmp_path):
         # A normalized joint whose float sum is not exactly 1.0: building a
         # Bpa from it again would rescale it and change its score.
         joint = Bpa(0.2922489550617629, 0.4549249442515907, 0.2528261006866465)
         assert Bpa(*joint.as_tuple()).as_tuple() != joint.as_tuple()
-        verdict = FusedVerdict(joint)
         path = tmp_path / "fused.jsonl"
-        write_fused([FusedDetection(BoundingBox(0, 0, 10, 10), "img1", "object",
-                                    verdict.score, verdict, "d1")], path)
+        write_fused(fused_columns(
+            ((0, 0, 10, 10), "img1", fused_scores(np.array([joint.as_tuple()]))[0], "d1",
+             joint.as_tuple())), path)
         loaded = read_fused(path)
         assert loaded.joints[0].tolist() == list(joint.as_tuple())
-        assert loaded.scores[0] == FusedVerdict(Bpa.exact(*loaded.joints[0])).score
+        assert loaded.scores.tolist() == fused_scores(loaded.joints).tolist()
 
     @pytest.mark.parametrize("joint", ["[0.5, 0.5]", "[1.5, -0.5, 0.0]", "[0.2, 0.2, 0.2]",
                                        '["a", 0.5, 0.5]'])

@@ -110,7 +110,7 @@ class TestFuseCorpus:
             fixture["per_det_test"], models, "object", "static-dst"
         )
         assert fused
-        assert all(-1.0 <= f.score <= 1.0 for f in fused)
+        assert all(-1.0 <= score <= 1.0 for score in fused.scores.tolist())
 
 
 class TestBaselinePipeline:
@@ -128,15 +128,15 @@ class TestBaselinePipeline:
                 fixture["per_det_test"], bm, "object", method
             )
             assert fused
-            assert all(np.isfinite(f.score) for f in fused)
-            assert all(f.verdict is None for f in fused)
+            assert np.isfinite(fused.scores).all()
+            assert np.isnan(fused.joints).all()  # no joint mass
 
     def test_platt_scores_are_probabilities(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         fused = pipeline.fuse_corpus(
             fixture["per_det_test"], bm, "object", "platt"
         )
-        assert all(0.0 <= f.score <= 1.0 for f in fused)
+        assert all(0.0 <= score <= 1.0 for score in fused.scores.tolist())
 
     def test_ws_without_weights_raises(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])

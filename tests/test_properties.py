@@ -6,9 +6,12 @@ and ran NMS before they shared one IoU matrix per image; the per-window
 trust lookup, mass split and Dempster fold that DBF and static-DST ran
 before whole batches went through one array pass; the per-vector baseline
 rules and weighted-sum training set, which took each detection vector as a
-detector id -> score mapping of its present slots; the per-detection AP
-loop that ``eval`` ran before it scored columns; and the per-line
-JSON-lines reader that the column parser replaced. The array paths must
+detector id -> score mapping of its present slots; the per-detection
+objects (``FusedDetection``, ``FusedVerdict``) that fusion returned before
+it returned columns; the per-detection AP loop that ``eval`` ran before it
+scored columns; the per-line JSON-lines reader that the column parser
+replaced; and the per-line ``json.dumps`` writer that the template writer
+replaced. The array paths must
 reproduce them exactly, including tie order, duplicate boxes,
 total-conflict recovery, float rounding and which files are rejected.
 """
@@ -16,26 +19,28 @@ total-conflict recovery, float rounding and which files are rejected.
 import json
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beliefuse import baselines, datagen, evaluation, fusion, io, pipeline
+from beliefuse import baselines, cli, datagen, evaluation, fusion, io, pipeline
 from beliefuse.baselines import PlattModel, ScoreLikelihood, WeightVector
-from beliefuse.cli import default_profiles
+from beliefuse.cli import default_profiles, main
 from beliefuse.dst import (
     VACUOUS,
     Bpa,
-    FusedVerdict,
     TotalConflict,
     combine_all,
     combine_all_enumerated,
     combine_rows,
+    fused_scores,
 )
-from beliefuse.fusion import FusedDetection, image_overlaps, slot_matrix
+from beliefuse.fusion import slot_matrix
 from beliefuse.evaluation import (
     NoGroundTruth,
     average_precision,
@@ -48,15 +53,15 @@ from beliefuse.geometry import (
     Detection,
     GroundTruthObject,
     MatchLabel,
-    _det_sort_key,
     iou,
     iou_matrix,
     iou_pairs,
     nms_keep,
+    nms_order,
     suppression_mask,
 )
 from beliefuse.io import DetectionColumns
-from beliefuse.pipeline import group_by_detector, group_by_image
+from beliefuse.pipeline import group_by_detector, group_by_image, windows_of
 from beliefuse.trust import PrPoint, TrustModel, bpd_precision
 
 # Small integer coordinates make touching, nested, identical and disjoint
@@ -119,8 +124,48 @@ def reference_vectors(per_detector, overlap_threshold):
     return vectors
 
 
+@dataclass(frozen=True)
+class FusedVerdict:
+    """Joint mass function plus its scalar fused score bel(T) - bel(~T)."""
+
+    joint: Bpa
+
+    @property
+    def score(self) -> float:
+        return self.joint.m_target - self.joint.m_nontarget
+
+
+@dataclass(frozen=True)
+class FusedDetection:
+    """A consolidated window with its fused score; ``verdict`` is None for
+    the baseline methods."""
+
+    box: BoundingBox
+    image_id: str
+    class_label: str
+    score: float
+    verdict: FusedVerdict | None = None
+    source_detector_id: str = ""
+
+
+def fused_columns(fused):
+    """The columns of ``FusedDetection``s, NaN joints where a verdict is None."""
+    return DetectionColumns(
+        [f.image_id for f in fused], [f.class_label for f in fused],
+        np.array([f.box.as_tuple() for f in fused], dtype=float).reshape(-1, 4),
+        np.array([f.score for f in fused], dtype=float), [f.source_detector_id for f in fused],
+        np.array([f.verdict.joint.as_tuple() if f.verdict else (math.nan,) * 3 for f in fused],
+                 dtype=float).reshape(-1, 3),
+    )
+
+
+def det_sort_key(d: Detection):
+    # Deterministic tie-break: equal scores ordered by identity fields.
+    return (-d.score, d.detector_id, d.image_id, d.box.as_tuple())
+
+
 def reference_nms(dets, iou_threshold):
-    remaining = sorted(dets, key=_det_sort_key)
+    remaining = sorted(dets, key=det_sort_key)
     kept = []
     while remaining:
         best = remaining.pop(0)
@@ -146,14 +191,19 @@ def as_rows(vectors, detector_ids):
 
 @given(images(), thresholds)
 @example(HALF, 0.5)
+@example({}, 0.5)
+@example({"a": []}, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
-    assume(any(per_detector.values()))  # fuse_images skips an image with no window
     expected = reference_vectors(per_detector, threshold)
-    assert [id(d) for d in fusion._subjects(per_detector)] == [id(s) for s, _ in expected]
-    overlaps = image_overlaps(per_detector)
+    windows, ids, _, order = windows_of(per_detector)
+    dets = [d for dets in per_detector.values() for d in dets]
+    assert [id(dets[i]) for i in order.tolist()] == [id(s) for s, _ in expected]
+    overlaps = iou_matrix(windows.boxes)
     # Columns for every detector of a batch, some with no window here.
     for detector_ids in (sorted(per_detector), sorted({*per_detector, "c", "g"})):
-        got = slot_matrix(per_detector, detector_ids, threshold, overlaps)
+        columns = np.array([detector_ids.index(ids[k]) for k in windows.detectors], dtype=np.intp)
+        got = slot_matrix(windows.scores, columns, len(detector_ids), threshold, overlaps)
+        assert got.shape == (len(expected), len(detector_ids))
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
 
 
@@ -162,9 +212,10 @@ def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
 def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
-    scores = [d.score for d in dets]
-    for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), image_overlaps(per_detector)):
-        kept = nms_keep(scores, dets, suppression_mask(overlaps, threshold))
+    windows, _, _, _ = windows_of(per_detector)  # its rows are ``dets``
+    order = nms_order(windows.scores, windows.detectors, windows.boxes, windows.images)
+    for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), iou_matrix(windows.boxes)):
+        kept = nms_keep(order, suppression_mask(overlaps, threshold))
         assert [id(dets[i]) for i in kept] == expected
 
 
@@ -212,9 +263,9 @@ def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
     pooled = pipeline.fuse_corpus(corpus, models, "object", method, jobs=2)
     assert pooled == serial
     if method in pipeline.BELIEF_METHODS:
-        assert all(f.score == f.verdict.score for f in serial)
+        assert serial.scores.tolist() == fused_scores(serial.joints).tolist()
     else:
-        assert all(f.verdict is None and f.source_detector_id != "f" for f in serial)
+        assert np.isnan(serial.joints).all() and "f" not in serial.sources
 
 
 # ---- trust lookup, mass split and Dempster fold ----------------------------
@@ -279,28 +330,40 @@ def reference_static(slots, models):
     return reference_fuse_bpas(bpas)
 
 
-def reference_fuse_corpus(corpus, models, method, absent_policy):
+def reference_rescore(slots, models, method, absent_policy):
+    """One vector's fused score, its verdict (None for the baselines), and
+    whether total conflict forced smoothing."""
+    if method == "dbf":
+        verdict, smoothed = reference_dbf(slots, models, absent_policy)
+    elif method == "static-dst":
+        verdict, smoothed = reference_static(slots, models)
+    elif method == "platt":
+        return reference_platt(slots, models.platt), None, False
+    elif method == "ws":
+        return reference_ws(slots, models.platt, models.weights), None, False
+    else:
+        return reference_bayes(slots, models.platt, models.likelihoods), None, False
+    return verdict.score, verdict, smoothed
+
+
+def reference_fuse_corpus(corpus, models, method, absent_policy="vacuous", class_label="object"):
     """Per image: vectors, one verdict per vector, rescored windows, NMS."""
+    if method in pipeline.BASELINE_METHODS:
+        corpus = {k: v for k, v in corpus.items() if k in models.platt}
     fused, smoothings = [], 0
     all_dets = [d for dets in corpus.values() for d in dets]
     for _, image_dets in sorted(group_by_image(all_dets).items()):
         vectors = reference_vectors(group_by_detector(image_dets), 0.5)
-        verdicts = []
-        for _, slots in vectors:
-            if method == "dbf":
-                verdict, smoothed = reference_dbf(slots, models, absent_policy)
-            else:
-                verdict, smoothed = reference_static(slots, models)
+        verdicts, rescored = [], []
+        for subject, slots in vectors:
+            score, verdict, smoothed = reference_rescore(slots, models, method, absent_policy)
             verdicts.append(verdict)
             smoothings += smoothed
-        rescored = [
-            Detection(subject.image_id, subject.detector_id, subject.box, verdict.score)
-            for (subject, _), verdict in zip(vectors, verdicts)
-        ]
+            rescored.append(Detection(subject.image_id, subject.detector_id, subject.box, score))
         index = {id(d): i for i, d in enumerate(rescored)}
         fused += [
             FusedDetection(
-                d.box, d.image_id, "object", d.score, verdicts[index[id(d)]], d.detector_id
+                d.box, d.image_id, class_label, d.score, verdicts[index[id(d)]], d.detector_id
             )
             for d in reference_nms(rescored, 0.5)
         ]
@@ -449,7 +512,7 @@ def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absen
     expected, smoothings = reference_fuse_corpus(corpus, models, method, absent_policy)
     before = fusion.conflict_smoothing_count
     got = pipeline.fuse_corpus(corpus, models, "object", method, absent_policy=absent_policy)
-    assert repr(got) == repr(expected)  # repr tells every float apart, -0.0 too
+    assert got == fused_columns(expected)  # bit for bit, -0.0 too
     assert fusion.conflict_smoothing_count - before == smoothings
 
 
@@ -631,8 +694,11 @@ def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
 
 
 def output_order(fused):
-    """``cmd_fuse``'s order: class, image, descending score, box."""
-    return sorted(fused, key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
+    """The rows of fused columns in ``cmd_fuse``'s order: class, image,
+    descending score, box."""
+    rows = zip(fused.class_labels, fused.image_ids, fused.scores.tolist(), fused.boxes.tolist(),
+               fused.sources, fused.joints.tolist())
+    return sorted(rows, key=lambda row: (row[0], row[1], -row[2], row[3]))
 
 
 # One detector's two windows with one score, overlapping but on different
@@ -651,6 +717,125 @@ def test_fused_output_does_not_depend_on_input_order(corpus, method, rng):
         reordered = {det_id: order(corpus[det_id]) for det_id in order(sorted(corpus))}
         got = output_order(pipeline.fuse_corpus(reordered, models, "object", method))
         assert repr(got) == repr(expected)
+
+
+def reference_jsonl(rows, config):
+    """The text of the per-line writer the template writer replaced: one
+    ``json.dumps(row, sort_keys=True)`` per line, after a provenance header
+    when ``config`` is given."""
+    lines = []
+    if config is not None:
+        lines.append(json.dumps({"_header": True, "config": config}, sort_keys=True))
+    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_bbox(box):
+    return [box.x_min, box.y_min, box.x_max, box.y_max]
+
+
+def reference_detection_row(d, class_label):
+    return {"image_id": d.image_id, "detector_id": d.detector_id, "class": class_label,
+            "bbox": reference_bbox(d.box), "score": d.score}
+
+
+def reference_annotation_row(g):
+    return {"image_id": g.image_id, "class": g.class_label, "bbox": reference_bbox(g.box),
+            "difficult": g.difficult}
+
+
+def reference_fused_row(f):
+    row = {"image_id": f.image_id, "class": f.class_label, "bbox": reference_bbox(f.box),
+           "score": f.score, "source_detector_id": f.source_detector_id}
+    if f.verdict is not None:
+        row["joint"] = list(f.verdict.joint.as_tuple())
+    return row
+
+
+json_ids = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\t\n\x1f\x7f", "é", "日本", "\ud800", ""]),
+)
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, 1e16, 1e-7, 0.1]),
+)
+json_numbers = st.one_of(json_floats, st.integers(-10**6, 10**6))
+
+
+@st.composite
+def any_boxes(draw, coordinate):
+    """A box of any coordinates ``BoundingBox`` accepts."""
+    x0, x1 = sorted(draw(st.lists(coordinate, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(coordinate, min_size=2, max_size=2, unique=True)))
+    assume((x1 - x0) * (y1 - y0) > 0)
+    return BoundingBox(x0, y0, x1, y1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.builds(Detection, json_ids, json_ids, any_boxes(json_numbers), json_numbers),
+             max_size=4),
+    st.lists(st.builds(GroundTruthObject, json_ids, json_ids, any_boxes(json_numbers),
+                       st.booleans()), max_size=4),
+    # Columns hold floats, so fused boxes and scores are floats.
+    st.lists(st.builds(FusedDetection, any_boxes(json_floats), json_ids, json_ids, json_floats,
+                       st.one_of(st.none(), masses.map(FusedVerdict)), json_ids), max_size=4),
+    json_ids,
+    st.one_of(st.none(), st.dictionaries(json_ids, st.one_of(json_ids, json_numbers), max_size=3)),
+)
+def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, class_label, config):
+    path = files_dir / "written.jsonl"
+    io.write_detections(dets, path, class_label, config)
+    expected = [reference_detection_row(d, class_label) for d in dets]
+    assert path.read_text() == reference_jsonl(expected, config)
+    io.write_annotations(gts, path, config)
+    assert path.read_text() == reference_jsonl(map(reference_annotation_row, gts), config)
+    io.write_fused(fused_columns(fused), path, config)
+    assert path.read_text() == reference_jsonl(map(reference_fused_row, fused), config)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A generated corpus with trust and baseline models built."""
+    root = tmp_path_factory.mktemp("corpus")
+    runner = CliRunner()
+    generate = ["generate", "--out-dir", str(root / "data"), "--seed", "5", "--num-images", "40"]
+    assert runner.invoke(main, generate).exit_code == 0
+    for command in ("build-trust", "build-baselines"):
+        result = runner.invoke(main, [
+            command, "--detections-dir", str(root / "data" / "validation"),
+            "--annotations", str(root / "data" / "validation" / "annotations.jsonl"),
+            "--models-dir", str(root / "models"),
+        ])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_fuse_command_writes_what_the_reference_loop_and_writer_write(small_corpus, method):
+    test_dir, models_dir = small_corpus / "data" / "test", small_corpus / "models"
+    per_class = {}
+    for path in sorted(test_dir.glob("det_*.jsonl")):
+        for label, dets in reference_detections_by_class(path).items():
+            for d in dets:
+                per_class.setdefault(label, {}).setdefault(d.detector_id, []).append(d)
+    expected = []
+    for label in sorted(per_class):
+        models = cli._load_models(models_dir, label, sorted(per_class[label]), method)
+        expected += reference_fuse_corpus(per_class[label], models, method, class_label=label)[0]
+    expected.sort(key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
+    assert expected
+    for jobs in ("1", "2"):
+        out = small_corpus / f"fused_{method}_{jobs}.jsonl"
+        result = CliRunner().invoke(main, [
+            "fuse", "--method", method, "--detections-dir", str(test_dir),
+            "--models-dir", str(models_dir), "--out", str(out), "--jobs", jobs,
+        ])
+        assert result.exit_code == 0, result.output
+        header, lines = out.read_text().split("\n", 1)
+        assert json.loads(header)["_header"] is True
+        assert lines == reference_jsonl(map(reference_fused_row, expected), None)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -941,7 +1126,7 @@ READERS = [
     (lambda p: column_rows(io.read_detections(p)),
      lambda p: column_rows(DetectionColumns.of([d for _, d in reference_detections(p)]))),
     (lambda p: column_rows(io.read_fused(p)),
-     lambda p: column_rows(DetectionColumns.of(reference_fused(p)))),
+     lambda p: column_rows(fused_columns(reference_fused(p)))),
     (io.read_annotations, reference_annotations),
 ]
 
