@@ -52,7 +52,6 @@ class RunConfig:
     absent_policy: str = "vacuous"
     duplicate_policy: str = "undecided"
     ap_interpolation: str = "all-points"
-    seed: int = 0
     jobs: int = 1
 
     def validate(self) -> None:
@@ -64,8 +63,6 @@ class RunConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0,1), got {v}")
-        if not self.bpd_exponent > 0:
-            raise ConfigError(f"n must be positive or 'inf', got {self.bpd_exponent}")
         if self.absent_policy not in ("vacuous", "recall_one"):
             raise ConfigError(f"bad absent_policy {self.absent_policy!r}")
         if self.duplicate_policy not in ("undecided", "false_positive"):
@@ -83,12 +80,14 @@ class RunConfig:
 
 
 def _parse_n(raw: str) -> float:
-    if raw.strip().lower() == "inf":
-        return math.inf
+    """An exponent n: a positive real or 'inf'."""
     try:
-        return float(raw)
+        n = math.inf if raw.strip().lower() == "inf" else float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse n value {raw!r}")
+    if not n > 0:  # false for NaN too
+        raise ConfigError(f"n must be positive or 'inf', got {raw!r}")
+    return n
 
 
 def _resolve_config(config_file: str | None, **flags) -> RunConfig:
@@ -156,7 +155,6 @@ def _common_options(fn):
                      help="JSON config file; CLI flags take precedence."),
         click.option("--n", "n_raw", type=str, default=None,
                      help="Best-possible-detector exponent (positive or 'inf')."),
-        click.option("--seed", type=int, default=None),
         click.option("--absent-policy", type=click.Choice(["vacuous", "recall_one"]), default=None),
         click.option("--duplicate-policy", type=click.Choice(["undecided", "false_positive"]), default=None),
         click.option("--ap-interp", "ap_interpolation", type=click.Choice(["all-points", "11-point"]), default=None),
@@ -405,7 +403,7 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
               help="Ground truth for scoring; defaults to --annotations.")
 @_common_options
 def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, n_raw, **flags):
-    """Rebuild trust models and refuse for each exponent; CSV of AP per class."""
+    """Fuse and score the test split at each exponent; CSV of AP per class."""
     with _exit_on_error():
         cfg = _build_cfg(config_file, n_raw, ("detections_dir", "annotations", "out"), **flags)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
@@ -422,31 +420,35 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
             io.read_annotations(test_annotations) if test_annotations else gts
         )
 
+    # A PR table does not depend on n: each class's models are built once,
+    # and each n only swaps the exponent.
+    trained = {}
+    for cls in sorted(per_class_val):
+        class_gts = [g for g in gts if g.class_label == cls]
+        trained[cls] = pipeline.build_trust_models(
+            per_class_val[cls], class_gts, cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
+        )
+        if not trained[cls]:
+            _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
     rows = []
     for n in values:
         n_label = "inf" if math.isinf(n) else f"{n:g}"
         per_class_ap = {}
-        for cls in sorted(per_class_val):
-            class_gts = [g for g in gts if g.class_label == cls]
-            models = pipeline.build_trust_models(
-                per_class_val[cls], class_gts, cls, n, cfg.match_iou, cfg.duplicate_policy
-            )
-            if not models:
-                _fail(EXIT_DATA, f"no trust model could be built for class {cls!r} at n={n_label}")
+        for cls, models in trained.items():
+            models = {d: dataclasses.replace(m, bpd_exponent=n) for d, m in models.items()}
             fused = pipeline.fuse_corpus(
                 per_class_test.get(cls, {}), models, cls, method,
                 cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
             )
+            class_gts = [g for g in test_gts if g.class_label == cls]
             with _exit_on_error():
-                report = evaluation.evaluate_method(
-                    fused,
-                    [g for g in test_gts if g.class_label == cls],
-                    cfg.match_iou,
-                    cfg.ap_interpolation,
-                )
-            per_class_ap[cls] = report.per_class_ap.get(cls, 0.0)
-        for cls in sorted(per_class_ap):
-            rows.append((n_label, cls, per_class_ap[cls]))
+                try:
+                    per_class_ap[cls] = evaluation.average_precision(
+                        fused, class_gts, cfg.match_iou, cfg.ap_interpolation
+                    )
+                except NoGroundTruth as exc:
+                    raise NoGroundTruth(f"class {cls!r}: {exc}") from None
+        rows += [(n_label, cls, ap) for cls, ap in per_class_ap.items()]
         rows.append((n_label, "mAP", sum(per_class_ap.values()) / len(per_class_ap)))
 
     with open(cfg.out, "w", newline="") as fh:

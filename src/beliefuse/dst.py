@@ -34,6 +34,13 @@ class Hypothesis(Enum):
     INTERMEDIATE = "I"
 
 
+def sums_to_one(m_t, m_nt, m_i):
+    """Whether masses total 1 as a ``Bpa`` requires: ``(m_T + m_~T) + m_I``
+    within 1e-6 of 1, false for NaN; elementwise on arrays. The total is
+    spelled out, not ``sum()``: Python 3.12's ``sum()`` rounds differently."""
+    return abs((m_t + m_nt) + m_i - 1.0) <= 1e-6
+
+
 @dataclass(frozen=True)
 class Bpa:
     """Basic probability assignment over {T, ~T, I}; empty-set mass is zero.
@@ -53,12 +60,10 @@ class Bpa:
         if any(m < -_SUM_TOL for m in masses):
             raise ValueError(f"negative mass beyond tolerance: {masses}")
         masses = [max(m, 0.0) for m in masses]
-        # Spelled out, not sum(): Python 3.12's sum() rounds differently, and
-        # combine_rows repeats this total elementwise.
         total = (masses[0] + masses[1]) + masses[2]
         if total <= 0:
             raise ValueError("masses must not all be zero")
-        if abs(total - 1.0) > 1e-6:
+        if not sums_to_one(*masses):
             raise ValueError(f"masses must sum to 1, got {total}")
         if total != 1.0:
             masses = [m / total for m in masses]
@@ -75,9 +80,8 @@ class Bpa:
         # The comparisons are false for NaN, and the total check fails on inf.
         if not (m_target >= 0.0 and m_nontarget >= 0.0 and m_intermediate >= 0.0):
             raise ValueError(f"masses must not be negative or NaN: {masses}")
-        total = (m_target + m_nontarget) + m_intermediate
-        if not abs(total - 1.0) <= 1e-6:
-            raise ValueError(f"masses must sum to 1, got {total}")
+        if not sums_to_one(*masses):
+            raise ValueError(f"masses must sum to 1, got {(m_target + m_nontarget) + m_intermediate}")
         b = object.__new__(cls)
         object.__setattr__(b, "m_target", m_target)
         object.__setattr__(b, "m_nontarget", m_nontarget)
@@ -112,7 +116,9 @@ def combine(a: Bpa, b: Bpa) -> Bpa:
     """Dempster's rule for two sources on the binary frame.
 
     Raises TotalConflict when the conflict normalizer is zero, or so close
-    to zero that the rescaled masses no longer sum to 1 (``_rescalable``).
+    to zero that the rescaled masses no longer sum to 1: near total conflict
+    the normalizer 1 - conflict cancels to a few ulps, and its rounding error
+    no longer divides out.
     """
     conflict = a.m_target * b.m_nontarget + a.m_nontarget * b.m_target
     n = 1.0 - conflict
@@ -127,16 +133,9 @@ def combine(a: Bpa, b: Bpa) -> Bpa:
     )
     m_i = a.m_intermediate * b.m_intermediate
     masses = (m_t / n, m_nt / n, m_i / n)
-    if not _rescalable(*masses):
+    if not sums_to_one(*masses):
         raise TotalConflict(f"combination normalizer {n} is too small to rescale by")
     return Bpa(*masses)
-
-
-def _rescalable(m_t, m_nt, m_i):
-    """Whether masses divided by a normalizer still total 1 as a ``Bpa``
-    requires. Near total conflict the normalizer 1 - conflict cancels to a
-    few ulps, and its rounding error no longer divides out."""
-    return abs((m_t + m_nt) + m_i - 1.0) <= 1e-6
 
 
 def combine_all(bpas: list[Bpa]) -> Bpa:
@@ -155,10 +154,9 @@ def bpa_rows(masses: np.ndarray) -> np.ndarray:
         raise ValueError("negative mass beyond tolerance")
     # max(m, 0.0) keeps m unless 0.0 > m, and m / 1.0 is m.
     masses = np.where(masses < 0.0, 0.0, masses)
-    total = (masses[:, 0] + masses[:, 1]) + masses[:, 2]
-    if not (np.abs(total - 1.0) <= 1e-6).all():
+    if not sums_to_one(*masses.T).all():
         raise ValueError("masses must sum to 1")
-    return masses / total[:, None]
+    return masses / ((masses[:, 0] + masses[:, 1]) + masses[:, 2])[:, None]
 
 
 def combine_rows(sources: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +192,7 @@ def combine_rows(sources: np.ndarray, use: np.ndarray) -> tuple[np.ndarray, np.n
             ],
             axis=1,
         ) / n
-        rescalable = _rescalable(*masses.T)
+        rescalable = sums_to_one(*masses.T)
         ok[ok] = rescalable
         conflict[rows[~ok]] = True
         joint[rows[ok]] = bpa_rows(masses[rescalable])

@@ -13,11 +13,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import GroundTruthObject, iou_pairs
 from .io import DetectionColumns, ranks
+from .trust import envelope, pr_sweep
 
 
 class NoGroundTruth(ValueError):
@@ -53,13 +55,10 @@ class _Truth:
 
 
 def _pr_points(
-    image_ids: list[str],
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    truth: _Truth,
-    iou_threshold: float,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Cumulative (recall, precision) arrays plus final TP/FP counts.
+    dets: DetectionColumns, truth: _Truth, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Recall and precision after each ranked detection (``trust.pr_sweep``),
+    plus the number of true positives.
 
     Detections are ranked by descending score, ties broken by image id and
     then box. Each one's best ground truth is the first of its image with
@@ -69,11 +68,8 @@ def _pr_points(
     is a false positive. Difficult objects are left out of the recall
     denominator.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    if truth.num_positives == 0:
-        raise NoGroundTruth("no non-difficult ground-truth objects")
-    images, image_ranks = ranks(image_ids)
+    boxes = dets.boxes
+    images, image_ranks = ranks(dets.image_ids)
     # Every (detection, ground truth of its image) pair, grouped by
     # detection, ground truths in input order.
     first_gt, stop_gt = np.array(
@@ -93,7 +89,7 @@ def _pr_points(
     _, first_max = np.unique(det[is_max], return_index=True)
     best = np.zeros(len(image_ranks), dtype=np.intp)
     best[det[is_max[first_max]]] = gt[is_max[first_max]]
-    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], image_ranks, -scores))
+    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], image_ranks, -dets.scores))
     hit, best = best_iou[order] > iou_threshold, best[order]
     kept = ~(hit & truth.difficult[best])
     hit, best = hit[kept], best[kept]
@@ -101,17 +97,12 @@ def _pr_points(
     _, first_hit = np.unique(best[hits], return_index=True)
     tp_flags = np.zeros(len(best), dtype=np.int64)
     tp_flags[hits[first_hit]] = 1
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(1 - tp_flags)
-    recall = tp / truth.num_positives
-    precision = tp / np.maximum(tp + fp, 1)
-    return recall, precision, int(tp[-1]) if len(tp) else 0, int(fp[-1]) if len(fp) else 0
+    return (*pr_sweep(tp_flags, truth.num_positives), len(first_hit))
 
 
 def _ap_all_points(recall: np.ndarray, precision: np.ndarray) -> float:
     r = np.concatenate(([0.0], recall, [1.0]))
-    # Monotone envelope from the high-recall end.
-    p = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
+    p = envelope(np.concatenate(([0.0], precision, [0.0])))
     changes = np.where(r[1:] != r[:-1])[0]
     return float(np.sum((r[changes + 1] - r[changes]) * p[changes + 1]))
 
@@ -124,36 +115,53 @@ def _ap_11_point(recall: np.ndarray, precision: np.ndarray) -> float:
     return total / 11.0
 
 
-def _columns(dets) -> DetectionColumns:
-    return dets if isinstance(dets, DetectionColumns) else DetectionColumns.of(dets)
+_INTERPOLATIONS = {"all-points": _ap_all_points, "11-point": _ap_11_point}
+
+
+class _ClassScore(NamedTuple):
+    ap: float
+    pr_samples: list[tuple[float, float]]
+    counts: dict[str, int]
+
+
+def _score_class(
+    dets: DetectionColumns,
+    gts: list[GroundTruthObject],
+    iou_threshold: float,
+    interpolation: str,
+) -> _ClassScore:
+    """Every row of ``dets`` scored against one class's ground truths.
+
+    Raises ``NoGroundTruth`` when no object is non-difficult, whether or not
+    there are rows; AP is undefined there, and a 0 would pull the mAP down.
+    """
+    if interpolation not in _INTERPOLATIONS:
+        raise ValueError(f"unknown interpolation {interpolation!r}")
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
+    truth = _Truth.of(gts)
+    if truth.num_positives == 0:
+        raise NoGroundTruth("no non-difficult ground-truth objects")
+    recall, precision, tp = _pr_points(dets, truth, iou_threshold)
+    return _ClassScore(
+        _INTERPOLATIONS[interpolation](recall, precision),
+        list(zip(recall.tolist(), precision.tolist())),
+        {"num_gt": truth.num_positives, "num_detections": len(dets), "tp": tp, "fp": len(recall) - tp},
+    )
 
 
 def average_precision(
-    dets,
+    dets: DetectionColumns,
     gts: list[GroundTruthObject],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> float:
-    """AP for one class over any number of images.
+    """AP for one class over any number of images, every row scored.
 
     ``interpolation`` is ``"all-points"`` (exact area under the monotone
     envelope) or ``"11-point"`` (historical VOC07 sampling).
     """
-    if interpolation not in ("all-points", "11-point"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
-    cols = _columns(dets)
-    truth = _Truth.of(gts)
-    if not len(cols):
-        # Still validates the ground truth side.
-        if truth.num_positives == 0:
-            raise NoGroundTruth("no non-difficult ground-truth objects")
-        return 0.0
-    recall, precision, _, _ = _pr_points(
-        cols.image_ids, cols.boxes, cols.scores, truth, iou_threshold
-    )
-    if interpolation == "11-point":
-        return _ap_11_point(recall, precision)
-    return _ap_all_points(recall, precision)
+    return _score_class(dets, gts, iou_threshold, interpolation).ap
 
 
 @dataclass
@@ -180,58 +188,37 @@ class EvalReport:
 
 
 def evaluate_method(
-    dets,
+    dets: DetectionColumns,
     gts: list[GroundTruthObject],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> EvalReport:
-    """Per-class AP report for one method's detections: ``DetectionColumns``
-    or a list of raw ``Detection``s. Raw detections carry no class and are
-    scored against every ground-truth class; fused ones only against their
-    own."""
-    cols = _columns(dets)
+    """Per-class AP report for one method's detections, one class for each
+    class of ground truth. Raw rows carry no class and are scored against
+    every class; fused ones only against their own."""
     classes = sorted({g.class_label for g in gts})
     rows_of: dict[str, list[int]] = {c: [] for c in classes}
-    for i, label in enumerate(cols.class_labels):
+    for i, label in enumerate(dets.class_labels):
         if label is None:
             for c in classes:
                 rows_of[c].append(i)
         elif label in rows_of:
             rows_of[label].append(i)
-    per_class: dict[str, float] = {}
-    pr_samples: dict[str, list[tuple[float, float]]] = {}
-    counts: dict[str, dict[str, int]] = {}
+    report = EvalReport({})
     for c in classes:
-        truth = _Truth.of([g for g in gts if g.class_label == c])
-        rows = rows_of[c]
-        if not rows:
-            per_class[c] = 0.0
-            pr_samples[c] = []
-            counts[c] = {"num_gt": truth.num_positives, "num_detections": 0, "tp": 0, "fp": 0}
-            continue
         try:
-            recall, precision, tp, fp = _pr_points(
-                [cols.image_ids[i] for i in rows], cols.boxes[rows], cols.scores[rows],
-                truth, iou_threshold,
+            score = _score_class(
+                dets.take(np.array(rows_of[c], dtype=np.intp)),
+                [g for g in gts if g.class_label == c], iou_threshold, interpolation,
             )
         except NoGroundTruth as exc:
             raise NoGroundTruth(f"class {c!r}: {exc}") from None
-        if interpolation == "11-point":
-            per_class[c] = _ap_11_point(recall, precision)
-        else:
-            per_class[c] = _ap_all_points(recall, precision)
-        pr_samples[c] = list(zip(recall.tolist(), precision.tolist()))
-        counts[c] = {
-            "num_gt": truth.num_positives,
-            "num_detections": len(rows),
-            "tp": tp,
-            "fp": fp,
-        }
-    return EvalReport(per_class_ap=per_class, pr_samples=pr_samples, counts=counts)
+        report.per_class_ap[c], report.pr_samples[c], report.counts[c] = score
+    return report
 
 
 def evaluate_methods(
-    methods: dict[str, list],
+    methods: dict[str, DetectionColumns],
     gts: list[GroundTruthObject],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dst
-from .dst import Bpa, combine_all
+from .dst import Bpa, TotalConflict
 from .geometry import iou_matrix, nms_keep, nms_order, suppression_mask
 from .trust import TrustModel
 
@@ -79,22 +79,23 @@ def image_slots(windows: Windows, num_detectors: int, overlap_threshold: float):
         )
 
 
-def _smooth(masses: list[float]) -> Bpa:
-    masses = [min(max(m, _EPS), 1.0 - _EPS) for m in masses]
-    total = (masses[0] + masses[1]) + masses[2]
-    return Bpa(*(m / total for m in masses))
-
-
 def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
-    """``dst.combine_rows``; a row in total conflict is combined again with
-    every taking-part source smoothed away from certainty."""
+    """``dst.combine_rows``; rows in total conflict are folded again, their
+    taking-part sources smoothed away from certainty: each mass clipped to
+    [1e-6, 1 - 1e-6], then rescaled to total 1 like a ``Bpa``."""
     global conflict_smoothing_count
     joint, conflict = dst.combine_rows(sources, use)
-    for i in np.flatnonzero(conflict):
-        conflict_smoothing_count += 1
+    rows = np.flatnonzero(conflict)
+    conflict_smoothing_count += len(rows)
+    for _ in rows:
         log.warning("total conflict during combination; smoothing masses")
-        taking_part = [m for m in sources[i][use[i]].tolist() if m[2] != 1.0]
-        joint[i] = combine_all([_smooth(m) for m in taking_part]).as_tuple()
+    taking_part = use[rows] & (sources[rows, :, 2] != 1.0)
+    clipped = np.clip(sources[rows], _EPS, 1.0 - _EPS)
+    clipped /= ((clipped[..., 0] + clipped[..., 1]) + clipped[..., 2])[..., None]
+    smoothed = dst.bpa_rows(clipped.reshape(-1, 3)).reshape(clipped.shape)
+    joint[rows], still = dst.combine_rows(smoothed, taking_part)
+    if still.any():
+        raise TotalConflict("total conflict after smoothing")
     return joint
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .dst import Bpa
+from .dst import Bpa, sums_to_one
 from .geometry import BoundingBox, Detection, GroundTruthObject
 from .trust import TrustModel
 
@@ -173,9 +173,8 @@ def _joint_column(values: list) -> np.ndarray | None:
     given = _numbers([values[i] for i in rows], 3)
     if given is None:
         return None
-    m_t, m_nt, m_i = given.T
     # Bpa.exact's checks, elementwise; both are false for NaN.
-    if not ((given >= 0.0).all() and (np.abs((m_t + m_nt) + m_i - 1.0) <= 1e-6).all()):
+    if not ((given >= 0.0).all() and sums_to_one(*given.T).all()):
         return None
     joints[rows] = given
     return joints

@@ -50,50 +50,48 @@ def bpd_precision(recall: float, n: float) -> float:
     return 1.0 - recall**n
 
 
+def pr_sweep(tp_flags: np.ndarray, num_positives: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and precision after each ranked detection, from the ranked
+    detections' true-positive flags (1 for a true positive, 0 for a false
+    one): ``tp / num_positives`` and ``tp / rank``."""
+    tp = np.cumsum(tp_flags)
+    return tp / num_positives, tp / np.arange(1, len(tp) + 1)
+
+
+def envelope(precision: np.ndarray) -> np.ndarray:
+    """The running maximum of a precision column from its high-recall end,
+    so it is non-increasing down the ranks."""
+    return np.maximum.accumulate(precision[::-1])[::-1]
+
+
 def build_pr_table(
     labeled: list[tuple[Detection, MatchLabel]],
     num_gt_positives: int,
 ) -> list[PrPoint]:
     """Sweep score thresholds over labeled validation detections.
 
-    Undecided detections are excluded. At each distinct score threshold the
-    cumulative true/false positive counts define recall and raw precision;
-    the stored precision column is the running-max envelope taken from the
-    high-recall end, so it is non-increasing down the table.
+    Undecided detections are excluded. Each run of equal scores (-0.0 ties
+    0.0) gives one row: its first score is the threshold, and the counts
+    after its last detection define recall and raw precision. The stored
+    precision column is the envelope, non-increasing down the table.
     """
     if num_gt_positives <= 0:
         raise InsufficientData("no ground-truth positives in validation set")
     decided = [
         (d, lab) for d, lab in labeled if lab is not MatchLabel.UNDECIDED
     ]
-    has_tp = any(lab is MatchLabel.TRUE_POSITIVE for _, lab in decided)
-    has_fp = any(lab is MatchLabel.FALSE_POSITIVE for _, lab in decided)
-    if not has_tp or not has_fp:
+    decided.sort(key=lambda t: (-t[0].score, t[0].detector_id, t[0].image_id))
+    tp_flags = np.array([lab is MatchLabel.TRUE_POSITIVE for _, lab in decided], dtype=np.int64)
+    if tp_flags.all() or not tp_flags.any():
         raise InsufficientData(
             "need at least one true positive and one false positive"
         )
-    decided.sort(key=lambda t: (-t[0].score, t[0].detector_id, t[0].image_id))
-
-    rows: list[tuple[float, float, float]] = []
-    tp = fp = 0
-    i = 0
-    while i < len(decided):
-        threshold = decided[i][0].score
-        while i < len(decided) and decided[i][0].score == threshold:
-            if decided[i][1] is MatchLabel.TRUE_POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        rows.append((threshold, tp / num_gt_positives, tp / (tp + fp)))
-
-    table: list[PrPoint] = []
-    envelope = 0.0
-    for threshold, recall, precision in reversed(rows):
-        envelope = max(envelope, precision)
-        table.append(PrPoint(threshold, recall, envelope, precision))
-    table.reverse()
-    return table
+    scores = np.array([d.score for d, _ in decided], dtype=float)
+    recall, precision = pr_sweep(tp_flags, num_gt_positives)
+    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    columns = (scores[first], recall[last], envelope(precision[last]), precision[last])
+    return list(map(PrPoint, *(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -129,27 +127,18 @@ class TrustModel:
         every validation window is accepted, read as full recall at the last
         row's envelope precision, which is also the ``recall_one`` mass of
         an absent slot.
-        """
-        recall = [p.recall for p in self.table] + [1.0]
-        precision = [p.precision for p in self.table] + [self.table[-1].precision]
-        negated = np.array([-p.score_threshold for p in self.table])
-        return negated, self._assignments(recall, precision)
 
-    def _assignments(self, recall: list[float], precision: list[float]) -> np.ndarray:
+        Each row splits its PR point's precision p at the best-possible
+        detector's precision p_bpd: m(T) = p, m(I) = max(p_bpd - p, 0),
+        m(~T) = 1 - max(p_bpd, p). The clamp covers detectors that locally
+        beat the best-possible model.
+        """
+        recall = [row.recall for row in self.table] + [1.0]
+        p = np.array([row.precision for row in self.table] + [self.table[-1].precision], dtype=float)
         # 1 - r**n with Python's **: np.power rounds differently.
         p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in recall])
-        p = np.array(precision, dtype=float)
-        m_i = np.maximum(p_bpd - p, 0.0)
-        m_nt = 1.0 - np.maximum(p_bpd, p)
-        return bpa_rows(np.stack([p, m_nt, m_i], axis=1))
-
-    def assignment_at(self, recall: float, precision: float) -> Bpa:
-        """Mass split at a PR operating point.
-
-        m(T) = p, m(I) = max(p_bpd - p, 0), m(~T) = 1 - max(p_bpd, p). The
-        clamp covers detectors that locally beat the best-possible model.
-        """
-        return Bpa.exact(*self._assignments([recall], [precision])[0].tolist())
+        masses = np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1)
+        return np.array([-row.score_threshold for row in self.table]), bpa_rows(masses)
 
     def masses_at(self, scores: np.ndarray) -> np.ndarray:
         """The (m_T, m_~T, m_I) rows of an array of scores, looked up in the
@@ -158,9 +147,10 @@ class TrustModel:
         return masses[np.searchsorted(negated, -scores)]
 
     def static_bpa(self, recall_anchor: float = 0.2) -> Bpa:
-        """Fixed assignment at the table row nearest the anchor recall."""
+        """Fixed assignment: the mass table's row of the PR row nearest the
+        anchor recall, the lower threshold on a tie."""
         row = min(self.table, key=lambda p: (abs(p.recall - recall_anchor), p.score_threshold))
-        return self.assignment_at(row.recall, row.precision)
+        return Bpa.exact(*self._mass_table[1][self.table.index(row)].tolist())
 
     def to_dict(self) -> dict:
         return {

@@ -29,7 +29,9 @@ from beliefuse.dst import (
 )
 from beliefuse.evaluation import average_precision, evaluate_method
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
+from beliefuse.io import DetectionColumns
 from beliefuse.trust import PrPoint, TrustModel, bpd_precision
+from test_properties import reference_assignment
 
 DETECTOR_IDS = ("det_a", "det_b", "det_c")
 
@@ -129,7 +131,7 @@ def test_dynamic_assignment_fixture_and_boundaries():
     assert b.m_intermediate == pytest.approx(0.24, abs=1e-12)
     assert b.m_nontarget == pytest.approx(0.16, abs=1e-12)
     # Above the largest validation score: clamp to the first table row.
-    assert model.masses_at(np.array([99.0])).tolist() == [list(model.assignment_at(0.2, 0.9).as_tuple())]
+    assert model.masses_at(np.array([99.0])).tolist() == [list(reference_assignment(model, 0.2, 0.9).as_tuple())]
     # Below the smallest: full recall, zero best-possible headroom.
     low_t, low_nt, low_i = model.masses_at(np.array([0.0]))[0].tolist()
     assert (low_t, low_i, low_nt) == (0.3, 0.0, 0.7)
@@ -160,7 +162,7 @@ def test_average_precision_fixture_and_rank_invariance():
     g1, g2, off = grid_boxes(3)
     gts = [GroundTruthObject("img1", "object", g1),
            GroundTruthObject("img1", "object", g2)]
-    ap = average_precision([det(0.9, g1), det(0.8, off), det(0.7, g2)], gts)
+    ap = average_precision(DetectionColumns.of([det(0.9, g1), det(0.8, off), det(0.7, g2)]), gts)
     assert ap == pytest.approx(5 / 6, abs=1e-12)
 
     rng = np.random.default_rng(99)
@@ -170,9 +172,9 @@ def test_average_precision_fixture_and_rank_invariance():
                for b in boxes[: int(rng.integers(2, 6))]]
         dets = [det(float(rng.uniform(0, 5)), boxes[int(rng.integers(0, 12))])
                 for _ in range(10)]
-        base = average_precision(dets, gts)
+        base = average_precision(DetectionColumns.of(dets), gts)
         squashed = [det(math.tanh(d.score) * 0.5 + 2.0, d.box) for d in dets]
-        assert average_precision(squashed, gts) == pytest.approx(base, abs=1e-12)
+        assert average_precision(DetectionColumns.of(squashed), gts) == pytest.approx(base, abs=1e-12)
 
 
 def test_fusion_beats_individuals_and_static_assignment(seed42):
@@ -180,7 +182,7 @@ def test_fusion_beats_individuals_and_static_assignment(seed42):
     dbf = fused_map(seed42)
     static = fused_map(seed42, method="static-dst")
     individual = {
-        d: evaluate_method(seed42["per_det_test"][d], seed42["test_gts"]).map_score
+        d: evaluate_method(DetectionColumns.of(seed42["per_det_test"][d]), seed42["test_gts"]).map_score
         for d in DETECTOR_IDS
     }
     elapsed = seed42["setup_seconds"] + (time.perf_counter() - t0)
@@ -227,7 +229,7 @@ def test_overconfident_validation_penalizes_infinite_exponent():
 def test_baselines_are_sane_and_commands_deterministic(seed42, tmp_path):
     bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"])
     weakest = min(
-        evaluate_method(seed42["per_det_test"][d], seed42["test_gts"]).map_score
+        evaluate_method(DetectionColumns.of(seed42["per_det_test"][d]), seed42["test_gts"]).map_score
         for d in DETECTOR_IDS
     )
     for method in ("platt", "ws", "bayes"):

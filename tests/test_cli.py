@@ -279,6 +279,18 @@ class TestFuse:
         assert result.exit_code == 2
 
 
+    def test_seed_is_neither_a_config_key_nor_a_flag(self, workspace, tmp_path):
+        # Fusion draws no random numbers; only ``generate`` takes a seed.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        args = self.fuse_args(workspace, tmp_path / "o.jsonl", "dbf")
+        for extra in (["--config", str(cfg)], ["--seed", "0"]):
+            result = run([*args, *extra])
+            assert exited_cleanly(result, 2), result.output
+            assert "seed" in result.output
+        assert not (tmp_path / "o.jsonl").exists()
+
+
 class TestEval:
     def test_eval_reports(self, workspace, tmp_path):
         fused = tmp_path / "fused.jsonl"
@@ -344,6 +356,21 @@ class TestEval:
         assert exited_cleanly(result, 3), result.output
         assert "'object'" in result.output
 
+    def test_all_difficult_class_without_rows_exits_3(self, tmp_path):
+        # The fused file has no cat row; cat's AP is still undefined.
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(
+            '{"image_id": "i", "class": "object", "bbox": [0, 0, 4, 4]}\n'
+            '{"image_id": "i", "class": "cat", "bbox": [5, 5, 9, 9], "difficult": true}\n'
+        )
+        fused = tmp_path / "fused.jsonl"
+        fused.write_text('{"image_id": "i", "class": "object", "bbox": [0, 0, 4, 4], "score": 1.0}\n')
+        result = run(["eval", "--annotations", str(annotations), "--out", str(tmp_path / "r"),
+                      "-i", f"dbf={fused}"])
+        assert exited_cleanly(result, 3), result.output
+        assert "'cat'" in result.output
+        assert not (tmp_path / "r").exists()
+
 
 class TestSweepN:
     def test_sweep_csv(self, workspace, tmp_path):
@@ -388,7 +415,39 @@ class TestSweepN:
                       "--test-annotations", str(workspace / "data" / "test" / "annotations.jsonl"),
                       "--out", str(out)])
         assert exited_cleanly(result, 3), result.output
-        assert "'object'" in result.output and "n=1" in result.output
+        assert "'object'" in result.output
+        assert not out.exists()
+
+    def test_class_without_test_ground_truth_exits_3(self, workspace, tmp_path):
+        # Validation holds a second class, "cat"; the test split has no cat at
+        # all. Its AP is undefined and must not be averaged in as 0.
+        validation = tmp_path / "validation"
+        validation.mkdir()
+        for path in (workspace / "data" / "validation").glob("*.jsonl"):
+            lines = path.read_text().splitlines()
+            cats = [line.replace('"class": "object"', '"class": "cat"')
+                    for line in lines if '"_header"' not in line]
+            (validation / path.name).write_text("\n".join(lines + cats) + "\n")
+        out = tmp_path / "s.csv"
+        result = run(["sweep-n", "--n-values", "1,2",
+                      "--detections-dir", str(validation),
+                      "--annotations", str(validation / "annotations.jsonl"),
+                      "--test-detections-dir", str(workspace / "data" / "test"),
+                      "--test-annotations", str(workspace / "data" / "test" / "annotations.jsonl"),
+                      "--out", str(out)])
+        assert exited_cleanly(result, 3), result.output
+        assert "'cat'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["0", "-1", "nan", "-inf", "2,0"])
+    def test_non_positive_n_value_exits_2_naming_it(self, workspace, tmp_path, values):
+        out = tmp_path / "s.csv"
+        result = run(["sweep-n", f"--n-values={values}",
+                      "--detections-dir", str(workspace / "data" / "validation"),
+                      "--annotations", str(workspace / "data" / "annotations.jsonl"),
+                      "--out", str(out)])
+        assert exited_cleanly(result, 2), result.output
+        assert repr(values.split(",")[-1]) in result.output
         assert not out.exists()
 
     def test_empty_n_values_exits_2(self, workspace, tmp_path):

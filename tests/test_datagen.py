@@ -7,6 +7,7 @@ from beliefuse.datagen import (
 )
 from beliefuse.evaluation import evaluate_method
 from beliefuse.geometry import MatchLabel, iou
+from beliefuse.io import DetectionColumns
 from beliefuse.pipeline import label_detections
 
 
@@ -134,7 +135,7 @@ class TestComplementarityFixture:
         gts = ds.ground_truths(test_ids)
         individual_aps = {}
         for det_id in ds.detections:
-            report = evaluate_method(ds.detections_for(det_id, test_ids), gts)
+            report = evaluate_method(DetectionColumns.of(ds.detections_for(det_id, test_ids)), gts)
             individual_aps[det_id] = report.map_score
         # Oracle: union of all detections with perfect scores on true hits.
         union = []
@@ -146,5 +147,5 @@ class TestComplementarityFixture:
                 union.append(
                     Detection(d.image_id, d.detector_id, d.box, 1.0 if hit else 0.0)
                 )
-        oracle = evaluate_method(union, gts).map_score
+        oracle = evaluate_method(DetectionColumns.of(union), gts).map_score
         assert all(oracle > ap for ap in individual_aps.values())

@@ -38,7 +38,7 @@ def far_boxes(n, size=30.0, gap=50.0):
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         b = box(0, 0, 40, 40)
-        assert average_precision([det(0.9, b)], [gt(b)]) == 1.0
+        assert average_precision(DetectionColumns.of([det(0.9, b)]), [gt(b)]) == 1.0
 
     def test_hand_integrated_case(self):
         # Ranking TP, FP, TP over 2 ground truths: AP = 5/6 exactly.
@@ -48,17 +48,17 @@ class TestAveragePrecision:
             det(0.8, off),
             det(0.7, g2),
         ]
-        ap = average_precision(dets, [gt(g1), gt(g2)])
+        ap = average_precision(DetectionColumns.of(dets), [gt(g1), gt(g2)])
         assert ap == pytest.approx(5 / 6, abs=1e-12)
 
     def test_zero_detections(self):
-        assert average_precision([], [gt(box(0, 0, 10, 10))]) == 0.0
+        assert average_precision(DetectionColumns.of([]), [gt(box(0, 0, 10, 10))]) == 0.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(NoGroundTruth):
-            average_precision([det(0.5, box(0, 0, 10, 10))], [])
+            average_precision(DetectionColumns.of([det(0.5, box(0, 0, 10, 10))]), [])
         with pytest.raises(NoGroundTruth):
-            average_precision([], [gt(box(0, 0, 10, 10), difficult=True)])
+            average_precision(DetectionColumns.of([]), [gt(box(0, 0, 10, 10), difficult=True)])
 
     def test_duplicates_count_as_false_positive(self):
         # A duplicate ranked before the second object's hit drags AP to 5/6,
@@ -66,8 +66,8 @@ class TestAveragePrecision:
         g1, g2 = far_boxes(2)
         dup = box(g1.x_min + 1, g1.y_min + 1, g1.x_max + 1, g1.y_max + 1)
         gts = [gt(g1), gt(g2)]
-        clean = average_precision([det(0.9, g1), det(0.7, g2)], gts)
-        with_dup = average_precision([det(0.9, g1), det(0.8, dup), det(0.7, g2)], gts)
+        clean = average_precision(DetectionColumns.of([det(0.9, g1), det(0.7, g2)]), gts)
+        with_dup = average_precision(DetectionColumns.of([det(0.9, g1), det(0.8, dup), det(0.7, g2)]), gts)
         assert clean == 1.0
         assert with_dup == pytest.approx(5 / 6, abs=1e-12)
 
@@ -75,7 +75,7 @@ class TestAveragePrecision:
         g1, g_diff = far_boxes(2)
         dets = [det(0.9, g1), det(0.8, g_diff)]
         gts = [gt(g1), gt(g_diff, difficult=True)]
-        assert average_precision(dets, gts) == 1.0
+        assert average_precision(DetectionColumns.of(dets), gts) == 1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(21)
@@ -87,22 +87,22 @@ class TestAveragePrecision:
             for i in range(10):
                 target = boxes[int(rng.integers(0, 12))]
                 dets.append(det(float(rng.uniform(0, 5)), target))
-            base = average_precision(dets, gts)
+            base = average_precision(DetectionColumns.of(dets), gts)
             transformed = [
                 det(float(np.exp(0.7 * d.score) + 3), d.box) for d in dets
             ]
-            assert average_precision(transformed, gts) == pytest.approx(base, abs=1e-12)
+            assert average_precision(DetectionColumns.of(transformed), gts) == pytest.approx(base, abs=1e-12)
 
     def test_ap_bounded_by_max_recall(self):
         g1, g2, g3 = far_boxes(3)
         # Only one of three objects ever found.
-        ap = average_precision([det(0.9, g1)], [gt(g1), gt(g2), gt(g3)])
+        ap = average_precision(DetectionColumns.of([det(0.9, g1)]), [gt(g1), gt(g2), gt(g3)])
         assert ap <= 1 / 3 + 1e-12
 
     def test_11_point_variant(self):
         g1, g2, off = far_boxes(3)
         dets = [det(0.9, g1), det(0.8, off), det(0.7, g2)]
-        ap11 = average_precision(dets, [gt(g1), gt(g2)], interpolation="11-point")
+        ap11 = average_precision(DetectionColumns.of(dets), [gt(g1), gt(g2)], interpolation="11-point")
         # Envelope: 1.0 for r <= .5, 2/3 up to 1.0 -> (6*1 + 5*2/3)/11.
         assert ap11 == pytest.approx((6 + 10 / 3) / 11, abs=1e-12)
 
@@ -119,13 +119,13 @@ class TestAveragePrecision:
             MatchLabel.TRUE_POSITIVE,
         ]
         # ...while evaluation penalizes it as a false positive.
-        assert average_precision(dets, gts) == pytest.approx(5 / 6, abs=1e-12)
+        assert average_precision(DetectionColumns.of(dets), gts) == pytest.approx(5 / 6, abs=1e-12)
 
 
 class TestEvaluateMethods:
     def test_single_method_single_class(self):
         b = box(0, 0, 40, 40)
-        reports = evaluate_methods({"m": [det(0.9, b)]}, [gt(b)])
+        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, [gt(b)])
         assert reports["m"].per_class_ap == {"object": 1.0}
         assert reports["m"].map_score == 1.0
 
@@ -134,11 +134,11 @@ class TestEvaluateMethods:
         gts = [gt(g1), gt(g2)]
         good = [det(0.9, g1), det(0.8, g2), det(0.1, off)]
         bad = [det(0.9, off), det(0.8, g1), det(0.7, g2)]
-        reports = evaluate_methods({"good": good, "bad": bad}, gts)
+        reports = evaluate_methods({"good": DetectionColumns.of(good), "bad": DetectionColumns.of(bad)}, gts)
         assert reports["good"].map_score >= reports["bad"].map_score
 
     def test_empty_method_reports_zero(self):
-        reports = evaluate_methods({"empty": []}, [gt(box(0, 0, 10, 10))])
+        reports = evaluate_methods({"empty": DetectionColumns.of([])}, [gt(box(0, 0, 10, 10))])
         assert reports["empty"].per_class_ap == {"object": 0.0}
 
     def test_multi_class_map_is_mean(self):
@@ -157,7 +157,7 @@ class TestEvaluateMethods:
 
     def test_counts_recorded(self):
         b = box(0, 0, 40, 40)
-        report = evaluate_method([det(0.9, b)], [gt(b)])
+        report = evaluate_method(DetectionColumns.of([det(0.9, b)]), [gt(b)])
         assert report.counts["object"] == {
             "num_gt": 1,
             "num_detections": 1,
@@ -169,7 +169,7 @@ class TestEvaluateMethods:
 class TestExports:
     def test_json_and_csv_outputs(self, tmp_path):
         b = box(0, 0, 40, 40)
-        reports = evaluate_methods({"m": [det(0.9, b)]}, [gt(b)])
+        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, [gt(b)])
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
         write_reports_json(reports, json_path, config={"seed": 1})

@@ -4,6 +4,7 @@ import pytest
 from beliefuse import datagen, evaluation, pipeline
 from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel
+from beliefuse.io import DetectionColumns
 from beliefuse.trust import InsufficientData
 
 
@@ -79,7 +80,7 @@ class TestFuseCorpus:
         )
         fused_map = evaluation.evaluate_method(fused, fixture["test_gts"]).map_score
         weakest = min(
-            evaluation.evaluate_method(dets, fixture["test_gts"]).map_score
+            evaluation.evaluate_method(DetectionColumns.of(dets), fixture["test_gts"]).map_score
             for dets in fixture["per_det_test"].values()
         )
         assert fused_map > weakest

@@ -8,7 +8,11 @@ before whole batches went through one array pass; the per-vector baseline
 rules and weighted-sum training set, which took each detection vector as a
 detector id -> score mapping of its present slots; the per-detection
 objects (``FusedDetection``, ``FusedVerdict``) that fusion returned before
-it returned columns; the per-detection AP loop that ``eval`` ran before it
+it returned columns; the per-row ``Bpa`` smoothing and ``combine_all`` of
+the total-conflict retry, and the per-point mass split
+(``reference_assignment``), before both read arrays; the threshold loop
+that built the validation PR table before it shared its sweep with
+``eval``; the per-detection AP loop that ``eval`` ran before it
 scored columns; the per-line JSON-lines reader that the column parser
 replaced; and the per-line ``json.dumps`` writer that the template writer
 replaced. The array paths must
@@ -62,7 +66,7 @@ from beliefuse.geometry import (
 )
 from beliefuse.io import DetectionColumns
 from beliefuse.pipeline import group_by_detector, group_by_image, windows_of
-from beliefuse.trust import PrPoint, TrustModel, bpd_precision
+from beliefuse.trust import InsufficientData, PrPoint, TrustModel, bpd_precision, build_pr_table
 
 # Small integer coordinates make touching, nested, identical and disjoint
 # boxes common; the floats cover everything else.
@@ -873,6 +877,82 @@ def test_models_survive_their_model_file(files_dir, model):
     assert repr(loaded.to_dict()) == repr(model.to_dict())  # repr tells every float apart
 
 
+# ---- validation PR table ----------------------------------------------------
+
+
+def reference_pr_table(labeled, num_gt_positives):
+    """The threshold loop ``build_pr_table`` ran before it shared its sweep
+    and envelope with ``eval``: one row per run of equal scores, after the
+    run's last detection, at the run's first score."""
+    if num_gt_positives <= 0:
+        raise InsufficientData("no ground-truth positives in validation set")
+    decided = [(d, lab) for d, lab in labeled if lab is not MatchLabel.UNDECIDED]
+    if not {lab for _, lab in decided} >= {MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE}:
+        raise InsufficientData("need at least one true positive and one false positive")
+    decided.sort(key=lambda t: (-t[0].score, t[0].detector_id, t[0].image_id))
+    rows, tp, fp, i = [], 0, 0, 0
+    while i < len(decided):
+        threshold = decided[i][0].score
+        while i < len(decided) and decided[i][0].score == threshold:
+            if decided[i][1] is MatchLabel.TRUE_POSITIVE:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        rows.append((threshold, tp / num_gt_positives, tp / (tp + fp)))
+    table, envelope = [], 0.0
+    for threshold, recall, precision in reversed(rows):
+        envelope = max(envelope, precision)
+        table.append(PrPoint(threshold, recall, envelope, precision))
+    return table[::-1]
+
+
+@st.composite
+def labeled_windows(draw):
+    """Labeled validation windows in any order, with a few distinct scores
+    (runs of equal scores, 0.0 and -0.0 among them) and some undecided."""
+    score = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-5, 5, allow_nan=False))
+    labeled = [
+        (Detection(image_id, det_id, BoundingBox(0, 0, 1, 1), s), label)
+        for det_id, image_id, s, label in draw(st.lists(st.tuples(
+            st.sampled_from("ab"), st.sampled_from("xy"), score, st.sampled_from(MatchLabel),
+        ), max_size=12))
+    ]
+    found = sum(lab is MatchLabel.TRUE_POSITIVE for _, lab in labeled)
+    return labeled, found + draw(st.integers(0, 3))
+
+
+def labeled_rows(*rows):
+    return [(Detection(image_id, det_id, BoundingBox(0, 0, 1, 1), s), label)
+            for det_id, image_id, s, label in rows]
+
+
+TP, FP = MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_windows())
+# One run: 0.0 ranks first (detector "a"), so the threshold is 0.0, not -0.0.
+@example((labeled_rows(("a", "x", 0.0, TP), ("b", "x", -0.0, FP)), 1))
+@example((labeled_rows(("b", "x", 0.0, TP), ("a", "y", -0.0, FP), ("a", "x", 1.0, FP)), 2))
+# Precision rises down the table, so the envelope lifts the top row.
+@example((labeled_rows(("a", "x", 1.0, FP), ("a", "x", 2.0, FP), ("a", "x", 0.5, TP),
+                       ("a", "y", 0.25, TP)), 2))
+@example((labeled_rows(("a", "x", 1.0, TP), ("a", "x", 1.0, TP)), 2))  # all true positives
+@example((labeled_rows(("a", "x", 1.0, FP), ("b", "x", 1.0, MatchLabel.UNDECIDED)), 2))  # no true positive
+@example((labeled_rows(("a", "x", 1.0, TP), ("a", "x", 0.5, FP)), 0))  # no positives
+def test_pr_table_equals_threshold_loop(case):
+    labeled, num_positives = case
+    try:
+        expected = reference_pr_table(labeled, num_positives)
+    except InsufficientData:
+        with pytest.raises(InsufficientData):
+            build_pr_table(labeled, num_positives)
+        return
+    # repr tells every float apart, -0.0 from 0.0 too.
+    assert repr(build_pr_table(labeled, num_positives)) == repr(expected)
+
+
 # ---- average precision ------------------------------------------------------
 
 
@@ -987,24 +1067,23 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
         expected = reference_pr_points(dets, gts, threshold)
     except NoGroundTruth:
         with pytest.raises(NoGroundTruth):
-            average_precision(dets, gts, threshold, interpolation)
+            average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)
         if dets and gts:  # with no ground truth at all there is no class to score
             with pytest.raises(NoGroundTruth):
-                evaluate_method(dets, gts, threshold, interpolation)
+                evaluate_method(DetectionColumns.of(dets), gts, threshold, interpolation)
         return
     recall, precision, tp, fp = expected
-    for given_dets in (dets, DetectionColumns.of(dets)):
-        report = evaluate_method(given_dets, gts, threshold, interpolation)
-        samples = list(zip(recall.tolist(), precision.tolist())) if dets else []
-        # repr tells every float apart, -0.0 from 0.0 too.
-        assert repr(report.pr_samples["object"]) == repr(samples)
-        assert report.counts["object"] == {
-            "num_gt": sum(not g.difficult for g in gts),
-            "num_detections": len(dets), "tp": tp, "fp": fp,
-        }
-        ap = reference_ap(recall, precision, interpolation) if dets else 0.0
-        assert repr(report.per_class_ap["object"]) == repr(ap)
-    assert repr(average_precision(dets, gts, threshold, interpolation)) == repr(ap)
+    report = evaluate_method(DetectionColumns.of(dets), gts, threshold, interpolation)
+    samples = list(zip(recall.tolist(), precision.tolist())) if dets else []
+    # repr tells every float apart, -0.0 from 0.0 too.
+    assert repr(report.pr_samples["object"]) == repr(samples)
+    assert report.counts["object"] == {
+        "num_gt": sum(not g.difficult for g in gts),
+        "num_detections": len(dets), "tp": tp, "fp": fp,
+    }
+    ap = reference_ap(recall, precision, interpolation) if dets else 0.0
+    assert repr(report.per_class_ap["object"]) == repr(ap)
+    assert repr(average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)) == repr(ap)
 
 
 # ---- report.json ------------------------------------------------------------
@@ -1039,7 +1118,7 @@ def test_report_file_equals_json_dumps_indent_2(tmp_path):
     gts = [GroundTruthObject("i", "cat", b), GroundTruthObject("i", "dog", b, True),
            GroundTruthObject("j", "dog", BoundingBox(5, 5, 9, 9))]
     dets = [Detection("i", "d", b, 0.5), Detection("j", "d", BoundingBox(5, 5, 9, 8), 0.25)]
-    reports = evaluate_methods({"raw": dets, "none": []}, gts)
+    reports = evaluate_methods({"raw": DetectionColumns.of(dets), "none": DetectionColumns.of([])}, gts)
     config = {"out": 'a "quoted" path', "n": math.inf, "jobs": 1}
     path = tmp_path / "report.json"
     write_reports_json(reports, path, config=config)

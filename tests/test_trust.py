@@ -15,6 +15,7 @@ from beliefuse.trust import (
     build_pr_table,
     build_trust_model,
 )
+from test_properties import reference_assignment
 
 TP = MatchLabel.TRUE_POSITIVE
 FP = MatchLabel.FALSE_POSITIVE
@@ -191,7 +192,8 @@ class TestScoreToBpa:
     def test_mass_split_identity(self):
         model = simple_model()
         for row in model.table:
-            b = model.assignment_at(row.recall, row.precision)
+            b = score_to_bpa(model, row.score_threshold)
+            assert b == reference_assignment(model, row.recall, row.precision)
             p_bpd = bpd_precision(row.recall, model.bpd_exponent)
             assert b.m_target + b.m_intermediate == pytest.approx(
                 max(p_bpd, row.precision), abs=1e-12
@@ -202,8 +204,8 @@ class TestScoreToBpa:
 class TestStaticBpa:
     def test_picks_row_nearest_anchor_recall(self):
         model = simple_model()
-        assert model.static_bpa(0.2) == model.assignment_at(0.2, 0.9)
-        assert model.static_bpa(0.55) == model.assignment_at(0.6, 0.5)
+        assert model.static_bpa(0.2) == reference_assignment(model, 0.2, 0.9)
+        assert model.static_bpa(0.55) == reference_assignment(model, 0.6, 0.5)
 
     def test_score_independent(self):
         model = simple_model()
