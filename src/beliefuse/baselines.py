@@ -14,6 +14,13 @@ import numpy as np
 from .geometry import MatchLabel
 from .trust import InsufficientData
 
+PLATT_MAX_ITER = 100  # damped Newton steps
+PLATT_TOL = 1e-10  # on both gradient components
+SVM_C = 1.0  # weighted sum: hinge-loss weight against the L2 penalty
+SVM_ITERATIONS = 2000  # weighted sum: full-batch subgradient steps
+LIKELIHOOD_BINS = 32  # naive Bayes: histogram bins over [0, 1]
+LIKELIHOOD_SMOOTHING = 1.0  # naive Bayes: Laplace count added to every bin
+
 
 @dataclass(frozen=True)
 class PlattModel:
@@ -44,12 +51,7 @@ class PlattModel:
         return cls(data["detector_id"], data["a"], data["b"], data["converged"])
 
 
-def fit_platt(
-    labeled: list[tuple[float, MatchLabel]],
-    detector_id: str = "",
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> PlattModel:
+def fit_platt(labeled: list[tuple[float, MatchLabel]], detector_id: str = "") -> PlattModel:
     """Fit the sigmoid by regularized maximum likelihood (damped Newton).
 
     Uses Platt's smoothed targets t+ = (N+ + 1)/(N+ + 2), t- = 1/(N- + 2);
@@ -86,14 +88,14 @@ def fit_platt(
         return float(np.sum(targets * log1pez + (1 - targets) * (log1pez - z)))
 
     prev = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(PLATT_MAX_ITER):
         z = a * scores + b
         p = 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
         d1 = targets - p
         d2 = np.maximum(p * (1.0 - p), 1e-12)
         g_a = float(np.sum(scores * d1))
         g_b = float(np.sum(d1))
-        if abs(g_a) < tol and abs(g_b) < tol:
+        if abs(g_a) < PLATT_TOL and abs(g_b) < PLATT_TOL:
             converged = True
             break
         h_aa = float(np.sum(scores * scores * d2))
@@ -184,11 +186,7 @@ class WeightVector:
 
 
 def fit_weighted_sum(
-    features: np.ndarray,
-    targets: np.ndarray,
-    detector_ids: tuple[str, ...],
-    c: float = 1.0,
-    iterations: int = 2000,
+    features: np.ndarray, targets: np.ndarray, detector_ids: tuple[str, ...]
 ) -> WeightVector:
     """Train a linear max-margin separator on Platt-scaled detection vectors.
 
@@ -198,6 +196,11 @@ def fit_weighted_sum(
     L2-regularized hinge loss with a 1/t step schedule; deterministic given
     the rows' order. A Fortran-ordered matrix rounds ``features @ w``
     differently.
+
+    The hinge part of the subgradient sums ``y * x`` over the active rows
+    (margin below 1), and is summed again only when that set of rows
+    changes. The products are formed once; each sum is the one a fresh
+    pass over the same rows would give.
     """
     if not len(features):
         raise InsufficientData("no training vectors")
@@ -207,14 +210,20 @@ def fit_weighted_sum(
     if not np.any(features != 0.0):
         raise InsufficientData("degenerate all-zero design matrix")
 
-    lam = 1.0 / (c * len(features))
+    lam = 1.0 / (SVM_C * len(features))
+    signed = y[:, None] * features
     w = np.zeros(features.shape[1])
     b = 0.0
-    for t in range(1, iterations + 1):
+    active = np.empty(0, dtype=bool)
+    for t in range(1, SVM_ITERATIONS + 1):
         margin = y * (features @ w + b)
-        active = margin < 1.0
-        grad_w = lam * w - (y[active, None] * features[active]).sum(axis=0) / len(features)
-        grad_b = -y[active].sum() / len(features)
+        now = margin < 1.0
+        if not np.array_equal(now, active):
+            active = now
+            hinge_w = signed[active].sum(axis=0)
+            hinge_b = y[active].sum()
+        grad_w = lam * w - hinge_w / len(features)
+        grad_b = -hinge_b / len(features)
         step = 1.0 / (lam * t)
         w -= step * grad_w
         b -= step * grad_b
@@ -288,17 +297,15 @@ def fit_score_likelihood(
     labeled: list[tuple[float, MatchLabel]],
     platt: PlattModel,
     detector_id: str = "",
-    bin_count: int = 32,
-    smoothing: float = 1.0,
 ) -> ScoreLikelihood:
     """Histogram the Platt probabilities of validation TPs and FPs."""
-    tp_counts = np.full(bin_count, smoothing)
-    fp_counts = np.full(bin_count, smoothing)
+    tp_counts = np.full(LIKELIHOOD_BINS, LIKELIHOOD_SMOOTHING)
+    fp_counts = np.full(LIKELIHOOD_BINS, LIKELIHOOD_SMOOTHING)
     for score, lab in labeled:
         if lab is MatchLabel.UNDECIDED:
             continue
         prob = platt.probability(score)
-        i = min(int(prob * bin_count), bin_count - 1)
+        i = min(int(prob * LIKELIHOOD_BINS), LIKELIHOOD_BINS - 1)
         if lab is MatchLabel.TRUE_POSITIVE:
             tp_counts[i] += 1
         else:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import GroundTruthObject, iou_pairs
-from .io import DetectionColumns, ranks
+from .io import DetectionColumns, indent2, ranks
 from .trust import envelope, pr_sweep
 
 
@@ -235,38 +235,7 @@ def write_reports_json(reports: dict[str, EvalReport], path: str | Path, config:
         "config": config or {},
         "methods": {name: reports[name].to_dict() for name in sorted(reports)},
     }
-    Path(path).write_text(_indent2(payload) + "\n")
-
-
-def _indent2(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
-    deep. Dicts with string keys are laid out here, and a list of number
-    pairs (a PR curve) is encoded by the C encoder in one call and then laid
-    out: ``indent`` makes ``json`` fall back to its pure-Python encoder.
-    Anything else goes to ``json.dumps``."""
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (f"{json.dumps(k)}: {_indent2(v, depth + 1)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if _is_pairs(value):
-        # '[[r, p], [r, p]]': numbers hold neither '], [' nor ', '.
-        body = json.dumps(value, check_circular=False)[2:-2]
-        body = body.replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", f",{inner}  ")
-        return f"[{inner}[{inner}  {body}{inner}]{pad}]"
-    return json.dumps(value, indent=2).replace("\n", pad)
-
-
-def _is_pairs(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) > 0
-        and all(
-            type(pair) in (list, tuple) and len(pair) == 2
-            and type(pair[0]) in (float, int) and type(pair[1]) in (float, int)
-            for pair in value
-        )
-    )
+    Path(path).write_text(indent2(payload) + "\n")
 
 
 def write_reports_csv(reports: dict[str, EvalReport], path: str | Path) -> None:

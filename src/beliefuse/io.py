@@ -414,6 +414,68 @@ def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None =
     )
 
 
+# ---- the one indent-2 writer of JSON files --------------------------------
+#
+# ``json.dumps(value, indent=2)``, byte for byte, for model files and
+# ``report.json``. ``indent`` makes ``json`` fall back to its pure-Python
+# encoder, so the bulky parts (PR curves, trust tables) are encoded by the C
+# encoder in one call each and then laid out here.
+
+
+def indent2(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
+    deep. Dicts with string keys are laid out here; a list of number pairs
+    (a PR curve) or of flat dicts of numbers (a trust table) goes through
+    the C encoder once. Anything else goes to ``json.dumps``."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (f"{json.dumps(k)}: {indent2(v, depth + 1)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if _is_pairs(value):
+        # '[[r, p], [r, p]]': numbers hold neither '], [' nor ', '.
+        body = json.dumps(value, check_circular=False)[2:-2]
+        body = body.replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", f",{inner}  ")
+        return f"[{inner}[{inner}  {body}{inner}]{pad}]"
+    if _is_number_dicts(value):
+        # '[v, v, v]': numbers hold no ', '. Each distinct key order gets one
+        # row template, and the numbers fill the whole layout in one go.
+        numbers = json.dumps([v for row in value for v in row.values()])[1:-1].split(", ")
+        field = inner + "  "
+        templates: dict[tuple, str] = {}
+        for row in value:
+            keys = tuple(row)
+            if keys not in templates:
+                items = [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
+                templates[keys] = "{" + field + ("," + field).join(items) + inner + "}"
+        layout = "[" + inner + ("," + inner).join([templates[tuple(row)] for row in value]) + pad + "]"
+        return layout % tuple(numbers)
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _is_pairs(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(
+            type(pair) in (list, tuple) and len(pair) == 2
+            and type(pair[0]) in (float, int) and type(pair[1]) in (float, int)
+            for pair in value
+        )
+    )
+
+
+def _is_number_dicts(value) -> bool:
+    """A non-empty list of non-empty dicts with string keys and number values."""
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(type(row) is dict and len(row) > 0 for row in value)
+        and {type(k) for row in value for k in row} == {str}
+        and {type(v) for row in value for v in row.values()} <= {float, int}
+    )
+
+
 FORMAT_VERSION = 1  # of every model file
 _MODEL_KINDS = {
     "trust_model": TrustModel,
@@ -442,7 +504,7 @@ def save_model(model, path: str | Path, config: dict | None = None) -> None:
     }
     if config is not None:
         payload["config"] = config
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(indent2(payload) + "\n")
 
 
 def load_model(path: str | Path):

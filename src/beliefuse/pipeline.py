@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -30,21 +31,28 @@ def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
+def image_order(dets: list[Detection]) -> list[int]:
+    """The detections' positions image by image: images in Python's string
+    order, each image's detections in input order."""
+    return sorted(range(len(dets)), key=lambda i: dets[i].image_id)
+
+
 def label_detections(
     dets: list[Detection],
     gts: list[GroundTruthObject],
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> list[tuple[Detection, MatchLabel]]:
-    """Match one detector's detections image by image."""
+    """Match one detector's detections image by image, listed in
+    ``image_order``."""
     gts_by_image: dict[str, list[GroundTruthObject]] = {}
     for g in gts:
         gts_by_image.setdefault(g.image_id, []).append(g)
     labeled: list[tuple[Detection, MatchLabel]] = []
-    for image_id, image_dets in sorted(group_by_image(dets).items()):
+    for image_id, positions in groupby(image_order(dets), key=lambda i: dets[i].image_id):
         labeled.extend(
             match_detections(
-                image_dets,
+                [dets[i] for i in positions],
                 gts_by_image.get(image_id, []),
                 iou_threshold,
                 duplicate_policy,
@@ -122,8 +130,13 @@ def fit_baselines(
     slots = [s for _, s in fusion.image_slots(windows, len(ids), overlap_threshold)]
     slots = np.concatenate([np.empty((0, len(ids))), *slots])
     features = baselines.platt_features(ids, slots, out.platt, detector_ids)
-    label = {id(d): lab for labeled in labeled_by_detector.values() for d, lab in labeled}
-    labels = [label[id(d)] for det_id in detector_ids for d in per_detector[det_id]]
+    # Rows are labeled by position, so a Detection listed twice is two rows.
+    labels: list[MatchLabel] = []
+    for det_id in detector_ids:
+        in_input_order = [MatchLabel.UNDECIDED] * len(per_detector[det_id])
+        for i, (_, lab) in zip(image_order(per_detector[det_id]), labeled_by_detector[det_id]):
+            in_input_order[i] = lab
+        labels += in_input_order
     decided = np.array([lab is not MatchLabel.UNDECIDED for lab in labels], dtype=bool)[order]
     targets = np.array([lab is MatchLabel.TRUE_POSITIVE for lab in labels], dtype=bool)[order]
     try:

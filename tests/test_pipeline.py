@@ -172,6 +172,27 @@ class TestBaselinePipeline:
         lowered = bm.platt["det_a"].probability(duplicate.score)
         assert all(row[column] != lowered for row in features)
 
+    def test_ws_labels_a_detection_listed_twice_like_an_equal_copy(self, monkeypatch):
+        # Rows are labeled by position: the same object listed twice is two
+        # rows, each with its own label, as two equal objects are.
+        ds = datagen.generate(5, 12, default_profiles(3))
+        ids = ds.validation_image_ids
+        per_det = {d: ds.detections_for(d, ids) for d in ds.detections}
+        gts = ds.ground_truths(ids)
+        first = per_det["det_a"][0]
+        training = []
+
+        def capture(features, targets, detector_ids):
+            training.append((features.tobytes(), targets.tolist()))
+            return None
+
+        monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
+        for repeat in (first, Detection(first.image_id, first.detector_id, first.box, first.score)):
+            pipeline.fit_baselines({**per_det, "det_a": [*per_det["det_a"], repeat]}, gts)
+        same_object, equal_copy = training
+        assert same_object == equal_copy
+        assert (len(equal_copy[1]), sum(equal_copy[1])) == (38, 13)
+
     def test_unknown_method_rejected(self, fixture):
         bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
         with pytest.raises(ValueError):

@@ -675,6 +675,44 @@ def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
     assert repr(models.weights) == repr(reference_fit(x, y, detector_ids))
 
 
+@st.composite
+def designs(draw):
+    """A C-ordered design matrix with exact zeros and repeated rows, and
+    targets with both labels."""
+    width = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]), st.floats(-1, 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    targets = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    assume(any(targets) and not all(targets))
+    return np.array(rows), np.array(targets)
+
+
+# One positive in twenty: the active set changes twice in 2,000 iterations,
+# as on dense validation sets. Repeated overlapping rows: it changes 1,997
+# times, as on the walkthrough's.
+STABLE = (np.array([[0.9, 0.8]] + [[0.1, 0.2]] * 19), np.array([True] + [False] * 19))
+FLIPPING = (np.array([[0.7, 0.7], [0.7, 0.7], [0.1, 0.2], [0.3, 0.2], [0.1, 0.4]]),
+            np.array([False, False, True, False, True]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(designs())
+@example(STABLE)
+@example(FLIPPING)
+@example((np.zeros((3, 2)), np.array([True, False, True])))
+def test_weighted_sum_fit_equals_reference_bit_for_bit(design):
+    x, targets = design
+    detector_ids = tuple("abc"[: x.shape[1]])
+    try:
+        expected = repr(reference_fit(x, np.where(targets, 1.0, -1.0), detector_ids))
+    except ValueError:  # every weight zero
+        with pytest.raises(InsufficientData):
+            baselines.fit_weighted_sum(x, targets, detector_ids)
+    else:
+        assert repr(baselines.fit_weighted_sum(x, targets, detector_ids)) == expected
+
+
 # ---- fused output and model files -------------------------------------------
 
 
@@ -1086,7 +1124,7 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
     assert repr(average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)) == repr(ap)
 
 
-# ---- report.json ------------------------------------------------------------
+# ---- report.json and model files --------------------------------------------
 
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20),
@@ -1096,8 +1134,12 @@ json_scalars = st.one_of(
 number = st.one_of(st.floats(), st.integers(-10**6, 10**6), st.sampled_from([0.0, -0.0, 1e-300]))
 pr_curves = st.lists(st.one_of(st.tuples(number, number), st.lists(number, min_size=2, max_size=2)),
                      max_size=5)
+escaped_keys = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "é", ", ", "}, {", "%s"]))
+dict_number = st.one_of(st.integers(-10**20, 10**20), st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]))
+number_dicts = st.lists(st.dictionaries(escaped_keys, dict_number, max_size=4), max_size=5)
 json_values = st.recursive(
-    st.one_of(json_scalars, pr_curves),
+    st.one_of(json_scalars, pr_curves, number_dicts),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=6), children, max_size=4),
@@ -1109,8 +1151,10 @@ json_values = st.recursive(
 @given(json_values)
 @example([["], [", ", "], [[1], "x"]])
 @example({"pr": [[0.5, 1.0], [1, True]], "": [[None, 2.0]]})
+@example({"table": [{"score": 1, "recall": -0.0}, {"}, {": 1e300, "\\": math.nan, "é": -math.inf}]})
+@example([{"a": 1.0}, {}, {"a": True}])
 def test_report_layout_equals_json_dumps_indent_2(payload):
-    assert evaluation._indent2(payload) == json.dumps(payload, indent=2)
+    assert io.indent2(payload) == json.dumps(payload, indent=2)
 
 
 def test_report_file_equals_json_dumps_indent_2(tmp_path):
@@ -1125,6 +1169,22 @@ def test_report_file_equals_json_dumps_indent_2(tmp_path):
     payload = {"format_version": 1, "config": config,
                "methods": {name: reports[name].to_dict() for name in sorted(reports)}}
     assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+KINDS = {TrustModel: "trust_model", PlattModel: "platt_model", WeightVector: "weight_vector",
+         ScoreLikelihood: "score_likelihood"}
+
+
+@settings(deadline=None)
+@given(any_models(), st.one_of(st.none(), st.dictionaries(st.text(max_size=4), json_scalars, max_size=3)))
+def test_model_file_equals_json_dumps_indent_2(files_dir, model, config):
+    path = files_dir / "model.json"
+    io.save_model(model, path, config)
+    payload = {"format_version": 1, "kind": KINDS[type(model)], **model.to_dict()}
+    if config is not None:
+        payload["config"] = config
+    assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
 
 
 # ---- JSON-lines readers -----------------------------------------------------
