@@ -1,6 +1,6 @@
 """Detector-agnostic late fusion of object-detection scores."""
 
-from .dst import Bpa, Hypothesis, TotalConflict, belief, combine, combine_all, fused_scores, vacuous
+from .dst import Bpa, TotalConflict, combine, combine_all, fused_scores
 from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections
 from .trust import InsufficientData, PrPoint, TrustModel, bpd_precision, build_pr_table, build_trust_model
 from .fusion import Windows, fuse_images
@@ -16,7 +16,6 @@ __all__ = [
     "DetectionColumns",
     "EvalReport",
     "GroundTruthObject",
-    "Hypothesis",
     "InsufficientData",
     "MatchLabel",
     "NoGroundTruth",
@@ -27,7 +26,6 @@ __all__ = [
     "TrustModel",
     "Windows",
     "average_precision",
-    "belief",
     "bpd_precision",
     "build_pr_table",
     "build_trust_model",
@@ -39,5 +37,4 @@ __all__ = [
     "generate",
     "iou",
     "match_detections",
-    "vacuous",
 ]

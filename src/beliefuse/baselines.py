@@ -31,24 +31,16 @@ class PlattModel:
     b: float
     converged: bool = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"Platt a and b must be finite, got {self.a}, {self.b}")
+
     def probability(self, score: float) -> float:
         z = self.a * score + self.b
         if z >= 0:
             return 1.0 / (1.0 + math.exp(min(z, 700.0)))
         ez = math.exp(max(z, -700.0))
         return 1.0 / (1.0 + ez)
-
-    def to_dict(self) -> dict:
-        return {
-            "detector_id": self.detector_id,
-            "a": self.a,
-            "b": self.b,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlattModel":
-        return cls(data["detector_id"], data["a"], data["b"], data["converged"])
 
 
 def fit_platt(labeled: list[tuple[float, MatchLabel]], detector_id: str = "") -> PlattModel:
@@ -170,19 +162,10 @@ class WeightVector:
     def __post_init__(self):
         if len(self.detector_ids) != len(self.weights):
             raise ValueError("one weight per detector required")
+        if not all(map(math.isfinite, (*self.weights, self.bias))):
+            raise ValueError("weights and bias must be finite")
         if not any(w != 0.0 for w in self.weights):
             raise ValueError("at least one weight must be nonzero")
-
-    def to_dict(self) -> dict:
-        return {
-            "detector_ids": list(self.detector_ids),
-            "weights": list(self.weights),
-            "bias": self.bias,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightVector":
-        return cls(tuple(data["detector_ids"]), tuple(data["weights"]), data["bias"])
 
 
 def fit_weighted_sum(
@@ -260,10 +243,13 @@ class ScoreLikelihood:
     nontarget_bins: tuple[float, ...]
 
     def __post_init__(self):
+        if len(self.target_bins) != len(self.nontarget_bins):
+            raise ValueError("target and non-target histograms must have the same bins")
+        # Both checks are false for NaN.
         for bins in (self.target_bins, self.nontarget_bins):
-            if abs(sum(bins) - 1.0) > 1e-9:
+            if not abs(sum(bins) - 1.0) <= 1e-9:
                 raise ValueError("class histogram must sum to 1")
-            if any(m <= 0 for m in bins):
+            if not all(m > 0 for m in bins):
                 raise ValueError("all bin masses must be positive after smoothing")
 
     @property
@@ -276,21 +262,6 @@ class ScoreLikelihood:
     def log_likelihood_ratio(self, prob: float) -> float:
         i = self._bin(prob)
         return math.log(self.target_bins[i] / self.nontarget_bins[i])
-
-    def to_dict(self) -> dict:
-        return {
-            "detector_id": self.detector_id,
-            "target_bins": list(self.target_bins),
-            "nontarget_bins": list(self.nontarget_bins),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoreLikelihood":
-        return cls(
-            data["detector_id"],
-            tuple(data["target_bins"]),
-            tuple(data["nontarget_bins"]),
-        )
 
 
 def fit_score_likelihood(

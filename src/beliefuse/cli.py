@@ -25,9 +25,11 @@ import click
 import numpy as np
 
 from . import datagen, evaluation, io, pipeline
+from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .datagen import ConfigError, SyntheticDetectorProfile
 from .evaluation import NoGroundTruth
 from .io import DataError
+from .trust import TrustModel
 
 log = logging.getLogger(__name__)
 
@@ -312,23 +314,27 @@ def cmd_build_baselines(config_file, n_raw, **flags):
 def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: str):
     """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class."""
 
-    def per_detector(prefix: str) -> dict:
+    def per_detector(prefix: str, kind: type) -> dict:
         paths = {d: io.model_path(models_dir, prefix, cls, d) for d in detector_ids}
-        return {d: io.load_model(path) for d, path in paths.items() if path.exists()}
+        return {d: io.load_model(path, kind) for d, path in paths.items() if path.exists()}
 
     if method in pipeline.BELIEF_METHODS:
-        models = per_detector("trust")
+        models = per_detector("trust", TrustModel)
         if not models:
             raise MissingModel(f"no trust model files for class {cls} in {models_dir}")
         return models
-    models = pipeline.BaselineModels(platt=per_detector("platt"), likelihoods=per_detector("bayes"))
+    models = pipeline.BaselineModels(
+        platt=per_detector("platt", PlattModel), likelihoods=per_detector("bayes", ScoreLikelihood)
+    )
     if not models.platt:
         raise MissingModel(f"no Platt model files for class {cls} in {models_dir}")
     if method == "ws":
         ws_path = io.model_path(models_dir, "ws", cls)
         if not ws_path.exists():
             raise MissingModel(f"missing weighted-sum weights file {ws_path}")
-        models.weights = io.load_model(ws_path)
+        models.weights = io.load_model(ws_path, WeightVector)
+        if models.platt.keys().isdisjoint(models.weights.detector_ids):
+            raise DataError(f"{ws_path}: detector_ids name none of the detectors with a Platt model")
     if method == "bayes" and not models.likelihoods:
         raise MissingModel(f"no Bayes likelihood files for class {cls} in {models_dir}")
     return models

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 
 import numpy as np
@@ -26,12 +25,6 @@ class TotalConflict(ValueError):
     Dempster's rule is undefined when the normalizer is zero; callers choose
     a recovery policy (see the fusion pipeline).
     """
-
-
-class Hypothesis(Enum):
-    TARGET = "T"
-    NON_TARGET = "~T"
-    INTERMEDIATE = "I"
 
 
 def sums_to_one(m_t, m_nt, m_i):
@@ -95,21 +88,7 @@ class Bpa:
         return self.m_intermediate == 1.0
 
 
-VACUOUS = Bpa(0.0, 0.0, 1.0)
-
-
-def vacuous() -> Bpa:
-    """Total ignorance: all mass on the intermediate state, identity of combine."""
-    return VACUOUS
-
-
-def belief(b: Bpa, hypothesis: Hypothesis) -> float:
-    """Sum of masses of all subsets of the hypothesis set."""
-    if hypothesis is Hypothesis.TARGET:
-        return b.m_target
-    if hypothesis is Hypothesis.NON_TARGET:
-        return b.m_nontarget
-    return b.m_target + b.m_nontarget + b.m_intermediate
+VACUOUS = Bpa(0.0, 0.0, 1.0)  # total ignorance, the identity of combine
 
 
 def combine(a: Bpa, b: Bpa) -> Bpa:

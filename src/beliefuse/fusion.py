@@ -65,6 +65,14 @@ def slot_matrix(scores: np.ndarray, detectors: np.ndarray, num_detectors: int,
     present, starts = np.unique(detectors, return_index=True)
     # One column per present detector: the maximum over its span of columns.
     slots[:, present] = np.maximum.reduceat(masked, starts, axis=1)
+    # np.maximum keeps the later of two equal zeros, but a slot keeps the
+    # first window's score among equals: with a -0.0 score about, each zero
+    # slot takes the sign of its first zero window.
+    if np.any((scores == 0) & np.signbit(scores)):
+        zeros = np.where(masked == 0, np.arange(len(scores)), len(scores))
+        first = np.minimum.reduceat(zeros, starts, axis=1)
+        rows, cols = np.nonzero(slots[:, present] == 0)
+        slots[rows, present[cols]] = scores[first[rows, cols]]
     slots[np.arange(len(scores)), detectors] = scores
     return slots
 
@@ -125,14 +133,9 @@ def dbf_joints(
     return _fold(sources, use)
 
 
-def static_masses(
-    models: dict[str, TrustModel], recall_anchor: float = 0.2
-) -> dict[str, Bpa]:
+def static_masses(models: dict[str, TrustModel]) -> dict[str, Bpa]:
     """Each detector's fixed static-assignment mass, by detector id."""
-    return {
-        det_id: model.static_bpa(recall_anchor)
-        for det_id, model in sorted(models.items())
-    }
+    return {det_id: model.static_bpa() for det_id, model in sorted(models.items())}
 
 
 def static_dst_joints(

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa, sums_to_one
 from .geometry import BoundingBox, Detection, GroundTruthObject
-from .trust import TrustModel
+from .trust import PrPoint, TrustModel
 
 
 class DataError(ValueError):
@@ -477,13 +477,38 @@ def _is_number_dicts(value) -> bool:
 
 
 FORMAT_VERSION = 1  # of every model file
+# Each kind's class and the fields its file holds, in file order.
 _MODEL_KINDS = {
-    "trust_model": TrustModel,
-    "platt_model": PlattModel,
-    "weight_vector": WeightVector,
-    "score_likelihood": ScoreLikelihood,
+    "trust_model": (
+        TrustModel, ("detector_id", "class_label", "bpd_exponent", "num_validation_positives", "table")
+    ),
+    "platt_model": (PlattModel, ("detector_id", "a", "b", "converged")),
+    "weight_vector": (WeightVector, ("detector_ids", "weights", "bias")),
+    "score_likelihood": (ScoreLikelihood, ("detector_id", "target_bins", "nontarget_bins")),
 }
-_KIND_OF = {cls: kind for kind, cls in _MODEL_KINDS.items()}
+_KIND_OF = {cls: kind for kind, (cls, _) in _MODEL_KINDS.items()}
+
+
+def _encoded(model, field: str):
+    """A model's field as its file holds it: tuples as lists, an infinite
+    exponent as ``"inf"`` and a trust table as one dict per row."""
+    value = getattr(model, field)
+    if field == "bpd_exponent" and value == math.inf:
+        return "inf"
+    if field == "table":
+        return [{"score": p.score_threshold, "recall": p.recall,
+                 "precision_raw": p.precision_raw, "precision_monotone": p.precision} for p in value]
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _decoded(field: str, value):
+    """A field's value from a model file, the inverse of ``_encoded``."""
+    if field == "bpd_exponent" and value == "inf":
+        return math.inf
+    if field == "table":
+        return [PrPoint(row["score"], row["recall"], row["precision_monotone"], row["precision_raw"])
+                for row in value]
+    return tuple(value) if isinstance(value, list) else value
 
 
 def model_path(models_dir: str | Path, prefix: str, class_label: str, detector_id: str = "") -> Path:
@@ -497,18 +522,18 @@ def model_path(models_dir: str | Path, prefix: str, class_label: str, detector_i
 def save_model(model, path: str | Path, config: dict | None = None) -> None:
     """Write a trust, Platt, weighted-sum or likelihood model as JSON, with
     the run config as provenance when given."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": _KIND_OF[type(model)],
-        **model.to_dict(),
-    }
+    kind = _KIND_OF[type(model)]
+    payload = {"format_version": FORMAT_VERSION, "kind": kind}
+    payload.update((field, _encoded(model, field)) for field in _MODEL_KINDS[kind][1])
     if config is not None:
         payload["config"] = config
     Path(path).write_text(indent2(payload) + "\n")
 
 
-def load_model(path: str | Path):
-    """Read a model file of any kind; a malformed one raises ``DataError``."""
+def load_model(path: str | Path, expected: type | None = None):
+    """Read a model file of any kind, or only of the ``expected`` class's
+    kind; a malformed file, or one of another kind, raises ``DataError``.
+    The model's own checks run on the values read."""
     try:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
@@ -517,6 +542,9 @@ def load_model(path: str | Path):
             raise ValueError(f"unsupported format_version {data.get('format_version')!r}")
         if data.get("kind") not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {data.get('kind')!r}")
-        return _MODEL_KINDS[data["kind"]].from_dict(data)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        cls, fields = _MODEL_KINDS[data["kind"]]
+        if expected not in (None, cls):
+            raise ValueError(f"a {data['kind']} where a {_KIND_OF[expected]} belongs")
+        return cls(**{field: _decoded(field, data[field]) for field in fields})
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad model file: {type(exc).__name__}: {exc}") from exc

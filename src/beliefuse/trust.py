@@ -19,6 +19,7 @@ from .dst import Bpa, bpa_rows
 from .geometry import Detection, MatchLabel
 
 DEFAULT_BPD_EXPONENT = 2.0
+STATIC_RECALL_ANCHOR = 0.2  # static-DST reads the PR row nearest this recall
 
 
 class InsufficientData(ValueError):
@@ -108,10 +109,15 @@ class TrustModel:
         if not self.table:
             raise ValueError("trust model table must be nonempty")
         thresholds = [p.score_threshold for p in self.table]
+        if not all(map(math.isfinite, thresholds)):
+            raise ValueError("table thresholds must be finite")
         if any(a >= b for a, b in zip(thresholds[1:], thresholds)):
             raise ValueError("table thresholds must be strictly descending")
         if not self.bpd_exponent > 0:
             raise ValueError(f"bpd exponent must be positive, got {self.bpd_exponent}")
+        positives = self.num_validation_positives
+        if not (isinstance(positives, int) and positives >= 0):
+            raise ValueError(f"validation positives must be a count, got {positives!r}")
         for i, p in enumerate(self.table):
             rates_ok = 0.0 <= p.recall <= 1.0 and 0.0 <= p.precision <= 1.0
             if not (rates_ok and 0.0 <= p.precision_raw <= 1.0):  # false for NaN too
@@ -146,47 +152,11 @@ class TrustModel:
         negated, masses = self._mass_table
         return masses[np.searchsorted(negated, -scores)]
 
-    def static_bpa(self, recall_anchor: float = 0.2) -> Bpa:
-        """Fixed assignment: the mass table's row of the PR row nearest the
-        anchor recall, the lower threshold on a tie."""
-        row = min(self.table, key=lambda p: (abs(p.recall - recall_anchor), p.score_threshold))
+    def static_bpa(self) -> Bpa:
+        """Fixed assignment: the mass table's row of the PR row nearest
+        ``STATIC_RECALL_ANCHOR``, the lower threshold on a tie."""
+        row = min(self.table, key=lambda p: (abs(p.recall - STATIC_RECALL_ANCHOR), p.score_threshold))
         return Bpa.exact(*self._mass_table[1][self.table.index(row)].tolist())
-
-    def to_dict(self) -> dict:
-        return {
-            "detector_id": self.detector_id,
-            "class_label": self.class_label,
-            "bpd_exponent": "inf" if math.isinf(self.bpd_exponent) else self.bpd_exponent,
-            "num_validation_positives": self.num_validation_positives,
-            "table": [
-                {
-                    "score": p.score_threshold,
-                    "recall": p.recall,
-                    "precision_raw": p.precision_raw,
-                    "precision_monotone": p.precision,
-                }
-                for p in self.table
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrustModel":
-        n = data["bpd_exponent"]
-        return cls(
-            detector_id=data["detector_id"],
-            class_label=data["class_label"],
-            table=[
-                PrPoint(
-                    row["score"],
-                    row["recall"],
-                    row["precision_monotone"],
-                    row["precision_raw"],
-                )
-                for row in data["table"]
-            ],
-            bpd_exponent=math.inf if n == "inf" else float(n),
-            num_validation_positives=data["num_validation_positives"],
-        )
 
 
 def build_trust_model(

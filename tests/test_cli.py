@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,46 @@ class TestBuildBaselines:
         assert "no Platt model" in result.output
 
 
+TRUST, PLATT = "trust__det_a__object.json", "platt__det_a__object.json"
+BAYES, WS = "bayes__det_a__object.json", "ws__object.json"
+
+
+def with_first(values, value):
+    return [value, *values[1:]]
+
+
+# Model files that fuse cannot serve its method from: the method, the file,
+# and the file's new content, made from the workspace's model files.
+BAD_MODEL_FILES = {
+    "platt-a-string": ("platt", PLATT, lambda model: {**model(PLATT), "a": "1.0"}),
+    "platt-b-null": ("platt", PLATT, lambda model: {**model(PLATT), "b": None}),
+    "platt-a-nan": ("platt", PLATT, lambda model: {**model(PLATT), "a": math.nan}),
+    "ws-bias-nan": ("ws", WS, lambda model: {**model(WS), "bias": math.nan}),
+    "ws-weight-string": (
+        "ws", WS, lambda model: {**model(WS), "weights": with_first(model(WS)["weights"], "x")}
+    ),
+    "ws-unknown-detectors": ("ws", WS, lambda model: {**model(WS), "detector_ids": ["x", "y", "z"]}),
+    "bayes-bin-nan": (
+        "bayes", BAYES,
+        lambda model: {**model(BAYES), "target_bins": with_first(model(BAYES)["target_bins"], math.nan)},
+    ),
+    # The last two non-target bins merged: one bin short, and still summing to 1.
+    "bayes-short-bins": (
+        "bayes", BAYES,
+        lambda model: {**model(BAYES), "nontarget_bins": [
+            *model(BAYES)["nontarget_bins"][:-2], sum(model(BAYES)["nontarget_bins"][-2:])]},
+    ),
+    "trust-threshold-nan": (
+        "dbf", TRUST,
+        lambda model: {**model(TRUST), "table": with_first(
+            model(TRUST)["table"], {**model(TRUST)["table"][0], "score": math.nan})},
+    ),
+    "trust-as-platt": ("platt", PLATT, lambda model: model(TRUST)),
+    "platt-as-trust": ("dbf", TRUST, lambda model: model(PLATT)),
+    "platt-as-ws": ("ws", WS, lambda model: model(PLATT)),
+}
+
+
 class TestFuse:
     def fuse_args(self, workspace, out, method="dbf", models="models"):
         return ["fuse", "--method", method,
@@ -254,6 +295,16 @@ class TestFuse:
         result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", "platt", models=models))
         assert exited_cleanly(result, 3), result.output
         assert "platt__det_b__object.json" in result.output
+
+    @pytest.mark.parametrize("method, name, content", BAD_MODEL_FILES.values(), ids=BAD_MODEL_FILES)
+    def test_bad_model_file_exits_3_naming_it(self, workspace, tmp_path, method, name, content):
+        def model(file_name):
+            return json.loads((workspace / "models" / file_name).read_text())
+
+        models = self.corrupted_models(workspace, tmp_path, name, json.dumps(content(model)))
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", method, models=models))
+        assert exited_cleanly(result, 3), result.output
+        assert name in result.output
 
     @pytest.mark.parametrize("config, flags, env", [
         ({"match_iou": "0.5"}, [], None),

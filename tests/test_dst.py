@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from beliefuse.dst import (
+    VACUOUS,
     Bpa,
-    Hypothesis,
     TotalConflict,
-    belief,
     combine,
     combine_all,
     combine_all_enumerated,
     combine_rows,
     fused_scores,
-    vacuous,
 )
 
 
@@ -42,31 +40,12 @@ class TestBpaConstruction:
             Bpa(float("nan"), 0.5, 0.5)
 
 
-class TestBelief:
-    def test_certainty(self):
-        assert belief(Bpa(1, 0, 0), Hypothesis.TARGET) == 1.0
-
-    def test_vacuous_mass(self):
-        v = vacuous()
-        assert belief(v, Hypothesis.TARGET) == 0.0
-        assert belief(v, Hypothesis.INTERMEDIATE) == 1.0
-
-    def test_intermediate_sums_all_subsets(self):
-        b = Bpa(0.6, 0.1, 0.3)
-        assert belief(b, Hypothesis.INTERMEDIATE) == pytest.approx(1.0, abs=1e-12)
-
-    def test_singletons_reduce_to_masses(self):
-        b = Bpa(0.6, 0.1, 0.3)
-        assert belief(b, Hypothesis.TARGET) == b.m_target
-        assert belief(b, Hypothesis.NON_TARGET) == b.m_nontarget
-
-
 class TestCombine:
     def test_vacuous_is_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = random_bpa(rng)
-            c = combine(a, vacuous())
+            c = combine(a, VACUOUS)
             assert c.as_tuple() == pytest.approx(a.as_tuple(), abs=1e-15)
 
     def test_hand_worked_pair(self):
@@ -119,7 +98,7 @@ class TestCombineAll:
         assert combine_all([b]) == b
 
     def test_all_vacuous(self):
-        assert combine_all([vacuous()] * 3).is_vacuous()
+        assert combine_all([VACUOUS] * 3).is_vacuous()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +115,7 @@ class TestCombineAll:
 
     def test_direct_enumeration_total_conflict(self):
         with pytest.raises(TotalConflict):
-            combine_all_enumerated([Bpa(1, 0, 0), Bpa(0, 1, 0), vacuous()])
+            combine_all_enumerated([Bpa(1, 0, 0), Bpa(0, 1, 0), VACUOUS])
 
 
 class TestFusedScores:

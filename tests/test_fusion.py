@@ -226,12 +226,12 @@ class TestStaticDstFuse:
         model = model_for("a")
         for score in (0.5, 2.5, 9.0):
             verdict = static_verdict({"a": score}, {"a": model})
-            assert verdict.joint == model.static_bpa(0.2)
+            assert verdict.joint == model.static_bpa()
 
     def test_static_assignment_values(self):
         # Anchor row (r=.2, p=.9), n=2: p_bpd=.96, masses (.9, .04, .06).
         model = model_for("a")
-        b = model.static_bpa(0.2)
+        b = model.static_bpa()
         assert b.m_target == pytest.approx(0.9)
         assert b.m_intermediate == pytest.approx(0.06)
         assert b.m_nontarget == pytest.approx(0.04, abs=1e-12)

@@ -14,8 +14,9 @@ the total-conflict retry, and the per-point mass split
 that built the validation PR table before it shared its sweep with
 ``eval``; the per-detection AP loop that ``eval`` ran before it
 scored columns; the per-line JSON-lines reader that the column parser
-replaced; and the per-line ``json.dumps`` writer that the template writer
-replaced. The array paths must
+replaced; the per-line ``json.dumps`` writer that the template writer
+replaced; and each model class's own model-file encoder, which ``io``'s one
+codec replaced. The array paths must
 reproduce them exactly, including tie order, duplicate boxes,
 total-conflict recovery, float rounding and which files are rejected.
 """
@@ -78,6 +79,12 @@ coords = st.one_of(
 HALF = {
     "a": [Detection("img", "a", BoundingBox(0, 0, 2, 1), 2.0)],
     "b": [Detection("img", "b", BoundingBox(0, 0, 1, 1), 1.0)],
+}
+# Equal zeros of both signs: a slot keeps the first window's, not np.maximum's pick.
+SIGNED_ZEROS = {
+    "c": [Detection("img", "c", BoundingBox(0, 0, 1, 1), 0.0)],
+    "d": [Detection("img", "d", BoundingBox(0, 0, 1, 1), 0.0),
+          Detection("img", "d", BoundingBox(0, 0, 1, 1), -0.0)],
 }
 scores = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 9.0]), st.floats(-10, 10, allow_nan=False))
 thresholds = st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -195,6 +202,7 @@ def as_rows(vectors, detector_ids):
 
 @given(images(), thresholds)
 @example(HALF, 0.5)
+@example(SIGNED_ZEROS, 0.1)
 @example({}, 0.5)
 @example({"a": []}, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
@@ -905,6 +913,36 @@ def any_models(draw):
     return likelihood(det_id, draw(bins), draw(bins))
 
 
+def reference_model_dict(model):
+    """The fields of a model's file, as each model class's own ``to_dict``
+    wrote them before ``io`` held the one model-file codec."""
+    if isinstance(model, TrustModel):
+        return {
+            "detector_id": model.detector_id,
+            "class_label": model.class_label,
+            "bpd_exponent": "inf" if math.isinf(model.bpd_exponent) else model.bpd_exponent,
+            "num_validation_positives": model.num_validation_positives,
+            "table": [
+                {
+                    "score": p.score_threshold,
+                    "recall": p.recall,
+                    "precision_raw": p.precision_raw,
+                    "precision_monotone": p.precision,
+                }
+                for p in model.table
+            ],
+        }
+    if isinstance(model, PlattModel):
+        return {"detector_id": model.detector_id, "a": model.a, "b": model.b, "converged": model.converged}
+    if isinstance(model, WeightVector):
+        return {"detector_ids": list(model.detector_ids), "weights": list(model.weights), "bias": model.bias}
+    return {
+        "detector_id": model.detector_id,
+        "target_bins": list(model.target_bins),
+        "nontarget_bins": list(model.nontarget_bins),
+    }
+
+
 @settings(deadline=None)
 @given(any_models())
 def test_models_survive_their_model_file(files_dir, model):
@@ -912,7 +950,35 @@ def test_models_survive_their_model_file(files_dir, model):
     io.save_model(model, path)
     loaded = io.load_model(path)
     assert type(loaded) is type(model)
-    assert repr(loaded.to_dict()) == repr(model.to_dict())  # repr tells every float apart
+    # repr tells every float apart
+    assert repr(reference_model_dict(loaded)) == repr(reference_model_dict(model))
+
+
+def number_paths(value, path=()):
+    """The path of every number in a parsed JSON value (booleans are not numbers)."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path] if type(value) in (int, float) else []
+    return [p for key, v in items for p in number_paths(v, (*path, key))]
+
+
+@settings(deadline=None)
+@given(any_models(), st.data(), st.sampled_from([math.nan, "1.0", None]))
+def test_a_model_file_with_one_bad_number_is_a_data_error(files_dir, model, data, bad):
+    path = files_dir / "model.json"
+    io.save_model(model, path)
+    payload = json.loads(path.read_text())
+    *parents, last = data.draw(st.sampled_from(number_paths(payload)))
+    container = payload
+    for key in parents:
+        container = container[key]
+    container[last] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(io.DataError):
+        io.load_model(path)
 
 
 # ---- validation PR table ----------------------------------------------------
@@ -1180,7 +1246,7 @@ KINDS = {TrustModel: "trust_model", PlattModel: "platt_model", WeightVector: "we
 def test_model_file_equals_json_dumps_indent_2(files_dir, model, config):
     path = files_dir / "model.json"
     io.save_model(model, path, config)
-    payload = {"format_version": 1, "kind": KINDS[type(model)], **model.to_dict()}
+    payload = {"format_version": 1, "kind": KINDS[type(model)], **reference_model_dict(model)}
     if config is not None:
         payload["config"] = config
     assert path.read_text() == json.dumps(payload, indent=2) + "\n"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from beliefuse import trust
 from beliefuse.dst import Bpa
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel
 from beliefuse.io import DataError, load_model, save_model
@@ -202,15 +203,16 @@ class TestScoreToBpa:
 
 
 class TestStaticBpa:
-    def test_picks_row_nearest_anchor_recall(self):
+    def test_picks_row_nearest_anchor_recall(self, monkeypatch):
         model = simple_model()
-        assert model.static_bpa(0.2) == reference_assignment(model, 0.2, 0.9)
-        assert model.static_bpa(0.55) == reference_assignment(model, 0.6, 0.5)
+        assert model.static_bpa() == reference_assignment(model, 0.2, 0.9)
+        monkeypatch.setattr(trust, "STATIC_RECALL_ANCHOR", 0.55)
+        assert model.static_bpa() == reference_assignment(model, 0.6, 0.5)
 
     def test_score_independent(self):
         model = simple_model()
         fixed = model.static_bpa()
-        assert fixed == model.static_bpa(0.2)
+        assert fixed == model.static_bpa()
 
 
 class TestSerialization:
