@@ -246,11 +246,11 @@ class ScoreLikelihood:
         if len(self.target_bins) != len(self.nontarget_bins):
             raise ValueError("target and non-target histograms must have the same bins")
         # Both checks are false for NaN.
-        for bins in (self.target_bins, self.nontarget_bins):
-            if not abs(sum(bins) - 1.0) <= 1e-9:
-                raise ValueError("class histogram must sum to 1")
-            if not all(m > 0 for m in bins):
-                raise ValueError("all bin masses must be positive after smoothing")
+        for name in ("target_bins", "nontarget_bins"):
+            if not abs(sum(getattr(self, name)) - 1.0) <= 1e-9:
+                raise ValueError(f"{name} must sum to 1")
+            if not all(m > 0 for m in getattr(self, name)):
+                raise ValueError(f"{name} must all be positive after smoothing")
 
     @property
     def bin_count(self) -> int:

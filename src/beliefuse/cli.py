@@ -276,7 +276,7 @@ def cmd_build_trust(config_file, n_raw, **flags):
             click.echo(
                 f"{det_id}/{cls}: {len(model.table)} rows, "
                 f"{model.num_validation_positives} positives, "
-                f"max precision {max(p.precision for p in model.table):.3f}"
+                f"max precision {model.table[:, 3].max():.3f}"
             )
     if built == 0:
         _fail(EXIT_DATA, "no trust model could be built from the validation data")
@@ -312,31 +312,40 @@ def cmd_build_baselines(config_file, n_raw, **flags):
 
 
 def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: str):
-    """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class."""
+    """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class.
+    A detector without a model file for the method is left out with a
+    warning; a model file that another one calls for must exist."""
 
-    def per_detector(prefix: str, kind: type) -> dict:
-        paths = {d: io.model_path(models_dir, prefix, cls, d) for d in detector_ids}
-        return {d: io.load_model(path, kind) for d, path in paths.items() if path.exists()}
+    def path(prefix: str, detector_id: str = "") -> Path:
+        return io.model_path(models_dir, prefix, cls, detector_id)
 
-    if method in pipeline.BELIEF_METHODS:
-        models = per_detector("trust", TrustModel)
-        if not models:
-            raise MissingModel(f"no trust model files for class {cls} in {models_dir}")
-        return models
-    models = pipeline.BaselineModels(
-        platt=per_detector("platt", PlattModel), likelihoods=per_detector("bayes", ScoreLikelihood)
-    )
-    if not models.platt:
-        raise MissingModel(f"no Platt model files for class {cls} in {models_dir}")
+    def per_detector(prefix: str, kind: type, detectors) -> dict:
+        return {d: io.load_model(path(prefix, d), kind) for d in detectors if path(prefix, d).exists()}
+
+    belief = method in pipeline.BELIEF_METHODS
+    prefix, kind = ("trust", TrustModel) if belief else ("platt", PlattModel)
+    loaded = per_detector(prefix, kind, detector_ids)
+    if not loaded:
+        raise MissingModel(f"no {prefix} model files for class {cls} in {models_dir}")
+    models = loaded if belief else pipeline.BaselineModels(platt=loaded)
     if method == "ws":
-        ws_path = io.model_path(models_dir, "ws", cls)
+        ws_path = path("ws")
         if not ws_path.exists():
             raise MissingModel(f"missing weighted-sum weights file {ws_path}")
         models.weights = io.load_model(ws_path, WeightVector)
-        if models.platt.keys().isdisjoint(models.weights.detector_ids):
+        if loaded.keys().isdisjoint(models.weights.detector_ids):
             raise DataError(f"{ws_path}: detector_ids name none of the detectors with a Platt model")
-    if method == "bayes" and not models.likelihoods:
-        raise MissingModel(f"no Bayes likelihood files for class {cls} in {models_dir}")
+        for d in models.weights.detector_ids:
+            if not path("platt", d).exists():
+                raise MissingModel(f"missing {path('platt', d)}, the Platt model of a detector {ws_path} weighs")
+    if method == "bayes":
+        for d in loaded:
+            if not path("bayes", d).exists():
+                raise MissingModel(f"missing {path('bayes', d)}, the likelihoods of {path('platt', d)}")
+        models.likelihoods = per_detector("bayes", ScoreLikelihood, loaded)
+    for d in detector_ids:
+        if d not in loaded:
+            log.warning("no %s: the scores of detector %s are left out", path(prefix, d), d)
     return models
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa, sums_to_one
 from .geometry import BoundingBox, Detection, GroundTruthObject
-from .trust import PrPoint, TrustModel
+from .trust import TrustModel
 
 
 class DataError(ValueError):
@@ -419,16 +420,22 @@ def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None =
 # ``json.dumps(value, indent=2)``, byte for byte, for model files and
 # ``report.json``. ``indent`` makes ``json`` fall back to its pure-Python
 # encoder, so the bulky parts (PR curves, trust tables) are encoded by the C
-# encoder in one call each and then laid out here.
+# encoder or a row template and then laid out here.
+
+
+class _LaidOut(str):
+    """JSON text already laid out as ``indent2`` would, at its depth."""
 
 
 def indent2(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
-    deep. Dicts with string keys are laid out here; a list of number pairs
-    (a PR curve) or of flat dicts of numbers (a trust table) goes through
-    the C encoder once. Anything else goes to ``json.dumps``."""
+    deep. Dicts with string keys are laid out here, a list of number pairs
+    (a PR curve) goes through the C encoder once, and ``_LaidOut`` text is
+    written as it is. Anything else goes to ``json.dumps``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
+    if isinstance(value, _LaidOut):
+        return value
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         items = (f"{json.dumps(k)}: {indent2(v, depth + 1)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -437,19 +444,6 @@ def indent2(value, depth: int = 0) -> str:
         body = json.dumps(value, check_circular=False)[2:-2]
         body = body.replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", f",{inner}  ")
         return f"[{inner}[{inner}  {body}{inner}]{pad}]"
-    if _is_number_dicts(value):
-        # '[v, v, v]': numbers hold no ', '. Each distinct key order gets one
-        # row template, and the numbers fill the whole layout in one go.
-        numbers = json.dumps([v for row in value for v in row.values()])[1:-1].split(", ")
-        field = inner + "  "
-        templates: dict[tuple, str] = {}
-        for row in value:
-            keys = tuple(row)
-            if keys not in templates:
-                items = [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
-                templates[keys] = "{" + field + ("," + field).join(items) + inner + "}"
-        layout = "[" + inner + ("," + inner).join([templates[tuple(row)] for row in value]) + pad + "]"
-        return layout % tuple(numbers)
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
@@ -465,17 +459,6 @@ def _is_pairs(value) -> bool:
     )
 
 
-def _is_number_dicts(value) -> bool:
-    """A non-empty list of non-empty dicts with string keys and number values."""
-    return (
-        isinstance(value, list)
-        and len(value) > 0
-        and all(type(row) is dict and len(row) > 0 for row in value)
-        and {type(k) for row in value for k in row} == {str}
-        and {type(v) for row in value for v in row.values()} <= {float, int}
-    )
-
-
 FORMAT_VERSION = 1  # of every model file
 # Each kind's class and the fields its file holds, in file order.
 _MODEL_KINDS = {
@@ -487,6 +470,12 @@ _MODEL_KINDS = {
     "score_likelihood": (ScoreLikelihood, ("detector_id", "target_bins", "nontarget_bins")),
 }
 _KIND_OF = {cls: kind for kind, (cls, _) in _MODEL_KINDS.items()}
+# The fields that hold numbers, each checked as it is read (``table`` apart).
+_NUMBER_FIELDS = {"bpd_exponent", "num_validation_positives", "a", "b", "weights", "bias",
+                  "target_bins", "nontarget_bins"}
+# A trust table's columns, and one of its rows as laid out at depth 2 of a model file.
+_TABLE_KEYS = ("score", "recall", "precision_raw", "precision_monotone")
+_TABLE_ROW = "{" + ",".join(f'\n      "{key}": %s' for key in _TABLE_KEYS) + "\n    }"
 
 
 def _encoded(model, field: str):
@@ -496,18 +485,23 @@ def _encoded(model, field: str):
     if field == "bpd_exponent" and value == math.inf:
         return "inf"
     if field == "table":
-        return [{"score": p.score_threshold, "recall": p.recall,
-                 "precision_raw": p.precision_raw, "precision_monotone": p.precision} for p in value]
+        rows = ",\n    ".join([_TABLE_ROW] * len(value)) % tuple(_json_numbers(value.ravel().tolist()))
+        return _LaidOut(f"[\n    {rows}\n  ]")
     return list(value) if isinstance(value, tuple) else value
 
 
 def _decoded(field: str, value):
-    """A field's value from a model file, the inverse of ``_encoded``."""
+    """A field's value from a model file, the inverse of ``_encoded``; a
+    number field that holds anything else raises a ValueError naming it."""
     if field == "bpd_exponent" and value == "inf":
         return math.inf
     if field == "table":
-        return [PrPoint(row["score"], row["recall"], row["precision_monotone"], row["precision_raw"])
-                for row in value]
+        table = _numbers(list(map(itemgetter(*_TABLE_KEYS), value)), 4)
+        if table is None:
+            raise ValueError("field 'table' must hold rows of numbers")
+        return table
+    if field in _NUMBER_FIELDS and _numbers(value if isinstance(value, list) else [value]) is None:
+        raise ValueError(f"field {field!r} must hold numbers, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
 
 

@@ -26,16 +26,6 @@ class InsufficientData(ValueError):
     """Validation data cannot support a PR table for this detector."""
 
 
-@dataclass(frozen=True)
-class PrPoint:
-    """One row of the validation PR sweep at a distinct score threshold."""
-
-    score_threshold: float
-    recall: float
-    precision: float  # monotone envelope, non-increasing down the table
-    precision_raw: float
-
-
 def bpd_precision(recall: float, n: float) -> float:
     """Precision of the best-possible detector at the given recall: 1 - r^n.
 
@@ -68,12 +58,13 @@ def envelope(precision: np.ndarray) -> np.ndarray:
 def build_pr_table(
     labeled: list[tuple[Detection, MatchLabel]],
     num_gt_positives: int,
-) -> list[PrPoint]:
-    """Sweep score thresholds over labeled validation detections.
+) -> np.ndarray:
+    """Sweep score thresholds over labeled validation detections; one
+    ``TrustModel.table`` row per distinct score.
 
     Undecided detections are excluded. Each run of equal scores (-0.0 ties
     0.0) gives one row: its first score is the threshold, and the counts
-    after its last detection define recall and raw precision. The stored
+    after its last detection define recall and raw precision. The monotone
     precision column is the envelope, non-increasing down the table.
     """
     if num_gt_positives <= 0:
@@ -91,37 +82,37 @@ def build_pr_table(
     recall, precision = pr_sweep(tp_flags, num_gt_positives)
     last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
     first = np.append(0, last[:-1] + 1)
-    columns = (scores[first], recall[last], envelope(precision[last]), precision[last])
-    return list(map(PrPoint, *(c.tolist() for c in columns)))
+    return np.column_stack((scores[first], recall[last], precision[last], envelope(precision[last])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the table array has no single truth value
 class TrustModel:
     """Prior performance model of one detector on one class."""
 
     detector_id: str
     class_label: str
-    table: list[PrPoint]
+    table: np.ndarray  # read-only PR rows: threshold, recall, raw and monotone precision
     bpd_exponent: float = DEFAULT_BPD_EXPONENT
     num_validation_positives: int = 0
 
     def __post_init__(self):
-        if not self.table:
-            raise ValueError("trust model table must be nonempty")
-        thresholds = [p.score_threshold for p in self.table]
-        if not all(map(math.isfinite, thresholds)):
-            raise ValueError("table thresholds must be finite")
-        if any(a >= b for a, b in zip(thresholds[1:], thresholds)):
-            raise ValueError("table thresholds must be strictly descending")
+        table = np.array(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 4 or not len(table):
+            raise ValueError(f"table must be nonempty rows of 4 numbers, got shape {table.shape}")
+        thresholds = table[:, 0]
+        if not (np.isfinite(thresholds).all() and (thresholds[1:] < thresholds[:-1]).all()):
+            raise ValueError("table thresholds must be finite and strictly descending")
         if not self.bpd_exponent > 0:
-            raise ValueError(f"bpd exponent must be positive, got {self.bpd_exponent}")
+            raise ValueError(f"bpd_exponent must be positive, got {self.bpd_exponent}")
         positives = self.num_validation_positives
         if not (isinstance(positives, int) and positives >= 0):
-            raise ValueError(f"validation positives must be a count, got {positives!r}")
-        for i, p in enumerate(self.table):
-            rates_ok = 0.0 <= p.recall <= 1.0 and 0.0 <= p.precision <= 1.0
-            if not (rates_ok and 0.0 <= p.precision_raw <= 1.0):  # false for NaN too
-                raise ValueError(f"table row {i}: recall and precision must be in [0, 1], got {p}")
+            raise ValueError(f"num_validation_positives must be a count, got {positives!r}")
+        in_unit = ((table[:, 1:] >= 0.0) & (table[:, 1:] <= 1.0)).all(axis=1)  # false for NaN too
+        if not in_unit.all():
+            i = np.flatnonzero(~in_unit)[0]
+            raise ValueError(f"table row {i}: recall and precision must be in [0, 1], got {table[i].tolist()}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @cached_property
     def _mass_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -139,12 +130,12 @@ class TrustModel:
         m(~T) = 1 - max(p_bpd, p). The clamp covers detectors that locally
         beat the best-possible model.
         """
-        recall = [row.recall for row in self.table] + [1.0]
-        p = np.array([row.precision for row in self.table] + [self.table[-1].precision], dtype=float)
+        thresholds, recall, _, precision = self.table.T
+        p = np.append(precision, precision[-1])
         # 1 - r**n with Python's **: np.power rounds differently.
-        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in recall])
+        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in [*recall.tolist(), 1.0]])
         masses = np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1)
-        return np.array([-row.score_threshold for row in self.table]), bpa_rows(masses)
+        return -thresholds, bpa_rows(masses)
 
     def masses_at(self, scores: np.ndarray) -> np.ndarray:
         """The (m_T, m_~T, m_I) rows of an array of scores, looked up in the
@@ -155,8 +146,8 @@ class TrustModel:
     def static_bpa(self) -> Bpa:
         """Fixed assignment: the mass table's row of the PR row nearest
         ``STATIC_RECALL_ANCHOR``, the lower threshold on a tie."""
-        row = min(self.table, key=lambda p: (abs(p.recall - STATIC_RECALL_ANCHOR), p.score_threshold))
-        return Bpa.exact(*self._mass_table[1][self.table.index(row)].tolist())
+        row = np.lexsort((self.table[:, 0], abs(self.table[:, 1] - STATIC_RECALL_ANCHOR)))[0]
+        return Bpa.exact(*self._mass_table[1][row].tolist())
 
 
 def build_trust_model(

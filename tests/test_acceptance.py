@@ -30,7 +30,7 @@ from beliefuse.dst import (
 from beliefuse.evaluation import average_precision, evaluate_method
 from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.io import DetectionColumns
-from beliefuse.trust import PrPoint, TrustModel, bpd_precision
+from beliefuse.trust import TrustModel, bpd_precision
 from test_properties import reference_assignment
 
 DETECTOR_IDS = ("det_a", "det_b", "det_c")
@@ -118,9 +118,9 @@ def test_combination_algebra_on_random_pairs():
 
 def test_dynamic_assignment_fixture_and_boundaries():
     table = [
-        PrPoint(4.0, 0.2, 0.9, 0.9),
-        PrPoint(3.0, 0.4, 0.6, 0.6),
-        PrPoint(1.0, 1.0, 0.3, 0.3),
+        [4.0, 0.2, 0.9, 0.9],
+        [3.0, 0.4, 0.6, 0.6],
+        [1.0, 1.0, 0.3, 0.3],
     ]
     model = TrustModel("d1", "object", table, bpd_exponent=2.0,
                        num_validation_positives=10)

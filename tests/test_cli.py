@@ -306,6 +306,39 @@ class TestFuse:
         assert exited_cleanly(result, 3), result.output
         assert name in result.output
 
+    def models_without(self, workspace, tmp_path, *names):
+        models = tmp_path / "models"
+        models.mkdir()
+        for p in (workspace / "models").glob("*.json"):
+            if p.name not in names:
+                (models / p.name).write_bytes(p.read_bytes())
+        return models
+
+    @pytest.mark.parametrize("method, names", [
+        ("dbf", ["trust__det_c__object.json"]),
+        ("static-dst", ["trust__det_c__object.json"]),
+        ("platt", ["platt__det_c__object.json"]),
+        ("bayes", ["platt__det_c__object.json", "bayes__det_c__object.json"]),
+    ])
+    def test_detector_without_a_model_file_is_left_out_with_a_warning(
+        self, workspace, tmp_path, caplog, method, names
+    ):
+        models = self.models_without(workspace, tmp_path, *names)
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", method, models=models))
+        assert result.exit_code == 0, result.output
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "det_c" in warnings[0] and names[0] in warnings[0], warnings
+
+    @pytest.mark.parametrize("method, name", [
+        ("ws", "platt__det_c__object.json"),  # the ws weights weigh det_c
+        ("bayes", "bayes__det_c__object.json"),  # det_c has a Platt model
+    ])
+    def test_model_file_another_one_calls_for_exits_4_naming_it(self, workspace, tmp_path, method, name):
+        models = self.models_without(workspace, tmp_path, name)
+        result = run(self.fuse_args(workspace, tmp_path / "o.jsonl", method, models=models))
+        assert exited_cleanly(result, 4), result.output
+        assert name in result.output
+
     @pytest.mark.parametrize("config, flags, env", [
         ({"match_iou": "0.5"}, [], None),
         ({"jobs": "2"}, [], None),

@@ -14,7 +14,7 @@ from beliefuse.fusion import (
 )
 from beliefuse.geometry import BoundingBox, Detection, iou_matrix
 from beliefuse.pipeline import windows_of
-from beliefuse.trust import PrPoint, TrustModel
+from beliefuse.trust import TrustModel
 
 
 def box(x0, y0, x1, y1):
@@ -48,10 +48,10 @@ def static_score(models):
 
 def model_for(detector, n=2.0):
     table = [
-        PrPoint(4.0, 0.2, 0.9, 0.9),
-        PrPoint(3.0, 0.4, 0.6, 0.6),
-        PrPoint(2.0, 0.6, 0.5, 0.45),
-        PrPoint(1.0, 1.0, 0.3, 0.3),
+        [4.0, 0.2, 0.9, 0.9],
+        [3.0, 0.4, 0.6, 0.6],
+        [2.0, 0.6, 0.45, 0.5],
+        [1.0, 1.0, 0.3, 0.3],
     ]
     return TrustModel(detector, "object", table, bpd_exponent=n)
 
@@ -213,8 +213,8 @@ class TestDbfFuse:
 
 class TestTotalConflictRecovery:
     def test_smoothing_keeps_pipeline_total(self):
-        certain_t = TrustModel("a", "object", [PrPoint(1.0, 0.5, 1.0, 1.0)], bpd_exponent=1000.0)
-        certain_nt = TrustModel("b", "object", [PrPoint(1.0, 1.0, 0.0, 0.0)], bpd_exponent=2.0)
+        certain_t = TrustModel("a", "object", [[1.0, 0.5, 1.0, 1.0]], bpd_exponent=1000.0)
+        certain_nt = TrustModel("b", "object", [[1.0, 1.0, 0.0, 0.0]], bpd_exponent=2.0)
         before = fusion.conflict_smoothing_count
         verdict = dbf_verdict({"a": 5.0, "b": 5.0}, {"a": certain_t, "b": certain_nt})
         assert fusion.conflict_smoothing_count == before + 1

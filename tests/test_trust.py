@@ -10,13 +10,12 @@ from beliefuse.geometry import BoundingBox, Detection, MatchLabel
 from beliefuse.io import DataError, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
-    PrPoint,
     TrustModel,
     bpd_precision,
     build_pr_table,
     build_trust_model,
 )
-from test_properties import reference_assignment
+from test_properties import reference_assignment, reference_model_dict
 
 TP = MatchLabel.TRUE_POSITIVE
 FP = MatchLabel.FALSE_POSITIVE
@@ -74,31 +73,31 @@ class TestBuildPrTable:
         table = build_pr_table(
             labeled_from([(4.0, TP), (3.0, TP), (2.0, FP), (1.0, TP)]), 4
         )
-        raw = [(p.recall, p.precision_raw) for p in table]
+        raw = [(r, p) for _, r, p, _ in table.tolist()]
         assert raw == [
             (0.25, 1.0),
             (0.5, 1.0),
             (0.5, pytest.approx(2 / 3)),
             (0.75, 0.75),
         ]
-        assert [p.precision for p in table] == [1.0, 1.0, 0.75, 0.75]
+        assert table[:, 3].tolist() == [1.0, 1.0, 0.75, 0.75]
 
     def test_perfect_detector(self):
         table = build_pr_table(labeled_from([(3.0, TP), (2.0, TP), (1.0, FP)]), 2)
-        assert table[0].precision == 1.0
-        assert table[1] == PrPoint(2.0, 1.0, 1.0, 1.0)
+        assert table[0, 3] == 1.0
+        assert table[1].tolist() == [2.0, 1.0, 1.0, 1.0]
 
     def test_fp_then_tp(self):
         table = build_pr_table(labeled_from([(2.0, FP), (1.0, TP)]), 1)
-        assert [(p.recall, p.precision_raw) for p in table] == [(0.0, 0.0), (1.0, 0.5)]
-        assert [p.precision for p in table] == [0.5, 0.5]
+        assert table[:, 1:3].tolist() == [[0.0, 0.0], [1.0, 0.5]]
+        assert table[:, 3].tolist() == [0.5, 0.5]
 
     def test_undecided_excluded(self):
         with_und = build_pr_table(
             labeled_from([(3.0, TP), (2.5, UN), (2.0, FP)]), 2
         )
         without = build_pr_table(labeled_from([(3.0, TP), (2.0, FP)]), 2)
-        assert with_und == without
+        assert with_und.tolist() == without.tolist()
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -119,20 +118,19 @@ class TestBuildPrTable:
                 labels[-1] = FP
             scores = sorted(rng.normal(0, 2, n).tolist(), reverse=True)
             table = build_pr_table(labeled_from(zip(scores, labels)), labels.count(TP) + 2)
-            recalls = [p.recall for p in table]
-            envelope = [p.precision for p in table]
-            assert all(a <= b for a, b in zip(recalls, recalls[1:]))
-            assert all(a >= b for a, b in zip(envelope, envelope[1:]))
-            assert all(p.precision >= p.precision_raw for p in table)
+            _, recalls, raw, envelope = table.T
+            assert (recalls[1:] >= recalls[:-1]).all()
+            assert (envelope[1:] <= envelope[:-1]).all()
+            assert (envelope >= raw).all()
 
 
 def simple_model(n=2.0):
     # Thresholds 4..1 with recalls .2/.4/.6/1 and envelope precisions.
     table = [
-        PrPoint(4.0, 0.2, 0.9, 0.9),
-        PrPoint(3.0, 0.4, 0.6, 0.6),
-        PrPoint(2.0, 0.6, 0.5, 0.45),
-        PrPoint(1.0, 1.0, 0.3, 0.3),
+        [4.0, 0.2, 0.9, 0.9],
+        [3.0, 0.4, 0.6, 0.6],
+        [2.0, 0.6, 0.45, 0.5],
+        [1.0, 1.0, 0.3, 0.3],
     ]
     return TrustModel("d1", "object", table, bpd_exponent=n, num_validation_positives=10)
 
@@ -140,7 +138,7 @@ def simple_model(n=2.0):
 class TestScoreToBpa:
     def test_hand_fixture_row(self):
         model = TrustModel(
-            "d1", "object", [PrPoint(5.0, 0.4, 0.6, 0.6)], bpd_exponent=2.0
+            "d1", "object", [[5.0, 0.4, 0.6, 0.6]], bpd_exponent=2.0
         )
         b = score_to_bpa(model, 5.0)
         assert b.m_target == pytest.approx(0.6, abs=1e-15)
@@ -167,7 +165,7 @@ class TestScoreToBpa:
 
     def test_clamp_when_detector_beats_bpd(self):
         model = TrustModel(
-            "d1", "object", [PrPoint(5.0, 0.9, 0.95, 0.95)], bpd_exponent=2.0
+            "d1", "object", [[5.0, 0.9, 0.95, 0.95]], bpd_exponent=2.0
         )
         b = score_to_bpa(model, 5.0)
         # p = .95 > p_bpd = .19: ambiguity clamps to zero.
@@ -192,14 +190,14 @@ class TestScoreToBpa:
 
     def test_mass_split_identity(self):
         model = simple_model()
-        for row in model.table:
-            b = score_to_bpa(model, row.score_threshold)
-            assert b == reference_assignment(model, row.recall, row.precision)
-            p_bpd = bpd_precision(row.recall, model.bpd_exponent)
+        for threshold, recall, _, precision in model.table.tolist():
+            b = score_to_bpa(model, threshold)
+            assert b == reference_assignment(model, recall, precision)
+            p_bpd = bpd_precision(recall, model.bpd_exponent)
             assert b.m_target + b.m_intermediate == pytest.approx(
-                max(p_bpd, row.precision), abs=1e-12
+                max(p_bpd, precision), abs=1e-12
             )
-            assert b.m_nontarget == pytest.approx(1 - max(p_bpd, row.precision), abs=1e-12)
+            assert b.m_nontarget == pytest.approx(1 - max(p_bpd, precision), abs=1e-12)
 
 
 class TestStaticBpa:
@@ -233,7 +231,8 @@ class TestSerialization:
         save_model(model, path)
         reloaded = load_model(path)
         assert math.isinf(reloaded.bpd_exponent)
-        assert reloaded == model
+        # repr tells every float apart
+        assert repr(reference_model_dict(reloaded)) == repr(reference_model_dict(model))
 
     def test_rejects_unknown_format_version(self, tmp_path):
         path = tmp_path / "model.json"
@@ -251,15 +250,29 @@ class TestTrustModelInvariants:
             TrustModel("d1", "object", [])
 
     def test_rejects_non_descending_thresholds(self):
-        rows = [PrPoint(1.0, 0.2, 0.9, 0.9), PrPoint(2.0, 0.4, 0.8, 0.8)]
+        rows = [[1.0, 0.2, 0.9, 0.9], [2.0, 0.4, 0.8, 0.8]]
         with pytest.raises(ValueError):
             TrustModel("d1", "object", rows)
 
     @pytest.mark.parametrize("row", [
-        PrPoint(1.0, 1.5, 0.9, 0.9), PrPoint(1.0, -0.1, 0.9, 0.9),
-        PrPoint(1.0, 0.2, 1.2, 0.9), PrPoint(1.0, 0.2, 0.9, 2.0),
-        PrPoint(1.0, float("nan"), 0.9, 0.9), PrPoint(1.0, 0.2, float("inf"), 0.9),
+        [1.0, 1.5, 0.9, 0.9], [1.0, -0.1, 0.9, 0.9],
+        [1.0, 0.2, 0.9, 1.2], [1.0, 0.2, 2.0, 0.9],
+        [1.0, float("nan"), 0.9, 0.9], [1.0, 0.2, 0.9, float("inf")],
     ])
     def test_rejects_recall_or_precision_outside_unit_interval(self, row):
         with pytest.raises(ValueError, match="must be in"):
             TrustModel("d1", "object", [row])
+
+    @pytest.mark.parametrize("table", [[1.0, 0.2, 0.9, 0.9], [[1.0, 0.2, 0.9]], [[[1.0, 0.2, 0.9, 0.9]]]],
+                             ids=["one-row-flat", "three-columns", "three-dimensions"])
+    def test_rejects_a_table_that_is_not_rows_of_four(self, table):
+        with pytest.raises(ValueError, match="table"):
+            TrustModel("d1", "object", table)
+
+    def test_table_is_a_read_only_copy(self):
+        rows = np.array([[1.0, 0.2, 0.9, 0.9]])
+        model = TrustModel("d1", "object", rows)
+        rows[0, 1] = 0.5
+        assert model.table.tolist() == [[1.0, 0.2, 0.9, 0.9]]
+        with pytest.raises(ValueError):
+            model.table[0, 1] = 0.5
