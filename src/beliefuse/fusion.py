@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dst
 from .dst import Bpa, TotalConflict
-from .geometry import iou_matrix, nms_keep, nms_order, suppression_mask
+from .geometry import _iou, nms_keep, nms_order, suppression_mask
 from .trust import TrustModel
 
 log = logging.getLogger(__name__)
@@ -32,59 +32,90 @@ class Windows(NamedTuple):
     detectors: np.ndarray  # (N,) an index into the batch's sorted detector ids
     images: np.ndarray  # (N,) an index into the sorted image ids
 
-    def spans(self) -> list[tuple[int, int]]:
-        """Each image's rows, as (first row, stop row), in row order."""
+    def spans(self) -> np.ndarray:
+        """Each image's rows as (first row, stop row), in row order: an
+        (images, 2) array."""
         n = len(self.images)
-        cuts = (np.flatnonzero(self.images[1:] != self.images[:-1]) + 1).tolist()
-        bounds = [0, *cuts, n] if n else []
-        return list(zip(bounds[:-1], bounds[1:]))
+        cuts = np.flatnonzero(self.images[1:] != self.images[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [n])) if n else np.zeros(1, dtype=np.intp)
+        return np.column_stack((bounds[:-1], bounds[1:]))
 
 
 # A scoring rule maps a batch's detector ids and slot matrix (see
-# ``slot_matrix``) to one fused score per row and, for the belief methods,
-# the (N, 3) joint masses those scores come from.
+# ``slots_and_masks``) to one fused score per row and, for the belief
+# methods, the (N, 3) joint masses those scores come from.
 Rule = Callable[[list[str], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
+# The most window pairs one stacked pass holds, 128 KB per float64
+# temporary: larger passes fall out of cache and cost more per pair. A pass
+# always takes at least one image.
+MAX_STACKED_PAIRS = 1 << 14
 
-def slot_matrix(scores: np.ndarray, detectors: np.ndarray, num_detectors: int,
-                overlap_threshold: float, overlaps: np.ndarray) -> np.ndarray:
-    """One image's detection vectors as an N×D matrix.
 
-    Rows are the image's windows in subject order, ``detectors`` holding
-    each one's column (in ascending order) and ``overlaps`` their
-    ``iou_matrix``. A window's own detector's column holds its raw score;
-    every other column holds the maximum score among that detector's
-    windows overlapping it beyond the threshold, or -inf (slot absent) when
-    there is none. An image with no windows gives a (0, D) matrix.
+def slots_and_masks(
+    windows: Windows,
+    spans: np.ndarray,
+    num_detectors: int,
+    overlap_threshold: float,
+    nms_threshold: float | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A batch's detection vectors as an N×D slot matrix, and each image's
+    NMS suppression mask.
+
+    Rows are the windows in subject order, ``windows.detectors`` holding
+    each one's column (ascending within an image) and ``spans`` each
+    image's rows (``Windows.spans``). A window's own detector's column holds
+    its raw score; every other column holds the maximum score among that
+    detector's windows in the same image overlapping it beyond
+    ``overlap_threshold``, or -inf (slot absent) when there is none.
+
+    Images with the same window count n share one stacked pass, at most
+    ``MAX_STACKED_PAIRS`` pairs at a time: one (n, k, n) IoU array, entry
+    [i, j, c] the IoU of image j's windows i and c as ``iou_matrix`` gives
+    it, then one ``np.maximum.reduceat`` over the masked scores, a segment
+    per row, image and detector. Each mask is ``suppression_mask`` of one
+    image's IoU matrix, a view into its pass's stack, in span order;
+    without ``nms_threshold`` there are none.
     """
-    slots = np.full((len(scores), num_detectors), -np.inf)
-    if not len(scores):
-        return slots
-    # Each window's score where it overlaps the subject (row), else -inf.
-    masked = np.where(overlaps > overlap_threshold, scores, -np.inf)
-    present, starts = np.unique(detectors, return_index=True)
-    # One column per present detector: the maximum over its span of columns.
-    slots[:, present] = np.maximum.reduceat(masked, starts, axis=1)
-    # np.maximum keeps the later of two equal zeros, but a slot keeps the
-    # first window's score among equals: with a -0.0 score about, each zero
-    # slot takes the sign of its first zero window.
-    if np.any((scores == 0) & np.signbit(scores)):
-        zeros = np.where(masked == 0, np.arange(len(scores)), len(scores))
-        first = np.minimum.reduceat(zeros, starts, axis=1)
-        rows, cols = np.nonzero(slots[:, present] == 0)
-        slots[rows, present[cols]] = scores[first[rows, cols]]
-    slots[np.arange(len(scores)), detectors] = scores
-    return slots
-
-
-def image_slots(windows: Windows, num_detectors: int, overlap_threshold: float):
-    """Each image's IoU matrix and slot matrix, image by image."""
-    for start, stop in windows.spans():
-        overlaps = iou_matrix(windows.boxes[start:stop])
-        yield overlaps, slot_matrix(
-            windows.scores[start:stop], windows.detectors[start:stop], num_detectors,
-            overlap_threshold, overlaps,
-        )
+    slots = np.full((len(windows.scores), num_detectors), -np.inf)
+    masks: list[np.ndarray] = [None] * len(spans)
+    starts, counts = spans[:, 0], spans[:, 1] - spans[:, 0]
+    # A segment starts at each image's first window and wherever the
+    # window's detector changes.
+    cuts = np.ones(len(windows.scores), dtype=bool)
+    np.not_equal(windows.detectors[1:], windows.detectors[:-1], out=cuts[1:])
+    cuts[starts] = True
+    signed_zeros = np.any((windows.scores == 0) & np.signbit(windows.scores))
+    for n in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == n)
+        size = max(1, MAX_STACKED_PAIRS // (n * n))
+        for first in range(0, len(group), size):
+            images = group[first : first + size]
+            rows = starts[images] + np.arange(n)[:, None]  # (n, k): image j's row i
+            overlaps = _iou(windows.boxes[rows][:, :, None], windows.boxes[rows.T])
+            scores = windows.scores[rows.T]
+            # Each window's score where it overlaps the subject, else -inf:
+            # one line per subject row, the k images side by side.
+            masked = np.where(overlaps > overlap_threshold, scores, -np.inf).reshape(n, -1)
+            at = np.flatnonzero(cuts[rows.T])
+            best = np.maximum.reduceat(masked, at, axis=1)  # (n, segments)
+            image, column = np.divmod(at, n)
+            # np.maximum keeps the later of two equal zeros, but a slot keeps
+            # the first window's score among equals: with a -0.0 score about,
+            # each zero slot takes the sign of its first zero window.
+            if signed_zeros:
+                zeros = np.where(masked == 0, np.tile(np.arange(n), len(images)), n)
+                first_zero = np.minimum.reduceat(zeros, at, axis=1)
+                row, segment = np.nonzero(best == 0)
+                best[row, segment] = scores[image[segment], first_zero[row, segment]]
+            columns = windows.detectors[rows[column, image]]
+            slots.reshape(-1)[rows[:, image] * num_detectors + columns] = best
+            if nms_threshold is not None:
+                stack = suppression_mask(overlaps, nms_threshold)
+                for j, k in enumerate(images.tolist()):
+                    masks[k] = stack[:, j]
+    slots[np.arange(len(windows.scores)), windows.detectors] = windows.scores
+    return slots, masks
 
 
 def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
@@ -153,6 +184,7 @@ def static_dst_joints(
 
 def fuse_images(
     windows: Windows,
+    spans: np.ndarray,
     detector_ids: list[str],
     rule: Rule,
     overlap_threshold: float = 0.5,
@@ -160,22 +192,21 @@ def fuse_images(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rescore a batch of images by fusion, then consolidate each with NMS.
 
-    Each image's IoU matrix is computed once; it gives the image's rows of
-    the batch's slot matrix and its NMS suppression mask, and only the mask
-    is kept. ``rule`` scores the whole batch in one call. NMS then runs
-    image by image on the fused scores. Returns the kept rows, image by
-    image and each image's in visiting order, with their fused scores and
-    joint masses (NaN where the rule gives none).
+    ``spans`` holds each image's rows (``Windows.spans``). Each image's IoU
+    matrix is computed once, in its window-count group's stacked pass; it
+    gives the image's rows of the batch's slot matrix and its NMS
+    suppression mask, and only the mask is kept (``slots_and_masks``).
+    ``rule`` scores the whole batch in one call. NMS then runs image by
+    image on the fused scores. Returns the kept rows, image by image and
+    each image's in visiting order, with their fused scores and joint
+    masses (NaN where the rule gives none).
     """
-    blocks, masks = [np.empty((0, len(detector_ids)))], []
-    for overlaps, slots in image_slots(windows, len(detector_ids), overlap_threshold):
-        blocks.append(slots)
-        masks.append(suppression_mask(overlaps, nms_threshold))
-    scores, joints = rule(detector_ids, np.concatenate(blocks))
+    slots, masks = slots_and_masks(windows, spans, len(detector_ids), overlap_threshold, nms_threshold)
+    scores, joints = rule(detector_ids, slots)
     if joints is None:
         joints = np.full((len(scores), 3), np.nan)
     order = nms_order(scores, windows.detectors, windows.boxes, windows.images)
-    images = zip(windows.spans(), masks)
+    images = zip(spans.tolist(), masks)
     kept = [start + i for (start, stop), mask in images for i in nms_keep(order[start:stop] - start, mask)]
     kept = np.array(kept, dtype=np.intp)
     return kept, scores[kept], joints[kept]

@@ -127,8 +127,7 @@ def fit_baselines(
     # window, as fuse_images builds it for the baselines.
     detector_ids = sorted(out.platt)
     windows, ids, _, order = windows_of({k: per_detector[k] for k in detector_ids})
-    slots = [s for _, s in fusion.image_slots(windows, len(ids), overlap_threshold)]
-    slots = np.concatenate([np.empty((0, len(ids))), *slots])
+    slots, _ = fusion.slots_and_masks(windows, windows.spans(), len(ids), overlap_threshold)
     features = baselines.platt_features(ids, slots, out.platt, detector_ids)
     # Rows are labeled by position, so a Detection listed twice is two rows.
     labels: list[MatchLabel] = []
@@ -203,9 +202,9 @@ class _BatchFuser:
             scores = baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods)
         return scores, None
 
-    def __call__(self, windows: Windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, windows: Windows, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return fusion.fuse_images(
-            windows, self.detector_ids, self.rule, self.overlap_threshold, self.nms_threshold
+            windows, spans, self.detector_ids, self.rule, self.overlap_threshold, self.nms_threshold
         )
 
 
@@ -217,8 +216,8 @@ def _install_fuser(fuser: _BatchFuser) -> None:
     _worker_fuser = fuser
 
 
-def _fuse_in_worker(windows: Windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _worker_fuser(windows)
+def _fuse_in_worker(batch: tuple[Windows, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _worker_fuser(*batch)
 
 
 def fuse_corpus(
@@ -240,8 +239,8 @@ def fuse_corpus(
     take part. The windows become columns once (``windows_of``); serially
     all images are fused as one batch (``fusion.fuse_images``). With
     ``jobs > 1`` each pool worker gets the models once, through the pool
-    initializer, then the columns of contiguous images, one batch per task,
-    and sends back kept rows, scores and joints.
+    initializer, then the columns and spans of contiguous images, one batch
+    per task, and sends back kept rows, scores and joints.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -261,13 +260,17 @@ def fuse_corpus(
     )
     spans = windows.spans()
     if jobs <= 1 or len(spans) < 2:
-        kept, scores, joints = fuser(windows)
+        kept, scores, joints = fuser(windows, spans)
     else:
         # A few batches per worker, so an image-heavy batch cannot idle the rest.
         size = max(1, len(spans) // (4 * jobs))
-        starts = [spans[i][0] for i in range(0, len(spans), size)]
+        firsts = range(0, len(spans), size)
+        starts = spans[::size, 0].tolist()
         stops = [*starts[1:], len(windows.scores)]
-        batches = [Windows(*(c[a:b] for c in windows)) for a, b in zip(starts, stops)]
+        batches = [
+            (Windows(*(c[a:b] for c in windows)), spans[i : i + size] - a)
+            for i, a, b in zip(firsts, starts, stops)
+        ]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
         ) as pool:

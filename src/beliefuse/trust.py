@@ -132,8 +132,10 @@ class TrustModel:
         """
         thresholds, recall, _, precision = self.table.T
         p = np.append(precision, precision[-1])
-        # 1 - r**n with Python's **: np.power rounds differently.
-        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in [*recall.tolist(), 1.0]])
+        # bpd_precision, 1 - r**n, with Python's **: np.power rounds
+        # differently. r**inf is 0.0 below r = 1 and 1.0 at it.
+        n = self.bpd_exponent
+        p_bpd = np.array([1.0 - r**n for r in [*recall.tolist(), 1.0]])
         masses = np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1)
         return -thresholds, bpa_rows(masses)
 

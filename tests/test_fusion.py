@@ -6,13 +6,14 @@ import pytest
 from beliefuse import fusion
 from beliefuse.dst import Bpa, combine, fused_scores
 from beliefuse.fusion import (
+    Windows,
     dbf_joints,
     fuse_images,
-    slot_matrix,
+    slots_and_masks,
     static_dst_joints,
     static_masses,
 )
-from beliefuse.geometry import BoundingBox, Detection, iou_matrix
+from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.pipeline import windows_of
 from beliefuse.trust import TrustModel
 
@@ -89,9 +90,7 @@ def score_to_bpa(model, score):
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
     windows, detector_ids, _, _ = windows_of(per_det)
-    return slot_matrix(
-        windows.scores, windows.detectors, len(detector_ids), 0.5, iou_matrix(windows.boxes)
-    )
+    return slots_and_masks(windows, windows.spans(), len(detector_ids), 0.5)[0]
 
 
 def fuse(per_det, rule):
@@ -99,7 +98,7 @@ def fuse(per_det, rule):
     per kept window, in visiting order."""
     windows, detector_ids, _, order = windows_of(per_det)
     dets = [d for ds in per_det.values() for d in ds]
-    kept, scores, joints = fuse_images(windows, detector_ids, rule)
+    kept, scores, joints = fuse_images(windows, windows.spans(), detector_ids, rule)
     return list(zip([dets[i] for i in order[kept].tolist()], scores.tolist(), verdicts(joints)))
 
 
@@ -145,8 +144,9 @@ class TestBuildDetectionVectors:
     def test_image_with_no_windows_gives_no_rows(self):
         assert vectors({}).shape == (0, 0)
         empty = np.empty(0)
-        slots = slot_matrix(empty, empty.astype(np.intp), 3, 0.5, iou_matrix(np.empty((0, 4))))
-        assert slots.shape == (0, 3)
+        windows = Windows(np.empty((0, 4)), empty, empty.astype(np.intp), empty.astype(np.intp))
+        slots, masks = slots_and_masks(windows, windows.spans(), 3, 0.5, 0.5)
+        assert slots.shape == (0, 3) and masks == []
 
     def test_own_slot_invariant_enforced(self):
         # A window's own column holds its raw score, even where a window of

@@ -2,7 +2,9 @@
 scalar references.
 
 The references below are the per-pair loops that built detection vectors
-and ran NMS before they shared one IoU matrix per image; the per-window
+and ran NMS before they shared one IoU matrix per image; the per-image
+slot matrix (``slot_matrix``) that fusion built before images with the same
+window count shared one stacked pass; the per-window
 trust lookup, mass split and Dempster fold that DBF and static-DST ran
 before whole batches went through one array pass; the per-vector baseline
 rules and weighted-sum training set, which took each detection vector as a
@@ -27,6 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +49,6 @@ from beliefuse.dst import (
     combine_rows,
     fused_scores,
 )
-from beliefuse.fusion import slot_matrix
 from beliefuse.evaluation import (
     NoGroundTruth,
     average_precision,
@@ -196,6 +198,25 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(bs):
     assert pairs.tobytes() == expected.ravel().tobytes()
 
 
+def slot_matrix(scores, detectors, num_detectors, overlap_threshold, overlaps):
+    """One image's slot matrix from its ``iou_matrix``, ``detectors`` holding
+    each window's column (ascending); see ``fusion.slots_and_masks``."""
+    slots = np.full((len(scores), num_detectors), -np.inf)
+    if not len(scores):
+        return slots
+    masked = np.where(overlaps > overlap_threshold, scores, -np.inf)
+    present, starts = np.unique(detectors, return_index=True)
+    slots[:, present] = np.maximum.reduceat(masked, starts, axis=1)
+    # With a -0.0 score about, each zero slot takes its first zero window's sign.
+    if np.any((scores == 0) & np.signbit(scores)):
+        zeros = np.where(masked == 0, np.arange(len(scores)), len(scores))
+        first = np.minimum.reduceat(zeros, starts, axis=1)
+        rows, cols = np.nonzero(slots[:, present] == 0)
+        slots[rows, present[cols]] = scores[first[rows, cols]]
+    slots[np.arange(len(scores)), detectors] = scores
+    return slots
+
+
 def as_rows(vectors, detector_ids):
     """Reference vectors as slot matrix rows: -inf where a slot is absent."""
     return [[slots.get(d, -math.inf) for d in detector_ids] for _, slots in vectors]
@@ -218,6 +239,73 @@ def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
         got = slot_matrix(windows.scores, columns, len(detector_ids), threshold, overlaps)
         assert got.shape == (len(expected), len(detector_ids))
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
+        one_image = windows._replace(detectors=columns)
+        got, _ = fusion.slots_and_masks(one_image, one_image.spans(), len(detector_ids), threshold)
+        assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
+
+
+def _batch(*per_image):
+    """Images' windows by detector, as one batch's windows by detector."""
+    corpus: dict[str, list[Detection]] = {}
+    for per_det in per_image:
+        for det_id, dets in per_det.items():
+            corpus.setdefault(det_id, []).extend(dets)
+    return corpus
+
+
+@st.composite
+def corpora(draw, max_images=5, max_windows=5):
+    return _batch(*(
+        draw(images(image_id=f"img{k}", max_detectors=3, max_windows=max_windows))
+        for k in range(draw(st.integers(1, max_images)))
+    ))
+
+
+def _image(image_id, windows):
+    """One image's windows by detector, from (detector, score) pairs on one box."""
+    per_det: dict[str, list[Detection]] = {}
+    for det_id, score in windows:
+        per_det.setdefault(det_id, []).append(Detection(image_id, det_id, BoundingBox(0, 0, 1, 1), score))
+    return per_det
+
+
+# Three images of two windows each, and one of one window.
+SAME_COUNT = _batch(
+    {"a": [Detection("i0", "a", BoundingBox(0, 0, 2, 2), 1.0)],
+     "b": [Detection("i0", "b", BoundingBox(0, 0, 2, 1), 3.0)]},
+    {"a": [Detection("i1", "a", BoundingBox(5, 5, 6, 6), 2.0),
+           Detection("i1", "a", BoundingBox(5, 5, 6, 7), 4.0)]},
+    {"b": [Detection("i2", "b", BoundingBox(0, 0, 1, 1), 0.5)],
+     "c": [Detection("i2", "c", BoundingBox(0, 0, 1, 1), 0.25)]},
+    {"c": [Detection("i3", "c", BoundingBox(0, 0, 1, 1), 7.0)]},
+)
+# Three windows each: the first image's zero slots take -0.0 or 0.0 from
+# their first zero window; the second's, all +0.0, stay +0.0.
+SIGNED_ZERO_GROUP = _batch(
+    _image("i0", [("c", 0.0), ("d", -0.0), ("d", 0.0)]),
+    _image("i1", [("c", 0.0), ("d", 0.0), ("d", 0.0)]),
+)
+
+
+@settings(deadline=None)
+@given(corpora(max_images=8, max_windows=3), thresholds, thresholds,
+       st.sampled_from([1, 8, fusion.MAX_STACKED_PAIRS]))
+@example(SAME_COUNT, 0.1, 0.5, fusion.MAX_STACKED_PAIRS)
+@example(SIGNED_ZERO_GROUP, 0.1, 0.5, fusion.MAX_STACKED_PAIRS)
+@example({}, 0.5, 0.5, fusion.MAX_STACKED_PAIRS)
+@example(SAME_COUNT, 0.1, 0.5, 1)  # every image its own stacked pass
+def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, cap):
+    windows, ids, _, _ = windows_of(corpus)
+    spans = windows.spans()
+    with mock.patch.object(fusion, "MAX_STACKED_PAIRS", cap):
+        slots, masks = fusion.slots_and_masks(windows, spans, len(ids), overlap, nms)
+    assert slots.shape == (len(windows.scores), len(ids)) and len(masks) == len(spans)
+    for (start, stop), mask in zip(spans.tolist(), masks):
+        overlaps = iou_matrix(windows.boxes[start:stop])
+        expected = slot_matrix(windows.scores[start:stop], windows.detectors[start:stop], len(ids),
+                               overlap, overlaps)
+        assert repr(slots[start:stop].tolist()) == repr(expected.tolist())
+        assert np.array_equal(mask, suppression_mask(overlaps, nms))
 
 
 @given(images(max_detectors=3), thresholds)
@@ -250,19 +338,6 @@ def _models(method):
         weights=WeightVector(tuple("abcde"), (0.5, 0.25, 1.0, -0.5, 0.75), -0.25),
         likelihoods={d: ScoreLikelihood(d, (0.25, 0.75), (0.75, 0.25)) for d in "abcde"},
     )
-
-
-@st.composite
-def corpora(draw):
-    per_image = [
-        draw(images(image_id=f"img{k}", max_detectors=3, max_windows=5))
-        for k in range(draw(st.integers(1, 5)))
-    ]
-    corpus: dict[str, list[Detection]] = {}
-    for per_det in per_image:
-        for det_id, dets in per_det.items():
-            corpus.setdefault(det_id, []).extend(dets)
-    return corpus
 
 
 @settings(max_examples=10, deadline=None)
