@@ -16,13 +16,11 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import datagen, evaluation, io, pipeline
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
@@ -71,8 +69,8 @@ class RunConfig:
             raise ConfigError(f"bad duplicate_policy {self.duplicate_policy!r}")
         if self.ap_interpolation not in ("all-points", "11-point"):
             raise ConfigError(f"bad ap_interpolation {self.ap_interpolation!r}")
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -109,12 +107,6 @@ def _resolve_config(config_file: str | None, **flags) -> RunConfig:
     for key, value in flags.items():
         if value is not None:
             setattr(cfg, key, value)
-    if cfg.jobs == 0:
-        raw = os.environ.get("BELIEFUSE_JOBS", "1")
-        try:
-            cfg.jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"BELIEFUSE_JOBS must be an integer, got {raw!r}")
     cfg.validate()
     return cfg
 
@@ -355,6 +347,8 @@ def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: st
 def cmd_fuse(method, config_file, n_raw, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
     with _exit_on_error():
+        if n_raw is not None:
+            raise ConfigError("fuse takes n from each trust model file; set it with build-trust or sweep-n")
         cfg = _build_cfg(config_file, n_raw, ("detections_dir", "models_dir", "out"), **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
@@ -368,14 +362,12 @@ def cmd_fuse(method, config_file, n_raw, **flags):
                     cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
                 )
             )
+    # Each class's rows are already in file order.
     merged = io.DetectionColumns.concat(fused)
-    _, classes = io.ranks(merged.class_labels)
-    _, images = io.ranks(merged.image_ids)
-    # By class, image, descending score and box; a stable sort.
-    order = np.lexsort((*merged.boxes.T[::-1], -merged.scores, images, classes))
     provenance = cfg.as_dict()
+    del provenance["bpd_exponent"]
     provenance["method"] = method
-    io.write_fused(merged.take(order), cfg.out, config=provenance)
+    io.write_fused(merged, cfg.out, config=provenance)
     click.echo(f"wrote {len(merged)} fused detections to {cfg.out}")
 
 

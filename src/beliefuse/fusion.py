@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dst
-from .dst import Bpa, TotalConflict
+from .dst import TotalConflict
 from .geometry import _iou, nms_keep, nms_order, suppression_mask
 from .trust import TrustModel
 
@@ -164,19 +164,15 @@ def dbf_joints(
     return _fold(sources, use)
 
 
-def static_masses(models: dict[str, TrustModel]) -> dict[str, Bpa]:
-    """Each detector's fixed static-assignment mass, by detector id."""
-    return {det_id: model.static_bpa() for det_id, model in sorted(models.items())}
-
-
 def static_dst_joints(
-    detector_ids: list[str], slots: np.ndarray, masses: dict[str, Bpa]
+    detector_ids: list[str], slots: np.ndarray, models: dict[str, TrustModel]
 ) -> np.ndarray:
     """Static assignment baseline, row by row: each present slot contributes
-    its detector's fixed mass from ``static_masses``, score ignored."""
+    its detector's fixed mass (``TrustModel.static_bpa``), score ignored.
+    Detectors combine in id order."""
     column = {det_id: j for j, det_id in enumerate(detector_ids)}
-    taking_part = [det_id for det_id in masses if det_id in column]
-    fixed = np.array([masses[det_id].as_tuple() for det_id in taking_part]).reshape(-1, 3)
+    taking_part = [det_id for det_id in sorted(models) if det_id in column]
+    fixed = np.array([models[det_id].static_bpa().as_tuple() for det_id in taking_part]).reshape(-1, 3)
     sources = np.broadcast_to(fixed, (len(slots), *fixed.shape))
     use = slots[:, [column[det_id] for det_id in taking_part]] != -np.inf
     return _fold(sources, use)

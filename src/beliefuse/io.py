@@ -128,6 +128,8 @@ def _numbers(values: list, width: int | None = None) -> np.ndarray | None:
 
 
 def _box(raw) -> tuple[float, float, float, float]:
+    if not isinstance(raw, list):
+        raise ValueError(f"bbox must be a JSON array of four numbers, got {raw!r}")
     try:
         x_min, y_min, x_max, y_max = (float(v) for v in raw)
         return BoundingBox(x_min, y_min, x_max, y_max).as_tuple()

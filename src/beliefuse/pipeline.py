@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 import numpy as np
 
 from . import baselines, dst, fusion
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .dst import Bpa
 from .fusion import Windows
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .io import DetectionColumns, ranks
@@ -24,6 +25,7 @@ BASELINE_METHODS = ("platt", "ws", "bayes")
 METHODS = BELIEF_METHODS + BASELINE_METHODS
 
 
+# Only perfbench/spans.py calls this; it goes with ROADMAP items 1-2.
 def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
     for d in dets:
@@ -147,6 +149,7 @@ def fit_baselines(
     return out
 
 
+# Only perfbench/spans.py calls this; it goes with ROADMAP items 1-2.
 def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
     for d in dets:
@@ -169,55 +172,36 @@ def windows_of(
     return windows, detector_ids, image_ids, order
 
 
-@dataclass(frozen=True)
-class _BatchFuser:
-    """One method's scoring rule, and everything else ``fusion.fuse_images``
-    needs besides the images' windows."""
-
-    models: dict[str, TrustModel] | BaselineModels
-    method: str
-    detector_ids: list[str]
-    overlap_threshold: float
-    nms_threshold: float
-    absent_policy: str
-    masses: dict[str, Bpa] | None
-
-    def rule(
-        self, detector_ids: list[str], slots: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        # Rules are looked up on their modules at call time, so a patched
-        # module attribute takes effect.
-        models = self.models
-        if self.method in BELIEF_METHODS:
-            if self.method == "dbf":
-                joints = fusion.dbf_joints(detector_ids, slots, models, self.absent_policy)
-            else:
-                joints = fusion.static_dst_joints(detector_ids, slots, self.masses)
-            return dst.fused_scores(joints), joints
-        if self.method == "platt":
-            scores = baselines.platt_fuse(detector_ids, slots, models.platt)
-        elif self.method == "ws":
-            scores = baselines.weighted_sum_fuse(detector_ids, slots, models.platt, models.weights)
-        else:
-            scores = baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods)
-        return scores, None
-
-    def __call__(self, windows: Windows, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return fusion.fuse_images(
-            windows, spans, self.detector_ids, self.rule, self.overlap_threshold, self.nms_threshold
-        )
+def _rule(
+    method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str,
+    detector_ids: list[str], slots: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``method``'s scoring rule (``fusion.Rule``) once its first three
+    arguments are bound. Rules are looked up on their modules at call time,
+    so a patched module attribute takes effect."""
+    if method == "dbf":
+        joints = fusion.dbf_joints(detector_ids, slots, models, absent_policy)
+    elif method == "static-dst":
+        joints = fusion.static_dst_joints(detector_ids, slots, models)
+    elif method == "platt":
+        return baselines.platt_fuse(detector_ids, slots, models.platt), None
+    elif method == "ws":
+        return baselines.weighted_sum_fuse(detector_ids, slots, models.platt, models.weights), None
+    else:
+        return baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods), None
+    return dst.fused_scores(joints), joints
 
 
-_worker_fuser: _BatchFuser | None = None  # set once in each pool worker
+_worker_fuse: Callable | None = None  # set once in each pool worker
 
 
-def _install_fuser(fuser: _BatchFuser) -> None:
-    global _worker_fuser
-    _worker_fuser = fuser
+def _install_fuse(fuse: Callable) -> None:
+    global _worker_fuse
+    _worker_fuse = fuse
 
 
 def _fuse_in_worker(batch: tuple[Windows, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _worker_fuser(*batch)
+    return _worker_fuse(*batch)
 
 
 def fuse_corpus(
@@ -230,8 +214,9 @@ def fuse_corpus(
     absent_policy: str = "vacuous",
     jobs: int = 1,
 ) -> DetectionColumns:
-    """Fuse every image independently: the kept windows as columns, image
-    by image, each image's in NMS visiting order (joints NaN for baselines).
+    """Fuse every image independently: the kept windows as columns in the
+    order the ``fuse`` command writes them, by image, descending score, then
+    box, ties in NMS visiting order (joints NaN for baselines).
 
     ``models`` holds one trust model per detector for the belief methods
     (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
@@ -249,18 +234,12 @@ def fuse_corpus(
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
     windows, detector_ids, image_ids, _ = windows_of(per_detector)
-    fuser = _BatchFuser(
-        models,
-        method,
-        detector_ids,
-        overlap_threshold,
-        nms_threshold,
-        absent_policy,
-        fusion.static_masses(models) if method == "static-dst" else None,
-    )
+    rule = partial(_rule, method, models, absent_policy)
+    fuse = partial(fusion.fuse_images, detector_ids=detector_ids, rule=rule,
+                   overlap_threshold=overlap_threshold, nms_threshold=nms_threshold)
     spans = windows.spans()
     if jobs <= 1 or len(spans) < 2:
-        kept, scores, joints = fuser(windows, spans)
+        starts, results = [0], [fuse(windows, spans)]
     else:
         # A few batches per worker, so an image-heavy batch cannot idle the rest.
         size = max(1, len(spans) // (4 * jobs))
@@ -272,11 +251,14 @@ def fuse_corpus(
             for i, a, b in zip(firsts, starts, stops)
         ]
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_install_fuser, initargs=(fuser,)
+            max_workers=jobs, initializer=_install_fuse, initargs=(fuse,)
         ) as pool:
             results = list(pool.map(_fuse_in_worker, batches))
-        kept = np.concatenate([start + k for start, (k, _, _) in zip(starts, results)])
-        scores, joints = (np.concatenate(c) for c in list(zip(*results))[1:])
+    kept = np.concatenate([start + k for start, (k, _, _) in zip(starts, results)])
+    scores, joints = (np.concatenate(c) for c in list(zip(*results))[1:])
+    # A stable sort: ties keep NMS visiting order.
+    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images[kept]))
+    kept, scores, joints = kept[order], scores[order], joints[order]
     image_ids = [image_ids[i] for i in windows.images[kept].tolist()]
     sources = [detector_ids[i] for i in windows.detectors[kept].tolist()]
     return DetectionColumns(

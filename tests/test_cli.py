@@ -28,8 +28,8 @@ def workspace(tmp_path_factory):
     return root
 
 
-def run(args, env=None):
-    return CliRunner().invoke(main, args, env=env)
+def run(args):
+    return CliRunner().invoke(main, args)
 
 
 def exited_cleanly(result, code):
@@ -228,6 +228,16 @@ class TestFuse:
         assert header["config"]["method"] == method
         assert len(lines) > 1
 
+    def test_n_is_a_config_error_and_left_out_of_the_header(self, workspace, tmp_path):
+        # fuse takes n from each trust model file, so it neither takes nor records one.
+        result = run([*self.fuse_args(workspace, tmp_path / "n.jsonl"), "--n", "4"])
+        assert exited_cleanly(result, 2), result.output
+        assert "build-trust" in result.output and "sweep-n" in result.output
+        assert not (tmp_path / "n.jsonl").exists()
+        assert run(self.fuse_args(workspace, tmp_path / "o.jsonl")).exit_code == 0
+        header = json.loads((tmp_path / "o.jsonl").read_text().splitlines()[0])
+        assert "bpd_exponent" not in header["config"]
+
     def test_rerun_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "a.jsonl"
         assert run(self.fuse_args(workspace, out)).exit_code == 0
@@ -339,17 +349,17 @@ class TestFuse:
         assert exited_cleanly(result, 4), result.output
         assert name in result.output
 
-    @pytest.mark.parametrize("config, flags, env", [
-        ({"match_iou": "0.5"}, [], None),
-        ({"jobs": "2"}, [], None),
-        ({}, ["--jobs", "0"], {"BELIEFUSE_JOBS": "abc"}),
-        ({}, ["--jobs", "-3"], None),
-    ], ids=["string-iou", "string-jobs", "non-integer-env-jobs", "negative-jobs"])
-    def test_bad_config_value_exits_2(self, workspace, tmp_path, config, flags, env):
+    @pytest.mark.parametrize("config, flags", [
+        ({"match_iou": "0.5"}, []),
+        ({"jobs": "2"}, []),
+        ({}, ["--jobs", "0"]),
+        ({}, ["--jobs", "-3"]),
+    ], ids=["string-iou", "string-jobs", "zero-jobs", "negative-jobs"])
+    def test_bad_config_value_exits_2(self, workspace, tmp_path, config, flags):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         args = self.fuse_args(workspace, tmp_path / "o.jsonl", "platt")
-        result = run([*args, "--config", str(cfg), *flags], env=env)
+        result = run([*args, "--config", str(cfg), *flags])
         assert exited_cleanly(result, 2), result.output
         assert not (tmp_path / "o.jsonl").exists()
 

@@ -11,7 +11,6 @@ from beliefuse.fusion import (
     fuse_images,
     slots_and_masks,
     static_dst_joints,
-    static_masses,
 )
 from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.pipeline import windows_of
@@ -38,10 +37,9 @@ def dbf_score(models):
 
 def static_score(models):
     """A fuse_images scoring rule: static-DST with the given trust models."""
-    masses = static_masses(models)
 
     def rule(detector_ids, slots):
-        joints = static_dst_joints(detector_ids, slots, masses)
+        joints = static_dst_joints(detector_ids, slots, models)
         return joints[:, 0] - joints[:, 1], joints
 
     return rule
@@ -80,7 +78,7 @@ def dbf_verdict(slots, models, absent_policy="vacuous"):
 
 
 def static_verdict(slots, models):
-    return verdicts(static_dst_joints(*row(slots), static_masses(models)))[0]
+    return verdicts(static_dst_joints(*row(slots), models))[0]
 
 
 def score_to_bpa(model, score):

@@ -121,6 +121,16 @@ class TestDataErrors:
         with pytest.raises(DataError, match="bbox"):
             read_detections(path)
 
+    @pytest.mark.parametrize("bbox", ['"0519"', '{"0": 0, "5": 0, "1": 0, "9": 0}'])
+    def test_bbox_that_is_not_an_array(self, tmp_path, bbox):
+        # Iterated, either would read as the box [0, 5, 1, 9].
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image_id": "i", "detector_id": "d", "class": "object", '
+                        f'"bbox": {bbox}, "score": 1}}\n')
+        for reader in (read_detections, read_detections_by_class, read_fused, read_annotations):
+            with pytest.raises(DataError, match=r"bad\.jsonl:1: bbox must be a JSON array"):
+                reader(path)
+
     def test_degenerate_box(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

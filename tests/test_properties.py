@@ -340,16 +340,29 @@ def _models(method):
     )
 
 
+# SAME_COUNT, and an image where two detectors score windows apart equally:
+# NMS visits detector "a"'s first, the file lists "b"'s smaller box first.
+APART = _batch(SAME_COUNT, {"a": [Detection("i4", "a", BoundingBox(5, 5, 6, 6), 1.0)],
+                            "b": [Detection("i4", "b", BoundingBox(0, 0, 1, 1), 1.0)]})
+
+
 @settings(max_examples=10, deadline=None)
 @given(corpora(), st.sampled_from(pipeline.METHODS))
 @example(HALF, "platt")
 @example(HALF, "ws")
 @example(HALF, "bayes")
+@example(APART, "dbf")
+@example(APART, "static-dst")
+@example(APART, "platt")
+@example(APART, "ws")
+@example(APART, "bayes")
 def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
     models = _models(method)
     serial = pipeline.fuse_corpus(corpus, models, "object", method, jobs=1)
     pooled = pipeline.fuse_corpus(corpus, models, "object", method, jobs=2)
     assert pooled == serial
+    # The rows leave fuse_corpus in the order the fuse command writes them.
+    assert repr(fused_rows(serial)) == repr(output_order(serial))
     if method in pipeline.BELIEF_METHODS:
         assert serial.scores.tolist() == fused_scores(serial.joints).tolist()
     else:
@@ -436,7 +449,8 @@ def reference_rescore(slots, models, method, absent_policy):
 
 
 def reference_fuse_corpus(corpus, models, method, absent_policy="vacuous", class_label="object"):
-    """Per image: vectors, one verdict per vector, rescored windows, NMS."""
+    """Per image: vectors, one verdict per vector, rescored windows, NMS; the
+    kept windows in file order."""
     if method in pipeline.BASELINE_METHODS:
         corpus = {k: v for k, v in corpus.items() if k in models.platt}
     fused, smoothings = [], 0
@@ -450,11 +464,13 @@ def reference_fuse_corpus(corpus, models, method, absent_policy="vacuous", class
             smoothings += smoothed
             rescored.append(Detection(subject.image_id, subject.detector_id, subject.box, score))
         index = {id(d): i for i, d in enumerate(rescored)}
+        # In file order: ties in score and box keep NMS visiting order.
+        kept = sorted(reference_nms(rescored, 0.5), key=lambda d: (-d.score, d.box.as_tuple()))
         fused += [
             FusedDetection(
                 d.box, d.image_id, class_label, d.score, verdicts[index[id(d)]], d.detector_id
             )
-            for d in reference_nms(rescored, 0.5)
+            for d in kept
         ]
     return fused, smoothings
 
@@ -819,12 +835,16 @@ def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
         assert score == m_target - m_nontarget
 
 
+def fused_rows(fused):
+    """The rows of fused columns, in their order."""
+    return list(zip(fused.class_labels, fused.image_ids, fused.scores.tolist(),
+                    fused.boxes.tolist(), fused.sources, fused.joints.tolist()))
+
+
 def output_order(fused):
-    """The rows of fused columns in ``cmd_fuse``'s order: class, image,
-    descending score, box."""
-    rows = zip(fused.class_labels, fused.image_ids, fused.scores.tolist(), fused.boxes.tolist(),
-               fused.sources, fused.joints.tolist())
-    return sorted(rows, key=lambda row: (row[0], row[1], -row[2], row[3]))
+    """The rows of fused columns in a fused file's order: class, image,
+    descending score, box; a stable sort."""
+    return sorted(fused_rows(fused), key=lambda row: (row[0], row[1], -row[2], row[3]))
 
 
 # One detector's two windows with one score, overlapping but on different
@@ -1373,10 +1393,12 @@ def test_model_file_equals_json_dumps_indent_2(files_dir, model, config):
 
 
 def reference_rows(path):
-    """The per-line reader the column parser replaced, with two amendments:
+    """The per-line reader the column parser replaced, with three amendments:
     a line that is not a JSON object is rejected (it used to end in a
-    TypeError, or be skipped when it contained ``"_header"``), and a fused
-    line's score must be finite, like a detection's."""
+    TypeError, or be skipped when it contained ``"_header"``), a fused
+    line's score must be finite, like a detection's, and a ``bbox`` must be
+    a JSON array (``reference_box``; a string was read character by
+    character)."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -1390,6 +1412,8 @@ def reference_rows(path):
 
 
 def reference_box(raw):
+    if not isinstance(raw, list):
+        raise ValueError("bbox must be a JSON array")
     x_min, y_min, x_max, y_max = (float(v) for v in raw)
     return BoundingBox(x_min, y_min, x_max, y_max)
 
@@ -1525,6 +1549,7 @@ def jsonl_path(tmp_path_factory):
 @example(json.dumps({**GOOD, "joint": [1.5, -0.5, 0.0], "difficult": 0}))
 @example(json.dumps({**GOOD, "joint": ["0.5", "0.5", "0"]}))  # float() would take these
 @example(json.dumps({**GOOD, "joint": [0.5, 0.5, 0.0], "difficult": True}) + "\n\n")
+@example(json.dumps({**GOOD, "bbox": "0519"}))  # iterated, it would read as [0, 5, 1, 9]
 def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
     jsonl_path.write_text(text)
     for reader, reference in READERS:
