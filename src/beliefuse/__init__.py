@@ -2,7 +2,7 @@
 
 from .dst import Bpa, TotalConflict, combine, combine_all, fused_scores
 from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections
-from .trust import InsufficientData, TrustModel, bpd_precision, build_pr_table, build_trust_model
+from .trust import InsufficientData, TrustModel, bpd_precision, build_pr_table
 from .fusion import Windows, fuse_images
 from .io import DetectionColumns
 from .evaluation import EvalReport, NoGroundTruth, average_precision, evaluate_methods
@@ -27,7 +27,6 @@ __all__ = [
     "average_precision",
     "bpd_precision",
     "build_pr_table",
-    "build_trust_model",
     "combine",
     "combine_all",
     "evaluate_methods",

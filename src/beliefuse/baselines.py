@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MatchLabel
 from .trust import InsufficientData
 
 PLATT_MAX_ITER = 100  # damped Newton steps
@@ -43,30 +42,21 @@ class PlattModel:
         return 1.0 / (1.0 + ez)
 
 
-def fit_platt(labeled: list[tuple[float, MatchLabel]], detector_id: str = "") -> PlattModel:
-    """Fit the sigmoid by regularized maximum likelihood (damped Newton).
+def fit_platt(scores: np.ndarray, tp: np.ndarray, detector_id: str = "") -> PlattModel:
+    """Fit the sigmoid by regularized maximum likelihood (damped Newton) to
+    decided validation windows: their scores and whether each is a true
+    positive.
 
-    Uses Platt's smoothed targets t+ = (N+ + 1)/(N+ + 2), t- = 1/(N- + 2);
-    undecided samples are excluded.
+    Uses Platt's smoothed targets t+ = (N+ + 1)/(N+ + 2), t- = 1/(N- + 2).
     """
-    scores = np.array(
-        [s for s, lab in labeled if lab is not MatchLabel.UNDECIDED], dtype=float
-    )
-    positive = np.array(
-        [
-            lab is MatchLabel.TRUE_POSITIVE
-            for _, lab in labeled
-            if lab is not MatchLabel.UNDECIDED
-        ]
-    )
-    n_pos = int(positive.sum())
-    n_neg = len(positive) - n_pos
+    n_pos = int(tp.sum())
+    n_neg = len(tp) - n_pos
     if n_pos < 1 or n_neg < 1:
         raise InsufficientData("Platt fit needs both true and false positives")
 
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
-    targets = np.where(positive, hi, lo)
+    targets = np.where(tp, hi, lo)
 
     a = 0.0
     b = math.log((n_neg + 1.0) / (n_pos + 1.0))
@@ -265,22 +255,17 @@ class ScoreLikelihood:
 
 
 def fit_score_likelihood(
-    labeled: list[tuple[float, MatchLabel]],
+    scores: np.ndarray,
+    tp: np.ndarray,
     platt: PlattModel,
     detector_id: str = "",
 ) -> ScoreLikelihood:
-    """Histogram the Platt probabilities of validation TPs and FPs."""
-    tp_counts = np.full(LIKELIHOOD_BINS, LIKELIHOOD_SMOOTHING)
-    fp_counts = np.full(LIKELIHOOD_BINS, LIKELIHOOD_SMOOTHING)
-    for score, lab in labeled:
-        if lab is MatchLabel.UNDECIDED:
-            continue
-        prob = platt.probability(score)
-        i = min(int(prob * LIKELIHOOD_BINS), LIKELIHOOD_BINS - 1)
-        if lab is MatchLabel.TRUE_POSITIVE:
-            tp_counts[i] += 1
-        else:
-            fp_counts[i] += 1
+    """Histogram the Platt probabilities of decided validation windows'
+    scores, true positives and false positives apart."""
+    probs = np.array([platt.probability(s) for s in scores.tolist()])
+    bins = np.minimum((probs * LIKELIHOOD_BINS).astype(np.intp), LIKELIHOOD_BINS - 1)
+    tp_counts = LIKELIHOOD_SMOOTHING + np.bincount(bins[tp], minlength=LIKELIHOOD_BINS)
+    fp_counts = LIKELIHOOD_SMOOTHING + np.bincount(bins[~tp], minlength=LIKELIHOOD_BINS)
     return ScoreLikelihood(
         detector_id=detector_id,
         target_bins=tuple(tp_counts / tp_counts.sum()),

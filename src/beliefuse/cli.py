@@ -147,8 +147,6 @@ def _common_options(fn):
         click.option("--out", type=str, default=None),
         click.option("--config", "config_file", type=str, default=None,
                      help="JSON config file; CLI flags take precedence."),
-        click.option("--n", "n_raw", type=str, default=None,
-                     help="Best-possible-detector exponent (positive or 'inf')."),
         click.option("--absent-policy", type=click.Choice(["vacuous", "recall_one"]), default=None),
         click.option("--duplicate-policy", type=click.Choice(["undecided", "false_positive"]), default=None),
         click.option("--ap-interp", "ap_interpolation", type=click.Choice(["all-points", "11-point"]), default=None),
@@ -159,11 +157,9 @@ def _common_options(fn):
     return fn
 
 
-def _build_cfg(config_file, n_raw, paths: tuple[str, ...], **flags) -> RunConfig:
+def _build_cfg(config_file, paths: tuple[str, ...], **flags) -> RunConfig:
     """The command's resolved config; ``paths`` are the path fields the
     command needs, and a missing one is a config error naming its flag."""
-    if n_raw is not None:
-        flags["bpd_exponent"] = _parse_n(n_raw)
     cfg = _resolve_config(config_file, **flags)
     missing = ["--" + name.replace("_", "-") for name in paths if not getattr(cfg, name)]
     if missing:
@@ -245,11 +241,14 @@ _TRAINING_PATHS = ("detections_dir", "annotations", "models_dir")
 
 
 @main.command("build-trust")
+@click.option("--n", "n_raw", type=str, default=None,
+              help="Best-possible-detector exponent (positive or 'inf').")
 @_common_options
-def cmd_build_trust(config_file, n_raw, **flags):
+def cmd_build_trust(n_raw, config_file, **flags):
     """Build one trust model file per (detector, class) from validation data."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, _TRAINING_PATHS, **flags)
+        n = None if n_raw is None else _parse_n(n_raw)
+        cfg = _build_cfg(config_file, _TRAINING_PATHS, bpd_exponent=n, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
@@ -276,10 +275,10 @@ def cmd_build_trust(config_file, n_raw, **flags):
 
 @main.command("build-baselines")
 @_common_options
-def cmd_build_baselines(config_file, n_raw, **flags):
+def cmd_build_baselines(config_file, **flags):
     """Train Platt, weighted-sum, and naive-Bayes models from validation data."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, _TRAINING_PATHS, **flags)
+        cfg = _build_cfg(config_file, _TRAINING_PATHS, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
@@ -344,12 +343,10 @@ def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: st
 @main.command("fuse")
 @click.option("--method", type=click.Choice(pipeline.METHODS), default="dbf", show_default=True)
 @_common_options
-def cmd_fuse(method, config_file, n_raw, **flags):
+def cmd_fuse(method, config_file, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
     with _exit_on_error():
-        if n_raw is not None:
-            raise ConfigError("fuse takes n from each trust model file; set it with build-trust or sweep-n")
-        cfg = _build_cfg(config_file, n_raw, ("detections_dir", "models_dir", "out"), **flags)
+        cfg = _build_cfg(config_file, ("detections_dir", "models_dir", "out"), **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
     fused = []
@@ -375,10 +372,10 @@ def cmd_fuse(method, config_file, n_raw, **flags):
 @click.option("--inputs", "-i", "inputs", multiple=True, required=True,
               help="name=path pairs of fused or raw detection files to score.")
 @_common_options
-def cmd_eval(inputs, config_file, n_raw, **flags):
+def cmd_eval(inputs, config_file, **flags):
     """Evaluate detection files against annotations (AP / mAP, JSON + CSV)."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, ("annotations", "out"), **flags)
+        cfg = _build_cfg(config_file, ("annotations", "out"), **flags)
         gts = io.read_annotations(cfg.annotations)
         paths: dict[str, str] = {}
         for item in inputs:
@@ -409,10 +406,10 @@ def cmd_eval(inputs, config_file, n_raw, **flags):
 @click.option("--test-annotations", type=str, default=None,
               help="Ground truth for scoring; defaults to --annotations.")
 @_common_options
-def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, n_raw, **flags):
+def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, **flags):
     """Fuse and score the test split at each exponent; CSV of AP per class."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, n_raw, ("detections_dir", "annotations", "out"), **flags)
+        cfg = _build_cfg(config_file, ("detections_dir", "annotations", "out"), **flags)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
             raise ConfigError("empty n-values list")

@@ -7,16 +7,15 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
-from . import baselines, dst, fusion
+from . import baselines, dst, fusion, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .fusion import Windows
 from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
 from .io import DetectionColumns, ranks
-from .trust import InsufficientData, TrustModel, build_trust_model
+from .trust import InsufficientData, TrustModel
 
 log = logging.getLogger(__name__)
 
@@ -33,38 +32,60 @@ def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
-def image_order(dets: list[Detection]) -> list[int]:
-    """The detections' positions image by image: images in Python's string
-    order, each image's detections in input order."""
-    return sorted(range(len(dets)), key=lambda i: dets[i].image_id)
-
-
 def label_detections(
     dets: list[Detection],
     gts: list[GroundTruthObject],
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
-) -> list[tuple[Detection, MatchLabel]]:
-    """Match one detector's detections image by image, listed in
-    ``image_order``."""
+) -> list[MatchLabel]:
+    """Match one detector's detections image by image: one label per
+    detection, in input order."""
     gts_by_image: dict[str, list[GroundTruthObject]] = {}
     for g in gts:
         gts_by_image.setdefault(g.image_id, []).append(g)
-    labeled: list[tuple[Detection, MatchLabel]] = []
-    for image_id, positions in groupby(image_order(dets), key=lambda i: dets[i].image_id):
-        labeled.extend(
-            match_detections(
-                [dets[i] for i in positions],
-                gts_by_image.get(image_id, []),
-                iou_threshold,
-                duplicate_policy,
-            )
-        )
-    return labeled
+    positions: dict[str, list[int]] = {}
+    for i, d in enumerate(dets):
+        positions.setdefault(d.image_id, []).append(i)
+    labels: list[MatchLabel] = [MatchLabel.UNDECIDED] * len(dets)
+    for image_id, at in positions.items():
+        matched = match_detections([dets[i] for i in at], gts_by_image.get(image_id, []),
+                                   iou_threshold, duplicate_policy)
+        for i, (_, label) in zip(at, matched):
+            labels[i] = label
+    return labels
 
 
 def num_positives(gts: list[GroundTruthObject]) -> int:
     return sum(1 for g in gts if not g.difficult)
+
+
+def labeled_windows(
+    per_detector: dict[str, list[Detection]],
+    gts: list[GroundTruthObject],
+    iou_threshold: float = 0.5,
+    duplicate_policy: str = "undecided",
+) -> tuple[Windows, list[str], np.ndarray, np.ndarray]:
+    """The validation windows every model trains on, with the sorted
+    detector ids and two flags per row: decided (not undecided) and true
+    positive. Each window is labeled by its own detection
+    (``label_detections``), so a detection listed twice is two rows.
+
+    Rows go by image, detector, descending score, then box, x_min first:
+    one order whatever the order of the input, so every sum a trainer runs
+    over them does too. Windows equal in all of these keep input order.
+    """
+    windows, detector_ids, _, order = windows_of(per_detector)
+    labels = [label for dets in per_detector.values()
+              for label in label_detections(dets, gts, iou_threshold, duplicate_policy)]
+    decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)[order]
+    tp = np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)[order]
+    rows = np.lexsort((*windows.boxes.T[::-1], -windows.scores, windows.detectors, windows.images))
+    return Windows(*(c[rows] for c in windows)), detector_ids, decided[rows], tp[rows]
+
+
+def _rows_of(detector_ids: list[str], detectors: np.ndarray, det_id: str) -> np.ndarray:
+    """Which rows are ``det_id``'s windows; none when it has no id (no window)."""
+    return detectors == (detector_ids.index(det_id) if det_id in detector_ids else -1)
 
 
 def build_trust_models(
@@ -75,20 +96,20 @@ def build_trust_models(
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> dict[str, TrustModel]:
-    """One trust model per detector; detectors without usable data are
-    skipped with a warning and simply do not participate in fusion."""
+    """One trust model per detector, from its decided labeled windows;
+    detectors without usable data are skipped with a warning and simply do
+    not participate in fusion."""
     n_pos = num_positives(gts)
+    windows, detector_ids, decided, tp = labeled_windows(per_detector, gts, iou_threshold, duplicate_policy)
     models: dict[str, TrustModel] = {}
     for det_id in sorted(per_detector):
-        labeled = label_detections(
-            per_detector[det_id], gts, iou_threshold, duplicate_policy
-        )
+        rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
         try:
-            models[det_id] = build_trust_model(
-                labeled, n_pos, det_id, class_label, bpd_exponent
-            )
+            table = trust.build_pr_table(windows.scores[rows], tp[rows], n_pos)
         except InsufficientData as exc:
             log.warning("skipping detector %s: %s", det_id, exc)
+            continue
+        models[det_id] = TrustModel(det_id, class_label, table, bpd_exponent, n_pos)
     return models
 
 
@@ -107,43 +128,30 @@ def fit_baselines(
     overlap_threshold: float = 0.5,
 ) -> BaselineModels:
     """Fit Platt calibrators, the weighted-sum separator, and naive-Bayes
-    likelihoods from the validation split."""
+    likelihoods from the validation split's decided labeled windows."""
     out = BaselineModels()
-    labeled_by_detector: dict[str, list[tuple[Detection, MatchLabel]]] = {}
+    windows, detector_ids, decided, tp = labeled_windows(per_detector, gts, iou_threshold, duplicate_policy)
     for det_id in sorted(per_detector):
-        labeled = label_detections(
-            per_detector[det_id], gts, iou_threshold, duplicate_policy
-        )
-        labeled_by_detector[det_id] = labeled
-        scores = [(d.score, lab) for d, lab in labeled]
+        rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
+        scores = windows.scores[rows]
         try:
-            out.platt[det_id] = baselines.fit_platt(scores, detector_id=det_id)
+            out.platt[det_id] = baselines.fit_platt(scores, tp[rows], detector_id=det_id)
         except InsufficientData as exc:
             log.warning("skipping Platt model for %s: %s", det_id, exc)
             continue
         out.likelihoods[det_id] = baselines.fit_score_likelihood(
-            scores, out.platt[det_id], detector_id=det_id
+            scores, tp[rows], out.platt[det_id], detector_id=det_id
         )
 
-    # Weighted sum trains on the slot matrix's rows, each labeled by its own
-    # window, as fuse_images builds it for the baselines.
-    detector_ids = sorted(out.platt)
-    windows, ids, _, order = windows_of({k: per_detector[k] for k in detector_ids})
-    slots, _ = fusion.slots_and_masks(windows, windows.spans(), len(ids), overlap_threshold)
-    features = baselines.platt_features(ids, slots, out.platt, detector_ids)
-    # Rows are labeled by position, so a Detection listed twice is two rows.
-    labels: list[MatchLabel] = []
-    for det_id in detector_ids:
-        in_input_order = [MatchLabel.UNDECIDED] * len(per_detector[det_id])
-        for i, (_, lab) in zip(image_order(per_detector[det_id]), labeled_by_detector[det_id]):
-            in_input_order[i] = lab
-        labels += in_input_order
-    decided = np.array([lab is not MatchLabel.UNDECIDED for lab in labels], dtype=bool)[order]
-    targets = np.array([lab is MatchLabel.TRUE_POSITIVE for lab in labels], dtype=bool)[order]
+    # Weighted sum trains on the slot matrix of the calibrated detectors'
+    # windows, as fuse_images builds it for the baselines; every other
+    # detector's column is absent throughout.
+    calibrated = np.array([det_id in out.platt for det_id in detector_ids], dtype=bool)[windows.detectors]
+    windows, decided, tp = Windows(*(c[calibrated] for c in windows)), decided[calibrated], tp[calibrated]
+    slots, _ = fusion.slots_and_masks(windows, windows.spans(), len(detector_ids), overlap_threshold)
+    features = baselines.platt_features(detector_ids, slots, out.platt, sorted(out.platt))
     try:
-        out.weights = baselines.fit_weighted_sum(
-            features[decided], targets[decided], tuple(detector_ids)
-        )
+        out.weights = baselines.fit_weighted_sum(features[decided], tp[decided], tuple(sorted(out.platt)))
     except InsufficientData as exc:
         log.warning("weighted-sum training skipped: %s", exc)
     return out

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .dst import Bpa, bpa_rows
-from .geometry import Detection, MatchLabel
 
 DEFAULT_BPD_EXPONENT = 2.0
 STATIC_RECALL_ANCHOR = 0.2  # static-DST reads the PR row nearest this recall
@@ -55,31 +54,26 @@ def envelope(precision: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(precision[::-1])[::-1]
 
 
-def build_pr_table(
-    labeled: list[tuple[Detection, MatchLabel]],
-    num_gt_positives: int,
-) -> np.ndarray:
-    """Sweep score thresholds over labeled validation detections; one
+def build_pr_table(scores: np.ndarray, tp: np.ndarray, num_gt_positives: int) -> np.ndarray:
+    """Sweep score thresholds over decided validation windows, given as
+    their scores and whether each is a true positive; one
     ``TrustModel.table`` row per distinct score.
 
-    Undecided detections are excluded. Each run of equal scores (-0.0 ties
-    0.0) gives one row: its first score is the threshold, and the counts
-    after its last detection define recall and raw precision. The monotone
-    precision column is the envelope, non-increasing down the table.
+    The windows are ranked by descending score, a stable sort, so ties keep
+    the order given. Each run of equal scores (-0.0 ties 0.0) gives one row:
+    its first score is the threshold, and the counts after its last window
+    define recall and raw precision. The monotone precision column is the
+    envelope, non-increasing down the table.
     """
     if num_gt_positives <= 0:
         raise InsufficientData("no ground-truth positives in validation set")
-    decided = [
-        (d, lab) for d, lab in labeled if lab is not MatchLabel.UNDECIDED
-    ]
-    decided.sort(key=lambda t: (-t[0].score, t[0].detector_id, t[0].image_id))
-    tp_flags = np.array([lab is MatchLabel.TRUE_POSITIVE for _, lab in decided], dtype=np.int64)
-    if tp_flags.all() or not tp_flags.any():
+    if tp.all() or not tp.any():
         raise InsufficientData(
             "need at least one true positive and one false positive"
         )
-    scores = np.array([d.score for d, _ in decided], dtype=float)
-    recall, precision = pr_sweep(tp_flags, num_gt_positives)
+    ranked = np.argsort(-scores, kind="stable")
+    scores = scores[ranked]
+    recall, precision = pr_sweep(tp[ranked], num_gt_positives)
     last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
     first = np.append(0, last[:-1] + 1)
     return np.column_stack((scores[first], recall[last], precision[last], envelope(precision[last])))
@@ -150,20 +144,3 @@ class TrustModel:
         ``STATIC_RECALL_ANCHOR``, the lower threshold on a tie."""
         row = np.lexsort((self.table[:, 0], abs(self.table[:, 1] - STATIC_RECALL_ANCHOR)))[0]
         return Bpa.exact(*self._mass_table[1][row].tolist())
-
-
-def build_trust_model(
-    labeled: list[tuple[Detection, MatchLabel]],
-    num_gt_positives: int,
-    detector_id: str,
-    class_label: str,
-    bpd_exponent: float = DEFAULT_BPD_EXPONENT,
-) -> TrustModel:
-    table = build_pr_table(labeled, num_gt_positives)
-    return TrustModel(
-        detector_id=detector_id,
-        class_label=class_label,
-        table=table,
-        bpd_exponent=bpd_exponent,
-        num_validation_positives=num_gt_positives,
-    )

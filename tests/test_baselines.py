@@ -15,13 +15,19 @@ from beliefuse.baselines import (
     platt_fuse,
     weighted_sum_fuse,
 )
+from beliefuse import pipeline
 from beliefuse.io import load_model, save_model
-from beliefuse.geometry import MatchLabel
+from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.trust import InsufficientData
 
-TP = MatchLabel.TRUE_POSITIVE
-FP = MatchLabel.FALSE_POSITIVE
-UN = MatchLabel.UNDECIDED
+TP, FP = True, False
+
+
+def labeled(scores_and_labels):
+    """A trainer's first two arguments: the scores and whether each is a
+    true positive."""
+    scores, tp = zip(*scores_and_labels)
+    return np.array(scores, dtype=float), np.array(tp, dtype=bool)
 
 
 def row(slots):
@@ -41,43 +47,48 @@ def train(training, platt):
 
 class TestFitPlatt:
     def test_separated_data_preserves_order(self):
-        labeled = [(2.0, TP), (1.5, TP), (-1.0, FP), (-2.0, FP)]
-        m = fit_platt(labeled)
+        m = fit_platt(*labeled([(2.0, TP), (1.5, TP), (-1.0, FP), (-2.0, FP)]))
         assert m.probability(2.0) > m.probability(-2.0)
 
     def test_symmetric_data_crosses_half_at_zero(self):
-        labeled = [(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]
-        m = fit_platt(labeled)
+        m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
         assert m.probability(0.0) == pytest.approx(0.5, abs=1e-6)
 
     def test_negative_slope_for_separated_scores(self):
-        m = fit_platt([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)])
+        m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
         assert m.a < 0
 
     def test_undecided_excluded(self):
-        base = fit_platt([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)])
-        with_und = fit_platt(
-            [(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP), (0.5, UN), (99.0, UN)]
-        )
+        # Windows half over a ground-truth box are undecided: fit_baselines
+        # leaves them out of the Platt fit.
+        gts = [GroundTruthObject("img", "object", BoundingBox(0, 0, 10, 10)),
+               GroundTruthObject("img", "object", BoundingBox(20, 0, 30, 10)),
+               GroundTruthObject("img", "object", BoundingBox(50, 50, 60, 60))]
+        decided = [Detection("img", "a", BoundingBox(0, 0, 10, 10), 2.0),
+                   Detection("img", "a", BoundingBox(20, 0, 30, 10), 1.0),
+                   Detection("img", "a", BoundingBox(100, 0, 110, 10), -1.0),
+                   Detection("img", "a", BoundingBox(200, 0, 210, 10), -2.0)]
+        undecided = [Detection("img", "a", BoundingBox(50, 50, 55, 60), s) for s in (0.5, 99.0)]
+        base = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]), "a")
+        with_und = pipeline.fit_baselines({"a": [*decided, *undecided]}, gts).platt["a"]
         assert (with_und.a, with_und.b) == (base.a, base.b)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            fit_platt([(1.0, TP), (2.0, TP)])
+            fit_platt(*labeled([(1.0, TP), (2.0, TP)]))
         with pytest.raises(InsufficientData):
-            fit_platt([(1.0, FP)])
+            fit_platt(*labeled([(1.0, FP)]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        labeled = [
-            (float(rng.normal(1, 1)), TP) for _ in range(50)
-        ] + [(float(rng.normal(-1, 1)), FP) for _ in range(50)]
-        m1 = fit_platt(labeled)
-        m2 = fit_platt(labeled)
+        scores = np.concatenate((rng.normal(1, 1, 50), rng.normal(-1, 1, 50)))
+        tp = np.arange(100) < 50
+        m1 = fit_platt(scores, tp)
+        m2 = fit_platt(scores, tp)
         assert (m1.a, m1.b) == (m2.a, m2.b)
 
     def test_monotone_probability(self):
-        m = fit_platt([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)])
+        m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
         xs = np.linspace(-5, 5, 100)
         ps = [m.probability(float(x)) for x in xs]
         assert all(a < b for a, b in zip(ps, ps[1:]))
@@ -190,10 +201,9 @@ class TestScoreLikelihood:
     def fitted(self):
         platt = PlattModel("a", -1.0, 0.0)
         rng = np.random.default_rng(4)
-        labeled = [(float(rng.normal(2, 1)), TP) for _ in range(200)] + [
-            (float(rng.normal(-2, 1)), FP) for _ in range(200)
-        ]
-        return fit_score_likelihood(labeled, platt, "a"), platt
+        scores = np.array([float(rng.normal(2, 1)) for _ in range(200)]
+                          + [float(rng.normal(-2, 1)) for _ in range(200)])
+        return fit_score_likelihood(scores, np.arange(400) < 200, platt, "a"), platt
 
     def test_histograms_normalized_and_positive(self):
         lik, _ = self.fitted()
@@ -241,15 +251,14 @@ class TestBayesFuse:
             "b": PlattModel("b", -1.0, 0.3),
         }
         rng = np.random.default_rng(5)
-        labeled_a = [(float(rng.normal(1, 1)), TP) for _ in range(50)] + [
-            (float(rng.normal(-1, 1)), FP) for _ in range(50)
-        ]
-        labeled_b = [(float(rng.normal(2, 1)), TP) for _ in range(50)] + [
-            (float(rng.normal(-2, 1)), FP) for _ in range(50)
-        ]
+        scores_a = np.array([float(rng.normal(1, 1)) for _ in range(50)]
+                            + [float(rng.normal(-1, 1)) for _ in range(50)])
+        scores_b = np.array([float(rng.normal(2, 1)) for _ in range(50)]
+                            + [float(rng.normal(-2, 1)) for _ in range(50)])
+        tp = np.arange(100) < 50
         liks = {
-            "a": fit_score_likelihood(labeled_a, platt["a"], "a"),
-            "b": fit_score_likelihood(labeled_b, platt["b"], "b"),
+            "a": fit_score_likelihood(scores_a, tp, platt["a"], "a"),
+            "b": fit_score_likelihood(scores_b, tp, platt["b"], "b"),
         }
         both, only_a = bayes_fuse(["a", "b"], np.array([[0.7, 1.1], [0.7, -np.inf]]), platt, liks)
         ratio_b = liks["b"].log_likelihood_ratio(platt["b"].probability(1.1))

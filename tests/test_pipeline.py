@@ -39,11 +39,9 @@ class TestLabeling:
         b = box(0, 0, 40, 40)
         dets = [det(0.9, b, image="img1"), det(0.8, b, image="img2")]
         gts = [gt(b, image="img1")]
-        labels = dict(
-            (d.image_id, lab) for d, lab in pipeline.label_detections(dets, gts)
-        )
-        assert labels["img1"] is MatchLabel.TRUE_POSITIVE
-        assert labels["img2"] is MatchLabel.FALSE_POSITIVE
+        assert pipeline.label_detections(dets, gts) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
+        # One label per detection, in input order.
+        assert pipeline.label_detections(dets[::-1], gts) == [MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)
@@ -150,8 +148,8 @@ class TestBaselinePipeline:
         # true positive's own row must still train as a positive, and the
         # duplicate's row must not train at all.
         per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
-        labeled = pipeline.label_detections(per_det["det_a"], fixture["val_gts"])
-        original = next(d for d, lab in labeled if lab is MatchLabel.TRUE_POSITIVE)
+        labels = pipeline.label_detections(per_det["det_a"], fixture["val_gts"])
+        original = per_det["det_a"][labels.index(MatchLabel.TRUE_POSITIVE)]
         duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
         per_det["det_a"].append(duplicate)
         training = []

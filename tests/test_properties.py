@@ -650,14 +650,18 @@ def reference_bayes(slots, platt, likelihoods):
 def reference_training(per_detector, gts, platt):
     """The weighted-sum training set, one (present slots, target) pair per
     detection vector of a calibrated detector, each labeled by its own
-    window; undecided windows are left out."""
+    window; undecided windows are left out. Rows go by image, detector,
+    descending score, then box; ties keep input order."""
     label = {}
     for det_id in platt:
-        label.update((id(d), lab) for d, lab in pipeline.label_detections(per_detector[det_id], gts))
+        dets = per_detector[det_id]
+        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections(dets, gts)))
     all_dets = [d for det_id in platt for d in per_detector[det_id]]
     training = []
     for _, image_dets in sorted(group_by_image(all_dets).items()):
-        for subject, slots in reference_vectors(group_by_detector(image_dets), 0.5):
+        ranked = {det_id: sorted(dets, key=lambda d: (-d.score, d.box.as_tuple()))
+                  for det_id, dets in group_by_detector(image_dets).items()}
+        for subject, slots in reference_vectors(ranked, 0.5):
             if label[id(subject)] is not MatchLabel.UNDECIDED:
                 training.append((slots, label[id(subject)] is MatchLabel.TRUE_POSITIVE))
     return training
@@ -773,6 +777,50 @@ def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
     assert targets.tolist() == [target for _, target in training]
     assume(models.weights is not None)
     assert repr(models.weights) == repr(reference_fit(x, y, detector_ids))
+
+
+@st.composite
+def validation_sets(draw):
+    """A generated corpus's validation split: windows by detector, and the
+    ground truth."""
+    dataset = datagen.generate(draw(st.integers(0, 2**32 - 1)), 40, default_profiles(3))
+    image_ids = dataset.validation_image_ids
+    return {d: dataset.detections_for(d, image_ids) for d in dataset.detections}, dataset.ground_truths(image_ids)
+
+
+def _windows(det_id, *boxes_and_scores):
+    return [Detection("img", det_id, BoundingBox(*b), s) for b, s in boxes_and_scores]
+
+
+ON, OFF, FAR = (0, 0, 10, 10), (20, 20, 30, 30), (40, 40, 50, 50)
+ONE_OBJECT = [GroundTruthObject("img", "object", BoundingBox(*ON))]
+# Two windows equal in image, detector, score and box: one claims the
+# object, the other is its undecided duplicate.
+EQUAL_WINDOWS = ({"a": _windows("a", (ON, 1.0), (ON, 1.0), (OFF, 0.5)),
+                  "b": _windows("b", (OFF, 3.0), (ON, 2.0))}, ONE_OBJECT)
+# Equal zeros of both signs on different boxes of one image: one run of
+# the PR table, whose threshold is the first zero.
+SIGNED_ZERO_WINDOWS = ({"a": _windows("a", (OFF, -0.0), (ON, 0.0), (FAR, 1.0)),
+                        "b": _windows("b", (ON, 0.0), (FAR, -0.0), (OFF, 2.0))}, ONE_OBJECT)
+
+
+def trained(per_detector, gts):
+    """Every model the validation set trains, as text: repr tells every
+    float apart, -0.0 from 0.0 too."""
+    trust = pipeline.build_trust_models(per_detector, gts, "object", 2.0)
+    return {d: repr(m.table.tolist()) for d, m in trust.items()}, repr(pipeline.fit_baselines(per_detector, gts))
+
+
+@settings(max_examples=10, deadline=None)
+@given(validation_sets(), st.randoms(use_true_random=False))
+@example(EQUAL_WINDOWS, random.Random(0))
+@example(SIGNED_ZERO_WINDOWS, random.Random(0))
+def test_training_does_not_depend_on_input_order(validation, rng):
+    per_detector, gts = validation
+    expected = trained(per_detector, gts)
+    for order in (lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs))):
+        reordered = {det_id: order(per_detector[det_id]) for det_id in order(sorted(per_detector))}
+        assert trained(reordered, gts) == expected
 
 
 @st.composite
@@ -1187,14 +1235,21 @@ TP, FP = MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE
 @example((labeled_rows(("a", "x", 1.0, TP), ("a", "x", 0.5, FP)), 0))  # no positives
 def test_pr_table_equals_threshold_loop(case):
     labeled, num_positives = case
+    # build_pr_table ranks by score alone, ties in the order given: given
+    # the decided rows by (detector, image), it ranks them by the
+    # reference's key.
+    decided = sorted((t for t in labeled if t[1] is not MatchLabel.UNDECIDED),
+                     key=lambda t: (t[0].detector_id, t[0].image_id))
+    scores = np.array([d.score for d, _ in decided], dtype=float)
+    tp = np.array([lab is TP for _, lab in decided], dtype=bool)
     try:
         expected = reference_pr_table(labeled, num_positives)
     except InsufficientData:
         with pytest.raises(InsufficientData):
-            build_pr_table(labeled, num_positives)
+            build_pr_table(scores, tp, num_positives)
         return
     # repr tells every float apart, -0.0 from 0.0 too.
-    assert repr(build_pr_table(labeled, num_positives).tolist()) == repr(expected)
+    assert repr(build_pr_table(scores, tp, num_positives).tolist()) == repr(expected)
 
 
 # ---- average precision ------------------------------------------------------

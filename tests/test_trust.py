@@ -4,22 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from beliefuse import trust
+from beliefuse import pipeline, trust
 from beliefuse.dst import Bpa
-from beliefuse.geometry import BoundingBox, Detection, MatchLabel
+from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
 from beliefuse.io import DataError, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
     TrustModel,
     bpd_precision,
     build_pr_table,
-    build_trust_model,
 )
 from test_properties import reference_assignment, reference_model_dict
 
-TP = MatchLabel.TRUE_POSITIVE
-FP = MatchLabel.FALSE_POSITIVE
-UN = MatchLabel.UNDECIDED
+TP, FP = True, False
 
 
 def score_to_bpa(model, score):
@@ -28,10 +25,10 @@ def score_to_bpa(model, score):
 
 
 def labeled_from(scores_and_labels):
-    b = BoundingBox(0, 0, 10, 10)
-    return [
-        (Detection("img1", "d1", b, s), lab) for s, lab in scores_and_labels
-    ]
+    """``build_pr_table``'s first two arguments: the scores and whether each
+    is a true positive."""
+    scores, tp = zip(*scores_and_labels)
+    return np.array(scores, dtype=float), np.array(tp, dtype=bool)
 
 
 class TestBpdPrecision:
@@ -71,7 +68,7 @@ class TestBuildPrTable:
     def test_hand_counted_sweep(self):
         # Cumulative counts by descending score: TP, TP, FP, TP with 4 positives.
         table = build_pr_table(
-            labeled_from([(4.0, TP), (3.0, TP), (2.0, FP), (1.0, TP)]), 4
+            *labeled_from([(4.0, TP), (3.0, TP), (2.0, FP), (1.0, TP)]), 4
         )
         raw = [(r, p) for _, r, p, _ in table.tolist()]
         assert raw == [
@@ -83,29 +80,33 @@ class TestBuildPrTable:
         assert table[:, 3].tolist() == [1.0, 1.0, 0.75, 0.75]
 
     def test_perfect_detector(self):
-        table = build_pr_table(labeled_from([(3.0, TP), (2.0, TP), (1.0, FP)]), 2)
+        table = build_pr_table(*labeled_from([(3.0, TP), (2.0, TP), (1.0, FP)]), 2)
         assert table[0, 3] == 1.0
         assert table[1].tolist() == [2.0, 1.0, 1.0, 1.0]
 
     def test_fp_then_tp(self):
-        table = build_pr_table(labeled_from([(2.0, FP), (1.0, TP)]), 1)
+        table = build_pr_table(*labeled_from([(2.0, FP), (1.0, TP)]), 1)
         assert table[:, 1:3].tolist() == [[0.0, 0.0], [1.0, 0.5]]
         assert table[:, 3].tolist() == [0.5, 0.5]
 
     def test_undecided_excluded(self):
-        with_und = build_pr_table(
-            labeled_from([(3.0, TP), (2.5, UN), (2.0, FP)]), 2
-        )
-        without = build_pr_table(labeled_from([(3.0, TP), (2.0, FP)]), 2)
-        assert with_und.tolist() == without.tolist()
+        # A window half over a ground-truth box is undecided: it adds no row.
+        gts = [GroundTruthObject("img1", "object", BoundingBox(0, 0, 10, 10)),
+               GroundTruthObject("img1", "object", BoundingBox(50, 50, 60, 60))]
+        decided = [Detection("img1", "d1", BoundingBox(0, 0, 10, 10), 3.0),
+                   Detection("img1", "d1", BoundingBox(20, 20, 30, 30), 2.0)]
+        undecided = Detection("img1", "d1", BoundingBox(50, 50, 55, 60), 2.5)
+        with_und = pipeline.build_trust_models({"d1": [*decided, undecided]}, gts, "object", 2.0)
+        without = build_pr_table(*labeled_from([(3.0, TP), (2.0, FP)]), 2)
+        assert with_und["d1"].table.tolist() == without.tolist()
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            build_pr_table(labeled_from([(1.0, TP)]), 1)
+            build_pr_table(*labeled_from([(1.0, TP)]), 1)
         with pytest.raises(InsufficientData):
-            build_pr_table(labeled_from([(1.0, FP)]), 1)
+            build_pr_table(*labeled_from([(1.0, FP)]), 1)
         with pytest.raises(InsufficientData):
-            build_pr_table(labeled_from([(2.0, TP), (1.0, FP)]), 0)
+            build_pr_table(*labeled_from([(2.0, TP), (1.0, FP)]), 0)
 
     def test_recall_non_decreasing_precision_envelope_monotone(self):
         rng = np.random.default_rng(11)
@@ -117,7 +118,7 @@ class TestBuildPrTable:
             if FP not in labels:
                 labels[-1] = FP
             scores = sorted(rng.normal(0, 2, n).tolist(), reverse=True)
-            table = build_pr_table(labeled_from(zip(scores, labels)), labels.count(TP) + 2)
+            table = build_pr_table(*labeled_from(zip(scores, labels)), labels.count(TP) + 2)
             _, recalls, raw, envelope = table.T
             assert (recalls[1:] >= recalls[:-1]).all()
             assert (envelope[1:] <= envelope[:-1]).all()
@@ -218,7 +219,8 @@ class TestSerialization:
         labeled = labeled_from(
             [(4.2, TP), (3.7, TP), (3.1, FP), (2.2, TP), (1.1, FP)]
         )
-        model = build_trust_model(labeled, 6, "d1", "object", bpd_exponent=2.0)
+        model = TrustModel("d1", "object", table=build_pr_table(*labeled, 6), bpd_exponent=2.0,
+                           num_validation_positives=6)
         path = tmp_path / "model.json"
         save_model(model, path)
         reloaded = load_model(path)
