@@ -3,7 +3,8 @@
 Commands: generate a synthetic benchmark, build trust models, train
 baseline models, fuse detections, evaluate detection files, and sweep the
 best-possible-detector exponent. All commands are deterministic given their
-config, and every output file embeds the resolved config as provenance.
+config, and every output file embeds the settings its command read
+(``READS``) as provenance.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 missing model.
 """
@@ -37,6 +38,12 @@ EXIT_MODEL = 4
 
 # The value types each RunConfig field annotation accepts; bools are refused.
 _FIELD_TYPES = {"str": str, "float": (int, float), "int": int}
+# The values each policy field accepts.
+_CHOICES = {
+    "absent_policy": ("vacuous", "recall_one"),
+    "duplicate_policy": ("undecided", "false_positive"),
+    "ap_interpolation": ("all-points", "11-point"),
+}
 
 
 @dataclass
@@ -63,18 +70,16 @@ class RunConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0,1), got {v}")
-        if self.absent_policy not in ("vacuous", "recall_one"):
-            raise ConfigError(f"bad absent_policy {self.absent_policy!r}")
-        if self.duplicate_policy not in ("undecided", "false_positive"):
-            raise ConfigError(f"bad duplicate_policy {self.duplicate_policy!r}")
-        if self.ap_interpolation not in ("all-points", "11-point"):
-            raise ConfigError(f"bad ap_interpolation {self.ap_interpolation!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"bad {name} {getattr(self, name)!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if math.isinf(self.bpd_exponent):
+    def as_dict(self, fields) -> dict:
+        """The values of ``fields``, in field order, for an output to record."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name in fields}
+        if math.isinf(d.get("bpd_exponent", 0)):
             d["bpd_exponent"] = "inf"
         return d
 
@@ -93,20 +98,21 @@ def _parse_n(raw: str) -> float:
 def _resolve_config(config_file: str | None, **flags) -> RunConfig:
     """Precedence: CLI flags > config file > defaults."""
     cfg = RunConfig()
+    values = {}
     if config_file:
         try:
-            file_values = json.loads(Path(config_file).read_text())
+            values = json.loads(Path(config_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_file}: {exc}")
-        for key, value in file_values.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            if key == "bpd_exponent":
-                value = _parse_n(str(value))
-            setattr(cfg, key, value)
-    for key, value in flags.items():
-        if value is not None:
-            setattr(cfg, key, value)
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {config_file} holds a {type(values).__name__}, not a JSON object")
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    for key, value in values.items():
+        if not hasattr(cfg, key):
+            raise ConfigError(f"unknown config key {key!r}")
+        if key == "bpd_exponent":
+            value = _parse_n(str(value))
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -139,32 +145,46 @@ def main(verbose: bool):
     )
 
 
-def _common_options(fn):
-    options = [
-        click.option("--detections-dir", type=str, default=None),
-        click.option("--annotations", type=str, default=None),
-        click.option("--models-dir", type=str, default=None),
-        click.option("--out", type=str, default=None),
-        click.option("--config", "config_file", type=str, default=None,
-                     help="JSON config file; CLI flags take precedence."),
-        click.option("--absent-policy", type=click.Choice(["vacuous", "recall_one"]), default=None),
-        click.option("--duplicate-policy", type=click.Choice(["undecided", "false_positive"]), default=None),
-        click.option("--ap-interp", "ap_interpolation", type=click.Choice(["all-points", "11-point"]), default=None),
-        click.option("--jobs", type=int, default=None),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+# The RunConfig fields each pipeline command reads. A command takes the flag
+# of each field in its row that has one, needs each path in it, and records
+# exactly these keys in its output. --config and --jobs are on every command.
+READS = {
+    "build-trust": ("detections_dir", "annotations", "models_dir", "bpd_exponent", "match_iou", "duplicate_policy"),
+    "build-baselines": ("detections_dir", "annotations", "models_dir", "match_iou", "vector_iou", "duplicate_policy"),
+    "fuse": ("detections_dir", "models_dir", "out", "vector_iou", "nms_iou", "absent_policy", "jobs"),
+    "eval": ("annotations", "out", "match_iou", "ap_interpolation"),
+    "sweep-n": ("detections_dir", "annotations", "out", "match_iou", "vector_iou", "nms_iou",
+                "absent_policy", "duplicate_policy", "ap_interpolation", "jobs"),
+}
+_PATHS = ("detections_dir", "annotations", "models_dir", "out")
+# The flag of each field that has one, --jobs aside; the IoU thresholds are config keys only.
+_FLAGS = {"detections_dir": "--detections-dir", "annotations": "--annotations", "models_dir": "--models-dir",
+          "out": "--out", "bpd_exponent": "--n", "absent_policy": "--absent-policy",
+          "duplicate_policy": "--duplicate-policy", "ap_interpolation": "--ap-interp"}
 
 
-def _build_cfg(config_file, paths: tuple[str, ...], **flags) -> RunConfig:
-    """The command's resolved config; ``paths`` are the path fields the
-    command needs, and a missing one is a config error naming its flag."""
+def _pipeline_command(name: str):
+    """Register pipeline command ``name`` with the flags of its READS row."""
+    def register(fn):
+        fn = click.option("--jobs", type=int, default=None)(fn)
+        fn = click.option("--config", "config_file", type=str, default=None,
+                          help="JSON config file; CLI flags take precedence.")(fn)
+        for field in reversed([f for f in READS[name] if f in _FLAGS]):
+            kind = click.Choice(_CHOICES[field]) if field in _CHOICES else str
+            fn = click.option(_FLAGS[field], field, type=kind, default=None)(fn)
+        return main.command(name)(fn)
+    return register
+
+
+def _build_cfg(config_file, **flags) -> tuple[RunConfig, dict]:
+    """The running command's resolved config and the keys its output records.
+    A path of its READS row that is left empty is a config error naming its flag."""
+    reads = READS[click.get_current_context().command.name]
     cfg = _resolve_config(config_file, **flags)
-    missing = ["--" + name.replace("_", "-") for name in paths if not getattr(cfg, name)]
+    missing = [_FLAGS[name] for name in reads if name in _PATHS and not getattr(cfg, name)]
     if missing:
         raise ConfigError(f"missing {', '.join(missing)} (a flag or config key)")
-    return cfg
+    return cfg, cfg.as_dict(reads)
 
 
 def _fail(code: int, message: str):
@@ -189,6 +209,23 @@ def _exit_on_error():
         _fail(EXIT_MODEL, str(exc))
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """End the command with a config error naming ``path``, the output it
+    was given, if writing there fails."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
+
+
+def _check_out_dir(path: str) -> None:
+    """A config error, before the work whose result it is to hold, if the
+    directory of the output file ``path`` does not exist."""
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
 @main.command("generate")
 @click.option("--out-dir", required=True, type=str)
 @click.option("--seed", type=int, default=42, show_default=True)
@@ -201,15 +238,16 @@ def cmd_generate(out_dir: str, seed: int, num_images: int, num_detectors: int):
         dataset = datagen.generate(seed, num_images, profiles)
     root = Path(out_dir)
     provenance = {"seed": seed, "num_images": num_images, "num_detectors": num_detectors}
-    for split, ids in (("validation", dataset.validation_image_ids), ("test", dataset.test_image_ids)):
-        (root / split).mkdir(parents=True, exist_ok=True)
-        for det_id in sorted(dataset.detections):
-            io.write_detections(
-                dataset.detections_for(det_id, ids), root / split / f"{det_id}.jsonl",
-                class_label=dataset.class_label, config=provenance,
-            )
-        io.write_annotations(dataset.ground_truths(ids), root / split / "annotations.jsonl", config=provenance)
-    io.write_annotations(dataset.ground_truths(), root / "annotations.jsonl", config=provenance)
+    with _writing(out_dir):
+        for split, ids in (("validation", dataset.validation_image_ids), ("test", dataset.test_image_ids)):
+            (root / split).mkdir(parents=True, exist_ok=True)
+            for det_id in sorted(dataset.detections):
+                io.write_detections(
+                    dataset.detections_for(det_id, ids), root / split / f"{det_id}.jsonl",
+                    class_label=dataset.class_label, config=provenance,
+                )
+            io.write_annotations(dataset.ground_truths(ids), root / split / "annotations.jsonl", config=provenance)
+        io.write_annotations(dataset.ground_truths(), root / "annotations.jsonl", config=provenance)
     click.echo(f"wrote synthetic benchmark to {out_dir}")
 
 
@@ -236,23 +274,17 @@ def default_profiles(num_detectors: int) -> list[SyntheticDetectorProfile]:
     return profiles
 
 
-# The path fields build-trust and build-baselines need.
-_TRAINING_PATHS = ("detections_dir", "annotations", "models_dir")
-
-
-@main.command("build-trust")
-@click.option("--n", "n_raw", type=str, default=None,
-              help="Best-possible-detector exponent (positive or 'inf').")
-@_common_options
-def cmd_build_trust(n_raw, config_file, **flags):
-    """Build one trust model file per (detector, class) from validation data."""
+@_pipeline_command("build-trust")
+def cmd_build_trust(config_file, **flags):
+    """Build one trust model file per (detector, class) from validation data.
+    --n is the best-possible-detector exponent: a positive number or 'inf'."""
     with _exit_on_error():
-        n = None if n_raw is None else _parse_n(n_raw)
-        cfg = _build_cfg(config_file, _TRAINING_PATHS, bpd_exponent=n, **flags)
+        cfg, provenance = _build_cfg(config_file, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
-    models_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(cfg.models_dir):
+        models_dir.mkdir(parents=True, exist_ok=True)
     built = 0
     for cls in sorted(per_class):
         class_gts = [g for g in gts if g.class_label == cls]
@@ -262,7 +294,8 @@ def cmd_build_trust(n_raw, config_file, **flags):
         )
         for det_id, model in sorted(models.items()):
             path = io.model_path(models_dir, "trust", cls, det_id)
-            io.save_model(model, path, cfg.as_dict())
+            with _writing(cfg.models_dir):
+                io.save_model(model, path, provenance)
             built += 1
             click.echo(
                 f"{det_id}/{cls}: {len(model.table)} rows, "
@@ -273,29 +306,29 @@ def cmd_build_trust(n_raw, config_file, **flags):
         _fail(EXIT_DATA, "no trust model could be built from the validation data")
 
 
-@main.command("build-baselines")
-@_common_options
+@_pipeline_command("build-baselines")
 def cmd_build_baselines(config_file, **flags):
     """Train Platt, weighted-sum, and naive-Bayes models from validation data."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, _TRAINING_PATHS, **flags)
+        cfg, provenance = _build_cfg(config_file, **flags)
         per_class = _load_detections_dir(cfg.detections_dir)
         gts = io.read_annotations(cfg.annotations)
     models_dir = Path(cfg.models_dir)
-    models_dir.mkdir(parents=True, exist_ok=True)
-    config = cfg.as_dict()
+    with _writing(cfg.models_dir):
+        models_dir.mkdir(parents=True, exist_ok=True)
     fitted = 0
     for cls in sorted(per_class):
         class_gts = [g for g in gts if g.class_label == cls]
         models = pipeline.fit_baselines(
             per_class[cls], class_gts, cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
         )
-        for det_id in sorted(models.platt):
-            for prefix, by_detector in (("platt", models.platt), ("bayes", models.likelihoods)):
-                path = io.model_path(models_dir, prefix, cls, det_id)
-                io.save_model(by_detector[det_id], path, config)
-        if models.weights is not None:
-            io.save_model(models.weights, io.model_path(models_dir, "ws", cls), config)
+        with _writing(cfg.models_dir):
+            for det_id in sorted(models.platt):
+                for prefix, by_detector in (("platt", models.platt), ("bayes", models.likelihoods)):
+                    path = io.model_path(models_dir, prefix, cls, det_id)
+                    io.save_model(by_detector[det_id], path, provenance)
+            if models.weights is not None:
+                io.save_model(models.weights, io.model_path(models_dir, "ws", cls), provenance)
         fitted += len(models.platt)
         click.echo(f"{cls}: {len(models.platt)} Platt models, ws={'yes' if models.weights else 'no'}")
     if fitted == 0:
@@ -340,13 +373,13 @@ def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: st
     return models
 
 
-@main.command("fuse")
+@_pipeline_command("fuse")
 @click.option("--method", type=click.Choice(pipeline.METHODS), default="dbf", show_default=True)
-@_common_options
 def cmd_fuse(method, config_file, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, ("detections_dir", "models_dir", "out"), **flags)
+        cfg, provenance = _build_cfg(config_file, **flags)
+        _check_out_dir(cfg.out)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
     fused = []
@@ -361,21 +394,19 @@ def cmd_fuse(method, config_file, **flags):
             )
     # Each class's rows are already in file order.
     merged = io.DetectionColumns.concat(fused)
-    provenance = cfg.as_dict()
-    del provenance["bpd_exponent"]
     provenance["method"] = method
-    io.write_fused(merged, cfg.out, config=provenance)
+    with _writing(cfg.out):
+        io.write_fused(merged, cfg.out, config=provenance)
     click.echo(f"wrote {len(merged)} fused detections to {cfg.out}")
 
 
-@main.command("eval")
+@_pipeline_command("eval")
 @click.option("--inputs", "-i", "inputs", multiple=True, required=True,
               help="name=path pairs of fused or raw detection files to score.")
-@_common_options
 def cmd_eval(inputs, config_file, **flags):
     """Evaluate detection files against annotations (AP / mAP, JSON + CSV)."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, ("annotations", "out"), **flags)
+        cfg, provenance = _build_cfg(config_file, **flags)
         gts = io.read_annotations(cfg.annotations)
         paths: dict[str, str] = {}
         for item in inputs:
@@ -390,14 +421,15 @@ def cmd_eval(inputs, config_file, **flags):
             methods, gts, cfg.match_iou, cfg.ap_interpolation
         )
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    evaluation.write_reports_json(reports, out / "report.json", config=cfg.as_dict())
-    evaluation.write_reports_csv(reports, out / "report.csv")
+    with _writing(cfg.out):
+        out.mkdir(parents=True, exist_ok=True)
+        evaluation.write_reports_json(reports, out / "report.json", config=provenance)
+        evaluation.write_reports_csv(reports, out / "report.csv")
     for name in sorted(reports):
         click.echo(f"{name}: mAP {reports[name].map_score:.4f}")
 
 
-@main.command("sweep-n")
+@_pipeline_command("sweep-n")
 @click.option("--n-values", required=True, type=str,
               help="Comma-separated exponents, e.g. '1,2,4,8,inf'.")
 @click.option("--method", type=click.Choice(pipeline.BELIEF_METHODS), default="dbf", show_default=True)
@@ -405,11 +437,11 @@ def cmd_eval(inputs, config_file, **flags):
               help="Detections to fuse and score; defaults to --detections-dir.")
 @click.option("--test-annotations", type=str, default=None,
               help="Ground truth for scoring; defaults to --annotations.")
-@_common_options
 def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, **flags):
     """Fuse and score the test split at each exponent; CSV of AP per class."""
     with _exit_on_error():
-        cfg = _build_cfg(config_file, ("detections_dir", "annotations", "out"), **flags)
+        cfg, provenance = _build_cfg(config_file, **flags)
+        _check_out_dir(cfg.out)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
             raise ConfigError("empty n-values list")
@@ -455,9 +487,11 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
         rows += [(n_label, cls, ap) for cls, ap in per_class_ap.items()]
         rows.append((n_label, "mAP", sum(per_class_ap.values()) / len(per_class_ap)))
 
-    with open(cfg.out, "w", newline="") as fh:
+    provenance.update(method=method, test_detections_dir=test_detections_dir or cfg.detections_dir,
+                      test_annotations=test_annotations or cfg.annotations)
+    with _writing(cfg.out), open(cfg.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["# config", json.dumps(cfg.as_dict(), sort_keys=True)])
+        writer.writerow(["# config", json.dumps(provenance, sort_keys=True)])
         writer.writerow(["n", "class", "ap"])
         for n_label, cls, ap in rows:
             writer.writerow([n_label, cls, f"{ap:.6f}"])

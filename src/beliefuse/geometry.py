@@ -133,9 +133,11 @@ def match_detections(
 
     claimed: set[int] = set()
     labeled: dict[int, MatchLabel] = {}
-    # Equal scores are ordered by identity fields: a deterministic order.
+    # Equal scores are ordered by identity fields: a deterministic order,
+    # in which 0.0 comes before -0.0.
     order = sorted(range(len(dets)), key=lambda i: (
-        -dets[i].score, dets[i].detector_id, dets[i].image_id, dets[i].box.as_tuple()))
+        -dets[i].score, math.copysign(1.0, -dets[i].score),
+        dets[i].detector_id, dets[i].image_id, dets[i].box.as_tuple()))
     for i in order:
         det = dets[i]
         overlaps = [

@@ -70,16 +70,18 @@ def labeled_windows(
     positive. Each window is labeled by its own detection
     (``label_detections``), so a detection listed twice is two rows.
 
-    Rows go by image, detector, descending score, then box, x_min first:
-    one order whatever the order of the input, so every sum a trainer runs
-    over them does too. Windows equal in all of these keep input order.
+    Rows go by image, detector, descending score (0.0 before -0.0), then
+    box, x_min first: one order whatever the order of the input, so every
+    sum a trainer runs over them does too. Windows equal in all of these
+    keep input order.
     """
     windows, detector_ids, _, order = windows_of(per_detector)
     labels = [label for dets in per_detector.values()
               for label in label_detections(dets, gts, iou_threshold, duplicate_policy)]
     decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)[order]
     tp = np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)[order]
-    rows = np.lexsort((*windows.boxes.T[::-1], -windows.scores, windows.detectors, windows.images))
+    rows = np.lexsort((*windows.boxes.T[::-1], np.signbit(windows.scores), -windows.scores,
+                       windows.detectors, windows.images))
     return Windows(*(c[rows] for c in windows)), detector_ids, decided[rows], tp[rows]
 
 

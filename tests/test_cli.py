@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -85,6 +86,124 @@ def test_missing_path_flag_exits_2_naming_it(workspace, tmp_path, monkeypatch, c
     assert exited_cleanly(result, 2), result.output
     assert flag in result.output
     assert list(tmp_path.iterdir()) == []  # nothing written, here or elsewhere
+
+
+# The flags each pipeline command no longer takes, since it does not read
+# their settings, with a value each would accept where it is taken.
+UNREAD_FLAGS = [
+    ("build-trust", "--out", "x"), ("build-trust", "--absent-policy", "recall_one"),
+    ("build-trust", "--ap-interp", "11-point"),
+    ("build-baselines", "--out", "x"), ("build-baselines", "--absent-policy", "recall_one"),
+    ("build-baselines", "--ap-interp", "11-point"),
+    ("fuse", "--annotations", "a.jsonl"), ("fuse", "--duplicate-policy", "false_positive"),
+    ("fuse", "--ap-interp", "11-point"),
+    ("eval", "--detections-dir", "d"), ("eval", "--models-dir", "m"),
+    ("eval", "--absent-policy", "recall_one"), ("eval", "--duplicate-policy", "false_positive"),
+    ("sweep-n", "--models-dir", "m"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_flag_of_a_setting_the_command_does_not_read_exits_2(workspace, tmp_path, command, flag, value):
+    extra, paths = path_args(workspace, tmp_path)[command]
+    args = [command, *extra, *(str(a) for pair in paths.items() for a in pair), flag, value]
+    result = run(args)
+    assert exited_cleanly(result, 2), result.output
+    assert flag in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each command's unwritable output: the command, the flag, and a path
+# under tmp_path that cannot be written (a file where a directory goes, or
+# a file in a directory that does not exist).
+UNWRITABLE = [
+    ("generate", "--out-dir", "file"), ("build-trust", "--models-dir", "file"),
+    ("build-baselines", "--models-dir", "file"), ("fuse", "--out", "missing/f.jsonl"),
+    ("eval", "--out", "file"), ("sweep-n", "--out", "missing/s.csv"),
+]
+
+
+@pytest.mark.parametrize("command,flag,target", UNWRITABLE)
+def test_output_path_that_cannot_be_written_exits_2_naming_it(workspace, tmp_path, command, flag, target):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / target
+    if command == "generate":
+        args = ["generate", "--out-dir", str(path), "--num-images", "10"]
+    else:
+        extra, paths = path_args(workspace, tmp_path)[command]
+        args = [command, *extra, *(str(a) for pair in {**paths, flag: path}.items() for a in pair)]
+    result = run(args)
+    assert exited_cleanly(result, 2), result.output
+    assert str(path) in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_fuse_checks_its_output_directory_before_any_work(workspace, tmp_path):
+    # No model files either: fuse would exit 4 if it looked for them first.
+    out = tmp_path / "missing" / "f.jsonl"
+    result = run(["fuse", "--detections-dir", str(workspace / "data" / "test"),
+                  "--models-dir", str(tmp_path), "--out", str(out)])
+    assert exited_cleanly(result, 2), result.output
+    assert str(out) in result.output
+
+
+# The config keys each command's output records: the settings it reads.
+RECORDED_KEYS = {
+    "build-trust": {"detections_dir", "annotations", "models_dir", "bpd_exponent", "match_iou",
+                    "duplicate_policy"},
+    "build-baselines": {"detections_dir", "annotations", "models_dir", "match_iou", "vector_iou",
+                        "duplicate_policy"},
+    "fuse": {"detections_dir", "models_dir", "out", "vector_iou", "nms_iou", "absent_policy", "jobs"},
+    "eval": {"annotations", "out", "match_iou", "ap_interpolation"},
+    "sweep-n": {"detections_dir", "annotations", "out", "match_iou", "vector_iou", "nms_iou",
+                "absent_policy", "duplicate_policy", "ap_interpolation", "jobs"},
+}
+
+
+def test_each_output_records_the_settings_its_command_reads(workspace, tmp_path):
+    data, models = workspace / "data", tmp_path / "models"
+    train = ["--detections-dir", str(data / "validation"),
+             "--annotations", str(data / "validation" / "annotations.jsonl"),
+             "--models-dir", str(models), "--duplicate-policy", "false_positive"]
+    fused = tmp_path / "fused.jsonl"
+    commands = [
+        ["build-trust", *train, "--n", "inf"],
+        ["build-baselines", *train],
+        ["fuse", "--detections-dir", str(data / "test"), "--models-dir", str(models),
+         "--out", str(fused), "--absent-policy", "recall_one", "--jobs", "2"],
+        ["eval", "--annotations", str(data / "test" / "annotations.jsonl"), "--out", str(tmp_path / "r"),
+         "--ap-interp", "11-point", "-i", f"dbf={fused}"],
+        ["sweep-n", "--n-values", "2", "--method", "static-dst", "--detections-dir", str(data / "validation"),
+         "--annotations", str(data / "validation" / "annotations.jsonl"), "--out", str(tmp_path / "s.csv"),
+         "--absent-policy", "recall_one", "--duplicate-policy", "false_positive", "--ap-interp", "11-point"],
+    ]
+    for args in commands:
+        result = run(args)
+        assert result.exit_code == 0, (args[0], result.output)
+
+    def config(path):
+        return json.loads(path.read_text())["config"]
+
+    with open(tmp_path / "s.csv", newline="") as fh:
+        sweep = json.loads(next(csv.reader(fh))[1])
+    recorded = {
+        "build-trust": [config(models / "trust__det_a__object.json")],
+        "build-baselines": [config(models / name) for name in (PLATT, BAYES, WS)],
+        "fuse": [json.loads(fused.read_text().splitlines()[0])["config"]],
+        "eval": [config(tmp_path / "r" / "report.json")],
+        "sweep-n": [sweep],
+    }
+    extra = {"fuse": {"method"}, "sweep-n": {"method", "test_detections_dir", "test_annotations"}}
+    set_by_flag = {"duplicate_policy": "false_positive", "absent_policy": "recall_one",
+                   "ap_interpolation": "11-point"}
+    for command, configs in recorded.items():
+        for c in configs:
+            assert set(c) == RECORDED_KEYS[command] | extra.get(command, set()), command
+            for key, value in set_by_flag.items():
+                assert c.get(key, value) == value, (command, key)
+    assert recorded["build-trust"][0]["bpd_exponent"] == "inf"
+    assert recorded["fuse"][0]["jobs"] == 2
+    assert sweep["method"] == "static-dst"
 
 
 class TestGenerate:
@@ -354,7 +473,9 @@ class TestFuse:
         ({"jobs": "2"}, []),
         ({}, ["--jobs", "0"]),
         ({}, ["--jobs", "-3"]),
-    ], ids=["string-iou", "string-jobs", "zero-jobs", "negative-jobs"])
+        ([1, 2], []),
+        ("x", []),
+    ], ids=["string-iou", "string-jobs", "zero-jobs", "negative-jobs", "list-file", "string-file"])
     def test_bad_config_value_exits_2(self, workspace, tmp_path, config, flags):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -482,6 +603,24 @@ class TestSweepN:
         assert lines[0].startswith("# config")
         labels = [line.split(",")[0] for line in lines[2:]]
         assert labels == ["1", "1", "2", "2", "inf", "inf"]
+
+    def test_config_line_names_the_method_and_the_test_split(self, workspace, tmp_path):
+        data = workspace / "data"
+        validation = [str(data / "validation"), str(data / "validation" / "annotations.jsonl")]
+        test = [str(data / "test"), str(data / "test" / "annotations.jsonl")]
+        runs = {"dbf": [], "static-dst": ["--test-detections-dir", test[0], "--test-annotations", test[1]]}
+        for method, extra in runs.items():
+            out = tmp_path / f"{method}.csv"
+            result = run(["sweep-n", "--n-values", "2", "--method", method, "--detections-dir", validation[0],
+                          "--annotations", validation[1], "--out", str(out), *extra])
+            assert result.exit_code == 0, result.output
+            with open(out, newline="") as fh:
+                config = json.loads(next(csv.reader(fh))[1])
+            # Without the test flags, the validation split is the test split.
+            expected = validation if method == "dbf" else test
+            assert (config["method"], config["test_detections_dir"], config["test_annotations"]) == \
+                (method, *expected)
+            assert "models_dir" not in config
 
     def test_all_difficult_test_class_exits_3(self, workspace, tmp_path):
         annotations = tmp_path / "annotations.jsonl"
