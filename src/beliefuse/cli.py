@@ -379,6 +379,11 @@ def cmd_fuse(method, config_file, **flags):
     """Fuse a detections directory into one JSON-lines output file."""
     with _exit_on_error():
         cfg, provenance = _build_cfg(config_file, **flags)
+        if method != "dbf":
+            # Only dbf fills an absent detector's slot, so only its output records the policy.
+            if flags["absent_policy"] is not None:
+                raise ConfigError(f"--absent-policy is read by --method dbf only, not by {method}")
+            del provenance["absent_policy"]
         _check_out_dir(cfg.out)
         per_class = _load_detections_dir(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
@@ -408,6 +413,8 @@ def cmd_eval(inputs, config_file, **flags):
     with _exit_on_error():
         cfg, provenance = _build_cfg(config_file, **flags)
         gts = io.read_annotations(cfg.annotations)
+        if not gts:
+            raise DataError(f"{cfg.annotations}: no ground-truth object to score against")
         paths: dict[str, str] = {}
         for item in inputs:
             name, sep, path = item.partition("=")
@@ -426,6 +433,8 @@ def cmd_eval(inputs, config_file, **flags):
         evaluation.write_reports_json(reports, out / "report.json", config=provenance)
         evaluation.write_reports_csv(reports, out / "report.csv")
     for name in sorted(reports):
+        if len(methods[name]) and not reports[name].on_truth_images:
+            log.warning("%s: no detection lies on an image with ground truth of its class", paths[name])
         click.echo(f"{name}: mAP {reports[name].map_score:.4f}")
 
 
@@ -434,13 +443,16 @@ def cmd_eval(inputs, config_file, **flags):
               help="Comma-separated exponents, e.g. '1,2,4,8,inf'.")
 @click.option("--method", type=click.Choice(pipeline.BELIEF_METHODS), default="dbf", show_default=True)
 @click.option("--test-detections-dir", type=str, default=None,
-              help="Detections to fuse and score; defaults to --detections-dir.")
+              help="Detections to fuse and score, given with --test-annotations; "
+                   "both default to the validation split.")
 @click.option("--test-annotations", type=str, default=None,
-              help="Ground truth for scoring; defaults to --annotations.")
+              help="Ground truth of --test-detections-dir.")
 def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_file, **flags):
     """Fuse and score the test split at each exponent; CSV of AP per class."""
     with _exit_on_error():
         cfg, provenance = _build_cfg(config_file, **flags)
+        if bool(test_detections_dir) != bool(test_annotations):
+            raise ConfigError("--test-detections-dir and --test-annotations go together: give both or neither")
         _check_out_dir(cfg.out)
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:

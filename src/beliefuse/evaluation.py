@@ -10,15 +10,17 @@ detection and a ground truth of its image, all pairs in one array pass.
 from __future__ import annotations
 
 import csv
-import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import GroundTruthObject, iou_pairs
-from .io import DetectionColumns, indent2, ranks
+from .io import DetectionColumns, indent2, laid_out_rows, ranks
 from .trust import envelope, pr_sweep
 
 
@@ -120,17 +122,17 @@ _INTERPOLATIONS = {"all-points": _ap_all_points, "11-point": _ap_11_point}
 
 class _ClassScore(NamedTuple):
     ap: float
-    pr_samples: list[tuple[float, float]]
+    pr_samples: np.ndarray  # (N, 2): recall, precision
     counts: dict[str, int]
 
 
 def _score_class(
     dets: DetectionColumns,
-    gts: list[GroundTruthObject],
+    truth: _Truth,
     iou_threshold: float,
     interpolation: str,
 ) -> _ClassScore:
-    """Every row of ``dets`` scored against one class's ground truths.
+    """Every row of ``dets`` scored against one class's ground truth.
 
     Raises ``NoGroundTruth`` when no object is non-difficult, whether or not
     there are rows; AP is undefined there, and a 0 would pull the mAP down.
@@ -139,13 +141,12 @@ def _score_class(
         raise ValueError(f"unknown interpolation {interpolation!r}")
     if not 0 < iou_threshold < 1:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    truth = _Truth.of(gts)
     if truth.num_positives == 0:
         raise NoGroundTruth("no non-difficult ground-truth objects")
     recall, precision, tp = _pr_points(dets, truth, iou_threshold)
     return _ClassScore(
         _INTERPOLATIONS[interpolation](recall, precision),
-        list(zip(recall.tolist(), precision.tolist())),
+        np.column_stack((recall, precision)),
         {"num_gt": truth.num_positives, "num_detections": len(dets), "tp": tp, "fp": len(recall) - tp},
     )
 
@@ -161,14 +162,17 @@ def average_precision(
     ``interpolation`` is ``"all-points"`` (exact area under the monotone
     envelope) or ``"11-point"`` (historical VOC07 sampling).
     """
-    return _score_class(dets, gts, iou_threshold, interpolation).ap
+    return _score_class(dets, _Truth.of(gts), iou_threshold, interpolation).ap
 
 
 @dataclass
 class EvalReport:
     per_class_ap: dict[str, float]
-    pr_samples: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    pr_samples: dict[str, np.ndarray] = field(default_factory=dict)  # (N, 2) each
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    # Whether some row lies on an image that has ground truth of a class it
+    # is scored against; without one, every AP is 0 whatever the scores.
+    on_truth_images: bool = False
 
     @property
     def map_score(self) -> float:
@@ -176,44 +180,55 @@ class EvalReport:
             return 0.0
         return sum(self.per_class_ap.values()) / len(self.per_class_ap)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, curve: Callable[[np.ndarray], object] = np.ndarray.tolist) -> dict:
+        """The report as ``report.json`` holds it, ``curve`` giving each PR
+        curve's value."""
         return {
             "per_class_ap": dict(sorted(self.per_class_ap.items())),
             "mAP": self.map_score,
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
-            "pr_samples": {
-                k: [[r, p] for r, p in v] for k, v in sorted(self.pr_samples.items())
-            },
+            "pr_samples": {k: curve(v) for k, v in sorted(self.pr_samples.items())},
         }
+
+
+def truths_by_class(gts: list[GroundTruthObject]) -> dict[str, _Truth]:
+    """Each class's ground truth as columns, classes in sorted order."""
+    by_class: dict[str, list[GroundTruthObject]] = {}
+    for g in gts:
+        by_class.setdefault(g.class_label, []).append(g)
+    return {c: _Truth.of(by_class[c]) for c in sorted(by_class)}
+
+
+def _rows_by_class(dets: DetectionColumns, classes: list[str]) -> dict[str, DetectionColumns]:
+    """Each class's rows, in row order: the rows of that class and the raw
+    rows, which carry no class. A class that takes every row takes ``dets``."""
+    code = {c: k for k, c in enumerate(classes)}
+    code[None] = -1
+    codes = np.fromiter(map(code.get, dets.class_labels, repeat(-2)), dtype=np.intp, count=len(dets))
+    raw = codes == -1
+    rows = {c: np.flatnonzero(raw | (codes == k)) for k, c in enumerate(classes)}
+    return {c: dets if len(rows[c]) == len(dets) else dets.take(rows[c]) for c in classes}
 
 
 def evaluate_method(
     dets: DetectionColumns,
-    gts: list[GroundTruthObject],
+    gts: list[GroundTruthObject] | dict[str, _Truth],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> EvalReport:
     """Per-class AP report for one method's detections, one class for each
     class of ground truth. Raw rows carry no class and are scored against
-    every class; fused ones only against their own."""
-    classes = sorted({g.class_label for g in gts})
-    rows_of: dict[str, list[int]] = {c: [] for c in classes}
-    for i, label in enumerate(dets.class_labels):
-        if label is None:
-            for c in classes:
-                rows_of[c].append(i)
-        elif label in rows_of:
-            rows_of[label].append(i)
+    every class; fused ones only against their own. ``gts`` is a list of
+    objects, or each class's ground truth as ``truths_by_class`` gives it."""
+    truths = gts if isinstance(gts, dict) else truths_by_class(gts)
     report = EvalReport({})
-    for c in classes:
+    for c, rows in _rows_by_class(dets, list(truths)).items():
         try:
-            score = _score_class(
-                dets.take(np.array(rows_of[c], dtype=np.intp)),
-                [g for g in gts if g.class_label == c], iou_threshold, interpolation,
-            )
+            score = _score_class(rows, truths[c], iou_threshold, interpolation)
         except NoGroundTruth as exc:
             raise NoGroundTruth(f"class {c!r}: {exc}") from None
         report.per_class_ap[c], report.pr_samples[c], report.counts[c] = score
+        report.on_truth_images |= not truths[c].spans.keys().isdisjoint(rows.image_ids)
     return report
 
 
@@ -223,17 +238,22 @@ def evaluate_methods(
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> dict[str, EvalReport]:
+    """One report per method, each class's ground truth built once for all."""
+    truths = truths_by_class(gts)
     return {
-        name: evaluate_method(methods[name], gts, iou_threshold, interpolation)
+        name: evaluate_method(methods[name], truths, iou_threshold, interpolation)
         for name in sorted(methods)
     }
 
 
 def write_reports_json(reports: dict[str, EvalReport], path: str | Path, config: dict | None = None) -> None:
+    """``json.dumps`` of the reports with ``indent=2``, each PR curve laid
+    out from its array."""
+    curve = partial(laid_out_rows, depth=4)  # methods > name > pr_samples > class
     payload = {
         "format_version": 1,
         "config": config or {},
-        "methods": {name: reports[name].to_dict() for name in sorted(reports)},
+        "methods": {name: reports[name].to_dict(curve) for name in sorted(reports)},
     }
     Path(path).write_text(indent2(payload) + "\n")
 

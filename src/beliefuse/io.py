@@ -11,10 +11,12 @@ object each, told apart by ``kind``.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -226,10 +228,18 @@ def _read_columns(path: str | Path, fields: tuple[_Field, ...]) -> dict:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = _objects([line for line in map(str.strip, text.splitlines()) if line])
-    columns = None if rows is None else _columns(rows, fields)
-    if columns is None:
-        columns = _columns(list(_checked_rows(path, text, fields)), fields)
+    # The parsed rows hold no cycles: a collection while they pile up only
+    # traverses them.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = _objects([line for line in map(str.strip, text.splitlines()) if line])
+        columns = None if rows is None else _columns(rows, fields)
+        if columns is None:
+            columns = _columns(list(_checked_rows(path, text, fields)), fields)
+    finally:
+        if collecting:
+            gc.enable()
     return columns
 
 
@@ -239,9 +249,10 @@ def _objects(lines: list[str]) -> list[dict] | None:
         parsed = [_scan(line, 0) for line in lines]
     except (StopIteration, ValueError, RecursionError):
         return None
-    if not all(type(obj) is dict and end == len(line) for (obj, end), line in zip(parsed, lines)):
+    objects, ends = zip(*parsed) if parsed else ((), ())
+    if ends != tuple(map(len, lines)) or not {dict}.issuperset(map(type, objects)):
         return None
-    return [obj for obj, _ in parsed if "_header" not in obj]
+    return [obj for obj in objects if "_header" not in obj]
 
 
 def _columns(rows: list[dict], fields: tuple[_Field, ...]) -> dict | None:
@@ -250,9 +261,9 @@ def _columns(rows: list[dict], fields: tuple[_Field, ...]) -> dict | None:
     for field in fields:
         try:
             if field.default is _REQUIRED:
-                values = [row[field.name] for row in rows]
+                values = list(map(itemgetter(field.name), rows))
             else:
-                values = [row.get(field.name, field.default) for row in rows]
+                values = list(map(dict.get, rows, repeat(field.name), repeat(field.default)))
             columns[field.name] = field.column(values)
         except (KeyError, *_VALUE_ERRORS):
             return None
@@ -421,8 +432,8 @@ def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None =
 #
 # ``json.dumps(value, indent=2)``, byte for byte, for model files and
 # ``report.json``. ``indent`` makes ``json`` fall back to its pure-Python
-# encoder, so the bulky parts (PR curves, trust tables) are encoded by the C
-# encoder or a row template and then laid out here.
+# encoder, so the bulky parts (PR curves, trust tables) are arrays, each laid
+# out with one row template.
 
 
 class _LaidOut(str):
@@ -431,9 +442,9 @@ class _LaidOut(str):
 
 def indent2(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
-    deep. Dicts with string keys are laid out here, a list of number pairs
-    (a PR curve) goes through the C encoder once, and ``_LaidOut`` text is
-    written as it is. Anything else goes to ``json.dumps``."""
+    deep. Dicts with string keys are laid out here, and ``_LaidOut`` text
+    (from ``laid_out_rows``) is written as it is. Anything else goes to
+    ``json.dumps``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if isinstance(value, _LaidOut):
@@ -441,24 +452,28 @@ def indent2(value, depth: int = 0) -> str:
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         items = (f"{json.dumps(k)}: {indent2(v, depth + 1)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if _is_pairs(value):
-        # '[[r, p], [r, p]]': numbers hold neither '], [' nor ', '.
-        body = json.dumps(value, check_circular=False)[2:-2]
-        body = body.replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", f",{inner}  ")
-        return f"[{inner}[{inner}  {body}{inner}]{pad}]"
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
-def _is_pairs(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) > 0
-        and all(
-            type(pair) in (list, tuple) and len(pair) == 2
-            and type(pair[0]) in (float, int) and type(pair[1]) in (float, int)
-            for pair in value
-        )
-    )
+def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = None) -> _LaidOut:
+    """``indent2`` of a float array's rows as a list at ``depth``: each row a
+    list of its numbers, or a dict of them under ``keys``. One row template
+    lays out every row, filled with the numbers as ``json`` writes them."""
+    if not len(rows):
+        return _LaidOut("[]")
+    width = rows.shape[1]
+    numbers = [""] * rows.size
+    for k in range(width):
+        # Each distinct value once, told apart bit for bit (-0.0 is not 0.0).
+        column = np.ascontiguousarray(rows[:, k], dtype=float)
+        _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+        numbers[k::width] = np.array(_json_numbers(column[first].tolist()), dtype=object)[inverse].tolist()
+    pad = "\n" + "  " * (depth + 1)
+    inner = pad + "  "
+    slots = ["%s"] * width if keys is None else [json.dumps(key) + ": %s" for key in keys]
+    body = inner + ("," + inner).join(slots) + pad
+    row = "[" + body + "]" if keys is None else "{" + body + "}"
+    return _LaidOut("[" + pad + ("," + pad).join([row] * len(rows)) % tuple(numbers) + pad[:-2] + "]")
 
 
 FORMAT_VERSION = 1  # of every model file
@@ -475,9 +490,8 @@ _KIND_OF = {cls: kind for kind, (cls, _) in _MODEL_KINDS.items()}
 # The fields that hold numbers, each checked as it is read (``table`` apart).
 _NUMBER_FIELDS = {"bpd_exponent", "num_validation_positives", "a", "b", "weights", "bias",
                   "target_bins", "nontarget_bins"}
-# A trust table's columns, and one of its rows as laid out at depth 2 of a model file.
+# A trust table's columns, each row a dict of them in its model file.
 _TABLE_KEYS = ("score", "recall", "precision_raw", "precision_monotone")
-_TABLE_ROW = "{" + ",".join(f'\n      "{key}": %s' for key in _TABLE_KEYS) + "\n    }"
 
 
 def _encoded(model, field: str):
@@ -487,8 +501,7 @@ def _encoded(model, field: str):
     if field == "bpd_exponent" and value == math.inf:
         return "inf"
     if field == "table":
-        rows = ",\n    ".join([_TABLE_ROW] * len(value)) % tuple(_json_numbers(value.ravel().tolist()))
-        return _LaidOut(f"[\n    {rows}\n  ]")
+        return laid_out_rows(value, 1, _TABLE_KEYS)
     return list(value) if isinstance(value, tuple) else value
 
 

@@ -357,6 +357,16 @@ class TestFuse:
         header = json.loads((tmp_path / "o.jsonl").read_text().splitlines()[0])
         assert "bpd_exponent" not in header["config"]
 
+    @pytest.mark.parametrize("method", ["static-dst", "platt", "ws", "bayes"])
+    def test_absent_policy_is_read_and_recorded_by_dbf_only(self, workspace, tmp_path, method):
+        result = run([*self.fuse_args(workspace, tmp_path / "p.jsonl", method), "--absent-policy", "vacuous"])
+        assert exited_cleanly(result, 2), result.output
+        assert "--absent-policy" in result.output and method in result.output
+        assert not (tmp_path / "p.jsonl").exists()
+        assert run(self.fuse_args(workspace, tmp_path / "o.jsonl", method)).exit_code == 0
+        header = json.loads((tmp_path / "o.jsonl").read_text().splitlines()[0])
+        assert "absent_policy" not in header["config"]
+
     def test_rerun_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "a.jsonl"
         assert run(self.fuse_args(workspace, out)).exit_code == 0
@@ -587,6 +597,28 @@ class TestEval:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("content", ["", '{"_header": true, "config": {"seed": 7}}\n'],
+                             ids=["empty", "header-only"])
+    def test_annotations_without_an_object_exit_3_naming_the_file(self, workspace, tmp_path, content):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(content)
+        result = run(["eval", "--annotations", str(annotations), "--out", str(tmp_path / "r"),
+                      "-i", "det_a=" + str(workspace / "data" / "test" / "det_a.jsonl")])
+        assert exited_cleanly(result, 3), result.output
+        assert str(annotations) in result.output
+        assert not (tmp_path / "r").exists()
+
+    def test_input_off_every_ground_truth_image_is_named_in_a_warning(self, workspace, tmp_path, caplog):
+        # The validation detections lie on none of the test images.
+        data = workspace / "data"
+        off, on = data / "validation" / "det_a.jsonl", data / "test" / "det_b.jsonl"
+        result = run(["eval", "--annotations", str(data / "test" / "annotations.jsonl"),
+                      "--out", str(tmp_path / "r"), "-i", f"off={off}", "-i", f"on={on}"])
+        assert result.exit_code == 0, result.output
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and str(off) in warnings[0], warnings
+
+
 class TestSweepN:
     def test_sweep_csv(self, workspace, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -670,6 +702,19 @@ class TestSweepN:
                       "--out", str(out)])
         assert exited_cleanly(result, 3), result.output
         assert "'cat'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--test-detections-dir", "--test-annotations"])
+    def test_half_a_test_split_exits_2(self, workspace, tmp_path, given):
+        test = {"--test-detections-dir": workspace / "data" / "test",
+                "--test-annotations": workspace / "data" / "test" / "annotations.jsonl"}
+        out = tmp_path / "s.csv"
+        result = run(["sweep-n", "--n-values", "2",
+                      "--detections-dir", str(workspace / "data" / "validation"),
+                      "--annotations", str(workspace / "data" / "validation" / "annotations.jsonl"),
+                      given, str(test[given]), "--out", str(out)])
+        assert exited_cleanly(result, 2), result.output
+        assert all(flag in result.output for flag in test)
         assert not out.exists()
 
     @pytest.mark.parametrize("values", ["0", "-1", "nan", "-inf", "2,0"])

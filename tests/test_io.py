@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -149,6 +150,31 @@ class TestDataErrors:
             with pytest.raises(DataError, match=r"bad\.jsonl:1: not a JSON object"):
                 reader(path)
 
+    @pytest.mark.parametrize("tail", [" x", " {}", ", 1"])
+    def test_text_after_the_object_on_a_line(self, tmp_path, tail):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image_id": "i", "detector_id": "d", "class": "object", '
+                        '"bbox": [0, 0, 5, 5], "score": 1}' + tail + "\n")
+        for reader in (read_detections, read_detections_by_class, read_fused, read_annotations):
+            with pytest.raises(DataError, match=r"bad\.jsonl:1: invalid JSON: Extra data"):
+                reader(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reading_leaves_garbage_collection_as_it_found_it(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_detections(sample_detections(), good)
+        bad.write_text(good.read_text() + "not json\n")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            read_detections(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataError):
+                read_detections(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     @pytest.mark.parametrize("score", ["[1]", "null", '{"a": 1}', "1e999", '"nan"'])
     def test_score_of_the_wrong_type(self, tmp_path, score):
         path = tmp_path / "bad.jsonl"
@@ -217,7 +243,9 @@ class TestReadAnyDetections:
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_detections([], path, config={"seed": 1})
-        assert len(read_any_detections(path)) == 0
+        for reader in (read_any_detections, read_detections, read_fused, read_annotations):
+            assert len(reader(path)) == 0
+        assert read_detections_by_class(path) == {}
 
     def test_unreadable_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):

@@ -1380,9 +1380,9 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
         return
     recall, precision, tp, fp = expected
     report = evaluate_method(DetectionColumns.of(dets), gts, threshold, interpolation)
-    samples = list(zip(recall.tolist(), precision.tolist())) if dets else []
+    samples = [[r, p] for r, p in zip(recall.tolist(), precision.tolist())] if dets else []
     # repr tells every float apart, -0.0 from 0.0 too.
-    assert repr(report.pr_samples["object"]) == repr(samples)
+    assert repr(report.pr_samples["object"].tolist()) == repr(samples)
     assert report.counts["object"] == {
         "num_gt": sum(not g.difficult for g in gts),
         "num_detections": len(dets), "tp": tp, "fp": fp,
@@ -1390,6 +1390,71 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
     ap = reference_ap(recall, precision, interpolation) if dets else 0.0
     assert repr(report.per_class_ap["object"]) == repr(ap)
     assert repr(average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)) == repr(ap)
+
+
+CLASSES = ["cat", "dog"]
+
+
+def columns_of(rows):
+    """``DetectionColumns`` of (image id, class or None, box, score) rows."""
+    return DetectionColumns(
+        [r[0] for r in rows], [r[1] for r in rows],
+        np.array([r[2].as_tuple() for r in rows], dtype=float).reshape(-1, 4),
+        np.array([r[3] for r in rows], dtype=float), ["d"] * len(rows), np.full((len(rows), 3), np.nan),
+    )
+
+
+@st.composite
+def method_cases(draw):
+    """Ground truth of two classes, and methods whose rows are raw (no
+    class), of a class of the ground truth, or of a class it does not hold."""
+    pool = draw(st.lists(boxes(), min_size=1, max_size=5))
+    gts = [
+        GroundTruthObject(image, label, b, difficult)
+        for image, label, b, difficult in draw(st.lists(
+            st.tuples(st.sampled_from(IMAGE_IDS[:4]), st.sampled_from(CLASSES), st.sampled_from(pool),
+                      st.booleans()),
+            min_size=1, max_size=8,
+        ))
+    ]
+    row = st.tuples(st.sampled_from(IMAGE_IDS), st.sampled_from([None, *CLASSES, "bird"]),
+                    st.sampled_from(pool), st.sampled_from([0.0, 0.5, 1.0]))
+    methods = draw(st.dictionaries(st.sampled_from("mnop"), st.lists(row, max_size=10), min_size=1, max_size=3))
+    return {name: columns_of(rows) for name, rows in methods.items()}, gts
+
+
+TWO_CLASSES = (
+    {"raw": columns_of([("a", None, BoundingBox(0, 0, 2, 2), 1.0), ("b", None, BoundingBox(1, 1, 3, 3), 0.5)]),
+     "fused": columns_of([("a", "cat", BoundingBox(0, 0, 2, 2), 1.0), ("b", "bird", BoundingBox(1, 1, 3, 3), 0.5),
+                          ("b", "dog", BoundingBox(1, 1, 3, 3), 0.5)]),
+     "empty": columns_of([])},
+    [GroundTruthObject("a", "cat", BoundingBox(0, 0, 2, 2)),
+     GroundTruthObject("b", "dog", BoundingBox(1, 1, 3, 3)),
+     GroundTruthObject("b", "dog", BoundingBox(0, 0, 2, 2), True)],
+)
+
+
+@settings(deadline=None)
+@given(method_cases(), thresholds)
+@example(TWO_CLASSES, 0.5)
+def test_evaluate_methods_equals_each_method_alone_per_class(case, threshold):
+    methods, gts = case
+    classes = sorted({g.class_label for g in gts})
+    if any(all(g.difficult for g in gts if g.class_label == c) for c in classes):
+        with pytest.raises(NoGroundTruth):
+            evaluate_methods(methods, gts, threshold)
+        return
+    reports = evaluate_methods(methods, gts, threshold)
+    assert list(reports) == sorted(methods)
+    for name, dets in methods.items():
+        assert list(reports[name].per_class_ap) == classes
+        for c in classes:
+            rows = np.array([i for i, label in enumerate(dets.class_labels) if label in (None, c)], dtype=np.intp)
+            alone = evaluate_method(dets.take(rows), [g for g in gts if g.class_label == c], threshold)
+            # repr tells every float apart, -0.0 from 0.0 too.
+            assert repr(reports[name].per_class_ap[c]) == repr(alone.per_class_ap[c])
+            assert repr(reports[name].pr_samples[c].tolist()) == repr(alone.pr_samples[c].tolist())
+            assert reports[name].counts[c] == alone.counts[c]
 
 
 # ---- report.json and model files --------------------------------------------
@@ -1421,12 +1486,32 @@ def test_report_layout_equals_json_dumps_indent_2(payload):
     assert io.indent2(payload) == json.dumps(payload, indent=2)
 
 
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(st.just(width), st.lists(
+           st.lists(number.map(float), min_size=width, max_size=width), max_size=6))),
+       st.integers(0, 5), st.booleans())
+@example((2, [[0.0, -0.0], [-0.0, 0.0], [math.nan, math.inf]]), 4, False)
+def test_laid_out_rows_equal_json_dumps_indent_2(table, depth, as_dicts):
+    width, rows = table
+    array = np.array(rows, dtype=float).reshape(len(rows), width)
+    keys = tuple(f"k{i}" for i in range(width)) if as_dicts else None
+    value = [dict(zip(keys, row)) for row in rows] if as_dicts else rows
+    expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    assert io.laid_out_rows(array, depth, keys) == expected
+
+
 def test_report_file_equals_json_dumps_indent_2(tmp_path):
+    # Two classes, raw rows scored against both. In "ranked", a false
+    # positive ranked between the true positives repeats a recall value; an
+    # empty input and the fused rows of one class give empty curves.
     b = BoundingBox(0, 0, 4, 4)
     gts = [GroundTruthObject("i", "cat", b), GroundTruthObject("i", "dog", b, True),
            GroundTruthObject("j", "dog", BoundingBox(5, 5, 9, 9))]
     dets = [Detection("i", "d", b, 0.5), Detection("j", "d", BoundingBox(5, 5, 9, 8), 0.25)]
-    reports = evaluate_methods({"raw": DetectionColumns.of(dets), "none": DetectionColumns.of([])}, gts)
+    ranked = [Detection("i", "d", b, 0.5), Detection("i", "d", BoundingBox(20, 20, 24, 24), 0.4),
+              Detection("k", "d", b, 0.3), Detection("j", "d", BoundingBox(5, 5, 9, 9), 0.25)]
+    dog = columns_of([("j", "dog", BoundingBox(5, 5, 9, 9), 1.0)])
+    reports = evaluate_methods({"raw": DetectionColumns.of(dets), "ranked": DetectionColumns.of(ranked),
+                                "none": DetectionColumns.of([]), "dog": dog}, gts)
     config = {"out": 'a "quoted" path', "n": math.inf, "jobs": 1}
     path = tmp_path / "report.json"
     write_reports_json(reports, path, config=config)
