@@ -1,7 +1,7 @@
 """Detector-agnostic late fusion of object-detection scores."""
 
 from .dst import Bpa, TotalConflict, combine, combine_all, fused_scores
-from .geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, iou, match_detections
+from .geometry import BoundingBox, Detection, MatchLabel, Truth, iou, match_detections, truths
 from .trust import InsufficientData, TrustModel, bpd_precision, build_pr_table
 from .fusion import Windows, fuse_images
 from .io import DetectionColumns
@@ -15,7 +15,6 @@ __all__ = [
     "Detection",
     "DetectionColumns",
     "EvalReport",
-    "GroundTruthObject",
     "InsufficientData",
     "MatchLabel",
     "NoGroundTruth",
@@ -23,6 +22,7 @@ __all__ = [
     "SyntheticDetectorProfile",
     "TotalConflict",
     "TrustModel",
+    "Truth",
     "Windows",
     "average_precision",
     "bpd_precision",
@@ -35,4 +35,5 @@ __all__ = [
     "generate",
     "iou",
     "match_detections",
+    "truths",
 ]

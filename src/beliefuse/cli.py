@@ -285,13 +285,14 @@ def cmd_build_trust(config_file, **flags):
     models_dir = Path(cfg.models_dir)
     with _writing(cfg.models_dir):
         models_dir.mkdir(parents=True, exist_ok=True)
-    built = 0
+    built, untrained = 0, []
     for cls in sorted(per_class):
-        class_gts = [g for g in gts if g.class_label == cls]
         models = pipeline.build_trust_models(
-            per_class[cls], class_gts, cls, cfg.bpd_exponent,
+            per_class[cls], gts.get(cls), cls, cfg.bpd_exponent,
             cfg.match_iou, cfg.duplicate_policy,
         )
+        if not models:
+            untrained.append(cls)
         for det_id, model in sorted(models.items()):
             path = io.model_path(models_dir, "trust", cls, det_id)
             with _writing(cfg.models_dir):
@@ -304,6 +305,8 @@ def cmd_build_trust(config_file, **flags):
             )
     if built == 0:
         _fail(EXIT_DATA, "no trust model could be built from the validation data")
+    for cls in untrained:
+        log.warning("no trust model could be built for class %r", cls)
 
 
 @_pipeline_command("build-baselines")
@@ -318,9 +321,8 @@ def cmd_build_baselines(config_file, **flags):
         models_dir.mkdir(parents=True, exist_ok=True)
     fitted = 0
     for cls in sorted(per_class):
-        class_gts = [g for g in gts if g.class_label == cls]
         models = pipeline.fit_baselines(
-            per_class[cls], class_gts, cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
+            per_class[cls], gts.get(cls), cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
         )
         with _writing(cfg.models_dir):
             for det_id in sorted(models.platt):
@@ -472,9 +474,8 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
     # and each n only swaps the exponent.
     trained = {}
     for cls in sorted(per_class_val):
-        class_gts = [g for g in gts if g.class_label == cls]
         trained[cls] = pipeline.build_trust_models(
-            per_class_val[cls], class_gts, cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
+            per_class_val[cls], gts.get(cls), cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
         )
         if not trained[cls]:
             _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
@@ -488,11 +489,10 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
                 per_class_test.get(cls, {}), models, cls, method,
                 cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
             )
-            class_gts = [g for g in test_gts if g.class_label == cls]
             with _exit_on_error():
                 try:
                     per_class_ap[cls] = evaluation.average_precision(
-                        fused, class_gts, cfg.match_iou, cfg.ap_interpolation
+                        fused, test_gts.get(cls), cfg.match_iou, cfg.ap_interpolation
                     )
                 except NoGroundTruth as exc:
                     raise NoGroundTruth(f"class {cls!r}: {exc}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox, Detection, GroundTruthObject
+from .geometry import BoundingBox, Detection, Truth, truths
 
 CANVAS_WIDTH = 640.0
 CANVAS_HEIGHT = 480.0
@@ -76,7 +76,7 @@ class SyntheticDetectorProfile:
 class SyntheticDataset:
     seed: int
     class_label: str
-    images: list[tuple[str, list[GroundTruthObject]]]
+    images: list[tuple[str, list[BoundingBox]]]  # each image's objects, all of class_label
     detections: dict[str, list[Detection]]
     validation_image_ids: frozenset[str] = field(default_factory=frozenset)
 
@@ -86,12 +86,11 @@ class SyntheticDataset:
             image_id for image_id, _ in self.images
         ) - self.validation_image_ids
 
-    def ground_truths(self, image_ids: frozenset[str] | None = None) -> list[GroundTruthObject]:
-        out = []
-        for image_id, gts in self.images:
-            if image_ids is None or image_id in image_ids:
-                out.extend(gts)
-        return out
+    def ground_truths(self, image_ids: frozenset[str] | None = None) -> dict[str, Truth]:
+        """The objects of the given images (of all when None), as ``geometry.truths``."""
+        rows = [(image_id, box.as_tuple()) for image_id, boxes in self.images
+                if image_ids is None or image_id in image_ids for box in boxes]
+        return truths([r[0] for r in rows], [self.class_label] * len(rows), [r[1] for r in rows], [False] * len(rows))
 
     def detections_for(
         self, detector_id: str, image_ids: frozenset[str] | None = None
@@ -161,7 +160,7 @@ def generate(
     num_groups = num_easy_groups if num_easy_groups is not None else len(profiles)
 
     rng = np.random.default_rng(seed)
-    images: list[tuple[str, list[GroundTruthObject]]] = []
+    images: list[tuple[str, list[BoundingBox]]] = []
     object_groups: dict[tuple[str, int], int] = {}
     global_index = 0
     validation_ids = set()
@@ -183,21 +182,19 @@ def generate(
                 raise ConfigError(
                     f"could not place {n_obj} non-overlapping objects on the canvas"
                 )
-        gts = []
-        for k, box in enumerate(boxes):
-            gts.append(GroundTruthObject(image_id, class_label, box, difficult=False))
+        for k in range(len(boxes)):
             object_groups[(image_id, k)] = global_index % num_groups
             global_index += 1
-        images.append((image_id, gts))
+        images.append((image_id, boxes))
 
     detections: dict[str, list[Detection]] = {p.detector_id: [] for p in profiles}
     for profile in profiles:
-        for image_id, gts in images:
+        for image_id, boxes in images:
             validation = image_id in validation_ids
-            for k, gt in enumerate(gts):
+            for k, gt_box in enumerate(boxes):
                 rate = profile.rate_for(object_groups[(image_id, k)], validation, num_groups)
                 if rng.random() < rate:
-                    box = _jittered(rng, gt.box, profile.localization_jitter)
+                    box = _jittered(rng, gt_box, profile.localization_jitter)
                     score = _clipped_normal(rng, profile.tp_score_mean, profile.tp_score_std)
                     detections[profile.detector_id].append(
                         Detection(image_id, profile.detector_id, box, score)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import GroundTruthObject, iou_pairs
+from .geometry import Truth, iou_pairs
 from .io import DetectionColumns, indent2, laid_out_rows, ranks
 from .trust import envelope, pr_sweep
 
@@ -28,36 +28,8 @@ class NoGroundTruth(ValueError):
     """Average precision is undefined without ground-truth positives."""
 
 
-@dataclass(frozen=True)
-class _Truth:
-    """One class's ground truth as columns: each image's objects in one
-    contiguous span, in input order."""
-
-    boxes: np.ndarray  # (G, 4)
-    difficult: np.ndarray  # (G,)
-    spans: dict[str, tuple[int, int]]  # image id -> (first row, stop row)
-    num_positives: int
-
-    @classmethod
-    def of(cls, gts: list[GroundTruthObject]) -> _Truth:
-        by_image: dict[str, list[GroundTruthObject]] = {}
-        for g in gts:
-            by_image.setdefault(g.image_id, []).append(g)
-        ordered = [g for objects in by_image.values() for g in objects]
-        spans, start = {}, 0
-        for image_id, objects in by_image.items():
-            spans[image_id] = (start, start + len(objects))
-            start += len(objects)
-        return cls(
-            np.array([g.box.as_tuple() for g in ordered], dtype=float).reshape(-1, 4),
-            np.array([g.difficult for g in ordered], dtype=bool),
-            spans,
-            sum(not g.difficult for g in gts),
-        )
-
-
 def _pr_points(
-    dets: DetectionColumns, truth: _Truth, iou_threshold: float
+    dets: DetectionColumns, truth: Truth, iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Recall and precision after each ranked detection (``trust.pr_sweep``),
     plus the number of true positives.
@@ -128,11 +100,12 @@ class _ClassScore(NamedTuple):
 
 def _score_class(
     dets: DetectionColumns,
-    truth: _Truth,
+    truth: Truth | None,
     iou_threshold: float,
     interpolation: str,
 ) -> _ClassScore:
-    """Every row of ``dets`` scored against one class's ground truth.
+    """Every row of ``dets`` scored against one class's ground truth (None:
+    the class has none).
 
     Raises ``NoGroundTruth`` when no object is non-difficult, whether or not
     there are rows; AP is undefined there, and a 0 would pull the mAP down.
@@ -141,7 +114,7 @@ def _score_class(
         raise ValueError(f"unknown interpolation {interpolation!r}")
     if not 0 < iou_threshold < 1:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    if truth.num_positives == 0:
+    if truth is None or truth.num_positives == 0:
         raise NoGroundTruth("no non-difficult ground-truth objects")
     recall, precision, tp = _pr_points(dets, truth, iou_threshold)
     return _ClassScore(
@@ -153,16 +126,17 @@ def _score_class(
 
 def average_precision(
     dets: DetectionColumns,
-    gts: list[GroundTruthObject],
+    truth: Truth | None,
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> float:
-    """AP for one class over any number of images, every row scored.
+    """AP for one class over any number of images, every row scored against
+    the class's ground truth (None: it has none, and AP is undefined).
 
     ``interpolation`` is ``"all-points"`` (exact area under the monotone
     envelope) or ``"11-point"`` (historical VOC07 sampling).
     """
-    return _score_class(dets, _Truth.of(gts), iou_threshold, interpolation).ap
+    return _score_class(dets, truth, iou_threshold, interpolation).ap
 
 
 @dataclass
@@ -191,14 +165,6 @@ class EvalReport:
         }
 
 
-def truths_by_class(gts: list[GroundTruthObject]) -> dict[str, _Truth]:
-    """Each class's ground truth as columns, classes in sorted order."""
-    by_class: dict[str, list[GroundTruthObject]] = {}
-    for g in gts:
-        by_class.setdefault(g.class_label, []).append(g)
-    return {c: _Truth.of(by_class[c]) for c in sorted(by_class)}
-
-
 def _rows_by_class(dets: DetectionColumns, classes: list[str]) -> dict[str, DetectionColumns]:
     """Each class's rows, in row order: the rows of that class and the raw
     rows, which carry no class. A class that takes every row takes ``dets``."""
@@ -212,15 +178,13 @@ def _rows_by_class(dets: DetectionColumns, classes: list[str]) -> dict[str, Dete
 
 def evaluate_method(
     dets: DetectionColumns,
-    gts: list[GroundTruthObject] | dict[str, _Truth],
+    truths: dict[str, Truth],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> EvalReport:
     """Per-class AP report for one method's detections, one class for each
-    class of ground truth. Raw rows carry no class and are scored against
-    every class; fused ones only against their own. ``gts`` is a list of
-    objects, or each class's ground truth as ``truths_by_class`` gives it."""
-    truths = gts if isinstance(gts, dict) else truths_by_class(gts)
+    class of ground truth (``geometry.truths``). Raw rows carry no class and
+    are scored against every class; fused ones only against their own."""
     report = EvalReport({})
     for c, rows in _rows_by_class(dets, list(truths)).items():
         try:
@@ -234,12 +198,11 @@ def evaluate_method(
 
 def evaluate_methods(
     methods: dict[str, DetectionColumns],
-    gts: list[GroundTruthObject],
+    truths: dict[str, Truth],
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> dict[str, EvalReport]:
-    """One report per method, each class's ground truth built once for all."""
-    truths = truths_by_class(gts)
+    """One report per method, every method scored against the same ground truth."""
     return {
         name: evaluate_method(methods[name], truths, iou_threshold, interpolation)
         for name in sorted(methods)

@@ -51,12 +51,38 @@ class Detection:
             raise ValueError(f"detection score must be finite, got {self.score}")
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
-    image_id: str
-    class_label: str
-    box: BoundingBox
-    difficult: bool = False
+@dataclass(frozen=True, eq=False)  # == on an array field has no single truth value
+class Truth:
+    """One class's ground truth as columns, as ``truths`` builds it: each
+    image's objects in one contiguous span."""
+
+    boxes: np.ndarray  # (G, 4)
+    difficult: np.ndarray  # (G,)
+    spans: dict[str, tuple[int, int]]  # image id -> (first row, stop row), in row order
+    num_positives: int  # objects not difficult
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+
+def truths(image_ids: list[str], class_labels: list[str], boxes: ArrayLike, difficult: ArrayLike) -> dict[str, Truth]:
+    """Each class's ground truth, classes in sorted order, from one row per
+    object: within a class, images in order of first appearance, each
+    image's objects in row order."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    difficult = np.asarray(difficult, dtype=bool)
+    rows: dict[str, dict[str, list[int]]] = {}
+    for i, (label, image_id) in enumerate(zip(class_labels, image_ids)):
+        rows.setdefault(label, {}).setdefault(image_id, []).append(i)
+    out = {}
+    for label in sorted(rows):
+        spans, start = {}, 0
+        for image_id, at in rows[label].items():
+            spans[image_id] = (start, start + len(at))
+            start += len(at)
+        taken = [i for at in rows[label].values() for i in at]
+        out[label] = Truth(boxes[taken], difficult[taken], spans, len(taken) - int(difficult[taken].sum()))
+    return out
 
 
 class MatchLabel(Enum):
@@ -111,11 +137,13 @@ def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 def match_detections(
     dets: list[Detection],
-    gts: list[GroundTruthObject],
+    gt_boxes: list[BoundingBox],
+    difficult: list[bool],
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
-) -> list[tuple[Detection, MatchLabel]]:
-    """Greedily label detections against ground truth for trust-model building.
+) -> list[MatchLabel]:
+    """Greedily label one image's detections against its ground-truth boxes
+    for trust-model building: one label per detection, in input order.
 
     Detections are visited in descending score order. A detection claiming an
     unclaimed non-difficult ground-truth box with IoU above the threshold is a
@@ -139,12 +167,7 @@ def match_detections(
         -dets[i].score, math.copysign(1.0, -dets[i].score),
         dets[i].detector_id, dets[i].image_id, dets[i].box.as_tuple()))
     for i in order:
-        det = dets[i]
-        overlaps = [
-            (iou(det.box, g.box), j)
-            for j, g in enumerate(gts)
-            if g.image_id == det.image_id
-        ]
+        overlaps = [(iou(dets[i].box, g), j) for j, g in enumerate(gt_boxes)]
         if not overlaps or max(o for o, _ in overlaps) == 0.0:
             labeled[i] = MatchLabel.FALSE_POSITIVE
             continue
@@ -152,25 +175,25 @@ def match_detections(
         candidates = [
             (o, j)
             for o, j in overlaps
-            if o > iou_threshold and j not in claimed and not gts[j].difficult
+            if o > iou_threshold and j not in claimed and not difficult[j]
         ]
         if candidates:
             _, j = max(candidates, key=lambda t: (t[0], -t[1]))
             claimed.add(j)
             labeled[i] = MatchLabel.TRUE_POSITIVE
             continue
-        if any(o > iou_threshold and gts[j].difficult for o, j in overlaps):
+        if any(o > iou_threshold and difficult[j] for o, j in overlaps):
             labeled[i] = MatchLabel.UNDECIDED
             continue
         duplicate = any(
-            o > iou_threshold and j in claimed and not gts[j].difficult
+            o > iou_threshold and j in claimed and not difficult[j]
             for o, j in overlaps
         )
         if duplicate and duplicate_policy == "false_positive":
             labeled[i] = MatchLabel.FALSE_POSITIVE
         else:
             labeled[i] = MatchLabel.UNDECIDED
-    return [(dets[i], labeled[i]) for i in range(len(dets))]
+    return [labeled[i] for i in range(len(dets))]
 
 
 def suppression_mask(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:

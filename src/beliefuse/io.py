@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa, sums_to_one
-from .geometry import BoundingBox, Detection, GroundTruthObject
+from .geometry import BoundingBox, Detection, Truth, truths
 from .trust import TrustModel
 
 
@@ -144,13 +144,14 @@ def _box_column(values: list) -> np.ndarray | None:
     if boxes is None:
         return None
     x_min, y_min, x_max, y_max = boxes.T
-    # BoundingBox's checks, elementwise.
-    ok = (
-        np.isfinite(boxes).all()
-        and (x_max > x_min).all()
-        and (y_max > y_min).all()
-        and ((x_max - x_min) * (y_max - y_min) > 0).all()
-    )
+    # BoundingBox's checks, elementwise; a huge box's area is inf, as in Python.
+    with np.errstate(over="ignore"):
+        ok = (
+            np.isfinite(boxes).all()
+            and (x_max > x_min).all()
+            and (y_max > y_min).all()
+            and ((x_max - x_min) * (y_max - y_min) > 0).all()
+        )
     return boxes if ok else None
 
 
@@ -329,14 +330,10 @@ def read_fused(path: str | Path) -> DetectionColumns:
     )
 
 
-def read_annotations(path: str | Path) -> list[GroundTruthObject]:
+def read_annotations(path: str | Path) -> dict[str, Truth]:
+    """Read an annotations file as each class's ground truth (``geometry.truths``)."""
     c = _read_columns(path, _ANNOTATION)
-    return [
-        GroundTruthObject(image_id, label, BoundingBox(*box), difficult)
-        for image_id, label, box, difficult in zip(
-            c["image_id"], c["class"], c["bbox"].tolist(), c["difficult"].tolist()
-        )
-    ]
+    return truths(c["image_id"], c["class"], c["bbox"], c["difficult"])
 
 
 def read_any_detections(path: str | Path) -> DetectionColumns:
@@ -405,12 +402,15 @@ def write_detections(dets: list[Detection], path: str | Path, class_label: str =
     )
 
 
-def write_annotations(gts: list[GroundTruthObject], path: str | Path, config: dict | None = None) -> None:
-    numbers = _json_numbers([v for g in gts for v in g.box.as_tuple()])
-    values = [[g.class_label for g in gts], [g.difficult for g in gts], [g.image_id for g in gts]]
+def write_annotations(gts: dict[str, Truth], path: str | Path, config: dict | None = None) -> None:
+    """Class by class, each image's objects together, in row order."""
+    numbers = _json_numbers([v for truth in gts.values() for v in truth.boxes.ravel().tolist()])
+    labels = [label for label, truth in gts.items() for _ in range(len(truth))]
+    image_ids = [i for truth in gts.values() for i, (a, b) in truth.spans.items() for _ in range(a, b)]
+    difficult = [f for truth in gts.values() for f in truth.difficult.tolist()]
     _write_jsonl(
         path, '{"bbox": [%s, %s, %s, %s], "class": %s, "difficult": %s, "image_id": %s}',
-        [*(numbers[k::4] for k in range(4)), *map(_json_strings, values)], config,
+        [*(numbers[k::4] for k in range(4)), *map(_json_strings, (labels, difficult, image_ids))], config,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import baselines, dst, fusion, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .fusion import Windows
-from .geometry import Detection, GroundTruthObject, MatchLabel, match_detections
+from .geometry import BoundingBox, Detection, MatchLabel, Truth, match_detections
 from .io import DetectionColumns, ranks
 from .trust import InsufficientData, TrustModel
 
@@ -33,35 +33,35 @@ def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 
 def label_detections(
-    dets: list[Detection],
-    gts: list[GroundTruthObject],
+    per_detector: dict[str, list[Detection]],
+    truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> list[MatchLabel]:
-    """Match one detector's detections image by image: one label per
-    detection, in input order."""
-    gts_by_image: dict[str, list[GroundTruthObject]] = {}
-    for g in gts:
-        gts_by_image.setdefault(g.image_id, []).append(g)
-    positions: dict[str, list[int]] = {}
-    for i, d in enumerate(dets):
-        positions.setdefault(d.image_id, []).append(i)
-    labels: list[MatchLabel] = [MatchLabel.UNDECIDED] * len(dets)
-    for image_id, at in positions.items():
-        matched = match_detections([dets[i] for i in at], gts_by_image.get(image_id, []),
-                                   iou_threshold, duplicate_policy)
-        for i, (_, label) in zip(at, matched):
-            labels[i] = label
+    """Match each detector's detections to one class's ground truth (None:
+    the class has none), image by image: one label per detection, the
+    detectors' lists concatenated in the order given."""
+    spans, gt_boxes, difficult = ({}, [], []) if truth is None else (
+        truth.spans, [BoundingBox(*b) for b in truth.boxes.tolist()], truth.difficult.tolist())
+    labels: list[MatchLabel] = []
+    for dets in per_detector.values():
+        positions: dict[str, list[int]] = {}
+        for i, d in enumerate(dets):
+            positions.setdefault(d.image_id, []).append(i)
+        own = [MatchLabel.UNDECIDED] * len(dets)
+        for image_id, at in positions.items():
+            a, b = spans.get(image_id, (0, 0))
+            matched = match_detections([dets[i] for i in at], gt_boxes[a:b], difficult[a:b],
+                                       iou_threshold, duplicate_policy)
+            for i, label in zip(at, matched):
+                own[i] = label
+        labels += own
     return labels
-
-
-def num_positives(gts: list[GroundTruthObject]) -> int:
-    return sum(1 for g in gts if not g.difficult)
 
 
 def labeled_windows(
     per_detector: dict[str, list[Detection]],
-    gts: list[GroundTruthObject],
+    truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> tuple[Windows, list[str], np.ndarray, np.ndarray]:
@@ -76,8 +76,7 @@ def labeled_windows(
     keep input order.
     """
     windows, detector_ids, _, order = windows_of(per_detector)
-    labels = [label for dets in per_detector.values()
-              for label in label_detections(dets, gts, iou_threshold, duplicate_policy)]
+    labels = label_detections(per_detector, truth, iou_threshold, duplicate_policy)
     decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)[order]
     tp = np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)[order]
     rows = np.lexsort((*windows.boxes.T[::-1], np.signbit(windows.scores), -windows.scores,
@@ -92,24 +91,25 @@ def _rows_of(detector_ids: list[str], detectors: np.ndarray, det_id: str) -> np.
 
 def build_trust_models(
     per_detector: dict[str, list[Detection]],
-    gts: list[GroundTruthObject],
+    truth: Truth | None,
     class_label: str,
     bpd_exponent: float,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> dict[str, TrustModel]:
-    """One trust model per detector, from its decided labeled windows;
-    detectors without usable data are skipped with a warning and simply do
-    not participate in fusion."""
-    n_pos = num_positives(gts)
-    windows, detector_ids, decided, tp = labeled_windows(per_detector, gts, iou_threshold, duplicate_policy)
+    """One trust model per detector, from its decided labeled windows
+    against the class's ground truth (None: it has none); detectors without
+    usable data are skipped with a warning and simply do not participate in
+    fusion."""
+    n_pos = 0 if truth is None else truth.num_positives
+    windows, detector_ids, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
     models: dict[str, TrustModel] = {}
     for det_id in sorted(per_detector):
         rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
         try:
             table = trust.build_pr_table(windows.scores[rows], tp[rows], n_pos)
         except InsufficientData as exc:
-            log.warning("skipping detector %s: %s", det_id, exc)
+            log.warning("skipping detector %s for class %s: %s", det_id, class_label, exc)
             continue
         models[det_id] = TrustModel(det_id, class_label, table, bpd_exponent, n_pos)
     return models
@@ -124,15 +124,16 @@ class BaselineModels:
 
 def fit_baselines(
     per_detector: dict[str, list[Detection]],
-    gts: list[GroundTruthObject],
+    truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
     overlap_threshold: float = 0.5,
 ) -> BaselineModels:
     """Fit Platt calibrators, the weighted-sum separator, and naive-Bayes
-    likelihoods from the validation split's decided labeled windows."""
+    likelihoods from the validation split's decided labeled windows against
+    one class's ground truth (None: it has none)."""
     out = BaselineModels()
-    windows, detector_ids, decided, tp = labeled_windows(per_detector, gts, iou_threshold, duplicate_policy)
+    windows, detector_ids, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
     for det_id in sorted(per_detector):
         rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
         scores = windows.scores[rows]

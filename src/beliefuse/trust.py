@@ -29,7 +29,8 @@ def bpd_precision(recall: float, n: float) -> float:
     """Precision of the best-possible detector at the given recall: 1 - r^n.
 
     n = +inf yields the perfect detector: precision 1 below full recall,
-    0 at recall 1.
+    0 at recall 1. Python's ``**``, as every mass table computes it:
+    ``np.power`` rounds differently.
     """
     if not 0.0 <= recall <= 1.0:
         raise ValueError(f"recall must be in [0,1], got {recall}")
@@ -126,10 +127,7 @@ class TrustModel:
         """
         thresholds, recall, _, precision = self.table.T
         p = np.append(precision, precision[-1])
-        # bpd_precision, 1 - r**n, with Python's **: np.power rounds
-        # differently. r**inf is 0.0 below r = 1 and 1.0 at it.
-        n = self.bpd_exponent
-        p_bpd = np.array([1.0 - r**n for r in [*recall.tolist(), 1.0]])
+        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in [*recall.tolist(), 1.0]])
         masses = np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1)
         return -thresholds, bpa_rows(masses)
 

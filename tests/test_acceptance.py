@@ -28,7 +28,7 @@ from beliefuse.dst import (
     combine_all_enumerated,
 )
 from beliefuse.evaluation import average_precision, evaluate_method
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
+from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.io import DetectionColumns
 from beliefuse.trust import TrustModel, bpd_precision
 from test_properties import reference_assignment
@@ -52,7 +52,7 @@ def seed42():
     """The canonical synthetic experiment: seed 42, 300 images, 3 detectors."""
     t0 = time.perf_counter()
     ds = datagen.generate(42, 300, default_profiles(3))
-    val_gts = ds.ground_truths(ds.validation_image_ids)
+    val_gts = ds.ground_truths(ds.validation_image_ids)["object"]
     test_gts = ds.ground_truths(ds.test_image_ids)
     per_det_val = {
         d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections
@@ -160,16 +160,18 @@ def test_average_precision_fixture_and_rank_invariance():
         return Detection("img1", "d1", box, score)
 
     g1, g2, off = grid_boxes(3)
-    gts = [GroundTruthObject("img1", "object", g1),
-           GroundTruthObject("img1", "object", g2)]
+    def truth(boxes):
+        return truths(["img1"] * len(boxes), ["object"] * len(boxes), [b.as_tuple() for b in boxes],
+                      [False] * len(boxes))["object"]
+
+    gts = truth([g1, g2])
     ap = average_precision(DetectionColumns.of([det(0.9, g1), det(0.8, off), det(0.7, g2)]), gts)
     assert ap == pytest.approx(5 / 6, abs=1e-12)
 
     rng = np.random.default_rng(99)
     for _ in range(100):
         boxes = grid_boxes(12)
-        gts = [GroundTruthObject("img1", "object", b)
-               for b in boxes[: int(rng.integers(2, 6))]]
+        gts = truth(boxes[: int(rng.integers(2, 6))])
         dets = [det(float(rng.uniform(0, 5)), boxes[int(rng.integers(0, 12))])
                 for _ in range(10)]
         base = average_precision(DetectionColumns.of(dets), gts)
@@ -212,7 +214,7 @@ def test_overconfident_validation_penalizes_infinite_exponent():
     ]
     ds = datagen.generate(42, 300, profiles)
     fx = {
-        "val_gts": ds.ground_truths(ds.validation_image_ids),
+        "val_gts": ds.ground_truths(ds.validation_image_ids)["object"],
         "test_gts": ds.ground_truths(ds.test_image_ids),
         "per_det_val": {
             d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections

@@ -17,7 +17,7 @@ from beliefuse.baselines import (
 )
 from beliefuse import pipeline
 from beliefuse.io import load_model, save_model
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
+from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.trust import InsufficientData
 
 TP, FP = True, False
@@ -61,9 +61,8 @@ class TestFitPlatt:
     def test_undecided_excluded(self):
         # Windows half over a ground-truth box are undecided: fit_baselines
         # leaves them out of the Platt fit.
-        gts = [GroundTruthObject("img", "object", BoundingBox(0, 0, 10, 10)),
-               GroundTruthObject("img", "object", BoundingBox(20, 0, 30, 10)),
-               GroundTruthObject("img", "object", BoundingBox(50, 50, 60, 60))]
+        gts = truths(["img"] * 3, ["object"] * 3, [(0, 0, 10, 10), (20, 0, 30, 10), (50, 50, 60, 60)],
+                     [False] * 3)["object"]
         decided = [Detection("img", "a", BoundingBox(0, 0, 10, 10), 2.0),
                    Detection("img", "a", BoundingBox(20, 0, 30, 10), 1.0),
                    Detection("img", "a", BoundingBox(100, 0, 110, 10), -1.0),

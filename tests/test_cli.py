@@ -253,6 +253,41 @@ class TestBuildTrust:
                       "--models-dir", str(tmp_path / "m")])
         assert result.exit_code == 3
 
+    @staticmethod
+    def with_cats(workspace, tmp_path, annotated):
+        """The validation split with every 7th image's detection lines of class
+        "cat", and its annotation lines too when ``annotated``."""
+        validation = tmp_path / "validation"
+        validation.mkdir()
+        for path in (workspace / "data" / "validation").glob("*.jsonl"):
+            lines = path.read_text().splitlines()
+            if annotated or path.name != "annotations.jsonl":
+                lines = [line.replace('"class": "object"', '"class": "cat"')
+                         if '"_header"' not in line and int(json.loads(line)["image_id"][4:]) % 7 == 0
+                         else line for line in lines]
+            (validation / path.name).write_text("\n".join(lines) + "\n")
+        return validation
+
+    def build_trust(self, validation, models):
+        return run(["build-trust", "--detections-dir", str(validation),
+                    "--annotations", str(validation / "annotations.jsonl"), "--models-dir", str(models)])
+
+    def test_each_class_gets_its_models(self, workspace, tmp_path):
+        result = self.build_trust(self.with_cats(workspace, tmp_path, annotated=True), tmp_path / "m")
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (tmp_path / "m").glob("trust__det_a__*.json")) == [
+            "trust__det_a__cat.json", "trust__det_a__object.json"]
+
+    def test_class_without_ground_truth_is_named_in_warnings(self, workspace, tmp_path, caplog):
+        result = self.build_trust(self.with_cats(workspace, tmp_path, annotated=False), tmp_path / "m")
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (tmp_path / "m").glob("*.json")) == [
+            f"trust__det_{d}__object.json" for d in "abc"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        skipped = [w for w in warnings if w.startswith("skipping detector")]
+        assert len(skipped) == 3 and all("class cat" in w for w in skipped), warnings
+        assert [w for w in warnings if w not in skipped] == ["no trust model could be built for class 'cat'"]
+
     def test_bad_n_exits_2(self, workspace, tmp_path):
         result = run(["build-trust",
                       "--detections-dir", str(workspace / "data" / "validation"),

@@ -37,10 +37,10 @@ class TestGenerateBasics:
 
     def test_gt_boxes_disjoint_within_image(self):
         ds = generate(2, 30, [profile()], objects_per_image_range=(2, 4))
-        for _, gts in ds.images:
-            for i, a in enumerate(gts):
-                for b in gts[i + 1 :]:
-                    assert iou(a.box, b.box) == 0.0
+        for _, boxes in ds.images:
+            for i, a in enumerate(boxes):
+                for b in boxes[i + 1 :]:
+                    assert iou(a, b) == 0.0
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):
@@ -68,19 +68,17 @@ class TestProfileBehavior:
     def test_degenerate_profile_is_perfect(self):
         p = profile(detection_rate=1.0, fp_rate=0.0, localization_jitter=0.0)
         ds = generate(3, 20, [p])
-        gts = ds.ground_truths()
         dets = ds.detections["d1"]
-        assert len(dets) == len(gts)
+        assert len(dets) == len(ds.ground_truths()["object"])
+        boxes = dict(ds.images)
         for d in dets:
-            assert any(
-                iou(d.box, g.box) == 1.0 for g in gts if g.image_id == d.image_id
-            )
+            assert any(iou(d.box, g) == 1.0 for g in boxes[d.image_id])
 
     def test_no_fp_profile_has_precision_one(self):
         p = profile(detection_rate=0.8, fp_rate=0.0, localization_jitter=1.0)
         ds = generate(4, 40, [p])
-        gts = ds.ground_truths(ds.validation_image_ids)
-        labels = label_detections(ds.detections_for("d1", ds.validation_image_ids), gts)
+        gts = ds.ground_truths(ds.validation_image_ids)["object"]
+        labels = label_detections({"d1": ds.detections_for("d1", ds.validation_image_ids)}, gts)
         assert MatchLabel.TRUE_POSITIVE in labels
         assert MatchLabel.FALSE_POSITIVE not in labels
 
@@ -88,7 +86,7 @@ class TestProfileBehavior:
         rate = 0.6
         p = profile(detection_rate=rate, fp_rate=0.0, localization_jitter=0.0)
         ds = generate(5, 400, [p], objects_per_image_range=(1, 3))
-        n_obj = len(ds.ground_truths())
+        n_obj = len(ds.ground_truths()["object"])
         n_det = len(ds.detections["d1"])
         se = (rate * (1 - rate) / n_obj) ** 0.5
         assert abs(n_det / n_obj - rate) < 3 * se
@@ -117,11 +115,27 @@ class TestProfileBehavior:
         p1 = profile(detector_id="b", detection_rate=0.2, easy_group=1,
                      easy_detection_rate=1.0, fp_rate=0.0)
         ds = generate(10, 200, [p0, p1], objects_per_image_range=(2, 2))
-        n_obj = len(ds.ground_truths())
+        n_obj = len(ds.ground_truths()["object"])
         # Each detector sees ~60% of objects (100% of its half, 20% of the rest).
         for det_id in ("a", "b"):
             frac = len(ds.detections[det_id]) / n_obj
             assert 0.5 < frac < 0.7
+
+
+class TestGroundTruths:
+    def test_one_class_by_image_in_generated_order(self):
+        ds = generate(11, 10, [profile()], objects_per_image_range=(0, 3), class_label="cat")
+        gts = ds.ground_truths(ds.test_image_ids)
+        assert list(gts) == ["cat"]
+        truth = gts["cat"]
+        kept = [(image_id, boxes) for image_id, boxes in ds.images if image_id in ds.test_image_ids and boxes]
+        assert list(truth.spans) == [image_id for image_id, _ in kept]
+        assert truth.boxes.tolist() == [list(b.as_tuple()) for _, boxes in kept for b in boxes]
+        assert truth.num_positives == len(truth) == len(truth.boxes)
+        assert not truth.difficult.any()
+
+    def test_no_image_no_class(self):
+        assert generate(11, 10, [profile()]).ground_truths(frozenset()) == {}
 
 
 class TestComplementarityFixture:
@@ -137,12 +151,11 @@ class TestComplementarityFixture:
             report = evaluate_method(DetectionColumns.of(ds.detections_for(det_id, test_ids)), gts)
             individual_aps[det_id] = report.map_score
         # Oracle: union of all detections with perfect scores on true hits.
+        boxes = dict(ds.images)
         union = []
         for det_id in ds.detections:
             for d in ds.detections_for(det_id, test_ids):
-                hit = any(
-                    iou(d.box, g.box) > 0.5 for g in gts if g.image_id == d.image_id
-                )
+                hit = any(iou(d.box, g) > 0.5 for g in boxes[d.image_id])
                 union.append(
                     Detection(d.image_id, d.detector_id, d.box, 1.0 if hit else 0.0)
                 )

@@ -9,7 +9,7 @@ from beliefuse.evaluation import (
     write_reports_csv,
     write_reports_json,
 )
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel, match_detections
+from beliefuse.geometry import BoundingBox, Detection, MatchLabel, match_detections, truths
 from beliefuse.io import DetectionColumns
 
 
@@ -22,7 +22,17 @@ def det(score, b, image="img1", detector="d1"):
 
 
 def gt(b, image="img1", cls="object", difficult=False):
-    return GroundTruthObject(image_id=image, class_label=cls, box=b, difficult=difficult)
+    return image, cls, b.as_tuple(), difficult
+
+
+def by_class(objects):
+    """Each class's ``Truth`` of ``gt`` rows."""
+    return truths(*map(list, zip(*objects))) if objects else {}
+
+
+def truth(objects):
+    """The ``Truth`` of class "object"; None without one."""
+    return by_class(objects).get("object")
 
 
 def far_boxes(n, size=30.0, gap=50.0):
@@ -38,7 +48,7 @@ def far_boxes(n, size=30.0, gap=50.0):
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         b = box(0, 0, 40, 40)
-        assert average_precision(DetectionColumns.of([det(0.9, b)]), [gt(b)]) == 1.0
+        assert average_precision(DetectionColumns.of([det(0.9, b)]), truth([gt(b)])) == 1.0
 
     def test_hand_integrated_case(self):
         # Ranking TP, FP, TP over 2 ground truths: AP = 5/6 exactly.
@@ -48,24 +58,24 @@ class TestAveragePrecision:
             det(0.8, off),
             det(0.7, g2),
         ]
-        ap = average_precision(DetectionColumns.of(dets), [gt(g1), gt(g2)])
+        ap = average_precision(DetectionColumns.of(dets), truth([gt(g1), gt(g2)]))
         assert ap == pytest.approx(5 / 6, abs=1e-12)
 
     def test_zero_detections(self):
-        assert average_precision(DetectionColumns.of([]), [gt(box(0, 0, 10, 10))]) == 0.0
+        assert average_precision(DetectionColumns.of([]), truth([gt(box(0, 0, 10, 10))])) == 0.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(NoGroundTruth):
-            average_precision(DetectionColumns.of([det(0.5, box(0, 0, 10, 10))]), [])
+            average_precision(DetectionColumns.of([det(0.5, box(0, 0, 10, 10))]), None)
         with pytest.raises(NoGroundTruth):
-            average_precision(DetectionColumns.of([]), [gt(box(0, 0, 10, 10), difficult=True)])
+            average_precision(DetectionColumns.of([]), truth([gt(box(0, 0, 10, 10), difficult=True)]))
 
     def test_duplicates_count_as_false_positive(self):
         # A duplicate ranked before the second object's hit drags AP to 5/6,
         # exactly as an unrelated false positive would.
         g1, g2 = far_boxes(2)
         dup = box(g1.x_min + 1, g1.y_min + 1, g1.x_max + 1, g1.y_max + 1)
-        gts = [gt(g1), gt(g2)]
+        gts = truth([gt(g1), gt(g2)])
         clean = average_precision(DetectionColumns.of([det(0.9, g1), det(0.7, g2)]), gts)
         with_dup = average_precision(DetectionColumns.of([det(0.9, g1), det(0.8, dup), det(0.7, g2)]), gts)
         assert clean == 1.0
@@ -74,7 +84,7 @@ class TestAveragePrecision:
     def test_difficult_objects_ignored(self):
         g1, g_diff = far_boxes(2)
         dets = [det(0.9, g1), det(0.8, g_diff)]
-        gts = [gt(g1), gt(g_diff, difficult=True)]
+        gts = truth([gt(g1), gt(g_diff, difficult=True)])
         assert average_precision(DetectionColumns.of(dets), gts) == 1.0
 
     def test_monotone_transform_invariance(self):
@@ -82,7 +92,7 @@ class TestAveragePrecision:
         for _ in range(100):
             num_gt = int(rng.integers(2, 6))
             boxes = far_boxes(12)
-            gts = [gt(b) for b in boxes[:num_gt]]
+            gts = truth([gt(b) for b in boxes[:num_gt]])
             dets = []
             for i in range(10):
                 target = boxes[int(rng.integers(0, 12))]
@@ -96,13 +106,13 @@ class TestAveragePrecision:
     def test_ap_bounded_by_max_recall(self):
         g1, g2, g3 = far_boxes(3)
         # Only one of three objects ever found.
-        ap = average_precision(DetectionColumns.of([det(0.9, g1)]), [gt(g1), gt(g2), gt(g3)])
+        ap = average_precision(DetectionColumns.of([det(0.9, g1)]), truth([gt(g1), gt(g2), gt(g3)]))
         assert ap <= 1 / 3 + 1e-12
 
     def test_11_point_variant(self):
         g1, g2, off = far_boxes(3)
         dets = [det(0.9, g1), det(0.8, off), det(0.7, g2)]
-        ap11 = average_precision(DetectionColumns.of(dets), [gt(g1), gt(g2)], interpolation="11-point")
+        ap11 = average_precision(DetectionColumns.of(dets), truth([gt(g1), gt(g2)]), interpolation="11-point")
         # Envelope: 1.0 for r <= .5, 2/3 up to 1.0 -> (6*1 + 5*2/3)/11.
         assert ap11 == pytest.approx((6 + 10 / 3) / 11, abs=1e-12)
 
@@ -110,8 +120,8 @@ class TestAveragePrecision:
         g1, g2 = far_boxes(2)
         dup = box(g1.x_min + 1, g1.y_min + 1, g1.x_max + 1, g1.y_max + 1)
         dets = [det(0.9, g1), det(0.8, dup), det(0.7, g2)]
-        gts = [gt(g1), gt(g2)]
-        trust_labels = [lab for _, lab in match_detections(dets, gts)]
+        gts = truth([gt(g1), gt(g2)])
+        trust_labels = match_detections(dets, [g1, g2], [False, False])
         # Trust labeling leaves the duplicate undecided...
         assert trust_labels == [
             MatchLabel.TRUE_POSITIVE,
@@ -125,25 +135,25 @@ class TestAveragePrecision:
 class TestEvaluateMethods:
     def test_single_method_single_class(self):
         b = box(0, 0, 40, 40)
-        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, [gt(b)])
+        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, by_class([gt(b)]))
         assert reports["m"].per_class_ap == {"object": 1.0}
         assert reports["m"].map_score == 1.0
 
     def test_better_ranking_never_worse(self):
         g1, g2, off = far_boxes(3)
-        gts = [gt(g1), gt(g2)]
+        gts = by_class([gt(g1), gt(g2)])
         good = [det(0.9, g1), det(0.8, g2), det(0.1, off)]
         bad = [det(0.9, off), det(0.8, g1), det(0.7, g2)]
         reports = evaluate_methods({"good": DetectionColumns.of(good), "bad": DetectionColumns.of(bad)}, gts)
         assert reports["good"].map_score >= reports["bad"].map_score
 
     def test_empty_method_reports_zero(self):
-        reports = evaluate_methods({"empty": DetectionColumns.of([])}, [gt(box(0, 0, 10, 10))])
+        reports = evaluate_methods({"empty": DetectionColumns.of([])}, by_class([gt(box(0, 0, 10, 10))]))
         assert reports["empty"].per_class_ap == {"object": 0.0}
 
     def test_multi_class_map_is_mean(self):
         b1, b2 = far_boxes(2)
-        gts = [gt(b1, cls="cat"), gt(b2, cls="dog")]
+        gts = by_class([gt(b1, cls="cat"), gt(b2, cls="dog")])
         b3 = box(300, 300, 340, 340)
         dets = DetectionColumns(
             ["img1"] * 3, ["cat", "dog", "dog"],
@@ -157,7 +167,7 @@ class TestEvaluateMethods:
 
     def test_counts_recorded(self):
         b = box(0, 0, 40, 40)
-        report = evaluate_method(DetectionColumns.of([det(0.9, b)]), [gt(b)])
+        report = evaluate_method(DetectionColumns.of([det(0.9, b)]), by_class([gt(b)]))
         assert report.counts["object"] == {
             "num_gt": 1,
             "num_detections": 1,
@@ -169,7 +179,7 @@ class TestEvaluateMethods:
 class TestExports:
     def test_json_and_csv_outputs(self, tmp_path):
         b = box(0, 0, 40, 40)
-        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, [gt(b)])
+        reports = evaluate_methods({"m": DetectionColumns.of([det(0.9, b)])}, by_class([gt(b)]))
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
         write_reports_json(reports, json_path, config={"seed": 1})

@@ -4,7 +4,6 @@ import pytest
 from beliefuse.geometry import (
     BoundingBox,
     Detection,
-    GroundTruthObject,
     MatchLabel,
     iou,
     iou_matrix,
@@ -24,8 +23,9 @@ def det(score, b, detector="d1", image="img1"):
     return Detection(image_id=image, detector_id=detector, box=b, score=score)
 
 
-def gt(b, image="img1", difficult=False):
-    return GroundTruthObject(image_id=image, class_label="object", box=b, difficult=difficult)
+def match(dets, gts, difficult=None, **kwargs):
+    """``match_detections`` on one image's ground-truth boxes (none difficult by default)."""
+    return match_detections(dets, gts, [False] * len(gts) if difficult is None else difficult, **kwargs)
 
 
 def nms(dets, iou_threshold=0.5):
@@ -91,78 +91,59 @@ class TestIou:
 class TestMatchDetections:
     def test_perfect_match(self):
         b = box(10, 10, 50, 50)
-        out = match_detections([det(0.9, b)], [gt(b)])
-        assert out[0][1] is MatchLabel.TRUE_POSITIVE
+        assert match([det(0.9, b)], [b]) == [MatchLabel.TRUE_POSITIVE]
 
     def test_no_gt_is_false_positive(self):
-        out = match_detections([det(0.9, box(0, 0, 10, 10))], [])
-        assert out[0][1] is MatchLabel.FALSE_POSITIVE
+        assert match([det(0.9, box(0, 0, 10, 10))], []) == [MatchLabel.FALSE_POSITIVE]
 
     def test_zero_overlap_is_false_positive(self):
-        out = match_detections(
-            [det(0.9, box(0, 0, 10, 10))], [gt(box(100, 100, 150, 150))]
-        )
-        assert out[0][1] is MatchLabel.FALSE_POSITIVE
+        out = match([det(0.9, box(0, 0, 10, 10))], [box(100, 100, 150, 150)])
+        assert out == [MatchLabel.FALSE_POSITIVE]
 
     def test_partial_overlap_is_undecided(self):
-        out = match_detections(
-            [det(0.9, box(0, 0, 10, 10))], [gt(box(5, 0, 15, 10))]
-        )
-        assert out[0][1] is MatchLabel.UNDECIDED
+        out = match([det(0.9, box(0, 0, 10, 10))], [box(5, 0, 15, 10)])
+        assert out == [MatchLabel.UNDECIDED]
 
     def test_duplicate_default_undecided(self):
         b = box(10, 10, 50, 50)
         dets = [det(0.9, b), det(0.8, box(11, 11, 51, 51))]
-        labels = [lab for _, lab in match_detections(dets, [gt(b)])]
-        assert labels == [MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED]
+        assert match(dets, [b]) == [MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED]
 
     def test_duplicate_policy_false_positive(self):
         b = box(10, 10, 50, 50)
         dets = [det(0.9, b), det(0.8, box(11, 11, 51, 51))]
-        labels = [
-            lab
-            for _, lab in match_detections(
-                dets, [gt(b)], duplicate_policy="false_positive"
-            )
-        ]
+        labels = match(dets, [b], duplicate_policy="false_positive")
         assert labels == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
 
     def test_difficult_gt_match_is_undecided(self):
         b = box(10, 10, 50, 50)
-        out = match_detections([det(0.9, b)], [gt(b, difficult=True)])
-        assert out[0][1] is MatchLabel.UNDECIDED
+        assert match([det(0.9, b)], [b], [True]) == [MatchLabel.UNDECIDED]
 
     def test_tp_count_never_exceeds_gt_count(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             gts = [
-                gt(box(x, y, x + 30, y + 30))
+                box(x, y, x + 30, y + 30)
                 for x, y in rng.uniform(0, 200, size=(rng.integers(1, 4), 2))
             ]
             dets = [
                 det(float(rng.random()), box(x, y, x + 30, y + 30))
                 for x, y in rng.uniform(0, 200, size=(10, 2))
             ]
-            labels = [lab for _, lab in match_detections(dets, gts)]
+            labels = match(dets, gts)
             assert labels.count(MatchLabel.TRUE_POSITIVE) <= len(gts)
 
     def test_equal_score_permutation_invariance(self):
-        gts = [gt(box(0, 0, 40, 40))]
+        gts = [box(0, 0, 40, 40)]
         a = det(0.5, box(1, 1, 41, 41), detector="a")
         b = det(0.5, box(0, 0, 40, 40), detector="b")
-        first = dict(
-            ((d.detector_id, lab.value), None) for d, lab in match_detections([a, b], gts)
-        )
-        second = dict(
-            ((d.detector_id, lab.value), None) for d, lab in match_detections([b, a], gts)
-        )
-        assert first.keys() == second.keys()
+        assert match([a, b], gts) == match([b, a], gts)[::-1]
 
     def test_result_order_follows_input(self):
         b = box(10, 10, 50, 50)
         dets = [det(0.1, box(200, 200, 240, 240)), det(0.9, b)]
-        out = match_detections(dets, [gt(b)])
-        assert [d for d, _ in out] == dets
+        assert match(dets, [b]) == [MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
+        assert match(dets[::-1], [b]) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
 
 
 class TestNms:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beliefuse.dst import Bpa, fused_scores
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
+from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.io import (
     DataError,
     DetectionColumns,
@@ -46,10 +46,13 @@ def sample_detections():
 
 
 def sample_annotations():
-    return [
-        GroundTruthObject("img1", "object", BoundingBox(0, 0, 10, 10)),
-        GroundTruthObject("img2", "object", BoundingBox(5, 5, 25, 25), difficult=True),
-    ]
+    return truths(["img1", "img2"], ["object"] * 2, [(0, 0, 10, 10), (5, 5, 25, 25)], [False, True])
+
+
+def truth_rows(gts):
+    """Every object of each class's ``Truth`` as (class, image, box, difficult),
+    with each class's span and positive count; repr tells every float bit."""
+    return repr([(c, t.spans, t.num_positives, t.boxes.tolist(), t.difficult.tolist()) for c, t in gts.items()])
 
 
 class TestDetectionsRoundTrip:
@@ -212,12 +215,27 @@ class TestAnnotations:
         path = tmp_path / "ann.jsonl"
         gts = sample_annotations()
         write_annotations(gts, path)
-        assert read_annotations(path) == gts
+        assert truth_rows(read_annotations(path)) == truth_rows(gts)
+
+    def test_written_class_by_class_each_image_together(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text("".join(
+            f'{{"image_id": "{i}", "class": "{c}", "bbox": [0, 0, {w}, 5]}}\n'
+            for i, c, w in [("b", "dog", 1), ("a", "cat", 2), ("b", "cat", 3), ("a", "cat", 4)]))
+        gts = read_annotations(path)
+        assert list(gts) == ["cat", "dog"]
+        assert gts["cat"].spans == {"a": (0, 2), "b": (2, 3)}
+        assert gts["cat"].boxes[:, 2].tolist() == [2, 4, 3]
+        out = tmp_path / "out.jsonl"
+        write_annotations(gts, out)
+        assert [(o["class"], o["image_id"], o["bbox"][2]) for o in map(json.loads, out.read_text().splitlines())] == [
+            ("cat", "a", 2), ("cat", "a", 4), ("cat", "b", 3), ("dog", "b", 1)]
+        assert truth_rows(read_annotations(out)) == truth_rows(gts)
 
     def test_difficult_defaults_false(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"image_id": "i", "class": "object", "bbox": [0, 0, 5, 5]}\n')
-        assert read_annotations(path)[0].difficult is False
+        assert read_annotations(path)["object"].difficult.tolist() == [False]
 
     @pytest.mark.parametrize("raw", ['"false"', '"true"', "0", "1", "null"])
     def test_difficult_must_be_a_json_boolean(self, tmp_path, raw):

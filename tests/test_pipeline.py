@@ -3,7 +3,7 @@ import pytest
 
 from beliefuse import datagen, evaluation, pipeline
 from beliefuse.cli import default_profiles
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject, MatchLabel
+from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
 from beliefuse.io import DetectionColumns
 from beliefuse.trust import InsufficientData
 
@@ -16,8 +16,10 @@ def det(score, b, image="img1", detector="d1"):
     return Detection(image_id=image, detector_id=detector, box=b, score=score)
 
 
-def gt(b, image="img1", cls="object"):
-    return GroundTruthObject(image_id=image, class_label=cls, box=b)
+def truth(*objects):
+    """One class's ground truth from (box, image, difficult) triples."""
+    boxes, images, difficult = zip(*objects)
+    return truths(images, ["object"] * len(boxes), [b.as_tuple() for b in boxes], difficult)["object"]
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,7 @@ def fixture():
     test_ids = ds.test_image_ids
     return {
         "dataset": ds,
-        "val_gts": ds.ground_truths(val_ids),
+        "val_gts": ds.ground_truths(val_ids)["object"],
         "test_gts": ds.ground_truths(test_ids),
         "per_det_val": {d: ds.detections_for(d, val_ids) for d in ds.detections},
         "per_det_test": {d: ds.detections_for(d, test_ids) for d in ds.detections},
@@ -38,15 +40,25 @@ class TestLabeling:
     def test_cross_image_isolation(self):
         b = box(0, 0, 40, 40)
         dets = [det(0.9, b, image="img1"), det(0.8, b, image="img2")]
-        gts = [gt(b, image="img1")]
-        assert pipeline.label_detections(dets, gts) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
+        gts = truth((b, "img1", False))
+        assert pipeline.label_detections({"d1": dets}, gts) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
         # One label per detection, in input order.
-        assert pipeline.label_detections(dets[::-1], gts) == [MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
+        assert pipeline.label_detections({"d1": dets[::-1]}, gts) == [MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
+
+    def test_every_detector_in_one_call(self):
+        # Each detector claims the object for itself; lists are concatenated in the order given.
+        b = box(0, 0, 40, 40)
+        per_det = {"d2": [det(0.1, b, detector="d2")], "d1": [det(0.9, b), det(0.8, b)]}
+        assert pipeline.label_detections(per_det, truth((b, "img1", False))) == [
+            MatchLabel.TRUE_POSITIVE, MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED]
+
+    def test_class_without_ground_truth_is_all_false_positives(self):
+        dets = [det(0.9, box(0, 0, 40, 40)), det(0.8, box(0, 0, 40, 40), image="img2")]
+        assert pipeline.label_detections({"d1": dets}, None) == [MatchLabel.FALSE_POSITIVE] * 2
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)
-        gts = [gt(b1), GroundTruthObject("img1", "object", b2, difficult=True)]
-        assert pipeline.num_positives(gts) == 1
+        assert truth((b1, "img1", False), (b2, "img1", True)).num_positives == 1
 
 
 class TestBuildTrustModels:
@@ -148,7 +160,7 @@ class TestBaselinePipeline:
         # true positive's own row must still train as a positive, and the
         # duplicate's row must not train at all.
         per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
-        labels = pipeline.label_detections(per_det["det_a"], fixture["val_gts"])
+        labels = pipeline.label_detections({"det_a": per_det["det_a"]}, fixture["val_gts"])
         original = per_det["det_a"][labels.index(MatchLabel.TRUE_POSITIVE)]
         duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
         per_det["det_a"].append(duplicate)
@@ -176,7 +188,7 @@ class TestBaselinePipeline:
         ds = datagen.generate(5, 12, default_profiles(3))
         ids = ds.validation_image_ids
         per_det = {d: ds.detections_for(d, ids) for d in ds.detections}
-        gts = ds.ground_truths(ids)
+        gts = ds.ground_truths(ids)["object"]
         first = per_det["det_a"][0]
         training = []
 

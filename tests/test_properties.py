@@ -29,6 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -59,7 +60,6 @@ from beliefuse.evaluation import (
 from beliefuse.geometry import (
     BoundingBox,
     Detection,
-    GroundTruthObject,
     MatchLabel,
     iou,
     iou_matrix,
@@ -67,6 +67,7 @@ from beliefuse.geometry import (
     nms_keep,
     nms_order,
     suppression_mask,
+    truths,
 )
 from beliefuse.io import DetectionColumns
 from beliefuse.pipeline import group_by_detector, group_by_image, windows_of
@@ -91,6 +92,51 @@ SIGNED_ZEROS = {
 }
 scores = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 9.0]), st.floats(-10, 10, allow_nan=False))
 thresholds = st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])
+
+
+class Obj(NamedTuple):
+    """One ground-truth object: the record the scalar references read,
+    independent of ``geometry.truths``."""
+
+    image_id: str
+    class_label: str
+    box: BoundingBox
+    difficult: bool = False
+
+
+def truths_of(objects):
+    """``geometry.truths`` of a list of objects."""
+    return truths([g.image_id for g in objects], [g.class_label for g in objects],
+                  [g.box.as_tuple() for g in objects], [g.difficult for g in objects])
+
+
+def reference_grouping(objects):
+    """The per-class grouping ``geometry.truths`` replaced: classes in sorted
+    order, each class's objects by image, images in order of first
+    appearance, each image's objects in list order."""
+    by_class = {}
+    for g in objects:
+        by_class.setdefault(g.class_label, {}).setdefault(g.image_id, []).append(g)
+    return {c: [g for image in by_class[c].values() for g in image] for c in sorted(by_class)}
+
+
+def reference_truths(objects):
+    """What the per-class grouping built from the objects, as ``truth_rows``
+    gives it: each class's boxes, flags, image spans, positives and size."""
+    out = {}
+    for c, grouped in reference_grouping(objects).items():
+        spans = {}
+        for k, g in enumerate(grouped):
+            spans[g.image_id] = (spans.get(g.image_id, (k,))[0], k + 1)
+        out[c] = ([list(map(float, g.box.as_tuple())) for g in grouped], [g.difficult for g in grouped],
+                  spans, sum(not g.difficult for g in grouped), len(grouped))
+    return repr(out)
+
+
+def truth_rows(gts):
+    """Each class's ``Truth`` as text; repr tells every float bit apart."""
+    return repr({c: (t.boxes.tolist(), t.difficult.tolist(), t.spans, t.num_positives, len(t))
+                 for c, t in gts.items()})
 
 
 @st.composite
@@ -655,7 +701,7 @@ def reference_training(per_detector, gts, platt):
     label = {}
     for det_id in platt:
         dets = per_detector[det_id]
-        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections(dets, gts)))
+        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections({det_id: dets}, gts)))
     all_dets = [d for det_id in platt for d in per_detector[det_id]]
     training = []
     for _, image_dets in sorted(group_by_image(all_dets).items()):
@@ -754,7 +800,7 @@ def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
     dataset = datagen.generate(seed, 12, default_profiles(3))
     image_ids = dataset.validation_image_ids
     per_detector = {d: dataset.detections_for(d, image_ids) for d in dataset.detections}
-    gts = dataset.ground_truths(image_ids)
+    gts = dataset.ground_truths(image_ids)["object"]
     designs = []
     fit = baselines.fit_weighted_sum
 
@@ -785,7 +831,8 @@ def validation_sets(draw):
     ground truth."""
     dataset = datagen.generate(draw(st.integers(0, 2**32 - 1)), 40, default_profiles(3))
     image_ids = dataset.validation_image_ids
-    return {d: dataset.detections_for(d, image_ids) for d in dataset.detections}, dataset.ground_truths(image_ids)
+    return ({d: dataset.detections_for(d, image_ids) for d in dataset.detections},
+            dataset.ground_truths(image_ids)["object"])
 
 
 def _windows(det_id, *boxes_and_scores):
@@ -793,7 +840,7 @@ def _windows(det_id, *boxes_and_scores):
 
 
 ON, OFF, FAR = (0, 0, 10, 10), (20, 20, 30, 30), (40, 40, 50, 50)
-ONE_OBJECT = [GroundTruthObject("img", "object", BoundingBox(*ON))]
+ONE_OBJECT = truths(["img"], ["object"], [ON], [False])["object"]
 # Two windows equal in image, detector, score and box: one claims the
 # object, the other is its undecided duplicate.
 EQUAL_WINDOWS = ({"a": _windows("a", (ON, 1.0), (ON, 1.0), (OFF, 0.5)),
@@ -941,7 +988,8 @@ def reference_detection_row(d, class_label):
 
 
 def reference_annotation_row(g):
-    return {"image_id": g.image_id, "class": g.class_label, "bbox": reference_bbox(g.box),
+    # Ground truth holds its boxes as floats.
+    return {"image_id": g.image_id, "class": g.class_label, "bbox": list(map(float, reference_bbox(g.box))),
             "difficult": g.difficult}
 
 
@@ -977,8 +1025,7 @@ def any_boxes(draw, coordinate):
 @given(
     st.lists(st.builds(Detection, json_ids, json_ids, any_boxes(json_numbers), json_numbers),
              max_size=4),
-    st.lists(st.builds(GroundTruthObject, json_ids, json_ids, any_boxes(json_numbers),
-                       st.booleans()), max_size=4),
+    st.lists(st.builds(Obj, json_ids, json_ids, any_boxes(json_numbers), st.booleans()), max_size=4),
     # Columns hold floats, so fused boxes and scores are floats.
     st.lists(st.builds(FusedDetection, any_boxes(json_floats), json_ids, json_ids, json_floats,
                        st.one_of(st.none(), masses.map(FusedVerdict)), json_ids), max_size=4),
@@ -990,10 +1037,52 @@ def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, class_
     io.write_detections(dets, path, class_label, config)
     expected = [reference_detection_row(d, class_label) for d in dets]
     assert path.read_text() == reference_jsonl(expected, config)
-    io.write_annotations(gts, path, config)
-    assert path.read_text() == reference_jsonl(map(reference_annotation_row, gts), config)
+    io.write_annotations(truths_of(gts), path, config)
+    grouped = [g for objects in reference_grouping(gts).values() for g in objects]
+    assert path.read_text() == reference_jsonl(map(reference_annotation_row, grouped), config)
     io.write_fused(fused_columns(fused), path, config)
     assert path.read_text() == reference_jsonl(map(reference_fused_row, fused), config)
+
+
+# ---- ground truth -----------------------------------------------------------
+
+
+@st.composite
+def ground_truth_objects(draw):
+    """Objects of a few classes, interleaved, on repeated images, some
+    difficult, drawn from one pool of boxes so that duplicates are common."""
+    pool = draw(st.lists(boxes(), min_size=1, max_size=4))
+    return [Obj(*row) for row in draw(st.lists(st.tuples(
+        st.sampled_from(IMAGE_IDS), st.sampled_from(["dog", "cat", "object"]), st.sampled_from(pool),
+        st.booleans()), max_size=12))]
+
+
+# Two classes interleaved, each image's objects apart in the list, a
+# duplicate box, and a class that is all difficult.
+INTERLEAVED = [Obj("b", "dog", BoundingBox(0, 0, 1, 1)), Obj("a", "cat", BoundingBox(0, 0, 2, 2), True),
+               Obj("b", "cat", BoundingBox(1, 1, 2, 2)), Obj("a", "dog", BoundingBox(0, 0, 1, 1)),
+               Obj("b", "dog", BoundingBox(0, 0, 1, 1)), Obj("a", "cat", BoundingBox(0, 0, 2, 2)),
+               Obj("a\0", "bird", BoundingBox(0, 0, 1, 1), True)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ground_truth_objects())
+@example(INTERLEAVED)
+@example([])
+def test_truths_equal_the_per_class_grouping_bit_for_bit(objects):
+    assert truth_rows(truths_of(objects)) == reference_truths(objects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Obj, st.one_of(st.sampled_from(["a", "b"]), json_ids),
+                          st.one_of(st.sampled_from(["cat", "dog"]), json_ids),
+                          any_boxes(json_numbers), st.booleans()), max_size=8))
+@example(INTERLEAVED)
+def test_annotations_read_back_as_written(files_dir, objects):
+    gts = truths_of(objects)
+    path = files_dir / "annotations.jsonl"
+    io.write_annotations(gts, path, {"seed": 1})
+    assert truth_rows(io.read_annotations(path)) == truth_rows(gts)
 
 
 @pytest.fixture(scope="module")
@@ -1326,7 +1415,7 @@ def ap_cases(draw):
     pool = draw(st.lists(boxes(), min_size=1, max_size=6))
     score = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(-5, 5, allow_nan=False))
     gts = [
-        GroundTruthObject(image, "object", b, difficult)
+        Obj(image, "object", b, difficult)
         for image, b, difficult in draw(st.lists(
             st.tuples(st.sampled_from(IMAGE_IDS[:4]), st.sampled_from(pool), st.booleans()),
             max_size=8,
@@ -1346,10 +1435,10 @@ def ap_cases(draw):
 TIES = (
     [Detection(i, "d", BoundingBox(0, 0, 2, 2), 1.0) for i in ("a\0", "a", "a", "b")]
     + [Detection("a", "d", BoundingBox(0, 0, 1, 2), 1.0)],
-    [GroundTruthObject("a", "object", BoundingBox(0, 0, 2, 2)),
-     GroundTruthObject("a", "object", BoundingBox(0, 0, 2, 2), True),
-     GroundTruthObject("a\0", "object", BoundingBox(0, 0, 1, 2), True),
-     GroundTruthObject("b", "object", BoundingBox(1, 1, 3, 3))],
+    [Obj("a", "object", BoundingBox(0, 0, 2, 2)),
+     Obj("a", "object", BoundingBox(0, 0, 2, 2), True),
+     Obj("a\0", "object", BoundingBox(0, 0, 1, 2), True),
+     Obj("b", "object", BoundingBox(1, 1, 3, 3))],
 )
 
 
@@ -1358,7 +1447,7 @@ TIES = (
 RISING = (
     [Detection("a", "d", b, s) for b, s in zip(
         [BoundingBox(i, 0, i + 1, 1) for i in (0, 5, 2, 3)], (0.9, 0.8, 0.7, 0.6))],
-    [GroundTruthObject("a", "object", BoundingBox(i, 0, i + 1, 1)) for i in (0, 2, 3)],
+    [Obj("a", "object", BoundingBox(i, 0, i + 1, 1)) for i in (0, 2, 3)],
 )
 
 
@@ -1373,13 +1462,13 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
         expected = reference_pr_points(dets, gts, threshold)
     except NoGroundTruth:
         with pytest.raises(NoGroundTruth):
-            average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)
+            average_precision(DetectionColumns.of(dets), truths_of(gts).get("object"), threshold, interpolation)
         if dets and gts:  # with no ground truth at all there is no class to score
             with pytest.raises(NoGroundTruth):
-                evaluate_method(DetectionColumns.of(dets), gts, threshold, interpolation)
+                evaluate_method(DetectionColumns.of(dets), truths_of(gts), threshold, interpolation)
         return
     recall, precision, tp, fp = expected
-    report = evaluate_method(DetectionColumns.of(dets), gts, threshold, interpolation)
+    report = evaluate_method(DetectionColumns.of(dets), truths_of(gts), threshold, interpolation)
     samples = [[r, p] for r, p in zip(recall.tolist(), precision.tolist())] if dets else []
     # repr tells every float apart, -0.0 from 0.0 too.
     assert repr(report.pr_samples["object"].tolist()) == repr(samples)
@@ -1389,7 +1478,7 @@ def test_ap_equals_scalar_reference_bit_for_bit(case, threshold, interpolation):
     }
     ap = reference_ap(recall, precision, interpolation) if dets else 0.0
     assert repr(report.per_class_ap["object"]) == repr(ap)
-    assert repr(average_precision(DetectionColumns.of(dets), gts, threshold, interpolation)) == repr(ap)
+    assert repr(average_precision(DetectionColumns.of(dets), truths_of(gts)["object"], threshold, interpolation)) == repr(ap)
 
 
 CLASSES = ["cat", "dog"]
@@ -1410,7 +1499,7 @@ def method_cases(draw):
     class), of a class of the ground truth, or of a class it does not hold."""
     pool = draw(st.lists(boxes(), min_size=1, max_size=5))
     gts = [
-        GroundTruthObject(image, label, b, difficult)
+        Obj(image, label, b, difficult)
         for image, label, b, difficult in draw(st.lists(
             st.tuples(st.sampled_from(IMAGE_IDS[:4]), st.sampled_from(CLASSES), st.sampled_from(pool),
                       st.booleans()),
@@ -1428,9 +1517,9 @@ TWO_CLASSES = (
      "fused": columns_of([("a", "cat", BoundingBox(0, 0, 2, 2), 1.0), ("b", "bird", BoundingBox(1, 1, 3, 3), 0.5),
                           ("b", "dog", BoundingBox(1, 1, 3, 3), 0.5)]),
      "empty": columns_of([])},
-    [GroundTruthObject("a", "cat", BoundingBox(0, 0, 2, 2)),
-     GroundTruthObject("b", "dog", BoundingBox(1, 1, 3, 3)),
-     GroundTruthObject("b", "dog", BoundingBox(0, 0, 2, 2), True)],
+    [Obj("a", "cat", BoundingBox(0, 0, 2, 2)),
+     Obj("b", "dog", BoundingBox(1, 1, 3, 3)),
+     Obj("b", "dog", BoundingBox(0, 0, 2, 2), True)],
 )
 
 
@@ -1442,15 +1531,15 @@ def test_evaluate_methods_equals_each_method_alone_per_class(case, threshold):
     classes = sorted({g.class_label for g in gts})
     if any(all(g.difficult for g in gts if g.class_label == c) for c in classes):
         with pytest.raises(NoGroundTruth):
-            evaluate_methods(methods, gts, threshold)
+            evaluate_methods(methods, truths_of(gts), threshold)
         return
-    reports = evaluate_methods(methods, gts, threshold)
+    reports = evaluate_methods(methods, truths_of(gts), threshold)
     assert list(reports) == sorted(methods)
     for name, dets in methods.items():
         assert list(reports[name].per_class_ap) == classes
         for c in classes:
             rows = np.array([i for i, label in enumerate(dets.class_labels) if label in (None, c)], dtype=np.intp)
-            alone = evaluate_method(dets.take(rows), [g for g in gts if g.class_label == c], threshold)
+            alone = evaluate_method(dets.take(rows), truths_of([g for g in gts if g.class_label == c]), threshold)
             # repr tells every float apart, -0.0 from 0.0 too.
             assert repr(reports[name].per_class_ap[c]) == repr(alone.per_class_ap[c])
             assert repr(reports[name].pr_samples[c].tolist()) == repr(alone.pr_samples[c].tolist())
@@ -1504,8 +1593,7 @@ def test_report_file_equals_json_dumps_indent_2(tmp_path):
     # positive ranked between the true positives repeats a recall value; an
     # empty input and the fused rows of one class give empty curves.
     b = BoundingBox(0, 0, 4, 4)
-    gts = [GroundTruthObject("i", "cat", b), GroundTruthObject("i", "dog", b, True),
-           GroundTruthObject("j", "dog", BoundingBox(5, 5, 9, 9))]
+    gts = truths_of([Obj("i", "cat", b), Obj("i", "dog", b, True), Obj("j", "dog", BoundingBox(5, 5, 9, 9))])
     dets = [Detection("i", "d", b, 0.5), Detection("j", "d", BoundingBox(5, 5, 9, 8), 0.25)]
     ranked = [Detection("i", "d", b, 0.5), Detection("i", "d", BoundingBox(20, 20, 24, 24), 0.4),
               Detection("k", "d", b, 0.3), Detection("j", "d", BoundingBox(5, 5, 9, 9), 0.25)]
@@ -1601,8 +1689,7 @@ def reference_annotations(path):
         difficult = obj.get("difficult", False)
         if not isinstance(difficult, bool):
             raise ValueError("difficult must be a boolean")
-        gts.append(GroundTruthObject(str(obj["image_id"]), str(obj["class"]),
-                                     reference_box(obj["bbox"]), difficult))
+        gts.append(Obj(str(obj["image_id"]), str(obj["class"]), reference_box(obj["bbox"]), difficult))
     return gts
 
 
@@ -1619,7 +1706,7 @@ READERS = [
      lambda p: column_rows(DetectionColumns.of([d for _, d in reference_detections(p)]))),
     (lambda p: column_rows(io.read_fused(p)),
      lambda p: column_rows(fused_columns(reference_fused(p)))),
-    (io.read_annotations, reference_annotations),
+    (lambda p: truth_rows(io.read_annotations(p)), lambda p: reference_truths(reference_annotations(p))),
 ]
 
 coordinate = st.one_of(

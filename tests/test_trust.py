@@ -6,7 +6,7 @@ import pytest
 
 from beliefuse import pipeline, trust
 from beliefuse.dst import Bpa
-from beliefuse.geometry import BoundingBox, Detection, GroundTruthObject
+from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.io import DataError, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
@@ -91,8 +91,7 @@ class TestBuildPrTable:
 
     def test_undecided_excluded(self):
         # A window half over a ground-truth box is undecided: it adds no row.
-        gts = [GroundTruthObject("img1", "object", BoundingBox(0, 0, 10, 10)),
-               GroundTruthObject("img1", "object", BoundingBox(50, 50, 60, 60))]
+        gts = truths(["img1"] * 2, ["object"] * 2, [(0, 0, 10, 10), (50, 50, 60, 60)], [False] * 2)["object"]
         decided = [Detection("img1", "d1", BoundingBox(0, 0, 10, 10), 3.0),
                    Detection("img1", "d1", BoundingBox(20, 20, 30, 30), 2.0)]
         undecided = Detection("img1", "d1", BoundingBox(50, 50, 55, 60), 2.5)
