@@ -117,8 +117,8 @@ def _resolve_config(config_file: str | None, **flags) -> RunConfig:
     return cfg
 
 
-def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, list]]:
-    """-> class -> detector_id -> detections."""
+def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, io.DetectionColumns]]:
+    """-> class -> detector_id -> its rows, files in sorted order, lines in file order."""
     root = Path(detections_dir)
     if not root.is_dir():
         raise DataError(f"detections dir {detections_dir} does not exist")
@@ -126,13 +126,12 @@ def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, list]]:
     files = sorted(f for f in root.glob("*.jsonl") if f.name != "annotations.jsonl")
     if not files:
         raise DataError(f"no .jsonl detection files in {detections_dir}")
-    per_class: dict[str, dict[str, list]] = {}
+    parts: dict[str, dict[str, list[io.DetectionColumns]]] = {}
     for f in files:
-        for cls, dets in io.read_detections_by_class(f).items():
-            bucket = per_class.setdefault(cls, {})
-            for d in dets:
-                bucket.setdefault(d.detector_id, []).append(d)
-    return per_class
+        for cls, columns in io.read_detections_by_class(f).items():
+            for det_id, rows in columns.split(columns.sources).items():
+                parts.setdefault(cls, {}).setdefault(det_id, []).append(rows)
+    return {cls: {d: io.DetectionColumns.concat(p) for d, p in bucket.items()} for cls, bucket in parts.items()}
 
 
 @click.group()
@@ -322,7 +321,7 @@ def cmd_build_baselines(config_file, **flags):
     fitted = 0
     for cls in sorted(per_class):
         models = pipeline.fit_baselines(
-            per_class[cls], gts.get(cls), cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
+            per_class[cls], gts.get(cls), cls, cfg.match_iou, cfg.duplicate_policy, cfg.vector_iou
         )
         with _writing(cfg.models_dir):
             for det_id in sorted(models.platt):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Truth, iou_pairs
-from .io import DetectionColumns, indent2, laid_out_rows, ranks
+from .io import DetectionColumns, indent2_parts, laid_out_rows, ranks
 from .trust import envelope, pr_sweep
 
 
@@ -218,7 +218,9 @@ def write_reports_json(reports: dict[str, EvalReport], path: str | Path, config:
         "config": config or {},
         "methods": {name: reports[name].to_dict(curve) for name in sorted(reports)},
     }
-    Path(path).write_text(indent2(payload) + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(indent2_parts(payload))
+        fh.write("\n")
 
 
 def write_reports_csv(reports: dict[str, EvalReport], path: str | Path) -> None:

@@ -136,14 +136,15 @@ def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def match_detections(
-    dets: list[Detection],
+    boxes: list[BoundingBox],
+    scores: list[float],
     gt_boxes: list[BoundingBox],
     difficult: list[bool],
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> list[MatchLabel]:
-    """Greedily label one image's detections against its ground-truth boxes
-    for trust-model building: one label per detection, in input order.
+    """Greedily label one detector's detections on one image, as boxes and
+    scores, against its ground-truth boxes: one label per detection, in input order.
 
     Detections are visited in descending score order. A detection claiming an
     unclaimed non-difficult ground-truth box with IoU above the threshold is a
@@ -161,13 +162,11 @@ def match_detections(
 
     claimed: set[int] = set()
     labeled: dict[int, MatchLabel] = {}
-    # Equal scores are ordered by identity fields: a deterministic order,
-    # in which 0.0 comes before -0.0.
-    order = sorted(range(len(dets)), key=lambda i: (
-        -dets[i].score, math.copysign(1.0, -dets[i].score),
-        dets[i].detector_id, dets[i].image_id, dets[i].box.as_tuple()))
+    # Equal scores are ordered by box; 0.0 comes before -0.0.
+    order = sorted(range(len(boxes)), key=lambda i: (
+        -scores[i], math.copysign(1.0, -scores[i]), boxes[i].as_tuple()))
     for i in order:
-        overlaps = [(iou(dets[i].box, g), j) for j, g in enumerate(gt_boxes)]
+        overlaps = [(iou(boxes[i], g), j) for j, g in enumerate(gt_boxes)]
         if not overlaps or max(o for o, _ in overlaps) == 0.0:
             labeled[i] = MatchLabel.FALSE_POSITIVE
             continue
@@ -193,7 +192,7 @@ def match_detections(
             labeled[i] = MatchLabel.FALSE_POSITIVE
         else:
             labeled[i] = MatchLabel.UNDECIDED
-    return [labeled[i] for i in range(len(dets))]
+    return [labeled[i] for i in range(len(boxes))]
 
 
 def suppression_mask(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import gc
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -69,17 +69,32 @@ class DetectionColumns:
             np.full((len(dets), 3), np.nan),
         )
 
+    # Only perfbench/spans.py iterates columns; it goes with ROADMAP items 1-2.
+    def __iter__(self) -> Iterator[Detection]:
+        """Each row as a raw ``Detection``, the inverse of ``of``: valid for raw
+        rows only (a fused row's class label and joints are dropped)."""
+        boxes = (BoundingBox(*box) for box in self.boxes.tolist())
+        return map(Detection, self.image_ids, self.sources, boxes, self.scores.tolist())
+
     @classmethod
     def concat(cls, parts: list[DetectionColumns]) -> DetectionColumns:
         """The rows of every part, part after part."""
         columns = zip(*(vars(p).values() for p in [cls.of([]), *parts]))
-        return cls(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else sum(c, []) for c in columns))
+        return cls(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(chain.from_iterable(c))
+                     for c in columns))
 
     def take(self, rows: np.ndarray) -> DetectionColumns:
         """The given rows, in the given order."""
         picked = rows.tolist()
         return DetectionColumns(*(c[rows] if isinstance(c, np.ndarray) else [c[i] for i in picked]
                                   for c in vars(self).values()))
+
+    def split(self, keys: list) -> dict:
+        """The rows of each distinct key (one per row), keys in order of first appearance."""
+        rows: dict = {}
+        for i, key in enumerate(keys):
+            rows.setdefault(key, []).append(i)
+        return {key: self.take(np.array(at, dtype=np.intp)) for key, at in rows.items()}
 
 
 def ranks(values: list) -> tuple[list, np.ndarray]:
@@ -299,27 +314,23 @@ def _checked_rows(path: Path, text: str, fields: tuple[_Field, ...]):
         yield row
 
 
-def read_detections_by_class(path: str | Path) -> dict[str, list[Detection]]:
-    """Read one detector file, grouping by the per-line class label."""
+def read_detections_by_class(path: str | Path) -> dict[str, DetectionColumns]:
+    """Read one detector file as each class's rows (``read_detections``),
+    classes in order of first appearance, each class's rows in file order."""
     c = _read_columns(path, _DETECTION)
-    by_class: dict[str, list[Detection]] = {}
-    for image_id, detector_id, box, score, label in zip(
-        c["image_id"], c["detector_id"], c["bbox"].tolist(), c["score"].tolist(), c["class"]
-    ):
-        by_class.setdefault(label, []).append(
-            Detection(image_id, detector_id, BoundingBox(*box), score)
-        )
-    return by_class
+    return _raw_detections(c).split(c["class"])
 
 
 def read_detections(path: str | Path) -> DetectionColumns:
     """Read one detector file as columns; rows carry no class (see
     ``DetectionColumns``)."""
-    c = _read_columns(path, _DETECTION)
+    return _raw_detections(_read_columns(path, _DETECTION))
+
+
+def _raw_detections(c: dict) -> DetectionColumns:
+    """A detector file's parsed columns as raw rows, of no class."""
     n = len(c["image_id"])
-    return DetectionColumns(
-        c["image_id"], [None] * n, c["bbox"], c["score"], c["detector_id"], np.full((n, 3), np.nan)
-    )
+    return DetectionColumns(c["image_id"], [None] * n, c["bbox"], c["score"], c["detector_id"], np.full((n, 3), np.nan))
 
 
 def read_fused(path: str | Path) -> DetectionColumns:
@@ -442,17 +453,28 @@ class _LaidOut(str):
 
 def indent2(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)``, for a value nested ``depth`` levels
-    deep. Dicts with string keys are laid out here, and ``_LaidOut`` text
-    (from ``laid_out_rows``) is written as it is. Anything else goes to
+    deep: the text of ``indent2_parts``."""
+    return "".join(indent2_parts(value, depth))
+
+
+def indent2_parts(value, depth: int = 0) -> Iterator[str]:
+    """``indent2``'s text in parts, for a writer to write one by one. Dicts
+    with string keys are laid out here, and ``_LaidOut`` text (from
+    ``laid_out_rows``) is one part as it is. Anything else goes to
     ``json.dumps``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if isinstance(value, _LaidOut):
-        return value
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (f"{json.dumps(k)}: {indent2(v, depth + 1)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(value, indent=2).replace("\n", pad)
+        yield value
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        opening = "{" + inner
+        for k, v in value.items():
+            yield f"{opening}{json.dumps(k)}: "
+            yield from indent2_parts(v, depth + 1)
+            opening = "," + inner
+        yield pad + "}"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", pad)
 
 
 def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = None) -> _LaidOut:

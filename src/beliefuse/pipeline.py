@@ -33,26 +33,27 @@ def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 
 def label_detections(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
     truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> list[MatchLabel]:
     """Match each detector's detections to one class's ground truth (None:
     the class has none), image by image: one label per detection, the
-    detectors' lists concatenated in the order given."""
+    detectors' rows concatenated in the order given."""
     spans, gt_boxes, difficult = ({}, [], []) if truth is None else (
         truth.spans, [BoundingBox(*b) for b in truth.boxes.tolist()], truth.difficult.tolist())
     labels: list[MatchLabel] = []
     for dets in per_detector.values():
         positions: dict[str, list[int]] = {}
-        for i, d in enumerate(dets):
-            positions.setdefault(d.image_id, []).append(i)
+        for i, image_id in enumerate(dets.image_ids):
+            positions.setdefault(image_id, []).append(i)
+        boxes, scores = [BoundingBox(*b) for b in dets.boxes.tolist()], dets.scores.tolist()
         own = [MatchLabel.UNDECIDED] * len(dets)
         for image_id, at in positions.items():
             a, b = spans.get(image_id, (0, 0))
-            matched = match_detections([dets[i] for i in at], gt_boxes[a:b], difficult[a:b],
-                                       iou_threshold, duplicate_policy)
+            matched = match_detections([boxes[i] for i in at], [scores[i] for i in at], gt_boxes[a:b],
+                                       difficult[a:b], iou_threshold, duplicate_policy)
             for i, label in zip(at, matched):
                 own[i] = label
         labels += own
@@ -60,7 +61,7 @@ def label_detections(
 
 
 def labeled_windows(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
     truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
@@ -90,7 +91,7 @@ def _rows_of(detector_ids: list[str], detectors: np.ndarray, det_id: str) -> np.
 
 
 def build_trust_models(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
     truth: Truth | None,
     class_label: str,
     bpd_exponent: float,
@@ -123,8 +124,9 @@ class BaselineModels:
 
 
 def fit_baselines(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
     truth: Truth | None,
+    class_label: str,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
     overlap_threshold: float = 0.5,
@@ -140,7 +142,7 @@ def fit_baselines(
         try:
             out.platt[det_id] = baselines.fit_platt(scores, tp[rows], detector_id=det_id)
         except InsufficientData as exc:
-            log.warning("skipping Platt model for %s: %s", det_id, exc)
+            log.warning("skipping Platt model for detector %s for class %s: %s", det_id, class_label, exc)
             continue
         out.likelihoods[det_id] = baselines.fit_score_likelihood(
             scores, tp[rows], out.platt[det_id], detector_id=det_id
@@ -156,7 +158,8 @@ def fit_baselines(
     try:
         out.weights = baselines.fit_weighted_sum(features[decided], tp[decided], tuple(sorted(out.platt)))
     except InsufficientData as exc:
-        log.warning("weighted-sum training skipped: %s", exc)
+        log.warning("skipping weighted-sum model over detectors [%s] for class %s: %s",
+                    ", ".join(sorted(out.platt)), class_label, exc)
     return out
 
 
@@ -169,13 +172,13 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 
 def windows_of(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
 ) -> tuple[Windows, list[str], list[str], np.ndarray]:
     """Every window as columns in subject order: images in Python's string
     order, each image's windows by detector id, each detector's in input
     order; with the sorted detector and image ids the columns index, and
-    each row's position in the input, its lists concatenated."""
-    columns = DetectionColumns.of([d for dets in per_detector.values() for d in dets])
+    each row's position in the input, its detectors' rows concatenated."""
+    columns = DetectionColumns.concat(list(per_detector.values()))
     detector_ids, detectors = ranks(columns.sources)
     image_ids, images = ranks(columns.image_ids)
     order = np.lexsort((detectors, images))
@@ -216,7 +219,7 @@ def _fuse_in_worker(batch: tuple[Windows, np.ndarray]) -> tuple[np.ndarray, np.n
 
 
 def fuse_corpus(
-    per_detector: dict[str, list[Detection]],
+    per_detector: dict[str, DetectionColumns],
     models: dict[str, TrustModel] | BaselineModels,
     class_label: str,
     method: str = "dbf",

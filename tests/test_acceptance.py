@@ -55,10 +55,10 @@ def seed42():
     val_gts = ds.ground_truths(ds.validation_image_ids)["object"]
     test_gts = ds.ground_truths(ds.test_image_ids)
     per_det_val = {
-        d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections
+        d: DetectionColumns.of(ds.detections_for(d, ds.validation_image_ids)) for d in ds.detections
     }
     per_det_test = {
-        d: ds.detections_for(d, ds.test_image_ids) for d in ds.detections
+        d: DetectionColumns.of(ds.detections_for(d, ds.test_image_ids)) for d in ds.detections
     }
     trust = pipeline.build_trust_models(per_det_val, val_gts, "object", 2.0)
     return {
@@ -184,7 +184,7 @@ def test_fusion_beats_individuals_and_static_assignment(seed42):
     dbf = fused_map(seed42)
     static = fused_map(seed42, method="static-dst")
     individual = {
-        d: evaluate_method(DetectionColumns.of(seed42["per_det_test"][d]), seed42["test_gts"]).map_score
+        d: evaluate_method(seed42["per_det_test"][d], seed42["test_gts"]).map_score
         for d in DETECTOR_IDS
     }
     elapsed = seed42["setup_seconds"] + (time.perf_counter() - t0)
@@ -217,10 +217,10 @@ def test_overconfident_validation_penalizes_infinite_exponent():
         "val_gts": ds.ground_truths(ds.validation_image_ids)["object"],
         "test_gts": ds.ground_truths(ds.test_image_ids),
         "per_det_val": {
-            d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections
+            d: DetectionColumns.of(ds.detections_for(d, ds.validation_image_ids)) for d in ds.detections
         },
         "per_det_test": {
-            d: ds.detections_for(d, ds.test_image_ids) for d in ds.detections
+            d: DetectionColumns.of(ds.detections_for(d, ds.test_image_ids)) for d in ds.detections
         },
     }
     finite = [fused_map(fx, n=n) for n in (1.0, 2.0, 4.0, 8.0)]
@@ -229,9 +229,9 @@ def test_overconfident_validation_penalizes_infinite_exponent():
 
 
 def test_baselines_are_sane_and_commands_deterministic(seed42, tmp_path):
-    bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"])
+    bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"], "object")
     weakest = min(
-        evaluate_method(DetectionColumns.of(seed42["per_det_test"][d]), seed42["test_gts"]).map_score
+        evaluate_method(seed42["per_det_test"][d], seed42["test_gts"]).map_score
         for d in DETECTOR_IDS
     )
     for method in ("platt", "ws", "bayes"):
@@ -283,7 +283,7 @@ def test_saved_models_reproduce_fusion_bit_for_bit(seed42, tmp_path):
     roundtrip = pipeline.fuse_corpus(seed42["per_det_test"], reloaded, "object", "dbf")
     assert direct == roundtrip
 
-    bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"])
+    bm = pipeline.fit_baselines(seed42["per_det_val"], seed42["val_gts"], "object")
     bm2 = pipeline.BaselineModels()
     for det_id, model in bm.platt.items():
         path = tmp_path / f"platt_{det_id}.json"

@@ -16,7 +16,7 @@ from beliefuse.baselines import (
     weighted_sum_fuse,
 )
 from beliefuse import pipeline
-from beliefuse.io import load_model, save_model
+from beliefuse.io import DetectionColumns, load_model, save_model
 from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.trust import InsufficientData
 
@@ -69,7 +69,7 @@ class TestFitPlatt:
                    Detection("img", "a", BoundingBox(200, 0, 210, 10), -2.0)]
         undecided = [Detection("img", "a", BoundingBox(50, 50, 55, 60), s) for s in (0.5, 99.0)]
         base = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]), "a")
-        with_und = pipeline.fit_baselines({"a": [*decided, *undecided]}, gts).platt["a"]
+        with_und = pipeline.fit_baselines({"a": DetectionColumns.of([*decided, *undecided])}, gts, "object").platt["a"]
         assert (with_und.a, with_und.b) == (base.a, base.b)
 
     def test_insufficient_data(self):

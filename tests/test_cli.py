@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from beliefuse.cli import main
+from beliefuse.geometry import Detection
+from beliefuse.pipeline import METHODS
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +324,37 @@ class TestBuildBaselines:
                       "--models-dir", str(tmp_path / "m")])
         assert exited_cleanly(result, 3), result.output
         assert "no Platt model" in result.output
+
+    def test_class_without_ground_truth_is_named_in_warnings(self, workspace, tmp_path, caplog):
+        validation = TestBuildTrust.with_cats(workspace, tmp_path, annotated=False)
+        result = run(["build-baselines", "--detections-dir", str(validation),
+                      "--annotations", str(validation / "annotations.jsonl"), "--models-dir", str(tmp_path / "m")])
+        assert result.exit_code == 0, result.output
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 4 and all("for class cat:" in w for w in warnings), warnings
+        for d in "abc":
+            assert any(w.startswith(f"skipping Platt model for detector det_{d} for class cat") for w in warnings)
+        assert any(w.startswith("skipping weighted-sum model") for w in warnings)
+
+
+def test_no_command_but_generate_builds_a_detection_object(workspace, tmp_path, monkeypatch):
+    # Detector files are read straight into columns.
+    def refuse(self):
+        raise AssertionError("a Detection was built")
+
+    monkeypatch.setattr(Detection, "__post_init__", refuse)
+    data = workspace / "data"
+    train = ["--detections-dir", str(data / "validation"),
+             "--annotations", str(data / "validation" / "annotations.jsonl")]
+    commands = [["build-trust", *train, "--models-dir", str(tmp_path / "m")],
+                ["build-baselines", *train, "--models-dir", str(tmp_path / "m")]]
+    commands += [["fuse", "--method", method, "--detections-dir", str(data / "test"),
+                  "--models-dir", str(tmp_path / "m"), "--out", str(tmp_path / f"{method}.jsonl")]
+                 for method in METHODS]
+    commands.append(["sweep-n", "--n-values", "1,inf", *train, "--out", str(tmp_path / "s.csv")])
+    for args in commands:
+        result = run(args)
+        assert result.exit_code == 0, (args, result.output)
 
 
 TRUST, PLATT = "trust__det_a__object.json", "platt__det_a__object.json"

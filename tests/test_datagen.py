@@ -78,7 +78,7 @@ class TestProfileBehavior:
         p = profile(detection_rate=0.8, fp_rate=0.0, localization_jitter=1.0)
         ds = generate(4, 40, [p])
         gts = ds.ground_truths(ds.validation_image_ids)["object"]
-        labels = label_detections({"d1": ds.detections_for("d1", ds.validation_image_ids)}, gts)
+        labels = label_detections({"d1": DetectionColumns.of(ds.detections_for("d1", ds.validation_image_ids))}, gts)
         assert MatchLabel.TRUE_POSITIVE in labels
         assert MatchLabel.FALSE_POSITIVE not in labels
 

@@ -121,7 +121,7 @@ class TestAveragePrecision:
         dup = box(g1.x_min + 1, g1.y_min + 1, g1.x_max + 1, g1.y_max + 1)
         dets = [det(0.9, g1), det(0.8, dup), det(0.7, g2)]
         gts = truth([gt(g1), gt(g2)])
-        trust_labels = match_detections(dets, [g1, g2], [False, False])
+        trust_labels = match_detections([d.box for d in dets], [d.score for d in dets], [g1, g2], [False, False])
         # Trust labeling leaves the duplicate undecided...
         assert trust_labels == [
             MatchLabel.TRUE_POSITIVE,

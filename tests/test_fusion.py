@@ -15,6 +15,7 @@ from beliefuse.fusion import (
 from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.pipeline import windows_of
 from beliefuse.trust import TrustModel
+from test_properties import as_columns
 
 
 def box(x0, y0, x1, y1):
@@ -87,14 +88,14 @@ def score_to_bpa(model, score):
 
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
-    windows, detector_ids, _, _ = windows_of(per_det)
+    windows, detector_ids, _, _ = windows_of(as_columns(per_det))
     return slots_and_masks(windows, windows.spans(), len(detector_ids), 0.5)[0]
 
 
 def fuse(per_det, rule):
     """``fuse_images`` on one image's windows: (window, fused score, verdict)
     per kept window, in visiting order."""
-    windows, detector_ids, _, order = windows_of(per_det)
+    windows, detector_ids, _, order = windows_of(as_columns(per_det))
     dets = [d for ds in per_det.values() for d in ds]
     kept, scores, joints = fuse_images(windows, windows.spans(), detector_ids, rule)
     return list(zip([dets[i] for i in order[kept].tolist()], scores.tolist(), verdicts(joints)))

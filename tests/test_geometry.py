@@ -24,8 +24,10 @@ def det(score, b, detector="d1", image="img1"):
 
 
 def match(dets, gts, difficult=None, **kwargs):
-    """``match_detections`` on one image's ground-truth boxes (none difficult by default)."""
-    return match_detections(dets, gts, [False] * len(gts) if difficult is None else difficult, **kwargs)
+    """``match_detections`` of one image's detections' boxes and scores, on
+    its ground-truth boxes (none difficult by default)."""
+    return match_detections([d.box for d in dets], [d.score for d in dets], gts,
+                            [False] * len(gts) if difficult is None else difficult, **kwargs)
 
 
 def nms(dets, iou_threshold=0.5):

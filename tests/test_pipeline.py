@@ -6,6 +6,7 @@ from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
 from beliefuse.io import DetectionColumns
 from beliefuse.trust import InsufficientData
+from test_properties import as_columns
 
 
 def box(x0, y0, x1, y1):
@@ -31,8 +32,9 @@ def fixture():
         "dataset": ds,
         "val_gts": ds.ground_truths(val_ids)["object"],
         "test_gts": ds.ground_truths(test_ids),
-        "per_det_val": {d: ds.detections_for(d, val_ids) for d in ds.detections},
-        "per_det_test": {d: ds.detections_for(d, test_ids) for d in ds.detections},
+        "val_lists": {d: ds.detections_for(d, val_ids) for d in ds.detections},
+        "per_det_val": as_columns({d: ds.detections_for(d, val_ids) for d in ds.detections}),
+        "per_det_test": as_columns({d: ds.detections_for(d, test_ids) for d in ds.detections}),
     }
 
 
@@ -41,20 +43,22 @@ class TestLabeling:
         b = box(0, 0, 40, 40)
         dets = [det(0.9, b, image="img1"), det(0.8, b, image="img2")]
         gts = truth((b, "img1", False))
-        assert pipeline.label_detections({"d1": dets}, gts) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
+        assert pipeline.label_detections(as_columns({"d1": dets}), gts) == [
+            MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
         # One label per detection, in input order.
-        assert pipeline.label_detections({"d1": dets[::-1]}, gts) == [MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
+        assert pipeline.label_detections(as_columns({"d1": dets[::-1]}), gts) == [
+            MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
 
     def test_every_detector_in_one_call(self):
         # Each detector claims the object for itself; lists are concatenated in the order given.
         b = box(0, 0, 40, 40)
         per_det = {"d2": [det(0.1, b, detector="d2")], "d1": [det(0.9, b), det(0.8, b)]}
-        assert pipeline.label_detections(per_det, truth((b, "img1", False))) == [
+        assert pipeline.label_detections(as_columns(per_det), truth((b, "img1", False))) == [
             MatchLabel.TRUE_POSITIVE, MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED]
 
     def test_class_without_ground_truth_is_all_false_positives(self):
         dets = [det(0.9, box(0, 0, 40, 40)), det(0.8, box(0, 0, 40, 40), image="img2")]
-        assert pipeline.label_detections({"d1": dets}, None) == [MatchLabel.FALSE_POSITIVE] * 2
+        assert pipeline.label_detections(as_columns({"d1": dets}), None) == [MatchLabel.FALSE_POSITIVE] * 2
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)
@@ -74,7 +78,7 @@ class TestBuildTrustModels:
     def test_unusable_detector_skipped(self, fixture):
         per_det = dict(fixture["per_det_val"])
         # A detector with a single detection cannot produce both a TP and an FP.
-        per_det["det_x"] = [per_det["det_a"][0]]
+        per_det["det_x"] = DetectionColumns.of([fixture["val_lists"]["det_a"][0]])
         models = pipeline.build_trust_models(per_det, fixture["val_gts"], "object", 2.0)
         assert "det_x" not in models
         assert "det_a" in models
@@ -90,7 +94,7 @@ class TestFuseCorpus:
         )
         fused_map = evaluation.evaluate_method(fused, fixture["test_gts"]).map_score
         weakest = min(
-            evaluation.evaluate_method(DetectionColumns.of(dets), fixture["test_gts"]).map_score
+            evaluation.evaluate_method(dets, fixture["test_gts"]).map_score
             for dets in fixture["per_det_test"].values()
         )
         assert fused_map > weakest
@@ -126,14 +130,14 @@ class TestFuseCorpus:
 
 class TestBaselinePipeline:
     def test_fit_baselines_complete(self, fixture):
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
         assert sorted(bm.platt) == ["det_a", "det_b", "det_c"]
         assert sorted(bm.likelihoods) == ["det_a", "det_b", "det_c"]
         assert bm.weights is not None
         assert sorted(bm.weights.detector_ids) == ["det_a", "det_b", "det_c"]
 
     def test_each_baseline_produces_ranked_output(self, fixture):
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
         for method in ("platt", "ws", "bayes"):
             fused = pipeline.fuse_corpus(
                 fixture["per_det_test"], bm, "object", method
@@ -143,14 +147,14 @@ class TestBaselinePipeline:
             assert np.isnan(fused.joints).all()  # no joint mass
 
     def test_platt_scores_are_probabilities(self, fixture):
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
         fused = pipeline.fuse_corpus(
             fixture["per_det_test"], bm, "object", "platt"
         )
         assert all(0.0 <= score <= 1.0 for score in fused.scores.tolist())
 
     def test_ws_without_weights_raises(self, fixture):
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
         bm.weights = None
         with pytest.raises(InsufficientData):
             pipeline.fuse_corpus(fixture["per_det_test"], bm, "object", "ws")
@@ -159,8 +163,8 @@ class TestBaselinePipeline:
         # A low-scoring duplicate of a true positive is labeled undecided; the
         # true positive's own row must still train as a positive, and the
         # duplicate's row must not train at all.
-        per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
-        labels = pipeline.label_detections({"det_a": per_det["det_a"]}, fixture["val_gts"])
+        per_det = {k: list(v) for k, v in fixture["val_lists"].items()}
+        labels = pipeline.label_detections(as_columns({"det_a": per_det["det_a"]}), fixture["val_gts"])
         original = per_det["det_a"][labels.index(MatchLabel.TRUE_POSITIVE)]
         duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
         per_det["det_a"].append(duplicate)
@@ -171,8 +175,8 @@ class TestBaselinePipeline:
             return None
 
         monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
-        pipeline.fit_baselines(per_det, fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
+        pipeline.fit_baselines(as_columns(per_det), fixture["val_gts"], "object")
         without, with_duplicate = training
         assert with_duplicate == without
         features, targets, detector_ids = with_duplicate
@@ -198,13 +202,13 @@ class TestBaselinePipeline:
 
         monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
         for repeat in (first, Detection(first.image_id, first.detector_id, first.box, first.score)):
-            pipeline.fit_baselines({**per_det, "det_a": [*per_det["det_a"], repeat]}, gts)
+            pipeline.fit_baselines(as_columns({**per_det, "det_a": [*per_det["det_a"], repeat]}), gts, "object")
         same_object, equal_copy = training
         assert same_object == equal_copy
         assert (len(equal_copy[1]), sum(equal_copy[1])) == (38, 13)
 
     def test_unknown_method_rejected(self, fixture):
-        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"])
+        bm = pipeline.fit_baselines(fixture["per_det_val"], fixture["val_gts"], "object")
         with pytest.raises(ValueError):
             pipeline.fuse_corpus(
                 fixture["per_det_test"], bm, "object", "mystery"

@@ -104,6 +104,11 @@ class Obj(NamedTuple):
     difficult: bool = False
 
 
+def as_columns(per_detector):
+    """Each detector's list of ``Detection``s as columns, as the pipeline takes them."""
+    return {det_id: DetectionColumns.of(dets) for det_id, dets in per_detector.items()}
+
+
 def truths_of(objects):
     """``geometry.truths`` of a list of objects."""
     return truths([g.image_id for g in objects], [g.class_label for g in objects],
@@ -275,7 +280,7 @@ def as_rows(vectors, detector_ids):
 @example({"a": []}, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
     expected = reference_vectors(per_detector, threshold)
-    windows, ids, _, order = windows_of(per_detector)
+    windows, ids, _, order = windows_of(as_columns(per_detector))
     dets = [d for dets in per_detector.values() for d in dets]
     assert [id(dets[i]) for i in order.tolist()] == [id(s) for s, _ in expected]
     overlaps = iou_matrix(windows.boxes)
@@ -341,7 +346,7 @@ SIGNED_ZERO_GROUP = _batch(
 @example({}, 0.5, 0.5, fusion.MAX_STACKED_PAIRS)
 @example(SAME_COUNT, 0.1, 0.5, 1)  # every image its own stacked pass
 def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, cap):
-    windows, ids, _, _ = windows_of(corpus)
+    windows, ids, _, _ = windows_of(as_columns(corpus))
     spans = windows.spans()
     with mock.patch.object(fusion, "MAX_STACKED_PAIRS", cap):
         slots, masks = fusion.slots_and_masks(windows, spans, len(ids), overlap, nms)
@@ -359,7 +364,7 @@ def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, c
 def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
-    windows, _, _, _ = windows_of(per_detector)  # its rows are ``dets``
+    windows, _, _, _ = windows_of(as_columns(per_detector))  # its rows are ``dets``
     order = nms_order(windows.scores, windows.detectors, windows.boxes, windows.images)
     for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), iou_matrix(windows.boxes)):
         kept = nms_keep(order, suppression_mask(overlaps, threshold))
@@ -404,8 +409,8 @@ APART = _batch(SAME_COUNT, {"a": [Detection("i4", "a", BoundingBox(5, 5, 6, 6), 
 @example(APART, "bayes")
 def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
     models = _models(method)
-    serial = pipeline.fuse_corpus(corpus, models, "object", method, jobs=1)
-    pooled = pipeline.fuse_corpus(corpus, models, "object", method, jobs=2)
+    serial = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=1)
+    pooled = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=2)
     assert pooled == serial
     # The rows leave fuse_corpus in the order the fuse command writes them.
     assert repr(fused_rows(serial)) == repr(output_order(serial))
@@ -661,7 +666,7 @@ CERTAIN_MODELS = {
 def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absent_policy):
     expected, smoothings = reference_fuse_corpus(corpus, models, method, absent_policy)
     before = fusion.conflict_smoothing_count
-    got = pipeline.fuse_corpus(corpus, models, "object", method, absent_policy=absent_policy)
+    got = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, absent_policy=absent_policy)
     assert got == fused_columns(expected)  # bit for bit, -0.0 too
     assert fusion.conflict_smoothing_count - before == smoothings
 
@@ -701,7 +706,7 @@ def reference_training(per_detector, gts, platt):
     label = {}
     for det_id in platt:
         dets = per_detector[det_id]
-        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections({det_id: dets}, gts)))
+        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections(as_columns({det_id: dets}), gts)))
     all_dets = [d for det_id in platt for d in per_detector[det_id]]
     training = []
     for _, image_dets in sorted(group_by_image(all_dets).items()):
@@ -810,7 +815,7 @@ def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
 
     baselines.fit_weighted_sum = capture
     try:
-        models = pipeline.fit_baselines(per_detector, gts)
+        models = pipeline.fit_baselines(as_columns(per_detector), gts, "object")
     finally:
         baselines.fit_weighted_sum = fit
     detector_ids = tuple(sorted(models.platt))
@@ -858,8 +863,8 @@ POLICIES = ("undecided", "false_positive")
 def trained(per_detector, gts, duplicate_policy):
     """Every model the validation set trains, as text: repr tells every
     float apart, -0.0 from 0.0 too."""
-    trust = pipeline.build_trust_models(per_detector, gts, "object", 2.0, 0.5, duplicate_policy)
-    baselines = pipeline.fit_baselines(per_detector, gts, 0.5, duplicate_policy)
+    trust = pipeline.build_trust_models(as_columns(per_detector), gts, "object", 2.0, 0.5, duplicate_policy)
+    baselines = pipeline.fit_baselines(as_columns(per_detector), gts, "object", 0.5, duplicate_policy)
     return {d: repr(m.table.tolist()) for d, m in trust.items()}, repr(baselines)
 
 
@@ -928,7 +933,7 @@ def files_dir(tmp_path_factory):
 @example(SAME, CERTAIN_MODELS, "dbf")
 @example(SAME, CERTAIN_MODELS, "static-dst")
 def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
-    fused = pipeline.fuse_corpus(corpus, models, "object", method)
+    fused = pipeline.fuse_corpus(as_columns(corpus), models, "object", method)
     path = files_dir / "fused.jsonl"
     io.write_fused(fused, path)
     columns = io.read_fused(path)
@@ -960,10 +965,10 @@ TIED = {"a": [Detection("img", "a", BoundingBox(0, 0, 10, 10), 1.0),
 @example(TIED, "dbf", random.Random(0))
 def test_fused_output_does_not_depend_on_input_order(corpus, method, rng):
     models = _models(method)
-    expected = output_order(pipeline.fuse_corpus(corpus, models, "object", method))
+    expected = output_order(pipeline.fuse_corpus(as_columns(corpus), models, "object", method))
     for order in (lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs))):
         reordered = {det_id: order(corpus[det_id]) for det_id in order(sorted(corpus))}
-        got = output_order(pipeline.fuse_corpus(reordered, models, "object", method))
+        got = output_order(pipeline.fuse_corpus(as_columns(reordered), models, "object", method))
         assert repr(got) == repr(expected)
 
 
@@ -1105,11 +1110,7 @@ def small_corpus(tmp_path_factory):
 @pytest.mark.parametrize("method", pipeline.METHODS)
 def test_fuse_command_writes_what_the_reference_loop_and_writer_write(small_corpus, method):
     test_dir, models_dir = small_corpus / "data" / "test", small_corpus / "models"
-    per_class = {}
-    for path in sorted(test_dir.glob("det_*.jsonl")):
-        for label, dets in reference_detections_by_class(path).items():
-            for d in dets:
-                per_class.setdefault(label, {}).setdefault(d.detector_id, []).append(d)
+    per_class = reference_load_detections_dir(test_dir)
     expected = []
     for label in sorted(per_class):
         models = cli._load_models(models_dir, label, sorted(per_class[label]), method)
@@ -1700,7 +1701,9 @@ def column_rows(columns):
 
 
 READERS = [
-    (io.read_detections_by_class, reference_detections_by_class),
+    (lambda p: {label: column_rows(rows) for label, rows in io.read_detections_by_class(p).items()},
+     lambda p: {label: column_rows(DetectionColumns.of(dets))
+                for label, dets in reference_detections_by_class(p).items()}),
     # In file order: the old reader grouped the rows by class.
     (lambda p: column_rows(io.read_detections(p)),
      lambda p: column_rows(DetectionColumns.of([d for _, d in reference_detections(p)]))),
@@ -1801,3 +1804,46 @@ def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
         io.read_any_detections(jsonl_path)
     except io.DataError:
         pass
+
+
+def reference_load_detections_dir(root):
+    """The object loader ``cli._load_detections_dir`` replaced: class ->
+    detector -> ``Detection``s, files in sorted order, lines in file order."""
+    per_class = {}
+    for path in sorted(f for f in Path(root).glob("*.jsonl") if f.name != "annotations.jsonl"):
+        for label, dets in reference_detections_by_class(path).items():
+            for d in dets:
+                per_class.setdefault(label, {}).setdefault(d.detector_id, []).append(d)
+    return per_class
+
+
+detection_rows = st.fixed_dictionaries({
+    "image_id": st.sampled_from(["i0", "i1", "i2"]), "class": st.sampled_from(["object", "cat"]),
+    "bbox": good_box, "score": st.one_of(scores, st.just(-0.0)),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(detection_rows, max_size=8), st.lists(detection_rows, max_size=8), st.data())
+def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, a_rows, b_rows, data):
+    # Detector a's lines are split across two files, which sort before and
+    # after detector b's file; a third file holds lines of both, and the
+    # classes interleave.
+    root = tmp_path_factory.mktemp("split")
+    cut = data.draw(st.integers(0, len(a_rows)))
+    files = {
+        "a.jsonl": [{**r, "detector_id": "a"} for r in a_rows[:cut]],
+        "b.jsonl": [{**r, "detector_id": "b"} for r in b_rows[:2]],
+        "c.jsonl": [{**r, "detector_id": d} for r, d in zip(b_rows[2:], "bab" * 3)],
+        "d.jsonl": [{**r, "detector_id": "a"} for r in a_rows[cut:]],
+        "annotations.jsonl": [{"image_id": "i0", "class": "dog", "bbox": [0, 0, 1, 1]}],
+    }
+    for name, rows in files.items():
+        (root / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    got = cli._load_detections_dir(str(root))
+    expected = reference_load_detections_dir(root)
+    assert [(label, list(per_det)) for label, per_det in got.items()] == \
+        [(label, list(per_det)) for label, per_det in expected.items()]
+    for label, per_det in expected.items():
+        for det_id, dets in per_det.items():
+            assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))

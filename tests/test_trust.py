@@ -7,7 +7,7 @@ import pytest
 from beliefuse import pipeline, trust
 from beliefuse.dst import Bpa
 from beliefuse.geometry import BoundingBox, Detection, truths
-from beliefuse.io import DataError, load_model, save_model
+from beliefuse.io import DataError, DetectionColumns, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
     TrustModel,
@@ -95,7 +95,7 @@ class TestBuildPrTable:
         decided = [Detection("img1", "d1", BoundingBox(0, 0, 10, 10), 3.0),
                    Detection("img1", "d1", BoundingBox(20, 20, 30, 30), 2.0)]
         undecided = Detection("img1", "d1", BoundingBox(50, 50, 55, 60), 2.5)
-        with_und = pipeline.build_trust_models({"d1": [*decided, undecided]}, gts, "object", 2.0)
+        with_und = pipeline.build_trust_models({"d1": DetectionColumns.of([*decided, undecided])}, gts, "object", 2.0)
         without = build_pr_table(*labeled_from([(3.0, TP), (2.0, FP)]), 2)
         assert with_und["d1"].table.tolist() == without.tolist()
 
