@@ -117,8 +117,8 @@ def _resolve_config(config_file: str | None, **flags) -> RunConfig:
     return cfg
 
 
-def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, io.DetectionColumns]]:
-    """-> class -> detector_id -> its rows, files in sorted order, lines in file order."""
+def _detection_files(detections_dir: str) -> list[Path]:
+    """The detector files of a detections dir, in sorted order."""
     root = Path(detections_dir)
     if not root.is_dir():
         raise DataError(f"detections dir {detections_dir} does not exist")
@@ -126,10 +126,25 @@ def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, io.Detectio
     files = sorted(f for f in root.glob("*.jsonl") if f.name != "annotations.jsonl")
     if not files:
         raise DataError(f"no .jsonl detection files in {detections_dir}")
+    return files
+
+
+def _read_by_detector(path: Path) -> dict[str, dict[str, io.DetectionColumns]]:
+    """One detector file as class -> detector_id -> its rows in file order.
+    A pool task: it looks the reader up on ``io`` when it runs."""
+    return {cls: columns.split(columns.sources) for cls, columns in io.read_detections_by_class(path).items()}
+
+
+def _load_detections_dir(
+    detections_dir: str, pool: pipeline.Pool | None = None
+) -> dict[str, dict[str, io.DetectionColumns]]:
+    """-> class -> detector_id -> its rows, files in sorted order, lines in
+    file order; each file read by a worker of ``pool`` when one is given."""
+    files = _detection_files(detections_dir)
     parts: dict[str, dict[str, list[io.DetectionColumns]]] = {}
-    for f in files:
-        for cls, columns in io.read_detections_by_class(f).items():
-            for det_id, rows in columns.split(columns.sources).items():
+    for per_class in (pool.executor.map if pool else map)(_read_by_detector, files):
+        for cls, per_detector in per_class.items():
+            for det_id, rows in per_detector.items():
                 parts.setdefault(cls, {}).setdefault(det_id, []).append(rows)
     return {cls: {d: io.DetectionColumns.concat(p) for d, p in bucket.items()} for cls, bucket in parts.items()}
 
@@ -337,9 +352,10 @@ def cmd_build_baselines(config_file, **flags):
 
 
 def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: str):
-    """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class.
-    A detector without a model file for the method is left out with a
-    warning; a model file that another one calls for must exist."""
+    """The models ``pipeline.fuse_corpus`` takes for ``method`` on one class,
+    or None when the class has no model file for it. A class or a detector
+    without a model file for the method is left out with a warning; a model
+    file that another one calls for must exist."""
 
     def path(prefix: str, detector_id: str = "") -> Path:
         return io.model_path(models_dir, prefix, cls, detector_id)
@@ -351,7 +367,8 @@ def _load_models(models_dir: Path, cls: str, detector_ids: list[str], method: st
     prefix, kind = ("trust", TrustModel) if belief else ("platt", PlattModel)
     loaded = per_detector(prefix, kind, detector_ids)
     if not loaded:
-        raise MissingModel(f"no {prefix} model files for class {cls} in {models_dir}")
+        log.warning("no %s model files for class %s in %s: its detections are left out", prefix, cls, models_dir)
+        return None
     models = loaded if belief else pipeline.BaselineModels(platt=loaded)
     if method == "ws":
         ws_path = path("ws")
@@ -386,24 +403,27 @@ def cmd_fuse(method, config_file, **flags):
                 raise ConfigError(f"--absent-policy is read by --method dbf only, not by {method}")
             del provenance["absent_policy"]
         _check_out_dir(cfg.out)
-        per_class = _load_detections_dir(cfg.detections_dir)
+        files = _detection_files(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
-    fused = []
-    with _exit_on_error():
-        for cls in sorted(per_class):
-            models = _load_models(models_dir, cls, sorted(per_class[cls]), method)
-            fused.append(
-                pipeline.fuse_corpus(
-                    per_class[cls], models, cls, method,
-                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
+    # One pool for the command: its workers read the files, then fuse each
+    # class's batches and lay out their lines.
+    with _exit_on_error(), pipeline.worker_pool(cfg.jobs, len(files)) as pool:
+        per_class = _load_detections_dir(cfg.detections_dir, pool)
+        models = {cls: _load_models(models_dir, cls, sorted(per_class[cls]), method) for cls in sorted(per_class)}
+        if all(m is None for m in models.values()):
+            raise MissingModel(f"no model files for --method {method} for any class in {models_dir}")
+        lines = []
+        for cls, class_models in models.items():
+            if class_models is not None:
+                # Each class's lines are already in file order.
+                lines += pipeline.fuse_corpus(
+                    per_class[cls], class_models, cls, method,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs, pool=pool, lines=True,
                 )
-            )
-    # Each class's rows are already in file order.
-    merged = io.DetectionColumns.concat(fused)
     provenance["method"] = method
     with _writing(cfg.out):
-        io.write_fused(merged, cfg.out, config=provenance)
-    click.echo(f"wrote {len(merged)} fused detections to {cfg.out}")
+        io.write_fused(lines, cfg.out, config=provenance)
+    click.echo(f"wrote {len(lines)} fused detections to {cfg.out}")
 
 
 @_pipeline_command("eval")
@@ -458,45 +478,45 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
             raise ConfigError("empty n-values list")
-        per_class_val = _load_detections_dir(cfg.detections_dir)
-        gts = io.read_annotations(cfg.annotations)
-        per_class_test = (
-            _load_detections_dir(test_detections_dir)
-            if test_detections_dir
-            else per_class_val
-        )
-        test_gts = (
-            io.read_annotations(test_annotations) if test_annotations else gts
-        )
+        dirs = [cfg.detections_dir, *([test_detections_dir] if test_detections_dir else [])]
+        tasks = sum(len(_detection_files(d)) for d in dirs)
+    # One pool for the command: its workers read both splits, then fuse the
+    # batches of every class at every n.
+    with pipeline.worker_pool(cfg.jobs, tasks) as pool:
+        with _exit_on_error():
+            per_class_val = _load_detections_dir(cfg.detections_dir, pool)
+            gts = io.read_annotations(cfg.annotations)
+            per_class_test = _load_detections_dir(test_detections_dir, pool) if test_detections_dir else per_class_val
+            test_gts = io.read_annotations(test_annotations) if test_annotations else gts
 
-    # A PR table does not depend on n: each class's models are built once,
-    # and each n only swaps the exponent.
-    trained = {}
-    for cls in sorted(per_class_val):
-        trained[cls] = pipeline.build_trust_models(
-            per_class_val[cls], gts.get(cls), cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
-        )
-        if not trained[cls]:
-            _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
-    rows = []
-    for n in values:
-        n_label = "inf" if math.isinf(n) else f"{n:g}"
-        per_class_ap = {}
-        for cls, models in trained.items():
-            models = {d: dataclasses.replace(m, bpd_exponent=n) for d, m in models.items()}
-            fused = pipeline.fuse_corpus(
-                per_class_test.get(cls, {}), models, cls, method,
-                cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs,
+        # A PR table does not depend on n: each class's models are built once,
+        # and each n only swaps the exponent.
+        trained = {}
+        for cls in sorted(per_class_val):
+            trained[cls] = pipeline.build_trust_models(
+                per_class_val[cls], gts.get(cls), cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
             )
-            with _exit_on_error():
-                try:
-                    per_class_ap[cls] = evaluation.average_precision(
-                        fused, test_gts.get(cls), cfg.match_iou, cfg.ap_interpolation
-                    )
-                except NoGroundTruth as exc:
-                    raise NoGroundTruth(f"class {cls!r}: {exc}") from None
-        rows += [(n_label, cls, ap) for cls, ap in per_class_ap.items()]
-        rows.append((n_label, "mAP", sum(per_class_ap.values()) / len(per_class_ap)))
+            if not trained[cls]:
+                _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
+        rows = []
+        for n in values:
+            n_label = "inf" if math.isinf(n) else f"{n:g}"
+            per_class_ap = {}
+            for cls, models in trained.items():
+                models = {d: dataclasses.replace(m, bpd_exponent=n) for d, m in models.items()}
+                fused = pipeline.fuse_corpus(
+                    per_class_test.get(cls, {}), models, cls, method,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs, pool=pool,
+                )
+                with _exit_on_error():
+                    try:
+                        per_class_ap[cls] = evaluation.average_precision(
+                            fused, test_gts.get(cls), cfg.match_iou, cfg.ap_interpolation
+                        )
+                    except NoGroundTruth as exc:
+                        raise NoGroundTruth(f"class {cls!r}: {exc}") from None
+            rows += [(n_label, cls, ap) for cls, ap in per_class_ap.items()]
+            rows.append((n_label, "mAP", sum(per_class_ap.values()) / len(per_class_ap)))
 
     provenance.update(method=method, test_detections_dir=test_detections_dir or cfg.detections_dir,
                       test_annotations=test_annotations or cfg.annotations)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Truth, iou_pairs
-from .io import DetectionColumns, indent2_parts, laid_out_rows, ranks
+from .io import ArrayRows, DetectionColumns, indent2_parts, ranks
 from .trust import envelope, pr_sweep
 
 
@@ -211,12 +210,11 @@ def evaluate_methods(
 
 def write_reports_json(reports: dict[str, EvalReport], path: str | Path, config: dict | None = None) -> None:
     """``json.dumps`` of the reports with ``indent=2``, each PR curve laid
-    out from its array."""
-    curve = partial(laid_out_rows, depth=4)  # methods > name > pr_samples > class
+    out from its array as its part is written."""
     payload = {
         "format_version": 1,
         "config": config or {},
-        "methods": {name: reports[name].to_dict(curve) for name in sorted(reports)},
+        "methods": {name: reports[name].to_dict(ArrayRows) for name in sorted(reports)},
     }
     with open(path, "w") as fh:
         fh.writelines(indent2_parts(payload))

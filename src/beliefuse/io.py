@@ -394,23 +394,27 @@ def _json_strings(values: list) -> list[str]:
     return list(map(encoded.__getitem__, values))
 
 
-def _write_jsonl(path: str | Path, template: str, columns: list, config: dict | None) -> None:
-    """One line per row, ``template`` filled with the row's encoded value
-    from each column; after a provenance header when ``config`` is given."""
-    lines = [] if config is None else [json.dumps({"_header": True, "config": config}, sort_keys=True)]
-    lines += map(template.__mod__, zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _lines(template: str, columns: list) -> list[str]:
+    """One line per row, ending in a newline: ``template`` filled with the
+    row's encoded value from each column."""
+    return list(map(f"{template}\n".__mod__, zip(*columns)))
+
+
+def _write_jsonl(path: str | Path, lines: list[str], config: dict | None) -> None:
+    """The lines (``_lines``), after a provenance header when ``config`` is
+    given. A file of no line holds one newline."""
+    header = [] if config is None else [json.dumps({"_header": True, "config": config}, sort_keys=True) + "\n"]
+    Path(path).write_text("".join(header + lines) or "\n")
 
 
 def write_detections(dets: list[Detection], path: str | Path, class_label: str = "object",
                      config: dict | None = None) -> None:
     numbers = _json_numbers([v for d in dets for v in (*d.box.as_tuple(), d.score)])
     ids = [_json_strings([d.detector_id for d in dets]), _json_strings([d.image_id for d in dets])]
-    _write_jsonl(
-        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "detector_id": %s, "image_id": %s, "score": %s}',
-        [*(numbers[k::5] for k in range(4)), [json.dumps(class_label)] * len(dets), *ids, numbers[4::5]],
-        config,
-    )
+    columns = [*(numbers[k::5] for k in range(4)), [json.dumps(class_label)] * len(dets), *ids, numbers[4::5]]
+    _write_jsonl(path, _lines(
+        '{"bbox": [%s, %s, %s, %s], "class": %s, "detector_id": %s, "image_id": %s, "score": %s}', columns
+    ), config)
 
 
 def write_annotations(gts: dict[str, Truth], path: str | Path, config: dict | None = None) -> None:
@@ -419,24 +423,30 @@ def write_annotations(gts: dict[str, Truth], path: str | Path, config: dict | No
     labels = [label for label, truth in gts.items() for _ in range(len(truth))]
     image_ids = [i for truth in gts.values() for i, (a, b) in truth.spans.items() for _ in range(a, b)]
     difficult = [f for truth in gts.values() for f in truth.difficult.tolist()]
-    _write_jsonl(
-        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "difficult": %s, "image_id": %s}',
-        [*(numbers[k::4] for k in range(4)), *map(_json_strings, (labels, difficult, image_ids))], config,
-    )
+    columns = [*(numbers[k::4] for k in range(4)), *map(_json_strings, (labels, difficult, image_ids))]
+    _write_jsonl(path, _lines(
+        '{"bbox": [%s, %s, %s, %s], "class": %s, "difficult": %s, "image_id": %s}', columns
+    ), config)
 
 
-def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None = None) -> None:
-    """Fused rows; a row's joint masses are written unless all are NaN."""
+def fused_lines(fused: DetectionColumns) -> list[str]:
+    """The lines of fused rows, each ending in a newline; a row's joint
+    masses are written unless all are NaN."""
     numbers = _json_numbers(np.column_stack((fused.boxes, fused.scores)).ravel().tolist())
     has_joint = ~np.isnan(fused.joints).all(axis=1)
     masses = _json_numbers(fused.joints[has_joint].ravel().tolist())
     given = map('"joint": [%s, %s, %s], '.__mod__, zip(masses[0::3], masses[1::3], masses[2::3]))
     joints = [next(given) if h else "" for h in has_joint.tolist()]
     labels, image_ids, sources = map(_json_strings, (fused.class_labels, fused.image_ids, fused.sources))
-    _write_jsonl(
-        path, '{"bbox": [%s, %s, %s, %s], "class": %s, "image_id": %s, %s"score": %s, "source_detector_id": %s}',
-        [*(numbers[k::5] for k in range(4)), labels, image_ids, joints, numbers[4::5], sources], config,
+    return _lines(
+        '{"bbox": [%s, %s, %s, %s], "class": %s, "image_id": %s, %s"score": %s, "source_detector_id": %s}',
+        [*(numbers[k::5] for k in range(4)), labels, image_ids, joints, numbers[4::5], sources],
     )
+
+
+def write_fused(fused: DetectionColumns | list[str], path: str | Path, config: dict | None = None) -> None:
+    """Fused rows, given as columns or as their lines (``fused_lines``)."""
+    _write_jsonl(path, fused_lines(fused) if isinstance(fused, DetectionColumns) else fused, config)
 
 
 # ---- the one indent-2 writer of JSON files --------------------------------
@@ -447,8 +457,12 @@ def write_fused(fused: DetectionColumns, path: str | Path, config: dict | None =
 # out with one row template.
 
 
-class _LaidOut(str):
-    """JSON text already laid out as ``indent2`` would, at its depth."""
+class ArrayRows(NamedTuple):
+    """A float array that ``indent2_parts`` lays out as a list of its rows
+    (``laid_out_rows``) when it reaches it, at the depth it is reached."""
+
+    rows: np.ndarray
+    keys: tuple[str, ...] | None = None
 
 
 def indent2(value, depth: int = 0) -> str:
@@ -459,13 +473,12 @@ def indent2(value, depth: int = 0) -> str:
 
 def indent2_parts(value, depth: int = 0) -> Iterator[str]:
     """``indent2``'s text in parts, for a writer to write one by one. Dicts
-    with string keys are laid out here, and ``_LaidOut`` text (from
-    ``laid_out_rows``) is one part as it is. Anything else goes to
-    ``json.dumps``."""
+    with string keys are laid out here, and each ``ArrayRows`` is one part,
+    laid out only when it is reached. Anything else goes to ``json.dumps``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    if isinstance(value, _LaidOut):
-        yield value
+    if isinstance(value, ArrayRows):
+        yield laid_out_rows(value.rows, depth, value.keys)
     elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         opening = "{" + inner
         for k, v in value.items():
@@ -477,12 +490,12 @@ def indent2_parts(value, depth: int = 0) -> Iterator[str]:
         yield json.dumps(value, indent=2).replace("\n", pad)
 
 
-def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = None) -> _LaidOut:
+def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = None) -> str:
     """``indent2`` of a float array's rows as a list at ``depth``: each row a
     list of its numbers, or a dict of them under ``keys``. One row template
     lays out every row, filled with the numbers as ``json`` writes them."""
     if not len(rows):
-        return _LaidOut("[]")
+        return "[]"
     width = rows.shape[1]
     numbers = [""] * rows.size
     for k in range(width):
@@ -495,7 +508,7 @@ def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = N
     slots = ["%s"] * width if keys is None else [json.dumps(key) + ": %s" for key in keys]
     body = inner + ("," + inner).join(slots) + pad
     row = "[" + body + "]" if keys is None else "{" + body + "}"
-    return _LaidOut("[" + pad + ("," + pad).join([row] * len(rows)) % tuple(numbers) + pad[:-2] + "]")
+    return "[" + pad + ("," + pad).join([row] * len(rows)) % tuple(numbers) + pad[:-2] + "]"
 
 
 FORMAT_VERSION = 1  # of every model file
@@ -523,7 +536,7 @@ def _encoded(model, field: str):
     if field == "bpd_exponent" and value == math.inf:
         return "inf"
     if field == "table":
-        return laid_out_rows(value, 1, _TABLE_KEYS)
+        return ArrayRows(value, _TABLE_KEYS)
     return list(value) if isinstance(value, tuple) else value
 
 

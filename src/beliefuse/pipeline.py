@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
-from collections.abc import Callable
+import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines, dst, fusion, trust
+from . import baselines, dst, fusion, io, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .fusion import Windows
 from .geometry import BoundingBox, Detection, MatchLabel, Truth, match_detections
@@ -206,16 +209,64 @@ def _rule(
     return dst.fused_scores(joints), joints
 
 
-_worker_fuse: Callable | None = None  # set once in each pool worker
+class Pool(NamedTuple):
+    """A process pool and the number of its workers."""
+
+    executor: ProcessPoolExecutor
+    workers: int
 
 
-def _install_fuse(fuse: Callable) -> None:
-    global _worker_fuse
-    _worker_fuse = fuse
+@contextlib.contextmanager
+def worker_pool(jobs: int, tasks: int) -> Iterator[Pool | None]:
+    """A pool of ``jobs`` worker processes, but no more than there are
+    ``tasks`` or CPUs this process may run on; None, for serial work, when
+    that leaves fewer than two."""
+    workers = min(jobs, tasks, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        yield None
+        return
+    # The default start method. Under fork, the executor starts every worker
+    # at the first task, before its own thread; spawn would import numpy
+    # again in each worker of each command.
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield Pool(executor, workers)
 
 
-def _fuse_in_worker(batch: tuple[Windows, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _worker_fuse(*batch)
+def _fuse_batch(
+    method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str,
+    detector_ids: list[str], class_label: str, overlap_threshold: float, nms_threshold: float,
+    lines: bool, windows: Windows, spans: np.ndarray, image_ids: list[str],
+) -> DetectionColumns | list[str]:
+    """Fuse a batch of contiguous images (``fusion.fuse_images`` with
+    ``method``'s ``_rule``): its kept rows in the order the ``fuse`` command
+    writes them, as columns or, with ``lines``, as their lines
+    (``io.fused_lines``). ``windows.images`` indexes ``image_ids``, the
+    batch's own. A pool task: it takes data only, and looks the fuse and the
+    writer up on their modules when it runs."""
+    rule = partial(_rule, method, models, absent_policy)
+    kept, scores, joints = fusion.fuse_images(windows, spans, detector_ids, rule, overlap_threshold, nms_threshold)
+    # A stable sort: ties keep NMS visiting order.
+    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images[kept]))
+    kept, scores, joints = kept[order], scores[order], joints[order]
+    fused = DetectionColumns(
+        [image_ids[i] for i in windows.images[kept].tolist()], [class_label] * len(kept), windows.boxes[kept],
+        scores, [detector_ids[i] for i in windows.detectors[kept].tolist()], joints,
+    )
+    return io.fused_lines(fused) if lines else fused
+
+
+def _batches(
+    windows: Windows, spans: np.ndarray, image_ids: list[str], count: int
+) -> Iterator[tuple[Windows, np.ndarray, list[str]]]:
+    """At most ``count`` runs of contiguous images, cut at the image starts
+    nearest to equal window counts, each as ``_fuse_batch`` takes it: its
+    windows, spans and image ids, counted from its first image and row."""
+    targets = np.arange(1, count) * len(windows.scores) / count
+    cuts = sorted(set(np.searchsorted(spans[:, 0], targets).tolist()) - {0, len(spans)})
+    for first, stop in zip([0, *cuts], [*cuts, len(spans)]):
+        a, b = spans[first, 0], spans[stop - 1, 1]
+        boxes, scores, detectors, images = (c[a:b] for c in windows)
+        yield Windows(boxes, scores, detectors, images - first), spans[first:stop] - a, image_ids[first:stop]
 
 
 def fuse_corpus(
@@ -227,19 +278,24 @@ def fuse_corpus(
     nms_threshold: float = 0.5,
     absent_policy: str = "vacuous",
     jobs: int = 1,
-) -> DetectionColumns:
+    *,
+    pool: Pool | None = None,
+    lines: bool = False,
+) -> DetectionColumns | list[str]:
     """Fuse every image independently: the kept windows as columns in the
     order the ``fuse`` command writes them, by image, descending score, then
-    box, ties in NMS visiting order (joints NaN for baselines).
+    box, ties in NMS visiting order (joints NaN for baselines); with
+    ``lines``, their fused lines instead (``io.fused_lines``).
 
     ``models`` holds one trust model per detector for the belief methods
     (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
     (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
-    take part. The windows become columns once (``windows_of``); serially
-    all images are fused as one batch (``fusion.fuse_images``). With
-    ``jobs > 1`` each pool worker gets the models once, through the pool
-    initializer, then the columns and spans of contiguous images, one batch
-    per task, and sends back kept rows, scores and joints.
+    take part. The windows become columns once (``windows_of``). Serially
+    all images are fused as one batch (``_fuse_batch``). In a pool,
+    ``pool`` when given and else one of this call's own when ``jobs > 1``
+    (``worker_pool``), each worker gets one batch of contiguous images, the
+    batches holding about equal window counts, with the models, and sends it
+    back finished.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -248,33 +304,18 @@ def fuse_corpus(
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
     windows, detector_ids, image_ids, _ = windows_of(per_detector)
-    rule = partial(_rule, method, models, absent_policy)
-    fuse = partial(fusion.fuse_images, detector_ids=detector_ids, rule=rule,
-                   overlap_threshold=overlap_threshold, nms_threshold=nms_threshold)
     spans = windows.spans()
-    if jobs <= 1 or len(spans) < 2:
-        starts, results = [0], [fuse(windows, spans)]
-    else:
-        # A few batches per worker, so an image-heavy batch cannot idle the rest.
-        size = max(1, len(spans) // (4 * jobs))
-        firsts = range(0, len(spans), size)
-        starts = spans[::size, 0].tolist()
-        stops = [*starts[1:], len(windows.scores)]
-        batches = [
-            (Windows(*(c[a:b] for c in windows)), spans[i : i + size] - a)
-            for i, a, b in zip(firsts, starts, stops)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_install_fuse, initargs=(fuse,)
-        ) as pool:
-            results = list(pool.map(_fuse_in_worker, batches))
-    kept = np.concatenate([start + k for start, (k, _, _) in zip(starts, results)])
-    scores, joints = (np.concatenate(c) for c in list(zip(*results))[1:])
-    # A stable sort: ties keep NMS visiting order.
-    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images[kept]))
-    kept, scores, joints = kept[order], scores[order], joints[order]
-    image_ids = [image_ids[i] for i in windows.images[kept].tolist()]
-    sources = [detector_ids[i] for i in windows.detectors[kept].tolist()]
-    return DetectionColumns(
-        image_ids, [class_label] * len(kept), windows.boxes[kept], scores, sources, joints
-    )
+    fuse = partial(_fuse_batch, method, models, absent_policy, detector_ids, class_label,
+                   overlap_threshold, nms_threshold, lines)
+    with contextlib.ExitStack() as own:
+        if pool is None and jobs > 1:
+            pool = own.enter_context(worker_pool(jobs, len(spans)))
+        if pool is None or len(spans) < 2:
+            results = [fuse(windows, spans, image_ids)]
+        else:
+            if method in BELIEF_METHODS:
+                # Built once here, the mass tables travel with the models.
+                for model in models.values():
+                    model.mass_table
+            results = list(pool.executor.map(fuse, *zip(*_batches(windows, spans, image_ids, pool.workers))))
+    return [line for batch in results for line in batch] if lines else DetectionColumns.concat(results)

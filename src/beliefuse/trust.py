@@ -110,7 +110,7 @@ class TrustModel:
         object.__setattr__(self, "table", table)
 
     @cached_property
-    def _mass_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def mass_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The negated thresholds, ascending, and the masses a score maps to:
         one row per PR row, then the below-bottom row.
 
@@ -134,11 +134,11 @@ class TrustModel:
     def masses_at(self, scores: np.ndarray) -> np.ndarray:
         """The (m_T, m_~T, m_I) rows of an array of scores, looked up in the
         mass table; -inf reads as below the bottom threshold."""
-        negated, masses = self._mass_table
+        negated, masses = self.mass_table
         return masses[np.searchsorted(negated, -scores)]
 
     def static_bpa(self) -> Bpa:
         """Fixed assignment: the mass table's row of the PR row nearest
         ``STATIC_RECALL_ANCHOR``, the lower threshold on a tie."""
         row = np.lexsort((self.table[:, 0], abs(self.table[:, 1] - STATIC_RECALL_ANCHOR)))[0]
-        return Bpa.exact(*self._mass_table[1][row].tolist())
+        return Bpa.exact(*self.mass_table[1][row].tolist())

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from beliefuse import pipeline
 from beliefuse.cli import main
 from beliefuse.geometry import Detection
 from beliefuse.pipeline import METHODS
@@ -802,3 +804,101 @@ class TestSweepN:
                       "--annotations", str(workspace / "data" / "annotations.jsonl"),
                       "--out", str(tmp_path / "s.csv")])
         assert result.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def two_classes(tmp_path_factory):
+    """A generated benchmark whose every third image's lines, detections and
+    annotations both, are of class "cat", with models built for both classes."""
+    root = tmp_path_factory.mktemp("two_classes")
+    assert run(["generate", "--out-dir", str(root / "data"), "--seed", "7", "--num-images", "60"]).exit_code == 0
+    for path in (root / "data").glob("*/*.jsonl"):
+        lines = [line.replace('"class": "object"', '"class": "cat"')
+                 if '"_header"' not in line and int(json.loads(line)["image_id"][4:]) % 3 == 0 else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+    for command in ("build-trust", "build-baselines"):
+        result = run([command, "--detections-dir", str(root / "data" / "validation"),
+                      "--annotations", str(root / "data" / "validation" / "annotations.jsonl"),
+                      "--models-dir", str(root / "models")])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+def two_class_fuse(root, out, models="models", method="dbf", jobs="1"):
+    return run(["fuse", "--method", method, "--detections-dir", str(root / "data" / "test"),
+                "--models-dir", str(root / models), "--out", str(out), "--jobs", jobs])
+
+
+def two_class_sweep(root, out, jobs="1"):
+    data = root / "data"
+    return run(["sweep-n", "--n-values", "1,2,inf", "--detections-dir", str(data / "validation"),
+                "--annotations", str(data / "validation" / "annotations.jsonl"),
+                "--test-detections-dir", str(data / "test"),
+                "--test-annotations", str(data / "test" / "annotations.jsonl"), "--out", str(out), "--jobs", jobs])
+
+
+class TestPool:
+    def test_fuse_and_sweep_start_one_pool_each(self, two_classes, tmp_path, monkeypatch):
+        pools = []
+
+        class Counted(pipeline.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for command, out in ((two_class_fuse, tmp_path / "f.jsonl"), (two_class_sweep, tmp_path / "s.csv")):
+            result = command(two_classes, out, jobs="2")
+            assert result.exit_code == 0, result.output
+            assert len(pools) == 1
+            pools.clear()
+        assert {json.loads(line)["class"] for line in (tmp_path / "f.jsonl").read_text().splitlines()[1:]} == \
+            {"cat", "object"}
+
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])  # the test split has 3 detector files
+    def test_a_pool_has_no_more_workers_than_tasks_or_cpus(self, two_classes, tmp_path, monkeypatch, cpus, workers):
+        started = []
+
+        class Inline:
+            """An executor that runs each task where it is called and starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert two_class_fuse(two_classes, tmp_path / "serial.jsonl").exit_code == 0
+        result = two_class_fuse(two_classes, tmp_path / "pooled.jsonl", jobs="100000")
+        assert result.exit_code == 0, result.output
+        assert started == [workers]
+        header, lines = (tmp_path / "pooled.jsonl").read_text().split("\n", 1)
+        assert json.loads(header)["config"]["jobs"] == 100000
+        assert lines == (tmp_path / "serial.jsonl").read_text().split("\n", 1)[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_class_without_a_model_file_is_left_out_with_a_warning(self, two_classes, tmp_path, caplog, jobs):
+        no_cat = tmp_path / "models_no_cat"
+        no_cat.mkdir()
+        for path in (two_classes / "models").glob("*.json"):
+            if not path.name.endswith("__cat.json"):
+                (no_cat / path.name).write_bytes(path.read_bytes())
+        assert two_class_fuse(two_classes, tmp_path / "full.jsonl").exit_code == 0
+        result = two_class_fuse(two_classes, tmp_path / "o.jsonl", models=no_cat, jobs=jobs)
+        assert result.exit_code == 0, result.output
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "class cat" in warnings[0], warnings
+        full = (tmp_path / "full.jsonl").read_text().splitlines()[1:]
+        assert (tmp_path / "o.jsonl").read_text().splitlines()[1:] == [
+            line for line in full if '"class": "object"' in line]
+        assert any('"class": "cat"' in line for line in full)

@@ -27,6 +27,7 @@ import json
 import math
 import random
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -410,8 +411,10 @@ APART = _batch(SAME_COUNT, {"a": [Detection("i4", "a", BoundingBox(5, 5, 6, 6), 
 def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
     models = _models(method)
     serial = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=1)
-    pooled = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=2)
-    assert pooled == serial
+    # As many workers as jobs asks for, whatever the CPU count here.
+    with mock.patch("os.sched_getaffinity", return_value=set(range(4))):
+        for jobs in (2, 3):
+            assert pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=jobs) == serial
     # The rows leave fuse_corpus in the order the fuse command writes them.
     assert repr(fused_rows(serial)) == repr(output_order(serial))
     if method in pipeline.BELIEF_METHODS:
@@ -1117,7 +1120,7 @@ def test_fuse_command_writes_what_the_reference_loop_and_writer_write(small_corp
         expected += reference_fuse_corpus(per_class[label], models, method, class_label=label)[0]
     expected.sort(key=lambda f: (f.class_label, f.image_id, -f.score, f.box.as_tuple()))
     assert expected
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = small_corpus / f"fused_{method}_{jobs}.jsonl"
         result = CliRunner().invoke(main, [
             "fuse", "--method", method, "--detections-dir", str(test_dir),
@@ -1823,9 +1826,16 @@ detection_rows = st.fixed_dictionaries({
 })
 
 
+@pytest.fixture(scope="module")
+def two_workers():
+    """A pool of two worker processes, whatever the CPU count here."""
+    with ProcessPoolExecutor(max_workers=2) as executor:
+        yield pipeline.Pool(executor, 2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(detection_rows, max_size=8), st.lists(detection_rows, max_size=8), st.data())
-def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, a_rows, b_rows, data):
+def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, two_workers, a_rows, b_rows, data):
     # Detector a's lines are split across two files, which sort before and
     # after detector b's file; a third file holds lines of both, and the
     # classes interleave.
@@ -1840,10 +1850,11 @@ def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, 
     }
     for name, rows in files.items():
         (root / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
-    got = cli._load_detections_dir(str(root))
     expected = reference_load_detections_dir(root)
-    assert [(label, list(per_det)) for label, per_det in got.items()] == \
-        [(label, list(per_det)) for label, per_det in expected.items()]
-    for label, per_det in expected.items():
-        for det_id, dets in per_det.items():
-            assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
+    for pool in (None, two_workers):
+        got = cli._load_detections_dir(str(root), pool)
+        assert [(label, list(per_det)) for label, per_det in got.items()] == \
+            [(label, list(per_det)) for label, per_det in expected.items()]
+        for label, per_det in expected.items():
+            for det_id, dets in per_det.items():
+                assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
