@@ -166,14 +166,18 @@ def fit_weighted_sum(
     ``features`` holds one C-ordered row per vector and one column per
     detector id (see ``platt_features``), ``targets`` whether each vector's
     window is a true positive. Full-batch subgradient descent on the
-    L2-regularized hinge loss with a 1/t step schedule; deterministic given
-    the rows' order. A Fortran-ordered matrix rounds ``features @ w``
-    differently.
+    L2-regularized hinge loss with the 1/(lambda t) step of Pegasos;
+    deterministic given the rows' order. A Fortran-ordered matrix rounds
+    ``features @ w`` differently.
 
-    The hinge part of the subgradient sums ``y * x`` over the active rows
-    (margin below 1), and is summed again only when that set of rows
-    changes. The products are formed once; each sum is the one a fresh
-    pass over the same rows would give.
+    Each step does the floating-point operations of a fresh pass, in the
+    same order, in buffers allocated once: the margins ``y * (features @ w +
+    b)``, the active rows (margin below 1), then the step. The hinge part of
+    the subgradient, ``y * x`` summed over the active rows and divided by
+    the row count, is formed again only when the active set changes (on
+    walkthrough, on most steps): ``take`` gathers the same C-ordered rows as
+    a boolean mask, so the sum runs in the same order. The bias part, a sum
+    of active ``y`` (each +-1.0), is exact in any order, so it is counted.
     """
     if not len(features):
         raise InsufficientData("no training vectors")
@@ -183,22 +187,33 @@ def fit_weighted_sum(
     if not np.any(features != 0.0):
         raise InsufficientData("degenerate all-zero design matrix")
 
-    lam = 1.0 / (SVM_C * len(features))
+    n = len(features)
+    lam = 1.0 / (SVM_C * n)
     signed = y[:, None] * features
+    positive = np.asarray(targets, dtype=bool)
     w = np.zeros(features.shape[1])
     b = 0.0
-    active = np.empty(0, dtype=bool)
+    margin = np.empty(n)
+    now = np.empty(n, dtype=bool)
+    grad_w = np.empty_like(w)
+    active = None
     for t in range(1, SVM_ITERATIONS + 1):
-        margin = y * (features @ w + b)
-        now = margin < 1.0
-        if not np.array_equal(now, active):
-            active = now
-            hinge_w = signed[active].sum(axis=0)
-            hinge_b = y[active].sum()
-        grad_w = lam * w - hinge_w / len(features)
-        grad_b = -hinge_b / len(features)
+        np.matmul(features, w, out=margin)
+        margin += b
+        margin *= y
+        np.less(margin, 1.0, out=now)
+        key = now.tobytes()
+        if key != active:
+            active = key
+            rows = np.flatnonzero(now)
+            hinge_w = signed.take(rows, axis=0).sum(axis=0) / n
+            grad_b = -float(2 * np.count_nonzero(positive.take(rows)) - len(rows)) / n
         step = 1.0 / (lam * t)
-        w -= step * grad_w
+        # w -= step * (lam * w - hinge_w)
+        np.multiply(w, lam, out=grad_w)
+        grad_w -= hinge_w
+        grad_w *= step
+        w -= grad_w
         b -= step * grad_b
     if not np.any(w != 0.0):
         raise InsufficientData("SVM training produced a zero weight vector")
@@ -281,12 +296,20 @@ def bayes_fuse(
 ) -> np.ndarray:
     """Naive-Bayes log-posterior odds of each row from even prior odds: the
     log likelihood ratios of its present slots' Platt probabilities, added
-    detector by detector in id order."""
+    detector by detector in id order.
+
+    Each detector's ratios are one table, a ``math.log`` per bin, looked up
+    at once for all its probabilities: the bin is the truncated
+    ``prob * bin_count`` (probabilities are at least 0), capped at the last
+    bin, as ``ScoreLikelihood.log_likelihood_ratio`` takes it.
+    """
     column = {det_id: j for j, det_id in enumerate(detector_ids)}
     log_odds = np.zeros(len(slots))  # log(0.5 / 0.5): even prior odds
     for det_id in sorted(set(column) & set(likelihoods)):
         present = slots[:, column[det_id]] != -np.inf
         probs = platt_features(detector_ids, slots[present], platt, [det_id])[:, 0]
-        ratio = likelihoods[det_id].log_likelihood_ratio
-        log_odds[present] += [ratio(p) for p in probs.tolist()]
+        model = likelihoods[det_id]
+        ratios = np.array([math.log(t / f) for t, f in zip(model.target_bins, model.nontarget_bins)])
+        bins = np.minimum((probs * model.bin_count).astype(np.intp), model.bin_count - 1)
+        log_odds[present] += ratios[bins]
     return log_odds

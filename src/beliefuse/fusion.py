@@ -86,7 +86,8 @@ def slots_and_masks(
     np.not_equal(windows.detectors[1:], windows.detectors[:-1], out=cuts[1:])
     cuts[starts] = True
     signed_zeros = np.any((windows.scores == 0) & np.signbit(windows.scores))
-    for n in np.unique(counts).tolist():
+    # Not np.unique: it imports numpy.ma on its first call in a process.
+    for n in np.flatnonzero(np.bincount(counts)).tolist():
         group = np.flatnonzero(counts == n)
         size = max(1, MAX_STACKED_PAIRS // (n * n))
         for first in range(0, len(group), size):

@@ -388,6 +388,14 @@ def _json_numbers(values: list) -> list[str]:
     return texts if _NOT_FINITE.isdisjoint(texts) else list(map(json.dumps, values))
 
 
+def _distinct_json_numbers(values: np.ndarray) -> list[str]:
+    """``_json_numbers`` of a float array's values, each distinct value
+    encoded once, told apart bit for bit (-0.0 is not 0.0)."""
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    return np.array(_json_numbers(values[first].tolist()), dtype=object)[inverse].tolist()
+
+
 def _json_strings(values: list) -> list[str]:
     """``json.dumps`` of each value, called once per distinct value."""
     encoded = {v: json.dumps(v) for v in set(values)}
@@ -432,15 +440,17 @@ def write_annotations(gts: dict[str, Truth], path: str | Path, config: dict | No
 def fused_lines(fused: DetectionColumns) -> list[str]:
     """The lines of fused rows, each ending in a newline; a row's joint
     masses are written unless all are NaN."""
-    numbers = _json_numbers(np.column_stack((fused.boxes, fused.scores)).ravel().tolist())
+    coordinates = _json_numbers(fused.boxes.ravel().tolist())
+    # Fused scores and masses repeat: each distinct value is encoded once.
+    scores = _distinct_json_numbers(fused.scores)
     has_joint = ~np.isnan(fused.joints).all(axis=1)
-    masses = _json_numbers(fused.joints[has_joint].ravel().tolist())
+    masses = _distinct_json_numbers(fused.joints[has_joint])
     given = map('"joint": [%s, %s, %s], '.__mod__, zip(masses[0::3], masses[1::3], masses[2::3]))
     joints = [next(given) if h else "" for h in has_joint.tolist()]
     labels, image_ids, sources = map(_json_strings, (fused.class_labels, fused.image_ids, fused.sources))
     return _lines(
         '{"bbox": [%s, %s, %s, %s], "class": %s, "image_id": %s, %s"score": %s, "source_detector_id": %s}',
-        [*(numbers[k::5] for k in range(4)), labels, image_ids, joints, numbers[4::5], sources],
+        [*(coordinates[k::4] for k in range(4)), labels, image_ids, joints, scores, sources],
     )
 
 
@@ -499,10 +509,7 @@ def laid_out_rows(rows: np.ndarray, depth: int, keys: tuple[str, ...] | None = N
     width = rows.shape[1]
     numbers = [""] * rows.size
     for k in range(width):
-        # Each distinct value once, told apart bit for bit (-0.0 is not 0.0).
-        column = np.ascontiguousarray(rows[:, k], dtype=float)
-        _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-        numbers[k::width] = np.array(_json_numbers(column[first].tolist()), dtype=object)[inverse].tolist()
+        numbers[k::width] = _distinct_json_numbers(rows[:, k])
     pad = "\n" + "  " * (depth + 1)
     inner = pad + "  "
     slots = ["%s"] * width if keys is None else [json.dumps(key) + ": %s" for key in keys]

@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import beliefuse
 from beliefuse import pipeline
 from beliefuse.cli import main
 from beliefuse.geometry import Detection
@@ -357,6 +360,36 @@ def test_no_command_but_generate_builds_a_detection_object(workspace, tmp_path, 
     for args in commands:
         result = run(args)
         assert result.exit_code == 0, (args, result.output)
+
+
+# Runs each command given as JSON, one after another in one fresh process,
+# and names the first after which numpy.ma has been imported.
+NO_MASKED_ARRAYS = """
+import json, sys
+from beliefuse.cli import main
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"{args[0]} imported numpy.ma")
+"""
+
+
+def test_no_command_imports_numpy_ma(workspace, tmp_path):
+    # numpy 2's plain np.unique imports numpy.ma (10-19 ms) on its first call.
+    data = workspace / "data"
+    train = ["--detections-dir", str(data / "validation"),
+             "--annotations", str(data / "validation" / "annotations.jsonl")]
+    commands = [["build-trust", *train, "--models-dir", str(tmp_path / "m")],
+                ["build-baselines", *train, "--models-dir", str(tmp_path / "m")]]
+    commands += [["fuse", "--method", method, "--detections-dir", str(data / "test"),
+                  "--models-dir", str(tmp_path / "m"), "--out", str(tmp_path / f"{method}.jsonl")]
+                 for method in METHODS]
+    commands.append(["sweep-n", "--n-values", "1,inf", *train, "--out", str(tmp_path / "s.csv")])
+    src = str(Path(beliefuse.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(commands)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 TRUST, PLATT = "trust__det_a__object.json", "platt__det_a__object.json"

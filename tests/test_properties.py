@@ -781,9 +781,30 @@ ROUNDING = (
 )
 
 
+# A z of -40, whose Platt probability is exactly 1.0: the last bin, which
+# a truncated 1.0 * bin_count would overrun.
+LAST_BIN = (
+    ["a", "b"],
+    np.array([[40.0, 0.5], [40.0, -math.inf]]),
+    {d: UNIT[d] for d in "ab"},
+    WeightVector(("a", "b"), (1.0, -1.0), 0.0),
+    {d: likelihood(d, (0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)) for d in "ab"},
+)
+# A z of 0, probability 0.5: exactly on the edge of bins 1 and 2 of four.
+BIN_EDGE = (
+    ["a", "b"],
+    np.array([[0.0, 0.0], [-math.inf, 0.0], [0.0, 1.0]]),
+    {d: UNIT[d] for d in "ab"},
+    WeightVector(("a", "b"), (0.5, 0.5), 0.0),
+    {d: likelihood(d, (0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)) for d in "ab"},
+)
+
+
 @settings(deadline=None)
 @given(baseline_cases())
 @example(ROUNDING)
+@example(LAST_BIN)
+@example(BIN_EDGE)
 def test_baseline_rules_equal_per_vector_rules_bit_for_bit(case):
     detector_ids, slots, platt, weights, likelihoods = case
     rows = [{d: s for d, s in zip(detector_ids, row) if s != -math.inf} for row in slots.tolist()]
@@ -887,12 +908,13 @@ def test_training_does_not_depend_on_input_order(validation, duplicate_policy, r
 
 @st.composite
 def designs(draw):
-    """A C-ordered design matrix with exact zeros and repeated rows, and
-    targets with both labels."""
-    width = draw(st.integers(1, 3))
-    entry = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]), st.floats(-1, 1))
-    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=8))
-    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    """A C-ordered design matrix, up to dense's six detectors wide, with
+    exact zeros of both signs and repeated rows, and targets with both
+    labels."""
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-1, 1))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))
     targets = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     assume(any(targets) and not all(targets))
     return np.array(rows), np.array(targets)
@@ -904,16 +926,22 @@ def designs(draw):
 STABLE = (np.array([[0.9, 0.8]] + [[0.1, 0.2]] * 19), np.array([True] + [False] * 19))
 FLIPPING = (np.array([[0.7, 0.7], [0.7, 0.7], [0.1, 0.2], [0.3, 0.2], [0.1, 0.4]]),
             np.array([False, False, True, False, True]))
+# The same shape six detectors wide, as on dense.
+FLIPPING_WIDE = (np.array([[0.7, 0.7, 0.0, 0.6, 0.7, 0.5], [0.7, 0.7, 0.0, 0.6, 0.7, 0.5],
+                           [0.1, 0.2, 0.3, -0.0, 0.2, 0.1], [0.3, 0.2, 0.4, 0.1, 0.0, 0.3],
+                           [0.1, 0.4, 0.2, 0.3, 0.1, 0.0]]),
+                 np.array([False, False, True, False, True]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(designs())
 @example(STABLE)
 @example(FLIPPING)
+@example(FLIPPING_WIDE)
 @example((np.zeros((3, 2)), np.array([True, False, True])))
 def test_weighted_sum_fit_equals_reference_bit_for_bit(design):
     x, targets = design
-    detector_ids = tuple("abc"[: x.shape[1]])
+    detector_ids = tuple("abcdef"[: x.shape[1]])
     try:
         expected = repr(reference_fit(x, np.where(targets, 1.0, -1.0), detector_ids))
     except ValueError:  # every weight zero
