@@ -3,8 +3,8 @@
 from .dst import Bpa, TotalConflict, combine, combine_all, fused_scores
 from .geometry import BoundingBox, Detection, MatchLabel, Truth, iou, match_detections, truths
 from .trust import InsufficientData, TrustModel, bpd_precision, build_pr_table
-from .fusion import Windows, fuse_images
-from .io import DetectionColumns
+from .fusion import fuse_images
+from .io import DetectionColumns, Ids
 from .evaluation import EvalReport, NoGroundTruth, average_precision, evaluate_methods
 from .datagen import ConfigError, SyntheticDataset, SyntheticDetectorProfile, generate
 
@@ -15,6 +15,7 @@ __all__ = [
     "Detection",
     "DetectionColumns",
     "EvalReport",
+    "Ids",
     "InsufficientData",
     "MatchLabel",
     "NoGroundTruth",
@@ -23,7 +24,6 @@ __all__ = [
     "TotalConflict",
     "TrustModel",
     "Truth",
-    "Windows",
     "average_precision",
     "bpd_precision",
     "build_pr_table",

@@ -106,7 +106,7 @@ def fit_platt(scores: np.ndarray, tp: np.ndarray, detector_id: str = "") -> Plat
 
 
 def platt_features(
-    detector_ids: list[str],
+    detector_ids: tuple[str, ...],
     slots: np.ndarray,
     platt: dict[str, PlattModel],
     columns: list[str] | tuple[str, ...],
@@ -130,7 +130,7 @@ def platt_features(
 
 
 def platt_fuse(
-    detector_ids: list[str], slots: np.ndarray, platt: dict[str, PlattModel]
+    detector_ids: tuple[str, ...], slots: np.ndarray, platt: dict[str, PlattModel]
 ) -> np.ndarray:
     """Each row's largest calibrated probability over its present slots
     whose detector has a Platt model."""
@@ -221,7 +221,7 @@ def fit_weighted_sum(
 
 
 def weighted_sum_fuse(
-    detector_ids: list[str],
+    detector_ids: tuple[str, ...],
     slots: np.ndarray,
     platt: dict[str, PlattModel],
     weights: WeightVector,
@@ -289,7 +289,7 @@ def fit_score_likelihood(
 
 
 def bayes_fuse(
-    detector_ids: list[str],
+    detector_ids: tuple[str, ...],
     slots: np.ndarray,
     platt: dict[str, PlattModel],
     likelihoods: dict[str, ScoreLikelihood],

@@ -129,10 +129,9 @@ def _detection_files(detections_dir: str) -> list[Path]:
     return files
 
 
-def _read_by_detector(path: Path) -> dict[str, dict[str, io.DetectionColumns]]:
-    """One detector file as class -> detector_id -> its rows in file order.
-    A pool task: it looks the reader up on ``io`` when it runs."""
-    return {cls: columns.split(columns.sources) for cls, columns in io.read_detections_by_class(path).items()}
+def _read_by_class(path: Path) -> dict[str, io.DetectionColumns]:
+    """``io.read_detections_by_class``, looked up on ``io`` when it runs: a pool task."""
+    return io.read_detections_by_class(path)
 
 
 def _load_detections_dir(
@@ -140,13 +139,12 @@ def _load_detections_dir(
 ) -> dict[str, dict[str, io.DetectionColumns]]:
     """-> class -> detector_id -> its rows, files in sorted order, lines in
     file order; each file read by a worker of ``pool`` when one is given."""
-    files = _detection_files(detections_dir)
-    parts: dict[str, dict[str, list[io.DetectionColumns]]] = {}
-    for per_class in (pool.executor.map if pool else map)(_read_by_detector, files):
-        for cls, per_detector in per_class.items():
-            for det_id, rows in per_detector.items():
-                parts.setdefault(cls, {}).setdefault(det_id, []).append(rows)
-    return {cls: {d: io.DetectionColumns.concat(p) for d, p in bucket.items()} for cls, bucket in parts.items()}
+    parts: dict[str, list[io.DetectionColumns]] = {}
+    for per_class in (pool.executor.map if pool else map)(_read_by_class, _detection_files(detections_dir)):
+        for cls, rows in per_class.items():
+            parts.setdefault(cls, []).append(rows)
+    joined = {cls: io.DetectionColumns.concat(p) for cls, p in parts.items()}
+    return {cls: rows.split(rows.detectors) for cls, rows in joined.items()}
 
 
 @click.group()
@@ -405,8 +403,8 @@ def cmd_fuse(method, config_file, **flags):
         _check_out_dir(cfg.out)
         files = _detection_files(cfg.detections_dir)
     models_dir = Path(cfg.models_dir)
-    # One pool for the command: its workers read the files, then fuse each
-    # class's batches and lay out their lines.
+    # One pool for the command, or none (every fuse then runs at jobs 1): its
+    # workers read the files, then fuse each class's batches and lay out their lines.
     with _exit_on_error(), pipeline.worker_pool(cfg.jobs, len(files)) as pool:
         per_class = _load_detections_dir(cfg.detections_dir, pool)
         models = {cls: _load_models(models_dir, cls, sorted(per_class[cls]), method) for cls in sorted(per_class)}
@@ -418,7 +416,7 @@ def cmd_fuse(method, config_file, **flags):
                 # Each class's lines are already in file order.
                 lines += pipeline.fuse_corpus(
                     per_class[cls], class_models, cls, method,
-                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs, pool=pool, lines=True,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs if pool else 1, pool=pool, lines=True,
                 )
     provenance["method"] = method
     with _writing(cfg.out):
@@ -480,8 +478,8 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
             raise ConfigError("empty n-values list")
         dirs = [cfg.detections_dir, *([test_detections_dir] if test_detections_dir else [])]
         tasks = sum(len(_detection_files(d)) for d in dirs)
-    # One pool for the command: its workers read both splits, then fuse the
-    # batches of every class at every n.
+    # One pool for the command, or none, as in fuse: its workers read both
+    # splits, then fuse the batches of every class at every n.
     with pipeline.worker_pool(cfg.jobs, tasks) as pool:
         with _exit_on_error():
             per_class_val = _load_detections_dir(cfg.detections_dir, pool)
@@ -506,7 +504,7 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
                 models = {d: dataclasses.replace(m, bpd_exponent=n) for d, m in models.items()}
                 fused = pipeline.fuse_corpus(
                     per_class_test.get(cls, {}), models, cls, method,
-                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs, pool=pool,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs if pool else 1, pool=pool,
                 )
                 with _exit_on_error():
                     try:

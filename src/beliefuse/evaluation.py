@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Truth, iou_pairs
-from .io import ArrayRows, DetectionColumns, indent2_parts, ranks
+from .io import ArrayRows, DetectionColumns, indent2_parts
 from .trust import envelope, pr_sweep
 
 
@@ -41,28 +40,26 @@ def _pr_points(
     is a false positive. Difficult objects are left out of the recall
     denominator.
     """
-    boxes = dets.boxes
-    images, image_ranks = ranks(dets.image_ids)
+    boxes, image_codes = dets.boxes, dets.images.codes
     # Every (detection, ground truth of its image) pair, grouped by
     # detection, ground truths in input order.
-    first_gt, stop_gt = np.array(
-        [truth.spans.get(image, (0, 0)) for image in images], dtype=np.intp
-    ).reshape(-1, 2)[image_ranks].T
+    first_gt, stop_gt = np.array([truth.spans.get(image, (0, 0)) for image in dets.images.names],
+                                 dtype=np.intp).reshape(-1, 2)[image_codes].T
     counts = stop_gt - first_gt
     starts = np.cumsum(counts) - counts
-    det = np.repeat(np.arange(len(image_ranks)), counts)
+    det = np.repeat(np.arange(len(image_codes)), counts)
     gt = np.repeat(first_gt - starts, counts) + np.arange(len(det))
     overlaps = iou_pairs(boxes[det], truth.boxes[gt])
     # Each detection's first ground truth with its highest IoU.
-    best_iou = np.zeros(len(image_ranks))
+    best_iou = np.zeros(len(image_codes))
     paired = counts > 0
     if len(det):
         best_iou[paired] = np.maximum.reduceat(overlaps, starts[paired])
     is_max = np.flatnonzero(overlaps == best_iou[det])
     _, first_max = np.unique(det[is_max], return_index=True)
-    best = np.zeros(len(image_ranks), dtype=np.intp)
+    best = np.zeros(len(image_codes), dtype=np.intp)
     best[det[is_max[first_max]]] = gt[is_max[first_max]]
-    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], image_ranks, -dets.scores))
+    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], image_codes, -dets.scores))
     hit, best = best_iou[order] > iou_threshold, best[order]
     kept = ~(hit & truth.difficult[best])
     hit, best = hit[kept], best[kept]
@@ -164,17 +161,6 @@ class EvalReport:
         }
 
 
-def _rows_by_class(dets: DetectionColumns, classes: list[str]) -> dict[str, DetectionColumns]:
-    """Each class's rows, in row order: the rows of that class and the raw
-    rows, which carry no class. A class that takes every row takes ``dets``."""
-    code = {c: k for k, c in enumerate(classes)}
-    code[None] = -1
-    codes = np.fromiter(map(code.get, dets.class_labels, repeat(-2)), dtype=np.intp, count=len(dets))
-    raw = codes == -1
-    rows = {c: np.flatnonzero(raw | (codes == k)) for k, c in enumerate(classes)}
-    return {c: dets if len(rows[c]) == len(dets) else dets.take(rows[c]) for c in classes}
-
-
 def evaluate_method(
     dets: DetectionColumns,
     truths: dict[str, Truth],
@@ -185,13 +171,15 @@ def evaluate_method(
     class of ground truth (``geometry.truths``). Raw rows carry no class and
     are scored against every class; fused ones only against their own."""
     report = EvalReport({})
-    for c, rows in _rows_by_class(dets, list(truths)).items():
+    for c in truths:
+        at = np.flatnonzero((dets.classes.codes == -1) | dets.classes.matches(c))
+        rows = dets if len(at) == len(dets) else dets.take(at)
         try:
             score = _score_class(rows, truths[c], iou_threshold, interpolation)
         except NoGroundTruth as exc:
             raise NoGroundTruth(f"class {c!r}: {exc}") from None
         report.per_class_ap[c], report.pr_samples[c], report.counts[c] = score
-        report.on_truth_images |= not truths[c].spans.keys().isdisjoint(rows.image_ids)
+        report.on_truth_images |= any(rows.images.names[k] in truths[c].spans for k in rows.images.used().tolist())
     return report
 
 

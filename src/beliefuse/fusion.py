@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
 from . import dst
 from .dst import TotalConflict
 from .geometry import _iou, nms_keep, nms_order, suppression_mask
+from .io import DetectionColumns
 from .trust import TrustModel
 
 log = logging.getLogger(__name__)
@@ -22,29 +22,10 @@ conflict_smoothing_count = 0
 _EPS = 1e-6
 
 
-class Windows(NamedTuple):
-    """A batch of images' windows as columns, rows in subject order: image
-    by image, each image's windows by detector, each detector's in input
-    order."""
-
-    boxes: np.ndarray  # (N, 4): x_min, y_min, x_max, y_max
-    scores: np.ndarray  # (N,)
-    detectors: np.ndarray  # (N,) an index into the batch's sorted detector ids
-    images: np.ndarray  # (N,) an index into the sorted image ids
-
-    def spans(self) -> np.ndarray:
-        """Each image's rows as (first row, stop row), in row order: an
-        (images, 2) array."""
-        n = len(self.images)
-        cuts = np.flatnonzero(self.images[1:] != self.images[:-1]) + 1
-        bounds = np.concatenate(([0], cuts, [n])) if n else np.zeros(1, dtype=np.intp)
-        return np.column_stack((bounds[:-1], bounds[1:]))
-
-
-# A scoring rule maps a batch's detector ids and slot matrix (see
+# A scoring rule maps a batch's detector names and slot matrix (see
 # ``slots_and_masks``) to one fused score per row and, for the belief
 # methods, the (N, 3) joint masses those scores come from.
-Rule = Callable[[list[str], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+Rule = Callable[[tuple[str, ...], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 # The most window pairs one stacked pass holds, 128 KB per float64
 # temporary: larger passes fall out of cache and cost more per pair. A pass
@@ -53,19 +34,18 @@ MAX_STACKED_PAIRS = 1 << 14
 
 
 def slots_and_masks(
-    windows: Windows,
+    windows: DetectionColumns,
     spans: np.ndarray,
-    num_detectors: int,
     overlap_threshold: float,
     nms_threshold: float | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A batch's detection vectors as an N×D slot matrix, and each image's
-    NMS suppression mask.
+    """A batch's detection vectors as an N×D slot matrix, one column per
+    detector name, and each image's NMS suppression mask.
 
-    Rows are the windows in subject order, ``windows.detectors`` holding
-    each one's column (ascending within an image) and ``spans`` each
-    image's rows (``Windows.spans``). A window's own detector's column holds
-    its raw score; every other column holds the maximum score among that
+    Rows are the windows in subject order (``pipeline.windows_of``), each
+    one's detector code its column, and ``spans`` each image's rows
+    (``DetectionColumns.spans``). A window's own detector's column holds its
+    raw score; every other column holds the maximum score among that
     detector's windows in the same image overlapping it beyond
     ``overlap_threshold``, or -inf (slot absent) when there is none.
 
@@ -77,13 +57,15 @@ def slots_and_masks(
     image's IoU matrix, a view into its pass's stack, in span order;
     without ``nms_threshold`` there are none.
     """
+    detectors = windows.detectors.codes
+    num_detectors = len(windows.detectors.names)
     slots = np.full((len(windows.scores), num_detectors), -np.inf)
     masks: list[np.ndarray] = [None] * len(spans)
     starts, counts = spans[:, 0], spans[:, 1] - spans[:, 0]
     # A segment starts at each image's first window and wherever the
     # window's detector changes.
     cuts = np.ones(len(windows.scores), dtype=bool)
-    np.not_equal(windows.detectors[1:], windows.detectors[:-1], out=cuts[1:])
+    np.not_equal(detectors[1:], detectors[:-1], out=cuts[1:])
     cuts[starts] = True
     signed_zeros = np.any((windows.scores == 0) & np.signbit(windows.scores))
     # Not np.unique: it imports numpy.ma on its first call in a process.
@@ -109,13 +91,13 @@ def slots_and_masks(
                 first_zero = np.minimum.reduceat(zeros, at, axis=1)
                 row, segment = np.nonzero(best == 0)
                 best[row, segment] = scores[image[segment], first_zero[row, segment]]
-            columns = windows.detectors[rows[column, image]]
+            columns = detectors[rows[column, image]]
             slots.reshape(-1)[rows[:, image] * num_detectors + columns] = best
             if nms_threshold is not None:
                 stack = suppression_mask(overlaps, nms_threshold)
                 for j, k in enumerate(images.tolist()):
                     masks[k] = stack[:, j]
-    slots[np.arange(len(windows.scores)), windows.detectors] = windows.scores
+    slots[np.arange(len(windows.scores)), detectors] = windows.scores
     return slots, masks
 
 
@@ -140,7 +122,7 @@ def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
 
 
 def dbf_joints(
-    detector_ids: list[str],
+    detector_ids: tuple[str, ...],
     slots: np.ndarray,
     models: dict[str, TrustModel],
     absent_policy: str = "vacuous",
@@ -166,7 +148,7 @@ def dbf_joints(
 
 
 def static_dst_joints(
-    detector_ids: list[str], slots: np.ndarray, models: dict[str, TrustModel]
+    detector_ids: tuple[str, ...], slots: np.ndarray, models: dict[str, TrustModel]
 ) -> np.ndarray:
     """Static assignment baseline, row by row: each present slot contributes
     its detector's fixed mass (``TrustModel.static_bpa``), score ignored.
@@ -180,29 +162,29 @@ def static_dst_joints(
 
 
 def fuse_images(
-    windows: Windows,
-    spans: np.ndarray,
-    detector_ids: list[str],
+    windows: DetectionColumns,
     rule: Rule,
     overlap_threshold: float = 0.5,
     nms_threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rescore a batch of images by fusion, then consolidate each with NMS.
+    """Rescore a batch of images' windows, in subject order, by fusion, then
+    consolidate each image with NMS.
 
-    ``spans`` holds each image's rows (``Windows.spans``). Each image's IoU
-    matrix is computed once, in its window-count group's stacked pass; it
-    gives the image's rows of the batch's slot matrix and its NMS
-    suppression mask, and only the mask is kept (``slots_and_masks``).
-    ``rule`` scores the whole batch in one call. NMS then runs image by
-    image on the fused scores. Returns the kept rows, image by image and
-    each image's in visiting order, with their fused scores and joint
-    masses (NaN where the rule gives none).
+    Each image's IoU matrix is computed once, in its window-count group's
+    stacked pass; it gives the image's rows of the batch's slot matrix and
+    its NMS suppression mask, and only the mask is kept
+    (``slots_and_masks``). ``rule`` scores the whole batch in one call, the
+    detector names naming the slot matrix's columns. NMS then runs image by
+    image on the fused scores. Returns the kept rows, image by image and each
+    image's in visiting order, with their fused scores and joint masses (NaN
+    where the rule gives none).
     """
-    slots, masks = slots_and_masks(windows, spans, len(detector_ids), overlap_threshold, nms_threshold)
-    scores, joints = rule(detector_ids, slots)
+    spans = windows.spans()
+    slots, masks = slots_and_masks(windows, spans, overlap_threshold, nms_threshold)
+    scores, joints = rule(windows.detectors.names, slots)
     if joints is None:
         joints = np.full((len(scores), 3), np.nan)
-    order = nms_order(scores, windows.detectors, windows.boxes, windows.images)
+    order = nms_order(scores, windows.detectors.codes, windows.boxes, windows.images.codes)
     images = zip(spans.tolist(), masks)
     kept = [start + i for (start, stop), mask in images for i in nms_keep(order[start:stop] - start, mask)]
     kept = np.array(kept, dtype=np.intp)

@@ -16,7 +16,7 @@ import json
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -34,38 +34,97 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionColumns:
-    """Detections as columns, one row per detection: what ``eval`` scores.
+class Ids:
+    """An id column: each row's code, an index into ``names``, the distinct
+    names in Python's string order, so codes sort as names do; code -1 is no
+    name (a raw row's class). Indexing picks rows and keeps every name."""
 
-    A row's class label is None for raw detector output, which is scored
-    against every ground-truth class. ``sources`` names a raw row's detector
-    or a fused row's source detector; ``joints`` holds fused rows' joint
-    masses, NaN where a row has none.
+    codes: np.ndarray  # (N,) intp
+    names: tuple[str, ...]
+    __iter__ = None  # indexing picks rows, not names: ``decoded`` lists the names
+
+    @classmethod
+    def of(cls, values: list) -> Ids:
+        """Code a list of names (None: no name) by a dict: ``np.unique`` drops trailing NULs."""
+        names = sorted(set(values) - {None})
+        code = {None: -1, **dict(zip(names, range(len(names))))}
+        return cls(np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)), tuple(names))
+
+    @classmethod
+    def concat(cls, parts: list[Ids]) -> Ids:
+        """The rows of every part, part after part, coded over the names they use."""
+        names = sorted({p.names[k] for p in parts for k in p.used().tolist()})
+        code = dict(zip(names, range(len(names))))
+        # Each part's codes index its names' new codes, then -1 for code -1.
+        recoded = [np.array([*(code.get(n, -1) for n in p.names), -1], dtype=np.intp)[p.codes] for p in parts]
+        return cls(np.concatenate(recoded), tuple(names))
+
+    def __getitem__(self, rows) -> Ids:
+        return Ids(self.codes[rows], self.names)
+
+    def decoded(self) -> list:
+        """Each row's name, None for no name."""
+        return np.array([*self.names, None], dtype=object)[self.codes].tolist()
+
+    def matches(self, name: str) -> np.ndarray:
+        """Whether each row has ``name``."""
+        return self.codes == (self.names.index(name) if name in self.names else len(self.names))
+
+    def used(self) -> np.ndarray:
+        """The codes some row has, ascending, -1 left out."""
+        return np.flatnonzero(np.bincount(self.codes[self.codes >= 0], minlength=len(self.names)))
+
+    def groups(self) -> list[tuple[str, list[int]]]:
+        """Each name some row has, first seen first, with its rows in row order (no code -1)."""
+        order = np.argsort(self.codes, kind="stable")
+        runs = _runs(self.codes[order])
+        runs, rows = runs[np.argsort(order[runs[:, 0]])], order.tolist()
+        return [(self.names[self.codes[rows[a]]], rows[a:b]) for a, b in runs.tolist()]
+
+
+def _runs(codes: np.ndarray) -> np.ndarray:
+    """Each run of equal codes as (first row, stop row), in row order: a
+    (runs, 2) array."""
+    cuts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    bounds = np.concatenate(([0], cuts, [len(codes)])) if len(codes) else np.zeros(1, dtype=np.intp)
+    return np.column_stack((bounds[:-1], bounds[1:]))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detections as columns, one row per detection: what ``eval`` scores,
+    and, in subject order (``pipeline.windows_of``), the windows fusion
+    works on.
+
+    A row's class has no name (code -1) for raw detector output, which is
+    scored against every ground-truth class. ``detectors`` names a raw row's
+    detector or a fused row's source detector; ``joints`` holds fused rows'
+    joint masses, NaN where a row has none.
     """
 
-    image_ids: list[str]
-    class_labels: list[str | None]
+    images: Ids
+    classes: Ids
     boxes: np.ndarray  # (N, 4): x_min, y_min, x_max, y_max
     scores: np.ndarray  # (N,)
-    sources: list[str]
+    detectors: Ids
     joints: np.ndarray  # (N, 3): m_T, m_~T, m_I
 
     def __len__(self) -> int:
-        return len(self.image_ids)
+        return len(self.scores)
 
     def __eq__(self, other) -> bool:
-        """Row for row and bit for bit, NaN joints included."""
+        """Row for row and bit for bit, NaN joints included; ids by name, not code."""
         return isinstance(other, DetectionColumns) and all(
-            a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+            a.decoded() == b.decoded() if isinstance(a, Ids) else a.tobytes() == b.tobytes()
             for a, b in zip(vars(self).values(), vars(other).values()))
 
     @classmethod
     def of(cls, dets: list[Detection]) -> DetectionColumns:
         """The columns of a list of raw ``Detection``s."""
         return cls(
-            [d.image_id for d in dets], [None] * len(dets),
+            Ids.of([d.image_id for d in dets]), Ids.of([None] * len(dets)),
             np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4),
-            np.array([d.score for d in dets], dtype=float), [d.detector_id for d in dets],
+            np.array([d.score for d in dets], dtype=float), Ids.of([d.detector_id for d in dets]),
             np.full((len(dets), 3), np.nan),
         )
 
@@ -74,35 +133,25 @@ class DetectionColumns:
         """Each row as a raw ``Detection``, the inverse of ``of``: valid for raw
         rows only (a fused row's class label and joints are dropped)."""
         boxes = (BoundingBox(*box) for box in self.boxes.tolist())
-        return map(Detection, self.image_ids, self.sources, boxes, self.scores.tolist())
+        return map(Detection, self.images.decoded(), self.detectors.decoded(), boxes, self.scores.tolist())
 
     @classmethod
     def concat(cls, parts: list[DetectionColumns]) -> DetectionColumns:
-        """The rows of every part, part after part."""
+        """The rows of every part, part after part, ids coded over the names used (``Ids.concat``)."""
         columns = zip(*(vars(p).values() for p in [cls.of([]), *parts]))
-        return cls(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(chain.from_iterable(c))
-                     for c in columns))
+        return cls(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else Ids.concat(c) for c in columns))
 
-    def take(self, rows: np.ndarray) -> DetectionColumns:
-        """The given rows, in the given order."""
-        picked = rows.tolist()
-        return DetectionColumns(*(c[rows] if isinstance(c, np.ndarray) else [c[i] for i in picked]
-                                  for c in vars(self).values()))
+    def take(self, rows) -> DetectionColumns:
+        """The given rows (indices, a mask or a slice); id columns keep every name."""
+        return DetectionColumns(*(c[rows] for c in vars(self).values()))
 
-    def split(self, keys: list) -> dict:
-        """The rows of each distinct key (one per row), keys in order of first appearance."""
-        rows: dict = {}
-        for i, key in enumerate(keys):
-            rows.setdefault(key, []).append(i)
-        return {key: self.take(np.array(at, dtype=np.intp)) for key, at in rows.items()}
+    def split(self, ids: Ids) -> dict[str, DetectionColumns]:
+        """Each name's rows, ``ids`` holding one code per row (``Ids.groups``)."""
+        return {name: self.take(np.array(rows)) for name, rows in ids.groups()}
 
-
-def ranks(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values in Python's order, and each value's index among
-    them. (``np.unique`` on strings drops trailing NULs.)"""
-    distinct = sorted(set(values))
-    index = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.array([index[v] for v in values], dtype=np.intp)
+    def spans(self) -> np.ndarray:
+        """Each image's run of rows as (first row, stop row): an (images, 2) array."""
+        return _runs(self.images.codes)
 
 
 # ---- the one parser of JSON-lines files -----------------------------------
@@ -125,8 +174,8 @@ class _Field(NamedTuple):
     column: Callable  # raw values -> column, or None unless every value is ordinary
 
 
-def _texts(values: list) -> list[str]:
-    return list(map(str, values))
+def _ids(values: list) -> Ids:
+    return Ids.of(list(map(str, values)))
 
 
 def _numbers(values: list, width: int | None = None) -> np.ndarray | None:
@@ -213,24 +262,24 @@ def _flag_column(values: list) -> np.ndarray | None:
 
 # Each file kind's fields, in the order a line's checks run.
 _DETECTION = (
-    _Field("image_id", _REQUIRED, str, _texts),
-    _Field("detector_id", _REQUIRED, str, _texts),
+    _Field("image_id", _REQUIRED, str, _ids),
+    _Field("detector_id", _REQUIRED, str, _ids),
     _Field("bbox", _REQUIRED, _box, _box_column),
     _Field("score", _REQUIRED, _score, _score_column),
-    _Field("class", "object", str, _texts),
+    _Field("class", "object", str, _ids),
 )
 _FUSED = (
     _Field("joint", _ABSENT, _joint, _joint_column),
     _Field("bbox", _REQUIRED, _box, _box_column),
-    _Field("image_id", _REQUIRED, str, _texts),
-    _Field("class", _REQUIRED, str, _texts),
+    _Field("image_id", _REQUIRED, str, _ids),
+    _Field("class", _REQUIRED, str, _ids),
     _Field("score", _REQUIRED, _score, _score_column),
-    _Field("source_detector_id", "", str, _texts),
+    _Field("source_detector_id", "", str, _ids),
 )
 _ANNOTATION = (
     _Field("difficult", False, _flag, _flag_column),
-    _Field("image_id", _REQUIRED, str, _texts),
-    _Field("class", _REQUIRED, str, _texts),
+    _Field("image_id", _REQUIRED, str, _ids),
+    _Field("class", _REQUIRED, str, _ids),
     _Field("bbox", _REQUIRED, _box, _box_column),
 )
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError, RecursionError)
@@ -329,8 +378,9 @@ def read_detections(path: str | Path) -> DetectionColumns:
 
 def _raw_detections(c: dict) -> DetectionColumns:
     """A detector file's parsed columns as raw rows, of no class."""
-    n = len(c["image_id"])
-    return DetectionColumns(c["image_id"], [None] * n, c["bbox"], c["score"], c["detector_id"], np.full((n, 3), np.nan))
+    n = len(c["score"])
+    return DetectionColumns(c["image_id"], Ids(np.full(n, -1, dtype=np.intp), ()), c["bbox"], c["score"],
+                            c["detector_id"], np.full((n, 3), np.nan))
 
 
 def read_fused(path: str | Path) -> DetectionColumns:
@@ -344,7 +394,7 @@ def read_fused(path: str | Path) -> DetectionColumns:
 def read_annotations(path: str | Path) -> dict[str, Truth]:
     """Read an annotations file as each class's ground truth (``geometry.truths``)."""
     c = _read_columns(path, _ANNOTATION)
-    return truths(c["image_id"], c["class"], c["bbox"], c["difficult"])
+    return truths(c["image_id"].decoded(), c["class"].decoded(), c["bbox"], c["difficult"])
 
 
 def read_any_detections(path: str | Path) -> DetectionColumns:
@@ -402,6 +452,14 @@ def _json_strings(values: list) -> list[str]:
     return list(map(encoded.__getitem__, values))
 
 
+def _json_ids(ids: Ids) -> list[str]:
+    """``json.dumps`` of each row's name (``null`` for none), each used name once."""
+    encoded = np.full(len(ids.names) + 1, json.dumps(None), dtype=object)
+    for k in ids.used().tolist():
+        encoded[k] = json.dumps(ids.names[k])
+    return encoded[ids.codes].tolist()
+
+
 def _lines(template: str, columns: list) -> list[str]:
     """One line per row, ending in a newline: ``template`` filled with the
     row's encoded value from each column."""
@@ -447,7 +505,7 @@ def fused_lines(fused: DetectionColumns) -> list[str]:
     masses = _distinct_json_numbers(fused.joints[has_joint])
     given = map('"joint": [%s, %s, %s], '.__mod__, zip(masses[0::3], masses[1::3], masses[2::3]))
     joints = [next(given) if h else "" for h in has_joint.tolist()]
-    labels, image_ids, sources = map(_json_strings, (fused.class_labels, fused.image_ids, fused.sources))
+    labels, image_ids, sources = map(_json_ids, (fused.classes, fused.images, fused.detectors))
     return _lines(
         '{"bbox": [%s, %s, %s, %s], "class": %s, "image_id": %s, %s"score": %s, "source_detector_id": %s}',
         [*(coordinates[k::4] for k in range(4)), labels, image_ids, joints, scores, sources],

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import baselines, dst, fusion, io, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .fusion import Windows
 from .geometry import BoundingBox, Detection, MatchLabel, Truth, match_detections
-from .io import DetectionColumns, ranks
+from .io import DetectionColumns, Ids
 from .trust import InsufficientData, TrustModel
 
 log = logging.getLogger(__name__)
@@ -48,18 +47,13 @@ def label_detections(
         truth.spans, [BoundingBox(*b) for b in truth.boxes.tolist()], truth.difficult.tolist())
     labels: list[MatchLabel] = []
     for dets in per_detector.values():
-        positions: dict[str, list[int]] = {}
-        for i, image_id in enumerate(dets.image_ids):
-            positions.setdefault(image_id, []).append(i)
         boxes, scores = [BoundingBox(*b) for b in dets.boxes.tolist()], dets.scores.tolist()
-        own = [MatchLabel.UNDECIDED] * len(dets)
-        for image_id, at in positions.items():
+        own = {}
+        for image_id, at in dets.images.groups():
             a, b = spans.get(image_id, (0, 0))
-            matched = match_detections([boxes[i] for i in at], [scores[i] for i in at], gt_boxes[a:b],
-                                       difficult[a:b], iou_threshold, duplicate_policy)
-            for i, label in zip(at, matched):
-                own[i] = label
-        labels += own
+            own.update(zip(at, match_detections([boxes[i] for i in at], [scores[i] for i in at], gt_boxes[a:b],
+                                                difficult[a:b], iou_threshold, duplicate_policy)))
+        labels += map(own.__getitem__, range(len(dets)))
     return labels
 
 
@@ -68,29 +62,23 @@ def labeled_windows(
     truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
-) -> tuple[Windows, list[str], np.ndarray, np.ndarray]:
-    """The validation windows every model trains on, with the sorted
-    detector ids and two flags per row: decided (not undecided) and true
-    positive. Each window is labeled by its own detection
-    (``label_detections``), so a detection listed twice is two rows.
+) -> tuple[DetectionColumns, np.ndarray, np.ndarray]:
+    """The validation windows every model trains on, with two flags per row:
+    decided (not undecided) and true positive. Each window is labeled by its
+    own detection (``label_detections``), so a detection listed twice is two rows.
 
     Rows go by image, detector, descending score (0.0 before -0.0), then
     box, x_min first: one order whatever the order of the input, so every
     sum a trainer runs over them does too. Windows equal in all of these
     keep input order.
     """
-    windows, detector_ids, _, order = windows_of(per_detector)
+    windows, order = windows_of(per_detector)
     labels = label_detections(per_detector, truth, iou_threshold, duplicate_policy)
     decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)[order]
     tp = np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)[order]
     rows = np.lexsort((*windows.boxes.T[::-1], np.signbit(windows.scores), -windows.scores,
-                       windows.detectors, windows.images))
-    return Windows(*(c[rows] for c in windows)), detector_ids, decided[rows], tp[rows]
-
-
-def _rows_of(detector_ids: list[str], detectors: np.ndarray, det_id: str) -> np.ndarray:
-    """Which rows are ``det_id``'s windows; none when it has no id (no window)."""
-    return detectors == (detector_ids.index(det_id) if det_id in detector_ids else -1)
+                       windows.detectors.codes, windows.images.codes))
+    return windows.take(rows), decided[rows], tp[rows]
 
 
 def build_trust_models(
@@ -106,10 +94,10 @@ def build_trust_models(
     usable data are skipped with a warning and simply do not participate in
     fusion."""
     n_pos = 0 if truth is None else truth.num_positives
-    windows, detector_ids, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
+    windows, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
     models: dict[str, TrustModel] = {}
     for det_id in sorted(per_detector):
-        rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
+        rows = decided & windows.detectors.matches(det_id)
         try:
             table = trust.build_pr_table(windows.scores[rows], tp[rows], n_pos)
         except InsufficientData as exc:
@@ -138,9 +126,9 @@ def fit_baselines(
     likelihoods from the validation split's decided labeled windows against
     one class's ground truth (None: it has none)."""
     out = BaselineModels()
-    windows, detector_ids, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
+    windows, decided, tp = labeled_windows(per_detector, truth, iou_threshold, duplicate_policy)
     for det_id in sorted(per_detector):
-        rows = decided & _rows_of(detector_ids, windows.detectors, det_id)
+        rows = decided & windows.detectors.matches(det_id)
         scores = windows.scores[rows]
         try:
             out.platt[det_id] = baselines.fit_platt(scores, tp[rows], detector_id=det_id)
@@ -154,10 +142,10 @@ def fit_baselines(
     # Weighted sum trains on the slot matrix of the calibrated detectors'
     # windows, as fuse_images builds it for the baselines; every other
     # detector's column is absent throughout.
-    calibrated = np.array([det_id in out.platt for det_id in detector_ids], dtype=bool)[windows.detectors]
-    windows, decided, tp = Windows(*(c[calibrated] for c in windows)), decided[calibrated], tp[calibrated]
-    slots, _ = fusion.slots_and_masks(windows, windows.spans(), len(detector_ids), overlap_threshold)
-    features = baselines.platt_features(detector_ids, slots, out.platt, sorted(out.platt))
+    calibrated = np.array([d in out.platt for d in windows.detectors.names], dtype=bool)[windows.detectors.codes]
+    windows, decided, tp = windows.take(calibrated), decided[calibrated], tp[calibrated]
+    slots, _ = fusion.slots_and_masks(windows, windows.spans(), overlap_threshold)
+    features = baselines.platt_features(windows.detectors.names, slots, out.platt, sorted(out.platt))
     try:
         out.weights = baselines.fit_weighted_sum(features[decided], tp[decided], tuple(sorted(out.platt)))
     except InsufficientData as exc:
@@ -174,24 +162,19 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
-def windows_of(
-    per_detector: dict[str, DetectionColumns],
-) -> tuple[Windows, list[str], list[str], np.ndarray]:
+def windows_of(per_detector: dict[str, DetectionColumns]) -> tuple[DetectionColumns, np.ndarray]:
     """Every window as columns in subject order: images in Python's string
-    order, each image's windows by detector id, each detector's in input
-    order; with the sorted detector and image ids the columns index, and
-    each row's position in the input, its detectors' rows concatenated."""
+    order, each image's windows by detector name, each detector's in input
+    order, ids coded over the names the rows use (``DetectionColumns.concat``);
+    with each row's position in the input, its detectors' rows concatenated."""
     columns = DetectionColumns.concat(list(per_detector.values()))
-    detector_ids, detectors = ranks(columns.sources)
-    image_ids, images = ranks(columns.image_ids)
-    order = np.lexsort((detectors, images))
-    windows = Windows(columns.boxes[order], columns.scores[order], detectors[order], images[order])
-    return windows, detector_ids, image_ids, order
+    order = np.lexsort((columns.detectors.codes, columns.images.codes))
+    return columns.take(order), order
 
 
 def _rule(
     method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str,
-    detector_ids: list[str], slots: np.ndarray,
+    detector_ids: tuple[str, ...], slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``method``'s scoring rule (``fusion.Rule``) once its first three
     arguments are bound. Rules are looked up on their modules at call time,
@@ -233,40 +216,31 @@ def worker_pool(jobs: int, tasks: int) -> Iterator[Pool | None]:
 
 
 def _fuse_batch(
-    method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str,
-    detector_ids: list[str], class_label: str, overlap_threshold: float, nms_threshold: float,
-    lines: bool, windows: Windows, spans: np.ndarray, image_ids: list[str],
+    method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str, class_label: str,
+    overlap_threshold: float, nms_threshold: float, lines: bool, windows: DetectionColumns,
 ) -> DetectionColumns | list[str]:
-    """Fuse a batch of contiguous images (``fusion.fuse_images`` with
-    ``method``'s ``_rule``): its kept rows in the order the ``fuse`` command
-    writes them, as columns or, with ``lines``, as their lines
-    (``io.fused_lines``). ``windows.images`` indexes ``image_ids``, the
-    batch's own. A pool task: it takes data only, and looks the fuse and the
-    writer up on their modules when it runs."""
+    """Fuse a batch of contiguous images' windows (``fusion.fuse_images`` with
+    ``method``'s ``_rule``): its kept rows, of class ``class_label``, in the
+    order ``fuse`` writes them, as columns or, with ``lines``, as their lines
+    (``io.fused_lines``). A pool task: it takes data only, and looks the fuse
+    and the writer up on their modules when it runs."""
     rule = partial(_rule, method, models, absent_policy)
-    kept, scores, joints = fusion.fuse_images(windows, spans, detector_ids, rule, overlap_threshold, nms_threshold)
+    kept, scores, joints = fusion.fuse_images(windows, rule, overlap_threshold, nms_threshold)
     # A stable sort: ties keep NMS visiting order.
-    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images[kept]))
+    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images.codes[kept]))
     kept, scores, joints = kept[order], scores[order], joints[order]
-    fused = DetectionColumns(
-        [image_ids[i] for i in windows.images[kept].tolist()], [class_label] * len(kept), windows.boxes[kept],
-        scores, [detector_ids[i] for i in windows.detectors[kept].tolist()], joints,
-    )
+    fused = DetectionColumns(windows.images[kept], Ids(np.zeros(len(kept), dtype=np.intp), (class_label,)),
+                             windows.boxes[kept], scores, windows.detectors[kept], joints)
     return io.fused_lines(fused) if lines else fused
 
 
-def _batches(
-    windows: Windows, spans: np.ndarray, image_ids: list[str], count: int
-) -> Iterator[tuple[Windows, np.ndarray, list[str]]]:
-    """At most ``count`` runs of contiguous images, cut at the image starts
-    nearest to equal window counts, each as ``_fuse_batch`` takes it: its
-    windows, spans and image ids, counted from its first image and row."""
+def _batches(windows: DetectionColumns, spans: np.ndarray, count: int) -> Iterator[DetectionColumns]:
+    """At most ``count`` runs of contiguous images' windows, cut at the image
+    starts nearest to equal window counts."""
     targets = np.arange(1, count) * len(windows.scores) / count
     cuts = sorted(set(np.searchsorted(spans[:, 0], targets).tolist()) - {0, len(spans)})
     for first, stop in zip([0, *cuts], [*cuts, len(spans)]):
-        a, b = spans[first, 0], spans[stop - 1, 1]
-        boxes, scores, detectors, images = (c[a:b] for c in windows)
-        yield Windows(boxes, scores, detectors, images - first), spans[first:stop] - a, image_ids[first:stop]
+        yield windows.take(slice(spans[first, 0], spans[stop - 1, 1]))
 
 
 def fuse_corpus(
@@ -303,19 +277,18 @@ def fuse_corpus(
         if method == "ws" and models.weights is None:
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
-    windows, detector_ids, image_ids, _ = windows_of(per_detector)
+    windows, _ = windows_of(per_detector)
     spans = windows.spans()
-    fuse = partial(_fuse_batch, method, models, absent_policy, detector_ids, class_label,
-                   overlap_threshold, nms_threshold, lines)
+    fuse = partial(_fuse_batch, method, models, absent_policy, class_label, overlap_threshold, nms_threshold, lines)
     with contextlib.ExitStack() as own:
         if pool is None and jobs > 1:
             pool = own.enter_context(worker_pool(jobs, len(spans)))
         if pool is None or len(spans) < 2:
-            results = [fuse(windows, spans, image_ids)]
+            results = [fuse(windows)]
         else:
             if method in BELIEF_METHODS:
                 # Built once here, the mass tables travel with the models.
                 for model in models.values():
                     model.mass_table
-            results = list(pool.executor.map(fuse, *zip(*_batches(windows, spans, image_ids, pool.workers))))
+            results = list(pool.executor.map(fuse, _batches(windows, spans, pool.workers)))
     return [line for batch in results for line in batch] if lines else DetectionColumns.concat(results)

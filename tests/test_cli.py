@@ -871,6 +871,29 @@ def two_class_sweep(root, out, jobs="1"):
                 "--test-annotations", str(data / "test" / "annotations.jsonl"), "--out", str(out), "--jobs", jobs])
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Put executors that run each task where it is called, and start no
+    process, in place of the pool's; the list each one's ``max_workers``."""
+    started = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Inline)
+    return started
+
+
 class TestPool:
     def test_fuse_and_sweep_start_one_pool_each(self, two_classes, tmp_path, monkeypatch):
         pools = []
@@ -891,25 +914,9 @@ class TestPool:
             {"cat", "object"}
 
     @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])  # the test split has 3 detector files
-    def test_a_pool_has_no_more_workers_than_tasks_or_cpus(self, two_classes, tmp_path, monkeypatch, cpus, workers):
-        started = []
-
-        class Inline:
-            """An executor that runs each task where it is called and starts no process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Inline)
+    def test_a_pool_has_no_more_workers_than_tasks_or_cpus(self, two_classes, tmp_path, monkeypatch, inline_pools,
+                                                            cpus, workers):
+        started = inline_pools
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert two_class_fuse(two_classes, tmp_path / "serial.jsonl").exit_code == 0
         result = two_class_fuse(two_classes, tmp_path / "pooled.jsonl", jobs="100000")
@@ -918,6 +925,32 @@ class TestPool:
         header, lines = (tmp_path / "pooled.jsonl").read_text().split("\n", 1)
         assert json.loads(header)["config"]["jobs"] == 100000
         assert lines == (tmp_path / "serial.jsonl").read_text().split("\n", 1)[1]
+
+    def test_one_file_detections_dirs_start_one_pool_or_none(self, two_classes, tmp_path, monkeypatch, inline_pools):
+        # Each detector file is one read task: fuse over one file, and a sweep
+        # of one split, run serially, and no fuse starts a pool of its own; a
+        # sweep with a test split reads two files, in its one pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        one = tmp_path / "one"
+        for split in ("validation", "test"):
+            (one / "data" / split).mkdir(parents=True)
+            for name in ("det_a.jsonl", "annotations.jsonl"):
+                (one / "data" / split / name).write_bytes((two_classes / "data" / split / name).read_bytes())
+        (one / "models").symlink_to(two_classes / "models")
+        validation = one / "data" / "validation"
+
+        def sweep_one_split(root, out, jobs):
+            return run(["sweep-n", "--n-values", "1,2,inf", "--detections-dir", str(validation), "--annotations",
+                        str(validation / "annotations.jsonl"), "--out", str(out), "--jobs", jobs])
+
+        for command, out, pools in ((two_class_fuse, "f", []), (sweep_one_split, "v", []), (two_class_sweep, "s", [2])):
+            for jobs in ("1", "2"):
+                result = command(one, tmp_path / f"{out}_{jobs}", jobs=jobs)
+                assert result.exit_code == 0, result.output
+            assert inline_pools == pools
+            inline_pools.clear()
+            serial, pooled = ((tmp_path / f"{out}_{jobs}").read_text().split("\n", 1)[1] for jobs in ("1", "2"))
+            assert pooled == serial
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_class_without_a_model_file_is_left_out_with_a_warning(self, two_classes, tmp_path, caplog, jobs):

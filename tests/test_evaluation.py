@@ -10,7 +10,7 @@ from beliefuse.evaluation import (
     write_reports_json,
 )
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, match_detections, truths
-from beliefuse.io import DetectionColumns
+from beliefuse.io import DetectionColumns, Ids
 
 
 def box(x0, y0, x1, y1):
@@ -156,9 +156,9 @@ class TestEvaluateMethods:
         gts = by_class([gt(b1, cls="cat"), gt(b2, cls="dog")])
         b3 = box(300, 300, 340, 340)
         dets = DetectionColumns(
-            ["img1"] * 3, ["cat", "dog", "dog"],
+            Ids.of(["img1"] * 3), Ids.of(["cat", "dog", "dog"]),
             np.array([b.as_tuple() for b in (b1, b2, b3)]), np.array([0.9, 0.2, 0.8]),
-            ["d"] * 3, np.full((3, 3), np.nan),
+            Ids.of(["d"] * 3), np.full((3, 3), np.nan),
         )
         report = evaluate_method(dets, gts)
         assert report.per_class_ap["cat"] == 1.0

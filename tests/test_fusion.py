@@ -1,3 +1,4 @@
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from beliefuse import fusion
 from beliefuse.dst import Bpa, combine, fused_scores
 from beliefuse.fusion import (
-    Windows,
     dbf_joints,
     fuse_images,
     slots_and_masks,
     static_dst_joints,
 )
 from beliefuse.geometry import BoundingBox, Detection
+from beliefuse.io import DetectionColumns, Ids
 from beliefuse.pipeline import windows_of
 from beliefuse.trust import TrustModel
 from test_properties import as_columns
@@ -88,16 +89,16 @@ def score_to_bpa(model, score):
 
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
-    windows, detector_ids, _, _ = windows_of(as_columns(per_det))
-    return slots_and_masks(windows, windows.spans(), len(detector_ids), 0.5)[0]
+    windows, _ = windows_of(as_columns(per_det))
+    return slots_and_masks(windows, windows.spans(), 0.5)[0]
 
 
 def fuse(per_det, rule):
     """``fuse_images`` on one image's windows: (window, fused score, verdict)
     per kept window, in visiting order."""
-    windows, detector_ids, _, order = windows_of(as_columns(per_det))
+    windows, order = windows_of(as_columns(per_det))
     dets = [d for ds in per_det.values() for d in ds]
-    kept, scores, joints = fuse_images(windows, windows.spans(), detector_ids, rule)
+    kept, scores, joints = fuse_images(windows, rule)
     return list(zip([dets[i] for i in order[kept].tolist()], scores.tolist(), verdicts(joints)))
 
 
@@ -142,9 +143,8 @@ class TestBuildDetectionVectors:
 
     def test_image_with_no_windows_gives_no_rows(self):
         assert vectors({}).shape == (0, 0)
-        empty = np.empty(0)
-        windows = Windows(np.empty((0, 4)), empty, empty.astype(np.intp), empty.astype(np.intp))
-        slots, masks = slots_and_masks(windows, windows.spans(), 3, 0.5, 0.5)
+        windows = dataclasses.replace(DetectionColumns.of([]), detectors=Ids(np.empty(0, dtype=np.intp), ("a", "b", "c")))
+        slots, masks = slots_and_masks(windows, windows.spans(), 0.5, 0.5)
         assert slots.shape == (0, 3) and masks == []
 
     def test_own_slot_invariant_enforced(self):

@@ -12,7 +12,7 @@ from beliefuse.geometry import (
     nms_order,
     suppression_mask,
 )
-from beliefuse.io import ranks
+from beliefuse.io import Ids
 
 
 def box(x0, y0, x1, y1):
@@ -34,7 +34,7 @@ def nms(dets, iou_threshold=0.5):
     """Greedy NMS as ``fusion.fuse_images`` runs it on one image: visiting
     order, IoU matrix, suppression mask, kept indices."""
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
-    _, detectors = ranks([d.detector_id for d in dets])
+    detectors = Ids.of([d.detector_id for d in dets]).codes
     scores = np.array([d.score for d in dets])
     order = nms_order(scores, detectors, boxes, np.zeros(len(dets), dtype=np.intp))
     suppresses = suppression_mask(iou_matrix(boxes), iou_threshold)

@@ -9,6 +9,7 @@ from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.io import (
     DataError,
     DetectionColumns,
+    Ids,
     read_annotations,
     read_any_detections,
     read_detections,
@@ -23,8 +24,8 @@ from beliefuse.io import (
 def rows(columns):
     """Every row of ``DetectionColumns`` as a tuple; repr tells NaN joints
     apart from values, and every float bit."""
-    return repr(list(zip(columns.image_ids, columns.class_labels, columns.boxes.tolist(),
-                         columns.scores.tolist(), columns.sources, columns.joints.tolist())))
+    return repr(list(zip(columns.images.decoded(), columns.classes.decoded(), columns.boxes.tolist(),
+                         columns.scores.tolist(), columns.detectors.decoded(), columns.joints.tolist())))
 
 
 def fused_columns(*rows):
@@ -32,8 +33,8 @@ def fused_columns(*rows):
     detector, joint masses or None), class "object"."""
     boxes, image_ids, scores, sources, joints = zip(*rows)
     return DetectionColumns(
-        list(image_ids), ["object"] * len(rows), np.array(boxes, dtype=float),
-        np.array(scores), list(sources),
+        Ids.of(list(image_ids)), Ids.of(["object"] * len(rows)), np.array(boxes, dtype=float),
+        np.array(scores), Ids.of(list(sources)),
         np.array([(np.nan,) * 3 if j is None else j for j in joints], dtype=float),
     )
 

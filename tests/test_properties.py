@@ -28,6 +28,7 @@ import math
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -70,7 +71,7 @@ from beliefuse.geometry import (
     suppression_mask,
     truths,
 )
-from beliefuse.io import DetectionColumns
+from beliefuse.io import DetectionColumns, Ids
 from beliefuse.pipeline import group_by_detector, group_by_image, windows_of
 from beliefuse.trust import InsufficientData, TrustModel, bpd_precision, build_pr_table
 
@@ -217,9 +218,9 @@ class FusedDetection:
 def fused_columns(fused):
     """The columns of ``FusedDetection``s, NaN joints where a verdict is None."""
     return DetectionColumns(
-        [f.image_id for f in fused], [f.class_label for f in fused],
+        Ids.of([f.image_id for f in fused]), Ids.of([f.class_label for f in fused]),
         np.array([f.box.as_tuple() for f in fused], dtype=float).reshape(-1, 4),
-        np.array([f.score for f in fused], dtype=float), [f.source_detector_id for f in fused],
+        np.array([f.score for f in fused], dtype=float), Ids.of([f.source_detector_id for f in fused]),
         np.array([f.verdict.joint.as_tuple() if f.verdict else (math.nan,) * 3 for f in fused],
                  dtype=float).reshape(-1, 3),
     )
@@ -281,18 +282,19 @@ def as_rows(vectors, detector_ids):
 @example({"a": []}, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
     expected = reference_vectors(per_detector, threshold)
-    windows, ids, _, order = windows_of(as_columns(per_detector))
+    windows, order = windows_of(as_columns(per_detector))
     dets = [d for dets in per_detector.values() for d in dets]
     assert [id(dets[i]) for i in order.tolist()] == [id(s) for s, _ in expected]
     overlaps = iou_matrix(windows.boxes)
     # Columns for every detector of a batch, some with no window here.
     for detector_ids in (sorted(per_detector), sorted({*per_detector, "c", "g"})):
-        columns = np.array([detector_ids.index(ids[k]) for k in windows.detectors], dtype=np.intp)
-        got = slot_matrix(windows.scores, columns, len(detector_ids), threshold, overlaps)
+        codes = [detector_ids.index(d) for d in windows.detectors.decoded()]
+        detectors = Ids(np.array(codes, dtype=np.intp), tuple(detector_ids))
+        got = slot_matrix(windows.scores, detectors.codes, len(detector_ids), threshold, overlaps)
         assert got.shape == (len(expected), len(detector_ids))
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
-        one_image = windows._replace(detectors=columns)
-        got, _ = fusion.slots_and_masks(one_image, one_image.spans(), len(detector_ids), threshold)
+        one_image = dataclasses.replace(windows, detectors=detectors)
+        got, _ = fusion.slots_and_masks(one_image, one_image.spans(), threshold)
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
 
 
@@ -347,14 +349,14 @@ SIGNED_ZERO_GROUP = _batch(
 @example({}, 0.5, 0.5, fusion.MAX_STACKED_PAIRS)
 @example(SAME_COUNT, 0.1, 0.5, 1)  # every image its own stacked pass
 def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, cap):
-    windows, ids, _, _ = windows_of(as_columns(corpus))
-    spans = windows.spans()
+    windows, _ = windows_of(as_columns(corpus))
+    spans, ids = windows.spans(), windows.detectors.names
     with mock.patch.object(fusion, "MAX_STACKED_PAIRS", cap):
-        slots, masks = fusion.slots_and_masks(windows, spans, len(ids), overlap, nms)
+        slots, masks = fusion.slots_and_masks(windows, spans, overlap, nms)
     assert slots.shape == (len(windows.scores), len(ids)) and len(masks) == len(spans)
     for (start, stop), mask in zip(spans.tolist(), masks):
         overlaps = iou_matrix(windows.boxes[start:stop])
-        expected = slot_matrix(windows.scores[start:stop], windows.detectors[start:stop], len(ids),
+        expected = slot_matrix(windows.scores[start:stop], windows.detectors.codes[start:stop], len(ids),
                                overlap, overlaps)
         assert repr(slots[start:stop].tolist()) == repr(expected.tolist())
         assert np.array_equal(mask, suppression_mask(overlaps, nms))
@@ -365,8 +367,8 @@ def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, c
 def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
-    windows, _, _, _ = windows_of(as_columns(per_detector))  # its rows are ``dets``
-    order = nms_order(windows.scores, windows.detectors, windows.boxes, windows.images)
+    windows, _ = windows_of(as_columns(per_detector))  # its rows are ``dets``
+    order = nms_order(windows.scores, windows.detectors.codes, windows.boxes, windows.images.codes)
     for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), iou_matrix(windows.boxes)):
         kept = nms_keep(order, suppression_mask(overlaps, threshold))
         assert [id(dets[i]) for i in kept] == expected
@@ -398,8 +400,21 @@ APART = _batch(SAME_COUNT, {"a": [Detection("i4", "a", BoundingBox(5, 5, 6, 6), 
                             "b": [Detection("i4", "b", BoundingBox(0, 0, 1, 1), 1.0)]})
 
 
+# Ids that sort apart only by a trailing NUL, by case or past ASCII: images
+# "B", "i", "i\0", "é" and detectors "a", "a\0", in that order.
+ODD_IDS = _batch(
+    {"a": [Detection("i\0", "a", BoundingBox(0, 0, 2, 2), 1.0)],
+     "a\0": [Detection("i\0", "a\0", BoundingBox(0, 0, 2, 1), 3.0)]},
+    {"a\0": [Detection("é", "a\0", BoundingBox(0, 0, 1, 1), 2.0)]},
+    {"a": [Detection("i", "a", BoundingBox(0, 0, 1, 1), 0.5)],
+     "a\0": [Detection("i", "a\0", BoundingBox(0, 0, 1, 1), 0.5)]},
+    {"a": [Detection("B", "a", BoundingBox(0, 0, 1, 1), 7.0)]},
+)
+
+
 @settings(max_examples=10, deadline=None)
 @given(corpora(), st.sampled_from(pipeline.METHODS))
+@example(ODD_IDS, "dbf")
 @example(HALF, "platt")
 @example(HALF, "ws")
 @example(HALF, "bayes")
@@ -420,7 +435,7 @@ def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
     if method in pipeline.BELIEF_METHODS:
         assert serial.scores.tolist() == fused_scores(serial.joints).tolist()
     else:
-        assert np.isnan(serial.joints).all() and "f" not in serial.sources
+        assert np.isnan(serial.joints).all() and "f" not in serial.detectors.decoded()
 
 
 # ---- trust lookup, mass split and Dempster fold ----------------------------
@@ -666,6 +681,7 @@ CERTAIN_MODELS = {
 @example(SAME, CERTAIN_MODELS, "dbf", "vacuous")
 @example(HALF, CERTAIN_MODELS, "dbf", "recall_one")
 @example(SAME, CERTAIN_MODELS, "static-dst", "vacuous")
+@example(ODD_IDS, {d: _model(d) for d in ("a", "a\0")}, "dbf", "vacuous")
 def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absent_policy):
     expected, smoothings = reference_fuse_corpus(corpus, models, method, absent_policy)
     before = fusion.conflict_smoothing_count
@@ -975,8 +991,8 @@ def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
 
 def fused_rows(fused):
     """The rows of fused columns, in their order."""
-    return list(zip(fused.class_labels, fused.image_ids, fused.scores.tolist(),
-                    fused.boxes.tolist(), fused.sources, fused.joints.tolist()))
+    return list(zip(fused.classes.decoded(), fused.images.decoded(), fused.scores.tolist(),
+                    fused.boxes.tolist(), fused.detectors.decoded(), fused.joints.tolist()))
 
 
 def output_order(fused):
@@ -994,6 +1010,7 @@ TIED = {"a": [Detection("img", "a", BoundingBox(0, 0, 10, 10), 1.0),
 @settings(max_examples=50, deadline=None)
 @given(corpora(), st.sampled_from(pipeline.METHODS), st.randoms(use_true_random=False))
 @example(TIED, "dbf", random.Random(0))
+@example(ODD_IDS, "dbf", random.Random(0))
 def test_fused_output_does_not_depend_on_input_order(corpus, method, rng):
     models = _models(method)
     expected = output_order(pipeline.fuse_corpus(as_columns(corpus), models, "object", method))
@@ -1519,9 +1536,9 @@ CLASSES = ["cat", "dog"]
 def columns_of(rows):
     """``DetectionColumns`` of (image id, class or None, box, score) rows."""
     return DetectionColumns(
-        [r[0] for r in rows], [r[1] for r in rows],
+        Ids.of([r[0] for r in rows]), Ids.of([r[1] for r in rows]),
         np.array([r[2].as_tuple() for r in rows], dtype=float).reshape(-1, 4),
-        np.array([r[3] for r in rows], dtype=float), ["d"] * len(rows), np.full((len(rows), 3), np.nan),
+        np.array([r[3] for r in rows], dtype=float), Ids.of(["d"] * len(rows)), np.full((len(rows), 3), np.nan),
     )
 
 
@@ -1570,7 +1587,7 @@ def test_evaluate_methods_equals_each_method_alone_per_class(case, threshold):
     for name, dets in methods.items():
         assert list(reports[name].per_class_ap) == classes
         for c in classes:
-            rows = np.array([i for i, label in enumerate(dets.class_labels) if label in (None, c)], dtype=np.intp)
+            rows = np.array([i for i, label in enumerate(dets.classes.decoded()) if label in (None, c)], dtype=np.intp)
             alone = evaluate_method(dets.take(rows), truths_of([g for g in gts if g.class_label == c]), threshold)
             # repr tells every float apart, -0.0 from 0.0 too.
             assert repr(reports[name].per_class_ap[c]) == repr(alone.per_class_ap[c])
@@ -1727,8 +1744,8 @@ def reference_annotations(path):
 
 def column_rows(columns):
     """Every row of ``DetectionColumns``; repr tells NaN joints apart."""
-    return repr(list(zip(columns.image_ids, columns.class_labels, columns.boxes.tolist(),
-                         columns.scores.tolist(), columns.sources, columns.joints.tolist())))
+    return repr(list(zip(columns.images.decoded(), columns.classes.decoded(), columns.boxes.tolist(),
+                         columns.scores.tolist(), columns.detectors.decoded(), columns.joints.tolist())))
 
 
 READERS = [
@@ -1808,6 +1825,14 @@ def jsonl_path(tmp_path_factory):
     return tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
 
 
+# Ids that a numpy string array would cut short or sort apart, and ids that
+# are not strings, which every reader coerces with str().
+ODD_ID_LINES = "\n".join(
+    json.dumps({**GOOD, "image_id": i, "detector_id": d, "class": c, "source_detector_id": d})
+    for i, d, c in [("a\0", "d\0", "cat"), ("a", "d", "object"), ("é", 7, "cat\0"), (7, "Z", "日本"), ("7", "é", "cat")]
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(jsonl_texts())
 @example('{"a": [{}\n{}]}, {"b": [{}\n{}]}')
@@ -1818,6 +1843,7 @@ def jsonl_path(tmp_path_factory):
 @example(json.dumps({**GOOD, "joint": ["0.5", "0.5", "0"]}))  # float() would take these
 @example(json.dumps({**GOOD, "joint": [0.5, 0.5, 0.0], "difficult": True}) + "\n\n")
 @example(json.dumps({**GOOD, "bbox": "0519"}))  # iterated, it would read as [0, 5, 1, 9]
+@example(ODD_ID_LINES)
 def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
     jsonl_path.write_text(text)
     for reader, reference in READERS:
@@ -1886,3 +1912,60 @@ def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, 
         for label, per_det in expected.items():
             for det_id, dets in per_det.items():
                 assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
+
+
+# ---- id columns -------------------------------------------------------------
+
+# Names that sort apart only by a trailing NUL, by case or past ASCII, and the empty name.
+ID_NAMES = ["a", "a\0", "B", "é", "", "7"]
+id_rows = st.lists(st.tuples(st.sampled_from(ID_NAMES), st.sampled_from([None, *ID_NAMES]),
+                             st.sampled_from(ID_NAMES)), max_size=8)
+
+
+def id_columns(rows):
+    """``DetectionColumns`` of (image, class or None, detector) rows; each
+    row's box and score tell it apart from the others."""
+    images, classes, detectors = zip(*rows) if rows else ((), (), ())
+    return DetectionColumns(
+        Ids.of(list(images)), Ids.of(list(classes)),
+        np.array([(k, 0, k + 1, 1) for k in range(len(rows))], dtype=float).reshape(-1, 4),
+        np.arange(len(rows), dtype=float), Ids.of(list(detectors)), np.full((len(rows), 3), np.nan),
+    )
+
+
+def id_rows_of(columns):
+    """Each row's (image, class, detector) names and score."""
+    return list(zip(columns.images.decoded(), columns.classes.decoded(), columns.detectors.decoded(),
+                    columns.scores.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_rows, id_rows, st.data())
+@example([("a", None, "a\0")], [("é", "B", "7")], None)  # disjoint names in every column
+def test_id_columns_take_split_and_concat_rows_by_name(first, second, data):
+    columns = id_columns(first)
+    rows = id_rows_of(columns)
+    picked = data.draw(st.lists(st.integers(0, len(first) - 1), max_size=8)) if first and data else []
+    taken = columns.take(np.array(picked, dtype=np.intp))
+    # A take keeps names no picked row has; rows, equality and written lines
+    # go by name, as if the picked rows had been coded afresh.
+    fresh = dataclasses.replace(id_columns([first[i] for i in picked]), boxes=taken.boxes, scores=taken.scores)
+    assert id_rows_of(taken) == [rows[i] for i in picked]
+    assert taken == fresh and taken.images.names == columns.images.names
+    assert io.fused_lines(taken) == io.fused_lines(fresh)
+    # Each image's rows in row order, images in order of first appearance.
+    by_image = {}
+    for i, image in enumerate(columns.images.decoded()):
+        by_image.setdefault(image, []).append(rows[i])
+    split = columns.split(columns.images)
+    assert list(split) == list(by_image)
+    assert {image: id_rows_of(part) for image, part in split.items()} == by_image
+    # A concat's codes count the names its rows use, in Python's order; a
+    # take's or split's names that no row has are left out.
+    parts = [taken, *list(split.values())[:1], id_columns(second)]
+    joined = DetectionColumns.concat(parts)
+    assert id_rows_of(joined) == [row for part in parts for row in id_rows_of(part)]
+    for ids in (joined.images, joined.classes, joined.detectors):
+        names = sorted({name for name in ids.decoded() if name is not None})
+        assert ids.names == tuple(names)
+        assert ids.codes.tolist() == [-1 if name is None else names.index(name) for name in ids.decoded()]
