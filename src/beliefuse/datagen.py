@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox, Detection, Truth, truths
+from .geometry import Truth, truths
+from .io import DetectionColumns, Ids, _box_column, _raw_detections, _score_column
+
+Box = tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
 
 CANVAS_WIDTH = 640.0
 CANVAS_HEIGHT = 480.0
@@ -49,14 +52,16 @@ class SyntheticDetectorProfile:
     def __post_init__(self):
         if not 0.0 <= self.detection_rate <= 1.0:
             raise ConfigError(f"detection_rate must be in [0,1]: {self.detection_rate}")
-        if self.fp_rate < 0:
-            raise ConfigError(f"fp_rate must be nonnegative: {self.fp_rate}")
+        if not 0 <= self.fp_rate < np.inf:
+            raise ConfigError(f"fp_rate must be nonnegative and finite: {self.fp_rate}")
         if self.localization_jitter < 0:
             raise ConfigError("localization_jitter must be nonnegative")
         if self.easy_detection_rate is not None and not 0.0 <= self.easy_detection_rate <= 1.0:
             raise ConfigError("easy_detection_rate must be in [0,1]")
         if self.tp_score_std < 0 or self.fp_score_std < 0:
             raise ConfigError("score stddevs must be nonnegative")
+        if not self.validation_rate_scale >= 0:
+            raise ConfigError(f"validation_rate_scale must be nonnegative: {self.validation_rate_scale}")
 
     def rate_for(self, object_group: int, validation: bool, num_groups: int) -> float:
         rate = self.detection_rate
@@ -76,8 +81,8 @@ class SyntheticDetectorProfile:
 class SyntheticDataset:
     seed: int
     class_label: str
-    images: list[tuple[str, list[BoundingBox]]]  # each image's objects, all of class_label
-    detections: dict[str, list[Detection]]
+    images: list[tuple[str, list[Box]]]  # each image's objects, all of class_label
+    detections: dict[str, DetectionColumns]  # raw rows, of no class
     validation_image_ids: frozenset[str] = field(default_factory=frozenset)
 
     @property
@@ -88,17 +93,16 @@ class SyntheticDataset:
 
     def ground_truths(self, image_ids: frozenset[str] | None = None) -> dict[str, Truth]:
         """The objects of the given images (of all when None), as ``geometry.truths``."""
-        rows = [(image_id, box.as_tuple()) for image_id, boxes in self.images
+        rows = [(image_id, box) for image_id, boxes in self.images
                 if image_ids is None or image_id in image_ids for box in boxes]
         return truths([r[0] for r in rows], [self.class_label] * len(rows), [r[1] for r in rows], [False] * len(rows))
 
-    def detections_for(
-        self, detector_id: str, image_ids: frozenset[str] | None = None
-    ) -> list[Detection]:
+    def detections_for(self, detector_id: str, image_ids: frozenset[str] | None = None) -> DetectionColumns:
+        """The detector's rows on the given images (on all when None)."""
         dets = self.detections[detector_id]
         if image_ids is None:
-            return list(dets)
-        return [d for d in dets if d.image_id in image_ids]
+            return dets
+        return dets.take(np.array([name in image_ids for name in dets.images.names], dtype=bool)[dets.images.codes])
 
 
 def _clipped_normal(rng: np.random.Generator, mean: float, std: float) -> float:
@@ -106,32 +110,24 @@ def _clipped_normal(rng: np.random.Generator, mean: float, std: float) -> float:
     return float(np.clip(rng.normal(mean, std), lo, hi))
 
 
-def _random_box(rng: np.random.Generator) -> BoundingBox:
+def _random_box(rng: np.random.Generator) -> Box:
     w = rng.uniform(40.0, 120.0)
     h = rng.uniform(40.0, 120.0)
     x = rng.uniform(0.0, CANVAS_WIDTH - w)
     y = rng.uniform(0.0, CANVAS_HEIGHT - h)
-    return BoundingBox(x, y, x + w, y + h)
+    return (x, y, x + w, y + h)
 
 
-def _boxes_overlap(a: BoundingBox, b: BoundingBox) -> bool:
-    return not (
-        a.x_max <= b.x_min
-        or b.x_max <= a.x_min
-        or a.y_max <= b.y_min
-        or b.y_max <= a.y_min
-    )
+def _boxes_overlap(a: Box, b: Box) -> bool:
+    return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
 
 
-def _jittered(rng: np.random.Generator, box: BoundingBox, jitter: float) -> BoundingBox:
+def _jittered(rng: np.random.Generator, box: Box, jitter: float) -> Box:
     if jitter == 0.0:
         return box
     dx1, dy1, dx2, dy2 = rng.normal(0.0, jitter, size=4)
-    x_min = box.x_min + dx1
-    y_min = box.y_min + dy1
-    x_max = max(box.x_max + dx2, x_min + 1.0)
-    y_max = max(box.y_max + dy2, y_min + 1.0)
-    return BoundingBox(x_min, y_min, x_max, y_max)
+    x_min, y_min = box[0] + dx1, box[1] + dy1
+    return (x_min, y_min, max(box[2] + dx2, x_min + 1.0), max(box[3] + dy2, y_min + 1.0))
 
 
 def generate(
@@ -160,7 +156,7 @@ def generate(
     num_groups = num_easy_groups if num_easy_groups is not None else len(profiles)
 
     rng = np.random.default_rng(seed)
-    images: list[tuple[str, list[BoundingBox]]] = []
+    images: list[tuple[str, list[Box]]] = []
     object_groups: dict[tuple[str, int], int] = {}
     global_index = 0
     validation_ids = set()
@@ -169,7 +165,7 @@ def generate(
         if i < num_images // 2:
             validation_ids.add(image_id)
         n_obj = int(rng.integers(lo, hi + 1))
-        boxes: list[BoundingBox] = []
+        boxes: list[Box] = []
         for _ in range(n_obj):
             placed = False
             for _ in range(200):
@@ -187,25 +183,28 @@ def generate(
             global_index += 1
         images.append((image_id, boxes))
 
-    detections: dict[str, list[Detection]] = {p.detector_id: [] for p in profiles}
+    detections: dict[str, DetectionColumns] = {}
     for profile in profiles:
+        rows: list[tuple[str, Box, float]] = []
         for image_id, boxes in images:
             validation = image_id in validation_ids
             for k, gt_box in enumerate(boxes):
                 rate = profile.rate_for(object_groups[(image_id, k)], validation, num_groups)
                 if rng.random() < rate:
                     box = _jittered(rng, gt_box, profile.localization_jitter)
-                    score = _clipped_normal(rng, profile.tp_score_mean, profile.tp_score_std)
-                    detections[profile.detector_id].append(
-                        Detection(image_id, profile.detector_id, box, score)
-                    )
+                    rows.append((image_id, box, _clipped_normal(rng, profile.tp_score_mean, profile.tp_score_std)))
             n_fp = int(rng.poisson(profile.fp_rate))
             for _ in range(n_fp):
                 box = _random_box(rng)
-                score = _clipped_normal(rng, profile.fp_score_mean, profile.fp_score_std)
-                detections[profile.detector_id].append(
-                    Detection(image_id, profile.detector_id, box, score)
-                )
+                rows.append((image_id, box, _clipped_normal(rng, profile.fp_score_mean, profile.fp_score_std)))
+        # The reader's checks: a row no detector file can hold is a config error.
+        image_ids, boxes, scores = zip(*rows) if rows else ((), (), ())
+        box_column, score_column = _box_column(list(boxes)), _score_column(list(scores))
+        if box_column is None or score_column is None:
+            raise ConfigError(f"detector {profile.detector_id!r} drew a box or score a detector file cannot hold "
+                              "(not finite, or a box of no area): check its profile")
+        detections[profile.detector_id] = _raw_detections(Ids.of(list(image_ids)), box_column, score_column,
+                                                           Ids.of([profile.detector_id] * len(rows)))
 
     return SyntheticDataset(
         seed=seed,
@@ -214,3 +213,4 @@ def generate(
         detections=detections,
         validation_image_ids=frozenset(validation_ids),
     )
+

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -10,31 +12,30 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle in continuous image coordinates."""
+class BoundingBox(namedtuple("Box", ["x_min", "y_min", "x_max", "y_max"])):
+    """Axis-aligned rectangle in continuous image coordinates: a row
+    ``(x_min, y_min, x_max, y_max)``, checked as it is made."""
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, and so is _replace, which calls it
 
-    def __post_init__(self):
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
+    def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float):
+        coords = (x_min, y_min, x_max, y_max)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"box coordinates must be finite: {coords}")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if x_max <= x_min or y_max <= y_min:
             raise ValueError(f"box must have positive area: {coords}")
-        if not (self.x_max - self.x_min) * (self.y_max - self.y_min) > 0:
+        if not (x_max - x_min) * (y_max - y_min) > 0:
             # Tiny extents can multiply to 0, which iou would divide by.
             raise ValueError(f"box area underflows to zero: {coords}")
+        return super().__new__(cls, *coords)
 
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,16 @@ class MatchLabel(Enum):
     UNDECIDED = "undecided"
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union overlap of two boxes; 0 when disjoint."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection-over-union overlap of two boxes, each ``(x_min, y_min,
+    x_max, y_max)``; 0 when disjoint."""
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a, b
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
 def iou_matrix(boxes: ArrayLike) -> np.ndarray:
@@ -136,15 +139,16 @@ def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def match_detections(
-    boxes: list[BoundingBox],
+    boxes: Sequence[Sequence[float]],
     scores: list[float],
-    gt_boxes: list[BoundingBox],
+    gt_boxes: Sequence[Sequence[float]],
     difficult: list[bool],
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
 ) -> list[MatchLabel]:
-    """Greedily label one detector's detections on one image, as boxes and
-    scores, against its ground-truth boxes: one label per detection, in input order.
+    """Greedily label one detector's detections on one image, as boxes
+    ``(x_min, y_min, x_max, y_max)`` and scores, against its ground-truth
+    boxes: one label per detection, in input order.
 
     Detections are visited in descending score order. A detection claiming an
     unclaimed non-difficult ground-truth box with IoU above the threshold is a
@@ -164,7 +168,7 @@ def match_detections(
     labeled: dict[int, MatchLabel] = {}
     # Equal scores are ordered by box; 0.0 comes before -0.0.
     order = sorted(range(len(boxes)), key=lambda i: (
-        -scores[i], math.copysign(1.0, -scores[i]), boxes[i].as_tuple()))
+        -scores[i], math.copysign(1.0, -scores[i]), tuple(boxes[i])))
     for i in order:
         overlaps = [(iou(boxes[i], g), j) for j, g in enumerate(gt_boxes)]
         if not overlaps or max(o for o, _ in overlaps) == 0.0:

@@ -367,20 +367,21 @@ def read_detections_by_class(path: str | Path) -> dict[str, DetectionColumns]:
     """Read one detector file as each class's rows (``read_detections``),
     classes in order of first appearance, each class's rows in file order."""
     c = _read_columns(path, _DETECTION)
-    return _raw_detections(c).split(c["class"])
+    return _raw_detections(**c).split(c["class"])
 
 
 def read_detections(path: str | Path) -> DetectionColumns:
     """Read one detector file as columns; rows carry no class (see
     ``DetectionColumns``)."""
-    return _raw_detections(_read_columns(path, _DETECTION))
+    return _raw_detections(**_read_columns(path, _DETECTION))
 
 
-def _raw_detections(c: dict) -> DetectionColumns:
-    """A detector file's parsed columns as raw rows, of no class."""
-    n = len(c["score"])
-    return DetectionColumns(c["image_id"], Ids(np.full(n, -1, dtype=np.intp), ()), c["bbox"], c["score"],
-                            c["detector_id"], np.full((n, 3), np.nan))
+def _raw_detections(image_id: Ids, bbox: np.ndarray, score: np.ndarray, detector_id: Ids, **_) -> DetectionColumns:
+    """A detector file's checked columns, by field (``_DETECTION``), as raw
+    rows, of no class; the generator's rows take this way too."""
+    n = len(score)
+    return DetectionColumns(image_id, Ids(np.full(n, -1, dtype=np.intp), ()), bbox, score, detector_id,
+                            np.full((n, 3), np.nan))
 
 
 def read_fused(path: str | Path) -> DetectionColumns:
@@ -446,12 +447,6 @@ def _distinct_json_numbers(values: np.ndarray) -> list[str]:
     return np.array(_json_numbers(values[first].tolist()), dtype=object)[inverse].tolist()
 
 
-def _json_strings(values: list) -> list[str]:
-    """``json.dumps`` of each value, called once per distinct value."""
-    encoded = {v: json.dumps(v) for v in set(values)}
-    return list(map(encoded.__getitem__, values))
-
-
 def _json_ids(ids: Ids) -> list[str]:
     """``json.dumps`` of each row's name (``null`` for none), each used name once."""
     encoded = np.full(len(ids.names) + 1, json.dumps(None), dtype=object)
@@ -473,10 +468,11 @@ def _write_jsonl(path: str | Path, lines: list[str], config: dict | None) -> Non
     Path(path).write_text("".join(header + lines) or "\n")
 
 
-def write_detections(dets: list[Detection], path: str | Path, class_label: str = "object",
+def write_detections(dets: DetectionColumns, path: str | Path, class_label: str = "object",
                      config: dict | None = None) -> None:
-    numbers = _json_numbers([v for d in dets for v in (*d.box.as_tuple(), d.score)])
-    ids = [_json_strings([d.detector_id for d in dets]), _json_strings([d.image_id for d in dets])]
+    """Raw rows, each of class ``class_label``."""
+    numbers = _json_numbers(np.column_stack((dets.boxes, dets.scores)).ravel().tolist())
+    ids = [_json_ids(dets.detectors), _json_ids(dets.images)]
     columns = [*(numbers[k::5] for k in range(4)), [json.dumps(class_label)] * len(dets), *ids, numbers[4::5]]
     _write_jsonl(path, _lines(
         '{"bbox": [%s, %s, %s, %s], "class": %s, "detector_id": %s, "image_id": %s, "score": %s}', columns
@@ -486,10 +482,11 @@ def write_detections(dets: list[Detection], path: str | Path, class_label: str =
 def write_annotations(gts: dict[str, Truth], path: str | Path, config: dict | None = None) -> None:
     """Class by class, each image's objects together, in row order."""
     numbers = _json_numbers([v for truth in gts.values() for v in truth.boxes.ravel().tolist()])
-    labels = [label for label, truth in gts.items() for _ in range(len(truth))]
-    image_ids = [i for truth in gts.values() for i, (a, b) in truth.spans.items() for _ in range(a, b)]
-    difficult = [f for truth in gts.values() for f in truth.difficult.tolist()]
-    columns = [*(numbers[k::4] for k in range(4)), *map(_json_strings, (labels, difficult, image_ids))]
+    labels = [text for label, truth in gts.items() for text in [json.dumps(label)] * len(truth)]
+    image_ids = [text for truth in gts.values() for i, (a, b) in truth.spans.items()
+                 for text in [json.dumps(i)] * (b - a)]
+    difficult = [("false", "true")[f] for truth in gts.values() for f in truth.difficult.tolist()]
+    columns = [*(numbers[k::4] for k in range(4)), labels, difficult, image_ids]
     _write_jsonl(path, _lines(
         '{"bbox": [%s, %s, %s, %s], "class": %s, "difficult": %s, "image_id": %s}', columns
     ), config)

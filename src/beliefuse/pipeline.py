@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baselines, dst, fusion, io, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
-from .geometry import BoundingBox, Detection, MatchLabel, Truth, match_detections
+from .geometry import Detection, MatchLabel, Truth, match_detections
 from .io import DetectionColumns, Ids
 from .trust import InsufficientData, TrustModel
 
@@ -35,26 +35,29 @@ def group_by_image(dets: list[Detection]) -> dict[str, list[Detection]]:
 
 
 def label_detections(
-    per_detector: dict[str, DetectionColumns],
+    windows: DetectionColumns,
     truth: Truth | None,
     iou_threshold: float = 0.5,
     duplicate_policy: str = "undecided",
-) -> list[MatchLabel]:
-    """Match each detector's detections to one class's ground truth (None:
-    the class has none), image by image: one label per detection, the
-    detectors' rows concatenated in the order given."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match windows in training order (``labeled_windows``) to one class's
+    ground truth (None: the class has none), each run of one image's windows
+    of one detector on its own: two flags per row, decided (not undecided)
+    and true positive. A run is in the order ``match_detections`` visits it,
+    so each row's label is its own."""
     spans, gt_boxes, difficult = ({}, [], []) if truth is None else (
-        truth.spans, [BoundingBox(*b) for b in truth.boxes.tolist()], truth.difficult.tolist())
+        truth.spans, truth.boxes.tolist(), truth.difficult.tolist())
+    boxes, scores = windows.boxes.tolist(), windows.scores.tolist()
+    images, names = windows.images.codes.tolist(), windows.images.names
     labels: list[MatchLabel] = []
-    for dets in per_detector.values():
-        boxes, scores = [BoundingBox(*b) for b in dets.boxes.tolist()], dets.scores.tolist()
-        own = {}
-        for image_id, at in dets.images.groups():
-            a, b = spans.get(image_id, (0, 0))
-            own.update(zip(at, match_detections([boxes[i] for i in at], [scores[i] for i in at], gt_boxes[a:b],
-                                                difficult[a:b], iou_threshold, duplicate_policy)))
-        labels += map(own.__getitem__, range(len(dets)))
-    return labels
+    # One code per (image, detector) pair: its runs are the runs to label.
+    pairs = windows.images.codes * len(windows.detectors.names) + windows.detectors.codes
+    for first, stop in io._runs(pairs).tolist():
+        a, b = spans.get(names[images[first]], (0, 0))
+        labels += match_detections(boxes[first:stop], scores[first:stop], gt_boxes[a:b], difficult[a:b],
+                                   iou_threshold, duplicate_policy)
+    decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)
+    return decided, np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)
 
 
 def labeled_windows(
@@ -70,15 +73,12 @@ def labeled_windows(
     Rows go by image, detector, descending score (0.0 before -0.0), then
     box, x_min first: one order whatever the order of the input, so every
     sum a trainer runs over them does too. Windows equal in all of these
-    keep input order.
+    keep input order, the detectors' rows concatenated.
     """
-    windows, order = windows_of(per_detector)
-    labels = label_detections(per_detector, truth, iou_threshold, duplicate_policy)
-    decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)[order]
-    tp = np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)[order]
-    rows = np.lexsort((*windows.boxes.T[::-1], np.signbit(windows.scores), -windows.scores,
-                       windows.detectors.codes, windows.images.codes))
-    return windows.take(rows), decided[rows], tp[rows]
+    columns = DetectionColumns.concat(list(per_detector.values()))
+    windows = columns.take(np.lexsort((*columns.boxes.T[::-1], np.signbit(columns.scores), -columns.scores,
+                                       columns.detectors.codes, columns.images.codes)))
+    return windows, *label_detections(windows, truth, iou_threshold, duplicate_policy)
 
 
 def build_trust_models(
@@ -162,14 +162,12 @@ def group_by_detector(dets: list[Detection]) -> dict[str, list[Detection]]:
     return out
 
 
-def windows_of(per_detector: dict[str, DetectionColumns]) -> tuple[DetectionColumns, np.ndarray]:
+def windows_of(per_detector: dict[str, DetectionColumns]) -> DetectionColumns:
     """Every window as columns in subject order: images in Python's string
     order, each image's windows by detector name, each detector's in input
-    order, ids coded over the names the rows use (``DetectionColumns.concat``);
-    with each row's position in the input, its detectors' rows concatenated."""
+    order, ids coded over the names the rows use (``DetectionColumns.concat``)."""
     columns = DetectionColumns.concat(list(per_detector.values()))
-    order = np.lexsort((columns.detectors.codes, columns.images.codes))
-    return columns.take(order), order
+    return columns.take(np.lexsort((columns.detectors.codes, columns.images.codes)))
 
 
 def _rule(
@@ -277,7 +275,7 @@ def fuse_corpus(
         if method == "ws" and models.weights is None:
             raise InsufficientData("weighted-sum weights have not been trained")
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
-    windows, _ = windows_of(per_detector)
+    windows = windows_of(per_detector)
     spans = windows.spans()
     fuse = partial(_fuse_batch, method, models, absent_policy, class_label, overlap_threshold, nms_threshold, lines)
     with contextlib.ExitStack() as own:

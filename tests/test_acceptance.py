@@ -55,10 +55,10 @@ def seed42():
     val_gts = ds.ground_truths(ds.validation_image_ids)["object"]
     test_gts = ds.ground_truths(ds.test_image_ids)
     per_det_val = {
-        d: DetectionColumns.of(ds.detections_for(d, ds.validation_image_ids)) for d in ds.detections
+        d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections
     }
     per_det_test = {
-        d: DetectionColumns.of(ds.detections_for(d, ds.test_image_ids)) for d in ds.detections
+        d: ds.detections_for(d, ds.test_image_ids) for d in ds.detections
     }
     trust = pipeline.build_trust_models(per_det_val, val_gts, "object", 2.0)
     return {
@@ -217,10 +217,10 @@ def test_overconfident_validation_penalizes_infinite_exponent():
         "val_gts": ds.ground_truths(ds.validation_image_ids)["object"],
         "test_gts": ds.ground_truths(ds.test_image_ids),
         "per_det_val": {
-            d: DetectionColumns.of(ds.detections_for(d, ds.validation_image_ids)) for d in ds.detections
+            d: ds.detections_for(d, ds.validation_image_ids) for d in ds.detections
         },
         "per_det_test": {
-            d: DetectionColumns.of(ds.detections_for(d, ds.test_image_ids)) for d in ds.detections
+            d: ds.detections_for(d, ds.test_image_ids) for d in ds.detections
         },
     }
     finite = [fused_map(fx, n=n) for n in (1.0, 2.0, 4.0, 8.0)]

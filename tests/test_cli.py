@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import beliefuse
 from beliefuse import pipeline
 from beliefuse.cli import main
-from beliefuse.geometry import Detection
+from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.pipeline import METHODS
 
 
@@ -342,16 +342,19 @@ class TestBuildBaselines:
         assert any(w.startswith("skipping weighted-sum model") for w in warnings)
 
 
-def test_no_command_but_generate_builds_a_detection_object(workspace, tmp_path, monkeypatch):
-    # Detector files are read straight into columns.
-    def refuse(self):
-        raise AssertionError("a Detection was built")
+def test_no_command_builds_a_detection_or_a_box_object(workspace, tmp_path, monkeypatch):
+    # The generator, the writers and the readers work on columns and row
+    # tuples, and the labeler matches rows as they are.
+    def refuse(*args):
+        raise AssertionError("a Detection or a BoundingBox was built")
 
     monkeypatch.setattr(Detection, "__post_init__", refuse)
+    monkeypatch.setattr(BoundingBox, "__new__", refuse)
     data = workspace / "data"
     train = ["--detections-dir", str(data / "validation"),
              "--annotations", str(data / "validation" / "annotations.jsonl")]
-    commands = [["build-trust", *train, "--models-dir", str(tmp_path / "m")],
+    commands = [["generate", "--out-dir", str(tmp_path / "data"), "--num-images", "20"],
+                ["build-trust", *train, "--models-dir", str(tmp_path / "m")],
                 ["build-baselines", *train, "--models-dir", str(tmp_path / "m")]]
     commands += [["fuse", "--method", method, "--detections-dir", str(data / "test"),
                   "--models-dir", str(tmp_path / "m"), "--out", str(tmp_path / f"{method}.jsonl")]

@@ -1,14 +1,20 @@
-import pytest
+import dataclasses
+import math
 
+import pytest
+from click.testing import CliRunner
+
+from beliefuse import cli
+from beliefuse.cli import default_profiles
 from beliefuse.datagen import (
     ConfigError,
     SyntheticDetectorProfile,
     generate,
 )
 from beliefuse.evaluation import evaluate_method
-from beliefuse.geometry import MatchLabel, iou
+from beliefuse.geometry import iou
 from beliefuse.io import DetectionColumns
-from beliefuse.pipeline import label_detections
+from beliefuse.pipeline import labeled_windows
 
 
 def profile(**kwargs):
@@ -63,6 +69,29 @@ class TestGenerateBasics:
         with pytest.raises(ConfigError):
             profile(localization_jitter=-0.1)
 
+    @pytest.mark.parametrize("override, message", [
+        ({"localization_jitter": math.inf}, "detector 'det_b' drew"),
+        ({"tp_score_mean": math.nan}, "detector 'det_b' drew"),
+        ({"localization_jitter": 1e17}, "detector 'det_b' drew"),  # boxes of no area
+        ({"fp_rate": math.inf}, "fp_rate must be"),
+        ({"validation_rate_scale": math.nan}, "validation_rate_scale must be"),
+        ({"validation_rate_scale": -1.0}, "validation_rate_scale must be"),
+    ])
+    def test_a_profile_that_draws_what_no_reader_takes_is_a_config_error(self, override, message, tmp_path,
+                                                                         monkeypatch):
+        def profiles(n):
+            return [dataclasses.replace(p, **override) if p.detector_id == "det_b" else p
+                    for p in default_profiles(n)]
+
+        with pytest.raises(ConfigError, match=message):
+            generate(1, 40, profiles(3))
+        monkeypatch.setattr(cli, "default_profiles", profiles)
+        result = CliRunner().invoke(cli.main, ["generate", "--out-dir", str(tmp_path), "--num-images", "40"])
+        assert result.exit_code == 2 and message in result.output, result.output
+        for path in tmp_path.rglob("*.jsonl"):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path
+
 
 class TestProfileBehavior:
     def test_degenerate_profile_is_perfect(self):
@@ -78,9 +107,9 @@ class TestProfileBehavior:
         p = profile(detection_rate=0.8, fp_rate=0.0, localization_jitter=1.0)
         ds = generate(4, 40, [p])
         gts = ds.ground_truths(ds.validation_image_ids)["object"]
-        labels = label_detections({"d1": DetectionColumns.of(ds.detections_for("d1", ds.validation_image_ids))}, gts)
-        assert MatchLabel.TRUE_POSITIVE in labels
-        assert MatchLabel.FALSE_POSITIVE not in labels
+        _, decided, tp = labeled_windows({"d1": ds.detections_for("d1", ds.validation_image_ids)}, gts)
+        assert tp.any()
+        assert not (decided & ~tp).any()  # no false positive
 
     def test_empirical_tp_rate_matches_detection_rate(self):
         rate = 0.6
@@ -130,7 +159,7 @@ class TestGroundTruths:
         truth = gts["cat"]
         kept = [(image_id, boxes) for image_id, boxes in ds.images if image_id in ds.test_image_ids and boxes]
         assert list(truth.spans) == [image_id for image_id, _ in kept]
-        assert truth.boxes.tolist() == [list(b.as_tuple()) for _, boxes in kept for b in boxes]
+        assert truth.boxes.tolist() == [list(b) for _, boxes in kept for b in boxes]
         assert truth.num_positives == len(truth) == len(truth.boxes)
         assert not truth.difficult.any()
 
@@ -148,7 +177,7 @@ class TestComplementarityFixture:
         gts = ds.ground_truths(test_ids)
         individual_aps = {}
         for det_id in ds.detections:
-            report = evaluate_method(DetectionColumns.of(ds.detections_for(det_id, test_ids)), gts)
+            report = evaluate_method(ds.detections_for(det_id, test_ids), gts)
             individual_aps[det_id] = report.map_score
         # Oracle: union of all detections with perfect scores on true hits.
         boxes = dict(ds.images)

@@ -89,17 +89,16 @@ def score_to_bpa(model, score):
 
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
-    windows, _ = windows_of(as_columns(per_det))
+    windows = windows_of(as_columns(per_det))
     return slots_and_masks(windows, windows.spans(), 0.5)[0]
 
 
 def fuse(per_det, rule):
     """``fuse_images`` on one image's windows: (window, fused score, verdict)
     per kept window, in visiting order."""
-    windows, order = windows_of(as_columns(per_det))
-    dets = [d for ds in per_det.values() for d in ds]
+    windows = windows_of(as_columns(per_det))
     kept, scores, joints = fuse_images(windows, rule)
-    return list(zip([dets[i] for i in order[kept].tolist()], scores.tolist(), verdicts(joints)))
+    return list(zip(windows.take(kept), scores.tolist(), verdicts(joints)))
 
 
 class TestBuildDetectionVectors:
@@ -296,7 +295,7 @@ class TestFuseImage:
         fused = fuse({"a": [high, low]}, rule)
         assert len(fused) == 1
         survivor, score, verdict = fused[0]
-        assert survivor is high
+        assert survivor == high
         assert score == verdict.score
         own = dbf_verdict if method == "dbf" else static_verdict
         assert verdict == own({"a": 9.0}, models)

@@ -58,6 +58,14 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, float("inf"), 10)
 
+    def test_every_way_to_make_one_checks_it(self):
+        # A box is a row, and the tuple ways to make one check it too.
+        assert BoundingBox(0, 0, 1, 1) == (0, 0, 1, 1)
+        with pytest.raises(ValueError):
+            BoundingBox._make([0, 0, 0, 0])
+        with pytest.raises(ValueError):
+            BoundingBox(0, 0, 1, 1)._replace(x_max=float("nan"))
+
     def test_area(self):
         assert box(0, 0, 10, 5).area == 50.0
 

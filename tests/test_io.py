@@ -40,10 +40,10 @@ def fused_columns(*rows):
 
 
 def sample_detections():
-    return [
+    return DetectionColumns.of([
         Detection("img1", "d1", BoundingBox(0, 0, 10, 10), 0.9),
         Detection("img2", "d1", BoundingBox(5, 5, 25, 25), 0.4),
-    ]
+    ])
 
 
 def sample_annotations():
@@ -61,14 +61,14 @@ class TestDetectionsRoundTrip:
         path = tmp_path / "d1.jsonl"
         dets = sample_detections()
         write_detections(dets, path)
-        assert rows(read_detections(path)) == rows(DetectionColumns.of(dets))
+        assert rows(read_detections(path)) == rows(dets)
 
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "d1.jsonl"
         write_detections(sample_detections(), path, config={"seed": 7})
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"_header": True, "config": {"seed": 7}}
-        assert rows(read_detections(path)) == rows(DetectionColumns.of(sample_detections()))
+        assert rows(read_detections(path)) == rows(sample_detections())
 
     def test_grouped_by_class(self, tmp_path):
         path = tmp_path / "d1.jsonl"
@@ -253,7 +253,7 @@ class TestReadAnyDetections:
     def test_raw_and_fused_files(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         write_detections(sample_detections(), raw, config={"seed": 1})
-        assert rows(read_any_detections(raw)) == rows(DetectionColumns.of(sample_detections()))
+        assert rows(read_any_detections(raw)) == rows(sample_detections())
         fused_path = tmp_path / "fused.jsonl"
         fused = fused_columns(((0, 0, 10, 10), "img1", 2.5, "d1", None))
         write_fused(fused, fused_path, config={"method": "ws"})
@@ -261,7 +261,7 @@ class TestReadAnyDetections:
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_detections([], path, config={"seed": 1})
+        write_detections(DetectionColumns.of([]), path, config={"seed": 1})
         for reader in (read_any_detections, read_detections, read_fused, read_annotations):
             assert len(reader(path)) == 0
         assert read_detections_by_class(path) == {}

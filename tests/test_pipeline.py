@@ -32,10 +32,15 @@ def fixture():
         "dataset": ds,
         "val_gts": ds.ground_truths(val_ids)["object"],
         "test_gts": ds.ground_truths(test_ids),
-        "val_lists": {d: ds.detections_for(d, val_ids) for d in ds.detections},
-        "per_det_val": as_columns({d: ds.detections_for(d, val_ids) for d in ds.detections}),
-        "per_det_test": as_columns({d: ds.detections_for(d, test_ids) for d in ds.detections}),
+        "per_det_val": {d: ds.detections_for(d, val_ids) for d in ds.detections},
+        "per_det_test": {d: ds.detections_for(d, test_ids) for d in ds.detections},
     }
+
+
+def labels(decided, tp):
+    """Each row's ``MatchLabel``, from its two flags."""
+    return [MatchLabel.TRUE_POSITIVE if t else MatchLabel.FALSE_POSITIVE if d else MatchLabel.UNDECIDED
+            for d, t in zip(decided.tolist(), tp.tolist())]
 
 
 class TestLabeling:
@@ -43,22 +48,24 @@ class TestLabeling:
         b = box(0, 0, 40, 40)
         dets = [det(0.9, b, image="img1"), det(0.8, b, image="img2")]
         gts = truth((b, "img1", False))
-        assert pipeline.label_detections(as_columns({"d1": dets}), gts) == [
+        assert labels(*pipeline.label_detections(DetectionColumns.of(dets), gts)) == [
             MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
-        # One label per detection, in input order.
-        assert pipeline.label_detections(as_columns({"d1": dets[::-1]}), gts) == [
-            MatchLabel.FALSE_POSITIVE, MatchLabel.TRUE_POSITIVE]
+        # One label per detection, rows in training order whatever the input order.
+        windows, *flags = pipeline.labeled_windows({"d1": DetectionColumns.of(dets[::-1])}, gts)
+        assert windows.images.decoded() == ["img1", "img2"]
+        assert labels(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
 
     def test_every_detector_in_one_call(self):
-        # Each detector claims the object for itself; lists are concatenated in the order given.
+        # Each detector claims the object for itself; rows go by detector.
         b = box(0, 0, 40, 40)
         per_det = {"d2": [det(0.1, b, detector="d2")], "d1": [det(0.9, b), det(0.8, b)]}
-        assert pipeline.label_detections(as_columns(per_det), truth((b, "img1", False))) == [
-            MatchLabel.TRUE_POSITIVE, MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED]
+        windows, *flags = pipeline.labeled_windows(as_columns(per_det), truth((b, "img1", False)))
+        assert windows.detectors.decoded() == ["d1", "d1", "d2"]
+        assert labels(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED, MatchLabel.TRUE_POSITIVE]
 
     def test_class_without_ground_truth_is_all_false_positives(self):
         dets = [det(0.9, box(0, 0, 40, 40)), det(0.8, box(0, 0, 40, 40), image="img2")]
-        assert pipeline.label_detections(as_columns({"d1": dets}), None) == [MatchLabel.FALSE_POSITIVE] * 2
+        assert labels(*pipeline.label_detections(DetectionColumns.of(dets), None)) == [MatchLabel.FALSE_POSITIVE] * 2
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)
@@ -78,7 +85,7 @@ class TestBuildTrustModels:
     def test_unusable_detector_skipped(self, fixture):
         per_det = dict(fixture["per_det_val"])
         # A detector with a single detection cannot produce both a TP and an FP.
-        per_det["det_x"] = DetectionColumns.of([fixture["val_lists"]["det_a"][0]])
+        per_det["det_x"] = fixture["per_det_val"]["det_a"].take(slice(0, 1))
         models = pipeline.build_trust_models(per_det, fixture["val_gts"], "object", 2.0)
         assert "det_x" not in models
         assert "det_a" in models
@@ -163,9 +170,9 @@ class TestBaselinePipeline:
         # A low-scoring duplicate of a true positive is labeled undecided; the
         # true positive's own row must still train as a positive, and the
         # duplicate's row must not train at all.
-        per_det = {k: list(v) for k, v in fixture["val_lists"].items()}
-        labels = pipeline.label_detections(as_columns({"det_a": per_det["det_a"]}), fixture["val_gts"])
-        original = per_det["det_a"][labels.index(MatchLabel.TRUE_POSITIVE)]
+        per_det = {k: list(v) for k, v in fixture["per_det_val"].items()}
+        windows, _, tp = pipeline.labeled_windows({"det_a": fixture["per_det_val"]["det_a"]}, fixture["val_gts"])
+        original = next(iter(windows.take(tp)))
         duplicate = Detection(original.image_id, "det_a", original.box, original.score - 5.0)
         per_det["det_a"].append(duplicate)
         training = []
@@ -193,7 +200,7 @@ class TestBaselinePipeline:
         ids = ds.validation_image_ids
         per_det = {d: ds.detections_for(d, ids) for d in ds.detections}
         gts = ds.ground_truths(ids)["object"]
-        first = per_det["det_a"][0]
+        first = next(iter(per_det["det_a"]))
         training = []
 
         def capture(features, targets, detector_ids):
@@ -202,7 +209,8 @@ class TestBaselinePipeline:
 
         monkeypatch.setattr(pipeline.baselines, "fit_weighted_sum", capture)
         for repeat in (first, Detection(first.image_id, first.detector_id, first.box, first.score)):
-            pipeline.fit_baselines(as_columns({**per_det, "det_a": [*per_det["det_a"], repeat]}), gts, "object")
+            with_repeat = DetectionColumns.concat([per_det["det_a"], DetectionColumns.of([repeat])])
+            pipeline.fit_baselines({**per_det, "det_a": with_repeat}, gts, "object")
         same_object, equal_copy = training
         assert same_object == equal_copy
         assert (len(equal_copy[1]), sum(equal_copy[1])) == (38, 13)

@@ -66,6 +66,7 @@ from beliefuse.geometry import (
     iou,
     iou_matrix,
     iou_pairs,
+    match_detections,
     nms_keep,
     nms_order,
     suppression_mask,
@@ -282,9 +283,9 @@ def as_rows(vectors, detector_ids):
 @example({"a": []}, 0.5)
 def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
     expected = reference_vectors(per_detector, threshold)
-    windows, order = windows_of(as_columns(per_detector))
-    dets = [d for dets in per_detector.values() for d in dets]
-    assert [id(dets[i]) for i in order.tolist()] == [id(s) for s, _ in expected]
+    windows = windows_of(as_columns(per_detector))
+    rows = [(d.image_id, d.detector_id, *map(float, d.box), d.score) for d in windows]
+    assert repr(rows) == repr([(s.image_id, s.detector_id, *map(float, s.box), s.score) for s, _ in expected])
     overlaps = iou_matrix(windows.boxes)
     # Columns for every detector of a batch, some with no window here.
     for detector_ids in (sorted(per_detector), sorted({*per_detector, "c", "g"})):
@@ -349,7 +350,7 @@ SIGNED_ZERO_GROUP = _batch(
 @example({}, 0.5, 0.5, fusion.MAX_STACKED_PAIRS)
 @example(SAME_COUNT, 0.1, 0.5, 1)  # every image its own stacked pass
 def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, cap):
-    windows, _ = windows_of(as_columns(corpus))
+    windows = windows_of(as_columns(corpus))
     spans, ids = windows.spans(), windows.detectors.names
     with mock.patch.object(fusion, "MAX_STACKED_PAIRS", cap):
         slots, masks = fusion.slots_and_masks(windows, spans, overlap, nms)
@@ -367,7 +368,7 @@ def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, c
 def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
-    windows, _ = windows_of(as_columns(per_detector))  # its rows are ``dets``
+    windows = windows_of(as_columns(per_detector))  # its rows are ``dets``
     order = nms_order(windows.scores, windows.detectors.codes, windows.boxes, windows.images.codes)
     for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), iou_matrix(windows.boxes)):
         kept = nms_keep(order, suppression_mask(overlaps, threshold))
@@ -722,10 +723,7 @@ def reference_training(per_detector, gts, platt):
     detection vector of a calibrated detector, each labeled by its own
     window; undecided windows are left out. Rows go by image, detector,
     descending score, then box; ties keep input order."""
-    label = {}
-    for det_id in platt:
-        dets = per_detector[det_id]
-        label.update((id(d), lab) for d, lab in zip(dets, pipeline.label_detections(as_columns({det_id: dets}), gts)))
+    label = reference_labels({det_id: per_detector[det_id] for det_id in platt}, gts)
     all_dets = [d for det_id in platt for d in per_detector[det_id]]
     training = []
     for _, image_dets in sorted(group_by_image(all_dets).items()):
@@ -844,7 +842,7 @@ def test_baseline_rules_equal_per_vector_rules_bit_for_bit(case):
 def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
     dataset = datagen.generate(seed, 12, default_profiles(3))
     image_ids = dataset.validation_image_ids
-    per_detector = {d: dataset.detections_for(d, image_ids) for d in dataset.detections}
+    per_detector = {d: list(dataset.detections_for(d, image_ids)) for d in dataset.detections}
     gts = dataset.ground_truths(image_ids)["object"]
     designs = []
     fit = baselines.fit_weighted_sum
@@ -876,7 +874,7 @@ def validation_sets(draw):
     ground truth."""
     dataset = datagen.generate(draw(st.integers(0, 2**32 - 1)), 40, default_profiles(3))
     image_ids = dataset.validation_image_ids
-    return ({d: dataset.detections_for(d, image_ids) for d in dataset.detections},
+    return ({d: list(dataset.detections_for(d, image_ids)) for d in dataset.detections},
             dataset.ground_truths(image_ids)["object"])
 
 
@@ -920,6 +918,89 @@ def test_training_does_not_depend_on_input_order(validation, duplicate_policy, r
     for order in (lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs))):
         reordered = {det_id: order(per_detector[det_id]) for det_id in order(sorted(per_detector))}
         assert trained(reordered, gts, duplicate_policy) == expected
+
+
+def reference_labels(per_detector, truth, iou_threshold=0.5, duplicate_policy="undecided"):
+    """Each detection's label, by ``id``: ``match_detections`` on each
+    detector's windows on each image, in input order, against that image's
+    objects (none when ``truth`` is None)."""
+    spans = {} if truth is None else truth.spans
+    label = {}
+    for dets in per_detector.values():
+        for image_id, own in group_by_image(dets).items():
+            a, b = spans.get(image_id, (0, 0))
+            objects = ([], []) if truth is None else (truth.boxes[a:b].tolist(), truth.difficult[a:b].tolist())
+            label.update(zip(map(id, own), match_detections([d.box for d in own], [d.score for d in own], *objects,
+                                                            iou_threshold, duplicate_policy)))
+    return label
+
+
+def window_row(d):
+    """A window as text-comparable values: repr tells -0.0 from 0.0."""
+    return (d.image_id, d.detector_id, *map(float, d.box), d.score)
+
+
+def reference_labeled_windows(per_detector, truth, iou_threshold, duplicate_policy):
+    """``pipeline.labeled_windows``' rows and labels, by the scalar matcher
+    (``reference_labels``), then Python's stable ``sorted`` by the documented
+    key: image, detector, descending score, 0.0 before -0.0, then box."""
+    label = reference_labels(per_detector, truth, iou_threshold, duplicate_policy)
+    dets = [d for dets in per_detector.values() for d in dets]
+    ranked = sorted(dets, key=lambda d: (d.image_id, d.detector_id, -d.score, math.copysign(1.0, -d.score),
+                                         tuple(d.box)))
+    return [(window_row(d), label[id(d)]) for d in ranked]
+
+
+@st.composite
+def labeling_cases(draw):
+    """Windows of a few detectors on a few images, shuffled, drawn from small
+    pools of boxes and scores: exact duplicates, equal zeros of both signs
+    and equal scores on different boxes are common. The ground truth sits on
+    the same boxes, some of it difficult; None is a class with none."""
+    pool = draw(st.lists(boxes(), min_size=1, max_size=4))
+    score = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), scores)
+    window = st.builds(Detection, st.sampled_from(["i0", "i1", "i\0"]), st.sampled_from("abc"),
+                       st.sampled_from(pool), score)
+    dets = draw(st.permutations(draw(st.lists(window, max_size=16))))
+    objects = draw(st.lists(st.builds(Obj, st.sampled_from(["i0", "i1", "i2"]), st.just("object"),
+                                      st.sampled_from(pool), st.booleans()), max_size=5))
+    per_detector = {}
+    for d in dets:
+        per_detector.setdefault(d.detector_id, []).append(d)
+    return per_detector, truths_of(objects)["object"] if objects else None
+
+
+def _labeling_case(objects, *windows):
+    """(detector, image, box, score) windows, in that order, and objects
+    (image, box, difficult) of class "object"."""
+    per_detector = {}
+    for det_id, image_id, box, score in windows:
+        per_detector.setdefault(det_id, []).append(Detection(image_id, det_id, BoundingBox(*box), score))
+    return per_detector, truths_of([Obj(i, "object", BoundingBox(*b), f) for i, b, f in objects])["object"]
+
+
+# Two detectors claim one object: each claims it for itself.
+TWO_CLAIMS = _labeling_case([("i0", ON, False)], ("b", "i0", ON, 1.0), ("a", "i0", ON, 1.0))
+# -0.0 listed before 0.0 on one box: 0.0 ranks first and claims the object.
+ZEROS_REVERSED = _labeling_case([("i0", ON, False)], ("a", "i0", ON, -0.0), ("a", "i0", ON, 0.0))
+# Runs of one window each on three images, a detector apart.
+LONE_WINDOWS = _labeling_case([("i1", ON, False), ("i0", OFF, False)], ("a", "i0", ON, 1.0),
+                              ("b", "i0", OFF, 1.0), ("a", "i1", ON, 2.0), ("a", "i2", ON, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeling_cases(), thresholds, st.sampled_from(POLICIES))
+@example(TWO_CLAIMS, 0.5, "undecided")
+@example(ZEROS_REVERSED, 0.5, "false_positive")
+@example(LONE_WINDOWS, 0.5, "undecided")
+@example(EQUAL_WINDOWS, 0.5, "false_positive")
+def test_labeled_windows_equal_the_scalar_matcher_then_a_sort(case, iou_threshold, duplicate_policy):
+    per_detector, truth = case
+    windows, decided, tp = pipeline.labeled_windows(as_columns(per_detector), truth, iou_threshold, duplicate_policy)
+    labels = [MatchLabel.TRUE_POSITIVE if t else MatchLabel.FALSE_POSITIVE if d else MatchLabel.UNDECIDED
+              for d, t in zip(decided.tolist(), tp.tolist())]
+    got = list(zip(map(window_row, windows), labels))
+    assert repr(got) == repr(reference_labeled_windows(per_detector, truth, iou_threshold, duplicate_policy))
 
 
 @st.composite
@@ -1074,10 +1155,27 @@ def any_boxes(draw, coordinate):
     return BoundingBox(x0, y0, x1, y1)
 
 
+@st.composite
+def generator_columns(draw):
+    """Raw columns as ``SyntheticDataset.detections_for`` gives them: some
+    rows of a detector's columns, every id name kept."""
+    dets = draw(st.lists(st.builds(Detection, json_ids, json_ids, any_boxes(json_floats), json_floats), max_size=4))
+    return DetectionColumns.of(dets).take(np.array(draw(st.lists(
+        st.booleans(), min_size=len(dets), max_size=len(dets))), dtype=bool))
+
+
+# A detector that draws nothing on validation images, only on test images.
+SPLIT = datagen.generate(0, 2, [datagen.SyntheticDetectorProfile(
+    "det_a", detection_rate=1.0, fp_rate=0.0, validation_rate_scale=0.0)])
+NO_ROW = SPLIT.detections_for("det_a", SPLIT.validation_image_ids)
+NON_ASCII = DetectionColumns.of([Detection("é", "日本", BoundingBox(0.5, 0.0, 1.0, 1.0), 2.0),
+                                 Detection("\ud800", "日本", BoundingBox(0.0, 0.0, 1.0, 1.0), 1.0)])
+SIGNED_ZERO = DetectionColumns.of([Detection("i", "d", BoundingBox(-0.0, 0.0, 1.0, 1.0), -0.0)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.builds(Detection, json_ids, json_ids, any_boxes(json_numbers), json_numbers),
-             max_size=4),
+    generator_columns(),
     st.lists(st.builds(Obj, json_ids, json_ids, any_boxes(json_numbers), st.booleans()), max_size=4),
     # Columns hold floats, so fused boxes and scores are floats.
     st.lists(st.builds(FusedDetection, any_boxes(json_floats), json_ids, json_ids, json_floats,
@@ -1085,6 +1183,9 @@ def any_boxes(draw, coordinate):
     json_ids,
     st.one_of(st.none(), st.dictionaries(json_ids, st.one_of(json_ids, json_numbers), max_size=3)),
 )
+@example(NO_ROW, [], [], "object", None)
+@example(NON_ASCII, [], [], "日本", {"é": 1})
+@example(SIGNED_ZERO, [], [], "object", None)
 def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, class_label, config):
     path = files_dir / "written.jsonl"
     io.write_detections(dets, path, class_label, config)
