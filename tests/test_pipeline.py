@@ -6,7 +6,7 @@ from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
 from beliefuse.io import DetectionColumns
 from beliefuse.trust import InsufficientData
-from test_properties import as_columns
+from test_properties import as_columns, labels_of
 
 
 def box(x0, y0, x1, y1):
@@ -37,23 +37,17 @@ def fixture():
     }
 
 
-def labels(decided, tp):
-    """Each row's ``MatchLabel``, from its two flags."""
-    return [MatchLabel.TRUE_POSITIVE if t else MatchLabel.FALSE_POSITIVE if d else MatchLabel.UNDECIDED
-            for d, t in zip(decided.tolist(), tp.tolist())]
-
-
 class TestLabeling:
     def test_cross_image_isolation(self):
         b = box(0, 0, 40, 40)
         dets = [det(0.9, b, image="img1"), det(0.8, b, image="img2")]
         gts = truth((b, "img1", False))
-        assert labels(*pipeline.label_detections(DetectionColumns.of(dets), gts)) == [
+        assert labels_of(*pipeline.label_detections(DetectionColumns.of(dets), gts)) == [
             MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
         # One label per detection, rows in training order whatever the input order.
         windows, *flags = pipeline.labeled_windows({"d1": DetectionColumns.of(dets[::-1])}, gts)
         assert windows.images.decoded() == ["img1", "img2"]
-        assert labels(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
+        assert labels_of(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.FALSE_POSITIVE]
 
     def test_every_detector_in_one_call(self):
         # Each detector claims the object for itself; rows go by detector.
@@ -61,11 +55,11 @@ class TestLabeling:
         per_det = {"d2": [det(0.1, b, detector="d2")], "d1": [det(0.9, b), det(0.8, b)]}
         windows, *flags = pipeline.labeled_windows(as_columns(per_det), truth((b, "img1", False)))
         assert windows.detectors.decoded() == ["d1", "d1", "d2"]
-        assert labels(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED, MatchLabel.TRUE_POSITIVE]
+        assert labels_of(*flags) == [MatchLabel.TRUE_POSITIVE, MatchLabel.UNDECIDED, MatchLabel.TRUE_POSITIVE]
 
     def test_class_without_ground_truth_is_all_false_positives(self):
         dets = [det(0.9, box(0, 0, 40, 40)), det(0.8, box(0, 0, 40, 40), image="img2")]
-        assert labels(*pipeline.label_detections(DetectionColumns.of(dets), None)) == [MatchLabel.FALSE_POSITIVE] * 2
+        assert labels_of(*pipeline.label_detections(DetectionColumns.of(dets), None)) == [MatchLabel.FALSE_POSITIVE] * 2
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)

@@ -935,6 +935,12 @@ def reference_labels(per_detector, truth, iou_threshold=0.5, duplicate_policy="u
     return label
 
 
+def labels_of(decided, tp):
+    """Each row's ``MatchLabel``, from its two flags (``pipeline.label_detections``)."""
+    return [MatchLabel.TRUE_POSITIVE if t else MatchLabel.FALSE_POSITIVE if d else MatchLabel.UNDECIDED
+            for d, t in zip(decided.tolist(), tp.tolist())]
+
+
 def window_row(d):
     """A window as text-comparable values: repr tells -0.0 from 0.0."""
     return (d.image_id, d.detector_id, *map(float, d.box), d.score)
@@ -997,9 +1003,7 @@ LONE_WINDOWS = _labeling_case([("i1", ON, False), ("i0", OFF, False)], ("a", "i0
 def test_labeled_windows_equal_the_scalar_matcher_then_a_sort(case, iou_threshold, duplicate_policy):
     per_detector, truth = case
     windows, decided, tp = pipeline.labeled_windows(as_columns(per_detector), truth, iou_threshold, duplicate_policy)
-    labels = [MatchLabel.TRUE_POSITIVE if t else MatchLabel.FALSE_POSITIVE if d else MatchLabel.UNDECIDED
-              for d, t in zip(decided.tolist(), tp.tolist())]
-    got = list(zip(map(window_row, windows), labels))
+    got = list(zip(map(window_row, windows), labels_of(decided, tp)))
     assert repr(got) == repr(reference_labeled_windows(per_detector, truth, iou_threshold, duplicate_policy))
 
 
