@@ -7,6 +7,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -66,24 +67,37 @@ class Truth:
         return len(self.boxes)
 
 
-def truths(image_ids: list[str], class_labels: list[str], boxes: ArrayLike, difficult: ArrayLike) -> dict[str, Truth]:
+def truths(image_ids, class_labels, boxes: ArrayLike, difficult: ArrayLike) -> dict[str, Truth]:
     """Each class's ground truth, classes in sorted order, from one row per
     object: within a class, images in order of first appearance, each
-    image's objects in row order."""
+    image's objects in row order. Ids are id columns (``io.Ids``: a code per
+    row into the sorted names), or sequences of each row's name."""
+    (images, image_names), (classes, class_names) = map(_coded, (image_ids, class_labels))
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     difficult = np.asarray(difficult, dtype=bool)
-    rows: dict[str, dict[str, list[int]]] = {}
-    for i, (label, image_id) in enumerate(zip(class_labels, image_ids)):
-        rows.setdefault(label, {}).setdefault(image_id, []).append(i)
+    # One stable sort: by class, then by the first row of the row's (class, image) pair.
+    pairs = classes * len(image_names) + images
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    taken = np.lexsort((first[inverse], classes))
+    bounds = np.flatnonzero(np.diff(pairs[taken], prepend=-1, append=-1))
+    runs = zip(classes[taken[bounds[:-1]]].tolist(), images[taken[bounds[:-1]]].tolist(),
+               bounds[:-1].tolist(), bounds[1:].tolist())
     out = {}
-    for label in sorted(rows):
-        spans, start = {}, 0
-        for image_id, at in rows[label].items():
-            spans[image_id] = (start, start + len(at))
-            start += len(at)
-        taken = [i for at in rows[label].values() for i in at]
-        out[label] = Truth(boxes[taken], difficult[taken], spans, len(taken) - int(difficult[taken].sum()))
+    for label, group in groupby(runs, key=lambda run: run[0]):
+        group = list(group)
+        start, stop = group[0][2], group[-1][3]
+        rows = taken[start:stop]
+        spans = {image_names[image]: (a - start, b - start) for _, image, a, b in group}
+        out[class_names[label]] = Truth(boxes[rows], difficult[rows], spans, len(rows) - int(difficult[rows].sum()))
     return out
+
+
+def _coded(ids) -> tuple[np.ndarray, Sequence[str]]:
+    """An id column's codes and sorted names: an ``io.Ids``'s own, or a sequence of names coded."""
+    if isinstance(ids, Sequence):  # as Python objects: a numpy string array drops trailing NULs
+        names, codes = np.unique(np.array(ids, dtype=object), return_inverse=True)
+        return codes, names.tolist()
+    return ids.codes, ids.names
 
 
 class MatchLabel(Enum):

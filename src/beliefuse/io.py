@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .dst import Bpa, sums_to_one
@@ -164,7 +165,6 @@ class DetectionColumns:
 
 _REQUIRED = object()  # the default of a field every line must have
 _ABSENT = object()  # the default of an optional field with no default value
-_scan = json.JSONDecoder().scan_once  # json.loads' scanner, without its wrapping
 
 
 class _Field(NamedTuple):
@@ -174,8 +174,9 @@ class _Field(NamedTuple):
     column: Callable  # raw values -> column, or None unless every value is ordinary
 
 
-def _ids(values: list) -> Ids:
-    return Ids.of(list(map(str, values)))
+def _ids(values: list) -> Ids | None:
+    # Strings only: orjson reads an integer past 64 bits as a float, not as json's int.
+    return Ids.of(values) if {str}.issuperset(map(type, values)) else None
 
 
 def _numbers(values: list, width: int | None = None) -> np.ndarray | None:
@@ -283,6 +284,9 @@ _ANNOTATION = (
     _Field("bbox", _REQUIRED, _box, _box_column),
 )
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError, RecursionError)
+# orjson nests without a depth limit and overflows the C stack about 10^5 deep; json,
+# which reads longer lines, stops at its recursion limit (about 10^3).
+_LONGEST_LINE = 10_000
 
 
 def _read_columns(path: str | Path, fields: tuple[_Field, ...]) -> dict:
@@ -309,13 +313,14 @@ def _read_columns(path: str | Path, fields: tuple[_Field, ...]) -> dict:
 
 
 def _objects(lines: list[str]) -> list[dict] | None:
-    """The lines' data objects, or None unless each line is one JSON object."""
-    try:
-        parsed = [_scan(line, 0) for line in lines]
-    except (StopIteration, ValueError, RecursionError):
+    """The lines' data objects, or None unless each is one JSON object of at most ``_LONGEST_LINE`` characters."""
+    if max(map(len, lines), default=0) > _LONGEST_LINE:
         return None
-    objects, ends = zip(*parsed) if parsed else ((), ())
-    if ends != tuple(map(len, lines)) or not {dict}.issuperset(map(type, objects)):
+    try:
+        objects = list(map(orjson.loads, lines))  # a line orjson rejects raises JSONDecodeError, a ValueError
+    except ValueError:
+        return None
+    if not {dict}.issuperset(map(type, objects)):
         return None
     return [obj for obj in objects if "_header" not in obj]
 
@@ -395,7 +400,7 @@ def read_fused(path: str | Path) -> DetectionColumns:
 def read_annotations(path: str | Path) -> dict[str, Truth]:
     """Read an annotations file as each class's ground truth (``geometry.truths``)."""
     c = _read_columns(path, _ANNOTATION)
-    return truths(c["image_id"].decoded(), c["class"].decoded(), c["bbox"], c["difficult"])
+    return truths(c["image_id"], c["class"], c["bbox"], c["difficult"])
 
 
 def read_any_detections(path: str | Path) -> DetectionColumns:
@@ -426,17 +431,18 @@ def _names_a_detector(path: str | Path) -> bool:
 # Each line fills one %-template with its row's values, each encoded as
 # JSON; the template lays keys out as ``json.dumps(row, sort_keys=True)``.
 
-_NOT_FINITE = {"nan", "inf", "-inf"}
-
 
 def _json_numbers(values: list) -> list[str]:
-    """``json.dumps`` of each number: ``float.__repr__``, unless a value is
-    not a finite float (numpy's float64 is one; Python's ``int`` is not)."""
+    """``json.dumps`` of each number: orjson's text where it equals ``json``'s (an int, a boolean,
+    or a float that ``float.__repr__`` writes with no exponent: 0, or 1e-4 <= |x| < 1e16)."""
     try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:
+        texts = orjson.dumps(values)[1:-1].decode().split(",") if values else []
+        magnitudes = np.abs(np.array(values, dtype=float))
+    except (TypeError, ValueError, OverflowError):  # an int past 64 bits; orjson.JSONEncodeError is a TypeError
         return list(map(json.dumps, values))
-    return texts if _NOT_FINITE.isdisjoint(texts) else list(map(json.dumps, values))
+    for k in np.flatnonzero(~((magnitudes == 0) | ((magnitudes >= 1e-4) & (magnitudes < 1e16)))).tolist():
+        texts[k] = json.dumps(values[k])
+    return texts
 
 
 def _distinct_json_numbers(values: np.ndarray) -> list[str]:

@@ -1,5 +1,7 @@
 import gc
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +189,19 @@ class TestDataErrors:
         for reader in (read_detections, read_detections_by_class, read_fused):
             with pytest.raises(DataError, match=r"bad\.jsonl:1: "):
                 reader(path)
+
+    def test_a_deeply_nested_line_is_a_data_error_not_a_crash(self, tmp_path):
+        # Nested 200,000 deep: json stops at its recursion limit, where orjson
+        # would overflow the C stack. Read in a child process, so that a crash
+        # fails this test alone.
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"image_id": "i", "detector_id": "d", "bbox": ' + "[" * 200_000 + "]" * 200_000
+                        + ', "score": 1}\n')
+        read = ("import sys\nfrom beliefuse import io\n"
+                "try: io.read_detections(sys.argv[1])\nexcept io.DataError as e: print(e)")
+        result = subprocess.run([sys.executable, "-c", read, str(path)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "deep.jsonl:1: invalid JSON: maximum recursion depth exceeded" in result.stdout
 
     def test_first_bad_line_is_named(self, tmp_path):
         # Line 2 lacks a field and line 3 is not JSON: line 2 is reported.

@@ -1733,6 +1733,7 @@ def test_report_layout_equals_json_dumps_indent_2(payload):
            st.lists(number.map(float), min_size=width, max_size=width), max_size=6))),
        st.integers(0, 5), st.booleans())
 @example((2, [[0.0, -0.0], [-0.0, 0.0], [math.nan, math.inf]]), 4, False)
+@example((3, [[1e-4, 1e16, 0.5], [math.nextafter(1e-4, 0), math.nextafter(1e16, 0), 5e-324]]), 1, True)
 def test_laid_out_rows_equal_json_dumps_indent_2(table, depth, as_dicts):
     width, rows = table
     array = np.array(rows, dtype=float).reshape(len(rows), width)
@@ -1740,6 +1741,28 @@ def test_laid_out_rows_equal_json_dumps_indent_2(table, depth, as_dicts):
     value = [dict(zip(keys, row)) for row in rows] if as_dicts else rows
     expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
     assert io.laid_out_rows(array, depth, keys) == expected
+
+
+# The bounds of the range orjson writes as float.__repr__ does (0, or
+# 1e-4 <= |x| < 1e16), each inside and just outside it.
+RANGE_EDGES = [1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), -1e-4, -math.nextafter(1e16, 0),
+               5e-324, 0.0, -0.0, 1.7976931348623157e308]
+
+
+@given(st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.sampled_from(RANGE_EDGES)), max_size=8))
+@example([])
+@example([math.nan])
+@example([math.inf, 1.0])
+@example([-math.inf])
+@example([2**64, 1.5])  # past what orjson writes as an int
+@example([3, True, 0.5, -0.0, False, -2**63])
+@example([e for e in RANGE_EDGES if e == 0 or 1e-4 <= abs(e) < 1e16])  # all in range: written by orjson
+@example([1e-4, 0.5, 1e16])
+@example([math.nextafter(1e-4, 0), 2.0])
+@example([math.nextafter(1e16, 0), 5e-324])
+@example([1.7976931348623157e308, 0.0])
+def test_json_numbers_equal_json_dumps_value_by_value(values):
+    assert io._json_numbers(values) == [json.dumps(v) for v in values]
 
 
 def test_report_file_equals_json_dumps_indent_2(tmp_path):
@@ -1949,6 +1972,14 @@ ODD_ID_LINES = "\n".join(
 @example(json.dumps({**GOOD, "joint": [0.5, 0.5, 0.0], "difficult": True}) + "\n\n")
 @example(json.dumps({**GOOD, "bbox": "0519"}))  # iterated, it would read as [0, 5, 1, 9]
 @example(ODD_ID_LINES)
+# orjson reads an integer past 64 bits as a float: ids must still read as json's int.
+@example(json.dumps({**GOOD, "image_id": 10**30, "detector_id": 2**64, "source_detector_id": -2**63 - 1}))
+@example(json.dumps({**GOOD, "score": 1234567890123456789012345}))  # 25 digits, read as a float
+# Tokens json takes and orjson rejects; the line-by-line path reads them.
+@example(json.dumps({**GOOD, "score": 0.5}).replace("0.5", "1e400"))
+@example(json.dumps({**GOOD, "score": math.nan}) + "\n" + json.dumps({**GOOD, "bbox": [0, 0, math.inf, 5]}))
+@example(json.dumps({**GOOD, "image_id": "\ud800"}))  # an escaped lone surrogate
+@example(json.dumps(GOOD)[:-1] + ', "image_id": "j", "score": 2.5}')  # duplicate keys: the last one counts
 def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
     jsonl_path.write_text(text)
     for reader, reference in READERS:
@@ -1966,6 +1997,25 @@ def test_readers_accept_what_the_per_line_reader_does(jsonl_path, text):
         io.read_any_detections(jsonl_path)
     except io.DataError:
         pass
+
+
+def test_ordinary_files_are_read_without_the_line_by_line_path(small_corpus, tmp_path, monkeypatch):
+    # With the line-by-line path refusing to run, a generated corpus's
+    # detector and annotation files and the fused files of a belief and a
+    # baseline method must still read: orjson took every line.
+    monkeypatch.setattr(io, "_checked_rows", mock.Mock(side_effect=AssertionError("read line by line")))
+    runner = CliRunner()
+    for method in ("dbf", "ws"):
+        result = runner.invoke(main, ["fuse", "--method", method, "--detections-dir",
+                                      str(small_corpus / "data" / "test"), "--models-dir",
+                                      str(small_corpus / "models"), "--out", str(tmp_path / f"{method}.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert len(io.read_fused(tmp_path / f"{method}.jsonl")) > 0
+    read = 0
+    for path in sorted((small_corpus / "data").glob("*/*.jsonl")):
+        read += len(io.read_annotations(path) if path.name == "annotations.jsonl" else io.read_detections(path))
+    assert read > 0
+    assert not io._checked_rows.called
 
 
 def reference_load_detections_dir(root):
