@@ -129,19 +129,11 @@ def _detection_files(detections_dir: str) -> list[Path]:
     return files
 
 
-def _read_by_class(path: Path) -> dict[str, io.DetectionColumns]:
-    """``io.read_detections_by_class``, looked up on ``io`` when it runs: a pool task."""
-    return io.read_detections_by_class(path)
-
-
-def _load_detections_dir(
-    detections_dir: str, pool: pipeline.Pool | None = None
-) -> dict[str, dict[str, io.DetectionColumns]]:
-    """-> class -> detector_id -> its rows, files in sorted order, lines in
-    file order; each file read by a worker of ``pool`` when one is given."""
+def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, io.DetectionColumns]]:
+    """-> class -> detector_id -> its rows, files in sorted order, lines in file order."""
     parts: dict[str, list[io.DetectionColumns]] = {}
-    for per_class in (pool.executor.map if pool else map)(_read_by_class, _detection_files(detections_dir)):
-        for cls, rows in per_class.items():
+    for path in _detection_files(detections_dir):
+        for cls, rows in io.read_detections_by_class(path).items():
             parts.setdefault(cls, []).append(rows)
     joined = {cls: io.DetectionColumns.concat(p) for cls, p in parts.items()}
     return {cls: rows.split(rows.detectors) for cls, rows in joined.items()}
@@ -401,27 +393,22 @@ def cmd_fuse(method, config_file, **flags):
                 raise ConfigError(f"--absent-policy is read by --method dbf only, not by {method}")
             del provenance["absent_policy"]
         _check_out_dir(cfg.out)
-        files = _detection_files(cfg.detections_dir)
-    models_dir = Path(cfg.models_dir)
-    # One pool for the command, or none (every fuse then runs at jobs 1): its
-    # workers read the files, then fuse each class's batches and lay out their lines.
-    with _exit_on_error(), pipeline.worker_pool(cfg.jobs, len(files)) as pool:
-        per_class = _load_detections_dir(cfg.detections_dir, pool)
+        per_class = _load_detections_dir(cfg.detections_dir)
+        models_dir = Path(cfg.models_dir)
         models = {cls: _load_models(models_dir, cls, sorted(per_class[cls]), method) for cls in sorted(per_class)}
         if all(m is None for m in models.values()):
             raise MissingModel(f"no model files for --method {method} for any class in {models_dir}")
-        lines = []
-        for cls, class_models in models.items():
-            if class_models is not None:
-                # Each class's lines are already in file order.
-                lines += pipeline.fuse_corpus(
-                    per_class[cls], class_models, cls, method,
-                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs if pool else 1, pool=pool, lines=True,
-                )
+    # One pool for the command, or none, opened once every input is read: its
+    # workers only fuse each class's batches. Each class's rows come back in
+    # file order, and are laid out as lines here, class by class.
+    with pipeline.worker_pool(cfg.jobs) as pool:
+        parts = [pipeline.fuse_corpus(per_class[cls], class_models, cls, method, cfg.vector_iou, cfg.nms_iou,
+                                      cfg.absent_policy, pool.workers if pool else 1, pool=pool)
+                 for cls, class_models in models.items() if class_models is not None]
     provenance["method"] = method
     with _writing(cfg.out):
-        io.write_fused(lines, cfg.out, config=provenance)
-    click.echo(f"wrote {len(lines)} fused detections to {cfg.out}")
+        io.write_fused(parts, cfg.out, config=provenance)
+    click.echo(f"wrote {sum(map(len, parts))} fused detections to {cfg.out}")
 
 
 @_pipeline_command("eval")
@@ -476,27 +463,24 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
         values = [_parse_n(v) for v in n_values.split(",") if v.strip()]
         if not values:
             raise ConfigError("empty n-values list")
-        dirs = [cfg.detections_dir, *([test_detections_dir] if test_detections_dir else [])]
-        tasks = sum(len(_detection_files(d)) for d in dirs)
-    # One pool for the command, or none, as in fuse: its workers read both
-    # splits, then fuse the batches of every class at every n.
-    with pipeline.worker_pool(cfg.jobs, tasks) as pool:
-        with _exit_on_error():
-            per_class_val = _load_detections_dir(cfg.detections_dir, pool)
-            gts = io.read_annotations(cfg.annotations)
-            per_class_test = _load_detections_dir(test_detections_dir, pool) if test_detections_dir else per_class_val
-            test_gts = io.read_annotations(test_annotations) if test_annotations else gts
+        per_class_val = _load_detections_dir(cfg.detections_dir)
+        gts = io.read_annotations(cfg.annotations)
+        per_class_test = _load_detections_dir(test_detections_dir) if test_detections_dir else per_class_val
+        test_gts = io.read_annotations(test_annotations) if test_annotations else gts
 
-        # A PR table does not depend on n: each class's models are built once,
-        # and each n only swaps the exponent.
-        trained = {}
-        for cls in sorted(per_class_val):
-            trained[cls] = pipeline.build_trust_models(
-                per_class_val[cls], gts.get(cls), cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
-            )
-            if not trained[cls]:
-                _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
-        rows = []
+    # A PR table does not depend on n: each class's models are built once,
+    # and each n only swaps the exponent.
+    trained = {}
+    for cls in sorted(per_class_val):
+        trained[cls] = pipeline.build_trust_models(
+            per_class_val[cls], gts.get(cls), cls, cfg.bpd_exponent, cfg.match_iou, cfg.duplicate_policy
+        )
+        if not trained[cls]:
+            _fail(EXIT_DATA, f"no trust model could be built for class {cls!r}")
+    # One pool for the command, or none, as in fuse: its workers fuse the
+    # batches of every class at every n.
+    rows = []
+    with pipeline.worker_pool(cfg.jobs) as pool:
         for n in values:
             n_label = "inf" if math.isinf(n) else f"{n:g}"
             per_class_ap = {}
@@ -504,7 +488,7 @@ def cmd_sweep_n(n_values, method, test_detections_dir, test_annotations, config_
                 models = {d: dataclasses.replace(m, bpd_exponent=n) for d, m in models.items()}
                 fused = pipeline.fuse_corpus(
                     per_class_test.get(cls, {}), models, cls, method,
-                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, cfg.jobs if pool else 1, pool=pool,
+                    cfg.vector_iou, cfg.nms_iou, cfg.absent_policy, pool.workers if pool else 1, pool=pool,
                 )
                 with _exit_on_error():
                     try:

@@ -95,7 +95,8 @@ class SyntheticDataset:
         """The objects of the given images (of all when None), as ``geometry.truths``."""
         rows = [(image_id, box) for image_id, boxes in self.images
                 if image_ids is None or image_id in image_ids for box in boxes]
-        return truths([r[0] for r in rows], [self.class_label] * len(rows), [r[1] for r in rows], [False] * len(rows))
+        return truths(Ids.of([r[0] for r in rows]), Ids.of([self.class_label] * len(rows)), [r[1] for r in rows],
+                      [False] * len(rows))
 
     def detections_for(self, detector_id: str, image_ids: frozenset[str] | None = None) -> DetectionColumns:
         """The detector's rows on the given images (on all when None)."""

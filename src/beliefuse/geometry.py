@@ -71,8 +71,9 @@ def truths(image_ids, class_labels, boxes: ArrayLike, difficult: ArrayLike) -> d
     """Each class's ground truth, classes in sorted order, from one row per
     object: within a class, images in order of first appearance, each
     image's objects in row order. Ids are id columns (``io.Ids``: a code per
-    row into the sorted names), or sequences of each row's name."""
-    (images, image_names), (classes, class_names) = map(_coded, (image_ids, class_labels))
+    row into the sorted names)."""
+    images, image_names = image_ids.codes, image_ids.names
+    classes, class_names = class_labels.codes, class_labels.names
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     difficult = np.asarray(difficult, dtype=bool)
     # One stable sort: by class, then by the first row of the row's (class, image) pair.
@@ -90,14 +91,6 @@ def truths(image_ids, class_labels, boxes: ArrayLike, difficult: ArrayLike) -> d
         spans = {image_names[image]: (a - start, b - start) for _, image, a, b in group}
         out[class_names[label]] = Truth(boxes[rows], difficult[rows], spans, len(rows) - int(difficult[rows].sum()))
     return out
-
-
-def _coded(ids) -> tuple[np.ndarray, Sequence[str]]:
-    """An id column's codes and sorted names: an ``io.Ids``'s own, or a sequence of names coded."""
-    if isinstance(ids, Sequence):  # as Python objects: a numpy string array drops trailing NULs
-        names, codes = np.unique(np.array(ids, dtype=object), return_inverse=True)
-        return codes, names.tolist()
-    return ids.codes, ids.names
 
 
 class MatchLabel(Enum):

@@ -285,7 +285,8 @@ _ANNOTATION = (
 )
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError, RecursionError)
 # orjson nests without a depth limit and overflows the C stack about 10^5 deep; json,
-# which reads longer lines, stops at its recursion limit (about 10^3).
+# which reads longer lines, stops at its recursion limit (about 10^3). orjson reads no
+# line of more characters, and no model file of more brackets, than this.
 _LONGEST_LINE = 10_000
 
 
@@ -515,9 +516,9 @@ def fused_lines(fused: DetectionColumns) -> list[str]:
     )
 
 
-def write_fused(fused: DetectionColumns | list[str], path: str | Path, config: dict | None = None) -> None:
-    """Fused rows, given as columns or as their lines (``fused_lines``)."""
-    _write_jsonl(path, fused_lines(fused) if isinstance(fused, DetectionColumns) else fused, config)
+def write_fused(parts: list[DetectionColumns], path: str | Path, config: dict | None = None) -> None:
+    """Fused rows, one part after another, each part laid out on its own (``fused_lines``)."""
+    _write_jsonl(path, [line for part in parts for line in fused_lines(part)], config)
 
 
 # ---- the one indent-2 writer of JSON files --------------------------------
@@ -642,21 +643,48 @@ def save_model(model, path: str | Path, config: dict | None = None) -> None:
     Path(path).write_text(indent2(payload) + "\n")
 
 
+def _model_fields(data, expected: type | None) -> tuple[type, dict]:
+    """The class of a decoded model file and the values of its fields."""
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    if data.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {data.get('format_version')!r}")
+    if data.get("kind") not in _MODEL_KINDS:
+        raise ValueError(f"unknown model kind {data.get('kind')!r}")
+    cls, fields = _MODEL_KINDS[data["kind"]]
+    if expected not in (None, cls):
+        raise ValueError(f"a {data['kind']} where a {_KIND_OF[expected]} belongs")
+    return cls, {field: _decoded(field, data[field]) for field in fields}
+
+
+def _past_64_bits(values: dict) -> bool:
+    """Whether a number field holds a finite float of magnitude 2**63 or more:
+    orjson reads an integer past 64 bits as one, where json reads an int,
+    which ``_numbers`` refuses."""
+    numbers = np.concatenate([np.ravel(np.asarray(v, dtype=float)) for f, v in values.items()
+                              if f in _NUMBER_FIELDS or f == "table"])
+    return bool((np.abs(numbers[np.isfinite(numbers)]) >= 2.0 ** 63).any())
+
+
 def load_model(path: str | Path, expected: type | None = None):
     """Read a model file of any kind, or only of the ``expected`` class's
     kind; a malformed file, or one of another kind, raises ``DataError``.
-    The model's own checks run on the values read."""
+    The model's own checks run on the values read.
+
+    orjson decodes the file, and json decodes it again wherever their values
+    might differ or a check fails: orjson refuses NaN, Infinity and an
+    escaped lone surrogate, nests without a depth limit, and reads an
+    integer past 64 bits as a float."""
     try:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError("not a JSON object")
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {data.get('format_version')!r}")
-        if data.get("kind") not in _MODEL_KINDS:
-            raise ValueError(f"unknown model kind {data.get('kind')!r}")
-        cls, fields = _MODEL_KINDS[data["kind"]]
-        if expected not in (None, cls):
-            raise ValueError(f"a {data['kind']} where a {_KIND_OF[expected]} belongs")
-        return cls(**{field: _decoded(field, data[field]) for field in fields})
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        text = Path(path).read_text()
+        try:
+            if text.count("[") + text.count("{") > _LONGEST_LINE:
+                raise ValueError("more brackets than orjson may nest")
+            cls, values = _model_fields(orjson.loads(text), expected)
+            if _past_64_bits(values):
+                raise ValueError("a number past 64 bits")
+        except (KeyError, TypeError, ValueError, OverflowError):
+            cls, values = _model_fields(json.loads(text), expected)
+        return cls(**values)
+    except (OSError, KeyError, RecursionError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad model file: {type(exc).__name__}: {exc}") from exc

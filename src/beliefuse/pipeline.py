@@ -198,43 +198,40 @@ class Pool(NamedTuple):
 
 
 @contextlib.contextmanager
-def worker_pool(jobs: int, tasks: int) -> Iterator[Pool | None]:
-    """A pool of ``jobs`` worker processes, but no more than there are
-    ``tasks`` or CPUs this process may run on; None, for serial work, when
-    that leaves fewer than two."""
-    workers = min(jobs, tasks, len(os.sched_getaffinity(0)))
+def worker_pool(jobs: int) -> Iterator[Pool | None]:
+    """A pool of ``jobs`` worker processes, but no more than the CPUs this
+    process may run on; None, for serial work, when that leaves fewer than two."""
+    workers = min(jobs, len(os.sched_getaffinity(0)))
     if workers < 2:
         yield None
         return
     # The default start method. Under fork, the executor starts every worker
-    # at the first task, before its own thread; spawn would import numpy
-    # again in each worker of each command.
+    # at the first task, before its own thread, so a pool given no task forks
+    # nothing; spawn would import numpy again in each worker of each command.
     with ProcessPoolExecutor(max_workers=workers) as executor:
         yield Pool(executor, workers)
 
 
 def _fuse_batch(
     method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str, class_label: str,
-    overlap_threshold: float, nms_threshold: float, lines: bool, windows: DetectionColumns,
-) -> DetectionColumns | list[str]:
+    overlap_threshold: float, nms_threshold: float, windows: DetectionColumns,
+) -> DetectionColumns:
     """Fuse a batch of contiguous images' windows (``fusion.fuse_images`` with
     ``method``'s ``_rule``): its kept rows, of class ``class_label``, in the
-    order ``fuse`` writes them, as columns or, with ``lines``, as their lines
-    (``io.fused_lines``). A pool task: it takes data only, and looks the fuse
-    and the writer up on their modules when it runs."""
+    order ``fuse`` writes them. A pool task: it takes data only, and looks
+    the fuse up on its module when it runs."""
     rule = partial(_rule, method, models, absent_policy)
     kept, scores, joints = fusion.fuse_images(windows, rule, overlap_threshold, nms_threshold)
     # A stable sort: ties keep NMS visiting order.
     order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images.codes[kept]))
     kept, scores, joints = kept[order], scores[order], joints[order]
-    fused = DetectionColumns(windows.images[kept], Ids(np.zeros(len(kept), dtype=np.intp), (class_label,)),
-                             windows.boxes[kept], scores, windows.detectors[kept], joints)
-    return io.fused_lines(fused) if lines else fused
+    return DetectionColumns(windows.images[kept], Ids(np.zeros(len(kept), dtype=np.intp), (class_label,)),
+                            windows.boxes[kept], scores, windows.detectors[kept], joints)
 
 
 def _batches(windows: DetectionColumns, spans: np.ndarray, count: int) -> Iterator[DetectionColumns]:
     """At most ``count`` runs of contiguous images' windows, cut at the image
-    starts nearest to equal window counts."""
+    starts nearest to equal window counts; ``spans`` holds at least one image."""
     targets = np.arange(1, count) * len(windows.scores) / count
     cuts = sorted(set(np.searchsorted(spans[:, 0], targets).tolist()) - {0, len(spans)})
     for first, stop in zip([0, *cuts], [*cuts, len(spans)]):
@@ -249,25 +246,23 @@ def fuse_corpus(
     overlap_threshold: float = 0.5,
     nms_threshold: float = 0.5,
     absent_policy: str = "vacuous",
-    jobs: int = 1,
+    batches: int = 1,
     *,
     pool: Pool | None = None,
-    lines: bool = False,
-) -> DetectionColumns | list[str]:
+) -> DetectionColumns:
     """Fuse every image independently: the kept windows as columns in the
     order the ``fuse`` command writes them, by image, descending score, then
-    box, ties in NMS visiting order (joints NaN for baselines); with
-    ``lines``, their fused lines instead (``io.fused_lines``).
+    box, ties in NMS visiting order (joints NaN for baselines).
 
     ``models`` holds one trust model per detector for the belief methods
     (``dbf``, ``static-dst``) and a ``BaselineModels`` for the baselines
     (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
-    take part. The windows become columns once (``windows_of``). Serially
-    all images are fused as one batch (``_fuse_batch``). In a pool,
-    ``pool`` when given and else one of this call's own when ``jobs > 1``
-    (``worker_pool``), each worker gets one batch of contiguous images, the
-    batches holding about equal window counts, with the models, and sends it
-    back finished.
+    take part. The windows become columns once (``windows_of``) and are cut
+    into ``batches`` runs of contiguous images holding about equal window
+    counts (``_batches``), each fused on its own (``_fuse_batch``): by a
+    worker of ``pool`` when one is given, which gets the batch with the
+    models and sends its rows back, and else in this process. A class of
+    fewer than two images is one batch, fused in this process.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -277,16 +272,12 @@ def fuse_corpus(
         per_detector = {k: v for k, v in per_detector.items() if k in models.platt}
     windows = windows_of(per_detector)
     spans = windows.spans()
-    fuse = partial(_fuse_batch, method, models, absent_policy, class_label, overlap_threshold, nms_threshold, lines)
-    with contextlib.ExitStack() as own:
-        if pool is None and jobs > 1:
-            pool = own.enter_context(worker_pool(jobs, len(spans)))
-        if pool is None or len(spans) < 2:
-            results = [fuse(windows)]
-        else:
-            if method in BELIEF_METHODS:
-                # Built once here, the mass tables travel with the models.
-                for model in models.values():
-                    model.mass_table
-            results = list(pool.executor.map(fuse, _batches(windows, spans, pool.workers)))
-    return [line for batch in results for line in batch] if lines else DetectionColumns.concat(results)
+    fuse = partial(_fuse_batch, method, models, absent_policy, class_label, overlap_threshold, nms_threshold)
+    if len(spans) < 2:
+        return DetectionColumns.concat([fuse(windows)])
+    if pool is not None and method in BELIEF_METHODS:
+        # Built once here, the mass tables travel with the models.
+        for model in models.values():
+            model.mass_table
+    run = pool.executor.map if pool else map
+    return DetectionColumns.concat(list(run(fuse, _batches(windows, spans, batches))))

@@ -29,7 +29,7 @@ from beliefuse.dst import (
 )
 from beliefuse.evaluation import average_precision, evaluate_method
 from beliefuse.geometry import BoundingBox, Detection, truths
-from beliefuse.io import DetectionColumns
+from beliefuse.io import DetectionColumns, Ids
 from beliefuse.trust import TrustModel, bpd_precision
 from test_properties import reference_assignment
 
@@ -161,7 +161,7 @@ def test_average_precision_fixture_and_rank_invariance():
 
     g1, g2, off = grid_boxes(3)
     def truth(boxes):
-        return truths(["img1"] * len(boxes), ["object"] * len(boxes), [b.as_tuple() for b in boxes],
+        return truths(Ids.of(["img1"] * len(boxes)), Ids.of(["object"] * len(boxes)), [b.as_tuple() for b in boxes],
                       [False] * len(boxes))["object"]
 
     gts = truth([g1, g2])

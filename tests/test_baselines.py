@@ -16,7 +16,7 @@ from beliefuse.baselines import (
     weighted_sum_fuse,
 )
 from beliefuse import pipeline
-from beliefuse.io import DetectionColumns, load_model, save_model
+from beliefuse.io import DetectionColumns, Ids, load_model, save_model
 from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.trust import InsufficientData
 
@@ -61,7 +61,7 @@ class TestFitPlatt:
     def test_undecided_excluded(self):
         # Windows half over a ground-truth box are undecided: fit_baselines
         # leaves them out of the Platt fit.
-        gts = truths(["img"] * 3, ["object"] * 3, [(0, 0, 10, 10), (20, 0, 30, 10), (50, 50, 60, 60)],
+        gts = truths(Ids.of(["img"] * 3), Ids.of(["object"] * 3), [(0, 0, 10, 10), (20, 0, 30, 10), (50, 50, 60, 60)],
                      [False] * 3)["object"]
         decided = [Detection("img", "a", BoundingBox(0, 0, 10, 10), 2.0),
                    Detection("img", "a", BoundingBox(20, 0, 30, 10), 1.0),

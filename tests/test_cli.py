@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import beliefuse
-from beliefuse import pipeline
+from beliefuse import fusion, io, pipeline
 from beliefuse.cli import main
 from beliefuse.geometry import BoundingBox, Detection
 from beliefuse.pipeline import METHODS
@@ -916,23 +916,23 @@ class TestPool:
         assert {json.loads(line)["class"] for line in (tmp_path / "f.jsonl").read_text().splitlines()[1:]} == \
             {"cat", "object"}
 
-    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])  # the test split has 3 detector files
-    def test_a_pool_has_no_more_workers_than_tasks_or_cpus(self, two_classes, tmp_path, monkeypatch, inline_pools,
-                                                            cpus, workers):
+    @pytest.mark.parametrize("cpus, jobs, workers", [(8, "100000", 8), (2, "100000", 2), (8, "3", 3)])
+    def test_a_pool_has_no_more_workers_than_cpus(self, two_classes, tmp_path, monkeypatch, inline_pools,
+                                                  cpus, jobs, workers):
         started = inline_pools
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert two_class_fuse(two_classes, tmp_path / "serial.jsonl").exit_code == 0
-        result = two_class_fuse(two_classes, tmp_path / "pooled.jsonl", jobs="100000")
+        result = two_class_fuse(two_classes, tmp_path / "pooled.jsonl", jobs=jobs)
         assert result.exit_code == 0, result.output
         assert started == [workers]
         header, lines = (tmp_path / "pooled.jsonl").read_text().split("\n", 1)
-        assert json.loads(header)["config"]["jobs"] == 100000
+        assert json.loads(header)["config"]["jobs"] == int(jobs)
         assert lines == (tmp_path / "serial.jsonl").read_text().split("\n", 1)[1]
 
     def test_one_file_detections_dirs_start_one_pool_or_none(self, two_classes, tmp_path, monkeypatch, inline_pools):
-        # Each detector file is one read task: fuse over one file, and a sweep
-        # of one split, run serially, and no fuse starts a pool of its own; a
-        # sweep with a test split reads two files, in its one pool.
+        # Workers only fuse, so the number of detector files does not size the
+        # pool: fuse over one file, and a sweep of one split or of two, each
+        # start one pool at --jobs 2 and none at --jobs 1.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         one = tmp_path / "one"
         for split in ("validation", "test"):
@@ -946,14 +946,39 @@ class TestPool:
             return run(["sweep-n", "--n-values", "1,2,inf", "--detections-dir", str(validation), "--annotations",
                         str(validation / "annotations.jsonl"), "--out", str(out), "--jobs", jobs])
 
-        for command, out, pools in ((two_class_fuse, "f", []), (sweep_one_split, "v", []), (two_class_sweep, "s", [2])):
+        for command, out in ((two_class_fuse, "f"), (sweep_one_split, "v"), (two_class_sweep, "s")):
             for jobs in ("1", "2"):
                 result = command(one, tmp_path / f"{out}_{jobs}", jobs=jobs)
                 assert result.exit_code == 0, result.output
-            assert inline_pools == pools
+            assert inline_pools == [2]
             inline_pools.clear()
             serial, pooled = ((tmp_path / f"{out}_{jobs}").read_text().split("\n", 1)[1] for jobs in ("1", "2"))
             assert pooled == serial
+
+    def test_inputs_and_models_are_read_in_the_commands_process(self, two_classes, tmp_path, monkeypatch):
+        # Each call appends its name and pid to a file, so that a call made
+        # in a worker process shows too.
+        calls = tmp_path / "calls"
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                with open(calls, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return call
+
+        for module, name in ((io, "read_detections_by_class"), (io, "load_model"), (fusion, "fuse_images")):
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for command, out in ((two_class_fuse, tmp_path / "f.jsonl"), (two_class_sweep, tmp_path / "s.csv")):
+            result = command(two_classes, out, jobs="2")
+            assert result.exit_code == 0, result.output
+        pids = {}
+        for line in calls.read_text().splitlines():
+            name, pid = line.split()
+            pids.setdefault(name, set()).add(int(pid))
+        assert pids["read_detections_by_class"] == pids["load_model"] == {os.getpid()}
+        assert pids["fuse_images"] - {os.getpid()}, "no batch was fused in a worker"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_class_without_a_model_file_is_left_out_with_a_warning(self, two_classes, tmp_path, caplog, jobs):

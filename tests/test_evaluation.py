@@ -27,7 +27,10 @@ def gt(b, image="img1", cls="object", difficult=False):
 
 def by_class(objects):
     """Each class's ``Truth`` of ``gt`` rows."""
-    return truths(*map(list, zip(*objects))) if objects else {}
+    if not objects:
+        return {}
+    images, labels, boxes, difficult = map(list, zip(*objects))
+    return truths(Ids.of(images), Ids.of(labels), boxes, difficult)
 
 
 def truth(objects):

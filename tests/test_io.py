@@ -2,10 +2,13 @@ import gc
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from beliefuse import io
+from beliefuse.baselines import PlattModel
 from beliefuse.dst import Bpa, fused_scores
 from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.io import (
@@ -21,6 +24,7 @@ from beliefuse.io import (
     write_detections,
     write_fused,
 )
+from beliefuse.trust import TrustModel
 
 
 def rows(columns):
@@ -49,7 +53,7 @@ def sample_detections():
 
 
 def sample_annotations():
-    return truths(["img1", "img2"], ["object"] * 2, [(0, 0, 10, 10), (5, 5, 25, 25)], [False, True])
+    return truths(Ids.of(["img1", "img2"]), Ids.of(["object"] * 2), [(0, 0, 10, 10), (5, 5, 25, 25)], [False, True])
 
 
 def truth_rows(gts):
@@ -271,7 +275,7 @@ class TestReadAnyDetections:
         assert rows(read_any_detections(raw)) == rows(sample_detections())
         fused_path = tmp_path / "fused.jsonl"
         fused = fused_columns(((0, 0, 10, 10), "img1", 2.5, "d1", None))
-        write_fused(fused, fused_path, config={"method": "ws"})
+        write_fused([fused], fused_path, config={"method": "ws"})
         assert rows(read_any_detections(fused_path)) == rows(fused)
 
     def test_header_only_file_is_empty(self, tmp_path):
@@ -298,7 +302,7 @@ class TestFused:
             ((0, 0, 10, 10), "img1", joint.m_target - joint.m_nontarget, "d1", joint.as_tuple()),
             ((5, 5, 25, 25), "img2", 2.5, "d2", None),
         )
-        write_fused(fused, path, config={"method": "dbf"})
+        write_fused([fused], path, config={"method": "dbf"})
         loaded = read_fused(path)
         assert rows(loaded) == rows(fused)
         assert loaded.joints[0].tolist() == list(joint.as_tuple())
@@ -310,9 +314,9 @@ class TestFused:
         joint = Bpa(0.2922489550617629, 0.4549249442515907, 0.2528261006866465)
         assert Bpa(*joint.as_tuple()).as_tuple() != joint.as_tuple()
         path = tmp_path / "fused.jsonl"
-        write_fused(fused_columns(
+        write_fused([fused_columns(
             ((0, 0, 10, 10), "img1", fused_scores(np.array([joint.as_tuple()]))[0], "d1",
-             joint.as_tuple())), path)
+             joint.as_tuple()))], path)
         loaded = read_fused(path)
         assert loaded.joints[0].tolist() == list(joint.as_tuple())
         assert loaded.scores.tolist() == fused_scores(loaded.joints).tolist()
@@ -325,3 +329,66 @@ class TestFused:
                         f'"score": 0.0, "joint": {joint}}}\n')
         with pytest.raises(DataError, match=":1:"):
             read_fused(path)
+
+
+def model_files(tmp_path):
+    """A trust and a Platt model file, as ``save_model`` writes them."""
+    trust = TrustModel("d1", "object", [[4.0, 0.2, 0.9, 0.9], [1.0, 1.0, 0.3, 0.3]], 2.0, 10)
+    paths = {"trust": tmp_path / "trust.json", "platt": tmp_path / "platt.json"}
+    io.save_model(trust, paths["trust"], {"seed": 1})
+    io.save_model(PlattModel("d1", -1.5, 0.25), paths["platt"], {"seed": 1})
+    return paths
+
+
+def loaded(path):
+    """What ``load_model`` makes of a file: the model's file as ``save_model``
+    writes it again, or the message of its ``DataError``."""
+    try:
+        model = io.load_model(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    again = path.with_suffix(".again")
+    io.save_model(model, again)
+    return again.read_text()
+
+
+class TestModelFiles:
+    def test_ordinary_files_are_decoded_by_orjson_alone(self, tmp_path):
+        paths = model_files(tmp_path)
+        expected = {kind: loaded(path) for kind, path in paths.items()}
+        with mock.patch.object(io.json, "loads", side_effect=AssertionError("json decoded a model file")):
+            assert {kind: loaded(path) for kind, path in paths.items()} == expected
+
+    @pytest.mark.parametrize("kind, edit, fails", [
+        ("trust", lambda m: m.update(num_validation_positives=10**20), True),
+        ("trust", lambda m: m.update(num_validation_positives=2**64 - 1), False),
+        ("trust", lambda m: m.update(format_version=10**20), True),
+        ("trust", lambda m: m["table"][0].update(score=10**20), True),
+        ("platt", lambda m: m.update(a=-2**63 - 1), True),
+        ("platt", lambda m: m.update(a=1e20), False),
+        ("platt", lambda m: m.update(detector_id="\ud800"), False),
+        ("platt", lambda m: m.update(a=float("nan")), True),
+        ("platt", lambda m: m.update(b=float("inf")), True),
+    ], ids=["positives_1e20", "positives_2_64", "format_version_1e20", "table_int_1e20", "a_past_int64",
+            "a_float_1e20", "lone_surrogate_id", "a_nan", "b_infinity"])
+    def test_a_file_loads_as_json_alone_loads_it(self, tmp_path, kind, edit, fails):
+        # Integers past 64 bits (orjson reads them as floats), an escaped lone
+        # surrogate, NaN and Infinity (orjson refuses them) give what json gives.
+        path = model_files(tmp_path)[kind]
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload, indent=2))
+        with mock.patch.object(io.orjson, "loads", side_effect=ValueError("json alone")):
+            expected = loaded(path)
+        assert expected.startswith("DataError") == fails
+        assert loaded(path) == expected
+
+    def test_a_deeply_nested_file_is_a_data_error(self, tmp_path):
+        # orjson overflows the C stack about 10^5 deep; json stops at its recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**6 + "]" * 10**6)
+        load = ("import sys\nfrom beliefuse import io\n"
+                "try: io.load_model(sys.argv[1])\nexcept io.DataError as e: print(e)")
+        result = subprocess.run([sys.executable, "-c", load, str(path)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "bad model file: RecursionError" in result.stdout

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from beliefuse import datagen, evaluation, pipeline
 from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
-from beliefuse.io import DetectionColumns
+from beliefuse.io import DetectionColumns, Ids
 from beliefuse.trust import InsufficientData
 from test_properties import as_columns, labels_of
 
@@ -20,7 +22,7 @@ def det(score, b, image="img1", detector="d1"):
 def truth(*objects):
     """One class's ground truth from (box, image, difficult) triples."""
     boxes, images, difficult = zip(*objects)
-    return truths(images, ["object"] * len(boxes), [b.as_tuple() for b in boxes], difficult)["object"]
+    return truths(Ids.of(images), Ids.of(["object"] * len(boxes)), [b.as_tuple() for b in boxes], difficult)["object"]
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +107,8 @@ class TestFuseCorpus:
             fixture["per_det_val"], fixture["val_gts"], "object", 2.0
         )
         serial = pipeline.fuse_corpus(fixture["per_det_test"], models, "object", "dbf")
-        parallel = pipeline.fuse_corpus(
-            fixture["per_det_test"], models, "object", "dbf", jobs=2
-        )
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}), pipeline.worker_pool(2) as pool:
+            parallel = pipeline.fuse_corpus(fixture["per_det_test"], models, "object", "dbf", batches=2, pool=pool)
         assert serial == parallel
 
     def test_deterministic(self, fixture):

@@ -23,11 +23,11 @@ reproduce them exactly, including tie order, duplicate boxes,
 total-conflict recovery, float rounding and which files are rejected.
 """
 
+import contextlib
 import json
 import math
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,7 +114,7 @@ def as_columns(per_detector):
 
 def truths_of(objects):
     """``geometry.truths`` of a list of objects."""
-    return truths([g.image_id for g in objects], [g.class_label for g in objects],
+    return truths(Ids.of([g.image_id for g in objects]), Ids.of([g.class_label for g in objects]),
                   [g.box.as_tuple() for g in objects], [g.difficult for g in objects])
 
 
@@ -413,6 +413,15 @@ ODD_IDS = _batch(
 )
 
 
+@pytest.fixture(scope="module")
+def two_workers():
+    """A ``worker_pool`` of two worker processes, whatever the CPU count here."""
+    with contextlib.ExitStack() as stack:
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}):
+            pool = stack.enter_context(pipeline.worker_pool(2))
+        yield pool
+
+
 @settings(max_examples=10, deadline=None)
 @given(corpora(), st.sampled_from(pipeline.METHODS))
 @example(ODD_IDS, "dbf")
@@ -424,13 +433,14 @@ ODD_IDS = _batch(
 @example(APART, "platt")
 @example(APART, "ws")
 @example(APART, "bayes")
-def test_fuse_corpus_is_the_same_at_any_jobs(corpus, method):
+def test_fuse_corpus_is_the_same_at_any_jobs(two_workers, corpus, method):
     models = _models(method)
-    serial = pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=1)
-    # As many workers as jobs asks for, whatever the CPU count here.
-    with mock.patch("os.sched_getaffinity", return_value=set(range(4))):
-        for jobs in (2, 3):
-            assert pipeline.fuse_corpus(as_columns(corpus), models, "object", method, jobs=jobs) == serial
+    serial = pipeline.fuse_corpus(as_columns(corpus), models, "object", method)
+    # One to three batches, fused in this process or by the pool's workers.
+    for batches in (1, 2, 3):
+        for pool in (None, two_workers):
+            assert pipeline.fuse_corpus(as_columns(corpus), models, "object", method,
+                                        batches=batches, pool=pool) == serial
     # The rows leave fuse_corpus in the order the fuse command writes them.
     assert repr(fused_rows(serial)) == repr(output_order(serial))
     if method in pipeline.BELIEF_METHODS:
@@ -883,7 +893,7 @@ def _windows(det_id, *boxes_and_scores):
 
 
 ON, OFF, FAR = (0, 0, 10, 10), (20, 20, 30, 30), (40, 40, 50, 50)
-ONE_OBJECT = truths(["img"], ["object"], [ON], [False])["object"]
+ONE_OBJECT = truths(Ids.of(["img"]), Ids.of(["object"]), [ON], [False])["object"]
 # Two windows equal in image, detector, score and box: one claims the
 # object, the other is its undecided duplicate.
 EQUAL_WINDOWS = ({"a": _windows("a", (ON, 1.0), (ON, 1.0), (OFF, 0.5)),
@@ -1067,7 +1077,7 @@ def files_dir(tmp_path_factory):
 def test_fused_lines_score_their_joint_mass(files_dir, corpus, models, method):
     fused = pipeline.fuse_corpus(as_columns(corpus), models, "object", method)
     path = files_dir / "fused.jsonl"
-    io.write_fused(fused, path)
+    io.write_fused([fused], path)
     columns = io.read_fused(path)
     assert len(columns) == len(fused)
     for score, (m_target, m_nontarget, _) in zip(columns.scores.tolist(), columns.joints.tolist()):
@@ -1198,8 +1208,13 @@ def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, class_
     io.write_annotations(truths_of(gts), path, config)
     grouped = [g for objects in reference_grouping(gts).values() for g in objects]
     assert path.read_text() == reference_jsonl(map(reference_annotation_row, grouped), config)
-    io.write_fused(fused_columns(fused), path, config)
-    assert path.read_text() == reference_jsonl(map(reference_fused_row, fused), config)
+    columns, half = fused_columns(fused), len(fused) // 2
+    expected = reference_jsonl(map(reference_fused_row, fused), config)
+    io.write_fused([columns], path, config)
+    assert path.read_text() == expected
+    # Laid out part by part, as fuse lays out its classes, the text is the same.
+    io.write_fused([columns.take(slice(None, half)), columns.take(slice(half, None))], path, config)
+    assert path.read_text() == expected
 
 
 # ---- ground truth -----------------------------------------------------------
@@ -2035,16 +2050,9 @@ detection_rows = st.fixed_dictionaries({
 })
 
 
-@pytest.fixture(scope="module")
-def two_workers():
-    """A pool of two worker processes, whatever the CPU count here."""
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield pipeline.Pool(executor, 2)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(detection_rows, max_size=8), st.lists(detection_rows, max_size=8), st.data())
-def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, two_workers, a_rows, b_rows, data):
+def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, a_rows, b_rows, data):
     # Detector a's lines are split across two files, which sort before and
     # after detector b's file; a third file holds lines of both, and the
     # classes interleave.
@@ -2060,13 +2068,12 @@ def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, 
     for name, rows in files.items():
         (root / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
     expected = reference_load_detections_dir(root)
-    for pool in (None, two_workers):
-        got = cli._load_detections_dir(str(root), pool)
-        assert [(label, list(per_det)) for label, per_det in got.items()] == \
-            [(label, list(per_det)) for label, per_det in expected.items()]
-        for label, per_det in expected.items():
-            for det_id, dets in per_det.items():
-                assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
+    got = cli._load_detections_dir(str(root))
+    assert [(label, list(per_det)) for label, per_det in got.items()] == \
+        [(label, list(per_det)) for label, per_det in expected.items()]
+    for label, per_det in expected.items():
+        for det_id, dets in per_det.items():
+            assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
 
 
 # ---- id columns -------------------------------------------------------------

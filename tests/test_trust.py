@@ -7,7 +7,7 @@ import pytest
 from beliefuse import pipeline, trust
 from beliefuse.dst import Bpa
 from beliefuse.geometry import BoundingBox, Detection, truths
-from beliefuse.io import DataError, DetectionColumns, load_model, save_model
+from beliefuse.io import DataError, DetectionColumns, Ids, load_model, save_model
 from beliefuse.trust import (
     InsufficientData,
     TrustModel,
@@ -91,7 +91,7 @@ class TestBuildPrTable:
 
     def test_undecided_excluded(self):
         # A window half over a ground-truth box is undecided: it adds no row.
-        gts = truths(["img1"] * 2, ["object"] * 2, [(0, 0, 10, 10), (50, 50, 60, 60)], [False] * 2)["object"]
+        gts = truths(Ids.of(["img1"] * 2), Ids.of(["object"] * 2), [(0, 0, 10, 10), (50, 50, 60, 60)], [False] * 2)["object"]
         decided = [Detection("img1", "d1", BoundingBox(0, 0, 10, 10), 3.0),
                    Detection("img1", "d1", BoundingBox(20, 20, 30, 30), 2.0)]
         undecided = Detection("img1", "d1", BoundingBox(50, 50, 55, 60), 2.5)
