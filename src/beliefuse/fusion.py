@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dst
 from .dst import TotalConflict
-from .geometry import _iou, nms_keep, nms_order, suppression_mask
+from .geometry import Pairs, greedy_nms, nms_order, overlapping_pairs
 from .io import DetectionColumns
 from .trust import TrustModel
 
@@ -23,82 +23,38 @@ _EPS = 1e-6
 
 
 # A scoring rule maps a batch's detector names and slot matrix (see
-# ``slots_and_masks``) to one fused score per row and, for the belief
+# ``detection_slots``) to one fused score per row and, for the belief
 # methods, the (N, 3) joint masses those scores come from.
 Rule = Callable[[tuple[str, ...], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
-# The most window pairs one stacked pass holds, 128 KB per float64
-# temporary: larger passes fall out of cache and cost more per pair. A pass
-# always takes at least one image.
-MAX_STACKED_PAIRS = 1 << 14
 
-
-def slots_and_masks(
-    windows: DetectionColumns,
-    spans: np.ndarray,
-    overlap_threshold: float,
-    nms_threshold: float | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def detection_slots(windows: DetectionColumns, pairs: Pairs, overlap_threshold: float) -> np.ndarray:
     """A batch's detection vectors as an N×D slot matrix, one column per
-    detector name, and each image's NMS suppression mask.
+    detector name, from the batch's ``geometry.overlapping_pairs``.
 
-    Rows are the windows in subject order (``pipeline.windows_of``), each
-    one's detector code its column, and ``spans`` each image's rows
-    (``DetectionColumns.spans``). A window's own detector's column holds its
-    raw score; every other column holds the maximum score among that
-    detector's windows in the same image overlapping it beyond
-    ``overlap_threshold``, or -inf (slot absent) when there is none.
-
-    Images with the same window count n share one stacked pass, at most
-    ``MAX_STACKED_PAIRS`` pairs at a time: one (n, k, n) IoU array, entry
-    [i, j, c] the IoU of image j's windows i and c as ``iou_matrix`` gives
-    it, then one ``np.maximum.reduceat`` over the masked scores, a segment
-    per row, image and detector. Each mask is ``suppression_mask`` of one
-    image's IoU matrix, a view into its pass's stack, in span order;
-    without ``nms_threshold`` there are none.
+    A window's own detector's column holds its raw score; every other
+    column holds the maximum score among that detector's windows in the
+    same image overlapping it beyond ``overlap_threshold``, the first in row
+    order among equals (a zero slot takes its first zero window's sign), or
+    -inf (slot absent). One ``np.lexsort`` of the pairs' windows by slot,
+    descending score and row puts each slot's value first.
     """
+    if not 0 < overlap_threshold < 1:
+        raise ValueError(f"overlap_threshold must be in (0,1), got {overlap_threshold}")
     detectors = windows.detectors.codes
     num_detectors = len(windows.detectors.names)
     slots = np.full((len(windows.scores), num_detectors), -np.inf)
-    masks: list[np.ndarray] = [None] * len(spans)
-    starts, counts = spans[:, 0], spans[:, 1] - spans[:, 0]
-    # A segment starts at each image's first window and wherever the
-    # window's detector changes.
-    cuts = np.ones(len(windows.scores), dtype=bool)
-    np.not_equal(detectors[1:], detectors[:-1], out=cuts[1:])
-    cuts[starts] = True
-    signed_zeros = np.any((windows.scores == 0) & np.signbit(windows.scores))
-    # Not np.unique: it imports numpy.ma on its first call in a process.
-    for n in np.flatnonzero(np.bincount(counts)).tolist():
-        group = np.flatnonzero(counts == n)
-        size = max(1, MAX_STACKED_PAIRS // (n * n))
-        for first in range(0, len(group), size):
-            images = group[first : first + size]
-            rows = starts[images] + np.arange(n)[:, None]  # (n, k): image j's row i
-            overlaps = _iou(windows.boxes[rows][:, :, None], windows.boxes[rows.T])
-            scores = windows.scores[rows.T]
-            # Each window's score where it overlaps the subject, else -inf:
-            # one line per subject row, the k images side by side.
-            masked = np.where(overlaps > overlap_threshold, scores, -np.inf).reshape(n, -1)
-            at = np.flatnonzero(cuts[rows.T])
-            best = np.maximum.reduceat(masked, at, axis=1)  # (n, segments)
-            image, column = np.divmod(at, n)
-            # np.maximum keeps the later of two equal zeros, but a slot keeps
-            # the first window's score among equals: with a -0.0 score about,
-            # each zero slot takes the sign of its first zero window.
-            if signed_zeros:
-                zeros = np.where(masked == 0, np.tile(np.arange(n), len(images)), n)
-                first_zero = np.minimum.reduceat(zeros, at, axis=1)
-                row, segment = np.nonzero(best == 0)
-                best[row, segment] = scores[image[segment], first_zero[row, segment]]
-            columns = detectors[rows[column, image]]
-            slots.reshape(-1)[rows[:, image] * num_detectors + columns] = best
-            if nms_threshold is not None:
-                stack = suppression_mask(overlaps, nms_threshold)
-                for j, k in enumerate(images.tolist()):
-                    masks[k] = stack[:, j]
+    near = (pairs.overlaps > overlap_threshold) & (detectors[pairs.first] != detectors[pairs.second])
+    rows = np.concatenate((pairs.first[near], pairs.second[near]))
+    others = np.concatenate((pairs.second[near], pairs.first[near]))
+    cells = rows * num_detectors + detectors[others]
+    scores = windows.scores[others]
+    ranked = np.lexsort((others, -scores, cells))
+    cells, scores = cells[ranked], scores[ranked]
+    heads = np.diff(cells, prepend=-1) != 0
+    slots.reshape(-1)[cells[heads]] = scores[heads]
     slots[np.arange(len(windows.scores)), detectors] = windows.scores
-    return slots, masks
+    return slots
 
 
 def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
@@ -168,24 +124,21 @@ def fuse_images(
     nms_threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rescore a batch of images' windows, in subject order, by fusion, then
-    consolidate each image with NMS.
+    consolidate each image with greedy NMS.
 
-    Each image's IoU matrix is computed once, in its window-count group's
-    stacked pass; it gives the image's rows of the batch's slot matrix and
-    its NMS suppression mask, and only the mask is kept
-    (``slots_and_masks``). ``rule`` scores the whole batch in one call, the
-    detector names naming the slot matrix's columns. NMS then runs image by
-    image on the fused scores. Returns the kept rows, image by image and each
-    image's in visiting order, with their fused scores and joint masses (NaN
-    where the rule gives none).
+    The batch's overlapping window pairs are found once
+    (``geometry.overlapping_pairs``); they give its slot matrix
+    (``detection_slots``) and NMS's suppressions (``geometry.greedy_nms``).
+    ``rule`` scores the whole batch in one call, the detector names naming
+    the slot matrix's columns. Returns the kept rows, image by image and
+    each image's in visiting order, with their fused scores and joint masses
+    (NaN where the rule gives none).
     """
-    spans = windows.spans()
-    slots, masks = slots_and_masks(windows, spans, overlap_threshold, nms_threshold)
+    pairs = overlapping_pairs(windows.boxes, windows.images.codes)
+    slots = detection_slots(windows, pairs, overlap_threshold)
     scores, joints = rule(windows.detectors.names, slots)
     if joints is None:
         joints = np.full((len(scores), 3), np.nan)
     order = nms_order(scores, windows.detectors.codes, windows.boxes, windows.images.codes)
-    images = zip(spans.tolist(), masks)
-    kept = [start + i for (start, stop), mask in images for i in nms_keep(order[start:stop] - start, mask)]
-    kept = np.array(kept, dtype=np.intp)
+    kept = greedy_nms(order, pairs, nms_threshold)
     return kept, scores[kept], joints[kept]

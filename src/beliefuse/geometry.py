@@ -8,6 +8,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -111,20 +112,10 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
-def iou_matrix(boxes: ArrayLike) -> np.ndarray:
-    """Pairwise IoU of N boxes given as rows ``[x_min, y_min, x_max, y_max]``.
-
-    Entry ``[i, j]`` equals ``iou(box_i, box_j)`` bit for bit: the same
-    float64 operations in the same order, and 0 where the boxes do not
-    overlap in x or in y.
-    """
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return _iou(boxes[:, None], boxes)
-
-
 def iou_pairs(boxes: ArrayLike, others: ArrayLike) -> np.ndarray:
     """IoU of each box with the box in the same row of ``others``: entry i
-    equals ``iou(box_i, other_i)`` bit for bit, as in ``iou_matrix``."""
+    equals ``iou(box_i, other_i)`` bit for bit: the same float64 operations
+    in the same order, and 0 where the boxes do not overlap in x or in y."""
     return _iou(np.asarray(boxes, dtype=float).reshape(-1, 4), np.asarray(others, dtype=float).reshape(-1, 4))
 
 
@@ -135,6 +126,52 @@ def _iou(b: np.ndarray, o: np.ndarray) -> np.ndarray:
     inter = ix * iy
     areas = ((b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]), (o[..., 2] - o[..., 0]) * (o[..., 3] - o[..., 1]))
     return np.divide(inter, (areas[0] + areas[1]) - inter, out=inter)
+
+
+class Pairs(NamedTuple):
+    """Same-image row pairs, lower row first, and each pair's IoU."""
+
+    first: np.ndarray
+    second: np.ndarray
+    overlaps: np.ndarray
+
+
+def overlapping_pairs(boxes: np.ndarray, images: np.ndarray) -> Pairs:
+    """Every pair of rows on one image whose boxes overlap in x and in y,
+    each once, with its IoU by ``_iou``. Any other pair's IoU is +0.0, so no
+    threshold in (0, 1) passes it.
+
+    A sweep along x: each x edge becomes an exact integer key, image ×
+    distinct x count + the rank of x among the distinct x values. Sorted by
+    x_min key, a row's candidates are the next rows whose x_min key is below
+    its x_max key (one ``searchsorted``); those overlapping it in y too are
+    its pairs. A touching edge is no overlap.
+    """
+    x = np.concatenate((boxes[:, 0], boxes[:, 2]))
+    by_x = np.argsort(x)
+    x = x[by_x]
+    steps = np.zeros(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=steps[1:])
+    ranks = np.empty(len(x), dtype=np.intp)
+    ranks[by_x] = np.cumsum(steps)
+    keys = images * (ranks.max(initial=0) + 1)
+    start_keys, stop_keys = keys + ranks[: len(keys)], keys + ranks[len(keys) :]
+    by_start = np.argsort(start_keys)
+    ends = np.searchsorted(start_keys[by_start], stop_keys[by_start])
+    # Sorted row p's candidates are sorted rows p + 1 .. ends[p] - 1. Step d
+    # takes candidate p + d of every row that has one: no array outgrows the batch.
+    ordered = boxes[by_start]
+    y_min, y_max = ordered[:, 1], ordered[:, 3]
+    rows, d = np.arange(len(ends)), 1
+    found = [(rows[:0], rows[:0], np.empty(0))]
+    while len(rows := rows[ends[rows] > rows + d]):
+        p, q = rows, rows + d
+        near = (y_min[q] < y_max[p]) & (y_min[p] < y_max[q])
+        p, q = p[near], q[near]
+        a, b = by_start[p], by_start[q]
+        found.append((np.minimum(a, b), np.maximum(a, b), _iou(ordered[p], ordered[q])))
+        d += 1
+    return Pairs(*map(np.concatenate, zip(*found)))
 
 
 def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -206,14 +243,6 @@ def match_detections(
     return [labeled[i] for i in range(len(boxes))]
 
 
-def suppression_mask(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Greedy NMS's suppression matrix: row i marks the windows whose IoU
-    with window i is above the threshold."""
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    return overlaps > iou_threshold
-
-
 def nms_order(scores: np.ndarray, detectors: np.ndarray, boxes: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Greedy NMS's visiting order of a batch's windows: by image, then by
     descending score, detector (an index into sorted ids) and box, x_min
@@ -221,18 +250,26 @@ def nms_order(scores: np.ndarray, detectors: np.ndarray, boxes: np.ndarray, imag
     return np.lexsort((*boxes.T[::-1], detectors, -scores, images))
 
 
-def nms_keep(order: np.ndarray, suppresses: np.ndarray) -> list[int]:
-    """Greedy NMS of one image's windows, visited in ``order`` (see
-    ``nms_order``): each one kept suppresses the windows its row of
-    ``suppresses`` marks (``suppression_mask``), walked as Python int
-    bitsets. Returns the kept indices in visiting order."""
-    packed = np.packbits(suppresses, axis=-1, bitorder="little")
-    width, data = packed.shape[-1], packed.tobytes()
-    rows = [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width or 1)]
-    suppressed = 0
-    kept: list[int] = []
-    for i in order.tolist():
-        if not suppressed >> i & 1:
-            kept.append(i)
-            suppressed |= rows[i]
-    return kept
+def greedy_nms(order: np.ndarray, pairs: Pairs, iou_threshold: float) -> np.ndarray:
+    """Greedy NMS of a batch's windows, visited in ``order`` (``nms_order``):
+    each window kept suppresses the windows whose IoU with it, read from the
+    batch's ``overlapping_pairs``, is above the threshold. Returns the kept
+    rows in visiting order. A pair's later-visited window is suppressed
+    where the earlier one stands, and the earlier one's fate is settled by
+    the pairs visited before: so one walk over the pairs does it.
+    """
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
+    near = pairs.overlaps > iou_threshold
+    visit = np.empty(len(order), dtype=np.intp)
+    visit[order] = np.arange(len(order))
+    a, b = visit[pairs.first[near]], visit[pairs.second[near]]
+    earlier, later = np.minimum(a, b), np.maximum(a, b)
+    walk = np.argsort(earlier)
+    suppressed = set()
+    for i, j in zip(earlier[walk].tolist(), later[walk].tolist()):
+        if i not in suppressed:
+            suppressed.add(j)
+    standing = np.ones(len(order), dtype=bool)
+    standing[list(suppressed)] = False
+    return order[standing]

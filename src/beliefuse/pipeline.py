@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines, dst, fusion, io, trust
+from . import baselines, dst, fusion, geometry, io, trust
 from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .geometry import Detection, MatchLabel, Truth, match_detections
 from .io import DetectionColumns, Ids
@@ -144,7 +144,8 @@ def fit_baselines(
     # detector's column is absent throughout.
     calibrated = np.array([d in out.platt for d in windows.detectors.names], dtype=bool)[windows.detectors.codes]
     windows, decided, tp = windows.take(calibrated), decided[calibrated], tp[calibrated]
-    slots, _ = fusion.slots_and_masks(windows, windows.spans(), overlap_threshold)
+    slots = fusion.detection_slots(windows, geometry.overlapping_pairs(windows.boxes, windows.images.codes),
+                                   overlap_threshold)
     features = baselines.platt_features(windows.detectors.names, slots, out.platt, sorted(out.platt))
     try:
         out.weights = baselines.fit_weighted_sum(features[decided], tp[decided], tuple(sorted(out.platt)))
@@ -191,7 +192,7 @@ def _rule(
 
 
 class Pool(NamedTuple):
-    """A process pool and the number of its workers."""
+    """A process pool and its workers: its processes and this one."""
 
     executor: ProcessPoolExecutor
     workers: int
@@ -205,10 +206,11 @@ def worker_pool(jobs: int) -> Iterator[Pool | None]:
     if workers < 2:
         yield None
         return
-    # The default start method. Under fork, the executor starts every worker
-    # at the first task, before its own thread, so a pool given no task forks
+    # This process fuses one batch (``fuse_corpus``), so one fork fewer. The
+    # default start method. Under fork, the executor starts every worker at
+    # the first task, before its own thread, so a pool given no task forks
     # nothing; spawn would import numpy again in each worker of each command.
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(max_workers=workers - 1) as executor:
         yield Pool(executor, workers)
 
 
@@ -259,10 +261,10 @@ def fuse_corpus(
     (``platt``, ``ws``, ``bayes``), where only detectors with a Platt model
     take part. The windows become columns once (``windows_of``) and are cut
     into ``batches`` runs of contiguous images holding about equal window
-    counts (``_batches``), each fused on its own (``_fuse_batch``): by a
-    worker of ``pool`` when one is given, which gets the batch with the
-    models and sends its rows back, and else in this process. A class of
-    fewer than two images is one batch, fused in this process.
+    counts (``_batches``), each fused on its own (``_fuse_batch``). This
+    process fuses the first; with a ``pool``, its processes fuse the rest
+    meanwhile, each getting its batch with the models and sending its rows
+    back. A class of fewer than two images is one batch.
     """
     if method not in METHODS:
         raise ValueError(f"unknown fusion method {method!r}")
@@ -275,9 +277,12 @@ def fuse_corpus(
     fuse = partial(_fuse_batch, method, models, absent_policy, class_label, overlap_threshold, nms_threshold)
     if len(spans) < 2:
         return DetectionColumns.concat([fuse(windows)])
-    if pool is not None and method in BELIEF_METHODS:
+    if pool is not None and method == "dbf":
         # Built once here, the mass tables travel with the models.
         for model in models.values():
             model.mass_table
-    run = pool.executor.map if pool else map
-    return DetectionColumns.concat(list(run(fuse, _batches(windows, spans, batches))))
+    parts = _batches(windows, spans, batches)
+    first = next(parts)
+    # The pool's map submits every later batch at once; this process fuses the first meanwhile.
+    rest = pool.executor.map(fuse, parts) if pool else map(fuse, parts)
+    return DetectionColumns.concat([fuse(first), *rest])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +30,8 @@ def bpd_precision(recall: float, n: float) -> float:
     """Precision of the best-possible detector at the given recall: 1 - r^n.
 
     n = +inf yields the perfect detector: precision 1 below full recall,
-    0 at recall 1. Python's ``**``, as every mass table computes it:
-    ``np.power`` rounds differently.
+    0 at recall 1. Python's ``**``, as ``TrustModel``'s masses compute it
+    without the checks: ``np.power`` rounds differently.
     """
     if not 0.0 <= recall <= 1.0:
         raise ValueError(f"recall must be in [0,1], got {recall}")
@@ -126,10 +127,13 @@ class TrustModel:
         beat the best-possible model.
         """
         thresholds, recall, _, precision = self.table.T
-        p = np.append(precision, precision[-1])
-        p_bpd = np.array([bpd_precision(r, self.bpd_exponent) for r in [*recall.tolist(), 1.0]])
-        masses = np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1)
-        return -thresholds, bpa_rows(masses)
+        return -thresholds, self._masses(np.append(recall, 1.0), np.append(precision, precision[-1]))
+
+    def _masses(self, recall: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The mass rows of PR points: ``bpd_precision``'s 1 - r**n by the same
+        ``pow`` as ``**``, which for n = inf gives 1 - 0 below recall 1, 1 - 1 at it."""
+        p_bpd = 1.0 - np.array(list(map(pow, recall.tolist(), repeat(self.bpd_exponent))))
+        return bpa_rows(np.stack([p, 1.0 - np.maximum(p_bpd, p), np.maximum(p_bpd - p, 0.0)], axis=1))
 
     def masses_at(self, scores: np.ndarray) -> np.ndarray:
         """The (m_T, m_~T, m_I) rows of an array of scores, looked up in the
@@ -141,4 +145,4 @@ class TrustModel:
         """Fixed assignment: the mass table's row of the PR row nearest
         ``STATIC_RECALL_ANCHOR``, the lower threshold on a tie."""
         row = np.lexsort((self.table[:, 0], abs(self.table[:, 1] - STATIC_RECALL_ANCHOR)))[0]
-        return Bpa.exact(*self.mass_table[1][row].tolist())
+        return Bpa.exact(*self._masses(self.table[row, 1:2], self.table[row, 3:4])[0].tolist())

@@ -916,15 +916,16 @@ class TestPool:
         assert {json.loads(line)["class"] for line in (tmp_path / "f.jsonl").read_text().splitlines()[1:]} == \
             {"cat", "object"}
 
-    @pytest.mark.parametrize("cpus, jobs, workers", [(8, "100000", 8), (2, "100000", 2), (8, "3", 3)])
+    # The command's process is one of the workers, so the executor forks one fewer.
+    @pytest.mark.parametrize("cpus, jobs, forks", [(8, "100000", 7), (2, "100000", 1), (8, "3", 2)])
     def test_a_pool_has_no_more_workers_than_cpus(self, two_classes, tmp_path, monkeypatch, inline_pools,
-                                                  cpus, jobs, workers):
+                                                  cpus, jobs, forks):
         started = inline_pools
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert two_class_fuse(two_classes, tmp_path / "serial.jsonl").exit_code == 0
         result = two_class_fuse(two_classes, tmp_path / "pooled.jsonl", jobs=jobs)
         assert result.exit_code == 0, result.output
-        assert started == [workers]
+        assert started == [forks]
         header, lines = (tmp_path / "pooled.jsonl").read_text().split("\n", 1)
         assert json.loads(header)["config"]["jobs"] == int(jobs)
         assert lines == (tmp_path / "serial.jsonl").read_text().split("\n", 1)[1]
@@ -932,7 +933,8 @@ class TestPool:
     def test_one_file_detections_dirs_start_one_pool_or_none(self, two_classes, tmp_path, monkeypatch, inline_pools):
         # Workers only fuse, so the number of detector files does not size the
         # pool: fuse over one file, and a sweep of one split or of two, each
-        # start one pool at --jobs 2 and none at --jobs 1.
+        # start one pool at --jobs 2 (one forked worker beside the command's
+        # process) and none at --jobs 1.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         one = tmp_path / "one"
         for split in ("validation", "test"):
@@ -950,7 +952,7 @@ class TestPool:
             for jobs in ("1", "2"):
                 result = command(one, tmp_path / f"{out}_{jobs}", jobs=jobs)
                 assert result.exit_code == 0, result.output
-            assert inline_pools == [2]
+            assert inline_pools == [1]
             inline_pools.clear()
             serial, pooled = ((tmp_path / f"{out}_{jobs}").read_text().split("\n", 1)[1] for jobs in ("1", "2"))
             assert pooled == serial

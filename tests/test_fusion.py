@@ -8,11 +8,11 @@ from beliefuse import fusion
 from beliefuse.dst import Bpa, combine, fused_scores
 from beliefuse.fusion import (
     dbf_joints,
+    detection_slots,
     fuse_images,
-    slots_and_masks,
     static_dst_joints,
 )
-from beliefuse.geometry import BoundingBox, Detection
+from beliefuse.geometry import BoundingBox, Detection, overlapping_pairs
 from beliefuse.io import DetectionColumns, Ids
 from beliefuse.pipeline import windows_of
 from beliefuse.trust import TrustModel
@@ -90,7 +90,7 @@ def score_to_bpa(model, score):
 def vectors(per_det):
     """The image's slot matrix over its own detectors, threshold 0.5."""
     windows = windows_of(as_columns(per_det))
-    return slots_and_masks(windows, windows.spans(), 0.5)[0]
+    return detection_slots(windows, overlapping_pairs(windows.boxes, windows.images.codes), 0.5)
 
 
 def fuse(per_det, rule):
@@ -143,8 +143,18 @@ class TestBuildDetectionVectors:
     def test_image_with_no_windows_gives_no_rows(self):
         assert vectors({}).shape == (0, 0)
         windows = dataclasses.replace(DetectionColumns.of([]), detectors=Ids(np.empty(0, dtype=np.intp), ("a", "b", "c")))
-        slots, masks = slots_and_masks(windows, windows.spans(), 0.5, 0.5)
-        assert slots.shape == (0, 3) and masks == []
+        pairs = overlapping_pairs(windows.boxes, windows.images.codes)
+        assert detection_slots(windows, pairs, 0.5).shape == (0, 3) and len(pairs.first) == 0
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.0, 1.5, float("nan")])
+    def test_overlap_threshold_outside_the_open_unit_interval_is_refused(self, threshold):
+        # At or below 0 the slots would take disjoint windows, which the pair
+        # list leaves out; at or above 1 no pair could pass.
+        windows = windows_of(as_columns({"a": [det("a", 0.9, box(0, 0, 1, 1))],
+                                         "b": [det("b", 0.5, box(5, 5, 6, 6))]}))
+        pairs = overlapping_pairs(windows.boxes, windows.images.codes)
+        with pytest.raises(ValueError, match="overlap_threshold"):
+            detection_slots(windows, pairs, threshold)
 
     def test_own_slot_invariant_enforced(self):
         # A window's own column holds its raw score, even where a window of

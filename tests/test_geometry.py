@@ -5,12 +5,11 @@ from beliefuse.geometry import (
     BoundingBox,
     Detection,
     MatchLabel,
+    greedy_nms,
     iou,
-    iou_matrix,
     match_detections,
-    nms_keep,
     nms_order,
-    suppression_mask,
+    overlapping_pairs,
 )
 from beliefuse.io import Ids
 
@@ -32,13 +31,13 @@ def match(dets, gts, difficult=None, **kwargs):
 
 def nms(dets, iou_threshold=0.5):
     """Greedy NMS as ``fusion.fuse_images`` runs it on one image: visiting
-    order, IoU matrix, suppression mask, kept indices."""
+    order, overlapping pairs, kept indices."""
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
     detectors = Ids.of([d.detector_id for d in dets]).codes
     scores = np.array([d.score for d in dets])
     order = nms_order(scores, detectors, boxes, np.zeros(len(dets), dtype=np.intp))
-    suppresses = suppression_mask(iou_matrix(boxes), iou_threshold)
-    return [dets[i] for i in nms_keep(order, suppresses)]
+    images = np.zeros(len(dets), dtype=np.intp)
+    return [dets[i] for i in greedy_nms(order, overlapping_pairs(boxes, images), iou_threshold)]
 
 
 class TestBoundingBox:

@@ -40,7 +40,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beliefuse import baselines, cli, datagen, evaluation, fusion, io, pipeline
+from beliefuse import baselines, cli, datagen, evaluation, fusion, io, pipeline, trust
 from beliefuse.baselines import PlattModel, ScoreLikelihood, WeightVector
 from beliefuse.cli import default_profiles, main
 from beliefuse.dst import (
@@ -63,13 +63,13 @@ from beliefuse.geometry import (
     BoundingBox,
     Detection,
     MatchLabel,
+    _iou,
+    greedy_nms,
     iou,
-    iou_matrix,
     iou_pairs,
     match_detections,
-    nms_keep,
     nms_order,
-    suppression_mask,
+    overlapping_pairs,
     truths,
 )
 from beliefuse.io import DetectionColumns, Ids
@@ -242,6 +242,14 @@ def reference_nms(dets, iou_threshold):
     return kept
 
 
+def iou_matrix(boxes):
+    """The full N×N IoU matrix of boxes given as rows, by ``geometry._iou``:
+    every pair of a batch before ``overlapping_pairs`` kept only the pairs
+    whose IoU may be above 0."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    return _iou(boxes[:, None], boxes)
+
+
 @given(st.lists(boxes(), max_size=12))
 def test_iou_matrix_equals_scalar_iou_bit_for_bit(bs):
     expected = np.array([[iou(a, b) for b in bs] for a in bs], dtype=float).reshape(len(bs), len(bs))
@@ -252,9 +260,51 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(bs):
     assert pairs.tobytes() == expected.ravel().tobytes()
 
 
+@st.composite
+def placed_boxes(draw):
+    """Boxes, each on one of three images: small integer edges make shared
+    edges, equal x_min and duplicates common, and some rows copy an earlier
+    box, on its image or another."""
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        box = draw(st.sampled_from(rows))[0] if rows and draw(st.booleans()) else draw(boxes())
+        rows.append((box, draw(st.integers(0, 2))))
+    return rows
+
+
+# Boxes touching at an edge or a corner, sharing x_min, duplicated, the same
+# box on two images, and boxes overlapping in x only or in y only.
+PLACED = [(BoundingBox(0, 0, 2, 2), 0), (BoundingBox(2, 0, 4, 2), 0), (BoundingBox(2, 2, 3, 3), 0),
+          (BoundingBox(0, 0, 1, 5), 0), (BoundingBox(0, 0, 2, 2), 0), (BoundingBox(0, 0, 2, 2), 1),
+          (BoundingBox(1, 3, 3, 4), 0), (BoundingBox(3, 1, 5, 1.5), 0)]
+
+
+@given(placed_boxes())
+@example(PLACED)
+@example([])
+def test_overlapping_pairs_are_the_nonzero_iou_pairs(rows):
+    box_rows = np.array([b.as_tuple() for b, _ in rows], dtype=float).reshape(-1, 4)
+    image_codes = np.array([image for _, image in rows], dtype=np.intp)
+    pairs = overlapping_pairs(box_rows, image_codes)
+    listed = list(zip(pairs.first.tolist(), pairs.second.tolist()))
+    expected = [
+        (i, j) for i, (a, image) in enumerate(rows) for j, (b, other) in enumerate(rows)
+        if i < j and image == other and a.x_min < b.x_max and b.x_min < a.x_max
+        and a.y_min < b.y_max and b.y_min < a.y_max
+    ]
+    # Each pair once, lower row first; no other pair has an IoU above 0.
+    assert sorted(listed) == expected
+    overlaps = iou_matrix(box_rows)
+    assert pairs.overlaps.tobytes() == overlaps[pairs.first, pairs.second].tobytes()
+    same_image = image_codes[:, None] == image_codes
+    unlisted = np.triu(same_image, 1)
+    unlisted[pairs.first, pairs.second] = False
+    assert (overlaps[unlisted] == 0).all()
+
+
 def slot_matrix(scores, detectors, num_detectors, overlap_threshold, overlaps):
     """One image's slot matrix from its ``iou_matrix``, ``detectors`` holding
-    each window's column (ascending); see ``fusion.slots_and_masks``."""
+    each window's column (ascending); see ``fusion.detection_slots``."""
     slots = np.full((len(scores), num_detectors), -np.inf)
     if not len(scores):
         return slots
@@ -295,7 +345,7 @@ def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
         assert got.shape == (len(expected), len(detector_ids))
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
         one_image = dataclasses.replace(windows, detectors=detectors)
-        got, _ = fusion.slots_and_masks(one_image, one_image.spans(), threshold)
+        got = fusion.detection_slots(one_image, overlapping_pairs(windows.boxes, windows.images.codes), threshold)
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
 
 
@@ -340,27 +390,40 @@ SIGNED_ZERO_GROUP = _batch(
     _image("i0", [("c", 0.0), ("d", -0.0), ("d", 0.0)]),
     _image("i1", [("c", 0.0), ("d", 0.0), ("d", 0.0)]),
 )
+# The c window's zero slot takes d's first zero window, -0.0, although d's
+# second window starts further left and so comes first along x.
+SIGNED_ZEROS_SHIFTED = {
+    "c": [Detection("img", "c", BoundingBox(0, 0, 10, 10), 0.0)],
+    "d": [Detection("img", "d", BoundingBox(1, 0, 11, 10), -0.0),
+          Detection("img", "d", BoundingBox(0.5, 0, 10.5, 10), 0.0)],
+}
 
 
 @settings(deadline=None)
-@given(corpora(max_images=8, max_windows=3), thresholds, thresholds,
-       st.sampled_from([1, 8, fusion.MAX_STACKED_PAIRS]))
-@example(SAME_COUNT, 0.1, 0.5, fusion.MAX_STACKED_PAIRS)
-@example(SIGNED_ZERO_GROUP, 0.1, 0.5, fusion.MAX_STACKED_PAIRS)
-@example({}, 0.5, 0.5, fusion.MAX_STACKED_PAIRS)
-@example(SAME_COUNT, 0.1, 0.5, 1)  # every image its own stacked pass
-def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms, cap):
+@given(corpora(max_images=8, max_windows=3), thresholds, thresholds)
+@example(SAME_COUNT, 0.1, 0.5)
+@example(SIGNED_ZERO_GROUP, 0.1, 0.5)
+@example(SIGNED_ZEROS_SHIFTED, 0.1, 0.5)
+@example({}, 0.5, 0.5)
+def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms):
     windows = windows_of(as_columns(corpus))
     spans, ids = windows.spans(), windows.detectors.names
-    with mock.patch.object(fusion, "MAX_STACKED_PAIRS", cap):
-        slots, masks = fusion.slots_and_masks(windows, spans, overlap, nms)
-    assert slots.shape == (len(windows.scores), len(ids)) and len(masks) == len(spans)
-    for (start, stop), mask in zip(spans.tolist(), masks):
+    pairs = overlapping_pairs(windows.boxes, windows.images.codes)
+    slots = fusion.detection_slots(windows, pairs, overlap)
+    assert slots.shape == (len(windows.scores), len(ids))
+    # Each image's NMS mask, as the pairs above the threshold give it.
+    masks = np.zeros((len(windows.scores),) * 2, dtype=bool)
+    near = pairs.overlaps > nms
+    masks[pairs.first[near], pairs.second[near]] = masks[pairs.second[near], pairs.first[near]] = True
+    for start, stop in spans.tolist():
         overlaps = iou_matrix(windows.boxes[start:stop])
         expected = slot_matrix(windows.scores[start:stop], windows.detectors.codes[start:stop], len(ids),
                                overlap, overlaps)
         assert repr(slots[start:stop].tolist()) == repr(expected.tolist())
-        assert np.array_equal(mask, suppression_mask(overlaps, nms))
+        reference_mask = overlaps > nms
+        np.fill_diagonal(reference_mask, False)  # a window does not suppress itself
+        assert np.array_equal(masks[start:stop, start:stop], reference_mask)
+        assert not masks[start:stop, :start].any() and not masks[start:stop, stop:].any()
 
 
 @given(images(max_detectors=3), thresholds)
@@ -370,9 +433,9 @@ def test_nms_equals_scalar_reference(per_detector, threshold):
     expected = [id(d) for d in reference_nms(dets, threshold)]
     windows = windows_of(as_columns(per_detector))  # its rows are ``dets``
     order = nms_order(windows.scores, windows.detectors.codes, windows.boxes, windows.images.codes)
-    for overlaps in (iou_matrix([d.box.as_tuple() for d in dets]), iou_matrix(windows.boxes)):
-        kept = nms_keep(order, suppression_mask(overlaps, threshold))
-        assert [id(dets[i]) for i in kept] == expected
+    for box_rows in (np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4), windows.boxes):
+        kept = greedy_nms(order, overlapping_pairs(box_rows, windows.images.codes), threshold)
+        assert [id(dets[i]) for i in kept.tolist()] == expected
 
 
 def _model(det_id):
@@ -641,6 +704,7 @@ IRREGULAR_TABLE = [
 @given(trust_tables(), st.sampled_from(EXPONENTS),
        st.lists(st.floats(-20, 20, allow_nan=False), max_size=5))
 @example(IRREGULAR_TABLE, 3.5, [])
+@example([[1.0, 1.0, 0.0, 0.0]], 2, [])  # an integer exponent
 def test_mass_table_lookup_equals_bisection_and_assignment(table, n, extra_scores):
     model = TrustModel("a", "object", table, bpd_exponent=n)
     thresholds = [row[0] for row in table]
@@ -658,6 +722,10 @@ def test_mass_table_lookup_equals_bisection_and_assignment(table, n, extra_score
     recall_one = reference_assignment(model, 1.0, table[-1][3])
     absent = model.masses_at(np.array([-np.inf])).tolist()
     assert repr(absent) == repr([list(recall_one.as_tuple())])
+    # The static assignment is its own row's split, the lower threshold on a tie.
+    row = min(range(len(table)), key=lambda i: (abs(table[i][1] - trust.STATIC_RECALL_ANCHOR), table[i][0]))
+    expected = reference_assignment(model, table[row][1], table[row][3])
+    assert repr(model.static_bpa().as_tuple()) == repr(expected.as_tuple())
 
 
 @st.composite
