@@ -65,8 +65,8 @@ def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
     joint, conflict = dst.combine_rows(sources, use)
     rows = np.flatnonzero(conflict)
     conflict_smoothing_count += len(rows)
-    for _ in rows:
-        log.warning("total conflict during combination; smoothing masses")
+    if len(rows):
+        log.warning("total conflict during combination in %d rows; smoothing masses", len(rows))
     taking_part = use[rows] & (sources[rows, :, 2] != 1.0)
     clipped = np.clip(sources[rows], _EPS, 1.0 - _EPS)
     clipped /= ((clipped[..., 0] + clipped[..., 1]) + clipped[..., 2])[..., None]

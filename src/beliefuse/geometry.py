@@ -182,6 +182,14 @@ def _overlap(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return upper
 
 
+def check_matching(iou_threshold: float, duplicate_policy: str) -> None:
+    """Raise ValueError unless ``match_detections`` takes these settings."""
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
+    if duplicate_policy not in ("undecided", "false_positive"):
+        raise ValueError(f"unknown duplicate_policy {duplicate_policy!r}")
+
+
 def match_detections(
     boxes: Sequence[Sequence[float]],
     scores: list[float],
@@ -203,11 +211,7 @@ def match_detections(
     ``duplicate_policy`` controls the duplicate case: ``"undecided"`` (default)
     or ``"false_positive"``.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    if duplicate_policy not in ("undecided", "false_positive"):
-        raise ValueError(f"unknown duplicate_policy {duplicate_policy!r}")
-
+    check_matching(iou_threshold, duplicate_policy)
     claimed: set[int] = set()
     labeled: dict[int, MatchLabel] = {}
     # Equal scores are ordered by box; 0.0 comes before -0.0.

@@ -43,21 +43,42 @@ def label_detections(
     """Match windows in training order (``labeled_windows``) to one class's
     ground truth (None: the class has none), each run of one image's windows
     of one detector on its own: two flags per row, decided (not undecided)
-    and true positive. A run is in the order ``match_detections`` visits it,
-    so each row's label is its own."""
-    spans, gt_boxes, difficult = ({}, [], []) if truth is None else (
-        truth.spans, truth.boxes.tolist(), truth.difficult.tolist())
-    boxes, scores = windows.boxes.tolist(), windows.scores.tolist()
-    images, names = windows.images.codes.tolist(), windows.images.names
+    and true positive, each row's label its own.
+
+    One array pass takes the IoU of every window with every object on its
+    image (``geometry.iou_pairs``, bit for bit ``iou``). A window with none
+    above +0.0 is a false positive; one whose best is at most the threshold
+    is undecided, claims nothing and is never a duplicate. Only the rest,
+    the contested windows, walk the greedy claim: ``match_detections``
+    visits each run's contested windows in its own order, against all of the
+    image's objects, and so labels them as it would the whole run.
+    """
+    geometry.check_matching(iou_threshold, duplicate_policy)
+    decided, tp = np.ones(len(windows.scores), dtype=bool), np.zeros(len(windows.scores), dtype=bool)
+    if truth is None:
+        return decided, tp
+    images = windows.images.codes
+    spans = np.array([truth.spans.get(name, (0, 0)) for name in windows.images.names], dtype=np.intp).reshape(-1, 2)
+    counts = (spans[:, 1] - spans[:, 0])[images]
+    # One (window, object) pair per object on the window's image, by window.
+    rows = np.repeat(np.arange(len(images)), counts)
+    objects = np.arange(len(rows)) + np.repeat(spans[images, 0] - (np.cumsum(counts) - counts), counts)
+    overlaps = geometry.iou_pairs(windows.boxes[rows], truth.boxes[objects])
+    decided[rows[overlaps > 0.0]] = False
+    contested = np.flatnonzero(np.bincount(rows[overlaps > iou_threshold], minlength=len(images)))
+    # Each row's run number: its (image, detector) code's changes so far, so runs apart stay apart.
+    pairs = images * len(windows.detectors.names) + windows.detectors.codes
+    runs = np.cumsum(np.diff(pairs, prepend=-1) != 0)[contested]
+    boxes, scores = windows.boxes[contested].tolist(), windows.scores[contested].tolist()
+    gt_boxes, difficult = truth.boxes.tolist(), truth.difficult.tolist()
     labels: list[MatchLabel] = []
-    # One code per (image, detector) pair: its runs are the runs to label.
-    pairs = windows.images.codes * len(windows.detectors.names) + windows.detectors.codes
-    for first, stop in io._runs(pairs).tolist():
-        a, b = spans.get(names[images[first]], (0, 0))
+    for first, stop in io._runs(runs).tolist():
+        a, b = spans[images[contested[first]]].tolist()
         labels += match_detections(boxes[first:stop], scores[first:stop], gt_boxes[a:b], difficult[a:b],
                                    iou_threshold, duplicate_policy)
-    decided = np.array([label is not MatchLabel.UNDECIDED for label in labels], dtype=bool)
-    return decided, np.array([label is MatchLabel.TRUE_POSITIVE for label in labels], dtype=bool)
+    decided[contested] = [label is not MatchLabel.UNDECIDED for label in labels]
+    tp[contested] = [label is MatchLabel.TRUE_POSITIVE for label in labels]
+    return decided, tp
 
 
 def labeled_windows(
@@ -68,7 +89,9 @@ def labeled_windows(
 ) -> tuple[DetectionColumns, np.ndarray, np.ndarray]:
     """The validation windows every model trains on, with two flags per row:
     decided (not undecided) and true positive. Each window is labeled by its
-    own detection (``label_detections``), so a detection listed twice is two rows.
+    own detection (``label_detections``: one IoU pass, then the greedy claim
+    over the windows above the threshold only), so a detection listed twice
+    is two rows.
 
     Rows go by image, detector, descending score (0.0 before -0.0), then
     box, x_min first: one order whatever the order of the input, so every

@@ -228,6 +228,16 @@ class TestTotalConflictRecovery:
         assert fusion.conflict_smoothing_count == before + 1
         assert -1.0 <= verdict.score <= 1.0
 
+    def test_one_warning_per_fold_that_smoothed(self, caplog):
+        certain_t = TrustModel("a", "object", [[1.0, 0.5, 1.0, 1.0]], bpd_exponent=1000.0)
+        certain_nt = TrustModel("b", "object", [[1.0, 1.0, 0.0, 0.0]], bpd_exponent=2.0)
+        before = fusion.conflict_smoothing_count
+        with caplog.at_level("WARNING", logger="beliefuse.fusion"):
+            dbf_joints(("a", "b"), np.full((3, 2), 5.0), {"a": certain_t, "b": certain_nt})
+        assert fusion.conflict_smoothing_count == before + 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "total conflict during combination in 3 rows; smoothing masses"]
+
 
 class TestStaticDstFuse:
     def test_single_source_fixed_assignment(self):

@@ -1,9 +1,10 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from beliefuse import datagen, evaluation, pipeline
+from beliefuse import datagen, evaluation, geometry, pipeline
 from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
 from beliefuse.io import DetectionColumns, Ids
@@ -62,6 +63,35 @@ class TestLabeling:
     def test_class_without_ground_truth_is_all_false_positives(self):
         dets = [det(0.9, box(0, 0, 40, 40)), det(0.8, box(0, 0, 40, 40), image="img2")]
         assert labels_of(*pipeline.label_detections(DetectionColumns.of(dets), None)) == [MatchLabel.FALSE_POSITIVE] * 2
+
+    # Settings are checked before any work: with no ground truth, or no
+    # window above the threshold, ``match_detections`` is never called.
+    @pytest.mark.parametrize("settings", [(0.0, "undecided"), (1.0, "undecided"), (0.5, "ignore")])
+    @pytest.mark.parametrize("gts", [None, truth((box(50, 50, 60, 60), "img1", False))], ids=["no truth", "disjoint"])
+    def test_bad_settings_raise_before_any_work(self, settings, gts):
+        with pytest.raises(ValueError):
+            pipeline.label_detections(DetectionColumns.of([det(0.9, box(0, 0, 40, 40))]), gts, *settings)
+
+    def test_only_windows_above_the_threshold_walk_the_claim(self, monkeypatch):
+        # A dense-shaped validation split: six detectors, many false positives.
+        profiles = [dataclasses.replace(p, fp_rate=20.0) for p in default_profiles(6)]
+        ds = datagen.generate(1, 20, profiles)
+        ids = ds.validation_image_ids
+        gts = ds.ground_truths(ids)["object"]
+        walked = []
+
+        def match_detections(boxes, *args):
+            walked.extend(boxes)
+            return geometry.match_detections(boxes, *args)
+
+        monkeypatch.setattr(pipeline, "match_detections", match_detections)
+        windows, _, _ = pipeline.labeled_windows({d: ds.detections_for(d, ids) for d in ds.detections}, gts)
+        spans = [gts.spans.get(image, (0, 0)) for image in windows.images.decoded()]
+        best = [max((geometry.iou(w, g) for g in gts.boxes[a:b].tolist()), default=0.0)
+                for w, (a, b) in zip(windows.boxes.tolist(), spans)]
+        contested = [w for w, o in zip(windows.boxes.tolist(), best) if o > 0.5]
+        assert walked == contested
+        assert 0 < len(contested) < len(windows.scores) / 5
 
     def test_num_positives_skips_difficult(self):
         b1, b2 = box(0, 0, 10, 10), box(50, 50, 60, 60)

@@ -1070,6 +1070,19 @@ ZEROS_REVERSED = _labeling_case([("i0", ON, False)], ("a", "i0", ON, -0.0), ("a"
 # Runs of one window each on three images, a detector apart.
 LONE_WINDOWS = _labeling_case([("i1", ON, False), ("i0", OFF, False)], ("a", "i0", ON, 1.0),
                               ("b", "i0", OFF, 1.0), ("a", "i1", ON, 2.0), ("a", "i2", ON, 0.5))
+# IoU 100/200 equals 0.5 exactly: not above it, so undecided.
+AT_THRESHOLD = _labeling_case([("i0", (0, 0, 10, 20), False)], ("a", "i0", ON, 1.0))
+# A window touching an object's edge: IoU +0.0, a false positive.
+TOUCHING = _labeling_case([("i0", ON, False)], ("a", "i0", (10, 0, 20, 10), 1.0))
+# Above the threshold only on a difficult object, partly over another.
+ON_DIFFICULT = _labeling_case([("i0", ON, True), ("i0", (5, 0, 15, 10), False)], ("a", "i0", ON, 1.0))
+# A run whose higher-scored windows only touch or partly overlap the object:
+# only the lowest-scored window is contested, and claims it.
+LOW_CONTESTED = _labeling_case([("i0", ON, False)], ("a", "i0", (10, 0, 20, 10), 3.0),
+                               ("a", "i0", (5, 5, 15, 15), 2.0), ("a", "i0", ON, 1.0))
+# Partly over one object (IoU 10/300) and above the threshold on the other (100/120).
+PARTLY_AND_ABOVE = _labeling_case([("i0", (0, 0, 19, 10), False), ("i0", (20, 0, 30, 10), False)],
+                                  ("a", "i0", (18, 0, 30, 10), 1.0), ("a", "i0", (18, 0, 30, 10), 0.5))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1078,6 +1091,11 @@ LONE_WINDOWS = _labeling_case([("i1", ON, False), ("i0", OFF, False)], ("a", "i0
 @example(ZEROS_REVERSED, 0.5, "false_positive")
 @example(LONE_WINDOWS, 0.5, "undecided")
 @example(EQUAL_WINDOWS, 0.5, "false_positive")
+@example(AT_THRESHOLD, 0.5, "undecided")
+@example(TOUCHING, 0.5, "false_positive")
+@example(ON_DIFFICULT, 0.5, "false_positive")
+@example(LOW_CONTESTED, 0.5, "undecided")
+@example(PARTLY_AND_ABOVE, 0.5, "false_positive")
 def test_labeled_windows_equal_the_scalar_matcher_then_a_sort(case, iou_threshold, duplicate_policy):
     per_detector, truth = case
     windows, decided, tp = pipeline.labeled_windows(as_columns(per_detector), truth, iou_threshold, duplicate_policy)
