@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .trust import InsufficientData
+
+if TYPE_CHECKING:
+    from .io import DetectionColumns
 
 PLATT_MAX_ITER = 100  # damped Newton steps
 PLATT_TOL = 1e-10  # on both gradient components
@@ -34,12 +38,13 @@ class PlattModel:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"Platt a and b must be finite, got {self.a}, {self.b}")
 
-    def probability(self, score: float) -> float:
-        z = self.a * score + self.b
-        if z >= 0:
-            return 1.0 / (1.0 + math.exp(min(z, 700.0)))
-        ez = math.exp(max(z, -700.0))
-        return 1.0 / (1.0 + ez)
+
+def sigmoid(scores: np.ndarray, a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
+    """Each score's Platt probability ``1 / (1 + exp(a * score + b))``, the exponent
+    clipped to [-700, 700], by one ``math.exp`` each: ``np.exp`` rounds differently."""
+    with np.errstate(over="ignore"):  # as the scalar product overflows quietly
+        z = np.clip(a * scores + b, -700.0, 700.0)
+    return 1.0 / (1.0 + np.fromiter(map(math.exp, z.tolist()), float, len(z)))
 
 
 def fit_platt(scores: np.ndarray, tp: np.ndarray, detector_id: str = "") -> PlattModel:
@@ -105,37 +110,30 @@ def fit_platt(scores: np.ndarray, tp: np.ndarray, detector_id: str = "") -> Plat
     return PlattModel(detector_id=detector_id, a=a, b=b, converged=converged)
 
 
-def platt_features(
-    detector_ids: tuple[str, ...],
-    slots: np.ndarray,
-    platt: dict[str, PlattModel],
-    columns: list[str] | tuple[str, ...],
-) -> np.ndarray:
-    """The Platt probabilities of a slot matrix's present slots, one column
-    per id in ``columns``, rows first.
-
-    Each is one ``PlattModel.probability`` (``math.exp``: ``np.exp`` rounds
-    differently). Absent slots, and ids with no column in the matrix, read
-    0, the natural post-sigmoid floor; every probability is above it.
-    """
-    column = {det_id: j for j, det_id in enumerate(detector_ids)}
-    probs = np.zeros((len(slots), len(columns)))
-    for k, det_id in enumerate(columns):
-        if det_id in column:
-            scores = slots[:, column[det_id]]
-            present = scores != -np.inf
-            model = platt[det_id]
-            probs[present, k] = [model.probability(s) for s in scores[present].tolist()]
-    return probs
+def window_probabilities(windows: DetectionColumns, platt: dict[str, PlattModel]) -> np.ndarray:
+    """Each window's Platt probability (``sigmoid``), 0.0 where its detector
+    has no model, then a 0.0 that slot row -1 (absent) reads. Every
+    probability is above 0, so times 1.0 it is itself and times 0.0 +0.0."""
+    coefficients = [(platt[n].a, platt[n].b, 1.0) if n in platt else (0.0, 0.0, 0.0) for n in windows.detectors.names]
+    a, b, calibrated = np.array(coefficients).reshape(-1, 3)[windows.detectors.codes].T
+    return np.append(sigmoid(windows.scores, a, b) * calibrated, 0.0)
 
 
-def platt_fuse(
-    detector_ids: tuple[str, ...], slots: np.ndarray, platt: dict[str, PlattModel]
-) -> np.ndarray:
+def platt_features(windows: DetectionColumns, slots: np.ndarray, platt: dict[str, PlattModel],
+                   columns: list[str] | tuple[str, ...]) -> np.ndarray:
+    """Each row of slots' Platt probabilities (``window_probabilities``,
+    gathered by window row), C-ordered, one column per id in ``columns``;
+    absent slots, and ids the windows lack, read 0."""
+    column = {det_id: j for j, det_id in enumerate(windows.detectors.names)}
+    padded = np.column_stack((slots, np.full(len(slots), -1)))  # its last column: every slot absent
+    picked = np.array([column.get(det_id, -1) for det_id in columns], dtype=np.intp)
+    return window_probabilities(windows, platt)[padded.take(picked, axis=1)]  # take's rows are C-ordered
+
+
+def platt_fuse(windows: DetectionColumns, slots: np.ndarray, platt: dict[str, PlattModel]) -> np.ndarray:
     """Each row's largest calibrated probability over its present slots
-    whose detector has a Platt model."""
-    calibrated = [det_id for det_id in detector_ids if det_id in platt]
-    best = platt_features(detector_ids, slots, platt, calibrated).max(axis=1, initial=0.0)
+    whose detector has a Platt model (the others read 0)."""
+    best = window_probabilities(windows, platt)[slots].max(axis=1, initial=0.0)
     if not best.all():
         raise ValueError("a row has no present slot with a Platt model")
     return best
@@ -220,20 +218,21 @@ def fit_weighted_sum(
     return WeightVector(detector_ids, tuple(float(v) for v in w), float(b))
 
 
-def weighted_sum_fuse(
-    detector_ids: tuple[str, ...],
-    slots: np.ndarray,
-    platt: dict[str, PlattModel],
-    weights: WeightVector,
-) -> np.ndarray:
-    """The learned linear score of each row of a slot matrix.
+def row_dots(features: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``row @ w`` of each row of a C-ordered matrix, bit for bit, in one call:
+    N stacked 1×D rows times ``w`` as D×1 are N vector dots, the kernel of
+    ``row @ w``; ``features @ w`` rounds some rows differently."""
+    if not features.flags.c_contiguous:
+        raise ValueError("row_dots needs C-ordered features")
+    return np.matmul(features[:, None, :], w[:, None])[:, 0, 0]
 
-    One dot product per row: a single ``features @ w`` over the whole matrix
-    rounds some rows differently.
-    """
-    features = platt_features(detector_ids, slots, platt, weights.detector_ids)
-    w = np.array(weights.weights)
-    return np.array([row @ w for row in features]) + weights.bias
+
+def weighted_sum_fuse(windows: DetectionColumns, slots: np.ndarray, platt: dict[str, PlattModel],
+                      weights: WeightVector) -> np.ndarray:
+    """The learned linear score of each row of slots: one dot product per
+    row (``row_dots``), plus the bias."""
+    features = platt_features(windows, slots, platt, weights.detector_ids)
+    return row_dots(features, np.array(weights.weights)) + weights.bias
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,6 @@ class ScoreLikelihood:
     def bin_count(self) -> int:
         return len(self.target_bins)
 
-    def _bin(self, prob: float) -> int:
-        return min(int(prob * self.bin_count), self.bin_count - 1)
-
-    def log_likelihood_ratio(self, prob: float) -> float:
-        i = self._bin(prob)
-        return math.log(self.target_bins[i] / self.nontarget_bins[i])
-
 
 def fit_score_likelihood(
     scores: np.ndarray,
@@ -277,7 +269,7 @@ def fit_score_likelihood(
 ) -> ScoreLikelihood:
     """Histogram the Platt probabilities of decided validation windows'
     scores, true positives and false positives apart."""
-    probs = np.array([platt.probability(s) for s in scores.tolist()])
+    probs = sigmoid(scores, platt.a, platt.b)
     bins = np.minimum((probs * LIKELIHOOD_BINS).astype(np.intp), LIKELIHOOD_BINS - 1)
     tp_counts = LIKELIHOOD_SMOOTHING + np.bincount(bins[tp], minlength=LIKELIHOOD_BINS)
     fp_counts = LIKELIHOOD_SMOOTHING + np.bincount(bins[~tp], minlength=LIKELIHOOD_BINS)
@@ -288,28 +280,25 @@ def fit_score_likelihood(
     )
 
 
-def bayes_fuse(
-    detector_ids: tuple[str, ...],
-    slots: np.ndarray,
-    platt: dict[str, PlattModel],
-    likelihoods: dict[str, ScoreLikelihood],
-) -> np.ndarray:
+def bayes_fuse(windows: DetectionColumns, slots: np.ndarray, platt: dict[str, PlattModel],
+               likelihoods: dict[str, ScoreLikelihood]) -> np.ndarray:
     """Naive-Bayes log-posterior odds of each row from even prior odds: the
     log likelihood ratios of its present slots' Platt probabilities, added
     detector by detector in id order.
 
-    Each detector's ratios are one table, a ``math.log`` per bin, looked up
-    at once for all its probabilities: the bin is the truncated
-    ``prob * bin_count`` (probabilities are at least 0), capped at the last
-    bin, as ``ScoreLikelihood.log_likelihood_ratio`` takes it.
+    Each window's ratio is looked up once in its detector's table (a
+    ``math.log`` per bin), at the bin ``fit_score_likelihood`` gives its
+    probability. An absent slot adds +0.0, which changes no sum: the odds
+    start at +0.0, and no sum of ratios is -0.0.
     """
-    column = {det_id: j for j, det_id in enumerate(detector_ids)}
+    probs, codes = window_probabilities(windows, platt), windows.detectors.codes
+    ratios = np.zeros(len(codes) + 1)  # the last: an absent slot's
     log_odds = np.zeros(len(slots))  # log(0.5 / 0.5): even prior odds
-    for det_id in sorted(set(column) & set(likelihoods)):
-        present = slots[:, column[det_id]] != -np.inf
-        probs = platt_features(detector_ids, slots[present], platt, [det_id])[:, 0]
-        model = likelihoods[det_id]
-        ratios = np.array([math.log(t / f) for t, f in zip(model.target_bins, model.nontarget_bins)])
-        bins = np.minimum((probs * model.bin_count).astype(np.intp), model.bin_count - 1)
-        log_odds[present] += ratios[bins]
+    for j, det_id in enumerate(windows.detectors.names):  # sorted ids
+        if det_id in likelihoods:
+            model, own = likelihoods[det_id], codes == j
+            table = np.array([math.log(t / f) for t, f in zip(model.target_bins, model.nontarget_bins)])
+            bins = np.minimum((probs[:-1][own] * model.bin_count).astype(np.intp), model.bin_count - 1)
+            ratios[:-1][own] = table[bins]
+            log_odds += ratios[slots[:, j]]
     return log_odds

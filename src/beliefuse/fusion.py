@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dst
 from .dst import TotalConflict
-from .geometry import Pairs, greedy_nms, nms_order, overlapping_pairs
+from .geometry import Pairs, box_ranks, greedy_nms, nms_order, overlapping_pairs
 from .io import DetectionColumns
 from .trust import TrustModel
 
@@ -22,38 +22,37 @@ conflict_smoothing_count = 0
 _EPS = 1e-6
 
 
-# A scoring rule maps a batch's detector names and slot matrix (see
-# ``detection_slots``) to one fused score per row and, for the belief
-# methods, the (N, 3) joint masses those scores come from.
-Rule = Callable[[tuple[str, ...], np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+# A scoring rule maps a batch's windows and rows of slots (``detection_slots``)
+# to one fused score per row and, for the belief methods, the (M, 3) joint
+# masses those scores come from; it scores each window once, then gathers.
+Rule = Callable[[DetectionColumns, np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 
 def detection_slots(windows: DetectionColumns, pairs: Pairs, overlap_threshold: float) -> np.ndarray:
-    """A batch's detection vectors as an N×D slot matrix, one column per
-    detector name, from the batch's ``geometry.overlapping_pairs``.
+    """A batch's detection vectors, from its ``geometry.overlapping_pairs``,
+    as an ``intp`` N×D matrix of window rows, one column per detector name.
 
-    A window's own detector's column holds its raw score; every other
-    column holds the maximum score among that detector's windows in the
-    same image overlapping it beyond ``overlap_threshold``, the first in row
-    order among equals (a zero slot takes its first zero window's sign), or
-    -inf (slot absent). One ``np.lexsort`` of the pairs' windows by slot,
-    descending score and row puts each slot's value first.
+    A window's own detector's column holds its own row; every other column
+    the row of that detector's highest-scoring window in the same image
+    overlapping it beyond ``overlap_threshold``, the first in row order
+    among equals, or -1 (absent). One ``np.lexsort`` of the pairs' windows
+    by slot, descending score and row puts each slot's window first.
     """
     if not 0 < overlap_threshold < 1:
         raise ValueError(f"overlap_threshold must be in (0,1), got {overlap_threshold}")
     detectors = windows.detectors.codes
     num_detectors = len(windows.detectors.names)
-    slots = np.full((len(windows.scores), num_detectors), -np.inf)
+    slots = np.full((len(windows.scores), num_detectors), -1, dtype=np.intp)
     near = (pairs.overlaps > overlap_threshold) & (detectors[pairs.first] != detectors[pairs.second])
     rows = np.concatenate((pairs.first[near], pairs.second[near]))
     others = np.concatenate((pairs.second[near], pairs.first[near]))
     cells = rows * num_detectors + detectors[others]
-    scores = windows.scores[others]
-    ranked = np.lexsort((others, -scores, cells))
-    cells, scores = cells[ranked], scores[ranked]
+    ranked = np.lexsort((others, -windows.scores[others], cells))
+    cells, others = cells[ranked], others[ranked]
     heads = np.diff(cells, prepend=-1) != 0
-    slots.reshape(-1)[cells[heads]] = scores[heads]
-    slots[np.arange(len(windows.scores)), detectors] = windows.scores
+    slots.reshape(-1)[cells[heads]] = others[heads]
+    own = np.arange(len(windows.scores))
+    slots[own, detectors] = own
     return slots
 
 
@@ -77,43 +76,40 @@ def _fold(sources: np.ndarray, use: np.ndarray) -> np.ndarray:
     return joint
 
 
-def dbf_joints(
-    detector_ids: tuple[str, ...],
-    slots: np.ndarray,
-    models: dict[str, TrustModel],
-    absent_policy: str = "vacuous",
-) -> np.ndarray:
-    """Dynamic belief fusion of each row of a slot matrix: its joint masses.
-
-    Present slots map through their detector's trust model; absent slots
-    contribute the vacuous mass (combination identity) by default, or the
-    full-recall assignment under ``absent_policy="recall_one"``. Detectors
-    combine in id order.
+def dbf_joints(windows: DetectionColumns, slots: np.ndarray, models: dict[str, TrustModel],
+               absent_policy: str = "vacuous") -> np.ndarray:
+    """Dynamic belief fusion of each row of slots (``detection_slots``):
+    its joint masses. Each detector's model maps its own windows' scores to
+    masses once, which present slots gather; absent slots contribute the
+    vacuous mass (combination identity) by default, or the full-recall
+    assignment under ``absent_policy="recall_one"``. Detectors combine in
+    id order.
     """
     if absent_policy not in ("vacuous", "recall_one"):
         raise ValueError(f"unknown absent_policy {absent_policy!r}")
-    column = {det_id: j for j, det_id in enumerate(detector_ids)}
-    absent = np.full(len(slots), -np.inf)
+    column = {det_id: j for j, det_id in enumerate(windows.detectors.names)}
     sources = np.empty((len(slots), len(models), 3))
     use = np.empty((len(slots), len(models)), dtype=bool)
+    scores = np.append(windows.scores, -np.inf)  # row -1, an absent slot, reads below every threshold
+    masses = np.empty((len(scores), 3))
     for k, (det_id, model) in enumerate(sorted(models.items())):
-        scores = slots[:, column[det_id]] if det_id in column else absent
-        sources[:, k] = model.masses_at(scores)
-        use[:, k] = (scores != -np.inf) | (absent_policy == "recall_one")
+        rows = slots[:, column[det_id]] if det_id in column else np.full(len(slots), -1)
+        own = np.append(windows.detectors.codes == column.get(det_id, -1), True)  # and row -1
+        masses[own] = model.masses_at(scores[own])
+        sources[:, k] = masses[rows]
+        use[:, k] = (rows != -1) | (absent_policy == "recall_one")
     return _fold(sources, use)
 
 
-def static_dst_joints(
-    detector_ids: tuple[str, ...], slots: np.ndarray, models: dict[str, TrustModel]
-) -> np.ndarray:
+def static_dst_joints(windows: DetectionColumns, slots: np.ndarray, models: dict[str, TrustModel]) -> np.ndarray:
     """Static assignment baseline, row by row: each present slot contributes
     its detector's fixed mass (``TrustModel.static_bpa``), score ignored.
     Detectors combine in id order."""
-    column = {det_id: j for j, det_id in enumerate(detector_ids)}
+    column = {det_id: j for j, det_id in enumerate(windows.detectors.names)}
     taking_part = [det_id for det_id in sorted(models) if det_id in column]
     fixed = np.array([models[det_id].static_bpa().as_tuple() for det_id in taking_part]).reshape(-1, 3)
     sources = np.broadcast_to(fixed, (len(slots), *fixed.shape))
-    use = slots[:, [column[det_id] for det_id in taking_part]] != -np.inf
+    use = slots[:, [column[det_id] for det_id in taking_part]] != -1
     return _fold(sources, use)
 
 
@@ -126,19 +122,20 @@ def fuse_images(
     """Rescore a batch of images' windows, in subject order, by fusion, then
     consolidate each image with greedy NMS.
 
-    The batch's overlapping window pairs are found once
-    (``geometry.overlapping_pairs``); they give its slot matrix
-    (``detection_slots``) and NMS's suppressions (``geometry.greedy_nms``).
-    ``rule`` scores the whole batch in one call, the detector names naming
-    the slot matrix's columns. Returns the kept rows, image by image and
-    each image's in visiting order, with their fused scores and joint masses
-    (NaN where the rule gives none).
+    The batch's overlapping window pairs (``geometry.overlapping_pairs``)
+    give its slot rows (``detection_slots``) and NMS's suppressions; ``rule``
+    scores the whole batch in one call. Returns the kept rows in the order
+    ``fuse`` writes them (by image, descending score, then box rank, ties in
+    NMS visiting order), their fused scores and joint masses (NaN where the
+    rule gives none).
     """
     pairs = overlapping_pairs(windows.boxes, windows.images.codes)
     slots = detection_slots(windows, pairs, overlap_threshold)
-    scores, joints = rule(windows.detectors.names, slots)
+    ranks = box_ranks(windows.boxes)
+    scores, joints = rule(windows, slots)
     if joints is None:
         joints = np.full((len(scores), 3), np.nan)
-    order = nms_order(scores, windows.detectors.codes, windows.boxes, windows.images.codes)
-    kept = greedy_nms(order, pairs, nms_threshold)
+    images = windows.images.codes
+    kept = greedy_nms(nms_order(scores, windows.detectors.codes, ranks, images), pairs, nms_threshold)
+    kept = kept[np.lexsort((ranks[kept], -scores[kept], images[kept]))]  # stable: ties keep visiting order
     return kept, scores[kept], joints[kept]

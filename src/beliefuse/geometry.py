@@ -247,11 +247,21 @@ def match_detections(
     return [labeled[i] for i in range(len(boxes))]
 
 
-def nms_order(scores: np.ndarray, detectors: np.ndarray, boxes: np.ndarray, images: np.ndarray) -> np.ndarray:
+def box_ranks(boxes: np.ndarray) -> np.ndarray:
+    """Each box's rank among the distinct boxes, x_min first: equal boxes share
+    one, so sorting on it orders boxes as sorting on their coordinates does."""
+    order = np.lexsort(boxes.T[::-1])
+    ranks = np.empty(len(boxes), dtype=np.intp)
+    ordered = boxes[order]
+    ranks[order] = np.cumsum(np.concatenate(([False], (ordered[1:] != ordered[:-1]).any(axis=1))))
+    return ranks
+
+
+def nms_order(scores: np.ndarray, detectors: np.ndarray, ranks: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Greedy NMS's visiting order of a batch's windows: by image, then by
-    descending score, detector (an index into sorted ids) and box, x_min
-    first; windows equal in all of these keep their row order."""
-    return np.lexsort((*boxes.T[::-1], detectors, -scores, images))
+    descending score, detector (an index into sorted ids) and box
+    (``box_ranks``); windows equal in all of these keep their row order."""
+    return np.lexsort((ranks, detectors, -scores, images))
 
 
 def greedy_nms(order: np.ndarray, pairs: Pairs, iou_threshold: float) -> np.ndarray:

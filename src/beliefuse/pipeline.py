@@ -6,10 +6,9 @@ import contextlib
 import logging
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from .baselines import PlattModel, ScoreLikelihood, WeightVector
 from .geometry import Detection, MatchLabel, Truth, match_detections
 from .io import DetectionColumns, Ids
 from .trust import InsufficientData, TrustModel
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 log = logging.getLogger(__name__)
 
@@ -162,14 +164,14 @@ def fit_baselines(
             scores, tp[rows], out.platt[det_id], detector_id=det_id
         )
 
-    # Weighted sum trains on the slot matrix of the calibrated detectors'
-    # windows, as fuse_images builds it for the baselines; every other
+    # Weighted sum trains on the slot rows of the calibrated detectors'
+    # windows, as fuse_images builds them for the baselines; every other
     # detector's column is absent throughout.
     calibrated = np.array([d in out.platt for d in windows.detectors.names], dtype=bool)[windows.detectors.codes]
     windows, decided, tp = windows.take(calibrated), decided[calibrated], tp[calibrated]
     slots = fusion.detection_slots(windows, geometry.overlapping_pairs(windows.boxes, windows.images.codes),
                                    overlap_threshold)
-    features = baselines.platt_features(windows.detectors.names, slots, out.platt, sorted(out.platt))
+    features = baselines.platt_features(windows, slots, out.platt, sorted(out.platt))
     try:
         out.weights = baselines.fit_weighted_sum(features[decided], tp[decided], tuple(sorted(out.platt)))
     except InsufficientData as exc:
@@ -196,28 +198,28 @@ def windows_of(per_detector: dict[str, DetectionColumns]) -> DetectionColumns:
 
 def _rule(
     method: str, models: dict[str, TrustModel] | BaselineModels, absent_policy: str,
-    detector_ids: tuple[str, ...], slots: np.ndarray,
+    windows: DetectionColumns, slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``method``'s scoring rule (``fusion.Rule``) once its first three
     arguments are bound. Rules are looked up on their modules at call time,
     so a patched module attribute takes effect."""
     if method == "dbf":
-        joints = fusion.dbf_joints(detector_ids, slots, models, absent_policy)
+        joints = fusion.dbf_joints(windows, slots, models, absent_policy)
     elif method == "static-dst":
-        joints = fusion.static_dst_joints(detector_ids, slots, models)
+        joints = fusion.static_dst_joints(windows, slots, models)
     elif method == "platt":
-        return baselines.platt_fuse(detector_ids, slots, models.platt), None
+        return baselines.platt_fuse(windows, slots, models.platt), None
     elif method == "ws":
-        return baselines.weighted_sum_fuse(detector_ids, slots, models.platt, models.weights), None
+        return baselines.weighted_sum_fuse(windows, slots, models.platt, models.weights), None
     else:
-        return baselines.bayes_fuse(detector_ids, slots, models.platt, models.likelihoods), None
+        return baselines.bayes_fuse(windows, slots, models.platt, models.likelihoods), None
     return dst.fused_scores(joints), joints
 
 
 class Pool(NamedTuple):
     """A process pool and its workers: its processes and this one."""
 
-    executor: ProcessPoolExecutor
+    executor: Executor
     workers: int
 
 
@@ -229,6 +231,7 @@ def worker_pool(jobs: int) -> Iterator[Pool | None]:
     if workers < 2:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor  # here: it imports multiprocessing
     # This process fuses one batch (``fuse_corpus``), so one fork fewer. The
     # default start method. Under fork, the executor starts every worker at
     # the first task, before its own thread, so a pool given no task forks
@@ -247,9 +250,6 @@ def _fuse_batch(
     the fuse up on its module when it runs."""
     rule = partial(_rule, method, models, absent_policy)
     kept, scores, joints = fusion.fuse_images(windows, rule, overlap_threshold, nms_threshold)
-    # A stable sort: ties keep NMS visiting order.
-    order = np.lexsort((*windows.boxes[kept].T[::-1], -scores, windows.images.codes[kept]))
-    kept, scores, joints = kept[order], scores[order], joints[order]
     return DetectionColumns(windows.images[kept], Ids(np.zeros(len(kept), dtype=np.intp), (class_label,)),
                             windows.boxes[kept], scores, windows.detectors[kept], joints)
 

@@ -19,6 +19,7 @@ from beliefuse import pipeline
 from beliefuse.io import DetectionColumns, Ids, load_model, save_model
 from beliefuse.geometry import BoundingBox, Detection, truths
 from beliefuse.trust import InsufficientData
+from test_properties import log_likelihood_ratio, platt_probability, slot_windows
 
 TP, FP = True, False
 
@@ -31,9 +32,10 @@ def labeled(scores_and_labels):
 
 
 def row(slots):
-    """One detection vector as a one-row slot matrix and its detector ids."""
+    """One detection vector as a rule takes it: one window per slot and the
+    one row of their slots (``slot_windows``)."""
     detector_ids = sorted(slots)
-    return detector_ids, np.array([[slots[d] for d in detector_ids]])
+    return slot_windows(detector_ids, [[slots[d] for d in detector_ids]])
 
 
 def train(training, platt):
@@ -41,18 +43,18 @@ def train(training, platt):
     slot matrix over every detector with a Platt model."""
     detector_ids = sorted(platt)
     slots = np.array([[s.get(d, -np.inf) for d in detector_ids] for s, _ in training])
-    features = platt_features(detector_ids, slots, platt, detector_ids)
+    features = platt_features(*slot_windows(detector_ids, slots), platt, detector_ids)
     return fit_weighted_sum(features, np.array([lab for _, lab in training]), tuple(detector_ids))
 
 
 class TestFitPlatt:
     def test_separated_data_preserves_order(self):
         m = fit_platt(*labeled([(2.0, TP), (1.5, TP), (-1.0, FP), (-2.0, FP)]))
-        assert m.probability(2.0) > m.probability(-2.0)
+        assert platt_probability(m, 2.0) > platt_probability(m, -2.0)
 
     def test_symmetric_data_crosses_half_at_zero(self):
         m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
-        assert m.probability(0.0) == pytest.approx(0.5, abs=1e-6)
+        assert platt_probability(m, 0.0) == pytest.approx(0.5, abs=1e-6)
 
     def test_negative_slope_for_separated_scores(self):
         m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
@@ -89,7 +91,7 @@ class TestFitPlatt:
     def test_monotone_probability(self):
         m = fit_platt(*labeled([(2.0, TP), (1.0, TP), (-1.0, FP), (-2.0, FP)]))
         xs = np.linspace(-5, 5, 100)
-        ps = [m.probability(float(x)) for x in xs]
+        ps = [platt_probability(m, float(x)) for x in xs]
         assert all(a < b for a, b in zip(ps, ps[1:]))
 
 
@@ -103,23 +105,23 @@ class TestPlattFuse:
 
     def test_single_slot(self):
         m = self.models()
-        prob = m["a"].probability(1.5)
+        prob = platt_probability(m["a"], 1.5)
         assert platt_fuse(*row({"a": 1.5}), m).tolist() == [prob]
 
     def test_max_rule(self):
         m = self.models()
         fused = platt_fuse(*row({"a": 0.3, "b": 2.0, "c": 1.0}), m)
-        assert fused.tolist() == [m["b"].probability(2.0)]
+        assert fused.tolist() == [platt_probability(m["b"], 2.0)]
 
     def test_absent_slots_ignored(self):
         m = self.models()
-        fused = platt_fuse(["a", "b"], np.array([[1.0, -np.inf]]), m)
-        assert fused.tolist() == [m["a"].probability(1.0)]
+        fused = platt_fuse(*slot_windows(["a", "b"], [[1.0, -np.inf]]), m)
+        assert fused.tolist() == [platt_probability(m["a"], 1.0)]
 
     def test_permutation_invariant_and_bounded(self):
         m = self.models()
-        v1 = platt_fuse(["a", "b", "c"], np.array([[0.3, 2.0, 1.0]]), m)
-        v2 = platt_fuse(["c", "b", "a"], np.array([[1.0, 2.0, 0.3]]), m)
+        v1 = platt_fuse(*slot_windows(["a", "b", "c"], [[0.3, 2.0, 1.0]]), m)
+        v2 = platt_fuse(*slot_windows(["c", "b", "a"], [[1.0, 2.0, 0.3]]), m)
         assert v1.tolist() == v2.tolist()
         assert 0.0 <= v1[0] <= 1.0
 
@@ -165,7 +167,7 @@ class TestFitWeightedSum:
         training = [({"a": 2.0, "b": 1.0}, True), ({"a": -2.0, "b": -1.0}, False)]
         w = train(training, platt)
         slots = np.array([[0.7, 0.2], [-1.0, 3.0], [0.7, 0.2]])
-        s1, _, s2 = weighted_sum_fuse(["a", "b"], slots, platt, w).tolist()
+        s1, _, s2 = weighted_sum_fuse(*slot_windows(["a", "b"], slots), platt, w).tolist()
         assert s1 == s2
 
     def test_duplicate_columns_preserve_ranking(self):
@@ -213,8 +215,8 @@ class TestScoreLikelihood:
 
     def test_high_probability_favors_target(self):
         lik, _ = self.fitted()
-        assert lik.log_likelihood_ratio(0.97) > 0
-        assert lik.log_likelihood_ratio(0.03) < 0
+        assert log_likelihood_ratio(lik, 0.97) > 0
+        assert log_likelihood_ratio(lik, 0.03) < 0
 
 
 class TestBayesFuse:
@@ -223,7 +225,7 @@ class TestBayesFuse:
         platt = {"a": PlattModel("a", -1.0, 0.0)}
         lik = ScoreLikelihood("a", (0.75, 0.25), (0.25, 0.75))
         slots = np.array([[-np.inf, 1.0]])
-        assert bayes_fuse(["a", "z"], slots, platt, {"a": lik}).tolist() == [0.0]
+        assert bayes_fuse(*slot_windows(["a", "z"], slots), platt, {"a": lik}).tolist() == [0.0]
         assert bayes_fuse(*row({"z": 1.0}), {}, {}).tolist() == [0.0]
 
     def test_uniform_likelihoods_leave_prior(self):
@@ -239,7 +241,7 @@ class TestBayesFuse:
         # Low bin has likelihood ratio 3; both observed probabilities
         # (sigmoid of a negative score) land in the low bin.
         lik = ScoreLikelihood("a", (0.75, 0.25), (0.25, 0.75))
-        assert lik.log_likelihood_ratio(platt["a"].probability(-1.0)) == pytest.approx(math.log(3.0))
+        assert log_likelihood_ratio(lik, platt_probability(platt["a"], -1.0)) == pytest.approx(math.log(3.0))
         liks = {"a": lik, "b": ScoreLikelihood("b", lik.target_bins, lik.nontarget_bins)}
         fused = bayes_fuse(*row({"a": -1.0, "b": -1.0}), platt, liks)
         assert fused[0] == pytest.approx(math.log(9.0))
@@ -259,8 +261,8 @@ class TestBayesFuse:
             "a": fit_score_likelihood(scores_a, tp, platt["a"], "a"),
             "b": fit_score_likelihood(scores_b, tp, platt["b"], "b"),
         }
-        both, only_a = bayes_fuse(["a", "b"], np.array([[0.7, 1.1], [0.7, -np.inf]]), platt, liks)
-        ratio_b = liks["b"].log_likelihood_ratio(platt["b"].probability(1.1))
+        both, only_a = bayes_fuse(*slot_windows(["a", "b"], [[0.7, 1.1], [0.7, -np.inf]]), platt, liks)
+        ratio_b = log_likelihood_ratio(liks["b"], platt_probability(platt["b"], 1.1))
         assert both == pytest.approx(only_a + ratio_b, abs=1e-12)
 
 

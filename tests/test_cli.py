@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -393,6 +394,32 @@ def test_no_command_imports_numpy_ma(workspace, tmp_path):
     result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(commands)],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# Runs each command given as JSON in one fresh process, then fails if the
+# process has imported multiprocessing.
+NO_POOL_IMPORTS = """
+import json, sys
+from beliefuse.cli import main
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+sys.exit("multiprocessing was imported" if "multiprocessing" in sys.modules else 0)
+"""
+
+
+def test_serial_fuse_imports_no_pool_machinery(workspace, tmp_path):
+    # concurrent.futures.process pulls in multiprocessing (about 9 ms at
+    # startup); a command that opens no pool never needs it.
+    data = workspace / "data"
+    commands = [["fuse", "--method", method, "--detections-dir", str(data / "test"), "--models-dir",
+                 str(workspace / "models"), "--out", str(tmp_path / f"{method}.jsonl"), "--jobs", "1"]
+                for method in METHODS]
+    src = str(Path(beliefuse.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", NO_POOL_IMPORTS, json.dumps(commands)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert all((tmp_path / f"{method}.jsonl").is_file() for method in METHODS)
 
 
 TRUST, PLATT = "trust__det_a__object.json", "platt__det_a__object.json"
@@ -893,7 +920,8 @@ def inline_pools(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Inline)
+    # worker_pool imports the executor from its module when a pool opens.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     return started
 
 
@@ -901,12 +929,12 @@ class TestPool:
     def test_fuse_and_sweep_start_one_pool_each(self, two_classes, tmp_path, monkeypatch):
         pools = []
 
-        class Counted(pipeline.ProcessPoolExecutor):
+        class Counted(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for command, out in ((two_class_fuse, tmp_path / "f.jsonl"), (two_class_sweep, tmp_path / "s.csv")):
             result = command(two_classes, out, jobs="2")

@@ -16,7 +16,7 @@ from beliefuse.geometry import BoundingBox, Detection, overlapping_pairs
 from beliefuse.io import DetectionColumns, Ids
 from beliefuse.pipeline import windows_of
 from beliefuse.trust import TrustModel
-from test_properties import as_columns
+from test_properties import as_columns, slot_scores, slot_windows
 
 
 def box(x0, y0, x1, y1):
@@ -30,8 +30,8 @@ def det(detector, score, b, image="img1"):
 def dbf_score(models):
     """A fuse_images scoring rule: DBF with the given trust models."""
 
-    def rule(detector_ids, slots):
-        joints = dbf_joints(detector_ids, slots, models)
+    def rule(windows, slots):
+        joints = dbf_joints(windows, slots, models)
         return joints[:, 0] - joints[:, 1], joints
 
     return rule
@@ -40,8 +40,8 @@ def dbf_score(models):
 def static_score(models):
     """A fuse_images scoring rule: static-DST with the given trust models."""
 
-    def rule(detector_ids, slots):
-        joints = static_dst_joints(detector_ids, slots, models)
+    def rule(windows, slots):
+        joints = static_dst_joints(windows, slots, models)
         return joints[:, 0] - joints[:, 1], joints
 
     return rule
@@ -58,9 +58,10 @@ def model_for(detector, n=2.0):
 
 
 def row(slots):
-    """One detection vector as a one-row slot matrix and its detector ids."""
+    """One detection vector as a rule takes it: one window per slot and the
+    one row of their slots (``slot_windows``)."""
     detector_ids = sorted(slots)
-    return detector_ids, np.array([[slots[d] for d in detector_ids]])
+    return slot_windows(detector_ids, [[slots[d] for d in detector_ids]])
 
 
 class Verdict(NamedTuple):
@@ -88,14 +89,16 @@ def score_to_bpa(model, score):
 
 
 def vectors(per_det):
-    """The image's slot matrix over its own detectors, threshold 0.5."""
+    """The image's slot matrix over its own detectors, threshold 0.5: its
+    slot rows' scores, -inf where a slot is absent."""
     windows = windows_of(as_columns(per_det))
-    return detection_slots(windows, overlapping_pairs(windows.boxes, windows.images.codes), 0.5)
+    rows = detection_slots(windows, overlapping_pairs(windows.boxes, windows.images.codes), 0.5)
+    return slot_scores(windows.scores, rows)
 
 
 def fuse(per_det, rule):
     """``fuse_images`` on one image's windows: (window, fused score, verdict)
-    per kept window, in visiting order."""
+    per kept window, in the order ``fuse`` writes them."""
     windows = windows_of(as_columns(per_det))
     kept, scores, joints = fuse_images(windows, rule)
     return list(zip(windows.take(kept), scores.tolist(), verdicts(joints)))
@@ -183,7 +186,7 @@ class TestDbfFuse:
         with_absent = dbf_verdict({"a": 5.0}, models)
         assert with_absent.joint == solo.joint
         # An absent column (-inf) reads the same as no column at all.
-        joints = dbf_joints(["a", "b"], np.array([[5.0, -np.inf]]), models)
+        joints = dbf_joints(*slot_windows(["a", "b"], [[5.0, -np.inf]]), models)
         assert Bpa.exact(*joints[0].tolist()) == solo.joint
 
     def test_recall_one_absent_policy_penalizes(self):
@@ -214,7 +217,7 @@ class TestDbfFuse:
         model = model_for("a")
         rng = np.random.default_rng(3)
         scores = sorted(rng.uniform(-2, 8, 50))
-        joints = dbf_joints(["a"], np.array(scores)[:, None], {"a": model})
+        joints = dbf_joints(*slot_windows(["a"], np.array(scores)[:, None]), {"a": model})
         fused = (joints[:, 0] - joints[:, 1]).tolist()
         assert all(a <= b for a, b in zip(fused, fused[1:]))
 
@@ -233,7 +236,7 @@ class TestTotalConflictRecovery:
         certain_nt = TrustModel("b", "object", [[1.0, 1.0, 0.0, 0.0]], bpd_exponent=2.0)
         before = fusion.conflict_smoothing_count
         with caplog.at_level("WARNING", logger="beliefuse.fusion"):
-            dbf_joints(("a", "b"), np.full((3, 2), 5.0), {"a": certain_t, "b": certain_nt})
+            dbf_joints(*slot_windows(("a", "b"), np.full((3, 2), 5.0)), {"a": certain_t, "b": certain_nt})
         assert fusion.conflict_smoothing_count == before + 3
         assert [r.getMessage() for r in caplog.records] == [
             "total conflict during combination in 3 rows; smoothing masses"]

@@ -5,6 +5,7 @@ from beliefuse.geometry import (
     BoundingBox,
     Detection,
     MatchLabel,
+    box_ranks,
     greedy_nms,
     iou,
     match_detections,
@@ -35,7 +36,7 @@ def nms(dets, iou_threshold=0.5):
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
     detectors = Ids.of([d.detector_id for d in dets]).codes
     scores = np.array([d.score for d in dets])
-    order = nms_order(scores, detectors, boxes, np.zeros(len(dets), dtype=np.intp))
+    order = nms_order(scores, detectors, box_ranks(boxes), np.zeros(len(dets), dtype=np.intp))
     images = np.zeros(len(dets), dtype=np.intp)
     return [dets[i] for i in greedy_nms(order, overlapping_pairs(boxes, images), iou_threshold)]
 

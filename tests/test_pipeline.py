@@ -9,7 +9,7 @@ from beliefuse.cli import default_profiles
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, truths
 from beliefuse.io import DetectionColumns, Ids
 from beliefuse.trust import InsufficientData
-from test_properties import as_columns, labels_of
+from test_properties import as_columns, labels_of, platt_probability
 
 
 def box(x0, y0, x1, y1):
@@ -213,9 +213,9 @@ class TestBaselinePipeline:
         assert with_duplicate == without
         features, targets, detector_ids = with_duplicate
         column = detector_ids.index("det_a")
-        own = bm.platt["det_a"].probability(original.score)
+        own = platt_probability(bm.platt["det_a"], original.score)
         assert any(row[column] == own and target for row, target in zip(features, targets))
-        lowered = bm.platt["det_a"].probability(duplicate.score)
+        lowered = platt_probability(bm.platt["det_a"], duplicate.score)
         assert all(row[column] != lowered for row in features)
 
     def test_ws_labels_a_detection_listed_twice_like_an_equal_copy(self, monkeypatch):

@@ -17,8 +17,13 @@ that built the validation PR table before it shared its sweep with
 ``eval``; the per-detection AP loop that ``eval`` ran before it
 scored columns; the per-line JSON-lines reader that the column parser
 replaced; the per-line ``json.dumps`` writer that the template writer
-replaced; and each model class's own model-file encoder, which ``io``'s one
-codec replaced. The array paths must
+replaced; each model class's own model-file encoder, which ``io``'s one
+codec replaced; the scalar Platt probability and naive-Bayes lookup
+(``platt_probability``, ``log_likelihood_ratio``) and the per-row
+``row @ w`` loop that the baseline rules ran before they scored each window
+once; and the seven-key NMS ``np.lexsort`` that box ranks replaced. The
+slot rows of ``fusion.detection_slots`` are compared through their scores
+(``slot_scores``) with the score matrix fusion built before. The array paths must
 reproduce them exactly, including tie order, duplicate boxes,
 total-conflict recovery, float rounding and which files are rejected.
 """
@@ -64,6 +69,7 @@ from beliefuse.geometry import (
     Detection,
     MatchLabel,
     _iou,
+    box_ranks,
     greedy_nms,
     iou,
     iou_pairs,
@@ -326,6 +332,30 @@ def as_rows(vectors, detector_ids):
     return [[slots.get(d, -math.inf) for d in detector_ids] for _, slots in vectors]
 
 
+def slot_scores(scores, rows):
+    """The slot matrix of ``detection_slots``'s window rows: each slot's
+    window's score, -inf where the row is -1 (absent)."""
+    return np.append(scores, -np.inf)[rows]
+
+
+def slot_windows(detector_ids, slots):
+    """A slot matrix, one column per id in ``detector_ids`` and -inf where a
+    slot is absent, as a rule takes it: one window per present slot, of its
+    column's detector, and the matrix of their rows (``detection_slots``),
+    one column per distinct id, sorted, and -1 where a slot is absent."""
+    slots = np.asarray(slots, dtype=float).reshape(-1, len(detector_ids))
+    names = tuple(sorted(set(detector_ids)))
+    r, c = np.nonzero(slots != -np.inf)
+    codes = np.array([names.index(detector_ids[j]) for j in c.tolist()], dtype=np.intp)
+    n = len(r)
+    windows = DetectionColumns(Ids(np.zeros(n, dtype=np.intp), ("img",)), Ids(np.full(n, -1), ()),
+                               np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)), slots[r, c], Ids(codes, names),
+                               np.full((n, 3), np.nan))
+    rows = np.full((len(slots), len(names)), -1, dtype=np.intp)
+    rows[r, codes] = np.arange(n)
+    return windows, rows
+
+
 @given(images(), thresholds)
 @example(HALF, 0.5)
 @example(SIGNED_ZEROS, 0.1)
@@ -345,8 +375,9 @@ def test_detection_vectors_equal_scalar_reference(per_detector, threshold):
         assert got.shape == (len(expected), len(detector_ids))
         assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
         one_image = dataclasses.replace(windows, detectors=detectors)
-        got = fusion.detection_slots(one_image, overlapping_pairs(windows.boxes, windows.images.codes), threshold)
-        assert repr(got.tolist()) == repr(as_rows(expected, detector_ids))
+        rows = fusion.detection_slots(one_image, overlapping_pairs(windows.boxes, windows.images.codes), threshold)
+        assert rows.dtype == np.intp
+        assert repr(slot_scores(windows.scores, rows).tolist()) == repr(as_rows(expected, detector_ids))
 
 
 def _batch(*per_image):
@@ -409,8 +440,16 @@ def test_batch_slots_and_masks_equal_per_image_reference(corpus, overlap, nms):
     windows = windows_of(as_columns(corpus))
     spans, ids = windows.spans(), windows.detectors.names
     pairs = overlapping_pairs(windows.boxes, windows.images.codes)
-    slots = fusion.detection_slots(windows, pairs, overlap)
-    assert slots.shape == (len(windows.scores), len(ids))
+    rows = fusion.detection_slots(windows, pairs, overlap)
+    assert rows.shape == (len(windows.scores), len(ids)) and rows.dtype == np.intp
+    # Each present slot is a window of its column's detector on the row's
+    # image, and each window's own slot is itself.
+    row_of, column = np.nonzero(rows != -1)
+    assert (windows.detectors.codes[rows[row_of, column]] == column).all()
+    assert (windows.images.codes[rows[row_of, column]] == windows.images.codes[row_of]).all()
+    assert (rows[np.arange(len(rows)), windows.detectors.codes] == np.arange(len(rows))).all()
+    # Gathered by row, the slots are the per-image reference bit for bit.
+    slots = slot_scores(windows.scores, rows)
     # Each image's NMS mask, as the pairs above the threshold give it.
     masks = np.zeros((len(windows.scores),) * 2, dtype=bool)
     near = pairs.overlaps > nms
@@ -432,10 +471,51 @@ def test_nms_equals_scalar_reference(per_detector, threshold):
     dets = [d for det_id in sorted(per_detector) for d in per_detector[det_id]]
     expected = [id(d) for d in reference_nms(dets, threshold)]
     windows = windows_of(as_columns(per_detector))  # its rows are ``dets``
-    order = nms_order(windows.scores, windows.detectors.codes, windows.boxes, windows.images.codes)
+    order = nms_order(windows.scores, windows.detectors.codes, box_ranks(windows.boxes), windows.images.codes)
     for box_rows in (np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4), windows.boxes):
         kept = greedy_nms(order, overlapping_pairs(box_rows, windows.images.codes), threshold)
         assert [id(dets[i]) for i in kept.tolist()] == expected
+
+
+@st.composite
+def ranked_windows(draw):
+    """``placed_boxes`` with a score and a detector code each, drawn from few
+    values, so that most ties go down to the box."""
+    rows = draw(placed_boxes())
+    n = len(rows)
+    return (rows, draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+# Equal boxes under equal (image, score, detector), boxes equal but for a
+# zero's sign, the same box on another image, boxes apart in one coordinate.
+DUPLICATE_BOXES = (
+    [(BoundingBox(0, 0, 2, 2), 0), (BoundingBox(0, 0, 2, 3), 0), (BoundingBox(0, 0, 2, 2), 0),
+     (BoundingBox(-0.0, 0, 2, 2), 0), (BoundingBox(0, 0, 2, 2), 1), (BoundingBox(0, -1, 2, 2), 0)],
+    [1.0, 1.0, 1.0, 1.0, 0.0, -0.0],
+    [0, 0, 0, 0, 1, 0],
+)
+
+
+@given(ranked_windows())
+@example(DUPLICATE_BOXES)
+@example(([], [], []))
+def test_box_rank_orders_equal_seven_key_lexsort(case):
+    rows, scores, detectors = case
+    box_rows = np.array([b.as_tuple() for b, _ in rows], dtype=float).reshape(-1, 4)
+    images = np.array([image for _, image in rows], dtype=np.intp)
+    scores, detectors = np.array(scores, dtype=float), np.array(detectors, dtype=np.intp)
+    ranks = box_ranks(box_rows)
+    # Ranks order boxes as their coordinates do, x_min first; equal boxes share one.
+    boxes_in = list(map(tuple, box_rows.tolist()))
+    assert [[ranks[i] < ranks[j] for j in range(len(rows))] for i in range(len(rows))] == \
+        [[a < b for b in boxes_in] for a in boxes_in]
+    expected = np.lexsort((*box_rows.T[::-1], detectors, -scores, images))
+    assert nms_order(scores, detectors, ranks, images).tolist() == expected.tolist()
+    # The fuse's output sort, on any rows in any order (here: reversed).
+    rev = np.arange(len(rows))[::-1]
+    expected = np.lexsort((*box_rows[rev].T[::-1], -scores[rev], images[rev]))
+    assert np.lexsort((ranks[rev], -scores[rev], images[rev])).tolist() == expected.tolist()
 
 
 def _model(det_id):
@@ -772,15 +852,33 @@ def test_belief_fuse_corpus_equals_per_vector_loop(corpus, models, method, absen
 # ---- baseline rules and weighted-sum training -------------------------------
 
 
+def platt_probability(model, score):
+    """The scalar Platt probability ``baselines.sigmoid`` computes for arrays:
+    ``1 / (1 + exp(a * score + b))``, its exponent clamped to [-700, 700]."""
+    z = model.a * score + model.b
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(min(z, 700.0)))
+    ez = math.exp(max(z, -700.0))
+    return 1.0 / (1.0 + ez)
+
+
+def log_likelihood_ratio(model, prob):
+    """The scalar naive-Bayes lookup ``baselines.bayes_fuse`` makes for
+    arrays: the log ratio of a probability's bin, truncated, the last bin
+    capped."""
+    i = min(int(prob * model.bin_count), model.bin_count - 1)
+    return math.log(model.target_bins[i] / model.nontarget_bins[i])
+
+
 def reference_platt(slots, platt):
-    probs = [platt[d].probability(score) for d, score in slots.items() if d in platt]
+    probs = [platt_probability(platt[d], score) for d, score in slots.items() if d in platt]
     if not probs:
         raise ValueError("vector has no present slot with a Platt model")
     return max(probs)
 
 
 def reference_features(slots, platt, detector_ids):
-    return np.array([platt[d].probability(slots[d]) if d in slots else 0.0 for d in detector_ids])
+    return np.array([platt_probability(platt[d], slots[d]) if d in slots else 0.0 for d in detector_ids])
 
 
 def reference_ws(slots, platt, weights):
@@ -792,7 +890,7 @@ def reference_bayes(slots, platt, likelihoods):
     log_odds = math.log(0.5 / (1.0 - 0.5))
     for det_id, score in sorted(slots.items()):
         if det_id in likelihoods:
-            log_odds += likelihoods[det_id].log_likelihood_ratio(platt[det_id].probability(score))
+            log_odds += log_likelihood_ratio(likelihoods[det_id], platt_probability(platt[det_id], score))
     return log_odds
 
 
@@ -900,18 +998,76 @@ BIN_EDGE = (
 def test_baseline_rules_equal_per_vector_rules_bit_for_bit(case):
     detector_ids, slots, platt, weights, likelihoods = case
     rows = [{d: s for d, s in zip(detector_ids, row) if s != -math.inf} for row in slots.tolist()]
+    windows, slot_rows = slot_windows(detector_ids, slots)
     try:
         expected = [reference_platt(row, platt) for row in rows]
     except ValueError:
         with pytest.raises(ValueError):
-            baselines.platt_fuse(detector_ids, slots, platt)
+            baselines.platt_fuse(windows, slot_rows, platt)
     else:
         # repr tells every float apart, -0.0 from 0.0 too.
-        assert repr(baselines.platt_fuse(detector_ids, slots, platt).tolist()) == repr(expected)
-    got = baselines.weighted_sum_fuse(detector_ids, slots, platt, weights)
+        assert repr(baselines.platt_fuse(windows, slot_rows, platt).tolist()) == repr(expected)
+    got = baselines.weighted_sum_fuse(windows, slot_rows, platt, weights)
     assert repr(got.tolist()) == repr([reference_ws(row, platt, weights) for row in rows])
-    got = baselines.bayes_fuse(detector_ids, slots, platt, likelihoods)
+    got = baselines.bayes_fuse(windows, slot_rows, platt, likelihoods)
     assert repr(got.tolist()) == repr([reference_bayes(row, platt, likelihoods) for row in rows])
+
+
+# (a, b, score): z exactly at the clamp and just past it, a * score
+# overflowing to +-inf, z = -0.0 (a * score = -0.0 plus b = -0.0), and huge
+# or tiny scores.
+PLATT_EDGES = [
+    (1.0, 0.0, 700.0), (1.0, 0.0, -700.0), (1.0, 0.0, 700.0000000000001), (1.0, 0.0, -700.0000000000001),
+    (1.0, 1.0, 699.0), (2.0, -1.0, 350.5), (1.0, 0.0, 1e300), (-1.0, 0.0, 1e300),
+    (1e10, 0.0, 1e300), (-1e10, 0.0, 1e300), (1e10, 3.0, -1e300), (-1.0, -0.0, 0.0), (1.0, -0.0, -0.0),
+    (0.0, 0.0, 1e308), (0.0, -0.0, -1e308), (1e-300, 0.0, 1e-300), (3.0, 2.0, 1.7976931348623157e308),
+]
+
+
+@given(st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12),
+                          st.floats(allow_nan=False, allow_infinity=False)), max_size=8))
+@example(PLATT_EDGES)
+@example([])
+def test_vector_platt_equals_scalar_formula_bit_for_bit(cases):
+    a, b, scores = (np.array(column, dtype=float) for column in zip(*cases)) if cases else (np.empty(0),) * 3
+    expected = [platt_probability(PlattModel("d", *ab), s) for *ab, s in cases]
+    # repr tells every float apart, -0.0 from 0.0 too.
+    assert repr(baselines.sigmoid(scores, a, b).tolist()) == repr(expected)
+    for (a_k, b_k, score) in cases:  # and with scalar coefficients
+        assert repr(baselines.sigmoid(np.array([score]), a_k, b_k).tolist()) == \
+            repr([platt_probability(PlattModel("d", a_k, b_k), score)])
+
+
+dot_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def dot_cases(draw):
+    width = draw(st.integers(1, 8))
+    vector = st.lists(dot_entries, min_size=width, max_size=width)
+    return np.array(draw(st.lists(vector, max_size=12)), dtype=float).reshape(-1, width), np.array(draw(vector))
+
+
+@given(dot_cases())
+@example((np.array([[0.8, -1.4, -2.8, -2.9], [1.9, 2.5, 0.6, 1.4]]), np.array([0.17, 1.74, 1.26, -1.99])))
+@example((np.array([[1e300, 1e300], [-0.0, -0.0], [5e-324, 5e-324]]), np.array([1e10, -1e-300])))
+def test_batched_row_dot_equals_per_row_dot_bit_for_bit(case):
+    features, w = case
+    with np.errstate(over="ignore", invalid="ignore"):  # products past 1e308 are inf, inf - inf NaN
+        expected = np.array([row @ w for row in features]).reshape(-1)
+        assert baselines.row_dots(features, w).tobytes() == expected.tobytes()
+
+
+def test_batched_row_dot_refuses_a_layout_it_is_not_checked_on():
+    features = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(ValueError, match="C-ordered"):
+        baselines.row_dots(np.asfortranarray(features), np.ones(4))
+    with pytest.raises(ValueError, match="C-ordered"):
+        baselines.row_dots(features[:, ::2], np.ones(2))
 
 
 @settings(max_examples=10, deadline=None)
