@@ -131,12 +131,8 @@ def _detection_files(detections_dir: str) -> list[Path]:
 
 def _load_detections_dir(detections_dir: str) -> dict[str, dict[str, io.DetectionColumns]]:
     """-> class -> detector_id -> its rows, files in sorted order, lines in file order."""
-    parts: dict[str, list[io.DetectionColumns]] = {}
-    for path in _detection_files(detections_dir):
-        for cls, rows in io.read_detections_by_class(path).items():
-            parts.setdefault(cls, []).append(rows)
-    joined = {cls: io.DetectionColumns.concat(p) for cls, p in parts.items()}
-    return {cls: rows.split(rows.detectors) for cls, rows in joined.items()}
+    rows = io.DetectionColumns.concat([io.read_detections(path) for path in _detection_files(detections_dir)])
+    return {cls: part.split(part.detectors) for cls, part in rows.split(rows.classes).items()}
 
 
 @click.group()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Truth, truths
-from .io import DetectionColumns, Ids, _box_column, _raw_detections, _score_column
+from .io import DetectionColumns, Ids, _box_column, _score_column
 
 Box = tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
 
@@ -82,7 +82,7 @@ class SyntheticDataset:
     seed: int
     class_label: str
     images: list[tuple[str, list[Box]]]  # each image's objects, all of class_label
-    detections: dict[str, DetectionColumns]  # raw rows, of no class
+    detections: dict[str, DetectionColumns]  # raw rows, of class_label
     validation_image_ids: frozenset[str] = field(default_factory=frozenset)
 
     @property
@@ -204,8 +204,9 @@ def generate(
         if box_column is None or score_column is None:
             raise ConfigError(f"detector {profile.detector_id!r} drew a box or score a detector file cannot hold "
                               "(not finite, or a box of no area): check its profile")
-        detections[profile.detector_id] = _raw_detections(Ids.of(list(image_ids)), box_column, score_column,
-                                                           Ids.of([profile.detector_id] * len(rows)))
+        detections[profile.detector_id] = DetectionColumns(
+            Ids.of(list(image_ids)), Ids.of([class_label] * len(rows)), box_column, score_column,
+            Ids.of([profile.detector_id] * len(rows)), np.full((len(rows), 3), np.nan))
 
     return SyntheticDataset(
         seed=seed,

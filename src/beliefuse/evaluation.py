@@ -3,8 +3,9 @@
 The matcher here follows evaluation convention: a second detection on an
 already-claimed ground truth counts as a false positive, unlike the
 trust-model labeler which leaves duplicates undecided. Detections are
-scored as columns (``io.DetectionColumns``), with one IoU per pair of a
-detection and a ground truth of its image, all pairs in one array pass.
+scored as columns (``io.DetectionColumns``), each class against its own
+rows, with one IoU per pair of a detection and a ground truth of its image,
+all pairs in one array pass (``Truth.pairs``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Truth, iou_pairs
+from .geometry import Truth
 from .io import ArrayRows, DetectionColumns, indent2_parts
 from .trust import envelope, pr_sweep
 
@@ -41,20 +42,12 @@ def _pr_points(
     denominator.
     """
     boxes, image_codes = dets.boxes, dets.images.codes
-    # Every (detection, ground truth of its image) pair, grouped by
-    # detection, ground truths in input order.
-    first_gt, stop_gt = np.array([truth.spans.get(image, (0, 0)) for image in dets.images.names],
-                                 dtype=np.intp).reshape(-1, 2)[image_codes].T
-    counts = stop_gt - first_gt
-    starts = np.cumsum(counts) - counts
-    det = np.repeat(np.arange(len(image_codes)), counts)
-    gt = np.repeat(first_gt - starts, counts) + np.arange(len(det))
-    overlaps = iou_pairs(boxes[det], truth.boxes[gt])
+    det, gt, overlaps = truth.pairs(dets.images, boxes)
     # Each detection's first ground truth with its highest IoU.
     best_iou = np.zeros(len(image_codes))
-    paired = counts > 0
     if len(det):
-        best_iou[paired] = np.maximum.reduceat(overlaps, starts[paired])
+        starts = np.flatnonzero(np.diff(det, prepend=-1))
+        best_iou[det[starts]] = np.maximum.reduceat(overlaps, starts)
     is_max = np.flatnonzero(overlaps == best_iou[det])
     _, first_max = np.unique(det[is_max], return_index=True)
     best = np.zeros(len(image_codes), dtype=np.intp)
@@ -167,12 +160,12 @@ def evaluate_method(
     iou_threshold: float = 0.5,
     interpolation: str = "all-points",
 ) -> EvalReport:
-    """Per-class AP report for one method's detections, one class for each
-    class of ground truth (``geometry.truths``). Raw rows carry no class and
-    are scored against every class; fused ones only against their own."""
+    """Per-class AP report for one method's detections, raw or fused, one
+    class for each class of ground truth (``geometry.truths``), each scored
+    against the rows of its class only."""
     report = EvalReport({})
     for c in truths:
-        at = np.flatnonzero((dets.classes.codes == -1) | dets.classes.matches(c))
+        at = np.flatnonzero(dets.classes.matches(c))
         rows = dets if len(at) == len(dets) else dets.take(at)
         try:
             score = _score_class(rows, truths[c], iou_threshold, interpolation)

@@ -67,6 +67,17 @@ class Truth:
     def __len__(self) -> int:
         return len(self.boxes)
 
+    def pairs(self, images, boxes: np.ndarray) -> Pairs:
+        """Every (row, object on its image) pair of rows with these images (an
+        id column, ``io.Ids``) and boxes: the row, the object's row here and
+        their IoU (``iou_pairs``), grouped by row, each row's objects in order."""
+        spans = np.array([self.spans.get(name, (0, 0)) for name in images.names],
+                         dtype=np.intp).reshape(-1, 2)[images.codes]
+        counts = spans[:, 1] - spans[:, 0]
+        rows = np.repeat(np.arange(len(counts)), counts)
+        objects = np.repeat(spans[:, 0] - (np.cumsum(counts) - counts), counts) + np.arange(len(rows))
+        return Pairs(rows, objects, iou_pairs(boxes[rows], self.boxes[objects]))
+
 
 def truths(image_ids, class_labels, boxes: ArrayLike, difficult: ArrayLike) -> dict[str, Truth]:
     """Each class's ground truth, classes in sorted order, from one row per
@@ -129,7 +140,8 @@ def _iou(b: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 
 class Pairs(NamedTuple):
-    """Same-image row pairs, lower row first, and each pair's IoU."""
+    """Row pairs on one image and each pair's IoU: two windows, lower row
+    first (``overlapping_pairs``), or a window and an object (``Truth.pairs``)."""
 
     first: np.ndarray
     second: np.ndarray

@@ -37,18 +37,18 @@ class DataError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Ids:
     """An id column: each row's code, an index into ``names``, the distinct
-    names in Python's string order, so codes sort as names do; code -1 is no
-    name (a raw row's class). Indexing picks rows and keeps every name."""
+    names in Python's string order, so codes sort as names do. Indexing
+    picks rows and keeps every name."""
 
     codes: np.ndarray  # (N,) intp
     names: tuple[str, ...]
     __iter__ = None  # indexing picks rows, not names: ``decoded`` lists the names
 
     @classmethod
-    def of(cls, values: list) -> Ids:
-        """Code a list of names (None: no name) by a dict: ``np.unique`` drops trailing NULs."""
-        names = sorted(set(values) - {None})
-        code = {None: -1, **dict(zip(names, range(len(names))))}
+    def of(cls, values: list[str]) -> Ids:
+        """Code a list of names by a dict: ``np.unique`` drops trailing NULs."""
+        names = sorted(set(values))
+        code = dict(zip(names, range(len(names))))
         return cls(np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)), tuple(names))
 
     @classmethod
@@ -56,27 +56,27 @@ class Ids:
         """The rows of every part, part after part, coded over the names they use."""
         names = sorted({p.names[k] for p in parts for k in p.used().tolist()})
         code = dict(zip(names, range(len(names))))
-        # Each part's codes index its names' new codes, then -1 for code -1.
-        recoded = [np.array([*(code.get(n, -1) for n in p.names), -1], dtype=np.intp)[p.codes] for p in parts]
+        # Each part's codes index its names' new codes; a name no row has is never picked.
+        recoded = [np.array([code.get(n, -1) for n in p.names], dtype=np.intp)[p.codes] for p in parts]
         return cls(np.concatenate(recoded), tuple(names))
 
     def __getitem__(self, rows) -> Ids:
         return Ids(self.codes[rows], self.names)
 
-    def decoded(self) -> list:
-        """Each row's name, None for no name."""
-        return np.array([*self.names, None], dtype=object)[self.codes].tolist()
+    def decoded(self) -> list[str]:
+        """Each row's name."""
+        return np.array(self.names, dtype=object)[self.codes].tolist()
 
     def matches(self, name: str) -> np.ndarray:
         """Whether each row has ``name``."""
         return self.codes == (self.names.index(name) if name in self.names else len(self.names))
 
     def used(self) -> np.ndarray:
-        """The codes some row has, ascending, -1 left out."""
-        return np.flatnonzero(np.bincount(self.codes[self.codes >= 0], minlength=len(self.names)))
+        """The codes some row has, ascending."""
+        return np.flatnonzero(np.bincount(self.codes, minlength=len(self.names)))
 
     def groups(self) -> list[tuple[str, list[int]]]:
-        """Each name some row has, first seen first, with its rows in row order (no code -1)."""
+        """Each name some row has, first seen first, with its rows in row order."""
         order = np.argsort(self.codes, kind="stable")
         runs = _runs(self.codes[order])
         runs, rows = runs[np.argsort(order[runs[:, 0]])], order.tolist()
@@ -97,8 +97,7 @@ class DetectionColumns:
     and, in subject order (``pipeline.windows_of``), the windows fusion
     works on.
 
-    A row's class has no name (code -1) for raw detector output, which is
-    scored against every ground-truth class. ``detectors`` names a raw row's
+    Every row names its class, raw or fused. ``detectors`` names a raw row's
     detector or a fused row's source detector; ``joints`` holds fused rows'
     joint masses, NaN where a row has none.
     """
@@ -120,10 +119,10 @@ class DetectionColumns:
             for a, b in zip(vars(self).values(), vars(other).values()))
 
     @classmethod
-    def of(cls, dets: list[Detection]) -> DetectionColumns:
-        """The columns of a list of raw ``Detection``s."""
+    def of(cls, dets: list[Detection], class_label: str = "object") -> DetectionColumns:
+        """The columns of raw ``Detection``s, each of class ``class_label`` (a line's default)."""
         return cls(
-            Ids.of([d.image_id for d in dets]), Ids.of([None] * len(dets)),
+            Ids.of([d.image_id for d in dets]), Ids.of([class_label] * len(dets)),
             np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4),
             np.array([d.score for d in dets], dtype=float), Ids.of([d.detector_id for d in dets]),
             np.full((len(dets), 3), np.nan),
@@ -131,8 +130,8 @@ class DetectionColumns:
 
     # Only perfbench/spans.py iterates columns; it goes with ROADMAP items 1-2.
     def __iter__(self) -> Iterator[Detection]:
-        """Each row as a raw ``Detection``, the inverse of ``of``: valid for raw
-        rows only (a fused row's class label and joints are dropped)."""
+        """Each row as a raw ``Detection``, the inverse of ``of``: its class
+        and a fused row's joints are dropped."""
         boxes = (BoundingBox(*box) for box in self.boxes.tolist())
         return map(Detection, self.images.decoded(), self.detectors.decoded(), boxes, self.scores.tolist())
 
@@ -177,6 +176,13 @@ class _Field(NamedTuple):
 def _ids(values: list) -> Ids | None:
     # Strings only: orjson reads an integer past 64 bits as a float, not as json's int.
     return Ids.of(values) if {str}.issuperset(map(type, values)) else None
+
+
+def _id(raw) -> str:
+    """An id as read: a JSON string, or a finite number as its text."""
+    if type(raw) is str or type(raw) is int or type(raw) is float and math.isfinite(raw):
+        return str(raw)
+    raise ValueError(f"an id must be a JSON string or a finite number, got {json.dumps(raw):.40}")
 
 
 def _numbers(values: list, width: int | None = None) -> np.ndarray | None:
@@ -263,24 +269,24 @@ def _flag_column(values: list) -> np.ndarray | None:
 
 # Each file kind's fields, in the order a line's checks run.
 _DETECTION = (
-    _Field("image_id", _REQUIRED, str, _ids),
-    _Field("detector_id", _REQUIRED, str, _ids),
+    _Field("image_id", _REQUIRED, _id, _ids),
+    _Field("detector_id", _REQUIRED, _id, _ids),
     _Field("bbox", _REQUIRED, _box, _box_column),
     _Field("score", _REQUIRED, _score, _score_column),
-    _Field("class", "object", str, _ids),
+    _Field("class", "object", _id, _ids),
 )
 _FUSED = (
     _Field("joint", _ABSENT, _joint, _joint_column),
     _Field("bbox", _REQUIRED, _box, _box_column),
-    _Field("image_id", _REQUIRED, str, _ids),
-    _Field("class", _REQUIRED, str, _ids),
+    _Field("image_id", _REQUIRED, _id, _ids),
+    _Field("class", _REQUIRED, _id, _ids),
     _Field("score", _REQUIRED, _score, _score_column),
-    _Field("source_detector_id", "", str, _ids),
+    _Field("source_detector_id", "", _id, _ids),
 )
 _ANNOTATION = (
     _Field("difficult", False, _flag, _flag_column),
-    _Field("image_id", _REQUIRED, str, _ids),
-    _Field("class", _REQUIRED, str, _ids),
+    _Field("image_id", _REQUIRED, _id, _ids),
+    _Field("class", _REQUIRED, _id, _ids),
     _Field("bbox", _REQUIRED, _box, _box_column),
 )
 _VALUE_ERRORS = (TypeError, ValueError, OverflowError, RecursionError)
@@ -369,25 +375,18 @@ def _checked_rows(path: Path, text: str, fields: tuple[_Field, ...]):
         yield row
 
 
+def read_detections(path: str | Path) -> DetectionColumns:
+    """Read one detector file as columns, in file order, each row of its line's class."""
+    c = _read_columns(path, _DETECTION)
+    return DetectionColumns(c["image_id"], c["class"], c["bbox"], c["score"], c["detector_id"],
+                            np.full((len(c["score"]), 3), np.nan))
+
+
 def read_detections_by_class(path: str | Path) -> dict[str, DetectionColumns]:
     """Read one detector file as each class's rows (``read_detections``),
     classes in order of first appearance, each class's rows in file order."""
-    c = _read_columns(path, _DETECTION)
-    return _raw_detections(**c).split(c["class"])
-
-
-def read_detections(path: str | Path) -> DetectionColumns:
-    """Read one detector file as columns; rows carry no class (see
-    ``DetectionColumns``)."""
-    return _raw_detections(**_read_columns(path, _DETECTION))
-
-
-def _raw_detections(image_id: Ids, bbox: np.ndarray, score: np.ndarray, detector_id: Ids, **_) -> DetectionColumns:
-    """A detector file's checked columns, by field (``_DETECTION``), as raw
-    rows, of no class; the generator's rows take this way too."""
-    n = len(score)
-    return DetectionColumns(image_id, Ids(np.full(n, -1, dtype=np.intp), ()), bbox, score, detector_id,
-                            np.full((n, 3), np.nan))
+    rows = read_detections(path)
+    return rows.split(rows.classes)
 
 
 def read_fused(path: str | Path) -> DetectionColumns:
@@ -455,8 +454,8 @@ def _distinct_json_numbers(values: np.ndarray) -> list[str]:
 
 
 def _json_ids(ids: Ids) -> list[str]:
-    """``json.dumps`` of each row's name (``null`` for none), each used name once."""
-    encoded = np.full(len(ids.names) + 1, json.dumps(None), dtype=object)
+    """``json.dumps`` of each row's name, each used name once."""
+    encoded = np.empty(len(ids.names), dtype=object)
     for k in ids.used().tolist():
         encoded[k] = json.dumps(ids.names[k])
     return encoded[ids.codes].tolist()

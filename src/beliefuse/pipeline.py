@@ -48,7 +48,7 @@ def label_detections(
     and true positive, each row's label its own.
 
     One array pass takes the IoU of every window with every object on its
-    image (``geometry.iou_pairs``, bit for bit ``iou``). A window with none
+    image (``Truth.pairs``, bit for bit ``iou``). A window with none
     above +0.0 is a false positive; one whose best is at most the threshold
     is undecided, claims nothing and is never a duplicate. Only the rest,
     the contested windows, walk the greedy claim: ``match_detections``
@@ -60,12 +60,7 @@ def label_detections(
     if truth is None:
         return decided, tp
     images = windows.images.codes
-    spans = np.array([truth.spans.get(name, (0, 0)) for name in windows.images.names], dtype=np.intp).reshape(-1, 2)
-    counts = (spans[:, 1] - spans[:, 0])[images]
-    # One (window, object) pair per object on the window's image, by window.
-    rows = np.repeat(np.arange(len(images)), counts)
-    objects = np.arange(len(rows)) + np.repeat(spans[images, 0] - (np.cumsum(counts) - counts), counts)
-    overlaps = geometry.iou_pairs(windows.boxes[rows], truth.boxes[objects])
+    rows, _, overlaps = truth.pairs(windows.images, windows.boxes)
     decided[rows[overlaps > 0.0]] = False
     contested = np.flatnonzero(np.bincount(rows[overlaps > iou_threshold], minlength=len(images)))
     # Each row's run number: its (image, detector) code's changes so far, so runs apart stay apart.
@@ -75,7 +70,7 @@ def label_detections(
     gt_boxes, difficult = truth.boxes.tolist(), truth.difficult.tolist()
     labels: list[MatchLabel] = []
     for first, stop in io._runs(runs).tolist():
-        a, b = spans[images[contested[first]]].tolist()
+        a, b = truth.spans[windows.images.names[images[contested[first]]]]
         labels += match_detections(boxes[first:stop], scores[first:stop], gt_boxes[a:b], difficult[a:b],
                                    iou_threshold, duplicate_policy)
     decided[contested] = [label is not MatchLabel.UNDECIDED for label in labels]

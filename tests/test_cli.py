@@ -741,6 +741,38 @@ class TestEval:
         assert str(annotations) in result.output
         assert not (tmp_path / "r").exists()
 
+    def test_a_raw_file_of_two_classes_scores_each_class_on_its_own_lines(self, two_classes, tmp_path):
+        # Each class's AP, curve and counts from det_a's whole file equal an
+        # eval of that class's lines alone.
+        test = two_classes / "data" / "test"
+        lines = (test / "det_a.jsonl").read_text().splitlines()
+
+        def report(name, path):
+            result = run(["eval", "--annotations", str(test / "annotations.jsonl"), "--out", str(tmp_path / name),
+                          "-i", f"det_a={path}"])
+            assert result.exit_code == 0, result.output
+            return json.loads((tmp_path / name / "report.json").read_text())["methods"]["det_a"]
+
+        whole = report("whole", test / "det_a.jsonl")
+        for cls in ("cat", "object"):
+            path = tmp_path / f"{cls}.jsonl"
+            path.write_text("".join(f"{line}\n" for line in lines if f'"class": "{cls}"' in line))
+            alone = report(cls, path)
+            assert whole["per_class_ap"][cls] == alone["per_class_ap"][cls]
+            assert whole["pr_samples"][cls] == alone["pr_samples"][cls]
+            assert whole["counts"][cls] == alone["counts"][cls]
+            assert alone["counts"][cls]["num_detections"] == len(path.read_text().splitlines()) > 0
+
+    def test_an_id_of_null_exits_3_naming_the_line(self, workspace, tmp_path):
+        path = tmp_path / "det_a.jsonl"
+        path.write_text('{"image_id": "img_00030", "detector_id": "det_a", "class": null, '
+                        '"bbox": [0, 0, 5, 5], "score": 1}\n')
+        result = run(["eval", "--annotations", str(workspace / "data" / "test" / "annotations.jsonl"),
+                      "--out", str(tmp_path / "r"), "-i", f"det_a={path}"])
+        assert exited_cleanly(result, 3), result.output
+        assert f"{path}:1: an id must be a JSON string or a finite number, got null" in result.output
+        assert not (tmp_path / "r").exists()
+
     def test_input_off_every_ground_truth_image_is_named_in_a_warning(self, workspace, tmp_path, caplog):
         # The validation detections lie on none of the test images.
         data = workspace / "data"
@@ -997,7 +1029,7 @@ class TestPool:
                 return fn(*args, **kwargs)
             return call
 
-        for module, name in ((io, "read_detections_by_class"), (io, "load_model"), (fusion, "fuse_images")):
+        for module, name in ((io, "read_detections"), (io, "load_model"), (fusion, "fuse_images")):
             monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for command, out in ((two_class_fuse, tmp_path / "f.jsonl"), (two_class_sweep, tmp_path / "s.csv")):
@@ -1007,7 +1039,7 @@ class TestPool:
         for line in calls.read_text().splitlines():
             name, pid = line.split()
             pids.setdefault(name, set()).add(int(pid))
-        assert pids["read_detections_by_class"] == pids["load_model"] == {os.getpid()}
+        assert pids["read_detections"] == pids["load_model"] == {os.getpid()}
         assert pids["fuse_images"] - {os.getpid()}, "no batch was fused in a worker"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from beliefuse.evaluation import (
     write_reports_json,
 )
 from beliefuse.geometry import BoundingBox, Detection, MatchLabel, match_detections, truths
-from beliefuse.io import DetectionColumns, Ids
+from beliefuse.io import DetectionColumns, Ids, read_detections
 
 
 def box(x0, y0, x1, y1):
@@ -167,6 +169,29 @@ class TestEvaluateMethods:
         assert report.per_class_ap["cat"] == 1.0
         assert report.per_class_ap["dog"] == pytest.approx(0.5)
         assert report.map_score == pytest.approx(0.75)
+
+    def test_a_raw_file_of_two_classes_scores_each_class_on_its_own_lines(self, tmp_path):
+        # Scored against cat, the dog line on g2 would be a false positive
+        # ranked first, and against dog the cat line on g1 one ranked second.
+        g1, g2, g3 = far_boxes(3)
+        gts = by_class([gt(g1, cls="cat"), gt(g2, cls="dog"), gt(g3, cls="dog")])
+        lines = {"cat": [(0.9, g1), (0.5, g3)], "dog": [(0.95, g2), (0.7, g3)]}
+
+        def read(name, classes):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps({"image_id": "img1", "detector_id": "d1", "class": c,
+                                                "bbox": list(b.as_tuple()), "score": score}) + "\n"
+                                    for c in classes for score, b in lines[c]))
+            return read_detections(path)
+
+        whole = evaluate_methods({"raw": read("both", ("dog", "cat"))}, gts)["raw"]
+        assert whole.per_class_ap == {"cat": 1.0, "dog": 1.0}
+        for c in ("cat", "dog"):
+            alone = evaluate_methods({"raw": read(c, (c,))}, gts)["raw"]
+            assert whole.per_class_ap[c] == alone.per_class_ap[c]
+            assert whole.pr_samples[c].tolist() == alone.pr_samples[c].tolist()
+            assert whole.counts[c] == alone.counts[c]
+        assert whole.counts["cat"] == {"num_gt": 1, "num_detections": 2, "tp": 1, "fp": 1}
 
     def test_counts_recorded(self):
         b = box(0, 0, 40, 40)

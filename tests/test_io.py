@@ -194,6 +194,33 @@ class TestDataErrors:
             with pytest.raises(DataError, match=r"bad\.jsonl:1: "):
                 reader(path)
 
+    @pytest.mark.parametrize("value", ["null", "true", "false", "NaN", "-Infinity", "1e999", "[1]", '{"a": 1}'])
+    @pytest.mark.parametrize("field", ["image_id", "detector_id", "class", "source_detector_id"])
+    def test_an_id_that_is_not_a_string_or_a_finite_number(self, tmp_path, field, value):
+        # Each is a data error naming its line, not an id spelled "None", "True" or "nan".
+        good = {"image_id": "i", "detector_id": "d", "class": "object", "source_detector_id": "d",
+                "bbox": [0, 0, 5, 5], "score": 1}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: "@"}).replace('"@"', value) + "\n")
+        readers = {read_detections: ("image_id", "detector_id", "class"),
+                   read_detections_by_class: ("image_id", "detector_id", "class"),
+                   read_fused: ("image_id", "class", "source_detector_id"), read_annotations: ("image_id", "class")}
+        for reader, fields in readers.items():
+            if field in fields:
+                with pytest.raises(DataError, match=r"bad\.jsonl:2: an id must be a JSON string or a finite number"):
+                    reader(path)
+            else:
+                reader(path)
+
+    def test_number_ids_read_as_their_text(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        path.write_text('{"image_id": 7, "detector_id": 2.5, "class": -0.0, "bbox": [0, 0, 1, 1], "score": 1}\n'
+                        '{"image_id": 100000000000000000000, "detector_id": 1e2, "bbox": [0, 0, 1, 1], "score": 1}\n')
+        rows = read_detections(path)
+        assert rows.images.decoded() == ["7", "100000000000000000000"]
+        assert rows.detectors.decoded() == ["2.5", "100.0"]
+        assert rows.classes.decoded() == ["-0.0", "object"]
+
     def test_a_deeply_nested_line_is_a_data_error_not_a_crash(self, tmp_path):
         # Nested 200,000 deep: json stops at its recursion limit, where orjson
         # would overflow the C stack. Read in a child process, so that a crash

@@ -1896,7 +1896,7 @@ CLASSES = ["cat", "dog"]
 
 
 def columns_of(rows):
-    """``DetectionColumns`` of (image id, class or None, box, score) rows."""
+    """``DetectionColumns`` of (image id, class, box, score) rows."""
     return DetectionColumns(
         Ids.of([r[0] for r in rows]), Ids.of([r[1] for r in rows]),
         np.array([r[2].as_tuple() for r in rows], dtype=float).reshape(-1, 4),
@@ -1906,8 +1906,8 @@ def columns_of(rows):
 
 @st.composite
 def method_cases(draw):
-    """Ground truth of two classes, and methods whose rows are raw (no
-    class), of a class of the ground truth, or of a class it does not hold."""
+    """Ground truth of two classes, and methods whose rows are of a class of
+    the ground truth or of a class it does not hold."""
     pool = draw(st.lists(boxes(), min_size=1, max_size=5))
     gts = [
         Obj(image, label, b, difficult)
@@ -1917,14 +1917,16 @@ def method_cases(draw):
             min_size=1, max_size=8,
         ))
     ]
-    row = st.tuples(st.sampled_from(IMAGE_IDS), st.sampled_from([None, *CLASSES, "bird"]),
+    row = st.tuples(st.sampled_from(IMAGE_IDS), st.sampled_from([*CLASSES, "bird"]),
                     st.sampled_from(pool), st.sampled_from([0.0, 0.5, 1.0]))
     methods = draw(st.dictionaries(st.sampled_from("mnop"), st.lists(row, max_size=10), min_size=1, max_size=3))
     return {name: columns_of(rows) for name, rows in methods.items()}, gts
 
 
 TWO_CLASSES = (
-    {"raw": columns_of([("a", None, BoundingBox(0, 0, 2, 2), 1.0), ("b", None, BoundingBox(1, 1, 3, 3), 0.5)]),
+    # A raw file's rows of both classes: b's dog row is no false positive for cat.
+    {"raw": columns_of([("a", "cat", BoundingBox(0, 0, 2, 2), 0.5), ("b", "dog", BoundingBox(1, 1, 3, 3), 1.0),
+                        ("b", "cat", BoundingBox(1, 1, 3, 3), 0.25)]),
      "fused": columns_of([("a", "cat", BoundingBox(0, 0, 2, 2), 1.0), ("b", "bird", BoundingBox(1, 1, 3, 3), 0.5),
                           ("b", "dog", BoundingBox(1, 1, 3, 3), 0.5)]),
      "empty": columns_of([])},
@@ -1949,7 +1951,7 @@ def test_evaluate_methods_equals_each_method_alone_per_class(case, threshold):
     for name, dets in methods.items():
         assert list(reports[name].per_class_ap) == classes
         for c in classes:
-            rows = np.array([i for i, label in enumerate(dets.classes.decoded()) if label in (None, c)], dtype=np.intp)
+            rows = np.array([i for i, label in enumerate(dets.classes.decoded()) if label == c], dtype=np.intp)
             alone = evaluate_method(dets.take(rows), truths_of([g for g in gts if g.class_label == c]), threshold)
             # repr tells every float apart, -0.0 from 0.0 too.
             assert repr(reports[name].per_class_ap[c]) == repr(alone.per_class_ap[c])
@@ -2087,11 +2089,19 @@ def reference_box(raw):
     return BoundingBox(x_min, y_min, x_max, y_max)
 
 
+def reference_id(raw):
+    """An id: a JSON string, or a finite number read as its text (``str``).
+    ``null``, a boolean, NaN, an infinity, an array or an object is none."""
+    if isinstance(raw, str) or (type(raw) in (int, float) and raw == raw and abs(raw) != math.inf):
+        return str(raw)
+    raise ValueError(f"not an id: {raw!r}")
+
+
 def reference_detections(path):
     """(class, detection) per line, in file order."""
     return [
-        (str(obj.get("class", "object")),
-         Detection(str(obj["image_id"]), str(obj["detector_id"]),
+        (reference_id(obj.get("class", "object")),
+         Detection(reference_id(obj["image_id"]), reference_id(obj["detector_id"]),
                    reference_box(obj["bbox"]), float(obj["score"])))
         for obj in reference_rows(path)
     ]
@@ -2109,11 +2119,11 @@ def reference_fused(path):
     for obj in reference_rows(path):
         verdict = FusedVerdict(Bpa.exact(*obj["joint"])) if "joint" in obj else None
         box = reference_box(obj["bbox"])
-        image_id, label, score = str(obj["image_id"]), str(obj["class"]), float(obj["score"])
+        image_id, label, score = reference_id(obj["image_id"]), reference_id(obj["class"]), float(obj["score"])
         if not math.isfinite(score):
             raise ValueError("fused score must be finite")
         fused.append(FusedDetection(box, image_id, label, score, verdict,
-                                    str(obj.get("source_detector_id", ""))))
+                                    reference_id(obj.get("source_detector_id", ""))))
     return fused
 
 
@@ -2123,7 +2133,8 @@ def reference_annotations(path):
         difficult = obj.get("difficult", False)
         if not isinstance(difficult, bool):
             raise ValueError("difficult must be a boolean")
-        gts.append(Obj(str(obj["image_id"]), str(obj["class"]), reference_box(obj["bbox"]), difficult))
+        gts.append(Obj(reference_id(obj["image_id"]), reference_id(obj["class"]), reference_box(obj["bbox"]),
+                       difficult))
     return gts
 
 
@@ -2135,11 +2146,12 @@ def column_rows(columns):
 
 READERS = [
     (lambda p: {label: column_rows(rows) for label, rows in io.read_detections_by_class(p).items()},
-     lambda p: {label: column_rows(DetectionColumns.of(dets))
+     lambda p: {label: column_rows(DetectionColumns.of(dets, label))
                 for label, dets in reference_detections_by_class(p).items()}),
-    # In file order: the old reader grouped the rows by class.
+    # In file order, each row of its line's class: the old reader grouped the rows by class.
     (lambda p: column_rows(io.read_detections(p)),
-     lambda p: column_rows(DetectionColumns.of([d for _, d in reference_detections(p)]))),
+     lambda p: column_rows(DetectionColumns.concat([DetectionColumns.of([d], label)
+                                                    for label, d in reference_detections(p)]))),
     (lambda p: column_rows(io.read_fused(p)),
      lambda p: column_rows(fused_columns(reference_fused(p)))),
     (lambda p: truth_rows(io.read_annotations(p)), lambda p: reference_truths(reference_annotations(p))),
@@ -2154,9 +2166,10 @@ good_box = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(6, 12), s
 odd_box = good_box.map(lambda b: [str(b[0]), False, f" {b[2]}.5 ", b[3]])
 field_values = {
     "image_id": st.one_of(st.text(max_size=4), st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
-    "detector_id": st.one_of(st.text(max_size=3), st.integers()),
-    "class": st.one_of(st.sampled_from(["object", "cat"]), st.integers()),
-    "source_detector_id": st.one_of(st.text(max_size=3), st.none()),
+    "detector_id": st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans()),
+    "class": st.one_of(st.sampled_from(["object", "cat"]), st.integers(), st.none(), st.booleans(),
+                       st.dictionaries(st.text(max_size=1), st.integers(), max_size=1)),
+    "source_detector_id": st.one_of(st.text(max_size=3), st.none(), st.floats()),
     "bbox": st.one_of(good_box, odd_box, st.lists(coordinate, min_size=3, max_size=5),
                       st.sampled_from([[5, 0, 5, 10], [0, 0, 1e-200, 1e-200], [0, 0, 1e-160, 1e-160]]),
                       st.text(max_size=4), st.integers(), st.none()),
@@ -2210,8 +2223,8 @@ def jsonl_path(tmp_path_factory):
     return tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
 
 
-# Ids that a numpy string array would cut short or sort apart, and ids that
-# are not strings, which every reader coerces with str().
+# Ids that a numpy string array would cut short or sort apart, and number ids,
+# which every reader reads as their text.
 ODD_ID_LINES = "\n".join(
     json.dumps({**GOOD, "image_id": i, "detector_id": d, "class": c, "source_detector_id": d})
     for i, d, c in [("a\0", "d\0", "cat"), ("a", "d", "object"), ("é", 7, "cat\0"), (7, "Z", "日本"), ("7", "é", "cat")]
@@ -2229,6 +2242,11 @@ ODD_ID_LINES = "\n".join(
 @example(json.dumps({**GOOD, "joint": [0.5, 0.5, 0.0], "difficult": True}) + "\n\n")
 @example(json.dumps({**GOOD, "bbox": "0519"}))  # iterated, it would read as [0, 5, 1, 9]
 @example(ODD_ID_LINES)
+# An id that is neither a string nor a finite number is a data error, not an id spelled "None", "True" or "nan".
+@example(json.dumps({**GOOD, "class": None}))
+@example(json.dumps({**GOOD, "image_id": True, "source_detector_id": False}))
+@example(json.dumps({**GOOD, "detector_id": math.nan}) + "\n" + json.dumps({**GOOD, "class": -math.inf}))
+@example(json.dumps({**GOOD, "image_id": 2.5, "detector_id": -0.0, "class": 10**30}))  # read as their text
 # orjson reads an integer past 64 bits as a float: ids must still read as json's int.
 @example(json.dumps({**GOOD, "image_id": 10**30, "detector_id": 2**64, "source_detector_id": -2**63 - 1}))
 @example(json.dumps({**GOOD, "score": 1234567890123456789012345}))  # 25 digits, read as a float
@@ -2315,19 +2333,18 @@ def test_detections_dir_loads_as_the_object_loader_grouped_it(tmp_path_factory, 
         [(label, list(per_det)) for label, per_det in expected.items()]
     for label, per_det in expected.items():
         for det_id, dets in per_det.items():
-            assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets))
+            assert column_rows(got[label][det_id]) == column_rows(DetectionColumns.of(dets, label))
 
 
 # ---- id columns -------------------------------------------------------------
 
 # Names that sort apart only by a trailing NUL, by case or past ASCII, and the empty name.
 ID_NAMES = ["a", "a\0", "B", "é", "", "7"]
-id_rows = st.lists(st.tuples(st.sampled_from(ID_NAMES), st.sampled_from([None, *ID_NAMES]),
-                             st.sampled_from(ID_NAMES)), max_size=8)
+id_rows = st.lists(st.tuples(*[st.sampled_from(ID_NAMES)] * 3), max_size=8)
 
 
 def id_columns(rows):
-    """``DetectionColumns`` of (image, class or None, detector) rows; each
+    """``DetectionColumns`` of (image, class, detector) rows; each
     row's box and score tell it apart from the others."""
     images, classes, detectors = zip(*rows) if rows else ((), (), ())
     return DetectionColumns(
@@ -2345,7 +2362,7 @@ def id_rows_of(columns):
 
 @settings(max_examples=200, deadline=None)
 @given(id_rows, id_rows, st.data())
-@example([("a", None, "a\0")], [("é", "B", "7")], None)  # disjoint names in every column
+@example([("a", "", "a\0")], [("é", "B", "7")], None)  # disjoint names in every column
 def test_id_columns_take_split_and_concat_rows_by_name(first, second, data):
     columns = id_columns(first)
     rows = id_rows_of(columns)
@@ -2370,6 +2387,6 @@ def test_id_columns_take_split_and_concat_rows_by_name(first, second, data):
     joined = DetectionColumns.concat(parts)
     assert id_rows_of(joined) == [row for part in parts for row in id_rows_of(part)]
     for ids in (joined.images, joined.classes, joined.detectors):
-        names = sorted({name for name in ids.decoded() if name is not None})
+        names = sorted(set(ids.decoded()))
         assert ids.names == tuple(names)
-        assert ids.codes.tolist() == [-1 if name is None else names.index(name) for name in ids.decoded()]
+        assert ids.codes.tolist() == [names.index(name) for name in ids.decoded()]
