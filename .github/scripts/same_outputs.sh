@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # same_outputs.sh BASE_SRC HEAD_SRC WORK
 #
-# Runs the two-class walkthrough twice, first with the beliefuse package
+# Generates the inputs with the beliefuse package under BASE_SRC and with
+# the one under HEAD_SRC, at the seeds and sizes CI runs, and fails on any
+# byte difference in the data directories: a change to the generator or the
+# writers must write the base commit's files.
+#
+# Then runs the two-class walkthrough twice, first with the beliefuse package
 # under BASE_SRC and then with the one under HEAD_SRC, on the same inputs and
 # into the same paths under WORK, and fails on any byte difference in what
 # the runs write: the model files, the fused JSON lines of all five methods
@@ -17,9 +22,23 @@ work=$3
 rm -rf "$work"
 mkdir -p "$work"
 
+for size in "150 3" "60 3" "60 1"; do
+  read -r images detectors <<< "$size"
+  for tree in base head; do
+    src=${tree}_src
+    PYTHONPATH="${!src}" python -m beliefuse.cli generate --out-dir "$work/generated_$tree/${images}_$detectors" \
+      --seed 7 --num-images "$images" --num-detectors "$detectors" > /dev/null
+  done
+done
+if ! diff -r "$work/generated_base" "$work/generated_head"; then
+  echo "the generated inputs differ from the base commit's" >&2
+  exit 1
+fi
+echo "generated inputs byte-identical: $(find "$work/generated_head" -type f | wc -l) files"
+
 # Every third image's lines, detections and annotations both, are relabeled
 # "cat", so each command runs over two classes.
-PYTHONPATH="$head_src" python -m beliefuse.cli generate --out-dir "$work/data" --seed 7 --num-images 150 > /dev/null
+cp -r "$work/generated_head/150_3" "$work/data"
 python - "$work/data" <<'PY'
 import json, sys
 from pathlib import Path

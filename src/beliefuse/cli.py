@@ -242,10 +242,8 @@ def cmd_generate(out_dir: str, seed: int, num_images: int, num_detectors: int):
         for split, ids in (("validation", dataset.validation_image_ids), ("test", dataset.test_image_ids)):
             (root / split).mkdir(parents=True, exist_ok=True)
             for det_id in sorted(dataset.detections):
-                io.write_detections(
-                    dataset.detections_for(det_id, ids), root / split / f"{det_id}.jsonl",
-                    class_label=dataset.class_label, config=provenance,
-                )
+                io.write_detections(dataset.detections_for(det_id, ids), root / split / f"{det_id}.jsonl",
+                                    config=provenance)
             io.write_annotations(dataset.ground_truths(ids), root / split / "annotations.jsonl", config=provenance)
         io.write_annotations(dataset.ground_truths(), root / "annotations.jsonl", config=provenance)
     click.echo(f"wrote synthetic benchmark to {out_dir}")

@@ -10,6 +10,7 @@ on which its detection rate is boosted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -108,14 +109,17 @@ class SyntheticDataset:
 
 def _clipped_normal(rng: np.random.Generator, mean: float, std: float) -> float:
     lo, hi = SCORE_CLIP
-    return float(np.clip(rng.normal(mean, std), lo, hi))
+    return min(max(rng.normal(mean, std), lo), hi)  # np.clip's value, -0.0 and NaN included, without its call cost
 
 
 def _random_box(rng: np.random.Generator) -> Box:
-    w = rng.uniform(40.0, 120.0)
-    h = rng.uniform(40.0, 120.0)
-    x = rng.uniform(0.0, CANVAS_WIDTH - w)
-    y = rng.uniform(0.0, CANVAS_HEIGHT - h)
+    # Generator.uniform(low, high) is low + (high - low) * next_double: four
+    # uniform calls' values, from one call.
+    uw, uh, ux, uy = rng.random(4).tolist()
+    w = 40.0 + 80.0 * uw
+    h = 40.0 + 80.0 * uh
+    x = 0.0 + (CANVAS_WIDTH - w) * ux
+    y = 0.0 + (CANVAS_HEIGHT - h) * uy
     return (x, y, x + w, y + h)
 
 
@@ -126,7 +130,7 @@ def _boxes_overlap(a: Box, b: Box) -> bool:
 def _jittered(rng: np.random.Generator, box: Box, jitter: float) -> Box:
     if jitter == 0.0:
         return box
-    dx1, dy1, dx2, dy2 = rng.normal(0.0, jitter, size=4)
+    dx1, dy1, dx2, dy2 = rng.normal(0.0, jitter, size=4).tolist()
     x_min, y_min = box[0] + dx1, box[1] + dy1
     return (x_min, y_min, max(box[2] + dx2, x_min + 1.0), max(box[3] + dy2, y_min + 1.0))
 
@@ -155,16 +159,13 @@ def generate(
     if len(set(ids)) != len(ids):
         raise ConfigError("detector ids must be unique")
     num_groups = num_easy_groups if num_easy_groups is not None else len(profiles)
+    if num_groups < 1:
+        raise ConfigError(f"num_easy_groups must be at least 1: {num_easy_groups}")
 
     rng = np.random.default_rng(seed)
     images: list[tuple[str, list[Box]]] = []
-    object_groups: dict[tuple[str, int], int] = {}
-    global_index = 0
-    validation_ids = set()
     for i in range(num_images):
         image_id = f"img_{i:05d}"
-        if i < num_images // 2:
-            validation_ids.add(image_id)
         n_obj = int(rng.integers(lo, hi + 1))
         boxes: list[Box] = []
         for _ in range(n_obj):
@@ -179,19 +180,21 @@ def generate(
                 raise ConfigError(
                     f"could not place {n_obj} non-overlapping objects on the canvas"
                 )
-        for k in range(len(boxes)):
-            object_groups[(image_id, k)] = global_index % num_groups
-            global_index += 1
         images.append((image_id, boxes))
+    num_validation = num_images // 2
+    num_objects = sum(len(boxes) for _, boxes in images)
 
     detections: dict[str, DetectionColumns] = {}
     for profile in profiles:
+        # Object k, counted through the images in order, is of group k % num_groups.
+        rates = [[profile.rate_for(g, validation, num_groups) for g in range(min(num_groups, num_objects))]
+                 for validation in (False, True)]
+        groups = cycle(range(num_groups))
         rows: list[tuple[str, Box, float]] = []
-        for image_id, boxes in images:
-            validation = image_id in validation_ids
-            for k, gt_box in enumerate(boxes):
-                rate = profile.rate_for(object_groups[(image_id, k)], validation, num_groups)
-                if rng.random() < rate:
+        for i, (image_id, boxes) in enumerate(images):
+            split_rates = rates[i < num_validation]
+            for gt_box in boxes:
+                if rng.random() < split_rates[next(groups)]:
                     box = _jittered(rng, gt_box, profile.localization_jitter)
                     rows.append((image_id, box, _clipped_normal(rng, profile.tp_score_mean, profile.tp_score_std)))
             n_fp = int(rng.poisson(profile.fp_rate))
@@ -213,6 +216,6 @@ def generate(
         class_label=class_label,
         images=images,
         detections=detections,
-        validation_image_ids=frozenset(validation_ids),
+        validation_image_ids=frozenset(image_id for image_id, _ in images[:num_validation]),
     )
 

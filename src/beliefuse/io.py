@@ -474,12 +474,14 @@ def _write_jsonl(path: str | Path, lines: list[str], config: dict | None) -> Non
     Path(path).write_text("".join(header + lines) or "\n")
 
 
-def write_detections(dets: DetectionColumns, path: str | Path, class_label: str = "object",
+def write_detections(dets: DetectionColumns, path: str | Path, class_label: str | None = None,
                      config: dict | None = None) -> None:
-    """Raw rows, each of class ``class_label``."""
+    """Raw rows, each of its own class; ``class_label``, when given, must be every row's."""
+    if class_label is not None and not dets.classes.matches(class_label).all():
+        raise ValueError(f"not every row to write is of class {class_label!r}")
     numbers = _json_numbers(np.column_stack((dets.boxes, dets.scores)).ravel().tolist())
-    ids = [_json_ids(dets.detectors), _json_ids(dets.images)]
-    columns = [*(numbers[k::5] for k in range(4)), [json.dumps(class_label)] * len(dets), *ids, numbers[4::5]]
+    ids = [_json_ids(dets.classes), _json_ids(dets.detectors), _json_ids(dets.images)]
+    columns = [*(numbers[k::5] for k in range(4)), *ids, numbers[4::5]]
     _write_jsonl(path, _lines(
         '{"bbox": [%s, %s, %s, %s], "class": %s, "detector_id": %s, "image_id": %s, "score": %s}', columns
     ), config)

@@ -61,6 +61,11 @@ class TestGenerateBasics:
             # Far more 100px-min objects than the canvas can hold disjointly.
             generate(1, 4, [profile()], objects_per_image_range=(60, 60))
 
+    @pytest.mark.parametrize("num_easy_groups", [0, -1])
+    def test_no_easy_group_is_a_config_error(self, num_easy_groups):
+        with pytest.raises(ConfigError, match=f"num_easy_groups must be at least 1: {num_easy_groups}"):
+            generate(1, 4, [profile()], num_easy_groups=num_easy_groups)
+
     def test_profile_validation(self):
         with pytest.raises(ConfigError):
             profile(detection_rate=1.5)

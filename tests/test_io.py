@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import subprocess
@@ -92,6 +93,27 @@ class TestDetectionsRoundTrip:
         path = tmp_path / "d1.jsonl"
         write_detections(sample_detections(), path)
         assert set(read_detections_by_class(path)) == {"object"}
+
+    def test_each_row_keeps_its_class(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        dets = dataclasses.replace(sample_detections(), classes=Ids.of(["cat", "dog"]))
+        write_detections(dets, path)
+        assert rows(read_detections(path)) == rows(dets)
+        assert list(read_detections_by_class(path)) == ["cat", "dog"]
+
+    def test_class_label_must_name_every_row(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        dets = dataclasses.replace(sample_detections(), classes=Ids.of(["cat", "dog"]))
+        with pytest.raises(ValueError, match="of class 'cat'"):
+            write_detections(dets, path, class_label="cat")
+        assert not path.exists()
+        # A class_label every row has writes what no class_label writes: it never relabels.
+        cats = dataclasses.replace(sample_detections(), classes=Ids.of(["cat", "cat"]))
+        write_detections(cats, path)
+        text = path.read_text()
+        write_detections(cats, path, class_label="cat")
+        assert path.read_text() == text
+        assert set(read_detections_by_class(path)) == {"cat"}
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "d1.jsonl"

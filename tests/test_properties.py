@@ -21,7 +21,9 @@ replaced; each model class's own model-file encoder, which ``io``'s one
 codec replaced; the scalar Platt probability and naive-Bayes lookup
 (``platt_probability``, ``log_likelihood_ratio``) and the per-row
 ``row @ w`` loop that the baseline rules ran before they scored each window
-once; and the seven-key NMS ``np.lexsort`` that box ranks replaced. The
+once; the seven-key NMS ``np.lexsort`` that box ranks replaced; and the
+scene generator that made one numpy call per drawn value
+(``reference_generate``). The
 slot rows of ``fusion.detection_slots`` are compared through their scores
 (``slot_scores``) with the score matrix fusion built before. The array paths must
 reproduce them exactly, including tie order, duplicate boxes,
@@ -1414,9 +1416,10 @@ def any_boxes(draw, coordinate):
 @st.composite
 def generator_columns(draw):
     """Raw columns as ``SyntheticDataset.detections_for`` gives them: some
-    rows of a detector's columns, every id name kept."""
+    rows of a detector's columns, every id name kept; each row of its own class."""
     dets = draw(st.lists(st.builds(Detection, json_ids, json_ids, any_boxes(json_floats), json_floats), max_size=4))
-    return DetectionColumns.of(dets).take(np.array(draw(st.lists(
+    classes = draw(st.lists(st.one_of(st.just("object"), json_ids), min_size=len(dets), max_size=len(dets)))
+    return dataclasses.replace(DetectionColumns.of(dets), classes=Ids.of(classes)).take(np.array(draw(st.lists(
         st.booleans(), min_size=len(dets), max_size=len(dets))), dtype=bool))
 
 
@@ -1425,7 +1428,7 @@ SPLIT = datagen.generate(0, 2, [datagen.SyntheticDetectorProfile(
     "det_a", detection_rate=1.0, fp_rate=0.0, validation_rate_scale=0.0)])
 NO_ROW = SPLIT.detections_for("det_a", SPLIT.validation_image_ids)
 NON_ASCII = DetectionColumns.of([Detection("é", "日本", BoundingBox(0.5, 0.0, 1.0, 1.0), 2.0),
-                                 Detection("\ud800", "日本", BoundingBox(0.0, 0.0, 1.0, 1.0), 1.0)])
+                                 Detection("\ud800", "日本", BoundingBox(0.0, 0.0, 1.0, 1.0), 1.0)], "日本")
 SIGNED_ZERO = DetectionColumns.of([Detection("i", "d", BoundingBox(-0.0, 0.0, 1.0, 1.0), -0.0)])
 
 
@@ -1436,17 +1439,21 @@ SIGNED_ZERO = DetectionColumns.of([Detection("i", "d", BoundingBox(-0.0, 0.0, 1.
     # Columns hold floats, so fused boxes and scores are floats.
     st.lists(st.builds(FusedDetection, any_boxes(json_floats), json_ids, json_ids, json_floats,
                        st.one_of(st.none(), masses.map(FusedVerdict)), json_ids), max_size=4),
-    json_ids,
     st.one_of(st.none(), st.dictionaries(json_ids, st.one_of(json_ids, json_numbers), max_size=3)),
 )
-@example(NO_ROW, [], [], "object", None)
-@example(NON_ASCII, [], [], "日本", {"é": 1})
-@example(SIGNED_ZERO, [], [], "object", None)
-def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, class_label, config):
+@example(NO_ROW, [], [], None)
+@example(NON_ASCII, [], [], {"é": 1})
+@example(SIGNED_ZERO, [], [], None)
+def test_writers_write_what_json_dumps_wrote(files_dir, dets, gts, fused, config):
     path = files_dir / "written.jsonl"
-    io.write_detections(dets, path, class_label, config)
-    expected = [reference_detection_row(d, class_label) for d in dets]
-    assert path.read_text() == reference_jsonl(expected, config)
+    io.write_detections(dets, path, config=config)
+    expected = reference_jsonl(map(reference_detection_row, dets, dets.classes.decoded()), config)
+    assert path.read_text() == expected
+    # A class_label that every row has writes the same text: it never relabels a row.
+    labels = set(dets.classes.decoded())
+    if len(labels) == 1:
+        io.write_detections(dets, path, labels.pop(), config)
+        assert path.read_text() == expected
     io.write_annotations(truths_of(gts), path, config)
     grouped = [g for objects in reference_grouping(gts).values() for g in objects]
     assert path.read_text() == reference_jsonl(map(reference_annotation_row, grouped), config)
@@ -2390,3 +2397,139 @@ def test_id_columns_take_split_and_concat_rows_by_name(first, second, data):
         names = sorted(set(ids.decoded()))
         assert ids.names == tuple(names)
         assert ids.codes.tolist() == [names.index(name) for name in ids.decoded()]
+
+
+# ---- synthetic scenes -------------------------------------------------------
+
+
+def reference_clipped_normal(rng, mean, std):
+    lo, hi = datagen.SCORE_CLIP
+    return float(np.clip(rng.normal(mean, std), lo, hi))
+
+
+def reference_random_box(rng):
+    w = rng.uniform(40.0, 120.0)
+    h = rng.uniform(40.0, 120.0)
+    x = rng.uniform(0.0, datagen.CANVAS_WIDTH - w)
+    y = rng.uniform(0.0, datagen.CANVAS_HEIGHT - h)
+    return (x, y, x + w, y + h)
+
+
+def reference_jittered(rng, box, jitter):
+    if jitter == 0.0:
+        return box
+    dx1, dy1, dx2, dy2 = rng.normal(0.0, jitter, size=4)
+    x_min, y_min = box[0] + dx1, box[1] + dy1
+    return (x_min, y_min, max(box[2] + dx2, x_min + 1.0), max(box[3] + dy2, y_min + 1.0))
+
+
+def reference_generate(seed, num_images, profiles, objects_per_image_range=(1, 3), num_easy_groups=None):
+    """The generator that drew each value with its own numpy call: scores
+    clipped by ``np.clip``, four ``uniform`` calls per box, jitter added as
+    numpy scalars and each object's rate looked up on its own. Returns
+    (images, validation image ids, each detector's columns)."""
+    lo, hi = objects_per_image_range
+    num_groups = num_easy_groups if num_easy_groups is not None else len(profiles)
+    rng = np.random.default_rng(seed)
+    images = []
+    object_groups = {}
+    global_index = 0
+    validation_ids = set()
+    for i in range(num_images):
+        image_id = f"img_{i:05d}"
+        if i < num_images // 2:
+            validation_ids.add(image_id)
+        n_obj = int(rng.integers(lo, hi + 1))
+        boxes = []
+        for _ in range(n_obj):
+            for _ in range(200):
+                cand = reference_random_box(rng)
+                if all(not datagen._boxes_overlap(cand, b) for b in boxes):
+                    boxes.append(cand)
+                    break
+            else:
+                raise datagen.ConfigError(f"could not place {n_obj} non-overlapping objects on the canvas")
+        for k in range(len(boxes)):
+            object_groups[(image_id, k)] = global_index % num_groups
+            global_index += 1
+        images.append((image_id, boxes))
+
+    detections = {}
+    for profile in profiles:
+        rows = []
+        for image_id, boxes in images:
+            validation = image_id in validation_ids
+            for k, gt_box in enumerate(boxes):
+                rate = profile.rate_for(object_groups[(image_id, k)], validation, num_groups)
+                if rng.random() < rate:
+                    box = reference_jittered(rng, gt_box, profile.localization_jitter)
+                    rows.append((image_id, box, reference_clipped_normal(rng, profile.tp_score_mean,
+                                                                         profile.tp_score_std)))
+            for _ in range(int(rng.poisson(profile.fp_rate))):
+                box = reference_random_box(rng)
+                rows.append((image_id, box, reference_clipped_normal(rng, profile.fp_score_mean,
+                                                                     profile.fp_score_std)))
+        detections[profile.detector_id] = DetectionColumns(
+            Ids.of([r[0] for r in rows]), Ids.of(["object"] * len(rows)),
+            np.array([r[1] for r in rows], dtype=float).reshape(-1, 4), np.array([r[2] for r in rows], dtype=float),
+            Ids.of([profile.detector_id] * len(rows)), np.full((len(rows), 3), np.nan))
+    return images, frozenset(validation_ids), detections
+
+
+unit_rates = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scene_profiles(draw):
+    """1-4 detector profiles: jitter zero or not, fp_rate zero or not,
+    validation rates scaled or not, easy groups or none."""
+    return [datagen.SyntheticDetectorProfile(
+        f"det_{k}",
+        tp_score_mean=draw(st.floats(-5.0, 15.0)), tp_score_std=draw(st.floats(0.0, 4.0)),
+        fp_score_mean=draw(st.floats(-5.0, 15.0)), fp_score_std=draw(st.floats(0.0, 4.0)),
+        detection_rate=draw(unit_rates),
+        fp_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0))),
+        localization_jitter=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+        easy_group=draw(st.one_of(st.none(), st.integers(-2, 5))),
+        easy_detection_rate=draw(st.one_of(st.none(), unit_rates)),
+        validation_rate_scale=draw(st.one_of(st.just(1.0), st.floats(0.0, 3.0))),
+    ) for k in range(draw(st.integers(1, 4)))]
+
+
+object_ranges = st.one_of(st.just((0, 0)), st.integers(0, 4).flatmap(lambda lo: st.tuples(st.just(lo),
+                                                                                         st.integers(lo, 4))))
+CLIPPED_BOTH_ENDS = [datagen.SyntheticDetectorProfile("det_0", tp_score_mean=-5.0, fp_score_mean=15.0,
+                                                      detection_rate=1.0, fp_rate=3.0),
+                     datagen.SyntheticDetectorProfile("det_1", tp_score_mean=15.0, fp_score_mean=-5.0)]
+# A zero std draws -0.0 + 0.0 * z: -0.0 for every z below zero.
+NEGATIVE_ZERO = [datagen.SyntheticDetectorProfile("det_0", tp_score_mean=-0.0, tp_score_std=0.0,
+                                                  detection_rate=1.0, localization_jitter=0.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), scene_profiles(), object_ranges,
+       st.one_of(st.none(), st.integers(1, 5)))
+@example(3, 20, CLIPPED_BOTH_ENDS, (1, 3), None)
+@example(5, 20, NEGATIVE_ZERO, (2, 4), None)
+def test_generate_draws_what_one_call_per_value_drew_bit_for_bit(seed, num_images, profiles, objects,
+                                                                  num_easy_groups):
+    try:
+        images, validation_ids, detections = reference_generate(seed, num_images, profiles, objects,
+                                                                num_easy_groups)
+    except datagen.ConfigError:
+        with pytest.raises(datagen.ConfigError):
+            datagen.generate(seed, num_images, profiles, objects, num_easy_groups=num_easy_groups)
+        return
+    dataset = datagen.generate(seed, num_images, profiles, objects, num_easy_groups=num_easy_groups)
+    assert repr(dataset.images) == repr(images)  # repr: Python floats, every bit
+    assert dataset.validation_image_ids == validation_ids
+    assert list(dataset.detections) == list(detections)
+    for detector_id, columns in detections.items():
+        assert dataset.detections[detector_id] == columns
+
+
+def test_the_scene_examples_clip_both_ends_and_draw_negative_zero():
+    scores = np.concatenate([c.scores for c in datagen.generate(3, 20, CLIPPED_BOTH_ENDS).detections.values()])
+    assert {0.0, 10.0} <= set(scores.tolist())
+    scores = datagen.generate(5, 20, NEGATIVE_ZERO, (2, 4)).detections["det_0"].scores
+    assert (np.signbit(scores) & (scores == 0.0)).any()
