@@ -6,6 +6,9 @@
 # byte difference in the data directories: a change to the generator or the
 # writers must write the base commit's files.
 #
+# Then trains the baselines with each package on two dense-shaped validation
+# splits, and fails on any byte difference in the model files.
+#
 # Then runs the two-class walkthrough twice, first with the beliefuse package
 # under BASE_SRC and then with the one under HEAD_SRC, on the same inputs and
 # into the same paths under WORK, and fails on any byte difference in what
@@ -35,6 +38,39 @@ if ! diff -r "$work/generated_base" "$work/generated_head"; then
   exit 1
 fi
 echo "generated inputs byte-identical: $(find "$work/generated_head" -type f | wc -l) files"
+
+# Two dense-shaped validation splits (100 images, 6 detectors). At fp_rate
+# 20, as the benchmark's dense workload draws it, the weighted-sum fit forms
+# the margins at 3 of its 2,000 steps; at fp_rate 10, at 449, with its set
+# of active rows changing after runs of skipped steps. The fits on the
+# inputs above skip no step. Both trees train on the same files into the
+# same path, and must write the same model files.
+PYTHONPATH="$head_src" python - "$work/dense" <<'PY'
+import dataclasses, sys
+from pathlib import Path
+from beliefuse import cli, datagen, io
+for fp_rate in (20, 10):
+    profiles = [dataclasses.replace(p, fp_rate=float(fp_rate)) for p in cli.default_profiles(6)]
+    dataset = datagen.generate(7, 100, profiles)
+    root, ids = Path(sys.argv[1]) / f"fp{fp_rate}", dataset.validation_image_ids
+    root.mkdir(parents=True)
+    for det_id in sorted(dataset.detections):
+        io.write_detections(dataset.detections_for(det_id, ids), root / f"{det_id}.jsonl")
+    io.write_annotations(dataset.ground_truths(ids), root / "annotations.jsonl")
+PY
+for split in fp20 fp10; do
+  for tree in base head; do
+    src=${tree}_src
+    PYTHONPATH="${!src}" python -m beliefuse.cli build-baselines --detections-dir "$work/dense/$split" \
+      --annotations "$work/dense/$split/annotations.jsonl" --models-dir "$work/dense_models" > /dev/null
+    mv "$work/dense_models" "$work/dense_models_${tree}_$split"
+  done
+  if ! diff -r "$work/dense_models_base_$split" "$work/dense_models_head_$split"; then
+    echo "the model files of the dense-shaped split $split differ from the base commit's" >&2
+    exit 1
+  fi
+done
+echo "dense-shaped splits' model files byte-identical: $(find "$work"/dense_models_head_* -type f | wc -l) files"
 
 # Every third image's lines, detections and annotations both, are relabeled
 # "cat", so each command runs over two classes.

@@ -47,6 +47,7 @@ def sigmoid(scores: np.ndarray, a: np.ndarray | float, b: np.ndarray | float) ->
     return 1.0 / (1.0 + np.fromiter(map(math.exp, z.tolist()), float, len(z)))
 
 
+@np.errstate(over="ignore")  # a huge score's overflow ends the fit unconverged, which fit_baselines reports
 def fit_platt(scores: np.ndarray, tp: np.ndarray, detector_id: str = "") -> PlattModel:
     """Fit the sigmoid by regularized maximum likelihood (damped Newton) to
     decided validation windows: their scores and whether each is a true
@@ -176,6 +177,18 @@ def fit_weighted_sum(
     walkthrough, on most steps): ``take`` gathers the same C-ordered rows as
     a boolean mask, so the sum runs in the same order. The bias part, a sum
     of active ``y`` (each +-1.0), is exact in any order, so it is counted.
+
+    A pass that finds the last active set changes nothing, so a pass that
+    provably would is skipped. After a pass that found the same set,
+    ``room`` is the margins' least distance from 1 less a rounding
+    allowance, 64 (D + 1) eps (R |w|inf + |b| + 1); R is the largest row
+    1-norm, and (D + 1) eps bounds a length-D+1 dot product's rounding in
+    any summation order, with or without FMA (Higham, 3.1): 64 times it
+    covers this pass, a later one and the bound's own rounding. A later
+    step's margins differ from this pass's by at most R |w - w_then|inf +
+    |b - b_then|; while that is below ``room`` no margin crosses 1, and the
+    pass is skipped. A NaN room or bound forces the pass, and a change of
+    the set leaves ``room`` 0.
     """
     if not len(features):
         raise InsufficientData("no training vectors")
@@ -189,23 +202,30 @@ def fit_weighted_sum(
     lam = 1.0 / (SVM_C * n)
     signed = y[:, None] * features
     positive = np.asarray(targets, dtype=bool)
+    reach = float(np.abs(features).sum(axis=1).max())  # R
+    slack = 16 * (features.shape[1] + 1) * np.finfo(float).eps  # times scale's 4: 64 (D + 1) eps
     w = np.zeros(features.shape[1])
     b = 0.0
     margin = np.empty(n)
     now = np.empty(n, dtype=bool)
     grad_w = np.empty_like(w)
-    active = None
+    active, room, w_then, b_then = None, 0.0, np.empty_like(w), 0.0
     for t in range(1, SVM_ITERATIONS + 1):
-        np.matmul(features, w, out=margin)
-        margin += b
-        margin *= y
-        np.less(margin, 1.0, out=now)
-        key = now.tobytes()
-        if key != active:
-            active = key
-            rows = np.flatnonzero(now)
-            hinge_w = signed.take(rows, axis=0).sum(axis=0) / n
-            grad_b = -float(2 * np.count_nonzero(positive.take(rows)) - len(rows)) / n
+        if not (room > 0.0 and reach * float(np.abs(w - w_then).max()) + abs(b - b_then) < room):
+            np.matmul(features, w, out=margin)
+            margin += b
+            margin *= y
+            np.less(margin, 1.0, out=now)
+            key = now.tobytes()
+            if key != active:
+                active, room = key, 0.0
+                rows = np.flatnonzero(now)
+                hinge_w = signed.take(rows, axis=0).sum(axis=0) / n
+                grad_b = -float(2 * np.count_nonzero(positive.take(rows)) - len(rows)) / n
+            else:  # scale is inf where a skipped pass could overflow, and so forces every pass
+                scale = 4.0 * (reach * float(np.abs(w).max()) + abs(b) + 1.0)
+                room = float(np.abs(margin - 1.0).min()) - slack * scale
+                w_then[:], b_then = w, b
         step = 1.0 / (lam * t)
         # w -= step * (lam * w - hinge_w)
         np.multiply(w, lam, out=grad_w)

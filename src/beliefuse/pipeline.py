@@ -155,6 +155,9 @@ def fit_baselines(
         except InsufficientData as exc:
             log.warning("skipping Platt model for detector %s for class %s: %s", det_id, class_label, exc)
             continue
+        if not out.platt[det_id].converged:
+            log.warning("Platt fit for detector %s for class %s stopped unconverged at a=%r, b=%r",
+                        det_id, class_label, out.platt[det_id].a, out.platt[det_id].b)
         out.likelihoods[det_id] = baselines.fit_score_likelihood(
             scores, tp[rows], out.platt[det_id], detector_id=det_id
         )

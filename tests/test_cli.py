@@ -342,6 +342,30 @@ class TestBuildBaselines:
             assert any(w.startswith(f"skipping Platt model for detector det_{d} for class cat") for w in warnings)
         assert any(w.startswith("skipping weighted-sum model") for w in warnings)
 
+    def test_unconverged_platt_fit_is_named_in_a_warning(self, workspace, tmp_path):
+        # A score of 1e200 overflows the Newton step's Hessian: the fit stops
+        # unconverged, at a = 0.0, so every det_a window would score alike.
+        validation = tmp_path / "validation"
+        validation.mkdir()
+        for path in (workspace / "data" / "validation").iterdir():
+            (validation / path.name).write_text(path.read_text())
+        lines = (validation / "det_a.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["score"] = 1e200
+        lines[1] = json.dumps(row)
+        (validation / "det_a.jsonl").write_text("\n".join(lines) + "\n")
+        src = str(Path(beliefuse.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-m", "beliefuse.cli", "build-baselines",
+                                 "--detections-dir", str(validation),
+                                 "--annotations", str(validation / "annotations.jsonl"),
+                                 "--models-dir", str(tmp_path / "m")], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "Platt fit for detector det_a for class object stopped unconverged" in result.stderr
+        assert "RuntimeWarning" not in result.stderr, result.stderr
+        assert result.stderr.count("stopped unconverged") == 1, result.stderr
+        assert not json.loads((tmp_path / "m" / "platt__det_a__object.json").read_text())["converged"]
+
 
 def test_no_command_builds_a_detection_or_a_box_object(workspace, tmp_path, monkeypatch):
     # The generator, the writers and the readers work on columns and row

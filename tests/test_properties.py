@@ -913,13 +913,16 @@ def reference_training(per_detector, gts, platt):
     return training
 
 
-def reference_fit(x, y, detector_ids, c=1.0, iterations=2000):
-    """Subgradient descent on the hinge loss, as ``fit_weighted_sum`` ran it."""
+def reference_fit(x, y, detector_ids, c=1.0, iterations=2000, steps=None):
+    """Subgradient descent on the hinge loss, as ``fit_weighted_sum`` ran it.
+    Each step's w and margins, before its update, go to the list ``steps``."""
     lam = 1.0 / (c * len(x))
     w = np.zeros(x.shape[1])
     b = 0.0
     for t in range(1, iterations + 1):
         margin = y * (x @ w + b)
+        if steps is not None:
+            steps.append((w.copy(), margin))
         active = margin < 1.0
         grad_w = lam * w - (y[active, None] * x[active]).sum(axis=0) / len(x)
         grad_b = -y[active].sum() / len(x)
@@ -1104,6 +1107,33 @@ def test_ws_training_equals_per_vector_loop_bit_for_bit(seed):
     assert repr(models.weights) == repr(reference_fit(x, y, detector_ids))
 
 
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(1)
+def test_ws_training_at_the_dense_shape_equals_reference_fit(seed):
+    # The benchmark's dense shape (6 detectors, fp_rate 20) at 40 images:
+    # after step 2 the active set rarely changes, so most passes are skipped.
+    profiles = [dataclasses.replace(p, fp_rate=20.0) for p in default_profiles(6)]
+    dataset = datagen.generate(seed, 40, profiles)
+    image_ids = dataset.validation_image_ids
+    designs = []
+    fit = baselines.fit_weighted_sum
+
+    def capture(features, targets, detector_ids):
+        designs.append((features, targets))
+        return fit(features, targets, detector_ids)
+
+    with mock.patch.object(baselines, "fit_weighted_sum", capture):
+        models = pipeline.fit_baselines({d: dataset.detections_for(d, image_ids) for d in dataset.detections},
+                                        dataset.ground_truths(image_ids)["object"], "object")
+    (features, targets), = designs
+    detector_ids = tuple(sorted(models.platt))
+    assert features.shape[1] == 6 and repr(models.weights) == repr(
+        reference_fit(features, np.where(targets, 1.0, -1.0), detector_ids))
+    passes, _ = margin_passes(features, targets)
+    assert len(passes) < 1000
+
+
 @st.composite
 def validation_sets(draw):
     """A generated corpus's validation split: windows by detector, and the
@@ -1286,6 +1316,21 @@ FLIPPING_WIDE = (np.array([[0.7, 0.7, 0.0, 0.6, 0.7, 0.5], [0.7, 0.7, 0.0, 0.6, 
                            [0.1, 0.2, 0.3, -0.0, 0.2, 0.1], [0.3, 0.2, 0.4, 0.1, 0.0, 0.3],
                            [0.1, 0.4, 0.2, 0.3, 0.1, 0.0]]),
                  np.array([False, False, True, False, True]))
+# Two positives and 18 negatives, as on dense: after step 2 the set holds
+# the positives only, and the bias climbs until the hard negative (row 2)
+# crosses margin 1 at step 1,171, after hundreds of skipped margin passes.
+DRIFT = (np.array([[1.0, 0.8], [0.9, 0.8], [0.4, 0.6], [0.3, 0.2], [0.0, 0.3], [0.1, 0.3], [0.3, 0.4],
+                   [0.3, 0.1], [0.2, 0.3], [0.3, 0.1], [0.3, 0.4], [0.3, 0.1], [0.4, 0.3], [0.3, 0.0],
+                   [0.1, 0.3], [0.1, 0.0], [0.3, 0.3], [0.3, 0.1], [0.2, 0.0], [0.2, 0.3]]),
+         np.array([True, True] + [False] * 18))
+# One detector wide. A margin computed as exactly 1.0 at a pass that finds
+# the last set, so that pass leaves no room to skip.
+EXACT_ONE = (np.array([[0.375], [0.375], [0.75], [0.5]]), np.array([True, True, False, True]))
+# One detector wide. A margin that rounds across 1 while the bound on its
+# move stays below its computed distance from 1: only the rounding
+# allowance makes the fit form the margins at that step.
+ROUNDED_CROSSING = (np.array([[0.3059072947098821], [0.7861890957836055], [0.29578810225576124]]),
+                    np.array([False, True, True]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1293,6 +1338,9 @@ FLIPPING_WIDE = (np.array([[0.7, 0.7, 0.0, 0.6, 0.7, 0.5], [0.7, 0.7, 0.0, 0.6, 
 @example(STABLE)
 @example(FLIPPING)
 @example(FLIPPING_WIDE)
+@example(DRIFT)
+@example(EXACT_ONE)
+@example(ROUNDED_CROSSING)
 @example((np.zeros((3, 2)), np.array([True, False, True])))
 def test_weighted_sum_fit_equals_reference_bit_for_bit(design):
     x, targets = design
@@ -1304,6 +1352,71 @@ def test_weighted_sum_fit_equals_reference_bit_for_bit(design):
             baselines.fit_weighted_sum(x, targets, detector_ids)
     else:
         assert repr(baselines.fit_weighted_sum(x, targets, detector_ids)) == expected
+
+
+def with_entry(design, row, column, value):
+    x, targets = design
+    x = x.copy()
+    x[row, column] = value
+    return x, targets
+
+
+# NaN and infinite features, whose margins are NaN (inf * 0.0, inf - inf)
+# or infinite, and magnitudes near 1e300, whose bound overflows: no pass may
+# be skipped on a NaN. At 1e150 the fit still skips.
+@pytest.mark.parametrize("design", [
+    with_entry(DRIFT, 3, 0, math.nan), with_entry(DRIFT, 3, 0, math.inf), with_entry(STABLE, 0, 0, -math.inf),
+    (STABLE[0] * 1e300, STABLE[1]), (DRIFT[0] * 1e300, DRIFT[1]), (STABLE[0] * 1e150, STABLE[1]),
+], ids=["nan", "inf", "-inf", "stable-1e300", "drift-1e300", "stable-1e150"])
+def test_weighted_sum_fit_on_non_finite_or_huge_features_equals_reference(design):
+    x, targets = design
+    detector_ids = tuple("abcdef"[: x.shape[1]])
+
+    def outcome(fit):
+        try:
+            return repr(fit())
+        except ValueError as exc:  # a weight or the bias is not finite
+            return repr(exc)
+
+    with np.errstate(all="ignore"):  # products past 1e308 are inf, inf - inf and inf * 0.0 NaN
+        expected = outcome(lambda: reference_fit(x, np.where(targets, 1.0, -1.0), detector_ids))
+        assert outcome(lambda: baselines.fit_weighted_sum(x, targets, detector_ids)) == expected
+
+
+def margin_passes(x, targets):
+    """The steps (from 1) at which ``fit_weighted_sum`` forms the margins,
+    each found by the w it hands ``np.matmul`` among the reference's w of
+    each step; and the reference's margins at each step."""
+    detector_ids, steps, handed, real_matmul = tuple("abcdef"[: x.shape[1]]), [], [], np.matmul
+    reference_fit(x, np.where(targets, 1.0, -1.0), detector_ids, steps=steps)
+
+    def matmul(features, w, out):
+        handed.append(w.tobytes())
+        return real_matmul(features, w, out=out)
+
+    with mock.patch.object(np, "matmul", matmul):
+        baselines.fit_weighted_sum(x, targets, detector_ids)
+    passes, t = [], 0
+    for w in handed:
+        t = next(i for i in range(t, len(steps)) if steps[i][0].tobytes() == w) + 1
+        passes.append(t)
+    return passes, [margin for _, margin in steps]
+
+
+def test_weighted_sum_examples_reach_the_cases_they_name():
+    # DRIFT's set changes at steps 2 and 1,171 only; the fit skips a run of
+    # hundreds of steps before it forms the margins at 1,171.
+    passes, margins = margin_passes(*DRIFT)
+    sets = [(margin < 1.0).tobytes() for margin in margins]
+    assert [t for t in range(2, len(sets) + 1) if sets[t - 1] != sets[t - 2]] == [2, 1171]
+    before = [t for t in passes if t <= 1171]
+    assert before[-1] == 1171 and max(b - a for a, b in zip(before, before[1:])) >= 300
+    assert len(passes) < 100
+    # EXACT_ONE computes a margin of exactly 1.0 at a pass that finds the last set.
+    passes, margins = margin_passes(*EXACT_ONE)
+    sets = [(margin < 1.0).tobytes() for margin in margins]
+    assert len(passes) < 2000
+    assert any(sets[t - 1] == sets[t - 2] and (margins[t - 1] == 1.0).any() for t in passes[1:])
 
 
 # ---- fused output and model files -------------------------------------------
